@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     DegenerateDirection,
     Exhausted,
     InvolStabError,

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateDirection, SpecMismatch
+from .errors import DegenerateDirection, SpecMismatch
 
 
 class AlgebraKind(str, Enum):
@@ -135,35 +135,11 @@ def conj_transpose(a: Element) -> Element:
     return Element(a.spec, a.data.conj())
 
 
-def _operator_norm(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    # Power iteration on a*a; the estimate is the vector norm of B x_k,
-    # which tends to the largest eigenvalue of B = a*a.  Deterministic
-    # all-ones start; a collapse to the kernel falls back to basis vectors.
-    b = mat.conj().T @ mat
-    n = b.shape[0]
-    x = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    y = b @ x
-    lam = float(np.linalg.norm(y))
-    if lam == 0.0:
-        for j in range(n):
-            e = np.zeros(n, dtype=np.complex128)
-            e[j] = 1.0
-            y = b @ e
-            lam = float(np.linalg.norm(y))
-            if lam > 0.0:
-                break
-        else:
-            return 0.0
-    for _ in range(max_iter):
-        x = y / lam
-        y = b @ x
-        new_lam = float(np.linalg.norm(y))
-        if abs(new_lam - lam) <= tol * max(new_lam, 1e-300):
-            return math.sqrt(new_lam)
-        lam = new_lam
-    raise ConvergenceFailure(
-        f"operator norm power iteration: tolerance {tol} unmet in {max_iter} steps"
-    )
+def _operator_norm(mat: np.ndarray) -> np.ndarray | float:
+    # Largest singular value from LAPACK: no start vector, gap condition or
+    # iteration cap.  Takes one (d, d) matrix or a stack (N, d, d); a stack
+    # gives the same bits as the per-matrix calls.
+    return np.linalg.svd(mat, compute_uv=False)[..., 0]
 
 
 def norm(a: Element) -> float:
@@ -172,7 +148,18 @@ def norm(a: Element) -> float:
         return abs(complex(a.data[0]))
     if a.spec.kind is AlgebraKind.POINTWISE:
         return float(np.max(np.abs(a.data)))
-    return _operator_norm(a.data)
+    return float(_operator_norm(a.data))
+
+
+def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
+    """Norms of a stack of raw entry arrays shaped (N, *spec.shape); entry
+    k equals `norm(Element(spec, stack[k]))` bit for bit."""
+    if spec.kind is AlgebraKind.MATRIX:
+        return _operator_norm(stack).tolist()
+    if spec.kind is AlgebraKind.POINTWISE:
+        return np.max(np.abs(stack), axis=-1).tolist()
+    # Python's complex abs, as in norm(); numpy's differs in the last bit.
+    return [abs(z) for z in stack.reshape(-1).tolist()]
 
 
 def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> Element:

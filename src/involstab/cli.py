@@ -7,7 +7,8 @@ Commands:
   demo-fixedpoint                    both branches of the alternative
 
 Exit codes: 2 configuration error, 3 no contractive direction,
-4 stabilization failure, 0 otherwise (failed certifications are data).
+4 stabilization failure, 5 any other package error (e.g. a degenerate
+random direction), 0 otherwise (failed certifications are data).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,7 +29,9 @@ import numpy as np
 
 from . import __version__, algebra, fixedpoint, maps, stabilizer, verifier
 from .algebra import AlgebraSpec, Element
-from .errors import ConfigError, NoContraction, StabilizationFailure
+from .errors import (
+    ConfigError, InvolStabError, KindSpecMismatch, NoContraction, StabilizationFailure,
+)
 from .maps import ApproxMap, Involution, LambdaSampler, PerturbationSpec
 from .stabilizer import ControlFunction, ScalingDirection
 
@@ -69,20 +71,6 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def _parallel_map(fn, items):
-    raw = os.environ.get("STABILIZER_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"STABILIZER_THREADS must be an integer, got {raw!r}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------- configuration -----------------------------
@@ -152,7 +140,9 @@ def parse_scenario(raw: dict) -> Scenario:
             base = maps.twisted_adjoint(s)
         else:
             base = Involution(kind)
-    except ValueError as exc:
+        # Raises KindSpecMismatch if the involution is not defined on spec.
+        maps.eval_involution(base, algebra.zero(spec))
+    except (ValueError, KindSpecMismatch) as exc:
         raise ConfigError(f"involution.kind: {exc}")
 
     def parse_pert(section_name: str, required: bool) -> PerturbationSpec | None:
@@ -283,12 +273,10 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
         direction=direction, max_n=sc.max_n, tol_rel=sc.tol_rel,
     )
 
-    traces = _parallel_map(
-        lambda x: stabilizer.stabilize_point(
-            sc.f, direction, x, max_n=sc.max_n, tol_rel=sc.tol_rel
-        ),
-        probes,
-    )
+    traces = [
+        stabilizer.stabilize_point(sc.f, direction, x, max_n=sc.max_n, tol_rel=sc.tol_rel)
+        for x in probes
+    ]
 
     bound = verifier.verify_bound(
         sc.f, sc.phi, direction, probes, max_n=sc.max_n, tol_rel=sc.tol_rel
@@ -360,16 +348,20 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
         radius = algebra.norm(x)
         bnd = stabilizer.error_bound(direction, sc.phi, x)
         fx = maps.eval_f(sc.f, x)
+        # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last
+        # iterate gets no row. Each norm column is one stacked call.
+        iterates = np.stack([a_n.data for a_n in tr.iterates[:-1]])
+        errors = algebra.stacked_norms(sc.spec, iterates - tr.result.data)
+        deviations = algebra.stacked_norms(sc.spec, iterates - fx.data)
         for n, diff in enumerate(tr.diffs):
-            a_n = tr.iterates[n]
             trace_rows.append({
                 "probe_id": probe_id,
                 "radius": radius,
                 "n": n,
                 "diff_norm": diff,
-                "error_vs_limit": algebra.norm(algebra.sub(a_n, tr.result)),
+                "error_vs_limit": errors[n],
                 "bound": bnd,
-                "ratio": verifier._ratio(algebra.norm(algebra.sub(a_n, fx)), bnd),
+                "ratio": verifier._ratio(deviations[n], bnd),
             })
     return report, trace_rows, direction
 
@@ -595,6 +587,9 @@ def main(argv=None) -> int:
     except StabilizationFailure as exc:
         print(f"stabilization failure: {exc}", file=sys.stderr)
         return 4
+    except InvolStabError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -9,10 +9,6 @@ class SpecMismatch(InvolStabError):
     """Two elements from different algebra instances were combined."""
 
 
-class ConvergenceFailure(InvolStabError):
-    """Power iteration failed to meet its tolerance within the cap."""
-
-
 class DegenerateDirection(InvolStabError):
     """Random direction draw produced the zero element repeatedly."""
 

@@ -40,7 +40,7 @@ class Involution:
             sd = self.s.data
             if not np.allclose(sd, sd.conj().T, atol=1e-12, rtol=0.0):
                 raise ValueError("twist s must be Hermitian")
-            # SVD used for validation only; the norm path stays power iteration.
+            # The smallest singular value certifies that s is invertible.
             if float(np.linalg.svd(sd, compute_uv=False)[-1]) <= 1e-8:
                 raise ValueError("twist s must be invertible (min singular value > 1e-8)")
             object.__setattr__(self, "_s_inv", np.linalg.inv(sd))

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from involstab import algebra
 from involstab.algebra import SCALAR, Element, matrix_spec, pointwise_spec
@@ -74,7 +77,8 @@ class TestNorm:
             assert algebra.norm(x) == pytest.approx(oracle, rel=1e-9)
 
     def test_kernel_start_fallback(self):
-        # all-ones start vector lies in the kernel of a*a
+        # all-ones lies in the kernel of a*a, so an iterative method
+        # started there would see the zero matrix
         m = algebra.element(M2, [1, -1, 0, 0])
         assert algebra.norm(m) == pytest.approx(math.sqrt(2), rel=1e-9)
 
@@ -84,6 +88,85 @@ class TestNorm:
     def test_scalar_pointwise(self):
         assert algebra.norm(algebra.scalar(3 + 4j)) == 5.0
         assert algebra.norm(algebra.element(P2, [1, -2j])) == 2.0
+
+
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+class TestNormRegressions:
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # the top singular vector is orthogonal to all-ones, the old start vector
+        m = algebra.element(M2, [1.5, -0.5, -0.5, 1.5])
+        assert algebra.norm(m) == pytest.approx(2.0, rel=1e-15)
+
+    def test_near_equal_singular_values_2x2(self):
+        m = algebra.element(M2, [1, 0, 0, 0.99999])
+        assert algebra.norm(m) == pytest.approx(1.0, rel=1e-15)
+
+    def test_near_equal_singular_values_3x3(self, rng):
+        # relative gap 1e-4 between the two largest singular values
+        sigma = np.diag([2.0, 2.0 * (1 - 1e-4), 0.5])
+        m = _unitary(rng, 3) @ sigma @ _unitary(rng, 3)
+        assert algebra.norm(Element(matrix_spec(3), m)) == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", [SCALAR, P2, pointwise_spec(5), matrix_spec(1),
+                                      M2, matrix_spec(3), matrix_spec(5)],
+                             ids=lambda s: f"{s.kind.value}{s.dim}")
+    def test_stack_matches_single_calls(self, spec, rng):
+        shape = (64, *spec.shape)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack[0] = 0.0
+        single = [algebra.norm(Element(spec, m)) for m in stack]
+        assert algebra.stacked_norms(spec, stack) == single
+
+
+def mp_operator_norm(m: np.ndarray) -> float:
+    """50-digit reference: largest singular value from mpmath."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
+        sv = mpmath.svd_c(a, compute_uv=False)
+        return float(max(sv[k] for k in range(sv.rows)))
+
+
+# Entries below 1e-200 are flushed to zero so that no scaled entry, and no
+# norm, is subnormal: a subnormal result carries an absolute, not relative,
+# rounding error.
+_entry = st.floats(-1.0, 1.0, allow_subnormal=False).map(
+    lambda v: v if abs(v) > 1e-200 else 0.0)
+
+
+@st.composite
+def adversarial_matrices(draw):
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["general", "scaled_unitary", "rank_deficient", "nilpotent"]))
+    re = draw(st.lists(_entry, min_size=d * d, max_size=d * d))
+    im = draw(st.lists(_entry, min_size=d * d, max_size=d * d))
+    base = (np.array(re) + 1j * np.array(im)).reshape(d, d)
+    if kind == "scaled_unitary":
+        # all singular values equal; the shift keeps QR away from a zero column
+        q, _ = np.linalg.qr(base + 2.0 * np.eye(d))
+        m = draw(st.floats(0.5, 2.0)) * q
+    elif kind == "rank_deficient":
+        m = np.outer(base[:, 0], base[0, :].conj())
+    elif kind == "nilpotent":
+        m = np.triu(base, k=1)
+    else:
+        m = base
+    return m * draw(st.sampled_from([1e-20, 1.0, 1e20]))
+
+
+class TestNormProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(adversarial_matrices())
+    @example(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    @example(np.array([[1.5, -0.5], [-0.5, 1.5]], dtype=complex))
+    @example(np.diag([1.0, 0.99999]).astype(complex) * 1e20)
+    def test_matches_mpmath_reference(self, m):
+        got = algebra.norm(Element(matrix_spec(m.shape[0]), m))
+        ref = mp_operator_norm(m)
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 class TestConjTranspose:

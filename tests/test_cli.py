@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from involstab import cli
+from involstab import algebra, cli, maps, stabilizer, verifier
 from involstab.cli import bundled_scenario_path, main
+from involstab.errors import DegenerateDirection
 
 
 def small_config(**overrides):
@@ -67,19 +68,37 @@ class TestRun:
         for name in ("report.json", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, small_config())
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["run", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("STABILIZER_THREADS", "4")
-        assert main(["run", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+    @pytest.mark.parametrize("algebra_cfg, involution", [
+        ({"kind": "scalar"}, "conjugation"),
+        ({"kind": "pointwise", "dim": 3}, "conjugation"),
+        ({"kind": "matrix", "dim": 2}, "adjoint"),
+    ], ids=["scalar", "pointwise", "matrix"])
+    def test_trace_columns_match_per_row_norms(self, algebra_cfg, involution):
+        sc = cli.parse_scenario(small_config(algebra=algebra_cfg,
+                                             involution={"kind": involution}))
+        _, rows, direction = cli.run_pipeline(sc)
+        expected = []
+        for x in cli.make_probes(sc):
+            tr = stabilizer.stabilize_point(sc.f, direction, x,
+                                            max_n=sc.max_n, tol_rel=sc.tol_rel)
+            fx = maps.eval_f(sc.f, x)
+            bnd = stabilizer.error_bound(direction, sc.phi, x)
+            for a_n in tr.iterates[:-1]:
+                expected.append((algebra.norm(algebra.sub(a_n, tr.result)),
+                                 verifier._ratio(algebra.norm(algebra.sub(a_n, fx)), bnd)))
+        assert [(r["error_vs_limit"], r["ratio"]) for r in rows] == expected
 
-    def test_invalid_threads_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, small_config())
-        monkeypatch.setenv("STABILIZER_THREADS", "many")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    def test_near_equal_singular_values_probe(self, tmp_path):
+        # diag(1, 0.99999) has a 1e-5 relative gap between its singular values
+        cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
+        cfg["sampling"].update(num_probes=3, extra_probes=[[[1, 0], [0, 0], [0, 0], [0.99999, 0]]])
+        cfg["laws"] = {"max_probes": 2}
+        cfg["lambda"].update(arc=1, circle=1, reals=1, complex=1)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["bound"]["pass"] is True
+        assert report["cstar"]["pass"] is True
 
     def test_infinite_ratios_serialized_as_strings(self, tmp_path):
         # conjugation plus a radial perturbation violates product control at y=0
@@ -113,6 +132,23 @@ class TestExitCodes:
     def test_no_contraction_at_r_one(self, tmp_path):
         cfg = small_config(control={"kind": "power_sum", "theta": 0.3, "r": 1.0})
         assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+
+    @pytest.mark.parametrize("algebra_cfg, involution", [
+        ({"kind": "matrix", "dim": 2}, {"kind": "conjugation"}),
+        ({"kind": "scalar"}, {"kind": "twisted_adjoint", "s": [[1, 0]]}),
+    ], ids=["conjugation-on-matrix", "twisted-on-scalar"])
+    def test_involution_undefined_on_algebra(self, tmp_path, capsys, algebra_cfg, involution):
+        cfg = small_config(algebra=algebra_cfg, involution=involution)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert "involution" in capsys.readouterr().err
+
+    def test_other_package_error(self, tmp_path, monkeypatch, capsys):
+        def degenerate(sc):
+            raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
+
+        monkeypatch.setattr(cli, "make_probes", degenerate)
+        assert main(["run", str(write_config(tmp_path, small_config()))]) == 5
+        assert "DegenerateDirection" in capsys.readouterr().err
 
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling

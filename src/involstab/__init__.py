@@ -84,7 +84,6 @@ from .stabilizer import (
     control_of_x,
     corollary_constant,
     error_bound,
-    involutivity_residual,
     power_product,
     power_sum,
     select_direction,

@@ -73,15 +73,6 @@ class Element:
         """Entries in row-major order."""
         return self.data.reshape(-1)
 
-    def __add__(self, other: "Element") -> "Element":
-        return add(self, other)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return add(self, scale(-1.0, other))
-
-    def __matmul__(self, other: "Element") -> "Element":
-        return mul(self, other)
-
     def close_to(self, other: "Element", tol: float = 0.0) -> bool:
         return self.spec == other.spec and bool(
             np.all(np.abs(self.data - other.data) <= tol)

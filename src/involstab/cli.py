@@ -267,38 +267,25 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
     direction).  Raises NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
     probes = make_probes(sc)
+    # Every stage reads the one stabilized map per (map, depth), so each
+    # probe is stabilized once per depth.
+    I = verifier.StabilizedMap(sc.f, direction, sc.max_n, sc.tol_rel)
 
-    hyp = verifier.scan_hypotheses(
-        sc.f, sc.phi, sc.lambdas, probes,
-        direction=direction, max_n=sc.max_n, tol_rel=sc.tol_rel,
-    )
-
-    traces = [
-        stabilizer.stabilize_point(sc.f, direction, x, max_n=sc.max_n, tol_rel=sc.tol_rel)
-        for x in probes
-    ]
-
-    bound = verifier.verify_bound(
-        sc.f, sc.phi, direction, probes, max_n=sc.max_n, tol_rel=sc.tol_rel
-    )
-    law_probes = probes[: sc.laws_max_probes]
-    laws = verifier.verify_involution_laws(
-        sc.f, direction, sc.lambdas, law_probes, max_n=sc.max_n, tol_rel=sc.tol_rel
-    )
+    hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, probes)
+    bound = verifier.verify_bound(I, sc.phi, probes)
+    laws = verifier.verify_involution_laws(I, sc.lambdas, probes[: sc.laws_max_probes])
     uniq = None
     if sc.f2 is not None:
-        uniq = verifier.verify_uniqueness(
-            sc.f, sc.f2, direction, probes, max_n=sc.max_n, tol_rel=sc.tol_rel
-        )
+        I2 = verifier.StabilizedMap(sc.f2, direction, sc.max_n, sc.tol_rel)
+        uniq = verifier.verify_uniqueness(I, I2, probes)
     # The C*-check certifies the limit map; the scaling tail at the bound
     # depth is above the 1e-8 certification tolerance at small radii, so
     # stabilize deeper here.
-    cstar = verifier.verify_cstar(
-        sc.f, direction, probes,
-        max_n=max(sc.max_n, sc.cstar_max_n),
-        tol_rel=min(sc.tol_rel, sc.cstar_tol_rel),
-        tol=sc.cstar_tol,
-    )
+    cstar_depth = (max(sc.max_n, sc.cstar_max_n), min(sc.tol_rel, sc.cstar_tol_rel))
+    I_cstar = I
+    if cstar_depth != (sc.max_n, sc.tol_rel):
+        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
+    cstar = verifier.verify_cstar(I_cstar, probes, tol=sc.cstar_tol)
 
     report = {
         "direction": {"q": direction.q, "i": direction.i, "L": direction.L},
@@ -344,7 +331,8 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
     }
 
     trace_rows = []
-    for probe_id, (x, tr) in enumerate(zip(probes, traces)):
+    for probe_id, x in enumerate(probes):
+        tr = I.trace(x)
         radius = algebra.norm(x)
         bnd = stabilizer.error_bound(direction, sc.phi, x)
         fx = maps.eval_f(sc.f, x)
@@ -414,10 +402,10 @@ def _trace_csv(rows: list[dict]) -> str:
 def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> Path:
     raw = load_config(config_path)
     sc = parse_scenario(raw)
+    report, trace_rows, direction = run_pipeline(sc)
+
     out = Path(out_dir) if out_dir else Path(Path(str(config_path)).stem + "_out")
     out.mkdir(parents=True, exist_ok=True)
-
-    report, trace_rows, direction = run_pipeline(sc)
 
     report_text = json.dumps(report, indent=2)
     _atomic_write(out / "report.json", report_text + "\n")
@@ -479,7 +467,7 @@ def sweep(config_path: str | Path, param: str, values: list[float],
                 "cstar_pass": report["cstar"]["pass"],
                 "status": "ok",
             })
-        except (ConfigError, NoContraction, StabilizationFailure) as exc:
+        except InvolStabError as exc:
             row.update({
                 "L": "", "max_bound_ratio": "", "max_law_defect": "",
                 "bound_pass": "", "cstar_pass": "",

@@ -226,16 +226,3 @@ def corollary_constant(r: float, regime: Regime) -> CorollaryAudit:
         paper = 0.0
     return CorollaryAudit(derived=derived, paper_stated=paper, sign_anomaly=paper < 0)
 
-
-def involutivity_residual(
-    f: ApproxMap,
-    direction: ScalingDirection,
-    x: Element,
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
-) -> float:
-    """Finite-depth proxy of the nested double limit: stabilize twice and
-    measure the distance back to x."""
-    y = stabilize_point(f, direction, x, max_n=max_n, tol_rel=tol_rel).result
-    z = stabilize_point(f, direction, y, max_n=max_n, tol_rel=tol_rel).result
-    return algebra.norm(algebra.sub(z, x))

@@ -8,14 +8,14 @@ reported as data, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, maps, stabilizer
 from .algebra import Element
 from .maps import ApproxMap, LambdaSampler
-from .stabilizer import ControlFunction, ScalingDirection
+from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
 INF = math.inf
 
@@ -29,7 +29,9 @@ def _ratio(num: float, den: float) -> float:
 
 
 class StabilizedMap:
-    """Memoized x -> stabilize_point(f, direction, x).result."""
+    """The stabilized map I of f at one depth (max_n, tol_rel), memoized:
+    each point is stabilized once and its whole StabilizationTrace kept.
+    Build one per map and depth and pass it to every stage."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection,
                  max_n: int = 48, tol_rel: float = 1e-10):
@@ -37,17 +39,20 @@ class StabilizedMap:
         self.direction = direction
         self.max_n = max_n
         self.tol_rel = tol_rel
-        self._cache: dict[bytes, Element] = {}
+        self._traces: dict[bytes, StabilizationTrace] = {}
+
+    def trace(self, x: Element) -> StabilizationTrace:
+        key = np.ascontiguousarray(x.data).tobytes()
+        tr = self._traces.get(key)
+        if tr is None:
+            tr = stabilizer.stabilize_point(
+                self.f, self.direction, x, max_n=self.max_n, tol_rel=self.tol_rel
+            )
+            self._traces[key] = tr
+        return tr
 
     def __call__(self, x: Element) -> Element:
-        key = np.ascontiguousarray(x.data).tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = stabilizer.stabilize_point(
-                self.f, self.direction, x, max_n=self.max_n, tol_rel=self.tol_rel
-            ).result
-            self._cache[key] = hit
-        return hit
+        return self.trace(x).result
 
 
 def probe_pairs(probes: list[Element]) -> list[tuple[Element, Element]]:
@@ -76,24 +81,20 @@ class HypothesisEntry:
 @dataclass
 class DefectReport:
     entries: dict[str, HypothesisEntry]
-    tolerances: dict = field(default_factory=dict)
 
 
 def scan_hypotheses(
-    f: ApproxMap,
+    I: StabilizedMap,
     phi: ControlFunction,
     lambdas: LambdaSampler,
     probes: list[Element],
-    direction: ScalingDirection | None = None,
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
 ) -> DefectReport:
-    """Supremum defect/control ratios for the Jensen, anti-multiplicativity
-    and C*-norm hypotheses, plus the absolute involutivity residual."""
+    """Supremum defect/control ratios of I.f for the Jensen,
+    anti-multiplicativity and C*-norm hypotheses, plus the absolute
+    involutivity residual ||I(I(x)) - x||."""
     if not probes:
         raise ValueError("probe set must be nonempty")
-    if direction is None:
-        direction = stabilizer.select_direction(phi)
+    f = I.f
     lams = maps.sample_lambdas(lambdas)
     pairs = probe_pairs(probes)
 
@@ -122,9 +123,7 @@ def scan_hypotheses(
 
     e4_sup, e4_wit = 0.0, None
     for x in probes:
-        residual = stabilizer.involutivity_residual(
-            f, direction, x, max_n=max_n, tol_rel=tol_rel
-        )
+        residual = algebra.norm(algebra.sub(I(I(x)), x))
         if e4_sup < residual or e4_wit is None:
             e4_sup, e4_wit = residual, {"x": x}
 
@@ -141,7 +140,6 @@ def scan_hypotheses(
             "e4_involutive": HypothesisEntry("e4_involutive", e4_sup, e4_wit, len(probes)),
             "e6_cstar": HypothesisEntry("e6_cstar", e6_sup, e6_wit, len(probes)),
         },
-        tolerances={"max_n": max_n, "tol_rel": tol_rel},
     )
 
 
@@ -163,16 +161,12 @@ class LawReport:
 
 
 def verify_involution_laws(
-    f: ApproxMap,
-    direction: ScalingDirection,
+    I: StabilizedMap,
     lambdas: LambdaSampler,
     probes: list[Element],
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
 ) -> LawReport:
     """Measure the involution laws on the stabilized map I; defects are
     normalized by max(1, input norms)."""
-    I = StabilizedMap(f, direction, max_n=max_n, tol_rel=tol_rel)
     lams = maps.sample_lambdas(lambdas)
     pairs = probe_pairs(probes)
     total = 0
@@ -239,23 +233,19 @@ class BoundReport:
 
 
 def verify_bound(
-    f: ApproxMap,
+    I: StabilizedMap,
     phi: ControlFunction,
-    direction: ScalingDirection,
     probes: list[Element],
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
     zero_bound_abs: float = 1e-9,
 ) -> BoundReport:
     """||I(x) - f(x)|| against L^{1-i}/(1-L) * phi(x,0) per probe; a zero
     bound demands the difference vanish to zero_bound_abs (superstability)."""
-    I = StabilizedMap(f, direction, max_n=max_n, tol_rel=tol_rel)
     ratios: list[float] = []
     witness = None
     worst = -1.0
     for x in probes:
-        diff = algebra.norm(algebra.sub(I(x), maps.eval_f(f, x)))
-        bound = stabilizer.error_bound(direction, phi, x)
+        diff = algebra.norm(algebra.sub(I(x), maps.eval_f(I.f, x)))
+        bound = stabilizer.error_bound(I.direction, phi, x)
         if bound == 0.0:
             ratio = 0.0 if diff <= zero_bound_abs else INF
         else:
@@ -281,18 +271,13 @@ class UniquenessReport:
 
 
 def verify_uniqueness(
-    f1: ApproxMap,
-    f2: ApproxMap,
-    direction: ScalingDirection,
+    I1: StabilizedMap,
+    I2: StabilizedMap,
     probes: list[Element],
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
     tol: float = 1e-6,
 ) -> UniquenessReport:
     """Two admissible maps over the same base must stabilize to the same
     involution pointwise."""
-    I1 = StabilizedMap(f1, direction, max_n=max_n, tol_rel=tol_rel)
-    I2 = StabilizedMap(f2, direction, max_n=max_n, tol_rel=tol_rel)
     worst, witness = -1.0, None
     for x in probes:
         diff = algebra.norm(algebra.sub(I1(x), I2(x)))
@@ -314,17 +299,13 @@ class CstarReport:
 
 
 def verify_cstar(
-    f: ApproxMap,
-    direction: ScalingDirection,
+    I: StabilizedMap,
     probes: list[Element],
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
     tol: float = 1e-8,
 ) -> CstarReport:
     """Relative C*-identity defect | ||x I(x)|| - ||x||^2 | / ||x||^2 of the
     stabilized map.  The reversed product order is reported for information
     only."""
-    I = StabilizedMap(f, direction, max_n=max_n, tol_rel=tol_rel)
     worst, rev_worst, witness = 0.0, 0.0, None
     checked = 0
     for x in probes:

@@ -30,6 +30,7 @@ from involstab.stabilizer import (
     select_direction,
     stabilize_point,
 )
+from involstab.verifier import StabilizedMap
 
 M2 = matrix_spec(2)
 SQRT2 = math.sqrt(2)
@@ -150,7 +151,7 @@ def test_criterion_4_involution_laws(verdict):
     total, worst = 0, 0.0
     for f in variants.values():
         rep = verifier.verify_involution_laws(
-            f, DIRECTION, LAMBDAS, sample_probes(24, 31), max_n=48
+            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, sample_probes(24, 31)
         )
         total += rep.total_tuples
         worst = max(
@@ -167,13 +168,16 @@ def test_criterion_4_involution_laws(verdict):
 
 def test_criterion_5_cstar_dichotomy(verdict):
     probes = sample_probes(20, 41)
-    adj = verifier.verify_cstar(ADJ_F, DIRECTION, probes, max_n=96, tol_rel=1e-12)
+    adj = verifier.verify_cstar(
+        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), probes
+    )
     nil = algebra.element(M2, [0, 1, 0, 0])
     twisted = ApproxMap(
         maps.twisted_adjoint(algebra.element(M2, [1, 0, 0, 2])), NO_PERTURBATION, M2
     )
-    tw = verifier.verify_cstar(twisted, DIRECTION, probes + [nil], max_n=96)
-    tw_nil = verifier.verify_cstar(twisted, DIRECTION, [nil], max_n=96)
+    I_twisted = StabilizedMap(twisted, DIRECTION, max_n=96)
+    tw = verifier.verify_cstar(I_twisted, probes + [nil])
+    tw_nil = verifier.verify_cstar(I_twisted, [nil])
     ok = (adj.passed and adj.max_ratio <= 1e-8
           and not tw.passed and tw.max_ratio >= 0.25
           and abs(tw_nil.max_ratio - 0.5) <= 1e-9)
@@ -187,7 +191,7 @@ def test_criterion_6_superstability(verdict):
     d = select_direction(phi)
     exact = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
     probes = sample_probes(30, 51, spec=SCALAR)
-    rep = verifier.scan_hypotheses(exact, phi, LAMBDAS, probes, direction=d)
+    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, probes)
     sup = max(e.sup_ratio for e in rep.entries.values())
     constant = all(
         stabilize_point(exact, d, x).n_used == 1
@@ -198,7 +202,7 @@ def test_criterion_6_superstability(verdict):
     perturbed = ApproxMap(
         maps.conjugation(), PerturbationSpec("fixed_direction", 0.01, 0.25), SCALAR
     )
-    rep2 = verifier.scan_hypotheses(perturbed, phi, LAMBDAS, probes, direction=d)
+    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, probes)
     e2 = rep2.entries["e2_jensen"]
     refuted = e2.sup_ratio == INF and algebra.norm(e2.witness["y"]) == 0.0
     ok = sup <= 1e-12 and constant and refuted
@@ -270,7 +274,8 @@ def test_criterion_9_uniqueness(verdict):
         M2,
     )
     rep = verifier.verify_uniqueness(
-        ADJ_F, f2, DIRECTION, sample_probes(40, 91), max_n=48
+        StabilizedMap(ADJ_F, DIRECTION, max_n=48), StabilizedMap(f2, DIRECTION, max_n=48),
+        sample_probes(40, 91),
     )
     ok = rep.passed and rep.max_diff <= 1e-6
     verdict(9, ok, f"fixed vs random direction limits agree to {rep.max_diff:.3e} "

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -88,6 +89,30 @@ class TestRun:
                                  verifier._ratio(algebra.norm(algebra.sub(a_n, fx)), bnd)))
         assert [(r["error_vs_limit"], r["ratio"]) for r in rows] == expected
 
+    @pytest.mark.parametrize("cstar", [{}, {"max_n": 48, "tol_rel": 1e-10}],
+                             ids=["deeper-cstar", "same-depth-cstar"])
+    def test_each_key_stabilized_once(self, monkeypatch, cstar):
+        # One call per distinct (map, point, max_n, tol_rel) across all
+        # stages and the trace rows.
+        calls = []
+        stabilize = stabilizer.stabilize_point
+
+        def counting(f, direction, x, max_n=48, tol_rel=1e-10):
+            calls.append((id(f), x.data.tobytes(), max_n, tol_rel))
+            return stabilize(f, direction, x, max_n=max_n, tol_rel=tol_rel)
+
+        monkeypatch.setattr(stabilizer, "stabilize_point", counting)
+        sc = cli.parse_scenario(small_config(
+            perturbation2={"kind": "random_direction", "theta_delta": 0.1,
+                           "r": 0.5, "direction_seed": 5},
+            cstar=cstar,
+        ))
+        report, _, _ = cli.run_pipeline(sc)
+        assert report["uniqueness"]["pass"] is True
+        assert {(key[0], key[2]) for key in calls} == {
+            (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
+        assert len(calls) == len(set(calls))
+
     def test_near_equal_singular_values_probe(self, tmp_path):
         # diag(1, 0.99999) has a 1e-5 relative gap between its singular values
         cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
@@ -132,6 +157,12 @@ class TestExitCodes:
     def test_no_contraction_at_r_one(self, tmp_path):
         cfg = small_config(control={"kind": "power_sum", "theta": 0.3, "r": 1.0})
         assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+
+    def test_failed_run_writes_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(control={"kind": "power_sum", "theta": 0.3, "r": 1.0})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+        assert not (tmp_path / "scenario_out").exists()
 
     @pytest.mark.parametrize("algebra_cfg, involution", [
         ({"kind": "matrix", "dim": 2}, {"kind": "conjugation"}),
@@ -197,6 +228,24 @@ class TestSweep:
         assert len(ok_rows) == 2
         assert any("NoContraction" in l for l in lines[1:])
 
+    def test_sweep_records_other_package_errors(self, tmp_path, monkeypatch):
+        make_probes = cli.make_probes
+
+        def degenerate_at_five(sc):
+            if sc.num_probes == 5:
+                raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
+            return make_probes(sc)
+
+        monkeypatch.setattr(cli, "make_probes", degenerate_at_five)
+        cfg = write_config(tmp_path, small_config())
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--param", "num_probes",
+                     "--values", "4,5,6", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        statuses = [row.rsplit(",", 1)[1] for row in rows]
+        assert statuses[0] == statuses[2] == "ok"
+        assert statuses[1].startswith("DegenerateDirection")
+
     def test_sweep_bad_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_config())
         assert main(["sweep", str(cfg), "--param", "theta", "--values", "x,y"]) == 2
@@ -211,6 +260,6 @@ class TestDemo:
         assert "fixed_point=2.0" in out or "fixed_point=1.9999999999999" in out
 
     def test_demo_bound_attained(self):
-        result = cli.demo_fixedpoint(stream=open("/dev/null", "w"))
+        result = cli.demo_fixedpoint(stream=io.StringIO())
         assert abs(result["affine_bound_ratio"] - 1.0) <= 1e-12
         assert result["identity"].n0 == 0

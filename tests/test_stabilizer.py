@@ -14,7 +14,6 @@ from involstab.stabilizer import (
     control_eval,
     corollary_constant,
     error_bound,
-    involutivity_residual,
     power_product,
     power_sum,
     select_direction,
@@ -224,19 +223,3 @@ class TestCorollaryConstant:
         with pytest.raises(OutOfRange):
             corollary_constant(0.5, Regime.PRODUCT)
 
-
-class TestInvolutivityResidual:
-    def test_exact_involution(self, rng):
-        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
-        x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert involutivity_residual(f, UP, x) <= 1e-12
-
-    def test_perturbed_adjoint(self, rng):
-        f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2)
-        for _ in range(10):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            assert involutivity_residual(f, UP, x, max_n=48) <= 1e-6
-
-    def test_zero(self):
-        f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2)
-        assert involutivity_residual(f, UP, algebra.zero(M2)) == 0.0

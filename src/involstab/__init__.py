@@ -55,6 +55,7 @@ from .maps import (
     conjugation,
     cstar_defect,
     eval_f,
+    eval_f_rows,
     eval_involution,
     eval_perturbation,
     jensen_defect,
@@ -88,6 +89,7 @@ from .stabilizer import (
     power_sum,
     select_direction,
     stabilize_point,
+    stabilize_points,
 )
 from .verifier import (
     BoundReport,

@@ -166,11 +166,17 @@ def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) ->
 
 def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
     """Unit-norm element with independent standard complex Gaussian entries."""
+    raw = gaussian_row(spec, rng)
+    return Element(spec, complex(1.0 / stacked_norms(spec, raw[None])[0]) * raw)
+
+
+def gaussian_row(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
+    """Nonzero standard complex Gaussian entries, before `sample_direction`
+    normalizes them; callers with many rows normalize them in one stack."""
     for _ in range(8):
         raw = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        if np.any(raw != 0):
-            cand = Element(spec, raw)
-            return scale(1.0 / norm(cand), cand)
+        if raw.any():
+            return raw
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 
 

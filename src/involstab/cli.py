@@ -104,6 +104,14 @@ def _get(section: dict, key: str, where: str, default=None, required=False):
     return section[key]
 
 
+def _number(section: dict, key: str, where: str, conv, default=None, required=False):
+    value = _get(section, key, where, default=default, required=required)
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+
+
 def _section(raw: dict, key: str, required=True) -> dict:
     sec = raw.get(key)
     if sec is None:
@@ -124,10 +132,12 @@ def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     alg = _section(raw, "algebra")
     try:
         spec = AlgebraSpec(_get(alg, "kind", "algebra", required=True),
-                           int(_get(alg, "dim", "algebra", default=1)))
+                           _number(alg, "dim", "algebra", int, default=1))
     except ValueError as exc:
         raise ConfigError(f"algebra: {exc}")
 
@@ -152,8 +162,8 @@ def parse_scenario(raw: dict) -> Scenario:
         try:
             return PerturbationSpec(
                 kind=_get(sec, "kind", section_name, required=True),
-                theta_delta=float(_get(sec, "theta_delta", section_name, default=0.0)),
-                r=float(_get(sec, "r", section_name, default=1.0)),
+                theta_delta=_number(sec, "theta_delta", section_name, float, default=0.0),
+                r=_number(sec, "r", section_name, float, default=1.0),
                 direction_seed=_get(sec, "direction_seed", section_name),
             )
         except ValueError as exc:
@@ -166,25 +176,25 @@ def parse_scenario(raw: dict) -> Scenario:
     try:
         phi = ControlFunction(
             kind=_get(ctl, "kind", "control", required=True),
-            theta=float(_get(ctl, "theta", "control", default=0.0)),
-            r=float(_get(ctl, "r", "control", default=1.0)),
+            theta=_number(ctl, "theta", "control", float, default=0.0),
+            r=_number(ctl, "r", "control", float, default=1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"control: {exc}")
 
     stab = _section(raw, "stabilizer", required=False)
-    max_n = int(_get(stab, "max_n", "stabilizer", default=48))
-    tol_rel = float(_get(stab, "tol_rel", "stabilizer", default=1e-10))
+    max_n = _number(stab, "max_n", "stabilizer", int, default=48)
+    tol_rel = _number(stab, "tol_rel", "stabilizer", float, default=1e-10)
     if max_n < 1:
         raise ConfigError("stabilizer.max_n must be >= 1")
     if tol_rel <= 0:
         raise ConfigError("stabilizer.tol_rel must be > 0")
 
     samp = _section(raw, "sampling")
-    num_probes = int(_get(samp, "num_probes", "sampling", required=True))
-    radius_min = float(_get(samp, "radius_min", "sampling", default=0.1))
-    radius_max = float(_get(samp, "radius_max", "sampling", default=10.0))
-    seed = _get(samp, "seed", "sampling", required=True)
+    num_probes = _number(samp, "num_probes", "sampling", int, required=True)
+    radius_min = _number(samp, "radius_min", "sampling", float, default=0.1)
+    radius_max = _number(samp, "radius_max", "sampling", float, default=10.0)
+    seed = _number(samp, "seed", "sampling", int, required=True)
     if num_probes < 1:
         raise ConfigError("sampling.num_probes must be >= 1")
     if not (0 < radius_min <= radius_max):
@@ -197,30 +207,34 @@ def parse_scenario(raw: dict) -> Scenario:
     lam = _section(raw, "lambda", required=False)
     try:
         lambdas = LambdaSampler(
-            n0=int(_get(lam, "n0", "lambda", default=3)),
-            arc=int(_get(lam, "arc", "lambda", default=4)),
-            circle=int(_get(lam, "circle", "lambda", default=4)),
-            reals=int(_get(lam, "reals", "lambda", default=3)),
-            cplx=int(_get(lam, "complex", "lambda", default=3)),
-            seed=int(_get(lam, "seed", "lambda", default=0)),
+            n0=_number(lam, "n0", "lambda", int, default=3),
+            arc=_number(lam, "arc", "lambda", int, default=4),
+            circle=_number(lam, "circle", "lambda", int, default=4),
+            reals=_number(lam, "reals", "lambda", int, default=3),
+            cplx=_number(lam, "complex", "lambda", int, default=3),
+            seed=_number(lam, "seed", "lambda", int, default=0),
         )
     except ValueError as exc:
         raise ConfigError(f"lambda: {exc}")
 
     laws = _section(raw, "laws", required=False)
-    laws_max_probes = int(_get(laws, "max_probes", "laws", default=16))
+    laws_max_probes = _number(laws, "max_probes", "laws", int, default=16)
+    if laws_max_probes < 1:
+        raise ConfigError("laws.max_probes must be >= 1")
 
     cstar_sec = _section(raw, "cstar", required=False)
-    cstar_max_n = int(_get(cstar_sec, "max_n", "cstar", default=96))
-    cstar_tol_rel = float(_get(cstar_sec, "tol_rel", "cstar", default=1e-12))
-    cstar_tol = float(_get(cstar_sec, "tol", "cstar", default=1e-8))
+    cstar_max_n = _number(cstar_sec, "max_n", "cstar", int, default=96)
+    cstar_tol_rel = _number(cstar_sec, "tol_rel", "cstar", float, default=1e-12)
+    cstar_tol = _number(cstar_sec, "tol", "cstar", float, default=1e-8)
+    if cstar_tol_rel <= 0:
+        raise ConfigError("cstar.tol_rel must be > 0")
 
     f = ApproxMap(base=base, perturbation=pert, spec=spec)
     f2 = ApproxMap(base=base, perturbation=pert2, spec=spec) if pert2 else None
     return Scenario(
         raw=raw, spec=spec, f=f, f2=f2, phi=phi, max_n=max_n, tol_rel=tol_rel,
         num_probes=num_probes, radius_min=radius_min, radius_max=radius_max,
-        seed=int(seed), extra_probes=extra, lambdas=lambdas,
+        seed=seed, extra_probes=extra, lambdas=lambdas,
         laws_max_probes=laws_max_probes, cstar_max_n=cstar_max_n,
         cstar_tol_rel=cstar_tol_rel, cstar_tol=cstar_tol,
     )
@@ -338,7 +352,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
         fx = maps.eval_f(sc.f, x)
         # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last
         # iterate gets no row. Each norm column is one stacked call.
-        iterates = np.stack([a_n.data for a_n in tr.iterates[:-1]])
+        iterates = tr.iterates[:-1]
         errors = algebra.stacked_norms(sc.spec, iterates - tr.result.data)
         deviations = algebra.stacked_norms(sc.spec, iterates - fx.data)
         for n, diff in enumerate(tr.diffs):

@@ -61,17 +61,22 @@ def conjugation() -> Involution:
 
 
 def eval_involution(kind: Involution, x: Element) -> Element:
+    return Element(x.spec, _involution_rows(kind, x.spec, x.data[None])[0])
+
+
+def _involution_rows(kind: Involution, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
+    # The involution on a stack X of shape (N, *spec.shape), one array op.
     if kind.kind is InvolutionKind.ADJOINT:
-        return algebra.conj_transpose(x)
+        return X.conj().swapaxes(-1, -2) if spec.kind is AlgebraKind.MATRIX else X.conj()
     if kind.kind is InvolutionKind.TWISTED_ADJOINT:
-        if x.spec.kind is not AlgebraKind.MATRIX:
+        if spec.kind is not AlgebraKind.MATRIX:
             raise KindSpecMismatch("twisted adjoint is defined on matrices only")
-        if x.spec != kind.s.spec:
-            raise KindSpecMismatch(f"twist spec {kind.s.spec} vs element spec {x.spec}")
-        return Element(x.spec, kind._s_inv @ x.data.conj().T @ kind.s.data)
-    if x.spec.kind is AlgebraKind.MATRIX:
+        if spec != kind.s.spec:
+            raise KindSpecMismatch(f"twist spec {kind.s.spec} vs element spec {spec}")
+        return kind._s_inv @ X.conj().swapaxes(-1, -2) @ kind.s.data
+    if spec.kind is AlgebraKind.MATRIX:
         raise KindSpecMismatch("entrywise conjugation is not an involution on matrices")
-    return algebra.conj_transpose(x)
+    return X.conj()
 
 
 class PerturbationKind(str, Enum):
@@ -110,35 +115,44 @@ def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> Element:
     return algebra.sample_direction(spec, rng)
 
 
-def _quantize(x: Element) -> np.ndarray:
-    # Round entries to 1e-6 so the hashed direction is a function of the
+def _hashed_gaussian(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None) -> np.ndarray:
+    # Seeded by the quantized point, so the direction is a function of the
     # point, not of the floating-point path that produced it.
-    return np.round(np.ascontiguousarray(x.data) * 1e6) / 1e6
-
-
-def _hashed_direction(x: Element, seed: int | None) -> Element:
-    quantized = _quantize(x)
     h = hashlib.blake2b(digest_size=8)
     h.update(str(seed).encode())
     h.update(np.ascontiguousarray(quantized.real).tobytes())
     h.update(np.ascontiguousarray(quantized.imag).tobytes())
     rng = np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
-    return algebra.sample_direction(x.spec, rng)
+    return algebra.gaussian_row(spec, rng)
+
+
+def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
+    # delta on a stack X of shape (N, *spec.shape). Amplitudes are Python
+    # floats per row; a zero amplitude or zero quantized point is a zero row.
+    out = np.zeros(X.shape, dtype=np.complex128)
+    if p.kind is PerturbationKind.NONE:
+        return out
+    amplitudes = [p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)]
+    if p.kind is PerturbationKind.FIXED_DIRECTION:
+        u = _fixed_direction(p.direction_seed, spec).data
+        for k, amplitude in enumerate(amplitudes):
+            if amplitude != 0.0:
+                out[k] = complex(amplitude) * u
+        return out
+    # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
+    # normalized in one stacked norm call.
+    quantized = np.round(X * 1e6) / 1e6
+    nonzero = quantized.reshape(len(X), -1).any(axis=1).tolist()
+    rows = [k for k, amplitude in enumerate(amplitudes) if amplitude != 0.0 and nonzero[k]]
+    if rows:
+        raw = np.stack([_hashed_gaussian(spec, quantized[k], p.direction_seed) for k in rows])
+        for k, g, n in zip(rows, raw, algebra.stacked_norms(spec, raw)):
+            out[k] = complex(amplitudes[k]) * (complex(1.0 / n) * g)
+    return out
 
 
 def eval_perturbation(p: PerturbationSpec, x: Element) -> Element:
-    if p.kind is PerturbationKind.NONE:
-        return algebra.zero(x.spec)
-    amplitude = p.theta_delta * algebra.norm(x) ** p.r
-    if amplitude == 0.0:
-        return algebra.zero(x.spec)
-    if p.kind is PerturbationKind.FIXED_DIRECTION:
-        u = _fixed_direction(p.direction_seed, x.spec)
-    else:
-        if not np.any(_quantize(x)):
-            return algebra.zero(x.spec)
-        u = _hashed_direction(x, p.direction_seed)
-    return algebra.scale(amplitude, u)
+    return Element(x.spec, _perturbation_rows(p, x.spec, x.data[None])[0])
 
 
 @dataclass(frozen=True)
@@ -154,10 +168,18 @@ class ApproxMap:
 def eval_f(f: ApproxMap, x: Element) -> Element:
     if x.spec != f.spec:
         raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
-    base = eval_involution(f.base, x)
+    return Element(x.spec, eval_f_rows(f, x.data[None])[0])
+
+
+def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
+    """f on a stack X of raw entry arrays shaped (N, *f.spec.shape); row k
+    equals `eval_f(f, Element(f.spec, X[k])).data` bit for bit."""
+    if X.shape[1:] != f.spec.shape:
+        raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
+    base = _involution_rows(f.base, f.spec, X)
     if f.perturbation.kind is PerturbationKind.NONE:
         return base
-    return algebra.add(base, eval_perturbation(f.perturbation, x))
+    return base + _perturbation_rows(f.perturbation, f.spec, X)
 
 
 def jensen_defect(f: ApproxMap, lam: complex, x: Element, y: Element) -> Element:

@@ -14,7 +14,7 @@ import numpy as np
 from . import algebra
 from .algebra import Element
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
-from .maps import ApproxMap, eval_f
+from .maps import ApproxMap, eval_f_rows
 
 
 class ControlKind(str, Enum):
@@ -127,8 +127,11 @@ def select_direction(
 
 @dataclass
 class StabilizationTrace:
+    """One point's orbit: `iterates` is a read-only (n_used + 1, *shape)
+    array of a_0 .. a_{n_used}, and diffs[n] = ||a_{n+1} - a_n||."""
+
     x: Element
-    iterates: list[Element]
+    iterates: np.ndarray
     diffs: list[float]
     result: Element
     n_used: int
@@ -142,46 +145,94 @@ def stabilize_point(
     max_n: int = 48,
     tol_rel: float = 1e-10,
 ) -> StabilizationTrace:
-    """Orbit a_n = q^{-n} f(q^n x) of the scaling operator, stopped when
-    ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or at max_n."""
+    """The orbit of one point; see stabilize_points."""
+    return stabilize_points(f, direction, [x], max_n, tol_rel)[0]
+
+
+def stabilize_points(
+    f: ApproxMap,
+    direction: ScalingDirection,
+    xs: Sequence[Element],
+    max_n: int = 48,
+    tol_rel: float = 1e-10,
+) -> list[StabilizationTrace]:
+    """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every x in
+    xs, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
+    at max_n.  The running points advance together: one stacked f
+    evaluation per step.  A point that fails leaves the batch; at the end
+    the exception of the first failing point in xs is raised."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
         raise ValueError("tol_rel must be > 0")
-    q = direction.q
-    iterates = [eval_f(f, x)]
-    diffs: list[float] = []
-    xn = x
+    for x in xs:
+        if x.spec != f.spec:
+            raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
+    if not xs:
+        return []
+    spec = f.spec
+    q = complex(direction.q)
+    failures: dict[int, Exception] = {}
+
+    def drop_nonfinite(rows, arrays):
+        bad = ~np.isfinite(arrays[-1]).reshape(len(rows), -1).all(axis=1)
+        for k in rows[bad].tolist():
+            failures[k] = ValueError("element entries must be finite")
+        return [a[~bad] for a in (rows, *arrays)] if bad.any() else [rows, *arrays]
+
+    X = np.stack([x.data for x in xs])
+    running, X, prev = drop_nonfinite(np.arange(len(xs)), [X, eval_f_rows(f, X)])
+    iterates = [[a] for a in prev]
+    diffs: list[list[float]] = [[] for _ in xs]
+    increasing_run = [0] * len(xs)
+    converged = [False] * len(xs)
     scale_n = 1.0
-    increasing_run = 0
-    converged = False
     for _ in range(max_n):
-        xn = algebra.scale(q, xn)
-        scale_n /= q
-        if float(np.max(np.abs(xn.data))) > 1e300:
-            raise IterateOverflow("iterate argument norm exceeded 1e300")
-        a = algebra.scale(scale_n, eval_f(f, xn))
-        d = algebra.norm(algebra.sub(a, iterates[-1]))
-        if diffs and d > diffs[-1]:
-            increasing_run += 1
-            if increasing_run >= 8:
-                raise NonCauchy("successive differences grew 8 consecutive steps")
-        else:
-            increasing_run = 0
-        prev = iterates[-1]
-        iterates.append(a)
-        diffs.append(d)
-        if d <= tol_rel * max(1.0, algebra.norm(prev)):
-            converged = True
+        if failures:
+            # Points after the first failure cannot change what is raised.
+            keep = running < min(failures)
+            running, X, prev = running[keep], X[keep], prev[keep]
+        if not len(running):
             break
-    return StabilizationTrace(
-        x=x,
-        iterates=iterates,
-        diffs=diffs,
-        result=iterates[-1],
-        n_used=len(iterates) - 1,
-        converged=converged,
-    )
+        X = q * X
+        scale_n /= direction.q
+        bad = np.abs(X).reshape(len(running), -1).max(axis=1) > 1e300
+        for k in running[bad].tolist():
+            failures[k] = IterateOverflow("iterate argument norm exceeded 1e300")
+        running, X, prev = running[~bad], X[~bad], prev[~bad]
+        running, X, prev, A = drop_nonfinite(
+            running, [X, prev, complex(scale_n) * eval_f_rows(f, X)])
+        # ||a - prev|| and ||prev|| of every running point in one call.
+        norms = algebra.stacked_norms(spec, np.concatenate([A - prev, prev]))
+        step_diffs, prev_norms = norms[:len(A)], norms[len(A):]
+        going = np.zeros(len(running), dtype=bool)
+        for j, k in enumerate(running.tolist()):
+            d = step_diffs[j]
+            if diffs[k] and d > diffs[k][-1]:
+                increasing_run[k] += 1
+                if increasing_run[k] >= 8:
+                    failures[k] = NonCauchy("successive differences grew 8 consecutive steps")
+                    continue
+            else:
+                increasing_run[k] = 0
+            iterates[k].append(A[j])
+            diffs[k].append(d)
+            if d <= tol_rel * max(1.0, prev_norms[j]):
+                converged[k] = True
+            else:
+                going[j] = True
+        running, X, prev = running[going], X[going], A[going]
+    if failures:
+        raise failures[min(failures)]
+    traces = []
+    for x, its, ds, conv in zip(xs, iterates, diffs, converged):
+        its = np.stack(its)
+        its.setflags(write=False)
+        traces.append(StabilizationTrace(
+            x=x, iterates=its, diffs=ds, result=Element(spec, its[-1]),
+            n_used=len(ds), converged=conv,
+        ))
+    return traces
 
 
 def error_bound(direction: ScalingDirection, phi: ControlFunction, x: Element) -> float:

@@ -195,7 +195,7 @@ def test_criterion_6_superstability(verdict):
     sup = max(e.sup_ratio for e in rep.entries.values())
     constant = all(
         stabilize_point(exact, d, x).n_used == 1
-        and all(it.close_to(maps.eval_f(exact, x)) for it in
+        and all(np.array_equal(it, maps.eval_f(exact, x).data) for it in
                 stabilize_point(exact, d, x).iterates)
         for x in probes
     )

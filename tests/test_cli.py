@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +88,8 @@ class TestRun:
                                             max_n=sc.max_n, tol_rel=sc.tol_rel)
             fx = maps.eval_f(sc.f, x)
             bnd = stabilizer.error_bound(direction, sc.phi, x)
-            for a_n in tr.iterates[:-1]:
+            for row in tr.iterates[:-1]:
+                a_n = algebra.Element(sc.spec, row)
                 expected.append((algebra.norm(algebra.sub(a_n, tr.result)),
                                  verifier._ratio(algebra.norm(algebra.sub(a_n, fx)), bnd)))
         assert [(r["error_vs_limit"], r["ratio"]) for r in rows] == expected
@@ -92,16 +97,16 @@ class TestRun:
     @pytest.mark.parametrize("cstar", [{}, {"max_n": 48, "tol_rel": 1e-10}],
                              ids=["deeper-cstar", "same-depth-cstar"])
     def test_each_key_stabilized_once(self, monkeypatch, cstar):
-        # One call per distinct (map, point, max_n, tol_rel) across all
-        # stages and the trace rows.
-        calls = []
-        stabilize = stabilizer.stabilize_point
+        # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
+        # across all stages and the trace rows.
+        batches = []
+        stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, x, max_n=48, tol_rel=1e-10):
-            calls.append((id(f), x.data.tobytes(), max_n, tol_rel))
-            return stabilize(f, direction, x, max_n=max_n, tol_rel=tol_rel)
+        def counting(f, direction, xs, max_n=48, tol_rel=1e-10):
+            batches.append([(id(f), x.data.tobytes(), max_n, tol_rel) for x in xs])
+            return stabilize(f, direction, xs, max_n=max_n, tol_rel=tol_rel)
 
-        monkeypatch.setattr(stabilizer, "stabilize_point", counting)
+        monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         sc = cli.parse_scenario(small_config(
             perturbation2={"kind": "random_direction", "theta_delta": 0.1,
                            "r": 0.5, "direction_seed": 5},
@@ -109,6 +114,7 @@ class TestRun:
         ))
         report, _, _ = cli.run_pipeline(sc)
         assert report["uniqueness"]["pass"] is True
+        calls = [key for batch in batches for key in batch]
         assert {(key[0], key[2]) for key in calls} == {
             (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
         assert len(calls) == len(set(calls))
@@ -181,6 +187,29 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, small_config()))]) == 5
         assert "DegenerateDirection" in capsys.readouterr().err
 
+    def test_top_level_list(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path, [small_config()]))]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sampling", "num_probes", "many"),
+        ("stabilizer", "max_n", "many"),
+        ("stabilizer", "max_n", math.inf),
+    ])
+    def test_non_numeric_value_names_key(self, tmp_path, capsys, section, key, value):
+        cfg = small_config()
+        cfg.setdefault(section, {})[key] = value
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, section, key, value):
+        cfg = small_config(**{section: {key: value}})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling
         # direction amplifies the defect until the iterates overflow
@@ -249,6 +278,21 @@ class TestSweep:
     def test_sweep_bad_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_config())
         assert main(["sweep", str(cfg), "--param", "theta", "--values", "x,y"]) == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_involstab(self):
+        # `python -m involstab` runs the CLI without the runpy warning that
+        # `python -m involstab.cli` gives.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "involstab",
+             "demo-fixedpoint"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "affine contraction" in proc.stdout
 
 
 class TestDemo:

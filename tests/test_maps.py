@@ -5,7 +5,7 @@ import pytest
 
 from involstab import algebra, maps
 from involstab.algebra import SCALAR, matrix_spec, pointwise_spec
-from involstab.errors import KindSpecMismatch
+from involstab.errors import KindSpecMismatch, SpecMismatch
 from involstab.maps import (
     ApproxMap,
     Involution,
@@ -239,3 +239,27 @@ class TestLambdaSampler:
             LambdaSampler(n0=0)
         with pytest.raises(ValueError):
             LambdaSampler(n0=1, arc=0)
+
+
+class TestEvalFRows:
+    @pytest.mark.parametrize("f", [
+        ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR),
+        ApproxMap(maps.conjugation(), NO_PERTURBATION, P3),
+        ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 0.5, 3), P3),
+        ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2),
+        ApproxMap(maps.twisted_adjoint(DIAG12),
+                  PerturbationSpec("random_direction", 0.1, 0.5, 1), M2),
+    ], ids=["scalar-fixed", "pointwise-none", "pointwise-random", "matrix-fixed",
+            "twisted-random"])
+    def test_rows_match_eval_f(self, rng, f):
+        xs = [algebra.zero(f.spec)] + [
+            algebra.sample_element(f.spec, (1e-7, 10.0), rng) for _ in range(6)]
+        rows = maps.eval_f_rows(f, np.stack([x.data for x in xs]))
+        assert rows.shape == (len(xs), *f.spec.shape)
+        for k, x in enumerate(xs):
+            assert maps.eval_f(f, x).data.tobytes() == rows[k].tobytes()
+
+    def test_rows_shape_mismatch(self):
+        f = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
+        with pytest.raises(SpecMismatch):
+            maps.eval_f_rows(f, np.zeros((2, 3, 3), dtype=complex))

@@ -18,9 +18,11 @@ from involstab.stabilizer import (
     power_sum,
     select_direction,
     stabilize_point,
+    stabilize_points,
 )
 
 M2 = matrix_spec(2)
+P4 = algebra.pointwise_spec(4)
 SQRT2 = math.sqrt(2)
 
 
@@ -112,7 +114,7 @@ class TestStabilizePoint:
         for direction in (UP, DOWN):
             tr = stabilize_point(f, direction, x)
             assert tr.converged and tr.n_used == 1
-            assert all(it.close_to(maps.eval_f(f, x)) for it in tr.iterates)
+            assert all(np.array_equal(it, maps.eval_f(f, x).data) for it in tr.iterates)
 
     def test_scalar_closed_form(self):
         # a_n = 4 + 0.2 * 2^{-n/2}; diff_n = 0.2*(1 - 2^{-1/2})*2^{-n/2}
@@ -120,7 +122,7 @@ class TestStabilizePoint:
         tr = stabilize_point(f, UP, algebra.scalar(4.0), max_n=48)
         L = 2 ** -0.5
         for n, a in enumerate(tr.iterates[:40]):
-            assert a.flat()[0] == pytest.approx(4 + 0.2 * L**n, rel=1e-12)
+            assert a[0] == pytest.approx(4 + 0.2 * L**n, rel=1e-12)
         for n, d in enumerate(tr.diffs[:40]):
             assert d == pytest.approx(0.2 * (1 - L) * L**n, rel=1e-10)
         assert algebra.norm(algebra.sub(tr.result, algebra.scalar(4.0))) <= 1e-6
@@ -178,6 +180,85 @@ class TestStabilizePoint:
             x = algebra.sample_element(SCALAR, (0.1, 10.0), rng)
             tr = stabilize_point(f, d, x)
             assert algebra.norm(algebra.sub(tr.result, maps.eval_f(f, x))) <= 1e-12
+
+
+# One map per base involution and perturbation kind the batch must match.
+BATCH_MAPS = {
+    "scalar-conjugation": ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR),
+    "pointwise-random": ApproxMap(
+        maps.conjugation(), PerturbationSpec("random_direction", 0.1, 0.5, 3), P4),
+    "matrix-adjoint-fixed": ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2),
+    "twisted-adjoint": ApproxMap(
+        maps.twisted_adjoint(algebra.element(M2, [2, 0.5 + 0.5j, 0.5 - 0.5j, 1])),
+        radial(0.1, 0.5, seed=2), M2),
+}
+
+
+def reference_orbit(f, direction, x, max_n, tol_rel):
+    """One point's orbit, step by step through Element arithmetic: the
+    serial loop stabilize_points batches.  Returns (iterates, diffs,
+    converged)."""
+    iterates, diffs = [maps.eval_f(f, x)], []
+    xn, scale_n, increasing_run = x, 1.0, 0
+    for _ in range(max_n):
+        xn = algebra.scale(direction.q, xn)
+        scale_n /= direction.q
+        if float(np.max(np.abs(xn.data))) > 1e300:
+            raise IterateOverflow("iterate argument norm exceeded 1e300")
+        a = algebra.scale(scale_n, maps.eval_f(f, xn))
+        d = algebra.norm(algebra.sub(a, iterates[-1]))
+        if diffs and d > diffs[-1]:
+            increasing_run += 1
+            if increasing_run >= 8:
+                raise NonCauchy("successive differences grew 8 consecutive steps")
+        else:
+            increasing_run = 0
+        prev = iterates[-1]
+        iterates.append(a)
+        diffs.append(d)
+        if d <= tol_rel * max(1.0, algebra.norm(prev)):
+            return iterates, diffs, True
+    return iterates, diffs, False
+
+
+class TestStabilizePoints:
+    @pytest.mark.parametrize("name", BATCH_MAPS)
+    @pytest.mark.parametrize("max_n, tol_rel", [(48, 1e-10), (30, 1e-4)],
+                             ids=["tight", "loose"])
+    def test_batch_matches_single_points(self, rng, name, max_n, tol_rel):
+        f = BATCH_MAPS[name]
+        xs = [algebra.zero(f.spec)] + [
+            algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(7)]
+        batch = stabilize_points(f, UP, xs, max_n, tol_rel)
+        single = [stabilize_point(f, UP, x, max_n, tol_rel) for x in xs]
+        for x, got, want in zip(xs, batch, single):
+            assert got.iterates.tobytes() == want.iterates.tobytes()
+            assert got.iterates.shape == (got.n_used + 1, *f.spec.shape)
+            assert got.diffs == want.diffs
+            assert (got.n_used, got.converged) == (want.n_used, want.converged)
+            assert got.result.data.tobytes() == want.iterates[-1].tobytes()
+            ref_iterates, ref_diffs, ref_converged = reference_orbit(f, UP, x, max_n, tol_rel)
+            assert got.iterates.tobytes() == np.stack([a.data for a in ref_iterates]).tobytes()
+            assert (got.diffs, got.converged) == (ref_diffs, ref_converged)
+        # The zero point stops at step 1, so the rows leave at mixed depths.
+        assert len({tr.n_used for tr in batch}) > 1
+
+    def test_iterates_read_only(self):
+        tr = stabilize_point(BATCH_MAPS["scalar-conjugation"], UP, algebra.scalar(4.0))
+        with pytest.raises(ValueError):
+            tr.iterates[0, 0] = 0.0
+
+    def test_empty_batch(self):
+        assert stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, []) == []
+
+    def test_failing_row_fails_batch(self):
+        # r = 2 with q = 2 scales the perturbation up; the zero row alone
+        # stabilizes, but a batch holding a diverging row raises.
+        f = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
+        z = algebra.zero(SCALAR)
+        assert stabilize_points(f, UP, [z], max_n=400)[0].converged
+        with pytest.raises((IterateOverflow, NonCauchy)):
+            stabilize_points(f, UP, [z, algebra.scalar(4.0)], max_n=400)
 
 
 class TestErrorBound:

@@ -62,6 +62,24 @@ class TestStabilizedMap:
         assert I(x) is I(algebra.element(M2, x.flat()))
         assert I.trace(x).result is I(x)
 
+    def test_stabilize_batches_distinct_uncached(self, rng, monkeypatch):
+        batches = []
+        stabilize = stabilizer.stabilize_points
+
+        def counting(f, direction, xs, max_n=48, tol_rel=1e-10):
+            batches.append([x.data.tobytes() for x in xs])
+            return stabilize(f, direction, xs, max_n=max_n, tol_rel=tol_rel)
+
+        monkeypatch.setattr(stabilizer, "stabilize_points", counting)
+        I = StabilizedMap(BUDGET_F, UP)
+        x, y, z = sample_probes(3, rng)
+        I.stabilize([x, y, algebra.element(M2, x.flat()), x])
+        I.stabilize([y, z, x])
+        I(z), I(x)
+        I.stabilize([])
+        assert batches == [[x.data.tobytes(), y.data.tobytes()], [z.data.tobytes()]]
+        assert I.trace(z).result is I(z)
+
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
         for x in sample_probes(10, rng):

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDirection, SpecMismatch
+from .errors import DegenerateDirection, OutOfRange, SpecMismatch
 
 
 class AlgebraKind(str, Enum):
@@ -113,9 +113,20 @@ def scale(lam: complex, a: Element) -> Element:
 
 def mul(a: Element, b: Element) -> Element:
     _check_specs(a, b)
-    if a.spec.kind is AlgebraKind.MATRIX:
-        return Element(a.spec, a.data @ b.data)
-    return Element(a.spec, a.data * b.data)
+    return Element(a.spec, mul_rows(a.spec, a.data[None], b.data[None])[0])
+
+
+def mul_rows(spec: AlgebraSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-by-row products of two stacks shaped (N, *spec.shape); row k
+    equals `mul(Element(spec, A[k]), Element(spec, B[k])).data` bit for bit."""
+    return A @ B if spec.kind is AlgebraKind.MATRIX else A * B
+
+
+def finite_rows(where: str, stack: np.ndarray) -> np.ndarray:
+    """`stack` once every entry is finite, as Element checks; else OutOfRange."""
+    if not np.isfinite(stack).all():
+        raise OutOfRange(f"{where}: stage arithmetic overflowed to non-finite entries")
+    return stack
 
 
 def conj_transpose(a: Element) -> Element:

@@ -112,6 +112,13 @@ def _number(section: dict, key: str, where: str, conv, default=None, required=Fa
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
 
 
+def _seed(section: dict, key: str, where: str, default=None, required=False):
+    value = _get(section, key, where, default=default, required=required)
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{where}.{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _section(raw: dict, key: str, required=True) -> dict:
     sec = raw.get(key)
     if sec is None:
@@ -164,7 +171,8 @@ def parse_scenario(raw: dict) -> Scenario:
                 kind=_get(sec, "kind", section_name, required=True),
                 theta_delta=_number(sec, "theta_delta", section_name, float, default=0.0),
                 r=_number(sec, "r", section_name, float, default=1.0),
-                direction_seed=_get(sec, "direction_seed", section_name),
+                direction_seed=(None if sec.get("direction_seed") is None
+                                else _seed(sec, "direction_seed", section_name)),
             )
         except ValueError as exc:
             raise ConfigError(f"{section_name}: {exc}")
@@ -194,14 +202,17 @@ def parse_scenario(raw: dict) -> Scenario:
     num_probes = _number(samp, "num_probes", "sampling", int, required=True)
     radius_min = _number(samp, "radius_min", "sampling", float, default=0.1)
     radius_max = _number(samp, "radius_max", "sampling", float, default=10.0)
-    seed = _number(samp, "seed", "sampling", int, required=True)
+    seed = _seed(samp, "seed", "sampling", required=True)
     if num_probes < 1:
         raise ConfigError("sampling.num_probes must be >= 1")
     if not (0 < radius_min <= radius_max):
         raise ConfigError("sampling.radius_min/radius_max must satisfy 0 < min <= max")
+    extra = _get(samp, "extra_probes", "sampling", default=[])
+    if not isinstance(extra, list):
+        raise ConfigError(f"sampling.extra_probes must be a list, got {extra!r}")
     extra = [
         _parse_element(spec, entries, f"sampling.extra_probes[{k}]")
-        for k, entries in enumerate(_get(samp, "extra_probes", "sampling", default=[]))
+        for k, entries in enumerate(extra)
     ]
 
     lam = _section(raw, "lambda", required=False)
@@ -212,7 +223,7 @@ def parse_scenario(raw: dict) -> Scenario:
             circle=_number(lam, "circle", "lambda", int, default=4),
             reals=_number(lam, "reals", "lambda", int, default=3),
             cplx=_number(lam, "complex", "lambda", int, default=3),
-            seed=_number(lam, "seed", "lambda", int, default=0),
+            seed=_seed(lam, "seed", "lambda", default=0),
         )
     except ValueError as exc:
         raise ConfigError(f"lambda: {exc}")

@@ -182,31 +182,31 @@ def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     return base + _perturbation_rows(f.perturbation, f.spec, X)
 
 
-def jensen_defect(f: ApproxMap, lam: complex, x: Element, y: Element) -> Element:
-    """2*conj(lam)*f((x+y)/2) - f(lam*x) - f(lam*y)."""
-    if x.spec != y.spec:
-        raise SpecMismatch(f"{x.spec} vs {y.spec}")
-    mid = algebra.scale(0.5, algebra.add(x, y))
-    lead = algebra.scale(2.0 * np.conj(complex(lam)), eval_f(f, mid))
-    return algebra.sub(
-        algebra.sub(lead, eval_f(f, algebra.scale(lam, x))),
-        eval_f(f, algebra.scale(lam, y)),
-    )
+def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Rows 2*conj(lam)*f((x+y)/2) - f(lam*x) - f(lam*y) over the rows x of X
+    and y of Y; lam is one scalar or one per row."""
+    if X.shape != Y.shape:
+        raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
+    lam = np.asarray(lam, dtype=np.complex128).reshape((-1,) + (1,) * len(f.spec.shape))
+    args = np.concatenate([complex(0.5) * (X + Y), lam * X, lam * Y])
+    f_mid, f_lx, f_ly = np.split(eval_f_rows(f, algebra.finite_rows("jensen_defect", args)), 3)
+    return algebra.finite_rows("jensen_defect", 2.0 * np.conj(lam) * f_mid - f_lx - f_ly)
 
 
-def antimul_defect(f: ApproxMap, x: Element, y: Element) -> Element:
-    """f(xy) - f(y)f(x)."""
-    if x.spec != y.spec:
-        raise SpecMismatch(f"{x.spec} vs {y.spec}")
-    return algebra.sub(
-        eval_f(f, algebra.mul(x, y)),
-        algebra.mul(eval_f(f, y), eval_f(f, x)),
-    )
+def antimul_defect(f: ApproxMap, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Rows f(xy) - f(y)f(x) over the rows x of X and y of Y."""
+    if X.shape != Y.shape:
+        raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
+    XY = algebra.finite_rows("antimul_defect", algebra.mul_rows(f.spec, X, Y))
+    f_xy, f_y, f_x = np.split(eval_f_rows(f, np.concatenate([XY, Y, X])), 3)
+    return algebra.finite_rows("antimul_defect", f_xy - algebra.mul_rows(f.spec, f_y, f_x))
 
 
-def cstar_defect(f: ApproxMap, x: Element) -> float:
-    """| ||x f(x)|| - ||x||^2 |."""
-    return abs(algebra.norm(algebra.mul(x, eval_f(f, x))) - algebra.norm(x) ** 2)
+def cstar_defect(f: ApproxMap, X: np.ndarray) -> list[float]:
+    """| ||x f(x)|| - ||x||^2 | for each row x of X."""
+    XF = algebra.finite_rows("cstar_defect", algebra.mul_rows(f.spec, X, eval_f_rows(f, X)))
+    norms = algebra.stacked_norms(f.spec, np.concatenate([XF, X]))
+    return [abs(a - b ** 2) for a, b in zip(norms[:len(X)], norms[len(X):])]
 
 
 @dataclass(frozen=True)

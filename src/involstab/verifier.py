@@ -7,13 +7,14 @@ reported as data, never raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, maps, stabilizer
-from .algebra import Element
+from .algebra import AlgebraSpec, Element
 from .maps import ApproxMap, LambdaSampler
 from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
@@ -31,9 +32,9 @@ def _ratio(num: float, den: float) -> float:
 class StabilizedMap:
     """The stabilized map I of f at one depth (max_n, tol_rel), memoized:
     each point is stabilized once and its whole StabilizationTrace kept.
-    Build one per map and depth and pass it to every stage.  A stage first
-    hands `stabilize` the points it will query, so they share one batched
-    orbit, and its per-point lookups then hit the cache."""
+    Build one per map and depth and pass it to every stage.  A stage asks
+    for all the values it needs in one `rows` call, so its uncached points
+    share one batched orbit."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection,
                  max_n: int = 48, tol_rel: float = 1e-10):
@@ -43,25 +44,23 @@ class StabilizedMap:
         self.tol_rel = tol_rel
         self._traces: dict[bytes, StabilizationTrace] = {}
 
-    def stabilize(self, points: list[Element]) -> None:
-        """Stabilize the distinct uncached points in one batched orbit."""
-        todo: dict[bytes, Element] = {}
-        for x in points:
-            key = x.data.tobytes()
-            if key not in self._traces:
-                todo.setdefault(key, x)
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """I on each row of a stack X shaped (N, *shape); the distinct
+        uncached rows are stabilized in one batched orbit."""
+        keys = [row.tobytes() for row in X]
+        todo = {key: row for key, row in zip(keys, X) if key not in self._traces}
         if todo:
             traces = stabilizer.stabilize_points(
-                self.f, self.direction, list(todo.values()),
+                self.f, self.direction, [Element(self.f.spec, row) for row in todo.values()],
                 max_n=self.max_n, tol_rel=self.tol_rel,
             )
             self._traces.update(zip(todo, traces))
+        return np.array([self._traces[key].result.data for key in keys],
+                        dtype=np.complex128).reshape(X.shape)
 
     def trace(self, x: Element) -> StabilizationTrace:
-        key = x.data.tobytes()
-        if key not in self._traces:
-            self.stabilize([x])
-        return self._traces[key]
+        self.rows(x.data[None])
+        return self._traces[x.data.tobytes()]
 
     def __call__(self, x: Element) -> Element:
         return self.trace(x).result
@@ -82,6 +81,23 @@ def probe_pairs(probes: list[Element]) -> list[tuple[Element, Element]]:
     return pairs
 
 
+def _stack(probes: list[Element]) -> np.ndarray:
+    if not probes:
+        raise ValueError("probe set must be nonempty")
+    return np.stack([x.data for x in probes])
+
+
+def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
+    return algebra.stacked_norms(spec, algebra.finite_rows(stage, stack))
+
+
+def _sup(values: list[float], witnesses: list[dict]) -> tuple[float, dict, int]:
+    """The sup, its witness and the sample count.  np.argmax gives the first
+    maximal index, the tuple a strict `<` running update keeps."""
+    k = int(np.argmax(values))
+    return values[k], witnesses[k], len(values)
+
+
 @dataclass
 class HypothesisEntry:
     name: str
@@ -95,6 +111,7 @@ class DefectReport:
     entries: dict[str, HypothesisEntry]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scan_hypotheses(
     I: StabilizedMap,
     phi: ControlFunction,
@@ -104,57 +121,43 @@ def scan_hypotheses(
     """Supremum defect/control ratios of I.f for the Jensen,
     anti-multiplicativity and C*-norm hypotheses, plus the absolute
     involutivity residual ||I(I(x)) - x||."""
-    if not probes:
-        raise ValueError("probe set must be nonempty")
+    P = _stack(probes)
     f = I.f
-    lams = maps.sample_lambdas(lambdas)
     pairs = probe_pairs(probes)
+    X, Y = _stack([x for x, _ in pairs]), _stack([y for _, y in pairs])
 
     # The Jensen hypothesis is quantified over unit-modulus scalars only;
     # larger moduli belong to the homogeneity extension of the conclusion.
-    unit_lams = [(s, lam) for s, lam in lams if s in ("arc", "circle")]
-    e2_sup, e2_wit, e2_n = 0.0, None, 0
-    for x, y in pairs:
-        den = stabilizer.control_eval(phi, x, y)
-        for stage, lam in unit_lams:
-            num = algebra.norm(maps.jensen_defect(f, lam, x, y))
-            ratio = _ratio(num, den)
-            e2_n += 1
-            if e2_sup < ratio or e2_wit is None:
-                e2_sup, e2_wit = ratio, {"x": x, "y": y, "lam": lam, "stage": stage}
+    # Its rows run pair-major, then lambda.
+    unit_lams = [(s, lam) for s, lam in maps.sample_lambdas(lambdas) if s in ("arc", "circle")]
+    nl = len(unit_lams)
+    e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(
+        f, [lam for _, lam in unit_lams] * len(pairs),
+        np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0),
+    ))
+    e3 = algebra.stacked_norms(f.spec, maps.antimul_defect(f, X, Y))
+    dens = [stabilizer.control_eval(phi, x, y) for x, y in pairs]
+    e4 = _norms("scan_hypotheses", f.spec, I.rows(I.rows(P)) - P)
+    e6 = maps.cstar_defect(f, P)
 
-    e3_sup, e3_wit, e3_n = 0.0, None, 0
-    for x, y in pairs:
-        ratio = _ratio(
-            algebra.norm(maps.antimul_defect(f, x, y)),
-            stabilizer.control_eval(phi, x, y),
-        )
-        e3_n += 1
-        if e3_sup < ratio or e3_wit is None:
-            e3_sup, e3_wit = ratio, {"x": x, "y": y}
-
-    I.stabilize(probes)
-    I.stabilize([I(x) for x in probes])
-    e4_sup, e4_wit = 0.0, None
-    for x in probes:
-        residual = algebra.norm(algebra.sub(I(I(x)), x))
-        if e4_sup < residual or e4_wit is None:
-            e4_sup, e4_wit = residual, {"x": x}
-
-    e6_sup, e6_wit = 0.0, None
-    for x in probes:
-        ratio = _ratio(maps.cstar_defect(f, x), stabilizer.control_eval(phi, x, x))
-        if e6_sup < ratio or e6_wit is None:
-            e6_sup, e6_wit = ratio, {"x": x}
-
-    return DefectReport(
-        entries={
-            "e2_jensen": HypothesisEntry("e2_jensen", e2_sup, e2_wit, e2_n),
-            "e3_antimul": HypothesisEntry("e3_antimul", e3_sup, e3_wit, e3_n),
-            "e4_involutive": HypothesisEntry("e4_involutive", e4_sup, e4_wit, len(probes)),
-            "e6_cstar": HypothesisEntry("e6_cstar", e6_sup, e6_wit, len(probes)),
-        },
-    )
+    pair_wit = [{"x": x, "y": y} for x, y in pairs]
+    probe_wit = [{"x": x} for x in probes]
+    columns = {
+        "e2_jensen": (
+            [_ratio(num, dens[k // nl]) for k, num in enumerate(e2)],
+            [{"x": x, "y": y, "lam": lam, "stage": s} for x, y in pairs for s, lam in unit_lams],
+        ),
+        "e3_antimul": ([_ratio(num, den) for num, den in zip(e3, dens)], pair_wit),
+        "e4_involutive": (e4, probe_wit),
+        "e6_cstar": (
+            [_ratio(num, stabilizer.control_eval(phi, x, x)) for num, x in zip(e6, probes)],
+            probe_wit,
+        ),
+    }
+    return DefectReport(entries={
+        name: HypothesisEntry(name, *_sup(values, witnesses))
+        for name, (values, witnesses) in columns.items()
+    })
 
 
 @dataclass
@@ -174,6 +177,7 @@ class LawReport:
     total_tuples: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_involution_laws(
     I: StabilizedMap,
     lambdas: LambdaSampler,
@@ -181,68 +185,41 @@ def verify_involution_laws(
 ) -> LawReport:
     """Measure the involution laws on the stabilized map I; defects are
     normalized by max(1, input norms)."""
+    P = _stack(probes)
+    spec = I.f.spec
     lams = maps.sample_lambdas(lambdas)
     pairs = probe_pairs(probes)
-    total = 0
-    # Every point the loops below query, in query order, in one batch.
-    I.stabilize(
-        [z for x, y in pairs for z in (algebra.add(x, y), x, y)]
-        + [z for stage in ("arc", "circle", "reals", "complex")
-           for s, lam in lams if s == stage
-           for x in probes for z in (algebra.scale(lam, x), x)]
-        + [z for x, y in pairs for z in (algebra.mul(x, y), y, x)]
-    )
-    I.stabilize([I(x) for x in probes])
+    X, Y = _stack([x for x, _ in pairs]), _stack([y for _, y in pairs])
+    n, m = len(pairs), len(probes)
+    L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
+    # Every point the laws read, in one batch; the lam*x rows run lam-major.
+    args = algebra.finite_rows("verify_involution_laws", np.concatenate([
+        X + Y, X, Y, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y), P]))
+    I_sum, I_x, I_y, I_lp, I_xy, I_p = np.split(
+        I.rows(args), np.cumsum([n, n, n, len(lams) * m, n]))
+    norms = functools.partial(_norms, "verify_involution_laws", spec)
+    nx, ny, npr = norms(X), norms(Y), norms(P)
+    add = [d / max(1.0, a + b) for d, a, b in zip(norms(I_sum - (I_x + I_y)), nx, ny)]
+    homog = norms(I_lp - (np.conj(L) * I_p).reshape(I_lp.shape))
+    am = [d / max(1.0, a * b)
+          for d, a, b in zip(norms(I_xy - algebra.mul_rows(spec, I_y, I_x)), nx, ny)]
+    inv = [d / max(1.0, a) for d, a in zip(norms(I.rows(I_p) - P), npr)]
 
-    add_max, add_wit, add_n = 0.0, None, 0
-    for x, y in pairs:
-        defect = algebra.norm(
-            algebra.sub(I(algebra.add(x, y)), algebra.add(I(x), I(y)))
-        ) / max(1.0, algebra.norm(x) + algebra.norm(y))
-        add_n += 1
-        if add_max < defect or add_wit is None:
-            add_max, add_wit = defect, {"x": x, "y": y}
-    total += add_n
-
-    homog: dict[str, LawEntry] = {}
+    pair_wit = [{"x": x, "y": y} for x, y in pairs]
+    conj_homogeneity = {}
     for stage in ("arc", "circle", "reals", "complex"):
-        stage_lams = [lam for s, lam in lams if s == stage]
-        h_max, h_wit, h_n = 0.0, None, 0
-        for lam in stage_lams:
-            clam = np.conj(lam)
-            for x in probes:
-                defect = algebra.norm(
-                    algebra.sub(I(algebra.scale(lam, x)), algebra.scale(clam, I(x)))
-                ) / max(1.0, abs(lam) * algebra.norm(x))
-                h_n += 1
-                if h_max < defect or h_wit is None:
-                    h_max, h_wit = defect, {"x": x, "lam": lam}
-        homog[stage] = LawEntry(f"conj_homogeneity[{stage}]", h_max, h_wit, h_n)
-        total += h_n
-
-    am_max, am_wit, am_n = 0.0, None, 0
-    for x, y in pairs:
-        defect = algebra.norm(
-            algebra.sub(I(algebra.mul(x, y)), algebra.mul(I(y), I(x)))
-        ) / max(1.0, algebra.norm(x) * algebra.norm(y))
-        am_n += 1
-        if am_max < defect or am_wit is None:
-            am_max, am_wit = defect, {"x": x, "y": y}
-    total += am_n
-
-    inv_max, inv_wit = 0.0, None
-    for x in probes:
-        defect = algebra.norm(algebra.sub(I(I(x)), x)) / max(1.0, algebra.norm(x))
-        if inv_max < defect or inv_wit is None:
-            inv_max, inv_wit = defect, {"x": x}
-    total += len(probes)
-
+        rows = [(k, lam, i) for k, (s, lam) in enumerate(lams) if s == stage
+                for i in range(m)]
+        conj_homogeneity[stage] = LawEntry(f"conj_homogeneity[{stage}]", *_sup(
+            [homog[k * m + i] / max(1.0, abs(lam) * npr[i]) for k, lam, i in rows],
+            [{"x": probes[i], "lam": lam} for _, lam, i in rows],
+        ))
     return LawReport(
-        additivity=LawEntry("additivity", add_max, add_wit, add_n),
-        conj_homogeneity=homog,
-        antimultiplicativity=LawEntry("antimultiplicativity", am_max, am_wit, am_n),
-        involutivity=LawEntry("involutivity", inv_max, inv_wit, len(probes)),
-        total_tuples=total,
+        additivity=LawEntry("additivity", *_sup(add, pair_wit)),
+        conj_homogeneity=conj_homogeneity,
+        antimultiplicativity=LawEntry("antimultiplicativity", *_sup(am, pair_wit)),
+        involutivity=LawEntry("involutivity", *_sup(inv, [{"x": x} for x in probes])),
+        total_tuples=2 * n + len(lams) * m + m,
     )
 
 
@@ -255,6 +232,7 @@ class BoundReport:
     per_probe: list[float]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_bound(
     I: StabilizedMap,
     phi: ControlFunction,
@@ -263,24 +241,21 @@ def verify_bound(
 ) -> BoundReport:
     """||I(x) - f(x)|| against L^{1-i}/(1-L) * phi(x,0) per probe; a zero
     bound demands the difference vanish to zero_bound_abs (superstability)."""
-    I.stabilize(probes)
-    ratios: list[float] = []
-    witness = None
-    worst = -1.0
-    for x in probes:
-        diff = algebra.norm(algebra.sub(I(x), maps.eval_f(I.f, x)))
-        bound = stabilizer.error_bound(I.direction, phi, x)
+    P = _stack(probes)
+    diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
+    bounds = [stabilizer.error_bound(I.direction, phi, x) for x in probes]
+    ratios = []
+    for diff, bound in zip(diffs, bounds):
         if bound == 0.0:
-            ratio = 0.0 if diff <= zero_bound_abs else INF
+            ratios.append(0.0 if diff <= zero_bound_abs else INF)
         else:
-            ratio = diff / bound
-        ratios.append(ratio)
-        if ratio > worst:
-            worst, witness = ratio, {"x": x, "diff": diff, "bound": bound}
+            ratios.append(diff / bound)
+    worst, witness, _ = _sup(ratios, [
+        {"x": x, "diff": diff, "bound": bound} for x, diff, bound in zip(probes, diffs, bounds)])
     return BoundReport(
-        max_ratio=max(ratios),
+        max_ratio=worst,
         probes_checked=len(probes),
-        passed=max(ratios) <= 1.0 + 1e-9,
+        passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios,
     )
@@ -294,6 +269,7 @@ class UniquenessReport:
     witness: dict | None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_uniqueness(
     I1: StabilizedMap,
     I2: StabilizedMap,
@@ -302,15 +278,12 @@ def verify_uniqueness(
 ) -> UniquenessReport:
     """Two admissible maps over the same base must stabilize to the same
     involution pointwise."""
-    I1.stabilize(probes)
-    I2.stabilize(probes)
-    worst, witness = -1.0, None
-    for x in probes:
-        diff = algebra.norm(algebra.sub(I1(x), I2(x)))
-        if diff > worst:
-            worst, witness = diff, {"x": x}
+    P = _stack(probes)
+    worst, witness, checked = _sup(
+        _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P)),
+        [{"x": x} for x in probes])
     return UniquenessReport(
-        max_diff=worst, probes_checked=len(probes), passed=worst <= tol, witness=witness
+        max_diff=worst, probes_checked=checked, passed=worst <= tol, witness=witness
     )
 
 
@@ -324,32 +297,34 @@ class CstarReport:
     tol: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_cstar(
     I: StabilizedMap,
     probes: list[Element],
     tol: float = 1e-8,
 ) -> CstarReport:
     """Relative C*-identity defect | ||x I(x)|| - ||x||^2 | / ||x||^2 of the
-    stabilized map.  The reversed product order is reported for information
-    only."""
-    I.stabilize([x for x in probes if algebra.norm(x) != 0.0])
+    stabilized map.  Zero probes are skipped.  The reversed product order
+    is reported for information only."""
+    P = _stack(probes)
+    spec = I.f.spec
+    nonzero = [(x, nx) for x, nx in zip(probes, algebra.stacked_norms(spec, P)) if nx != 0.0]
     worst, rev_worst, witness = 0.0, 0.0, None
-    checked = 0
-    for x in probes:
-        nx = algebra.norm(x)
-        if nx == 0.0:
-            continue
-        checked += 1
-        ix = I(x)
-        ratio = abs(algebra.norm(algebra.mul(x, ix)) - nx**2) / nx**2
-        rev = abs(algebra.norm(algebra.mul(ix, x)) - nx**2) / nx**2
-        rev_worst = max(rev_worst, rev)
-        if ratio > worst or witness is None:
-            worst, witness = ratio, {"x": x, "ratio": ratio}
+    if nonzero:
+        Q = _stack([x for x, _ in nonzero])
+        IQ = I.rows(Q)
+        norms = _norms("verify_cstar", spec, np.concatenate(
+            [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))
+        n = len(nonzero)
+        ratios = [abs(a - nx**2) / nx**2 for a, (_, nx) in zip(norms[:n], nonzero)]
+        reversed_ratios = [abs(a - nx**2) / nx**2 for a, (_, nx) in zip(norms[n:], nonzero)]
+        worst, witness, _ = _sup(ratios, [
+            {"x": x, "ratio": ratio} for (x, _), ratio in zip(nonzero, ratios)])
+        rev_worst = max(reversed_ratios)
     return CstarReport(
         max_ratio=worst,
         reversed_max_ratio=rev_worst,
-        probes_checked=checked,
+        probes_checked=len(nonzero),
         passed=worst <= tol,
         witness=witness,
         tol=tol,

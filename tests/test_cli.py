@@ -195,6 +195,9 @@ class TestExitCodes:
         ("sampling", "num_probes", "many"),
         ("stabilizer", "max_n", "many"),
         ("stabilizer", "max_n", math.inf),
+        ("perturbation", "direction_seed", "abc"),
+        ("perturbation", "direction_seed", [1]),
+        ("sampling", "extra_probes", 5),
     ])
     def test_non_numeric_value_names_key(self, tmp_path, capsys, section, key, value):
         cfg = small_config()
@@ -204,11 +207,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, key, value", [
         ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
+        ("sampling", "seed", -1), ("lambda", "seed", -1),
+        ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, section, key, value):
-        cfg = small_config(**{section: {key: value}})
+        cfg = small_config()
+        cfg.setdefault(section, {})[key] = value
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
+    def test_overflowing_probe_radius(self, tmp_path, monkeypatch, capsys, scenario):
+        # Probe radii up to 1e308 overflow the stage arithmetic (x*y).
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(bundled_scenario_path(scenario).read_text())
+        cfg["sampling"]["radius_max"] = 1e308
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 5
+        assert "OutOfRange" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_out").exists()
 
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling

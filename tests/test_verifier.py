@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from involstab import algebra, maps, stabilizer, verifier
-from involstab.algebra import SCALAR, matrix_spec
+from involstab.algebra import SCALAR, Element, matrix_spec, pointwise_spec
 from involstab.maps import ApproxMap, LambdaSampler, NO_PERTURBATION, PerturbationSpec
 from involstab.stabilizer import power_product, power_sum, select_direction
 from involstab.verifier import (
     INF,
+    _ratio,
     StabilizedMap,
     probe_pairs,
     scan_hypotheses,
@@ -73,10 +74,12 @@ class TestStabilizedMap:
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = StabilizedMap(BUDGET_F, UP)
         x, y, z = sample_probes(3, rng)
-        I.stabilize([x, y, algebra.element(M2, x.flat()), x])
-        I.stabilize([y, z, x])
+        values = I.rows(np.stack([x.data, y.data, algebra.element(M2, x.flat()).data, x.data]))
+        assert values.shape == (4, 2, 2)
+        assert values.tobytes() == np.stack([I(x).data, I(y).data, I(x).data, I(x).data]).tobytes()
+        I.rows(np.stack([y.data, z.data, x.data]))
         I(z), I(x)
-        I.stabilize([])
+        assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
         assert batches == [[x.data.tobytes(), y.data.tobytes()], [z.data.tobytes()]]
         assert I.trace(z).result is I(z)
 
@@ -138,7 +141,8 @@ class TestScanHypotheses:
     def test_witness_reevaluates_to_sup(self, rng):
         rep = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, sample_probes(20, rng))
         w = rep.entries["e2_jensen"].witness
-        num = algebra.norm(maps.jensen_defect(BUDGET_F, w["lam"], w["x"], w["y"]))
+        d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"].data[None], w["y"].data[None])
+        num = algebra.stacked_norms(M2, d)[0]
         den = stabilizer.control_eval(PHI_SUM, w["x"], w["y"])
         assert num / den == rep.entries["e2_jensen"].sup_ratio
 
@@ -250,3 +254,201 @@ class TestVerifyCstar:
     def test_zero_probe_skipped(self, rng):
         rep = verify_cstar(up_map(EXACT_ADJ), [algebra.zero(M2)] + sample_probes(3, rng))
         assert rep.probes_checked == 3
+
+
+def run_stage(stage, I, probes):
+    if stage == "scan":
+        return scan_hypotheses(I, PHI_SUM, LAMBDAS, probes)
+    if stage == "bound":
+        return verify_bound(I, PHI_SUM, probes)
+    if stage == "laws":
+        return verify_involution_laws(I, LAMBDAS, probes)
+    if stage == "uniqueness":
+        return verify_uniqueness(I, StabilizedMap(I.f, UP), probes)
+    return verify_cstar(I, probes)
+
+
+STAGES = ["scan", "bound", "laws", "uniqueness", "cstar"]
+
+
+class TestEmptyProbes:
+    # scan_hypotheses: TestScanHypotheses::test_empty_probes_rejected
+    @pytest.mark.parametrize("stage", STAGES[1:])
+    def test_every_stage_rejects_empty_probes(self, stage):
+        with pytest.raises(ValueError, match="probe set must be nonempty"):
+            run_stage(stage, up_map(EXACT_ADJ), [])
+
+    def test_cstar_all_zero_probes_checks_none(self):
+        rep = verify_cstar(up_map(EXACT_ADJ), [algebra.zero(M2)])
+        assert rep.probes_checked == 0 and rep.witness is None and rep.passed
+
+
+class TestStageCallCounts:
+    # One stacked evaluation per stage: the number of f evaluations and of
+    # stabilization batches must not grow with the probe count.
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_calls_independent_of_probe_count(self, rng, monkeypatch, stage):
+        counts = {"eval_f_rows": 0, "stabilize_points": 0}
+        eval_f_rows, stabilize_points = maps.eval_f_rows, stabilizer.stabilize_points
+
+        def counting_eval(*args, **kwargs):
+            counts["eval_f_rows"] += 1
+            return eval_f_rows(*args, **kwargs)
+
+        def counting_stabilize(*args, **kwargs):
+            counts["stabilize_points"] += 1
+            return stabilize_points(*args, **kwargs)
+
+        monkeypatch.setattr(maps, "eval_f_rows", counting_eval)
+        monkeypatch.setattr(stabilizer, "stabilize_points", counting_stabilize)
+        seen = []
+        for n in (4, 16):
+            counts.update(eval_f_rows=0, stabilize_points=0)
+            run_stage(stage, up_map(BUDGET_F), sample_probes(n, rng))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
+
+# ---- per-tuple Element reference for every stage ------------------------
+
+def ref_jensen(f, lam, x, y):
+    mid = algebra.scale(0.5, algebra.add(x, y))
+    lead = algebra.scale(2.0 * np.conj(complex(lam)), maps.eval_f(f, mid))
+    return algebra.sub(algebra.sub(lead, maps.eval_f(f, algebra.scale(lam, x))),
+                       maps.eval_f(f, algebra.scale(lam, y)))
+
+
+def ref_antimul(f, x, y):
+    return algebra.sub(maps.eval_f(f, algebra.mul(x, y)),
+                       algebra.mul(maps.eval_f(f, y), maps.eval_f(f, x)))
+
+
+def ref_entry(tuples):
+    """(sup, witness, samples_used) under the strict `<` running update:
+    the first tuple starts the sup, later ones replace it only when larger."""
+    sup, witness = 0.0, None
+    for value, wit in tuples:
+        if sup < value or witness is None:
+            sup, witness = value, wit
+    return sup, witness, len(tuples)
+
+
+def comparable(witness):
+    if witness is None:
+        return None
+    return {k: v.data.tobytes() if isinstance(v, Element) else v for k, v in witness.items()}
+
+
+def ref_stages(I, I2, phi, lambdas, probes):
+    f, norm, sub, mul = I.f, algebra.norm, algebra.sub, algebra.mul
+    ctl = stabilizer.control_eval
+    lams = maps.sample_lambdas(lambdas)
+    pairs = probe_pairs(probes)
+    unit = [(s, lam) for s, lam in lams if s in ("arc", "circle")]
+    out = {
+        "e2_jensen": ref_entry([
+            (_ratio(norm(ref_jensen(f, lam, x, y)), ctl(phi, x, y)),
+             {"x": x, "y": y, "lam": lam, "stage": s})
+            for x, y in pairs for s, lam in unit]),
+        "e3_antimul": ref_entry([
+            (_ratio(norm(ref_antimul(f, x, y)), ctl(phi, x, y)), {"x": x, "y": y})
+            for x, y in pairs]),
+        "e4_involutive": ref_entry([(norm(sub(I(I(x)), x)), {"x": x}) for x in probes]),
+        "e6_cstar": ref_entry([
+            (_ratio(abs(norm(mul(x, maps.eval_f(f, x))) - norm(x) ** 2), ctl(phi, x, x)),
+             {"x": x}) for x in probes]),
+        "additivity": ref_entry([
+            (norm(sub(I(algebra.add(x, y)), algebra.add(I(x), I(y))))
+             / max(1.0, norm(x) + norm(y)), {"x": x, "y": y}) for x, y in pairs]),
+        "antimultiplicativity": ref_entry([
+            (norm(sub(I(mul(x, y)), mul(I(y), I(x)))) / max(1.0, norm(x) * norm(y)),
+             {"x": x, "y": y}) for x, y in pairs]),
+        "involutivity": ref_entry([
+            (norm(sub(I(I(x)), x)) / max(1.0, norm(x)), {"x": x}) for x in probes]),
+        "uniqueness": ref_entry([(norm(sub(I(x), I2(x))), {"x": x}) for x in probes]),
+    }
+    for stage in ("arc", "circle", "reals", "complex"):
+        out[f"conj_homogeneity[{stage}]"] = ref_entry([
+            (norm(sub(I(algebra.scale(lam, x)), algebra.scale(np.conj(lam), I(x))))
+             / max(1.0, abs(lam) * norm(x)), {"x": x, "lam": lam})
+            for s, lam in lams if s == stage for x in probes])
+    bound = []
+    for x in probes:
+        diff = norm(sub(I(x), maps.eval_f(f, x)))
+        bnd = stabilizer.error_bound(I.direction, phi, x)
+        ratio = (0.0 if diff <= 1e-9 else INF) if bnd == 0.0 else diff / bnd
+        bound.append((ratio, {"x": x, "diff": diff, "bound": bnd}))
+    out["bound"] = ref_entry(bound)
+    out["bound_per_probe"] = [ratio for ratio, _ in bound]
+    cstar, rev = [], [0.0]
+    for x in probes:
+        nx = norm(x)
+        if nx != 0.0:
+            ratio = abs(norm(mul(x, I(x))) - nx**2) / nx**2
+            rev.append(abs(norm(mul(I(x), x)) - nx**2) / nx**2)
+            cstar.append((ratio, {"x": x, "ratio": ratio}))
+    out["cstar"] = ref_entry(cstar)
+    out["cstar_reversed"] = max(rev)
+    return out
+
+
+P3 = pointwise_spec(3)
+REFERENCE_MAPS = {
+    "scalar": ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR),
+    "pointwise-random": ApproxMap(
+        maps.conjugation(), PerturbationSpec("random_direction", 0.1, 0.5, 3), P3),
+    "matrix-adjoint": BUDGET_F,
+    "matrix-twisted": ApproxMap(maps.twisted_adjoint(DIAG12), radial(0.1, 0.5, seed=3), M2),
+    "exact-scalar": ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR),
+    "exact-adjoint": EXACT_ADJ,
+}
+
+
+class TestStackedStagesMatchElementReference:
+    @pytest.mark.parametrize("name", list(REFERENCE_MAPS))
+    def test_sup_witness_and_samples(self, rng, name):
+        f = REFERENCE_MAPS[name]
+        lambdas = LambdaSampler(n0=3, arc=2, circle=2, reals=2, cplx=2, seed=4)
+        probes = [algebra.zero(f.spec)] + sample_probes(4, rng, spec=f.spec)
+        I = StabilizedMap(f, UP)
+        # A second admissible map over the same base; an exact map is
+        # compared with itself, so every difference ties at zero.
+        f2 = f if name.startswith("exact") else ApproxMap(
+            f.base, PerturbationSpec("random_direction", 0.1, 0.5, 13), f.spec)
+        I2 = StabilizedMap(f2, UP)
+
+        hyp = scan_hypotheses(I, PHI_SUM, lambdas, probes)
+        laws = verify_involution_laws(I, lambdas, probes)
+        bound = verify_bound(I, PHI_SUM, probes)
+        uniq = verify_uniqueness(I, I2, probes)
+        cstar = verify_cstar(I, probes)
+        got = {name: (e.sup_ratio, e.witness, e.samples_used)
+               for name, e in hyp.entries.items()}
+        for entry in (laws.additivity, laws.antimultiplicativity, laws.involutivity,
+                      *laws.conj_homogeneity.values()):
+            got[entry.law] = (entry.max_defect, entry.witness, entry.samples_used)
+        got["bound"] = (bound.max_ratio, bound.witness, bound.probes_checked)
+        got["uniqueness"] = (uniq.max_diff, uniq.witness, uniq.probes_checked)
+        got["cstar"] = (cstar.max_ratio, cstar.witness, cstar.probes_checked)
+        got["cstar_reversed"] = cstar.reversed_max_ratio
+        got["bound_per_probe"] = bound.per_probe
+
+        ref = ref_stages(I, I2, PHI_SUM, lambdas, probes)
+        assert set(got) == set(ref)
+        for key, expected in ref.items():
+            if key in ("cstar_reversed", "bound_per_probe"):
+                assert got[key] == expected
+                continue
+            (sup, wit, n), (ref_sup, ref_wit, ref_n) = got[key], expected
+            assert (sup, comparable(wit), n) == (ref_sup, comparable(ref_wit), ref_n), key
+        assert laws.total_tuples == sum(
+            entry[2] for key, entry in got.items()
+            if key in ("additivity", "antimultiplicativity", "involutivity")
+            or key.startswith("conj_homogeneity"))
+        if name.startswith("exact"):
+            # Every law defect of an exact involution is 0: the witness is
+            # the first tuple.
+            assert laws.additivity.max_defect == 0.0
+            x, y = probe_pairs(probes)[0]
+            assert comparable(laws.additivity.witness) == comparable({"x": x, "y": y})
+            assert uniq.max_diff == 0.0 and uniq.witness["x"] is probes[0]

@@ -184,10 +184,18 @@ def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
 def gaussian_row(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
     """Nonzero standard complex Gaussian entries, before `sample_direction`
     normalizes them; callers with many rows normalize them in one stack."""
+    parts = gaussian_parts(rng, np.empty((2, *spec.shape)))
+    return parts[0] + 1j * parts[1]
+
+
+def gaussian_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array `out`, shaped (2, *spec.shape), with the real
+    then imaginary parts of `gaussian_row`'s entries: one draw, redrawn
+    while all zero."""
     for _ in range(8):
-        raw = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        if raw.any():
-            return raw
+        rng.standard_normal(out=out)
+        if out.any():
+            return out
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 
 

@@ -107,9 +107,15 @@ def _get(section: dict, key: str, where: str, default=None, required=False):
 def _number(section: dict, key: str, where: str, conv, default=None, required=False):
     value = _get(section, key, where, default=default, required=required)
     try:
-        return conv(value)
+        number = conv(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    # float() passes JSON's NaN and Infinity; int() truncates 6.9 to 6.
+    if conv is float and not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    if conv is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return number
 
 
 def _seed(section: dict, key: str, where: str, default=None, required=False):
@@ -360,12 +366,12 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
         tr = I.trace(x)
         radius = algebra.norm(x)
         bnd = stabilizer.error_bound(direction, sc.phi, x)
-        fx = maps.eval_f(sc.f, x)
         # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last
-        # iterate gets no row. Each norm column is one stacked call.
+        # iterate gets no row. Each norm column is one stacked call; the
+        # deviation is from a_0 = f(x).
         iterates = tr.iterates[:-1]
         errors = algebra.stacked_norms(sc.spec, iterates - tr.result.data)
-        deviations = algebra.stacked_norms(sc.spec, iterates - fx.data)
+        deviations = algebra.stacked_norms(sc.spec, iterates - tr.iterates[0])
         for n, diff in enumerate(tr.diffs):
             trace_rows.append({
                 "probe_id": probe_id,

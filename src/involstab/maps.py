@@ -115,39 +115,121 @@ def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> Element:
     return algebra.sample_direction(spec, rng)
 
 
-def _hashed_gaussian(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None) -> np.ndarray:
-    # Seeded by the quantized point, so the direction is a function of the
-    # point, not of the floating-point path that produced it.
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(seed).encode())
-    h.update(np.ascontiguousarray(quantized.real).tobytes())
-    h.update(np.ascontiguousarray(quantized.imag).tobytes())
-    rng = np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
-    return algebra.gaussian_row(spec, rng)
+# numpy's SeedSequence and PCG64 seeding constants. numpy's compatibility
+# policy (NEP 19) keeps them, and tests/test_maps.py checks the replica
+# below against numpy itself.
+_POOL_SIZE = 4
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # Step k of SeedSequence's hash xors with init*mult^k and multiplies by
+    # init*mult^(k+1), mod 2^32; one (count, 1) column each.
+    consts = [init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(count + 1)]
+    return (np.array(consts[:-1], dtype=np.uint32)[:, None],
+            np.array(consts[1:], dtype=np.uint32)[:, None])
+
+
+# The entropy hash runs 4 steps to fill the pool and 12 to mix it; the
+# output hash runs 8, one per uint32 of PCG64's 128-bit seed and increment.
+_ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_XOR, _OUTPUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash_steps(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = values ^ xor
+    v *= mul
+    v ^= v >> 16
+    return v
+
+
+# Pool word src is mixed into the three others, in order.
+_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE)]
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`np.random.SeedSequence(s).generate_state(8, np.uint32)` for each
+    uint64 seed s, as rows of an (N, 8) uint32 array.  A seed fills the low
+    two pool words; a missing entropy word hashes as 0, so seeds below
+    2^32 come out the same as numpy's one-word entropy."""
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
+    pool = _hash_steps(pool, _ENTROPY_XOR[:_POOL_SIZE], _ENTROPY_MUL[:_POOL_SIZE])
+    step = _POOL_SIZE
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hash_steps(pool[src], _ENTROPY_XOR[step:step + 3],
+                             _ENTROPY_MUL[step:step + 3])
+        step += 3
+        mixed = pool[dst] * _MIX_L
+        mixed -= hashed * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    return np.ascontiguousarray(_hash_steps(np.tile(pool, (2, 1)), _OUTPUT_XOR, _OUTPUT_MUL).T)
+
+
+def _pcg64_states(words: np.ndarray) -> list[dict]:
+    """`np.random.PCG64(s).state` from each row of `_seed_words`: the words
+    read as little-endian uint64 (seed high, seed low, increment high,
+    increment low), then PCG's two seeding steps in 128-bit integers."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(words, dtype="<u4").view("<u8").tolist():
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None) -> np.ndarray:
+    """Row k is `algebra.gaussian_row` from `Generator(PCG64(s))`, where s is
+    the 8-byte little-endian blake2b digest of `str(seed)` and the real then
+    imaginary bytes of `quantized[k]`.  Seeded by the quantized point, the
+    direction is a function of the point, not of the floating-point path
+    that produced it."""
+    prefix = hashlib.blake2b(digest_size=8)
+    prefix.update(str(seed).encode())
+    # One fresh buffer: each row's bytes are hashed, then its draw fills it.
+    parts = np.stack([quantized.real, quantized.imag], axis=1)
+    width = parts[0].nbytes
+    data = parts.tobytes()
+    digests = []
+    for start in range(0, len(data), width):
+        h = prefix.copy()
+        h.update(data[start:start + width])
+        digests.append(h.digest())
+    seeds = np.frombuffer(b"".join(digests), dtype="<u8")
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for k, state in enumerate(_pcg64_states(_seed_words(seeds))):
+        bits.state = state
+        algebra.gaussian_parts(rng, parts[k])
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    # delta on a stack X of shape (N, *spec.shape). Amplitudes are Python
-    # floats per row; a zero amplitude or zero quantized point is a zero row.
+    # delta on a stack X of shape (N, *spec.shape). Amplitudes are computed
+    # in Python floats per row; a zero amplitude or zero quantized point is
+    # a zero row, left +0 rather than 0 * u, which can be -0.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out
-    amplitudes = [p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)]
+    column = (-1,) + (1,) * len(spec.shape)
+    amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
+                          dtype=np.complex128).reshape(column)
+    live = amplitudes.reshape(len(X)) != 0.0
     if p.kind is PerturbationKind.FIXED_DIRECTION:
-        u = _fixed_direction(p.direction_seed, spec).data
-        for k, amplitude in enumerate(amplitudes):
-            if amplitude != 0.0:
-                out[k] = complex(amplitude) * u
+        out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec).data
         return out
     # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
     # normalized in one stacked norm call.
     quantized = np.round(X * 1e6) / 1e6
-    nonzero = quantized.reshape(len(X), -1).any(axis=1).tolist()
-    rows = [k for k, amplitude in enumerate(amplitudes) if amplitude != 0.0 and nonzero[k]]
-    if rows:
-        raw = np.stack([_hashed_gaussian(spec, quantized[k], p.direction_seed) for k in rows])
-        for k, g, n in zip(rows, raw, algebra.stacked_norms(spec, raw)):
-            out[k] = complex(amplitudes[k]) * (complex(1.0 / n) * g)
+    rows = live & quantized.reshape(len(X), -1).any(axis=1)
+    if rows.any():
+        raw = _hashed_gaussians(spec, quantized[rows], p.direction_seed)
+        inverse = 1.0 / np.array(algebra.stacked_norms(spec, raw))
+        out[rows] = amplitudes[rows] * (inverse.astype(np.complex128).reshape(column) * raw)
     return out
 
 

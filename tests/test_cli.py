@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -209,12 +210,30 @@ class TestExitCodes:
         ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
         ("sampling", "seed", -1), ("lambda", "seed", -1),
         ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
+        # Written as JSON NaN and Infinity, which Python's json reads back
+        # (as it reads 1e999) as non-finite floats.
+        ("control", "theta", math.nan), ("control", "theta", math.inf),
+        ("control", "theta", -math.inf), ("perturbation", "theta_delta", math.nan),
+        ("sampling", "radius_max", math.inf), ("cstar", "tol", math.nan),
+        # Counts that int() would truncate.
+        ("sampling", "num_probes", 6.9), ("stabilizer", "max_n", 48.5),
+        ("lambda", "arc", 2.5), ("laws", "max_probes", 3.5), ("algebra", "dim", 1.5),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, section, key, value):
         cfg = small_config()
         cfg.setdefault(section, {})[key] = value
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        out_int, out_float = tmp_path / "int", tmp_path / "float"
+        cfg = small_config()
+        assert main(["run", str(write_config(tmp_path, cfg, "a.json")),
+                     "--out", str(out_int)]) == 0
+        cfg["sampling"]["num_probes"] = 6.0
+        assert main(["run", str(write_config(tmp_path, cfg, "b.json")),
+                     "--out", str(out_float)]) == 0
+        assert (out_int / "report.json").read_bytes() == (out_float / "report.json").read_bytes()
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
     def test_overflowing_probe_radius(self, tmp_path, monkeypatch, capsys, scenario):
@@ -256,6 +275,52 @@ class TestBundledScenarios:
         report = json.loads((out / "report.json").read_text())
         assert report["cstar"]["pass"] is False
         assert report["cstar"]["max_ratio"] >= 0.25
+
+
+# sha256 of report.json and trace.csv. A change that claims to keep every
+# output bit must leave these unchanged; they hold for the numpy and LAPACK
+# the suite runs with.
+GOLDEN_DIGESTS = {
+    "adjoint_rsum_r05": (
+        "bc9e73ad8e9451078cef1b479db8df9a0cc7f7c8bbec9eed9775d3e5ea66ad0b",
+        "cb748b9ed2951f75dd9fb9527d7c9ef8d3b77754f57a1f84234f3a73c64899df"),
+    "twisted_cstar": (
+        "1afe9d0b78d11916660eeb215636610707f2608b5fb34669b2691e2e4fcbabed",
+        "adae0c581bf486dcd7f09577bb88362c59991a38de4999fef5dee049c4be8c2d"),
+    "product_superstability": (
+        "a2871e922ed3aa1df06c569226f8729e6cef5ec9201009da96d7dc6f0b32f48e",
+        "9321acd42ab93f5b0e5cc38228653fff5d0e17ea813b1f91f9c2d4a4163443c1"),
+    # No bundled scenario draws hashed random directions; this one does in
+    # both maps, with a direction seed and without.
+    "pointwise_random_direction": (
+        "dfd9ead6ca7f34330c2703b35c99e08c5f4fa85add32d464e594eba9f8da4856",
+        "7527dd5a8d7ecb079bae1808253d8cfc9243bb477c7caef75bebc9a1aac0ed33"),
+}
+
+POINTWISE_RANDOM_DIRECTION = {
+    "algebra": {"kind": "pointwise", "dim": 3},
+    "involution": {"kind": "conjugation"},
+    "perturbation": {"kind": "random_direction", "theta_delta": 0.1, "r": 0.5,
+                     "direction_seed": 11},
+    "perturbation2": {"kind": "random_direction", "theta_delta": 0.1, "r": 0.5},
+    "control": {"kind": "power_sum", "theta": 0.3, "r": 0.5},
+    "sampling": {"num_probes": 4, "seed": 3},
+    "lambda": {"arc": 2, "circle": 2, "reals": 2, "complex": 2},
+    "laws": {"max_probes": 3},
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+    def test_outputs_unchanged(self, tmp_path, name):
+        config = name
+        if name == "pointwise_random_direction":
+            config = str(write_config(tmp_path, POINTWISE_RANDOM_DIRECTION))
+        out = tmp_path / "out"
+        assert main(["run", config, "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("report.json", "trace.csv"))
+        assert got == GOLDEN_DIGESTS[name]
 
 
 class TestSweep:

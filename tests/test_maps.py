@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involstab import algebra, maps
 from involstab.algebra import SCALAR, matrix_spec, pointwise_spec
-from involstab.errors import KindSpecMismatch, SpecMismatch
+from involstab.errors import DegenerateDirection, KindSpecMismatch, SpecMismatch
 from involstab.maps import (
     ApproxMap,
     Involution,
@@ -269,3 +272,133 @@ class TestEvalFRows:
         f = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
         with pytest.raises(SpecMismatch):
             maps.eval_f_rows(f, np.zeros((2, 3, 3), dtype=complex))
+
+
+# Seeds at the edges of one and two 32-bit entropy words.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+Generator = np.random.Generator
+
+
+def hashed_gaussian_reference(spec, quantized, seed, generator=Generator):
+    """The per-row draw: a fresh PCG64 seeded by the point's blake2b digest."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(seed).encode())
+    h.update(np.ascontiguousarray(quantized.real).tobytes())
+    h.update(np.ascontiguousarray(quantized.imag).tobytes())
+    bits = np.random.PCG64(int.from_bytes(h.digest(), "little"))
+    return algebra.gaussian_row(spec, generator(bits))
+
+
+class FirstDrawsZero:
+    """A Generator whose first `zeros` draws after each seeding come out all
+    zero; each still consumes its share of the stream."""
+
+    def __init__(self, bits, zeros):
+        self._bits, self._rng, self._zeros = bits, Generator(bits), zeros
+        self._state_after, self._count = None, 0
+
+    def standard_normal(self, out):
+        if self._bits.state != self._state_after:
+            self._count = 0
+        self._rng.standard_normal(out=out)
+        if self._count < self._zeros:
+            out[...] = 0.0
+        self._count += 1
+        self._state_after = self._bits.state
+        return out
+
+
+def quantized_stack(spec, n, rng):
+    X = np.stack([algebra.sample_element(spec, (1e-7, 10.0), rng).data for _ in range(n)])
+    X[0] = -1e-9  # entries that round to -0.0, whose bytes differ from +0.0
+    return np.round(X * 1e6) / 1e6
+
+
+class TestHashedGaussians:
+    """The batched draw replicates numpy's SeedSequence and PCG64 seeding
+    and keeps every bit of the per-row draw."""
+
+    def test_seed_words_match_numpy(self):
+        words = maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64))
+        assert words.dtype == np.uint32 and words.shape == (len(EDGE_SEEDS), 8)
+        for seed, row in zip(EDGE_SEEDS, words):
+            expected = np.random.SeedSequence(seed).generate_state(8, np.uint32)
+            assert row.tolist() == expected.tolist()
+
+    def test_states_match_numpy(self):
+        states = maps._pcg64_states(maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64)))
+        assert states == [np.random.PCG64(seed).state for seed in EDGE_SEEDS]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_replica_matches_numpy_sampled(self, seeds):
+        words = maps._seed_words(np.array(seeds, dtype=np.uint64))
+        for seed, row, state in zip(seeds, words, maps._pcg64_states(words)):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(
+                8, np.uint32).tolist()
+            assert state == np.random.PCG64(seed).state
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_rows_match_per_row_reference(self, any_spec, rng, n, seed):
+        Q = quantized_stack(any_spec, n, rng)
+        got = maps._hashed_gaussians(any_spec, Q, seed)
+        assert got.shape == (n, *any_spec.shape) and got.dtype == np.complex128
+        for k in range(n):
+            expected = hashed_gaussian_reference(any_spec, Q[k], seed)
+            assert got[k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zeros", [1, 7])
+    def test_zero_draws_are_redrawn(self, monkeypatch, any_spec, rng, zeros):
+        Q = quantized_stack(any_spec, 3, rng)
+        plain = maps._hashed_gaussians(any_spec, Q, 5)
+        monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, zeros))
+        got = maps._hashed_gaussians(any_spec, Q, 5)
+        for k in range(len(Q)):
+            expected = hashed_gaussian_reference(
+                any_spec, Q[k], 5, generator=lambda bits: FirstDrawsZero(bits, zeros))
+            assert got[k].tobytes() == expected.tobytes()
+            assert got[k].tobytes() != plain[k].tobytes()
+
+    def test_eight_zero_draws_raise(self, monkeypatch, any_spec, rng):
+        Q = quantized_stack(any_spec, 3, rng)
+        monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, 8))
+        with pytest.raises(DegenerateDirection):
+            maps._hashed_gaussians(any_spec, Q, 5)
+
+    def test_gaussian_row_is_two_draws(self, any_spec):
+        # One (2, *shape) block holds the real draw, then the imaginary one.
+        rng_a, rng_b = Generator(np.random.PCG64(3)), Generator(np.random.PCG64(3))
+        for _ in range(5):
+            expected = (rng_b.standard_normal(any_spec.shape)
+                        + 1j * rng_b.standard_normal(any_spec.shape))
+            assert algebra.gaussian_row(any_spec, rng_a).tobytes() == expected.tobytes()
+
+
+class TestPerturbationRows:
+    """Broadcast scaling keeps the per-row loop's bits, including +0 rows."""
+
+    @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_rows_match_per_row_scaling(self, any_spec, rng, kind, seed):
+        p = PerturbationSpec(kind, 0.1, 0.5, direction_seed=seed)
+        X = np.stack([algebra.zero(any_spec).data, np.full(any_spec.shape, -1e-9 + 0j)]
+                     + [algebra.sample_element(any_spec, (1e-7, 10.0), rng).data
+                        for _ in range(6)])
+        got = maps._perturbation_rows(p, any_spec, X)
+        for k, x in enumerate(X):
+            amplitude = 0.1 * algebra.stacked_norms(any_spec, x[None])[0] ** 0.5
+            if kind == "fixed_direction":
+                u = maps._fixed_direction(seed, any_spec).data
+                expected = complex(amplitude) * u
+            else:
+                q = np.round(x * 1e6) / 1e6
+                expected = np.zeros(any_spec.shape, dtype=np.complex128)
+                if q.any():
+                    g = hashed_gaussian_reference(any_spec, q, seed)
+                    n = algebra.stacked_norms(any_spec, g[None])[0]
+                    expected = complex(amplitude) * (complex(1.0 / n) * g)
+            if amplitude == 0.0:
+                expected = np.zeros(any_spec.shape, dtype=np.complex128)
+            assert got[k].tobytes() == expected.tobytes()
+        assert not np.signbit(got[0].view(np.float64)).any()

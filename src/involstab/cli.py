@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -30,41 +30,37 @@ import numpy as np
 from . import __version__, algebra, fixedpoint, maps, stabilizer, verifier
 from .algebra import AlgebraSpec, Element
 from .errors import (
-    ConfigError, InvolStabError, KindSpecMismatch, NoContraction, StabilizationFailure,
+    ConfigError, InvolStabError, KindSpecMismatch, NoContraction, OutOfRange,
+    StabilizationFailure,
 )
 from .maps import ApproxMap, Involution, LambdaSampler, PerturbationSpec
-from .stabilizer import ControlFunction, ScalingDirection
+from .stabilizer import ControlFunction
 
 
 # ------------------------- serialization helpers -------------------------
 
-def _num(x: float):
-    # JSON has no infinity literal; the reports use the string "inf".
-    return "inf" if math.isinf(x) else x
+# Fields a report leaves out: entry names are already the report's keys,
+# and per-probe ratios are not part of the report.
+_UNREPORTED = {"name", "law", "per_probe"}
 
 
-def _complex_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _element_json(e: Element) -> list[list[float]]:
-    return [_complex_json(z) for z in e.flat()]
-
-
-def _witness_json(w: dict | None):
-    if w is None:
-        return None
-    out = {}
-    for k, v in w.items():
-        if isinstance(v, Element):
-            out[k] = _element_json(v)
-        elif isinstance(v, complex):
-            out[k] = _complex_json(v)
-        elif isinstance(v, float):
-            out[k] = _num(v)
-        else:
-            out[k] = v
-    return out
+def _json(value):
+    """A stage result as JSON data: a dataclass becomes its fields in
+    declaration order (`passed` written as `pass`), an Element a flat list of
+    [re, im] pairs, and an infinite float the string "inf", which strict JSON
+    needs in place of an infinity literal."""
+    if isinstance(value, Element):
+        return [_json(z) for z in value.flat()]
+    if dataclasses.is_dataclass(value):
+        return {("pass" if f.name == "passed" else f.name): _json(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.name not in _UNREPORTED}
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return value
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -75,7 +71,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 # ----------------------------- configuration -----------------------------
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
     raw: dict
     spec: AlgebraSpec
@@ -293,9 +289,10 @@ def make_probes(sc: Scenario) -> list[Element]:
 
 # ------------------------------- pipeline --------------------------------
 
-def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
-    """Execute the full certification pipeline; returns (report, traces,
-    direction).  Raises NoContraction / StabilizationFailure."""
+def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
+    """Execute the full certification pipeline; returns (results, traces),
+    where results maps each report key to its stage result.  Raises
+    NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
     probes = make_probes(sc)
     # Every stage reads the one stabilized map per (map, depth), so each
@@ -318,45 +315,13 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
         I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
     cstar = verifier.verify_cstar(I_cstar, probes, tol=sc.cstar_tol)
 
-    report = {
-        "direction": {"q": direction.q, "i": direction.i, "L": direction.L},
-        "hypotheses": {
-            name: {
-                "sup_ratio": _num(entry.sup_ratio),
-                "witness": _witness_json(entry.witness),
-                "samples_used": entry.samples_used,
-            }
-            for name, entry in hyp.entries.items()
-        },
-        "bound": {
-            "max_ratio": _num(bound.max_ratio),
-            "probes_checked": bound.probes_checked,
-            "pass": bound.passed,
-            "witness": _witness_json(bound.witness),
-        },
-        "laws": {
-            "additivity": _law_json(laws.additivity),
-            "conj_homogeneity": {
-                stage: _law_json(entry) for stage, entry in laws.conj_homogeneity.items()
-            },
-            "antimultiplicativity": _law_json(laws.antimultiplicativity),
-            "involutivity": _law_json(laws.involutivity),
-            "total_tuples": laws.total_tuples,
-        },
-        "uniqueness": None if uniq is None else {
-            "max_diff": _num(uniq.max_diff),
-            "probes_checked": uniq.probes_checked,
-            "pass": uniq.passed,
-            "witness": _witness_json(uniq.witness),
-        },
-        "cstar": {
-            "max_ratio": _num(cstar.max_ratio),
-            "reversed_max_ratio": _num(cstar.reversed_max_ratio),
-            "probes_checked": cstar.probes_checked,
-            "pass": cstar.passed,
-            "witness": _witness_json(cstar.witness),
-            "tol": cstar.tol,
-        },
+    results = {
+        "direction": direction,
+        "hypotheses": hyp.entries,
+        "bound": bound,
+        "laws": laws,
+        "uniqueness": uniq,
+        "cstar": cstar,
         "corollary_audit": _corollary_audit(sc.phi),
         "tolerances": {"max_n": sc.max_n, "tol_rel": sc.tol_rel},
     }
@@ -382,15 +347,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict], ScalingDirection]:
                 "bound": bnd,
                 "ratio": verifier._ratio(deviations[n], bnd),
             })
-    return report, trace_rows, direction
-
-
-def _law_json(entry: verifier.LawEntry) -> dict:
-    return {
-        "max_defect": _num(entry.max_defect),
-        "witness": _witness_json(entry.witness),
-        "samples_used": entry.samples_used,
-    }
+    return results, trace_rows
 
 
 def _corollary_audit(phi: ControlFunction) -> dict | None:
@@ -404,14 +361,9 @@ def _corollary_audit(phi: ControlFunction) -> dict | None:
         return None
     try:
         audit = corollary_constant(phi.r, regime)
-    except Exception:
+    except (OutOfRange, OverflowError):
         return None
-    return {
-        "regime": regime.value,
-        "derived": audit.derived,
-        "paper_stated": audit.paper_stated,
-        "sign_anomaly": audit.sign_anomaly,
-    }
+    return {"regime": regime.value, **dataclasses.asdict(audit)}
 
 
 TRACE_COLUMNS = ["probe_id", "radius", "n", "diff_norm", "error_vs_limit", "bound", "ratio"]
@@ -433,7 +385,8 @@ def _trace_csv(rows: list[dict]) -> str:
 def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> Path:
     raw = load_config(config_path)
     sc = parse_scenario(raw)
-    report, trace_rows, direction = run_pipeline(sc)
+    results, trace_rows = run_pipeline(sc)
+    report = _json(results)
 
     out = Path(out_dir) if out_dir else Path(Path(str(config_path)).stem + "_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -443,7 +396,7 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
     _atomic_write(out / "trace.csv", _trace_csv(trace_rows))
     manifest = {
         "config": raw,
-        "derived": {"q": direction.q, "i": direction.i, "L": direction.L},
+        "derived": report["direction"],
         "corollary_audit": report["corollary_audit"],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -477,25 +430,22 @@ def sweep(config_path: str | Path, param: str, values: list[float],
             if cfg.get("perturbation", {}).get("kind", "none") != "none":
                 cfg["perturbation"]["r"] = value
         elif param == "dim":
-            cfg.setdefault("algebra", {})["dim"] = int(value)
+            cfg.setdefault("algebra", {})["dim"] = value
         else:
-            cfg.setdefault("sampling", {})["num_probes"] = int(value)
+            cfg.setdefault("sampling", {})["num_probes"] = value
         row = {"param": param, "value": value}
         try:
             sc = parse_scenario(cfg)
-            report, _, direction = run_pipeline(sc)
-            laws = report["laws"]
-            law_defects = [laws["additivity"]["max_defect"],
-                           laws["antimultiplicativity"]["max_defect"],
-                           laws["involutivity"]["max_defect"]]
-            law_defects += [e["max_defect"] for e in laws["conj_homogeneity"].values()]
-            law_defects = [d for d in law_defects if not isinstance(d, str)]
+            results, _ = run_pipeline(sc)
+            laws = results["laws"]
             row.update({
-                "L": direction.L,
-                "max_bound_ratio": report["bound"]["max_ratio"],
-                "max_law_defect": max(law_defects) if law_defects else "inf",
-                "bound_pass": report["bound"]["pass"],
-                "cstar_pass": report["cstar"]["pass"],
+                "L": results["direction"].L,
+                "max_bound_ratio": results["bound"].max_ratio,
+                "max_law_defect": max(entry.max_defect for entry in (
+                    laws.additivity, laws.antimultiplicativity, laws.involutivity,
+                    *laws.conj_homogeneity.values())),
+                "bound_pass": results["bound"].passed,
+                "cstar_pass": results["cstar"].passed,
                 "status": "ok",
             })
         except InvolStabError as exc:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import AlgebraKind, AlgebraSpec, Element
-from .errors import KindSpecMismatch, SpecMismatch
+from .errors import KindSpecMismatch, OutOfRange, SpecMismatch
 
 
 class InvolutionKind(str, Enum):
@@ -216,8 +216,11 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
     if p.kind is PerturbationKind.NONE:
         return out
     column = (-1,) + (1,) * len(spec.shape)
-    amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
-                          dtype=np.complex128).reshape(column)
+    try:
+        amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
+                              dtype=np.complex128).reshape(column)
+    except OverflowError:
+        raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
     live = amplitudes.reshape(len(X)) != 0.0
     if p.kind is PerturbationKind.FIXED_DIRECTION:
         out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec).data

@@ -55,10 +55,13 @@ def power_product(theta: float, r: float) -> ControlFunction:
 def control_eval(phi: ControlFunction, x: Element, y: Element) -> float:
     if x.spec != y.spec:
         raise SpecMismatch(f"{x.spec} vs {y.spec}")
-    if phi.kind is ControlKind.POWER_SUM:
-        return phi.theta * (algebra.norm(x) ** phi.r + algebra.norm(y) ** phi.r)
-    if phi.kind is ControlKind.POWER_PRODUCT:
-        return phi.theta * algebra.norm(algebra.mul(x, y)) ** phi.r
+    try:
+        if phi.kind is ControlKind.POWER_SUM:
+            return phi.theta * (algebra.norm(x) ** phi.r + algebra.norm(y) ** phi.r)
+        if phi.kind is ControlKind.POWER_PRODUCT:
+            return phi.theta * algebra.norm(algebra.mul(x, y)) ** phi.r
+    except OverflowError:
+        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
     return float(phi.custom_eval(x, y))
 
 
@@ -91,17 +94,22 @@ def select_direction(
     Analytic kinds have closed-form constants; custom controls are measured
     on the supplied sample pairs with a 1.05 safety multiplier.
     """
+    def analytic(q: float, i: int, L: float) -> ScalingDirection:
+        if L == 0.0:
+            raise OutOfRange(f"{phi.kind.value} control with r = {phi.r}: L underflows to 0")
+        return ScalingDirection(q, i, L)
+
     if phi.kind is ControlKind.POWER_SUM:
         if phi.r < 1:
-            return ScalingDirection(2.0, 0, 2.0 ** (phi.r - 1.0))
+            return analytic(2.0, 0, 2.0 ** (phi.r - 1.0))
         if phi.r > 1:
-            return ScalingDirection(0.5, 1, 2.0 ** (1.0 - phi.r))
+            return analytic(0.5, 1, 2.0 ** (1.0 - phi.r))
         raise NoContraction("power-sum control with r = 1 gives L = 1 in both directions")
     if phi.kind is ControlKind.POWER_PRODUCT:
         if phi.r < 0.5:
-            return ScalingDirection(2.0, 0, 2.0 ** (2.0 * phi.r - 1.0))
+            return analytic(2.0, 0, 2.0 ** (2.0 * phi.r - 1.0))
         if phi.r > 0.5:
-            return ScalingDirection(0.5, 1, 2.0 ** (1.0 - 2.0 * phi.r))
+            return analytic(0.5, 1, 2.0 ** (1.0 - 2.0 * phi.r))
         raise NoContraction("power-product control with r = 1/2 gives L = 1 in both directions")
     if not samples:
         raise NoContraction("custom control needs sample pairs to estimate L")

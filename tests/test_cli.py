@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -82,7 +83,8 @@ class TestRun:
     def test_trace_columns_match_per_row_norms(self, algebra_cfg, involution):
         sc = cli.parse_scenario(small_config(algebra=algebra_cfg,
                                              involution={"kind": involution}))
-        _, rows, direction = cli.run_pipeline(sc)
+        results, rows = cli.run_pipeline(sc)
+        direction = results["direction"]
         expected = []
         for x in cli.make_probes(sc):
             tr = stabilizer.stabilize_point(sc.f, direction, x,
@@ -113,8 +115,8 @@ class TestRun:
                            "r": 0.5, "direction_seed": 5},
             cstar=cstar,
         ))
-        report, _, _ = cli.run_pipeline(sc)
-        assert report["uniqueness"]["pass"] is True
+        results, _ = cli.run_pipeline(sc)
+        assert results["uniqueness"].passed is True
         calls = [key for batch in batches for key in batch]
         assert {(key[0], key[2]) for key in calls} == {
             (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
@@ -245,6 +247,22 @@ class TestExitCodes:
         assert "OutOfRange" in capsys.readouterr().err
         assert not (tmp_path / "scenario_out").exists()
 
+    @pytest.mark.parametrize("section, value", [
+        # ||x||^r overflows a float in the control, then in the perturbation.
+        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1030}),
+        ("perturbation", {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030}),
+        # L = 2^(1-r), and 2^(1-2r) for the product, underflows to 0.
+        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1100}),
+        ("control", {"kind": "power_product", "theta": 0.3, "r": 600}),
+    ], ids=["control-overflow", "perturbation-overflow", "sum-L-underflow",
+            "product-L-underflow"])
+    def test_large_exponent(self, tmp_path, monkeypatch, capsys, section, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(**{section: value})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 5
+        assert "OutOfRange" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_out").exists()
+
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling
         # direction amplifies the defect until the iterates overflow
@@ -355,6 +373,34 @@ class TestSweep:
         statuses = [row.rsplit(",", 1)[1] for row in rows]
         assert statuses[0] == statuses[2] == "ok"
         assert statuses[1].startswith("DegenerateDirection")
+
+    # sha256 of sweep.csv; the r sweep covers a NoContraction row and both
+    # scaling directions.
+    @pytest.mark.parametrize("config, param, values, digest", [
+        (None, "r", "0.25,0.5,1.0,1.5",
+         "a3bca492a18d524ddaa4f70a5b87c2e059aedf70334173759150ed548800bc89"),
+        ("adjoint_rsum_r05", "num_probes", "3,4",
+         "33f84f8cc186dd3f3bcbf3b0df6f90db8992f54592b44aa7e0a80c190fa2f07a"),
+    ], ids=["small-r", "adjoint-num_probes"])
+    def test_sweep_csv_unchanged(self, tmp_path, config, param, values, digest):
+        config = config or str(write_config(tmp_path, small_config()))
+        out = tmp_path / "sw"
+        assert main(["sweep", config, "--param", param, "--values", values,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("param, value, key", [
+        ("num_probes", "6.9", "sampling.num_probes"), ("dim", "1.7", "algebra.dim"),
+    ])
+    def test_sweep_fractional_count_is_config_error(self, tmp_path, param, value, key):
+        cfg = write_config(tmp_path, small_config())
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--param", param, "--values", value,
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["value"] == value
+        assert row["status"].startswith(f"ConfigError: {key} must be an integer")
 
     def test_sweep_bad_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -137,30 +137,26 @@ def conj_transpose(a: Element) -> Element:
     return Element(a.spec, a.data.conj())
 
 
-def _operator_norm(mat: np.ndarray) -> np.ndarray | float:
+def _operator_norm(stack: np.ndarray) -> np.ndarray:
     # Largest singular value from LAPACK: no start vector, gap condition or
-    # iteration cap.  Takes one (d, d) matrix or a stack (N, d, d); a stack
-    # gives the same bits as the per-matrix calls.
-    return np.linalg.svd(mat, compute_uv=False)[..., 0]
+    # iteration cap.  A stack (N, d, d) gives the same bits as the
+    # per-matrix calls.
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def norm(a: Element) -> float:
     """Algebra norm: modulus, operator norm, or sup norm by kind."""
-    if a.spec.kind is AlgebraKind.SCALAR:
-        return abs(complex(a.data[0]))
-    if a.spec.kind is AlgebraKind.POINTWISE:
-        return float(np.max(np.abs(a.data)))
-    return float(_operator_norm(a.data))
+    return stacked_norms(a.spec, a.data[None])[0]
 
 
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
-    """Norms of a stack of raw entry arrays shaped (N, *spec.shape); entry
-    k equals `norm(Element(spec, stack[k]))` bit for bit."""
+    """Norms of a stack of raw entry arrays shaped (N, *spec.shape), one
+    per row; `norm` is the one-row form."""
     if spec.kind is AlgebraKind.MATRIX:
         return _operator_norm(stack).tolist()
     if spec.kind is AlgebraKind.POINTWISE:
         return np.max(np.abs(stack), axis=-1).tolist()
-    # Python's complex abs, as in norm(); numpy's differs in the last bit.
+    # Python's complex abs; numpy's differs in the last bit.
     return [abs(z) for z in stack.reshape(-1).tolist()]
 
 

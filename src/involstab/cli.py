@@ -46,11 +46,11 @@ _UNREPORTED = {"name", "law", "per_probe"}
 
 def _json(value):
     """A stage result as JSON data: a dataclass becomes its fields in
-    declaration order (`passed` written as `pass`), an Element a flat list of
+    declaration order (`passed` written as `pass`), a probe row a flat list of
     [re, im] pairs, and an infinite float the string "inf", which strict JSON
     needs in place of an infinity literal."""
-    if isinstance(value, Element):
-        return [_json(z) for z in value.flat()]
+    if isinstance(value, np.ndarray):
+        return [_json(z) for z in value.reshape(-1).tolist()]
     if dataclasses.is_dataclass(value):
         return {("pass" if f.name == "passed" else f.name): _json(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.name not in _UNREPORTED}
@@ -141,8 +141,6 @@ def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     alg = _section(raw, "algebra")
     try:
         spec = AlgebraSpec(_get(alg, "kind", "algebra", required=True),
@@ -241,6 +239,8 @@ def parse_scenario(raw: dict) -> Scenario:
     cstar_tol = _number(cstar_sec, "tol", "cstar", float, default=1e-8)
     if cstar_tol_rel <= 0:
         raise ConfigError("cstar.tol_rel must be > 0")
+    if cstar_tol < 0:
+        raise ConfigError("cstar.tol must be >= 0")
 
     f = ApproxMap(base=base, perturbation=pert, spec=spec)
     f2 = ApproxMap(base=base, perturbation=pert2, spec=spec) if pert2 else None
@@ -262,9 +262,12 @@ def load_config(path: str | Path) -> dict:
         else:
             raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {p}: invalid JSON ({exc})")
+        raw = json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {p}: unreadable or invalid JSON ({exc})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def bundled_scenario_path(name: str) -> Path | None:
@@ -278,13 +281,14 @@ def bundled_scenario_path(name: str) -> Path | None:
         return p if p.exists() else None
 
 
-def make_probes(sc: Scenario) -> list[Element]:
+def make_probes(sc: Scenario) -> np.ndarray:
+    """The probe stack: the sampled probes, then the extra ones."""
     rng = np.random.Generator(np.random.PCG64(sc.seed))
     probes = [
         algebra.sample_element(sc.spec, (sc.radius_min, sc.radius_max), rng)
         for _ in range(sc.num_probes)
     ]
-    return probes + sc.extra_probes
+    return np.stack([x.data for x in probes + sc.extra_probes])
 
 
 # ------------------------------- pipeline --------------------------------
@@ -294,18 +298,18 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
     where results maps each report key to its stage result.  Raises
     NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
-    probes = make_probes(sc)
+    P = make_probes(sc)
     # Every stage reads the one stabilized map per (map, depth), so each
     # probe is stabilized once per depth.
     I = verifier.StabilizedMap(sc.f, direction, sc.max_n, sc.tol_rel)
 
-    hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, probes)
-    bound = verifier.verify_bound(I, sc.phi, probes)
-    laws = verifier.verify_involution_laws(I, sc.lambdas, probes[: sc.laws_max_probes])
+    hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, P)
+    bound = verifier.verify_bound(I, sc.phi, P)
+    laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
     uniq = None
     if sc.f2 is not None:
         I2 = verifier.StabilizedMap(sc.f2, direction, sc.max_n, sc.tol_rel)
-        uniq = verifier.verify_uniqueness(I, I2, probes)
+        uniq = verifier.verify_uniqueness(I, I2, P)
     # The C*-check certifies the limit map; the scaling tail at the bound
     # depth is above the 1e-8 certification tolerance at small radii, so
     # stabilize deeper here.
@@ -313,7 +317,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
     I_cstar = I
     if cstar_depth != (sc.max_n, sc.tol_rel):
         I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
-    cstar = verifier.verify_cstar(I_cstar, probes, tol=sc.cstar_tol)
+    cstar = verifier.verify_cstar(I_cstar, P, tol=sc.cstar_tol)
 
     results = {
         "direction": direction,
@@ -327,15 +331,14 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
     }
 
     trace_rows = []
-    for probe_id, x in enumerate(probes):
-        tr = I.trace(x)
-        radius = algebra.norm(x)
-        bnd = stabilizer.error_bound(direction, sc.phi, x)
+    radii = algebra.stacked_norms(sc.spec, P)
+    bounds = stabilizer.error_bounds(direction, sc.phi, sc.spec, P)
+    for probe_id, (tr, radius, bnd) in enumerate(zip(I.traces(P), radii, bounds)):
         # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last
         # iterate gets no row. Each norm column is one stacked call; the
         # deviation is from a_0 = f(x).
         iterates = tr.iterates[:-1]
-        errors = algebra.stacked_norms(sc.spec, iterates - tr.result.data)
+        errors = algebra.stacked_norms(sc.spec, iterates - tr.iterates[-1])
         deviations = algebra.stacked_norms(sc.spec, iterates - tr.iterates[0])
         for n, diff in enumerate(tr.diffs):
             trace_rows.append({
@@ -409,6 +412,12 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
 SWEEP_PARAMS = ("theta", "r", "dim", "num_probes")
 
 
+def _override(cfg: dict, key: str, **values) -> None:
+    """Set values in section key of cfg; a section that is not an object
+    is the ConfigError `run` gives."""
+    cfg[key] = {**_section(cfg, key, required=False), **values}
+
+
 def sweep(config_path: str | Path, param: str, values: list[float],
           out_dir: str | Path | None = None) -> Path:
     if param not in SWEEP_PARAMS:
@@ -419,22 +428,22 @@ def sweep(config_path: str | Path, param: str, values: list[float],
     rows = []
     for k, value in enumerate(values):
         cfg = json.loads(json.dumps(raw))
-        if param == "theta":
-            cfg.setdefault("control", {})["theta"] = value
-            if cfg.get("perturbation", {}).get("kind", "none") != "none":
-                # Budget rule: a third of the control amplitude keeps the
-                # Jensen hypothesis satisfied.
-                cfg["perturbation"]["theta_delta"] = value / 3.0
-        elif param == "r":
-            cfg.setdefault("control", {})["r"] = value
-            if cfg.get("perturbation", {}).get("kind", "none") != "none":
-                cfg["perturbation"]["r"] = value
-        elif param == "dim":
-            cfg.setdefault("algebra", {})["dim"] = value
-        else:
-            cfg.setdefault("sampling", {})["num_probes"] = value
         row = {"param": param, "value": value}
         try:
+            if param == "theta":
+                _override(cfg, "control", theta=value)
+                if _section(cfg, "perturbation", required=False).get("kind", "none") != "none":
+                    # Budget rule: a third of the control amplitude keeps the
+                    # Jensen hypothesis satisfied.
+                    _override(cfg, "perturbation", theta_delta=value / 3.0)
+            elif param == "r":
+                _override(cfg, "control", r=value)
+                if _section(cfg, "perturbation", required=False).get("kind", "none") != "none":
+                    _override(cfg, "perturbation", r=value)
+            elif param == "dim":
+                _override(cfg, "algebra", dim=value)
+            else:
+                _override(cfg, "sampling", num_probes=value)
             sc = parse_scenario(cfg)
             results, _ = run_pipeline(sc)
             laws = results["laws"]

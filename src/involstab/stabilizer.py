@@ -4,6 +4,7 @@ construction of the exact involution, and its error bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -12,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from .algebra import Element
+from .algebra import AlgebraSpec, Element
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
 from .maps import ApproxMap, eval_f_rows
 
@@ -55,14 +56,23 @@ def power_product(theta: float, r: float) -> ControlFunction:
 def control_eval(phi: ControlFunction, x: Element, y: Element) -> float:
     if x.spec != y.spec:
         raise SpecMismatch(f"{x.spec} vs {y.spec}")
+    return control_rows(phi, x.spec, x.data[None], y.data[None])[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def control_rows(phi: ControlFunction, spec: AlgebraSpec, X: np.ndarray,
+                 Y: np.ndarray) -> list[float]:
+    """control_eval on the row pairs of two stacks shaped (N, *spec.shape)."""
     try:
         if phi.kind is ControlKind.POWER_SUM:
-            return phi.theta * (algebra.norm(x) ** phi.r + algebra.norm(y) ** phi.r)
+            return [phi.theta * (a ** phi.r + b ** phi.r) for a, b in zip(
+                algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y))]
         if phi.kind is ControlKind.POWER_PRODUCT:
-            return phi.theta * algebra.norm(algebra.mul(x, y)) ** phi.r
+            XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
+            return [phi.theta * a ** phi.r for a in algebra.stacked_norms(spec, XY)]
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-    return float(phi.custom_eval(x, y))
+    return [float(phi.custom_eval(Element(spec, x), Element(spec, y))) for x, y in zip(X, Y)]
 
 
 def control_of_x(phi: ControlFunction, x: Element) -> float:
@@ -138,12 +148,15 @@ class StabilizationTrace:
     """One point's orbit: `iterates` is a read-only (n_used + 1, *shape)
     array of a_0 .. a_{n_used}, and diffs[n] = ||a_{n+1} - a_n||."""
 
-    x: Element
+    spec: AlgebraSpec
     iterates: np.ndarray
     diffs: list[float]
-    result: Element
     n_used: int
     converged: bool
+
+    @functools.cached_property
+    def result(self) -> Element:
+        return Element(self.spec, self.iterates[-1])
 
 
 def stabilize_point(
@@ -154,29 +167,30 @@ def stabilize_point(
     tol_rel: float = 1e-10,
 ) -> StabilizationTrace:
     """The orbit of one point; see stabilize_points."""
-    return stabilize_points(f, direction, [x], max_n, tol_rel)[0]
+    if x.spec != f.spec:
+        raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
+    return stabilize_points(f, direction, x.data[None], max_n, tol_rel)[0]
 
 
 def stabilize_points(
     f: ApproxMap,
     direction: ScalingDirection,
-    xs: Sequence[Element],
+    X: np.ndarray,
     max_n: int = 48,
     tol_rel: float = 1e-10,
 ) -> list[StabilizationTrace]:
-    """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every x in
-    xs, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
+    """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every row x
+    of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.  The running points advance together: one stacked f
     evaluation per step.  A point that fails leaves the batch; at the end
-    the exception of the first failing point in xs is raised."""
+    the exception of the first failing row of X is raised."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
         raise ValueError("tol_rel must be > 0")
-    for x in xs:
-        if x.spec != f.spec:
-            raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
-    if not xs:
+    if X.shape[1:] != f.spec.shape:
+        raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
+    if not len(X):
         return []
     spec = f.spec
     q = complex(direction.q)
@@ -188,12 +202,11 @@ def stabilize_points(
             failures[k] = ValueError("element entries must be finite")
         return [a[~bad] for a in (rows, *arrays)] if bad.any() else [rows, *arrays]
 
-    X = np.stack([x.data for x in xs])
-    running, X, prev = drop_nonfinite(np.arange(len(xs)), [X, eval_f_rows(f, X)])
+    running, X, prev = drop_nonfinite(np.arange(len(X)), [X, eval_f_rows(f, X)])
     iterates = [[a] for a in prev]
-    diffs: list[list[float]] = [[] for _ in xs]
-    increasing_run = [0] * len(xs)
-    converged = [False] * len(xs)
+    diffs: list[list[float]] = [[] for _ in iterates]
+    increasing_run = [0] * len(iterates)
+    converged = [False] * len(iterates)
     scale_n = 1.0
     for _ in range(max_n):
         if failures:
@@ -233,20 +246,23 @@ def stabilize_points(
     if failures:
         raise failures[min(failures)]
     traces = []
-    for x, its, ds, conv in zip(xs, iterates, diffs, converged):
+    for its, ds, conv in zip(iterates, diffs, converged):
         its = np.stack(its)
         its.setflags(write=False)
-        traces.append(StabilizationTrace(
-            x=x, iterates=its, diffs=ds, result=Element(spec, its[-1]),
-            n_used=len(ds), converged=conv,
-        ))
+        traces.append(StabilizationTrace(spec, its, ds, len(ds), conv))
     return traces
 
 
 def error_bound(direction: ScalingDirection, phi: ControlFunction, x: Element) -> float:
     """L^{1-i}/(1-L) * phi(x, 0)."""
+    return error_bounds(direction, phi, x.spec, x.data[None])[0]
+
+
+def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
+                 X: np.ndarray) -> list[float]:
+    """error_bound on each row of a stack X shaped (N, *spec.shape)."""
     factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
-    return factor * control_of_x(phi, x)
+    return [factor * c for c in control_rows(phi, spec, X, np.zeros_like(X))]
 
 
 class Regime(str, Enum):

@@ -2,7 +2,8 @@
 stabilized map, and bound / uniqueness / C*-identity certification.
 
 Suprema are taken over the sampled probe region only; violations are
-reported as data, never raised.
+reported as data, never raised.  Each stage takes its probe set as one stack
+P shaped (N, *spec.shape), and its witnesses hold rows of P.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .maps import ApproxMap, LambdaSampler
 from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
 INF = math.inf
+# A zero closeness bound (superstability) passes when the difference is at
+# most ZERO_BOUND_ABS; two stabilized maps agree within UNIQUENESS_TOL.
+ZERO_BOUND_ABS = 1e-9
+UNIQUENESS_TOL = 1e-6
 
 
 def _ratio(num: float, den: float) -> float:
@@ -44,47 +49,45 @@ class StabilizedMap:
         self.tol_rel = tol_rel
         self._traces: dict[bytes, StabilizationTrace] = {}
 
-    def rows(self, X: np.ndarray) -> np.ndarray:
-        """I on each row of a stack X shaped (N, *shape); the distinct
-        uncached rows are stabilized in one batched orbit."""
+    def traces(self, X: np.ndarray) -> list[StabilizationTrace]:
+        """The trace of each row of a stack X shaped (N, *shape); the
+        distinct uncached rows are stabilized in one batched orbit."""
         keys = [row.tobytes() for row in X]
         todo = {key: row for key, row in zip(keys, X) if key not in self._traces}
         if todo:
             traces = stabilizer.stabilize_points(
-                self.f, self.direction, [Element(self.f.spec, row) for row in todo.values()],
+                self.f, self.direction, np.stack(list(todo.values())),
                 max_n=self.max_n, tol_rel=self.tol_rel,
             )
             self._traces.update(zip(todo, traces))
-        return np.array([self._traces[key].result.data for key in keys],
+        return [self._traces[key] for key in keys]
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """I on each row of a stack X shaped (N, *shape)."""
+        return np.array([tr.iterates[-1] for tr in self.traces(X)],
                         dtype=np.complex128).reshape(X.shape)
 
     def trace(self, x: Element) -> StabilizationTrace:
-        self.rows(x.data[None])
-        return self._traces[x.data.tobytes()]
+        return self.traces(x.data[None])[0]
 
     def __call__(self, x: Element) -> Element:
         return self.trace(x).result
 
 
-def probe_pairs(probes: list[Element]) -> list[tuple[Element, Element]]:
-    """Deterministic pair sample: each probe against zero, itself, and two
+def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pair sample from a probe stack P, as the stacks (X, Y)
+    of left and right rows: each probe against zero, itself, and two
     strided partners.  The (x, 0) pairs come first per probe so zero-control
     witnesses are found with the lowest probe index."""
-    n = len(probes)
-    z = algebra.zero(probes[0].spec)
-    pairs = []
-    for i, x in enumerate(probes):
-        pairs.append((x, z))
-        pairs.append((x, x))
-        pairs.append((x, probes[(i + 1) % n]))
-        pairs.append((x, probes[(i * 7 + 3) % n]))
-    return pairs
+    i = np.arange(len(P))
+    # A +0 partner: 0 * P would write -0 into the y witnesses.
+    partners = [np.zeros_like(P), P, P[(i + 1) % len(P)], P[(i * 7 + 3) % len(P)]]
+    return np.repeat(P, 4, axis=0), np.stack(partners, axis=1).reshape(-1, *P.shape[1:])
 
 
-def _stack(probes: list[Element]) -> np.ndarray:
-    if not probes:
+def _require_probes(P: np.ndarray) -> None:
+    if not len(P):
         raise ValueError("probe set must be nonempty")
-    return np.stack([x.data for x in probes])
 
 
 def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
@@ -116,15 +119,14 @@ def scan_hypotheses(
     I: StabilizedMap,
     phi: ControlFunction,
     lambdas: LambdaSampler,
-    probes: list[Element],
+    P: np.ndarray,
 ) -> DefectReport:
     """Supremum defect/control ratios of I.f for the Jensen,
     anti-multiplicativity and C*-norm hypotheses, plus the absolute
     involutivity residual ||I(I(x)) - x||."""
-    P = _stack(probes)
+    _require_probes(P)
     f = I.f
-    pairs = probe_pairs(probes)
-    X, Y = _stack([x for x, _ in pairs]), _stack([y for _, y in pairs])
+    X, Y = probe_pairs(P)
 
     # The Jensen hypothesis is quantified over unit-modulus scalars only;
     # larger moduli belong to the homogeneity extension of the conclusion.
@@ -132,25 +134,26 @@ def scan_hypotheses(
     unit_lams = [(s, lam) for s, lam in maps.sample_lambdas(lambdas) if s in ("arc", "circle")]
     nl = len(unit_lams)
     e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(
-        f, [lam for _, lam in unit_lams] * len(pairs),
+        f, [lam for _, lam in unit_lams] * len(X),
         np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0),
     ))
     e3 = algebra.stacked_norms(f.spec, maps.antimul_defect(f, X, Y))
-    dens = [stabilizer.control_eval(phi, x, y) for x, y in pairs]
+    dens = stabilizer.control_rows(phi, f.spec, X, Y)
     e4 = _norms("scan_hypotheses", f.spec, I.rows(I.rows(P)) - P)
     e6 = maps.cstar_defect(f, P)
 
-    pair_wit = [{"x": x, "y": y} for x, y in pairs]
-    probe_wit = [{"x": x} for x in probes]
+    pair_wit = [{"x": x, "y": y} for x, y in zip(X, Y)]
+    probe_wit = [{"x": x} for x in P]
     columns = {
         "e2_jensen": (
             [_ratio(num, dens[k // nl]) for k, num in enumerate(e2)],
-            [{"x": x, "y": y, "lam": lam, "stage": s} for x, y in pairs for s, lam in unit_lams],
+            [{**wit, "lam": lam, "stage": s} for wit in pair_wit for s, lam in unit_lams],
         ),
         "e3_antimul": ([_ratio(num, den) for num, den in zip(e3, dens)], pair_wit),
         "e4_involutive": (e4, probe_wit),
         "e6_cstar": (
-            [_ratio(num, stabilizer.control_eval(phi, x, x)) for num, x in zip(e6, probes)],
+            # dens[1::4] is phi(x, x): the (x, x) pairs of probe_pairs.
+            [_ratio(num, den) for num, den in zip(e6, dens[1::4])],
             probe_wit,
         ),
     }
@@ -181,16 +184,15 @@ class LawReport:
 def verify_involution_laws(
     I: StabilizedMap,
     lambdas: LambdaSampler,
-    probes: list[Element],
+    P: np.ndarray,
 ) -> LawReport:
     """Measure the involution laws on the stabilized map I; defects are
     normalized by max(1, input norms)."""
-    P = _stack(probes)
+    _require_probes(P)
     spec = I.f.spec
     lams = maps.sample_lambdas(lambdas)
-    pairs = probe_pairs(probes)
-    X, Y = _stack([x for x, _ in pairs]), _stack([y for _, y in pairs])
-    n, m = len(pairs), len(probes)
+    X, Y = probe_pairs(P)
+    n, m = len(X), len(P)
     L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
     # Every point the laws read, in one batch; the lam*x rows run lam-major.
     args = algebra.finite_rows("verify_involution_laws", np.concatenate([
@@ -205,20 +207,20 @@ def verify_involution_laws(
           for d, a, b in zip(norms(I_xy - algebra.mul_rows(spec, I_y, I_x)), nx, ny)]
     inv = [d / max(1.0, a) for d, a in zip(norms(I.rows(I_p) - P), npr)]
 
-    pair_wit = [{"x": x, "y": y} for x, y in pairs]
+    pair_wit = [{"x": x, "y": y} for x, y in zip(X, Y)]
     conj_homogeneity = {}
     for stage in ("arc", "circle", "reals", "complex"):
         rows = [(k, lam, i) for k, (s, lam) in enumerate(lams) if s == stage
                 for i in range(m)]
         conj_homogeneity[stage] = LawEntry(f"conj_homogeneity[{stage}]", *_sup(
             [homog[k * m + i] / max(1.0, abs(lam) * npr[i]) for k, lam, i in rows],
-            [{"x": probes[i], "lam": lam} for _, lam, i in rows],
+            [{"x": P[i], "lam": lam} for _, lam, i in rows],
         ))
     return LawReport(
         additivity=LawEntry("additivity", *_sup(add, pair_wit)),
         conj_homogeneity=conj_homogeneity,
         antimultiplicativity=LawEntry("antimultiplicativity", *_sup(am, pair_wit)),
-        involutivity=LawEntry("involutivity", *_sup(inv, [{"x": x} for x in probes])),
+        involutivity=LawEntry("involutivity", *_sup(inv, [{"x": x} for x in P])),
         total_tuples=2 * n + len(lams) * m + m,
     )
 
@@ -236,25 +238,24 @@ class BoundReport:
 def verify_bound(
     I: StabilizedMap,
     phi: ControlFunction,
-    probes: list[Element],
-    zero_bound_abs: float = 1e-9,
+    P: np.ndarray,
 ) -> BoundReport:
     """||I(x) - f(x)|| against L^{1-i}/(1-L) * phi(x,0) per probe; a zero
-    bound demands the difference vanish to zero_bound_abs (superstability)."""
-    P = _stack(probes)
+    bound demands the difference vanish to ZERO_BOUND_ABS (superstability)."""
+    _require_probes(P)
     diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
-    bounds = [stabilizer.error_bound(I.direction, phi, x) for x in probes]
+    bounds = stabilizer.error_bounds(I.direction, phi, I.f.spec, P)
     ratios = []
     for diff, bound in zip(diffs, bounds):
         if bound == 0.0:
-            ratios.append(0.0 if diff <= zero_bound_abs else INF)
+            ratios.append(0.0 if diff <= ZERO_BOUND_ABS else INF)
         else:
             ratios.append(diff / bound)
     worst, witness, _ = _sup(ratios, [
-        {"x": x, "diff": diff, "bound": bound} for x, diff, bound in zip(probes, diffs, bounds)])
+        {"x": x, "diff": diff, "bound": bound} for x, diff, bound in zip(P, diffs, bounds)])
     return BoundReport(
         max_ratio=worst,
-        probes_checked=len(probes),
+        probes_checked=len(P),
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios,
@@ -273,17 +274,16 @@ class UniquenessReport:
 def verify_uniqueness(
     I1: StabilizedMap,
     I2: StabilizedMap,
-    probes: list[Element],
-    tol: float = 1e-6,
+    P: np.ndarray,
 ) -> UniquenessReport:
     """Two admissible maps over the same base must stabilize to the same
     involution pointwise."""
-    P = _stack(probes)
+    _require_probes(P)
     worst, witness, checked = _sup(
         _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P)),
-        [{"x": x} for x in probes])
+        [{"x": x} for x in P])
     return UniquenessReport(
-        max_diff=worst, probes_checked=checked, passed=worst <= tol, witness=witness
+        max_diff=worst, probes_checked=checked, passed=worst <= UNIQUENESS_TOL, witness=witness
     )
 
 
@@ -300,31 +300,31 @@ class CstarReport:
 @np.errstate(over="ignore", invalid="ignore")
 def verify_cstar(
     I: StabilizedMap,
-    probes: list[Element],
+    P: np.ndarray,
     tol: float = 1e-8,
 ) -> CstarReport:
     """Relative C*-identity defect | ||x I(x)|| - ||x||^2 | / ||x||^2 of the
     stabilized map.  Zero probes are skipped.  The reversed product order
     is reported for information only."""
-    P = _stack(probes)
+    _require_probes(P)
     spec = I.f.spec
-    nonzero = [(x, nx) for x, nx in zip(probes, algebra.stacked_norms(spec, P)) if nx != 0.0]
+    radii = np.array(algebra.stacked_norms(spec, P))
+    Q, nq = P[radii != 0.0], radii[radii != 0.0].tolist()
     worst, rev_worst, witness = 0.0, 0.0, None
-    if nonzero:
-        Q = _stack([x for x, _ in nonzero])
+    if nq:
         IQ = I.rows(Q)
         norms = _norms("verify_cstar", spec, np.concatenate(
             [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))
-        n = len(nonzero)
-        ratios = [abs(a - nx**2) / nx**2 for a, (_, nx) in zip(norms[:n], nonzero)]
-        reversed_ratios = [abs(a - nx**2) / nx**2 for a, (_, nx) in zip(norms[n:], nonzero)]
+        n = len(nq)
+        ratios = [abs(a - nx**2) / nx**2 for a, nx in zip(norms[:n], nq)]
+        reversed_ratios = [abs(a - nx**2) / nx**2 for a, nx in zip(norms[n:], nq)]
         worst, witness, _ = _sup(ratios, [
-            {"x": x, "ratio": ratio} for (x, _), ratio in zip(nonzero, ratios)])
+            {"x": x, "ratio": ratio} for x, ratio in zip(Q, ratios)])
         rev_worst = max(reversed_ratios)
     return CstarReport(
         max_ratio=worst,
         reversed_max_ratio=rev_worst,
-        probes_checked=len(nonzero),
+        probes_checked=len(nq),
         passed=worst <= tol,
         witness=witness,
         tol=tol,

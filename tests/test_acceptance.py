@@ -63,6 +63,11 @@ def sample_probes(n, seed, spec=M2, rad=(0.1, 10.0)):
     return [algebra.sample_element(spec, rad, rng) for _ in range(n)]
 
 
+def stack(elements):
+    """The probe stack the verifier stages take."""
+    return np.stack([x.data for x in elements])
+
+
 @pytest.fixture(scope="module")
 def probes200():
     return sample_probes(200, 11)
@@ -151,7 +156,7 @@ def test_criterion_4_involution_laws(verdict):
     total, worst = 0, 0.0
     for f in variants.values():
         rep = verifier.verify_involution_laws(
-            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, sample_probes(24, 31)
+            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, stack(sample_probes(24, 31))
         )
         total += rep.total_tuples
         worst = max(
@@ -169,15 +174,15 @@ def test_criterion_4_involution_laws(verdict):
 def test_criterion_5_cstar_dichotomy(verdict):
     probes = sample_probes(20, 41)
     adj = verifier.verify_cstar(
-        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), probes
+        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), stack(probes)
     )
     nil = algebra.element(M2, [0, 1, 0, 0])
     twisted = ApproxMap(
         maps.twisted_adjoint(algebra.element(M2, [1, 0, 0, 2])), NO_PERTURBATION, M2
     )
     I_twisted = StabilizedMap(twisted, DIRECTION, max_n=96)
-    tw = verifier.verify_cstar(I_twisted, probes + [nil])
-    tw_nil = verifier.verify_cstar(I_twisted, [nil])
+    tw = verifier.verify_cstar(I_twisted, stack(probes + [nil]))
+    tw_nil = verifier.verify_cstar(I_twisted, stack([nil]))
     ok = (adj.passed and adj.max_ratio <= 1e-8
           and not tw.passed and tw.max_ratio >= 0.25
           and abs(tw_nil.max_ratio - 0.5) <= 1e-9)
@@ -191,7 +196,7 @@ def test_criterion_6_superstability(verdict):
     d = select_direction(phi)
     exact = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
     probes = sample_probes(30, 51, spec=SCALAR)
-    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, probes)
+    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, stack(probes))
     sup = max(e.sup_ratio for e in rep.entries.values())
     constant = all(
         stabilize_point(exact, d, x).n_used == 1
@@ -202,9 +207,9 @@ def test_criterion_6_superstability(verdict):
     perturbed = ApproxMap(
         maps.conjugation(), PerturbationSpec("fixed_direction", 0.01, 0.25), SCALAR
     )
-    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, probes)
+    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, stack(probes))
     e2 = rep2.entries["e2_jensen"]
-    refuted = e2.sup_ratio == INF and algebra.norm(e2.witness["y"]) == 0.0
+    refuted = e2.sup_ratio == INF and algebra.norm(algebra.Element(SCALAR, e2.witness["y"])) == 0.0
     ok = sup <= 1e-12 and constant and refuted
     verdict(6, ok, f"exact map sup ratio {sup:.3e} (zero to double precision), "
                    f"stabilizer constant, perturbed map e2 = inf at y = 0")
@@ -275,7 +280,7 @@ def test_criterion_9_uniqueness(verdict):
     )
     rep = verifier.verify_uniqueness(
         StabilizedMap(ADJ_F, DIRECTION, max_n=48), StabilizedMap(f2, DIRECTION, max_n=48),
-        sample_probes(40, 91),
+        stack(sample_probes(40, 91)),
     )
     ok = rep.passed and rep.max_diff <= 1e-6
     verdict(9, ok, f"fixed vs random direction limits agree to {rep.max_diff:.3e} "

@@ -86,7 +86,8 @@ class TestRun:
         results, rows = cli.run_pipeline(sc)
         direction = results["direction"]
         expected = []
-        for x in cli.make_probes(sc):
+        for row in cli.make_probes(sc):
+            x = algebra.Element(sc.spec, row)
             tr = stabilizer.stabilize_point(sc.f, direction, x,
                                             max_n=sc.max_n, tol_rel=sc.tol_rel)
             fx = maps.eval_f(sc.f, x)
@@ -105,9 +106,9 @@ class TestRun:
         batches = []
         stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, xs, max_n=48, tol_rel=1e-10):
-            batches.append([(id(f), x.data.tobytes(), max_n, tol_rel) for x in xs])
-            return stabilize(f, direction, xs, max_n=max_n, tol_rel=tol_rel)
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
+            batches.append([(id(f), row.tobytes(), max_n, tol_rel) for row in X])
+            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         sc = cli.parse_scenario(small_config(
@@ -155,6 +156,15 @@ class TestExitCodes:
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
+        assert main(["run", str(p)]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", None], ids=["invalid-utf8", "directory"])
+    def test_unreadable_config(self, tmp_path, content):
+        p = tmp_path / "x.json"
+        if content is None:
+            p.mkdir()
+        else:
+            p.write_bytes(content)
         assert main(["run", str(p)]) == 2
 
     def test_missing_section_names_key(self, tmp_path, capsys):
@@ -216,7 +226,7 @@ class TestExitCodes:
         # (as it reads 1e999) as non-finite floats.
         ("control", "theta", math.nan), ("control", "theta", math.inf),
         ("control", "theta", -math.inf), ("perturbation", "theta_delta", math.nan),
-        ("sampling", "radius_max", math.inf), ("cstar", "tol", math.nan),
+        ("sampling", "radius_max", math.inf), ("cstar", "tol", math.nan), ("cstar", "tol", -1),
         # Counts that int() would truncate.
         ("sampling", "num_probes", 6.9), ("stabilizer", "max_n", 48.5),
         ("lambda", "arc", 2.5), ("laws", "max_probes", 3.5), ("algebra", "dim", 1.5),
@@ -313,6 +323,11 @@ GOLDEN_DIGESTS = {
     "pointwise_random_direction": (
         "dfd9ead6ca7f34330c2703b35c99e08c5f4fa85add32d464e594eba9f8da4856",
         "7527dd5a8d7ecb079bae1808253d8cfc9243bb477c7caef75bebc9a1aac0ed33"),
+    # No bundled scenario takes the q = 1/2 (i = 1) direction, whose
+    # error_bound factor differs; power-sum r = 1.5 does.
+    "adjoint_rsum_r15": (
+        "690c8c1fd8bc256ec0d275fe0b2c3971ce3165712683d06563e1b130fbd3fa7a",
+        "43d51d4a1261c2cacb6538b0333d9164ad6e4100be9f6e4cb5c9c02847b61394"),
 }
 
 POINTWISE_RANDOM_DIRECTION = {
@@ -328,12 +343,23 @@ POINTWISE_RANDOM_DIRECTION = {
 }
 
 
+def adjoint_rsum_r15():
+    cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
+    for section in ("control", "perturbation", "perturbation2"):
+        cfg[section]["r"] = 1.5
+    cfg["sampling"]["num_probes"] = 8
+    cfg["laws"]["max_probes"] = 4
+    return cfg
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, name):
         config = name
         if name == "pointwise_random_direction":
             config = str(write_config(tmp_path, POINTWISE_RANDOM_DIRECTION))
+        elif name == "adjoint_rsum_r15":
+            config = str(write_config(tmp_path, adjoint_rsum_r15()))
         out = tmp_path / "out"
         assert main(["run", config, "--out", str(out)]) == 0
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
@@ -401,6 +427,24 @@ class TestSweep:
             (row,) = list(csv.DictReader(fh))
         assert row["value"] == value
         assert row["status"].startswith(f"ConfigError: {key} must be an integer")
+
+    def test_sweep_top_level_list(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["sweep", str(cfg), "--param", "r", "--values", "0.5",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, param", [
+        ("control", [1], "theta"), ("perturbation", "x", "r"),
+    ])
+    def test_sweep_non_object_section_is_config_error(self, tmp_path, section, value, param):
+        cfg = write_config(tmp_path, small_config(**{section: value}))
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--param", param, "--values", "0.5",
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == f"ConfigError: section {section} must be an object"
 
     def test_sweep_bad_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -5,15 +5,18 @@ import pytest
 
 from involstab import algebra, maps, stabilizer
 from involstab.algebra import SCALAR, matrix_spec
-from involstab.errors import NoContraction, NonCauchy, OutOfRange, IterateOverflow
+from involstab.errors import NoContraction, NonCauchy, OutOfRange, IterateOverflow, SpecMismatch
 from involstab.maps import ApproxMap, PerturbationSpec
 from involstab.stabilizer import (
     ControlFunction,
+    ControlKind,
     Regime,
     ScalingDirection,
     control_eval,
+    control_rows,
     corollary_constant,
     error_bound,
+    error_bounds,
     power_product,
     power_sum,
     select_direction,
@@ -28,6 +31,16 @@ SQRT2 = math.sqrt(2)
 
 def radial(theta, r, seed=None):
     return PerturbationSpec("fixed_direction", theta, r, direction_seed=seed)
+
+
+def reference_control(phi, x, y):
+    """phi(x, y) one Element pair at a time: the per-pair formula that
+    control_rows stacks."""
+    if phi.kind is ControlKind.POWER_SUM:
+        return phi.theta * (algebra.norm(x) ** phi.r + algebra.norm(y) ** phi.r)
+    if phi.kind is ControlKind.POWER_PRODUCT:
+        return phi.theta * algebra.norm(algebra.mul(x, y)) ** phi.r
+    return phi.custom_eval(x, y)
 
 
 class TestControlEval:
@@ -58,6 +71,24 @@ class TestControlEval:
                     phi, algebra.scale(d.q**n, x), algebra.scale(d.q**n, y)
                 )
                 assert lhs == pytest.approx((d.q * d.L) ** n * base, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [SCALAR, P4, M2], ids=["scalar", "pointwise", "matrix"])
+    def test_rows_match_element_reference(self, rng, spec):
+        X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng).data for _ in range(6)])
+        Y = np.concatenate([np.zeros_like(X[:2]), X[2:][::-1]])
+        custom = ControlFunction(
+            "custom", custom_eval=lambda x, y: algebra.norm(algebra.add(x, y)) ** 0.75)
+        for phi in (power_sum(0.3, 0.5), power_sum(0.2, 2.0), power_product(0.1, 0.25), custom):
+            want = [reference_control(phi, algebra.Element(spec, x), algebra.Element(spec, y))
+                    for x, y in zip(X, Y)]
+            assert control_rows(phi, spec, X, Y) == want
+            assert [control_eval(phi, algebra.Element(spec, x), algebra.Element(spec, y))
+                    for x, y in zip(X, Y)] == want
+
+    def test_product_overflow_is_out_of_range(self):
+        big = np.array([[1e200 + 0j]])
+        with pytest.raises(OutOfRange):
+            control_rows(power_product(0.1, 0.25), SCALAR, big, big)
 
 
 class TestSelectDirection:
@@ -229,7 +260,7 @@ class TestStabilizePoints:
         f = BATCH_MAPS[name]
         xs = [algebra.zero(f.spec)] + [
             algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(7)]
-        batch = stabilize_points(f, UP, xs, max_n, tol_rel)
+        batch = stabilize_points(f, UP, np.stack([x.data for x in xs]), max_n, tol_rel)
         single = [stabilize_point(f, UP, x, max_n, tol_rel) for x in xs]
         for x, got, want in zip(xs, batch, single):
             assert got.iterates.tobytes() == want.iterates.tobytes()
@@ -249,16 +280,20 @@ class TestStabilizePoints:
             tr.iterates[0, 0] = 0.0
 
     def test_empty_batch(self):
-        assert stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, []) == []
+        empty = np.zeros((0, 1), dtype=np.complex128)
+        assert stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, empty) == []
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(SpecMismatch):
+            stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, np.zeros((2, 2), complex))
 
     def test_failing_row_fails_batch(self):
         # r = 2 with q = 2 scales the perturbation up; the zero row alone
         # stabilizes, but a batch holding a diverging row raises.
         f = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
-        z = algebra.zero(SCALAR)
-        assert stabilize_points(f, UP, [z], max_n=400)[0].converged
+        assert stabilize_points(f, UP, np.array([[0j]]), max_n=400)[0].converged
         with pytest.raises((IterateOverflow, NonCauchy)):
-            stabilize_points(f, UP, [z, algebra.scalar(4.0)], max_n=400)
+            stabilize_points(f, UP, np.array([[0j], [4 + 0j]]), max_n=400)
 
 
 class TestErrorBound:
@@ -277,6 +312,16 @@ class TestErrorBound:
         phi = power_product(0.4, 0.25)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
         assert error_bound(UP, phi, x) == 0.0
+
+    def test_rows_match_error_bound(self, rng):
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng).data for _ in range(5)])
+        for direction in (UP, DOWN):
+            for phi in (power_sum(0.3, 0.5), power_product(0.4, 0.25)):
+                factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
+                want = [factor * reference_control(phi, algebra.Element(M2, x), algebra.zero(M2))
+                        for x in X]
+                assert error_bounds(direction, phi, M2, X) == want
+                assert [error_bound(direction, phi, algebra.Element(M2, x)) for x in X] == want
 
 
 class TestCorollaryConstant:

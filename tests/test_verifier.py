@@ -23,6 +23,7 @@ M2 = matrix_spec(2)
 SQRT2 = math.sqrt(2)
 DIAG12 = algebra.element(M2, [1, 0, 0, 2])
 NIL = algebra.element(M2, [0, 1, 0, 0])
+NO_PROBES = np.zeros((0, 2, 2), dtype=np.complex128)
 
 LAMBDAS = LambdaSampler(n0=3, seed=2)
 
@@ -31,8 +32,17 @@ def radial(theta, r, seed=None):
     return PerturbationSpec("fixed_direction", theta, r, direction_seed=seed)
 
 
-def sample_probes(n, rng, spec=M2, rad=(0.1, 10.0)):
+def sample_elements(n, rng, spec=M2, rad=(0.1, 10.0)):
     return [algebra.sample_element(spec, rad, rng) for _ in range(n)]
+
+
+def stack(elements):
+    return np.stack([x.data for x in elements])
+
+
+def sample_probes(n, rng, spec=M2, rad=(0.1, 10.0)):
+    """A probe stack of n sampled elements."""
+    return stack(sample_elements(n, rng, spec, rad))
 
 
 EXACT_ADJ = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
@@ -47,19 +57,22 @@ def up_map(f):
 
 class TestProbePairs:
     def test_structure(self, rng):
-        probes = sample_probes(5, rng)
-        pairs = probe_pairs(probes)
-        assert len(pairs) == 4 * len(probes)
-        z = algebra.zero(M2)
-        for i, x in enumerate(probes):
-            assert pairs[4 * i][0] is x and pairs[4 * i][1].close_to(z)
-            assert pairs[4 * i + 1] == (x, x)
+        P = sample_probes(5, rng)
+        X, Y = probe_pairs(P)
+        assert X.shape == Y.shape == (4 * len(P), 2, 2)
+        for i, x in enumerate(P):
+            assert all(X[4 * i + k].tobytes() == x.tobytes() for k in range(4))
+            # The zero partner is +0 in every entry, as algebra.zero is.
+            assert Y[4 * i].tobytes() == algebra.zero(M2).data.tobytes()
+            assert Y[4 * i + 1].tobytes() == x.tobytes()
+            assert Y[4 * i + 2].tobytes() == P[(i + 1) % 5].tobytes()
+            assert Y[4 * i + 3].tobytes() == P[(i * 7 + 3) % 5].tobytes()
 
 
 class TestStabilizedMap:
     def test_memoized(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
-        x = sample_probes(1, rng)[0]
+        x = sample_elements(1, rng)[0]
         assert I(x) is I(algebra.element(M2, x.flat()))
         assert I.trace(x).result is I(x)
 
@@ -67,13 +80,13 @@ class TestStabilizedMap:
         batches = []
         stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, xs, max_n=48, tol_rel=1e-10):
-            batches.append([x.data.tobytes() for x in xs])
-            return stabilize(f, direction, xs, max_n=max_n, tol_rel=tol_rel)
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
+            batches.append([row.tobytes() for row in X])
+            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = StabilizedMap(BUDGET_F, UP)
-        x, y, z = sample_probes(3, rng)
+        x, y, z = sample_elements(3, rng)
         values = I.rows(np.stack([x.data, y.data, algebra.element(M2, x.flat()).data, x.data]))
         assert values.shape == (4, 2, 2)
         assert values.tobytes() == np.stack([I(x).data, I(y).data, I(x).data, I(x).data]).tobytes()
@@ -85,7 +98,7 @@ class TestStabilizedMap:
 
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
-        for x in sample_probes(10, rng):
+        for x in sample_elements(10, rng):
             assert algebra.norm(
                 algebra.sub(I(x), algebra.conj_transpose(x))
             ) <= 1e-7 * max(1.0, algebra.norm(x))
@@ -136,14 +149,14 @@ class TestScanHypotheses:
         )
         entry = rep.entries["e2_jensen"]
         assert entry.sup_ratio == INF
-        assert algebra.norm(entry.witness["y"]) == 0.0
+        assert algebra.norm(Element(SCALAR, entry.witness["y"])) == 0.0
 
     def test_witness_reevaluates_to_sup(self, rng):
         rep = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, sample_probes(20, rng))
         w = rep.entries["e2_jensen"].witness
-        d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"].data[None], w["y"].data[None])
+        d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"][None], w["y"][None])
         num = algebra.stacked_norms(M2, d)[0]
-        den = stabilizer.control_eval(PHI_SUM, w["x"], w["y"])
+        den = stabilizer.control_eval(PHI_SUM, Element(M2, w["x"]), Element(M2, w["y"]))
         assert num / den == rep.entries["e2_jensen"].sup_ratio
 
     def test_sup_monotone_in_probes(self, rng):
@@ -155,7 +168,7 @@ class TestScanHypotheses:
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
-            scan_hypotheses(up_map(EXACT_ADJ), PHI_SUM, LAMBDAS, [])
+            scan_hypotheses(up_map(EXACT_ADJ), PHI_SUM, LAMBDAS, NO_PROBES)
 
 
 class TestVerifyBound:
@@ -238,7 +251,7 @@ class TestVerifyCstar:
 
     def test_twisted_refuted_with_witness(self, rng):
         f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        probes = sample_probes(10, rng) + [NIL]
+        probes = stack(sample_elements(10, rng) + [NIL])
         rep = verify_cstar(up_map(f), probes)
         assert not rep.passed
         assert rep.max_ratio >= 0.25
@@ -247,12 +260,12 @@ class TestVerifyCstar:
     def test_nilpotent_witness_ratio(self):
         # x = [[0,1],[0,0]]: x I(x) = [[0.5,0],[0,0]] so the defect is 0.5
         f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        rep = verify_cstar(up_map(f), [NIL])
+        rep = verify_cstar(up_map(f), stack([NIL]))
         assert rep.max_ratio == pytest.approx(0.5, abs=1e-9)
         assert rep.reversed_max_ratio == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_probe_skipped(self, rng):
-        rep = verify_cstar(up_map(EXACT_ADJ), [algebra.zero(M2)] + sample_probes(3, rng))
+        rep = verify_cstar(up_map(EXACT_ADJ), stack([algebra.zero(M2)] + sample_elements(3, rng)))
         assert rep.probes_checked == 3
 
 
@@ -276,10 +289,10 @@ class TestEmptyProbes:
     @pytest.mark.parametrize("stage", STAGES[1:])
     def test_every_stage_rejects_empty_probes(self, stage):
         with pytest.raises(ValueError, match="probe set must be nonempty"):
-            run_stage(stage, up_map(EXACT_ADJ), [])
+            run_stage(stage, up_map(EXACT_ADJ), NO_PROBES)
 
     def test_cstar_all_zero_probes_checks_none(self):
-        rep = verify_cstar(up_map(EXACT_ADJ), [algebra.zero(M2)])
+        rep = verify_cstar(up_map(EXACT_ADJ), stack([algebra.zero(M2)]))
         assert rep.probes_checked == 0 and rep.witness is None and rep.passed
 
 
@@ -309,6 +322,27 @@ class TestStageCallCounts:
         assert seen[0] == seen[1]
 
 
+class TestStagesBuildNoElements:
+    # A probe set stays one stack through every stage and the batched orbit.
+    @pytest.mark.parametrize("stage", STAGES + ["stabilize_points"])
+    def test_no_element_constructed(self, rng, monkeypatch, stage):
+        P = sample_probes(6, rng)
+        maps.eval_f_rows(BUDGET_F, P)  # builds the cached fixed direction
+        built = []
+        post_init = Element.__post_init__
+
+        def counting(element):
+            built.append(element.spec)
+            post_init(element)
+
+        monkeypatch.setattr(Element, "__post_init__", counting)
+        if stage == "stabilize_points":
+            stabilizer.stabilize_points(BUDGET_F, UP, P)
+        else:
+            run_stage(stage, up_map(BUDGET_F), P)
+        assert built == []
+
+
 # ---- per-tuple Element reference for every stage ------------------------
 
 def ref_jensen(f, lam, x, y):
@@ -336,14 +370,23 @@ def ref_entry(tuples):
 def comparable(witness):
     if witness is None:
         return None
-    return {k: v.data.tobytes() if isinstance(v, Element) else v for k, v in witness.items()}
+    return {k: v.data.tobytes() if isinstance(v, Element) else
+            v.tobytes() if isinstance(v, np.ndarray) else v for k, v in witness.items()}
+
+
+def ref_pairs(probes):
+    """probe_pairs on a list of Elements: each probe against zero, itself,
+    and two strided partners."""
+    n, z = len(probes), algebra.zero(probes[0].spec)
+    return [pair for i, x in enumerate(probes) for pair in
+            ((x, z), (x, x), (x, probes[(i + 1) % n]), (x, probes[(i * 7 + 3) % n]))]
 
 
 def ref_stages(I, I2, phi, lambdas, probes):
     f, norm, sub, mul = I.f, algebra.norm, algebra.sub, algebra.mul
     ctl = stabilizer.control_eval
     lams = maps.sample_lambdas(lambdas)
-    pairs = probe_pairs(probes)
+    pairs = ref_pairs(probes)
     unit = [(s, lam) for s, lam in lams if s in ("arc", "circle")]
     out = {
         "e2_jensen": ref_entry([
@@ -409,7 +452,8 @@ class TestStackedStagesMatchElementReference:
     def test_sup_witness_and_samples(self, rng, name):
         f = REFERENCE_MAPS[name]
         lambdas = LambdaSampler(n0=3, arc=2, circle=2, reals=2, cplx=2, seed=4)
-        probes = [algebra.zero(f.spec)] + sample_probes(4, rng, spec=f.spec)
+        probes = [algebra.zero(f.spec)] + sample_elements(4, rng, spec=f.spec)
+        P = stack(probes)
         I = StabilizedMap(f, UP)
         # A second admissible map over the same base; an exact map is
         # compared with itself, so every difference ties at zero.
@@ -417,11 +461,11 @@ class TestStackedStagesMatchElementReference:
             f.base, PerturbationSpec("random_direction", 0.1, 0.5, 13), f.spec)
         I2 = StabilizedMap(f2, UP)
 
-        hyp = scan_hypotheses(I, PHI_SUM, lambdas, probes)
-        laws = verify_involution_laws(I, lambdas, probes)
-        bound = verify_bound(I, PHI_SUM, probes)
-        uniq = verify_uniqueness(I, I2, probes)
-        cstar = verify_cstar(I, probes)
+        hyp = scan_hypotheses(I, PHI_SUM, lambdas, P)
+        laws = verify_involution_laws(I, lambdas, P)
+        bound = verify_bound(I, PHI_SUM, P)
+        uniq = verify_uniqueness(I, I2, P)
+        cstar = verify_cstar(I, P)
         got = {name: (e.sup_ratio, e.witness, e.samples_used)
                for name, e in hyp.entries.items()}
         for entry in (laws.additivity, laws.antimultiplicativity, laws.involutivity,
@@ -449,6 +493,7 @@ class TestStackedStagesMatchElementReference:
             # Every law defect of an exact involution is 0: the witness is
             # the first tuple.
             assert laws.additivity.max_defect == 0.0
-            x, y = probe_pairs(probes)[0]
+            x, y = ref_pairs(probes)[0]
             assert comparable(laws.additivity.witness) == comparable({"x": x, "y": y})
-            assert uniq.max_diff == 0.0 and uniq.witness["x"] is probes[0]
+            assert uniq.max_diff == 0.0
+            assert comparable(uniq.witness) == comparable({"x": probes[0]})

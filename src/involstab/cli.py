@@ -6,9 +6,10 @@ Commands:
   sweep <config.json> --param P --values v1,v2,...
   demo-fixedpoint                    both branches of the alternative
 
-Exit codes: 2 configuration error, 3 no contractive direction,
-4 stabilization failure, 5 any other package error (e.g. a degenerate
-random direction), 0 otherwise (failed certifications are data).
+Exit codes: 2 configuration error (including an --out that is a file or
+lies under one), 3 no contractive direction, 4 stabilization failure, 5
+any other package error (e.g. a degenerate random direction), 0 otherwise
+(failed certifications are data).
 """
 
 from __future__ import annotations
@@ -312,11 +313,12 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
         uniq = verifier.verify_uniqueness(I, I2, P)
     # The C*-check certifies the limit map; the scaling tail at the bound
     # depth is above the 1e-8 certification tolerance at small radii, so
-    # stabilize deeper here.
+    # stabilize deeper here.  The deeper map is at least as deep and as
+    # strict, so it continues I's orbits rather than restarting them.
     cstar_depth = (max(sc.max_n, sc.cstar_max_n), min(sc.tol_rel, sc.cstar_tol_rel))
     I_cstar = I
     if cstar_depth != (sc.max_n, sc.tol_rel):
-        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
+        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth, resume_from=I)
     cstar = verifier.verify_cstar(I_cstar, P, tol=sc.cstar_tol)
 
     results = {
@@ -385,14 +387,34 @@ def _trace_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _output_dir(out_dir: str | Path | None, config_path: str | Path, suffix: str) -> Path:
+    """`--out`, or the config's stem plus `suffix` in the working directory.
+    A path that is a file, or lies under one, is a ConfigError before any
+    work is done; the directory itself is made by `_make_dir`."""
+    out = Path(out_dir) if out_dir else Path(Path(str(config_path)).stem + suffix)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out {out}: {p} exists and is not a directory")
+            break
+    return out
+
+
+def _make_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create the directory ({exc})")
+
+
 def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> Path:
     raw = load_config(config_path)
     sc = parse_scenario(raw)
+    out = _output_dir(out_dir, config_path, "_out")
     results, trace_rows = run_pipeline(sc)
     report = _json(results)
-
-    out = Path(out_dir) if out_dir else Path(Path(str(config_path)).stem + "_out")
-    out.mkdir(parents=True, exist_ok=True)
+    # Made only now, so a run that fails leaves no directory behind.
+    _make_dir(out)
 
     report_text = json.dumps(report, indent=2)
     _atomic_write(out / "report.json", report_text + "\n")
@@ -423,8 +445,8 @@ def sweep(config_path: str | Path, param: str, values: list[float],
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep.param must be one of {SWEEP_PARAMS}, got {param!r}")
     raw = load_config(config_path)
-    out = Path(out_dir) if out_dir else Path(Path(str(config_path)).stem + "_sweep")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir, config_path, "_sweep")
+    _make_dir(out)
     rows = []
     for k, value in enumerate(values):
         cfg = json.loads(json.dumps(raw))

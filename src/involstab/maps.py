@@ -138,47 +138,60 @@ _ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUTPUT_XOR, _OUTPUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _hash_steps(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = values ^ xor
-    v *= mul
-    v ^= v >> 16
-    return v
+def _mix_constants(src: int) -> tuple[np.ndarray, np.ndarray]:
+    # Pool word src is mixed into the three others, in order, one hash step
+    # each. The step constants sit in the other words' rows, with zeros in
+    # row src, so the step runs on the whole pool and src is put back.
+    xor, mul = np.zeros((2, _POOL_SIZE, 1), dtype=np.uint32)
+    others = [d for d in range(_POOL_SIZE) if d != src]
+    first = _POOL_SIZE + 3 * src
+    xor[others], mul[others] = _ENTROPY_XOR[first:first + 3], _ENTROPY_MUL[first:first + 3]
+    return xor, mul
 
 
-# Pool word src is mixed into the three others, in order.
-_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE)]
+_MIX_STEPS = [(src, *_mix_constants(src)) for src in range(_POOL_SIZE)]
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """`np.random.SeedSequence(s).generate_state(8, np.uint32)` for each
     uint64 seed s, as rows of an (N, 8) uint32 array.  A seed fills the low
     two pool words; a missing entropy word hashes as 0, so seeds below
-    2^32 come out the same as numpy's one-word entropy."""
-    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
-    pool[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
-    pool = _hash_steps(pool, _ENTROPY_XOR[:_POOL_SIZE], _ENTROPY_MUL[:_POOL_SIZE])
-    step = _POOL_SIZE
-    for src, dst in enumerate(_OTHER_WORDS):
-        hashed = _hash_steps(pool[src], _ENTROPY_XOR[step:step + 3],
-                             _ENTROPY_MUL[step:step + 3])
-        step += 3
-        mixed = pool[dst] * _MIX_L
-        mixed -= hashed * _MIX_R
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    return np.ascontiguousarray(_hash_steps(np.tile(pool, (2, 1)), _OUTPUT_XOR, _OUTPUT_MUL).T)
+    2^32 come out the same as numpy's one-word entropy.  A hash step is
+    v ^= xor; v *= mul; v ^= v >> 16, in place on the (words, N) block."""
+    n = len(seeds)
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(n, 2).T
+    pool ^= _ENTROPY_XOR[:_POOL_SIZE]
+    pool *= _ENTROPY_MUL[:_POOL_SIZE]
+    pool ^= pool >> 16
+    for src, xor, mul in _MIX_STEPS:
+        kept = pool[src].copy()
+        hashed = pool[src] ^ xor
+        hashed *= mul
+        hashed ^= hashed >> 16
+        hashed *= _MIX_R
+        pool *= _MIX_L
+        pool -= hashed
+        pool ^= pool >> 16
+        pool[src] = kept
+    # The output hash reads the pool twice over, one step per word.
+    words = np.empty((2, _POOL_SIZE, n), dtype=np.uint32)
+    np.bitwise_xor(pool, _OUTPUT_XOR.reshape(2, _POOL_SIZE, 1), out=words)
+    words = words.reshape(2 * _POOL_SIZE, n)
+    words *= _OUTPUT_MUL
+    words ^= words >> 16
+    return words.T
 
 
-def _pcg64_states(words: np.ndarray) -> list[dict]:
-    """`np.random.PCG64(s).state` from each row of `_seed_words`: the words
-    read as little-endian uint64 (seed high, seed low, increment high,
-    increment low), then PCG's two seeding steps in 128-bit integers."""
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) of `np.random.PCG64(s).state["state"]` from each
+    row of `_seed_words`: the words read as little-endian uint64 (seed
+    high, seed low, increment high, increment low), then PCG's two seeding
+    steps in 128-bit integers."""
     states = []
     for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(words, dtype="<u4").view("<u8").tolist():
         inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+        states.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
     return states
 
 
@@ -199,11 +212,23 @@ def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None
         h = prefix.copy()
         h.update(data[start:start + width])
         digests.append(h.digest())
-    seeds = np.frombuffer(b"".join(digests), dtype="<u8")
+    states = _pcg64_states(_seed_words(np.frombuffer(b"".join(digests), dtype="<u8")))
+    # The generator is this call's own; a row is reseeded by refilling one
+    # state dict and setting it.
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for k, state in enumerate(_pcg64_states(_seed_words(seeds))):
-        bits.state = state
+    full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+            "has_uint32": 0, "uinteger": 0}
+    pcg = full["state"]
+    for k, (state, inc) in enumerate(states):
+        pcg["state"], pcg["inc"] = state, inc
+        bits.state = full
+        rng.standard_normal(out=parts[k])
+    # A draw that came out all zero is replayed from its seed through
+    # gaussian_parts, which redraws it, or raises DegenerateDirection.
+    for k in np.flatnonzero(~parts.reshape(len(parts), -1).any(axis=1)).tolist():
+        pcg["state"], pcg["inc"] = states[k]
+        bits.state = full
         algebra.gaussian_parts(rng, parts[k])
     return parts[:, 0] + 1j * parts[:, 1]
 

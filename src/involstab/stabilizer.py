@@ -178,23 +178,37 @@ def stabilize_points(
     X: np.ndarray,
     max_n: int = 48,
     tol_rel: float = 1e-10,
+    resume: Sequence[StabilizationTrace | None] | None = None,
 ) -> list[StabilizationTrace]:
     """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every row x
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.  The running points advance together: one stacked f
     evaluation per step.  A point that fails leaves the batch; at the end
-    the exception of the first failing row of X is raised."""
+    the exception of the first failing row of X is raised.
+
+    `resume`, one trace or None per row, continues rows instead of starting
+    them at a_0.  A row's trace must be its orbit under the same f and
+    direction at a depth no deeper and no stricter (max_n no larger,
+    tol_rel no smaller); the row goes on from the trace's last step, and
+    its result is the fresh orbit's bit for bit."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
         raise ValueError("tol_rel must be > 0")
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
+    resume = [None] * len(X) if resume is None else list(resume)
+    if len(resume) != len(X):
+        raise ValueError(f"{len(resume)} resumed traces for {len(X)} rows")
     if not len(X):
         return []
     spec = f.spec
     q = complex(direction.q)
     failures: dict[int, Exception] = {}
+    iterates: list[list[np.ndarray]] = [[] for _ in resume]
+    diffs: list[list[float]] = [[] for _ in resume]
+    increasing_run = [0] * len(resume)
+    converged = [False] * len(resume)
 
     def drop_nonfinite(rows, arrays):
         bad = ~np.isfinite(arrays[-1]).reshape(len(rows), -1).all(axis=1)
@@ -202,25 +216,67 @@ def stabilize_points(
             failures[k] = ValueError("element entries must be finite")
         return [a[~bad] for a in (rows, *arrays)] if bad.any() else [rows, *arrays]
 
-    running, X, prev = drop_nonfinite(np.arange(len(X)), [X, eval_f_rows(f, X)])
-    iterates = [[a] for a in prev]
-    diffs: list[list[float]] = [[] for _ in iterates]
-    increasing_run = [0] * len(iterates)
-    converged = [False] * len(iterates)
+    # Fresh rows start at a_0 = f(x).
+    running = np.array([k for k, tr in enumerate(resume) if tr is None], dtype=np.intp)
+    prev = np.empty((0, *spec.shape), dtype=np.complex128)
+    if len(running):
+        running, prev = drop_nonfinite(running, [eval_f_rows(f, X[running])])
+        for k, a in zip(running.tolist(), prev):
+            iterates[k].append(a)
+    # A resumed row takes over its trace: the iterates, the diffs and the
+    # run of increasing diffs so far.  A row the trace saw converge stops
+    # if its last step also meets tol_rel; one at max_n stops there.
+    resumed = [k for k, tr in enumerate(resume) if tr is not None]
+    for k in resumed:
+        tr = resume[k]
+        if tr.iterates.shape[1:] != spec.shape or tr.n_used > max_n:
+            raise ValueError(f"trace of row {k} does not fit the orbit "
+                             f"(shape {tr.iterates.shape}, max_n {max_n})")
+        iterates[k], diffs[k] = list(tr.iterates), list(tr.diffs)
+        for a, b in zip(tr.diffs, tr.diffs[1:]):
+            increasing_run[k] = increasing_run[k] + 1 if b > a else 0
+    stopped = [k for k in resumed if resume[k].converged]
+    if stopped:
+        last_norms = algebra.stacked_norms(spec, np.stack([iterates[k][-2] for k in stopped]))
+        for k, norm in zip(stopped, last_norms):
+            converged[k] = diffs[k][-1] <= tol_rel * max(1.0, norm)
+    wait_rows = np.array([k for k in resumed if not converged[k] and len(diffs[k]) < max_n],
+                         dtype=np.intp)
+    # A waiting row joins when the loop reaches the step its trace ended
+    # at; until then its argument is scaled along, so q^n x comes from the
+    # same n multiplications as in a fresh orbit.
+    wait_steps = np.array([len(diffs[k]) for k in wait_rows.tolist()], dtype=np.intp)
+    wait_X, X = X[wait_rows], X[running]
     scale_n = 1.0
-    for _ in range(max_n):
+    for step in range(max_n):
+        if len(wait_rows):
+            joins = wait_steps == step
+            if joins.any():
+                rows = wait_rows[joins]
+                running = np.concatenate([running, rows])
+                X = np.concatenate([X, wait_X[joins]])
+                prev = np.concatenate([prev, np.stack([iterates[k][-1] for k in rows.tolist()])])
+                stay = ~joins
+                wait_rows, wait_steps, wait_X = wait_rows[stay], wait_steps[stay], wait_X[stay]
+            wait_X = q * wait_X
         if failures:
             # Points after the first failure cannot change what is raised.
             keep = running < min(failures)
             running, X, prev = running[keep], X[keep], prev[keep]
-        if not len(running):
-            break
-        X = q * X
+            keep = wait_rows < min(failures)
+            wait_rows, wait_steps, wait_X = wait_rows[keep], wait_steps[keep], wait_X[keep]
         scale_n /= direction.q
+        if not len(running):
+            if not len(wait_rows):
+                break
+            continue
+        X = q * X
         bad = np.abs(X).reshape(len(running), -1).max(axis=1) > 1e300
         for k in running[bad].tolist():
             failures[k] = IterateOverflow("iterate argument norm exceeded 1e300")
         running, X, prev = running[~bad], X[~bad], prev[~bad]
+        if not len(running):
+            continue
         running, X, prev, A = drop_nonfinite(
             running, [X, prev, complex(scale_n) * eval_f_rows(f, X)])
         # ||a - prev|| and ||prev|| of every running point in one call.

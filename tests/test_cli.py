@@ -102,15 +102,25 @@ class TestRun:
                              ids=["deeper-cstar", "same-depth-cstar"])
     def test_each_key_stabilized_once(self, monkeypatch, cstar):
         # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
-        # across all stages and the trace rows.
-        batches = []
-        stabilize = stabilizer.stabilize_points
+        # across all stages and the trace rows, and the deeper C* batch
+        # evaluates f only on the steps past each bound-depth trace.
+        batches, batch_steps, row_steps, traced = [], [], [], {}
+        stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10, resume=None):
             batches.append([(id(f), row.tobytes(), max_n, tol_rel) for row in X])
-            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
+            row_steps.clear()
+            traces = stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel, resume=resume)
+            batch_steps.append(sum(row_steps))
+            traced.update(zip(batches[-1], traces))
+            return traces
+
+        def counting_rows(f, X):
+            row_steps.append(len(X))
+            return eval_f_rows(f, X)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
+        monkeypatch.setattr(stabilizer, "eval_f_rows", counting_rows)
         sc = cli.parse_scenario(small_config(
             perturbation2={"kind": "random_direction", "theta_delta": 0.1,
                            "r": 0.5, "direction_seed": 5},
@@ -122,6 +132,14 @@ class TestRun:
         assert {(key[0], key[2]) for key in calls} == {
             (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
         assert len(calls) == len(set(calls))
+        for keys, steps in zip(batches, batch_steps):
+            if keys[0][2] == sc.max_n:
+                # A fresh orbit evaluates a_0, then one row per step.
+                assert steps == sum(traced[key].n_used + 1 for key in keys)
+            else:
+                assert steps == sum(
+                    traced[key].n_used - traced[(key[0], key[1], sc.max_n, sc.tol_rel)].n_used
+                    for key in keys)
 
     def test_near_equal_singular_values_probe(self, tmp_path):
         # diag(1, 0.99999) has a 1e-5 relative gap between its singular values
@@ -272,6 +290,35 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 5
         assert "OutOfRange" in capsys.readouterr().err
         assert not (tmp_path / "scenario_out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "r", "--values", "0.5"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_out_names_a_file(self, tmp_path, monkeypatch, capsys, command, under):
+        # Checked before the pipeline runs: no stage may be reached.
+        def unreachable(sc):
+            raise AssertionError("pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        config = str(write_config(tmp_path, small_config()))
+        assert main([command[0], config, *command[1:], "--out", str(afile / under)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert afile.read_text() == "kept"
+
+    def test_iterate_overflow_of_every_probe(self, tmp_path, capsys):
+        # A random direction at r = 1 keeps the orbit from converging until
+        # every probe's argument overflows in the same step.
+        cfg = small_config(
+            algebra={"kind": "pointwise", "dim": 2},
+            perturbation={"kind": "random_direction", "theta_delta": 0.1, "r": 1.0,
+                          "direction_seed": 3},
+            sampling={"num_probes": 1, "seed": 3, "radius_min": 1e150, "radius_max": 1e150},
+            stabilizer={"max_n": 600, "tol_rel": 1e-10},
+        )
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 4
+        assert "exceeded 1e300" in capsys.readouterr().err
 
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -279,6 +281,14 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 Generator = np.random.Generator
 
 
+def pcg64_state(seed):
+    """The 128-bit state and increment of a freshly seeded PCG64, the pair
+    `maps._pcg64_states` gives per seed."""
+    state = np.random.PCG64(seed).state
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    return state["state"]["state"], state["state"]["inc"]
+
+
 def hashed_gaussian_reference(spec, quantized, seed, generator=Generator):
     """The per-row draw: a fresh PCG64 seeded by the point's blake2b digest."""
     h = hashlib.blake2b(digest_size=8)
@@ -327,7 +337,7 @@ class TestHashedGaussians:
 
     def test_states_match_numpy(self):
         states = maps._pcg64_states(maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64)))
-        assert states == [np.random.PCG64(seed).state for seed in EDGE_SEEDS]
+        assert states == [pcg64_state(seed) for seed in EDGE_SEEDS]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
@@ -336,7 +346,7 @@ class TestHashedGaussians:
         for seed, row, state in zip(seeds, words, maps._pcg64_states(words)):
             assert row.tolist() == np.random.SeedSequence(seed).generate_state(
                 8, np.uint32).tolist()
-            assert state == np.random.PCG64(seed).state
+            assert state == pcg64_state(seed)
 
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("seed", [None, 7])
@@ -365,6 +375,32 @@ class TestHashedGaussians:
         monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, 8))
         with pytest.raises(DegenerateDirection):
             maps._hashed_gaussians(any_spec, Q, 5)
+
+    def test_concurrent_calls_match_serial(self, rng):
+        # Each call draws from its own generator: two threads, switching
+        # every few microseconds, still get the serial rows.
+        stacks = [quantized_stack(P3, 300, rng) for _ in range(2)]
+        serial = [maps._hashed_gaussians(P3, Q, 5).tobytes() for Q in stacks]
+        results = [[], []]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def draw(i):
+            barrier.wait()
+            for _ in range(4):
+                results[i].append(maps._hashed_gaussians(P3, stacks[i], 5).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial[0]] * 4, [serial[1]] * 4]
 
     def test_gaussian_row_is_two_draws(self, any_spec):
         # One (2, *shape) block holds the real draw, then the imaginary one.

@@ -296,6 +296,94 @@ class TestStabilizePoints:
             stabilize_points(f, UP, np.array([[0j], [4 + 0j]]), max_n=400)
 
 
+def orbit_outcome(f, direction, X, max_n, tol_rel, resume=None):
+    """Every bit of a batch's traces, or the type and message it raised."""
+    try:
+        traces = stabilize_points(f, direction, X, max_n, tol_rel, resume=resume)
+    except (IterateOverflow, NonCauchy, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(tr.iterates.shape, tr.iterates.tobytes(), tr.diffs, tr.n_used, tr.converged)
+            for tr in traces]
+
+
+R15 = ApproxMap(maps.adjoint(), radial(0.1, 1.5, seed=5), M2)
+# Wrong-direction and non-contracting maps for the failing orbits: r = 2
+# under q = 2 grows every difference; a random direction at r = 1 neither
+# converges nor diverges until the argument overflows.
+DIVERGING = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
+WANDERING = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 1.0, 3), P4)
+
+
+class TestResumedOrbits:
+    """A batch resuming shallower traces gives the fresh deep orbit bit for
+    bit: iterates, diffs, n_used, converged, or the exception raised."""
+
+    @pytest.mark.parametrize("f, direction", [
+        pytest.param(BATCH_MAPS["matrix-adjoint-fixed"], UP, id="matrix-fixed"),
+        pytest.param(BATCH_MAPS["pointwise-random"], UP, id="pointwise-random"),
+        pytest.param(R15, select_direction(power_sum(0.3, 1.5)), id="q-half"),
+    ])
+    @pytest.mark.parametrize("shallow", [(10, 1e-10), (30, 1e-4)], ids=["capped", "loose"])
+    def test_resumed_matches_fresh(self, rng, f, direction, shallow):
+        X = np.stack([algebra.zero(f.spec).data] + [
+            algebra.sample_element(f.spec, (0.1, 10.0), rng).data for _ in range(7)])
+        traces = stabilize_points(f, direction, X, *shallow)
+        # Every other row resumes, the rest start afresh in the same batch.
+        resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
+        got = orbit_outcome(f, direction, X, 96, 1e-12, resume)
+        want = orbit_outcome(f, direction, X, 96, 1e-12)
+        assert got == want
+        deep = [n_used for _, _, _, n_used, _ in want]
+        # The zero row stops where its trace did; the others go deeper.
+        assert deep[0] == traces[0].n_used == 1
+        assert all(deep[k] > traces[k].n_used for k in range(2, len(X), 2))
+        if shallow[1] == 1e-4:
+            assert all(tr.converged and tr.n_used < shallow[0] for tr in traces)
+        else:
+            assert not any(tr.converged for tr in traces[1:])
+
+    @pytest.mark.parametrize("max_n", [8, 9, 20])
+    def test_non_cauchy_run_straddles_the_cap(self, max_n):
+        # The differences grow from the first step: the 8-step rule fires
+        # at step 9, four steps past the shallow cap.
+        X = np.array([[0j], [4 + 0j]])
+        traces = stabilize_points(DIVERGING, UP, X, 5)
+        assert traces[1].n_used == 5 and not traces[1].converged
+        got = orbit_outcome(DIVERGING, UP, X, max_n, 1e-10, traces)
+        assert got == orbit_outcome(DIVERGING, UP, X, max_n, 1e-10)
+        assert (got[0] is NonCauchy) == (max_n >= 9)
+
+    def test_overflow_after_the_cap(self):
+        # Every running row overflows at once, 14 steps past the cap.
+        X = np.array([[1e290, 2e289j, 0, 1e288]])
+        traces = stabilize_points(WANDERING, UP, X, 20)
+        assert traces[0].n_used == 20 and not traces[0].converged
+        got = orbit_outcome(WANDERING, UP, X, 60, 1e-10, traces)
+        assert got == orbit_outcome(WANDERING, UP, X, 60, 1e-10)
+        assert got == (IterateOverflow, "iterate argument norm exceeded 1e300")
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_first_failing_row_is_raised(self):
+        # Row 1's f(x) is not finite (its perturbation is inf * u); row 0,
+        # resumed and waiting to rejoin, fails later in the orbit but first
+        # in the batch.
+        f = ApproxMap(maps.conjugation(), radial(1e10, 2.0), SCALAR)
+        X = np.array([[1e-3 + 0j], [1e150 + 0j]])
+        resume = [stabilize_points(f, UP, X[:1], 5)[0], None]
+        got = orbit_outcome(f, UP, X, 20, 1e-10, resume)
+        assert got == orbit_outcome(f, UP, X, 20, 1e-10)
+        assert got == (NonCauchy, "successive differences grew 8 consecutive steps")
+        assert orbit_outcome(f, UP, X[1:], 20, 1e-10)[0] is ValueError
+
+    def test_trace_must_fit(self):
+        f = BATCH_MAPS["scalar-conjugation"]
+        tr = stabilize_point(f, UP, algebra.scalar(4.0), max_n=30, tol_rel=1e-14)
+        with pytest.raises(ValueError):
+            stabilize_points(f, UP, np.array([[4 + 0j]]), 20, resume=[tr])
+        with pytest.raises(ValueError):
+            stabilize_points(f, UP, np.array([[4 + 0j]]), 48, resume=[])
+
+
 class TestErrorBound:
     def test_up_direction_value(self):
         # L/(1-L) = 1 + sqrt(2) for L = 2^{-1/2}

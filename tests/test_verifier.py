@@ -80,9 +80,9 @@ class TestStabilizedMap:
         batches = []
         stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10, resume=None):
             batches.append([row.tobytes() for row in X])
-            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
+            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel, resume=resume)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = StabilizedMap(BUDGET_F, UP)
@@ -95,6 +95,27 @@ class TestStabilizedMap:
         assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
         assert batches == [[x.data.tobytes(), y.data.tobytes()], [z.data.tobytes()]]
         assert I.trace(z).result is I(z)
+
+    def test_resume_from_shallower_map(self, rng):
+        # The deeper map continues the cached orbits and reads as a fresh one.
+        P = sample_probes(6, rng)
+        shallow = StabilizedMap(BUDGET_F, UP, max_n=20, tol_rel=1e-6)
+        shallow.rows(P[:4])
+        deep = StabilizedMap(BUDGET_F, UP, max_n=60, tol_rel=1e-12, resume_from=shallow)
+        fresh = StabilizedMap(BUDGET_F, UP, max_n=60, tol_rel=1e-12)
+        for got, want in zip(deep.traces(P), fresh.traces(P)):
+            assert got.iterates.tobytes() == want.iterates.tobytes()
+            assert (got.diffs, got.n_used, got.converged) == (
+                want.diffs, want.n_used, want.converged)
+        assert len(shallow._traces) == 4
+
+    @pytest.mark.parametrize("f, depth", [
+        (BUDGET_F, (10, 1e-10)), (BUDGET_F, (48, 1e-8)),
+        (ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=8), M2), (48, 1e-10)),
+    ], ids=["shallower", "looser", "other-map"])
+    def test_resume_from_rejects_deeper_or_other_map(self, f, depth):
+        with pytest.raises(ValueError):
+            StabilizedMap(f, UP, *depth, resume_from=StabilizedMap(BUDGET_F, UP, 20, 1e-9))
 
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)

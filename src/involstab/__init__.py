@@ -15,18 +15,10 @@ from .algebra import (
     AlgebraKind,
     AlgebraSpec,
     Element,
-    add,
-    conj_transpose,
     element,
     matrix_spec,
-    mul,
-    norm,
     pointwise_spec,
     sample_element,
-    scalar,
-    scale,
-    sub,
-    zero,
 )
 from .errors import (
     ConfigError,
@@ -54,10 +46,7 @@ from .maps import (
     antimul_defect,
     conjugation,
     cstar_defect,
-    eval_f,
     eval_f_rows,
-    eval_involution,
-    eval_perturbation,
     jensen_defect,
     sample_lambdas,
     twisted_adjoint,
@@ -81,14 +70,10 @@ from .stabilizer import (
     Regime,
     ScalingDirection,
     StabilizationTrace,
-    control_eval,
-    control_of_x,
     corollary_constant,
-    error_bound,
     power_product,
     power_sum,
     select_direction,
-    stabilize_point,
     stabilize_points,
 )
 from .verifier import (

@@ -2,7 +2,9 @@
 matrices with the operator norm, and complex tuples with the pointwise
 product and sup norm.
 
-All operations are pure; elements are immutable once constructed.
+The pipeline works on stacks of raw entry arrays shaped (N, *spec.shape),
+row by row.  `Element`, a finite read-only entry array, is the type of the
+values a config names: a twist and the extra probes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDirection, OutOfRange, SpecMismatch
+from .errors import DegenerateDirection, OutOfRange
 
 
 class AlgebraKind(str, Enum):
@@ -69,72 +71,23 @@ class Element:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    def flat(self) -> np.ndarray:
-        """Entries in row-major order."""
-        return self.data.reshape(-1)
-
-    def close_to(self, other: "Element", tol: float = 0.0) -> bool:
-        return self.spec == other.spec and bool(
-            np.all(np.abs(self.data - other.data) <= tol)
-        )
-
 
 def element(spec: AlgebraSpec, entries) -> Element:
     """Build an element from a flat row-major sequence of complex numbers."""
     return Element(spec, np.asarray(entries, dtype=np.complex128))
 
 
-def zero(spec: AlgebraSpec) -> Element:
-    return Element(spec, np.zeros(spec.shape, dtype=np.complex128))
-
-
-def scalar(z: complex) -> Element:
-    return Element(SCALAR, np.array([z], dtype=np.complex128))
-
-
-def _check_specs(a: Element, b: Element) -> None:
-    if a.spec != b.spec:
-        raise SpecMismatch(f"{a.spec} vs {b.spec}")
-
-
-def add(a: Element, b: Element) -> Element:
-    _check_specs(a, b)
-    return Element(a.spec, a.data + b.data)
-
-
-def sub(a: Element, b: Element) -> Element:
-    _check_specs(a, b)
-    return Element(a.spec, a.data - b.data)
-
-
-def scale(lam: complex, a: Element) -> Element:
-    return Element(a.spec, complex(lam) * a.data)
-
-
-def mul(a: Element, b: Element) -> Element:
-    _check_specs(a, b)
-    return Element(a.spec, mul_rows(a.spec, a.data[None], b.data[None])[0])
-
-
 def mul_rows(spec: AlgebraSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-by-row products of two stacks shaped (N, *spec.shape); row k
-    equals `mul(Element(spec, A[k]), Element(spec, B[k])).data` bit for bit."""
+    """Row-by-row products of two stacks shaped (N, *spec.shape): matrix
+    products, or entrywise ones for scalars and pointwise tuples."""
     return A @ B if spec.kind is AlgebraKind.MATRIX else A * B
 
 
 def finite_rows(where: str, stack: np.ndarray) -> np.ndarray:
-    """`stack` once every entry is finite, as Element checks; else OutOfRange."""
+    """`stack` once every entry is finite; else OutOfRange."""
     if not np.isfinite(stack).all():
         raise OutOfRange(f"{where}: stage arithmetic overflowed to non-finite entries")
     return stack
-
-
-def conj_transpose(a: Element) -> Element:
-    """Reference adjoint: conjugate transpose for matrices, entrywise
-    conjugate otherwise.  Bit-exact involution."""
-    if a.spec.kind is AlgebraKind.MATRIX:
-        return Element(a.spec, a.data.conj().T)
-    return Element(a.spec, a.data.conj())
 
 
 def _operator_norm(stack: np.ndarray) -> np.ndarray:
@@ -144,14 +97,9 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def norm(a: Element) -> float:
-    """Algebra norm: modulus, operator norm, or sup norm by kind."""
-    return stacked_norms(a.spec, a.data[None])[0]
-
-
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
-    """Norms of a stack of raw entry arrays shaped (N, *spec.shape), one
-    per row; `norm` is the one-row form."""
+    """Algebra norms of a stack of raw entry arrays shaped (N, *spec.shape),
+    one per row: modulus, operator norm, or sup norm by kind."""
     if spec.kind is AlgebraKind.MATRIX:
         return _operator_norm(stack).tolist()
     if spec.kind is AlgebraKind.POINTWISE:
@@ -160,21 +108,21 @@ def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
     return [abs(z) for z in stack.reshape(-1).tolist()]
 
 
-def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> Element:
-    """Element with norm log-uniform in [r_min, r_max]: standard complex
-    Gaussian direction normalized to unit norm, then scaled."""
+def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> np.ndarray:
+    """Entry array with norm log-uniform in [r_min, r_max]: a standard
+    complex Gaussian direction normalized to unit norm, then scaled."""
     r_min, r_max = radius_range
     if not (0 < r_min <= r_max):
         raise ValueError(f"invalid radius range ({r_min}, {r_max})")
     u = sample_direction(spec, rng)
     radius = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
-    return scale(radius, u)
+    return complex(radius) * u
 
 
-def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> Element:
-    """Unit-norm element with independent standard complex Gaussian entries."""
+def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm entry array of independent standard complex Gaussians."""
     raw = gaussian_row(spec, rng)
-    return Element(spec, complex(1.0 / stacked_norms(spec, raw[None])[0]) * raw)
+    return complex(1.0 / stacked_norms(spec, raw[None])[0]) * raw
 
 
 def gaussian_row(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +143,7 @@ def gaussian_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 
 
-def canonical_direction(spec: AlgebraSpec) -> Element:
-    """All-ones element normalized to unit norm (seed-free direction)."""
-    ones = Element(spec, np.ones(spec.shape, dtype=np.complex128))
-    return scale(1.0 / norm(ones), ones)
+def canonical_direction(spec: AlgebraSpec) -> np.ndarray:
+    """All-ones entry array normalized to unit norm (seed-free direction)."""
+    ones = np.ones(spec.shape, dtype=np.complex128)
+    return complex(1.0 / stacked_norms(spec, ones[None])[0]) * ones

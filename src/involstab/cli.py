@@ -41,8 +41,8 @@ from .stabilizer import ControlFunction
 # ------------------------- serialization helpers -------------------------
 
 # Fields a report leaves out: entry names are already the report's keys,
-# and per-probe ratios are not part of the report.
-_UNREPORTED = {"name", "law", "per_probe"}
+# and per-probe ratios and bounds are not part of the report.
+_UNREPORTED = {"name", "law", "per_probe", "per_probe_bounds"}
 
 
 def _json(value):
@@ -159,7 +159,7 @@ def parse_scenario(raw: dict) -> Scenario:
         else:
             base = Involution(kind)
         # Raises KindSpecMismatch if the involution is not defined on spec.
-        maps.eval_involution(base, algebra.zero(spec))
+        maps._involution_rows(base, spec, np.zeros((1, *spec.shape), dtype=np.complex128))
     except (ValueError, KindSpecMismatch) as exc:
         raise ConfigError(f"involution.kind: {exc}")
 
@@ -285,11 +285,10 @@ def bundled_scenario_path(name: str) -> Path | None:
 def make_probes(sc: Scenario) -> np.ndarray:
     """The probe stack: the sampled probes, then the extra ones."""
     rng = np.random.Generator(np.random.PCG64(sc.seed))
-    probes = [
+    return np.stack([
         algebra.sample_element(sc.spec, (sc.radius_min, sc.radius_max), rng)
         for _ in range(sc.num_probes)
-    ]
-    return np.stack([x.data for x in probes + sc.extra_probes])
+    ] + [x.data for x in sc.extra_probes])
 
 
 # ------------------------------- pipeline --------------------------------
@@ -334,8 +333,8 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
 
     trace_rows = []
     radii = algebra.stacked_norms(sc.spec, P)
-    bounds = stabilizer.error_bounds(direction, sc.phi, sc.spec, P)
-    for probe_id, (tr, radius, bnd) in enumerate(zip(I.traces(P), radii, bounds)):
+    for probe_id, (tr, radius, bnd) in enumerate(
+            zip(I.traces(P), radii, bound.per_probe_bounds)):
         # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last
         # iterate gets no row. Each norm column is one stacked call; the
         # deviation is from a_0 = f(x).
@@ -358,12 +357,9 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
 def _corollary_audit(phi: ControlFunction) -> dict | None:
     from .stabilizer import Regime, corollary_constant
 
+    regime = Regime.PRODUCT
     if phi.kind is stabilizer.ControlKind.POWER_SUM:
         regime = Regime.SUM_R_LT_1 if phi.r < 1 else Regime.SUM_R_GT_1
-    elif phi.kind is stabilizer.ControlKind.POWER_PRODUCT:
-        regime = Regime.PRODUCT
-    else:
-        return None
     try:
         audit = corollary_constant(phi.r, regime)
     except (OutOfRange, OverflowError):

@@ -6,7 +6,7 @@ class InvolStabError(Exception):
 
 
 class SpecMismatch(InvolStabError):
-    """Two elements from different algebra instances were combined."""
+    """Operands, or an operand and a map, from different algebra instances."""
 
 
 class DegenerateDirection(InvolStabError):
@@ -34,7 +34,8 @@ class StabilizationFailure(InvolStabError):
 
 
 class IterateOverflow(StabilizationFailure):
-    """Intermediate iterate norm exceeded the overflow guard."""
+    """An iterate's argument exceeded the overflow guard, or its f value
+    is not finite."""
 
 
 class NonCauchy(StabilizationFailure):

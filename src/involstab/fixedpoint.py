@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from . import algebra
-from .algebra import Element
+from .algebra import AlgebraSpec
 from .errors import Exhausted, NotContractive
 
 INF = math.inf
@@ -124,19 +126,21 @@ def iterate_alternative(
 @dataclass(frozen=True)
 class FunctionSpaceMetric:
     """Lower estimate of inf{c : ||g(x)-h(x)|| <= c*phi(x,0)} as a max of
-    ratios over a finite probe set.  Probe sets should be ray-closed
-    (orbits {q^k x0}) so the scaling operator maps probes into probes."""
+    ratios over a finite probe stack shaped (N, *spec.shape).  Probe sets
+    should be ray-closed (orbits {q^k x0}) so the scaling operator maps
+    probes into probes.  `control_of_x` maps a stack to phi(x, 0) per row;
+    the maps g and h compared take a stack to a stack."""
 
-    probe_set: tuple[Element, ...]
-    control_of_x: Callable[[Element], float]
+    spec: AlgebraSpec
+    probe_set: np.ndarray
+    control_of_x: Callable[[np.ndarray], Sequence[float]]
 
 
 def function_space_distance(g, h, m: FunctionSpaceMetric) -> float:
     """Conventions: 0/0 := 0 and positive/0 := inf."""
+    P = m.probe_set
     worst = 0.0
-    for x in m.probe_set:
-        num = algebra.norm(algebra.sub(g(x), h(x)))
-        den = m.control_of_x(x)
+    for num, den in zip(algebra.stacked_norms(m.spec, g(P) - h(P)), m.control_of_x(P)):
         if den == 0.0:
             if num == 0.0:
                 continue
@@ -146,19 +150,18 @@ def function_space_distance(g, h, m: FunctionSpaceMetric) -> float:
 
 
 def scaling_operator(g, q: float):
-    """T(g)(x) = g(q*x)/q with q in {2, 1/2}; involutions are fixed points."""
+    """T(g)(X) = g(q*X)/q with q in {2, 1/2}, on stacks; involutions are
+    fixed points."""
     if q not in (2, 2.0, 0.5):
         raise ValueError(f"q must be 2 or 0.5, got {q}")
-    inv_q = 1.0 / q
-    return lambda x: algebra.scale(inv_q, g(algebra.scale(q, x)))
+    inv_q = complex(1.0 / q)
+    return lambda X: inv_q * g(complex(q) * X)
 
 
-def ray_probes(base_points: Sequence[Element], q: float, depth: int) -> tuple[Element, ...]:
-    """Ray-closed probe set {q^k x0 : 0 <= k <= depth} over the base points."""
-    out = []
-    for x0 in base_points:
-        x = x0
-        for _ in range(depth + 1):
-            out.append(x)
-            x = algebra.scale(q, x)
-    return tuple(out)
+def ray_probes(base_points: np.ndarray, q: float, depth: int) -> np.ndarray:
+    """Ray-closed probe stack {q^k x0 : 0 <= k <= depth} over the rows x0 of
+    base_points, each ray's rows in order of k."""
+    rays = [base_points]
+    for _ in range(depth):
+        rays.append(complex(q) * rays[-1])
+    return np.stack(rays, axis=1).reshape(-1, *base_points.shape[1:])

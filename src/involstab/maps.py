@@ -60,10 +60,6 @@ def conjugation() -> Involution:
     return Involution(InvolutionKind.CONJUGATION)
 
 
-def eval_involution(kind: Involution, x: Element) -> Element:
-    return Element(x.spec, _involution_rows(kind, x.spec, x.data[None])[0])
-
-
 def _involution_rows(kind: Involution, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     # The involution on a stack X of shape (N, *spec.shape), one array op.
     if kind.kind is InvolutionKind.ADJOINT:
@@ -108,11 +104,13 @@ NO_PERTURBATION = PerturbationSpec(PerturbationKind.NONE)
 
 
 @lru_cache(maxsize=None)
-def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> Element:
+def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> np.ndarray:
     if seed is None:
-        return algebra.canonical_direction(spec)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return algebra.sample_direction(spec, rng)
+        u = algebra.canonical_direction(spec)
+    else:
+        u = algebra.sample_direction(spec, np.random.Generator(np.random.PCG64(seed)))
+    u.setflags(write=False)  # shared by every call through the cache
+    return u
 
 
 # numpy's SeedSequence and PCG64 seeding constants. numpy's compatibility
@@ -233,10 +231,13 @@ def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None
     return parts[:, 0] + 1j * parts[:, 1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     # delta on a stack X of shape (N, *spec.shape). Amplitudes are computed
     # in Python floats per row; a zero amplitude or zero quantized point is
-    # a zero row, left +0 rather than 0 * u, which can be -0.
+    # a zero row, left +0 rather than 0 * u, which can be -0.  An amplitude
+    # that overflows to inf leaves a non-finite row, for the caller to
+    # reject, and no warning.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out
@@ -248,7 +249,7 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
     live = amplitudes.reshape(len(X)) != 0.0
     if p.kind is PerturbationKind.FIXED_DIRECTION:
-        out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec).data
+        out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec)
         return out
     # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
     # normalized in one stacked norm call.
@@ -261,10 +262,6 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
     return out
 
 
-def eval_perturbation(p: PerturbationSpec, x: Element) -> Element:
-    return Element(x.spec, _perturbation_rows(p, x.spec, x.data[None])[0])
-
-
 @dataclass(frozen=True)
 class ApproxMap:
     """Candidate map f = reference involution + admissible perturbation;
@@ -275,15 +272,9 @@ class ApproxMap:
     spec: AlgebraSpec
 
 
-def eval_f(f: ApproxMap, x: Element) -> Element:
-    if x.spec != f.spec:
-        raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
-    return Element(x.spec, eval_f_rows(f, x.data[None])[0])
-
-
 def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
-    """f on a stack X of raw entry arrays shaped (N, *f.spec.shape); row k
-    equals `eval_f(f, Element(f.spec, X[k])).data` bit for bit."""
+    """f on a stack X of raw entry arrays shaped (N, *f.spec.shape), one
+    row per point; a row's value does not depend on the other rows."""
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     base = _involution_rows(f.base, f.spec, X)

@@ -4,16 +4,14 @@ construction of the exact involution, and its error bounds.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
 from .maps import ApproxMap, eval_f_rows
 
@@ -21,19 +19,16 @@ from .maps import ApproxMap, eval_f_rows
 class ControlKind(str, Enum):
     POWER_SUM = "power_sum"
     POWER_PRODUCT = "power_product"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class ControlFunction:
     """Perturbation envelope phi(x, y): theta*(||x||^r + ||y||^r) for
-    PowerSum, theta*||xy||^r for PowerProduct, or a caller-supplied
-    non-negative function."""
+    PowerSum, theta*||xy||^r for PowerProduct."""
 
     kind: ControlKind
     theta: float = 0.0
     r: float = 1.0
-    custom_eval: Callable[[Element, Element], float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ControlKind(self.kind))
@@ -41,8 +36,6 @@ class ControlFunction:
             raise ValueError("theta must be >= 0")
         if self.r <= 0:
             raise ValueError("exponent r must be > 0")
-        if (self.kind is ControlKind.CUSTOM) != (self.custom_eval is not None):
-            raise ValueError("custom_eval is required exactly for the custom kind")
 
 
 def power_sum(theta: float, r: float) -> ControlFunction:
@@ -53,31 +46,19 @@ def power_product(theta: float, r: float) -> ControlFunction:
     return ControlFunction(ControlKind.POWER_PRODUCT, theta, r)
 
 
-def control_eval(phi: ControlFunction, x: Element, y: Element) -> float:
-    if x.spec != y.spec:
-        raise SpecMismatch(f"{x.spec} vs {y.spec}")
-    return control_rows(phi, x.spec, x.data[None], y.data[None])[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def control_rows(phi: ControlFunction, spec: AlgebraSpec, X: np.ndarray,
                  Y: np.ndarray) -> list[float]:
-    """control_eval on the row pairs of two stacks shaped (N, *spec.shape)."""
+    """phi(x, y) on the row pairs of two stacks shaped (N, *spec.shape).
+    phi(x, 0) is identically zero for the product control (superstability)."""
     try:
         if phi.kind is ControlKind.POWER_SUM:
             return [phi.theta * (a ** phi.r + b ** phi.r) for a, b in zip(
                 algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y))]
-        if phi.kind is ControlKind.POWER_PRODUCT:
-            XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
-            return [phi.theta * a ** phi.r for a in algebra.stacked_norms(spec, XY)]
+        XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
+        return [phi.theta * a ** phi.r for a in algebra.stacked_norms(spec, XY)]
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-    return [float(phi.custom_eval(Element(spec, x), Element(spec, y))) for x, y in zip(X, Y)]
-
-
-def control_of_x(phi: ControlFunction, x: Element) -> float:
-    """phi(x, 0); identically zero for the product control (superstability)."""
-    return control_eval(phi, x, algebra.zero(x.spec))
 
 
 @dataclass(frozen=True)
@@ -95,15 +76,9 @@ class ScalingDirection:
             raise ValueError(f"L must lie in (0,1), got {self.L}")
 
 
-def select_direction(
-    phi: ControlFunction,
-    samples: Sequence[tuple[Element, Element]] | None = None,
-) -> ScalingDirection:
-    """Pick (q, i, L) with phi(qx, qy) <= q*L*phi(x, y) and L < 1.
-
-    Analytic kinds have closed-form constants; custom controls are measured
-    on the supplied sample pairs with a 1.05 safety multiplier.
-    """
+def select_direction(phi: ControlFunction) -> ScalingDirection:
+    """Pick (q, i, L) with phi(qx, qy) <= q*L*phi(x, y) and L < 1, from
+    the closed-form constants of the control's kind."""
     def analytic(q: float, i: int, L: float) -> ScalingDirection:
         if L == 0.0:
             raise OutOfRange(f"{phi.kind.value} control with r = {phi.r}: L underflows to 0")
@@ -115,63 +90,26 @@ def select_direction(
         if phi.r > 1:
             return analytic(0.5, 1, 2.0 ** (1.0 - phi.r))
         raise NoContraction("power-sum control with r = 1 gives L = 1 in both directions")
-    if phi.kind is ControlKind.POWER_PRODUCT:
-        if phi.r < 0.5:
-            return analytic(2.0, 0, 2.0 ** (2.0 * phi.r - 1.0))
-        if phi.r > 0.5:
-            return analytic(0.5, 1, 2.0 ** (1.0 - 2.0 * phi.r))
-        raise NoContraction("power-product control with r = 1/2 gives L = 1 in both directions")
-    if not samples:
-        raise NoContraction("custom control needs sample pairs to estimate L")
-    candidates = []
-    for q, i in ((2.0, 0), (0.5, 1)):
-        worst = 0.0
-        for x, y in samples:
-            den = q * control_eval(phi, x, y)
-            num = control_eval(phi, algebra.scale(q, x), algebra.scale(q, y))
-            if den == 0.0:
-                if num > 0.0:
-                    worst = math.inf
-                    break
-                continue
-            worst = max(worst, num / den)
-        L = worst * 1.05
-        if 0 < L < 1:
-            candidates.append(ScalingDirection(q, i, L))
-    if not candidates:
-        raise NoContraction("measured L >= 1 for both scaling directions")
-    return min(candidates, key=lambda d: d.L)
+    if phi.r < 0.5:
+        return analytic(2.0, 0, 2.0 ** (2.0 * phi.r - 1.0))
+    if phi.r > 0.5:
+        return analytic(0.5, 1, 2.0 ** (1.0 - 2.0 * phi.r))
+    raise NoContraction("power-product control with r = 1/2 gives L = 1 in both directions")
 
 
 @dataclass
 class StabilizationTrace:
     """One point's orbit: `iterates` is a read-only (n_used + 1, *shape)
-    array of a_0 .. a_{n_used}, and diffs[n] = ||a_{n+1} - a_n||."""
+    array of a_0 .. a_{n_used}, whose last row is the stabilized value, and
+    diffs[n] = ||a_{n+1} - a_n||."""
 
-    spec: AlgebraSpec
     iterates: np.ndarray
     diffs: list[float]
     n_used: int
     converged: bool
 
-    @functools.cached_property
-    def result(self) -> Element:
-        return Element(self.spec, self.iterates[-1])
 
-
-def stabilize_point(
-    f: ApproxMap,
-    direction: ScalingDirection,
-    x: Element,
-    max_n: int = 48,
-    tol_rel: float = 1e-10,
-) -> StabilizationTrace:
-    """The orbit of one point; see stabilize_points."""
-    if x.spec != f.spec:
-        raise SpecMismatch(f"map spec {f.spec} vs element spec {x.spec}")
-    return stabilize_points(f, direction, x.data[None], max_n, tol_rel)[0]
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def stabilize_points(
     f: ApproxMap,
     direction: ScalingDirection,
@@ -184,7 +122,8 @@ def stabilize_points(
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.  The running points advance together: one stacked f
     evaluation per step.  A point that fails leaves the batch; at the end
-    the exception of the first failing row of X is raised.
+    the exception of the first failing row of X is raised.  A non-finite
+    f value fails its row with IterateOverflow, not with a warning.
 
     `resume`, one trace or None per row, continues rows instead of starting
     them at a_0.  A row's trace must be its orbit under the same f and
@@ -213,7 +152,7 @@ def stabilize_points(
     def drop_nonfinite(rows, arrays):
         bad = ~np.isfinite(arrays[-1]).reshape(len(rows), -1).all(axis=1)
         for k in rows[bad].tolist():
-            failures[k] = ValueError("element entries must be finite")
+            failures[k] = IterateOverflow("iterate f value is not finite")
         return [a[~bad] for a in (rows, *arrays)] if bad.any() else [rows, *arrays]
 
     # Fresh rows start at a_0 = f(x).
@@ -305,18 +244,14 @@ def stabilize_points(
     for its, ds, conv in zip(iterates, diffs, converged):
         its = np.stack(its)
         its.setflags(write=False)
-        traces.append(StabilizationTrace(spec, its, ds, len(ds), conv))
+        traces.append(StabilizationTrace(its, ds, len(ds), conv))
     return traces
-
-
-def error_bound(direction: ScalingDirection, phi: ControlFunction, x: Element) -> float:
-    """L^{1-i}/(1-L) * phi(x, 0)."""
-    return error_bounds(direction, phi, x.spec, x.data[None])[0]
 
 
 def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
                  X: np.ndarray) -> list[float]:
-    """error_bound on each row of a stack X shaped (N, *spec.shape)."""
+    """The closeness bound L^{1-i}/(1-L) * phi(x, 0) on each row x of a
+    stack X shaped (N, *spec.shape)."""
     factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
     return [factor * c for c in control_rows(phi, spec, X, np.zeros_like(X))]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, maps, stabilizer
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec
 from .maps import ApproxMap, LambdaSampler
 from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
@@ -80,12 +80,6 @@ class StabilizedMap:
         """I on each row of a stack X shaped (N, *shape)."""
         return np.array([tr.iterates[-1] for tr in self.traces(X)],
                         dtype=np.complex128).reshape(X.shape)
-
-    def trace(self, x: Element) -> StabilizationTrace:
-        return self.traces(x.data[None])[0]
-
-    def __call__(self, x: Element) -> Element:
-        return self.trace(x).result
 
 
 def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +240,7 @@ class BoundReport:
     passed: bool
     witness: dict | None
     per_probe: list[float]
+    per_probe_bounds: list[float]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -255,7 +250,8 @@ def verify_bound(
     P: np.ndarray,
 ) -> BoundReport:
     """||I(x) - f(x)|| against L^{1-i}/(1-L) * phi(x,0) per probe; a zero
-    bound demands the difference vanish to ZERO_BOUND_ABS (superstability)."""
+    bound demands the difference vanish to ZERO_BOUND_ABS (superstability).
+    The report keeps each probe's ratio and bound."""
     _require_probes(P)
     diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
     bounds = stabilizer.error_bounds(I.direction, phi, I.f.spec, P)
@@ -273,6 +269,7 @@ def verify_bound(
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios,
+        per_probe_bounds=bounds,
     )
 
 

@@ -28,7 +28,7 @@ from involstab.stabilizer import (
     power_product,
     power_sum,
     select_direction,
-    stabilize_point,
+    stabilize_points,
 )
 from involstab.verifier import StabilizedMap
 
@@ -59,13 +59,13 @@ def verdict(capsys):
 
 
 def sample_probes(n, seed, spec=M2, rad=(0.1, 10.0)):
+    """The probe stack the verifier stages take: n sampled rows."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return [algebra.sample_element(spec, rad, rng) for _ in range(n)]
+    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
 
 
-def stack(elements):
-    """The probe stack the verifier stages take."""
-    return np.stack([x.data for x in elements])
+def limits(traces):
+    return np.stack([tr.iterates[-1] for tr in traces])
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +75,16 @@ def probes200():
 
 @pytest.fixture(scope="module")
 def traces200(probes200):
-    return [stabilize_point(ADJ_F, DIRECTION, x, max_n=48) for x in probes200]
+    return stabilize_points(ADJ_F, DIRECTION, probes200, max_n=48)
 
 
 def test_criterion_1_bound_reproduction(probes200, verdict):
     t0 = time.perf_counter()
-    traces = [stabilize_point(ADJ_F, DIRECTION, x, max_n=48) for x in probes200]
+    traces = stabilize_points(ADJ_F, DIRECTION, probes200, max_n=48)
     elapsed = time.perf_counter() - t0
     worst_margin, worst_ratio_err = -INF, 0.0
-    for x, tr in zip(probes200, traces):
-        nx = algebra.norm(x)
-        diff = algebra.norm(algebra.sub(tr.result, maps.eval_f(ADJ_F, x)))
+    diffs = algebra.stacked_norms(M2, limits(traces) - maps.eval_f_rows(ADJ_F, probes200))
+    for nx, diff in zip(algebra.stacked_norms(M2, probes200), diffs):
         bound = (1 + SQRT2) * THETA * nx**0.5 + 1e-9
         worst_margin = max(worst_margin, diff - bound)
         ratio = diff / (THETA_DELTA * nx**0.5)
@@ -103,8 +102,8 @@ def test_criterion_2_geometric_rate(verdict):
     )
 
     def diff_errors(x):
-        nx = algebra.norm(x)
-        tr = stabilize_point(f, DIRECTION, x, max_n=48, tol_rel=1e-14)
+        nx = algebra.stacked_norms(SCALAR, x[None])[0]
+        tr = stabilize_points(f, DIRECTION, x[None], max_n=48, tol_rel=1e-14)[0]
         diffs = tr.diffs[:41]
         rels = [
             abs(d - THETA_DELTA * nx**0.5 * (1 - L_HALF) * L_HALF**n)
@@ -119,7 +118,7 @@ def test_criterion_2_geometric_rate(verdict):
     # (down to ~3e-8 * ||x||^{1/2}) are measured without cancellation noise.
     worst_rel, worst_fit = 0.0, 0.0
     for rad in np.geomspace(0.1, 10.0, 20):
-        r, fiterr = diff_errors(algebra.scalar(1j * rad))
+        r, fiterr = diff_errors(np.array([1j * rad]))
         worst_rel, worst_fit = max(worst_rel, r), max(worst_fit, fiterr)
 
     # Generic probes hit the double-precision noise floor ulp(||x||) near
@@ -136,10 +135,8 @@ def test_criterion_2_geometric_rate(verdict):
 
 
 def test_criterion_3_recovery(probes200, traces200, verdict):
-    worst = max(
-        algebra.norm(algebra.sub(tr.result, algebra.conj_transpose(x)))
-        for x, tr in zip(probes200, traces200)
-    )
+    worst = max(algebra.stacked_norms(
+        M2, limits(traces200) - probes200.conj().swapaxes(-1, -2)))
     ok = worst <= 1e-7
     verdict(3, ok, f"max ||I(x) - x*|| = {worst:.3e} over 200 probes")
 
@@ -156,7 +153,7 @@ def test_criterion_4_involution_laws(verdict):
     total, worst = 0, 0.0
     for f in variants.values():
         rep = verifier.verify_involution_laws(
-            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, stack(sample_probes(24, 31))
+            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, sample_probes(24, 31)
         )
         total += rep.total_tuples
         worst = max(
@@ -174,15 +171,15 @@ def test_criterion_4_involution_laws(verdict):
 def test_criterion_5_cstar_dichotomy(verdict):
     probes = sample_probes(20, 41)
     adj = verifier.verify_cstar(
-        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), stack(probes)
+        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), probes
     )
-    nil = algebra.element(M2, [0, 1, 0, 0])
+    nil = algebra.element(M2, [0, 1, 0, 0]).data[None]
     twisted = ApproxMap(
         maps.twisted_adjoint(algebra.element(M2, [1, 0, 0, 2])), NO_PERTURBATION, M2
     )
     I_twisted = StabilizedMap(twisted, DIRECTION, max_n=96)
-    tw = verifier.verify_cstar(I_twisted, stack(probes + [nil]))
-    tw_nil = verifier.verify_cstar(I_twisted, stack([nil]))
+    tw = verifier.verify_cstar(I_twisted, np.concatenate([probes, nil]))
+    tw_nil = verifier.verify_cstar(I_twisted, nil)
     ok = (adj.passed and adj.max_ratio <= 1e-8
           and not tw.passed and tw.max_ratio >= 0.25
           and abs(tw_nil.max_ratio - 0.5) <= 1e-9)
@@ -196,20 +193,18 @@ def test_criterion_6_superstability(verdict):
     d = select_direction(phi)
     exact = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
     probes = sample_probes(30, 51, spec=SCALAR)
-    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, stack(probes))
+    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, probes)
     sup = max(e.sup_ratio for e in rep.entries.values())
     constant = all(
-        stabilize_point(exact, d, x).n_used == 1
-        and all(np.array_equal(it, maps.eval_f(exact, x).data) for it in
-                stabilize_point(exact, d, x).iterates)
-        for x in probes
+        tr.n_used == 1 and all(np.array_equal(it, fx) for it in tr.iterates)
+        for tr, fx in zip(stabilize_points(exact, d, probes), maps.eval_f_rows(exact, probes))
     )
     perturbed = ApproxMap(
         maps.conjugation(), PerturbationSpec("fixed_direction", 0.01, 0.25), SCALAR
     )
-    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, stack(probes))
+    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, probes)
     e2 = rep2.entries["e2_jensen"]
-    refuted = e2.sup_ratio == INF and algebra.norm(algebra.Element(SCALAR, e2.witness["y"])) == 0.0
+    refuted = e2.sup_ratio == INF and algebra.stacked_norms(SCALAR, e2.witness["y"][None]) == [0.0]
     ok = sup <= 1e-12 and constant and refuted
     verdict(6, ok, f"exact map sup ratio {sup:.3e} (zero to double precision), "
                    f"stabilizer constant, perturbed map e2 = inf at y = 0")
@@ -230,13 +225,13 @@ def test_criterion_7_fixed_point_alternative(verdict):
         def radial(theta, seed):
             p = PerturbationSpec("fixed_direction", theta, 0.5, direction_seed=seed)
             fm = ApproxMap(maps.adjoint(), p, M2)
-            return lambda x: maps.eval_f(fm, x)
+            return lambda X: maps.eval_f_rows(fm, X)
         g = radial(rng.uniform(0.01, 0.3), 100 + trial)
         h = radial(rng.uniform(0.01, 0.3), 200 + trial)
-        bases = [algebra.sample_element(M2, (0.2, 2.0), rng) for _ in range(3)]
+        bases = np.stack([algebra.sample_element(M2, (0.2, 2.0), rng) for _ in range(3)])
         metric = FunctionSpaceMetric(
-            ray_probes(bases, DIRECTION.q, 5),
-            lambda x: stabilizer.control_of_x(PHI, x),
+            M2, ray_probes(bases, DIRECTION.q, 5),
+            lambda X: stabilizer.control_rows(PHI, M2, X, np.zeros_like(X)),
         )
         d_gh = function_space_distance(g, h, metric)
         d_t = function_space_distance(
@@ -262,11 +257,9 @@ def test_criterion_8_corollary_audit(probes200, traces200, verdict):
                 and a_two.derived == pytest.approx(2.0)
                 and a_two.paper_stated == pytest.approx(-2.0)
                 and a_two.sign_anomaly)
-    worst = max(
-        algebra.norm(algebra.sub(tr.result, maps.eval_f(ADJ_F, x)))
-        / (THETA * algebra.norm(x) ** 0.5)
-        for x, tr in zip(probes200, traces200)
-    )
+    diffs = algebra.stacked_norms(M2, limits(traces200) - maps.eval_f_rows(ADJ_F, probes200))
+    worst = max(diff / (THETA * nx ** 0.5)
+                for diff, nx in zip(diffs, algebra.stacked_norms(M2, probes200)))
     ok = audit_ok and worst <= a_half.derived and worst <= a_half.paper_stated
     verdict(8, ok, f"derived {a_half.derived:.5f} vs paper {a_half.paper_stated:.5f}; "
                    f"r=2 sign anomaly flagged; measured ratio {worst:.3f} respects both")
@@ -280,7 +273,7 @@ def test_criterion_9_uniqueness(verdict):
     )
     rep = verifier.verify_uniqueness(
         StabilizedMap(ADJ_F, DIRECTION, max_n=48), StabilizedMap(f2, DIRECTION, max_n=48),
-        stack(sample_probes(40, 91)),
+        sample_probes(40, 91),
     )
     ok = rep.passed and rep.max_diff <= 1e-6
     verdict(9, ok, f"fixed vs random direction limits agree to {rep.max_diff:.3e} "

@@ -86,16 +86,18 @@ class TestRun:
         results, rows = cli.run_pipeline(sc)
         direction = results["direction"]
         expected = []
-        for row in cli.make_probes(sc):
-            x = algebra.Element(sc.spec, row)
-            tr = stabilizer.stabilize_point(sc.f, direction, x,
-                                            max_n=sc.max_n, tol_rel=sc.tol_rel)
-            fx = maps.eval_f(sc.f, x)
-            bnd = stabilizer.error_bound(direction, sc.phi, x)
-            for row in tr.iterates[:-1]:
-                a_n = algebra.Element(sc.spec, row)
-                expected.append((algebra.norm(algebra.sub(a_n, tr.result)),
-                                 verifier._ratio(algebra.norm(algebra.sub(a_n, fx)), bnd)))
+
+        def norm(a):
+            return algebra.stacked_norms(sc.spec, a[None])[0]
+
+        for x in cli.make_probes(sc):
+            tr = stabilizer.stabilize_points(sc.f, direction, x[None],
+                                             max_n=sc.max_n, tol_rel=sc.tol_rel)[0]
+            fx = maps.eval_f_rows(sc.f, x[None])[0]
+            bnd = stabilizer.error_bounds(direction, sc.phi, sc.spec, x[None])[0]
+            for a_n in tr.iterates[:-1]:
+                expected.append((norm(a_n - tr.iterates[-1]),
+                                 verifier._ratio(norm(a_n - fx), bnd)))
         assert [(r["error_vs_limit"], r["ratio"]) for r in rows] == expected
 
     @pytest.mark.parametrize("cstar", [{}, {"max_n": 48, "tol_rel": 1e-10}],
@@ -140,6 +142,41 @@ class TestRun:
                 assert steps == sum(
                     traced[key].n_used - traced[(key[0], key[1], sc.max_n, sc.tol_rel)].n_used
                     for key in keys)
+
+    def test_error_bounds_once_per_pass(self, monkeypatch):
+        # The trace rows read the bound stage's per-probe bounds.
+        calls = []
+        error_bounds = stabilizer.error_bounds
+
+        def counting(direction, phi, spec, X):
+            calls.append(len(X))
+            return error_bounds(direction, phi, spec, X)
+
+        monkeypatch.setattr(stabilizer, "error_bounds", counting)
+        sc = cli.parse_scenario(small_config())
+        results, rows = cli.run_pipeline(sc)
+        assert calls == [sc.num_probes]
+        bounds = results["bound"].per_probe_bounds
+        assert [row["bound"] for row in rows] == [
+            bounds[row["probe_id"]] for row in rows]
+
+    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "twisted_cstar",
+                                          "product_superstability"])
+    def test_pass_builds_no_element(self, monkeypatch, scenario):
+        # Element is the type of config-parsed values only: a pass, from
+        # the probe draw to the trace rows, works on stacks.
+        sc = cli.parse_scenario(cli.load_config(scenario))
+        maps._fixed_direction.cache_clear()
+        built = []
+        post_init = algebra.Element.__post_init__
+
+        def counting(element):
+            built.append(element.spec)
+            post_init(element)
+
+        monkeypatch.setattr(algebra.Element, "__post_init__", counting)
+        cli.run_pipeline(sc)
+        assert built == []
 
     def test_near_equal_singular_values_probe(self, tmp_path):
         # diag(1, 0.99999) has a 1e-5 relative gap between its singular values
@@ -237,6 +274,8 @@ class TestExitCodes:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
+        # A kind no control has; the error names the section.
+        ("control", "kind", "custom"),
         ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
         ("sampling", "seed", -1), ("lambda", "seed", -1),
         ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
@@ -253,7 +292,8 @@ class TestExitCodes:
         cfg = small_config()
         cfg.setdefault(section, {})[key] = value
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        name = section if key == "kind" else f"{section}.{key}"
+        assert name in capsys.readouterr().err
 
     def test_integral_float_count_accepted(self, tmp_path):
         out_int, out_float = tmp_path / "int", tmp_path / "float"
@@ -319,6 +359,18 @@ class TestExitCodes:
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 4
         assert "exceeded 1e300" in capsys.readouterr().err
+
+    def test_nonfinite_iterate(self, tmp_path, capsys):
+        # theta_delta * ||q^n x|| overflows to inf just before the argument
+        # passes the 1e300 check: the f value is not finite.
+        cfg = small_config(
+            algebra={"kind": "pointwise", "dim": 2},
+            perturbation={"kind": "random_direction", "theta_delta": 1e9, "r": 1.0,
+                          "direction_seed": 3},
+            stabilizer={"max_n": 1100, "tol_rel": 1e-10},
+        )
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 4
+        assert "not finite" in capsys.readouterr().err
 
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -105,14 +106,19 @@ def radial_map(theta, seed):
 
 
 def as_callable(f):
-    return lambda x: maps.eval_f(f, x)
+    return functools.partial(maps.eval_f_rows, f)
+
+
+def sample_stack(spec, n, rng, rad):
+    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
 
 
 class TestFunctionSpaceMetric:
     def metric(self, rng, theta=0.1, q=2.0, depth=6, bases=4):
-        base_points = [algebra.sample_element(M2, (0.2, 2.0), rng) for _ in range(bases)]
+        base_points = sample_stack(M2, bases, rng, (0.2, 2.0))
         probes = ray_probes(base_points, q, depth)
-        return FunctionSpaceMetric(probes, lambda x: theta * algebra.norm(x) ** 0.5)
+        return FunctionSpaceMetric(
+            M2, probes, lambda X: [theta * n ** 0.5 for n in algebra.stacked_norms(M2, X)])
 
     def test_identical_maps(self, rng):
         m = self.metric(rng)
@@ -127,8 +133,8 @@ class TestFunctionSpaceMetric:
         assert function_space_distance(g, h, m) == pytest.approx(2.0, rel=1e-9)
 
     def test_zero_control_gives_infinity(self, rng):
-        probes = [algebra.sample_element(M2, (0.5, 2.0), rng)]
-        m = FunctionSpaceMetric(tuple(probes), lambda x: 0.0)
+        probes = sample_stack(M2, 1, rng, (0.5, 2.0))
+        m = FunctionSpaceMetric(M2, probes, lambda X: [0.0] * len(X))
         g = as_callable(radial_map(0.2, 3))
         h = as_callable(ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2))
         assert function_space_distance(g, h, m) == INF
@@ -139,29 +145,35 @@ class TestScalingOperator:
         g = as_callable(ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2))
         for q in (2.0, 0.5):
             t_g = scaling_operator(g, q)
-            for _ in range(20):
-                x = algebra.sample_element(M2, (0.1, 10.0), rng)
-                assert algebra.norm(algebra.sub(t_g(x), g(x))) <= 1e-12 * max(
-                    1.0, algebra.norm(x)
-                )
+            X = sample_stack(M2, 20, rng, (0.1, 10.0))
+            for diff, norm in zip(algebra.stacked_norms(M2, t_g(X) - g(X)),
+                                  algebra.stacked_norms(M2, X)):
+                assert diff <= 1e-12 * max(1.0, norm)
 
     def test_scalar_example(self):
         # (8 + 0.1*sqrt(8))/2 = 4 + 0.1*sqrt(2)
         f = ApproxMap(maps.conjugation(), PerturbationSpec("fixed_direction", 0.1, 0.5), SCALAR)
         t_g = scaling_operator(as_callable(f), 2.0)
-        got = t_g(algebra.scalar(4.0)).flat()[0]
+        got = t_g(np.array([[4.0 + 0j]]))[0, 0]
         assert got == pytest.approx(4 + 0.1 * math.sqrt(2), abs=1e-12)
 
     def test_iterated_operator_identity(self, rng):
         g = as_callable(radial_map(0.1, 2))
-        x = algebra.sample_element(M2, (0.5, 2.0), rng)
+        X = sample_stack(M2, 1, rng, (0.5, 2.0))
         t3 = scaling_operator(scaling_operator(scaling_operator(g, 2.0), 2.0), 2.0)
-        direct = algebra.scale(2.0 ** -3, g(algebra.scale(2.0 ** 3, x)))
-        assert algebra.norm(algebra.sub(t3(x), direct)) <= 1e-12
+        direct = complex(2.0 ** -3) * g(complex(2.0 ** 3) * X)
+        assert algebra.stacked_norms(M2, t3(X) - direct)[0] <= 1e-12
 
     def test_rejects_other_q(self):
         with pytest.raises(ValueError):
             scaling_operator(lambda x: x, 3.0)
+
+    def test_ray_probes_are_rays(self, rng):
+        X = sample_stack(M2, 2, rng, (0.5, 2.0))
+        P = ray_probes(X, 0.5, 3)
+        assert P.shape == (8, 2, 2)
+        for k, row in enumerate(P):
+            assert np.array_equal(row, complex(0.5) ** (k % 4) * X[k // 4])
 
 
 class TestContractionTransfer:
@@ -174,10 +186,10 @@ class TestContractionTransfer:
         for trial in range(100):
             g = as_callable(radial_map(rng.uniform(0.01, 0.3), 100 + trial))
             h = as_callable(radial_map(rng.uniform(0.01, 0.3), 200 + trial))
-            base_points = [algebra.sample_element(M2, (0.2, 2.0), rng) for _ in range(3)]
+            base_points = sample_stack(M2, 3, rng, (0.2, 2.0))
             m = FunctionSpaceMetric(
-                ray_probes(base_points, q, 5),
-                lambda x: stabilizer.control_of_x(phi, x),
+                M2, ray_probes(base_points, q, 5),
+                lambda X: stabilizer.control_rows(phi, M2, X, np.zeros_like(X)),
             )
             d_gh = function_space_distance(g, h, m)
             assert d_gh < INF

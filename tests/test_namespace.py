@@ -1,0 +1,25 @@
+import involstab
+
+# The public names of the package, as README's "Python API" lists them. A
+# name removed or added here is a deliberate change of the API.
+PUBLIC_NAMES = [
+    "AlgebraKind", "AlgebraSpec", "AlternativeOutcome", "ApproxMap", "BoundReport",
+    "Branch", "ConfigError", "ControlFunction", "ControlKind", "CstarReport",
+    "DefectReport", "DegenerateDirection", "Element", "Exhausted", "FunctionSpaceMetric",
+    "GeneralizedMetricSpace", "INF", "InvolStabError", "Involution", "InvolutionKind",
+    "IterateOverflow", "KindSpecMismatch", "LambdaSampler", "LawReport", "NO_PERTURBATION",
+    "NoContraction", "NonCauchy", "NotContractive", "OutOfRange", "PerturbationKind",
+    "PerturbationSpec", "Regime", "SCALAR", "ScalingDirection", "SpecMismatch",
+    "StabilizationFailure", "StabilizationTrace", "StabilizedMap", "UniquenessReport",
+    "adjoint", "algebra", "antimul_defect", "aposteriori_bound", "cli", "conjugation",
+    "corollary_constant", "cstar_defect", "element", "errors", "eval_f_rows", "fixedpoint",
+    "function_space_distance", "gmetric_check", "iterate_alternative", "jensen_defect",
+    "maps", "matrix_spec", "pointwise_spec", "power_product", "power_sum", "ray_probes",
+    "sample_element", "sample_lambdas", "scaling_operator", "scan_hypotheses",
+    "select_direction", "stabilize_points", "stabilizer", "twisted_adjoint", "verifier",
+    "verify_bound", "verify_cstar", "verify_involution_laws", "verify_uniqueness",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(name for name in vars(involstab) if not name.startswith("_")) == PUBLIC_NAMES

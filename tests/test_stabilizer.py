@@ -8,19 +8,15 @@ from involstab.algebra import SCALAR, matrix_spec
 from involstab.errors import NoContraction, NonCauchy, OutOfRange, IterateOverflow, SpecMismatch
 from involstab.maps import ApproxMap, PerturbationSpec
 from involstab.stabilizer import (
-    ControlFunction,
     ControlKind,
     Regime,
     ScalingDirection,
-    control_eval,
     control_rows,
     corollary_constant,
-    error_bound,
     error_bounds,
     power_product,
     power_sum,
     select_direction,
-    stabilize_point,
     stabilize_points,
 )
 
@@ -33,31 +29,32 @@ def radial(theta, r, seed=None):
     return PerturbationSpec("fixed_direction", theta, r, direction_seed=seed)
 
 
-def reference_control(phi, x, y):
-    """phi(x, y) one Element pair at a time: the per-pair formula that
+def reference_control(phi, spec, x, y):
+    """phi(x, y) one row pair at a time: the per-pair formula that
     control_rows stacks."""
+    def norm(a):
+        return algebra.stacked_norms(spec, a[None])[0]
+
     if phi.kind is ControlKind.POWER_SUM:
-        return phi.theta * (algebra.norm(x) ** phi.r + algebra.norm(y) ** phi.r)
-    if phi.kind is ControlKind.POWER_PRODUCT:
-        return phi.theta * algebra.norm(algebra.mul(x, y)) ** phi.r
-    return phi.custom_eval(x, y)
+        return phi.theta * (norm(x) ** phi.r + norm(y) ** phi.r)
+    return phi.theta * norm(algebra.mul_rows(spec, x[None], y[None])[0]) ** phi.r
 
 
 class TestControlEval:
     def test_power_sum(self):
         phi = power_sum(0.3, 0.5)
-        got = control_eval(phi, algebra.scalar(4.0), algebra.scalar(0.0))
-        assert got == pytest.approx(0.6)
+        got = control_rows(phi, SCALAR, np.array([[4.0 + 0j]]), np.array([[0j]]))
+        assert got == [pytest.approx(0.6)]
 
     def test_power_product_zero_arg(self, rng):
         phi = power_product(0.7, 0.3)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert control_eval(phi, x, algebra.zero(M2)) == 0.0
+        assert control_rows(phi, M2, x[None], np.zeros_like(x)[None]) == [0.0]
 
     def test_zero_amplitude(self, rng):
         phi = power_sum(0.0, 0.5)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert control_eval(phi, x, x) == 0.0
+        assert control_rows(phi, M2, x[None], x[None]) == [0.0]
 
     def test_scaling_law(self, rng):
         # phi(q^n x, q^n y) = (qL)^n phi(x, y), which forces (e9) in the limit
@@ -65,25 +62,18 @@ class TestControlEval:
             d = select_direction(phi)
             x = algebra.sample_element(M2, (0.5, 2.0), rng)
             y = algebra.sample_element(M2, (0.5, 2.0), rng)
-            base = control_eval(phi, x, y)
-            for n in (1, 3, 7):
-                lhs = control_eval(
-                    phi, algebra.scale(d.q**n, x), algebra.scale(d.q**n, y)
-                )
-                assert lhs == pytest.approx((d.q * d.L) ** n * base, rel=1e-10)
+            (base,) = control_rows(phi, M2, x[None], y[None])
+            q = np.array([d.q ** n for n in (1, 3, 7)], dtype=np.complex128)[:, None, None]
+            lhs = control_rows(phi, M2, q * x, q * y)
+            assert lhs == [pytest.approx((d.q * d.L) ** n * base, rel=1e-10) for n in (1, 3, 7)]
 
     @pytest.mark.parametrize("spec", [SCALAR, P4, M2], ids=["scalar", "pointwise", "matrix"])
     def test_rows_match_element_reference(self, rng, spec):
-        X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng).data for _ in range(6)])
+        X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng) for _ in range(6)])
         Y = np.concatenate([np.zeros_like(X[:2]), X[2:][::-1]])
-        custom = ControlFunction(
-            "custom", custom_eval=lambda x, y: algebra.norm(algebra.add(x, y)) ** 0.75)
-        for phi in (power_sum(0.3, 0.5), power_sum(0.2, 2.0), power_product(0.1, 0.25), custom):
-            want = [reference_control(phi, algebra.Element(spec, x), algebra.Element(spec, y))
-                    for x, y in zip(X, Y)]
+        for phi in (power_sum(0.3, 0.5), power_sum(0.2, 2.0), power_product(0.1, 0.25)):
+            want = [reference_control(phi, spec, x, y) for x, y in zip(X, Y)]
             assert control_rows(phi, spec, X, Y) == want
-            assert [control_eval(phi, algebra.Element(spec, x), algebra.Element(spec, y))
-                    for x, y in zip(X, Y)] == want
 
     def test_product_overflow_is_out_of_range(self):
         big = np.array([[1e200 + 0j]])
@@ -114,25 +104,6 @@ class TestSelectDirection:
         with pytest.raises(NoContraction):
             select_direction(power_product(0.1, 0.5))
 
-    def test_custom_estimated(self, rng):
-        # behaves like power-sum r = 0.5; estimate carries the 1.05 safety factor
-        phi = ControlFunction(
-            "custom", custom_eval=lambda x, y: 0.3 * (algebra.norm(x) ** 0.5 + algebra.norm(y) ** 0.5)
-        )
-        samples = [
-            (algebra.sample_element(M2, (0.1, 10.0), rng),
-             algebra.sample_element(M2, (0.1, 10.0), rng))
-            for _ in range(20)
-        ]
-        d = select_direction(phi, samples)
-        assert (d.q, d.i) == (2.0, 0)
-        assert d.L == pytest.approx(1.05 * 2 ** -0.5, rel=1e-9)
-
-    def test_custom_needs_samples(self):
-        phi = ControlFunction("custom", custom_eval=lambda x, y: 1.0)
-        with pytest.raises(NoContraction):
-            select_direction(phi)
-
 
 UP = ScalingDirection(2.0, 0, 2 ** -0.5)
 DOWN = ScalingDirection(0.5, 1, 0.25)
@@ -142,33 +113,34 @@ class TestStabilizePoint:
     def test_exact_involution_constant(self, rng):
         f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
+        fx = maps.eval_f_rows(f, x[None])[0]
         for direction in (UP, DOWN):
-            tr = stabilize_point(f, direction, x)
+            tr = stabilize_points(f, direction, x[None])[0]
             assert tr.converged and tr.n_used == 1
-            assert all(np.array_equal(it, maps.eval_f(f, x).data) for it in tr.iterates)
+            assert all(np.array_equal(it, fx) for it in tr.iterates)
 
     def test_scalar_closed_form(self):
         # a_n = 4 + 0.2 * 2^{-n/2}; diff_n = 0.2*(1 - 2^{-1/2})*2^{-n/2}
         f = ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR)
-        tr = stabilize_point(f, UP, algebra.scalar(4.0), max_n=48)
+        tr = stabilize_points(f, UP, np.array([[4.0 + 0j]]), max_n=48)[0]
         L = 2 ** -0.5
         for n, a in enumerate(tr.iterates[:40]):
             assert a[0] == pytest.approx(4 + 0.2 * L**n, rel=1e-12)
         for n, d in enumerate(tr.diffs[:40]):
             assert d == pytest.approx(0.2 * (1 - L) * L**n, rel=1e-10)
-        assert algebra.norm(algebra.sub(tr.result, algebra.scalar(4.0))) <= 1e-6
+        assert algebra.stacked_norms(SCALAR, tr.iterates[-1:] - 4.0)[0] <= 1e-6
 
     def test_zero_point(self):
         f = ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR)
-        tr = stabilize_point(f, UP, algebra.zero(SCALAR))
-        assert tr.result.close_to(algebra.zero(SCALAR))
+        tr = stabilize_points(f, UP, np.zeros((1, 1), dtype=np.complex128))[0]
+        assert np.array_equal(tr.iterates[-1], np.zeros(1))
         assert tr.converged
 
     def test_geometric_ratio_fit(self, rng):
         # Cauchy envelope: diff ratios track L for fixed-direction radial maps
         f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=3), M2)
         x = algebra.sample_element(M2, (0.5, 5.0), rng)
-        tr = stabilize_point(f, UP, x, max_n=40)
+        tr = stabilize_points(f, UP, x[None], max_n=40)[0]
         ratios = [b / a for a, b in zip(tr.diffs, tr.diffs[1:]) if a > 1e-13]
         fitted = np.mean(ratios)
         assert abs(fitted - UP.L) <= 0.05
@@ -177,17 +149,17 @@ class TestStabilizePoint:
         # r = 2 with q = 2 scales the perturbation up; must not stabilize
         f = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
         with pytest.raises((IterateOverflow, NonCauchy)):
-            stabilize_point(f, UP, algebra.scalar(4.0), max_n=400)
+            stabilize_points(f, UP, np.array([[4.0 + 0j]]), max_n=400)
 
     def test_bound_e5_on_probes(self, rng):
         phi = power_sum(0.3, 0.5)
         d = select_direction(phi)
         f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2)
-        for _ in range(30):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            tr = stabilize_point(f, d, x)
-            diff = algebra.norm(algebra.sub(tr.result, maps.eval_f(f, x)))
-            assert diff <= error_bound(d, phi, x) + 1e-9
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(30)])
+        limits = np.stack([tr.iterates[-1] for tr in stabilize_points(f, d, X)])
+        diffs = algebra.stacked_norms(M2, limits - maps.eval_f_rows(f, X))
+        for diff, bound in zip(diffs, error_bounds(d, phi, M2, X)):
+            assert diff <= bound + 1e-9
 
     def test_uniqueness_of_limit(self, rng):
         # two admissible perturbations of the same base stabilize together
@@ -197,20 +169,18 @@ class TestStabilizePoint:
             PerturbationSpec("random_direction", 0.1, 0.5, direction_seed=6),
             M2,
         )
-        for _ in range(10):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            r1 = stabilize_point(f1, UP, x).result
-            r2 = stabilize_point(f2, UP, x).result
-            assert algebra.norm(algebra.sub(r1, r2)) <= 1e-6
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(10)])
+        r1, r2 = (np.stack([tr.iterates[-1] for tr in stabilize_points(f, UP, X)])
+                  for f in (f1, f2))
+        assert max(algebra.stacked_norms(M2, r1 - r2)) <= 1e-6
 
     def test_superstability_under_product_control(self, rng):
         # exact involution: the stabilized map equals f pointwise
         f = ApproxMap(maps.conjugation(), maps.NO_PERTURBATION, SCALAR)
         d = select_direction(power_product(0.1, 0.25))
-        for _ in range(20):
-            x = algebra.sample_element(SCALAR, (0.1, 10.0), rng)
-            tr = stabilize_point(f, d, x)
-            assert algebra.norm(algebra.sub(tr.result, maps.eval_f(f, x))) <= 1e-12
+        X = np.stack([algebra.sample_element(SCALAR, (0.1, 10.0), rng) for _ in range(20)])
+        limits = np.stack([tr.iterates[-1] for tr in stabilize_points(f, d, X)])
+        assert max(algebra.stacked_norms(SCALAR, limits - maps.eval_f_rows(f, X))) <= 1e-12
 
 
 # One map per base involution and perturbation kind the batch must match.
@@ -226,18 +196,23 @@ BATCH_MAPS = {
 
 
 def reference_orbit(f, direction, x, max_n, tol_rel):
-    """One point's orbit, step by step through Element arithmetic: the
-    serial loop stabilize_points batches.  Returns (iterates, diffs,
-    converged)."""
-    iterates, diffs = [maps.eval_f(f, x)], []
+    """One point's orbit, step by step on one-row stacks: the serial loop
+    stabilize_points batches.  Returns (iterates, diffs, converged)."""
+    def f_of(a):
+        return maps.eval_f_rows(f, a[None])[0]
+
+    def norm(a):
+        return algebra.stacked_norms(f.spec, a[None])[0]
+
+    iterates, diffs = [f_of(x)], []
     xn, scale_n, increasing_run = x, 1.0, 0
     for _ in range(max_n):
-        xn = algebra.scale(direction.q, xn)
+        xn = complex(direction.q) * xn
         scale_n /= direction.q
-        if float(np.max(np.abs(xn.data))) > 1e300:
+        if float(np.max(np.abs(xn))) > 1e300:
             raise IterateOverflow("iterate argument norm exceeded 1e300")
-        a = algebra.scale(scale_n, maps.eval_f(f, xn))
-        d = algebra.norm(algebra.sub(a, iterates[-1]))
+        a = complex(scale_n) * f_of(xn)
+        d = norm(a - iterates[-1])
         if diffs and d > diffs[-1]:
             increasing_run += 1
             if increasing_run >= 8:
@@ -247,7 +222,7 @@ def reference_orbit(f, direction, x, max_n, tol_rel):
         prev = iterates[-1]
         iterates.append(a)
         diffs.append(d)
-        if d <= tol_rel * max(1.0, algebra.norm(prev)):
+        if d <= tol_rel * max(1.0, norm(prev)):
             return iterates, diffs, True
     return iterates, diffs, False
 
@@ -258,24 +233,23 @@ class TestStabilizePoints:
                              ids=["tight", "loose"])
     def test_batch_matches_single_points(self, rng, name, max_n, tol_rel):
         f = BATCH_MAPS[name]
-        xs = [algebra.zero(f.spec)] + [
+        xs = [np.zeros(f.spec.shape, dtype=np.complex128)] + [
             algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(7)]
-        batch = stabilize_points(f, UP, np.stack([x.data for x in xs]), max_n, tol_rel)
-        single = [stabilize_point(f, UP, x, max_n, tol_rel) for x in xs]
+        batch = stabilize_points(f, UP, np.stack(xs), max_n, tol_rel)
+        single = [stabilize_points(f, UP, x[None], max_n, tol_rel)[0] for x in xs]
         for x, got, want in zip(xs, batch, single):
             assert got.iterates.tobytes() == want.iterates.tobytes()
             assert got.iterates.shape == (got.n_used + 1, *f.spec.shape)
             assert got.diffs == want.diffs
             assert (got.n_used, got.converged) == (want.n_used, want.converged)
-            assert got.result.data.tobytes() == want.iterates[-1].tobytes()
             ref_iterates, ref_diffs, ref_converged = reference_orbit(f, UP, x, max_n, tol_rel)
-            assert got.iterates.tobytes() == np.stack([a.data for a in ref_iterates]).tobytes()
+            assert got.iterates.tobytes() == np.stack(ref_iterates).tobytes()
             assert (got.diffs, got.converged) == (ref_diffs, ref_converged)
         # The zero point stops at step 1, so the rows leave at mixed depths.
         assert len({tr.n_used for tr in batch}) > 1
 
     def test_iterates_read_only(self):
-        tr = stabilize_point(BATCH_MAPS["scalar-conjugation"], UP, algebra.scalar(4.0))
+        tr = stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, np.array([[4.0 + 0j]]))[0]
         with pytest.raises(ValueError):
             tr.iterates[0, 0] = 0.0
 
@@ -286,6 +260,15 @@ class TestStabilizePoints:
     def test_stack_shape_checked(self):
         with pytest.raises(SpecMismatch):
             stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, np.zeros((2, 2), complex))
+
+    def test_nonfinite_value_is_iterate_overflow(self):
+        # theta_delta * ||q^n x|| overflows to inf before the argument
+        # passes the 1e300 guard; the row fails without a numpy warning.
+        f = ApproxMap(maps.conjugation(),
+                      PerturbationSpec("random_direction", 1e9, 1.0, 3), algebra.pointwise_spec(2))
+        X = np.array([[1 + 1j, 0.5], [2, 3j]])
+        with pytest.raises(IterateOverflow, match="not finite"):
+            stabilize_points(f, select_direction(power_sum(0.3, 0.5)), X, max_n=1100)
 
     def test_failing_row_fails_batch(self):
         # r = 2 with q = 2 scales the perturbation up; the zero row alone
@@ -325,8 +308,8 @@ class TestResumedOrbits:
     ])
     @pytest.mark.parametrize("shallow", [(10, 1e-10), (30, 1e-4)], ids=["capped", "loose"])
     def test_resumed_matches_fresh(self, rng, f, direction, shallow):
-        X = np.stack([algebra.zero(f.spec).data] + [
-            algebra.sample_element(f.spec, (0.1, 10.0), rng).data for _ in range(7)])
+        X = np.stack([np.zeros(f.spec.shape, dtype=np.complex128)] + [
+            algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(7)])
         traces = stabilize_points(f, direction, X, *shallow)
         # Every other row resumes, the rest start afresh in the same batch.
         resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
@@ -364,20 +347,20 @@ class TestResumedOrbits:
 
     @np.errstate(over="ignore", invalid="ignore")
     def test_first_failing_row_is_raised(self):
-        # Row 1's f(x) is not finite (its perturbation is inf * u); row 0,
-        # resumed and waiting to rejoin, fails later in the orbit but first
-        # in the batch.
+        # Row 1's f(x) is not finite (its perturbation is inf * u), which
+        # is an IterateOverflow; row 0, resumed and waiting to rejoin, fails
+        # later in the orbit but first in the batch.
         f = ApproxMap(maps.conjugation(), radial(1e10, 2.0), SCALAR)
         X = np.array([[1e-3 + 0j], [1e150 + 0j]])
         resume = [stabilize_points(f, UP, X[:1], 5)[0], None]
         got = orbit_outcome(f, UP, X, 20, 1e-10, resume)
         assert got == orbit_outcome(f, UP, X, 20, 1e-10)
         assert got == (NonCauchy, "successive differences grew 8 consecutive steps")
-        assert orbit_outcome(f, UP, X[1:], 20, 1e-10)[0] is ValueError
+        assert orbit_outcome(f, UP, X[1:], 20, 1e-10)[0] is IterateOverflow
 
     def test_trace_must_fit(self):
         f = BATCH_MAPS["scalar-conjugation"]
-        tr = stabilize_point(f, UP, algebra.scalar(4.0), max_n=30, tol_rel=1e-14)
+        tr = stabilize_points(f, UP, np.array([[4.0 + 0j]]), max_n=30, tol_rel=1e-14)[0]
         with pytest.raises(ValueError):
             stabilize_points(f, UP, np.array([[4 + 0j]]), 20, resume=[tr])
         with pytest.raises(ValueError):
@@ -388,28 +371,27 @@ class TestErrorBound:
     def test_up_direction_value(self):
         # L/(1-L) = 1 + sqrt(2) for L = 2^{-1/2}
         phi = power_sum(0.1, 0.5)
-        x = algebra.scalar(4.0)
-        assert error_bound(UP, phi, x) == pytest.approx((1 + SQRT2) * 0.1 * 2, rel=1e-12)
+        got = error_bounds(UP, phi, SCALAR, np.array([[4.0 + 0j]]))
+        assert got == [pytest.approx((1 + SQRT2) * 0.1 * 2, rel=1e-12)]
 
     def test_down_direction_value(self):
-        phi = ControlFunction("custom", custom_eval=lambda x, y: 1.0)
-        x = algebra.scalar(1.0)
-        assert error_bound(DOWN, phi, x) == pytest.approx(4.0 / 3.0)
+        # phi(1, 0) = 1 and L^0/(1-L) = 4/3 for L = 1/4
+        phi = power_sum(1.0, 3.0)
+        got = error_bounds(DOWN, phi, SCALAR, np.array([[1.0 + 0j]]))
+        assert got == [pytest.approx(4.0 / 3.0)]
 
     def test_product_control_superstability(self, rng):
         phi = power_product(0.4, 0.25)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert error_bound(UP, phi, x) == 0.0
+        assert error_bounds(UP, phi, M2, x[None]) == [0.0]
 
     def test_rows_match_error_bound(self, rng):
-        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng).data for _ in range(5)])
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(5)])
         for direction in (UP, DOWN):
             for phi in (power_sum(0.3, 0.5), power_product(0.4, 0.25)):
                 factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
-                want = [factor * reference_control(phi, algebra.Element(M2, x), algebra.zero(M2))
-                        for x in X]
+                want = [factor * reference_control(phi, M2, x, np.zeros_like(x)) for x in X]
                 assert error_bounds(direction, phi, M2, X) == want
-                assert [error_bound(direction, phi, algebra.Element(M2, x)) for x in X] == want
 
 
 class TestCorollaryConstant:

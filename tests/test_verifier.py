@@ -22,7 +22,8 @@ from involstab.verifier import (
 M2 = matrix_spec(2)
 SQRT2 = math.sqrt(2)
 DIAG12 = algebra.element(M2, [1, 0, 0, 2])
-NIL = algebra.element(M2, [0, 1, 0, 0])
+NIL = algebra.element(M2, [0, 1, 0, 0]).data
+ZERO = np.zeros((2, 2), dtype=np.complex128)
 NO_PROBES = np.zeros((0, 2, 2), dtype=np.complex128)
 
 LAMBDAS = LambdaSampler(n0=3, seed=2)
@@ -32,17 +33,9 @@ def radial(theta, r, seed=None):
     return PerturbationSpec("fixed_direction", theta, r, direction_seed=seed)
 
 
-def sample_elements(n, rng, spec=M2, rad=(0.1, 10.0)):
-    return [algebra.sample_element(spec, rad, rng) for _ in range(n)]
-
-
-def stack(elements):
-    return np.stack([x.data for x in elements])
-
-
 def sample_probes(n, rng, spec=M2, rad=(0.1, 10.0)):
-    """A probe stack of n sampled elements."""
-    return stack(sample_elements(n, rng, spec, rad))
+    """A probe stack of n sampled rows."""
+    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
 
 
 EXACT_ADJ = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
@@ -62,8 +55,8 @@ class TestProbePairs:
         assert X.shape == Y.shape == (4 * len(P), 2, 2)
         for i, x in enumerate(P):
             assert all(X[4 * i + k].tobytes() == x.tobytes() for k in range(4))
-            # The zero partner is +0 in every entry, as algebra.zero is.
-            assert Y[4 * i].tobytes() == algebra.zero(M2).data.tobytes()
+            # The zero partner is +0 in every entry.
+            assert Y[4 * i].tobytes() == ZERO.tobytes()
             assert Y[4 * i + 1].tobytes() == x.tobytes()
             assert Y[4 * i + 2].tobytes() == P[(i + 1) % 5].tobytes()
             assert Y[4 * i + 3].tobytes() == P[(i * 7 + 3) % 5].tobytes()
@@ -72,9 +65,10 @@ class TestProbePairs:
 class TestStabilizedMap:
     def test_memoized(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
-        x = sample_elements(1, rng)[0]
-        assert I(x) is I(algebra.element(M2, x.flat()))
-        assert I.trace(x).result is I(x)
+        x = sample_probes(1, rng)
+        again = algebra.element(M2, x.reshape(-1)).data[None]
+        assert I.traces(x)[0] is I.traces(again)[0]
+        assert I.rows(x).tobytes() == I.traces(x)[0].iterates[-1:].tobytes()
 
     def test_stabilize_batches_distinct_uncached(self, rng, monkeypatch):
         batches = []
@@ -86,15 +80,16 @@ class TestStabilizedMap:
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = StabilizedMap(BUDGET_F, UP)
-        x, y, z = sample_elements(3, rng)
-        values = I.rows(np.stack([x.data, y.data, algebra.element(M2, x.flat()).data, x.data]))
+        x, y, z = sample_probes(3, rng)
+        values = I.rows(np.stack([x, y, algebra.element(M2, x.reshape(-1)).data, x]))
         assert values.shape == (4, 2, 2)
-        assert values.tobytes() == np.stack([I(x).data, I(y).data, I(x).data, I(x).data]).tobytes()
-        I.rows(np.stack([y.data, z.data, x.data]))
-        I(z), I(x)
+        limits = [I.rows(row[None])[0] for row in (x, y, x, x)]
+        assert values.tobytes() == np.stack(limits).tobytes()
+        I.rows(np.stack([y, z, x]))
+        I.rows(z[None]), I.rows(x[None])
         assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
-        assert batches == [[x.data.tobytes(), y.data.tobytes()], [z.data.tobytes()]]
-        assert I.trace(z).result is I(z)
+        assert batches == [[x.tobytes(), y.tobytes()], [z.tobytes()]]
+        assert I.traces(z[None])[0] is I.traces(z[None])[0]
 
     def test_resume_from_shallower_map(self, rng):
         # The deeper map continues the cached orbits and reads as a fresh one.
@@ -119,28 +114,27 @@ class TestStabilizedMap:
 
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
-        for x in sample_elements(10, rng):
-            assert algebra.norm(
-                algebra.sub(I(x), algebra.conj_transpose(x))
-            ) <= 1e-7 * max(1.0, algebra.norm(x))
+        P = sample_probes(10, rng)
+        diffs = algebra.stacked_norms(M2, I.rows(P) - P.conj().swapaxes(-1, -2))
+        for diff, norm in zip(diffs, algebra.stacked_norms(M2, P)):
+            assert diff <= 1e-7 * max(1.0, norm)
 
     # ||I(I(x)) - x||: the involutivity residual of the stabilized map.
     def test_involutive_exact_involution(self, rng):
         I = StabilizedMap(EXACT_ADJ, UP)
-        x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert algebra.norm(algebra.sub(I(I(x)), x)) <= 1e-12
+        x = algebra.sample_element(M2, (0.5, 2.0), rng)[None]
+        assert algebra.stacked_norms(M2, I.rows(I.rows(x)) - x)[0] <= 1e-12
 
     def test_involutive_perturbed_adjoint(self, rng):
         I = StabilizedMap(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2), UP,
                           max_n=48)
-        for _ in range(10):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            assert algebra.norm(algebra.sub(I(I(x)), x)) <= 1e-6
+        P = sample_probes(10, rng)
+        assert max(algebra.stacked_norms(M2, I.rows(I.rows(P)) - P)) <= 1e-6
 
     def test_involutive_zero(self):
         I = StabilizedMap(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2), UP)
-        z = algebra.zero(M2)
-        assert algebra.norm(algebra.sub(I(I(z)), z)) == 0.0
+        z = ZERO[None]
+        assert algebra.stacked_norms(M2, I.rows(I.rows(z)) - z) == [0.0]
 
 
 class TestScanHypotheses:
@@ -170,14 +164,14 @@ class TestScanHypotheses:
         )
         entry = rep.entries["e2_jensen"]
         assert entry.sup_ratio == INF
-        assert algebra.norm(Element(SCALAR, entry.witness["y"])) == 0.0
+        assert algebra.stacked_norms(SCALAR, entry.witness["y"][None]) == [0.0]
 
     def test_witness_reevaluates_to_sup(self, rng):
         rep = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, sample_probes(20, rng))
         w = rep.entries["e2_jensen"].witness
         d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"][None], w["y"][None])
         num = algebra.stacked_norms(M2, d)[0]
-        den = stabilizer.control_eval(PHI_SUM, Element(M2, w["x"]), Element(M2, w["y"]))
+        den = stabilizer.control_rows(PHI_SUM, M2, w["x"][None], w["y"][None])[0]
         assert num / den == rep.entries["e2_jensen"].sup_ratio
 
     def test_sup_monotone_in_probes(self, rng):
@@ -272,7 +266,7 @@ class TestVerifyCstar:
 
     def test_twisted_refuted_with_witness(self, rng):
         f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        probes = stack(sample_elements(10, rng) + [NIL])
+        probes = np.concatenate([sample_probes(10, rng), NIL[None]])
         rep = verify_cstar(up_map(f), probes)
         assert not rep.passed
         assert rep.max_ratio >= 0.25
@@ -281,12 +275,12 @@ class TestVerifyCstar:
     def test_nilpotent_witness_ratio(self):
         # x = [[0,1],[0,0]]: x I(x) = [[0.5,0],[0,0]] so the defect is 0.5
         f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        rep = verify_cstar(up_map(f), stack([NIL]))
+        rep = verify_cstar(up_map(f), NIL[None])
         assert rep.max_ratio == pytest.approx(0.5, abs=1e-9)
         assert rep.reversed_max_ratio == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_probe_skipped(self, rng):
-        rep = verify_cstar(up_map(EXACT_ADJ), stack([algebra.zero(M2)] + sample_elements(3, rng)))
+        rep = verify_cstar(up_map(EXACT_ADJ), np.concatenate([ZERO[None], sample_probes(3, rng)]))
         assert rep.probes_checked == 3
 
 
@@ -313,7 +307,7 @@ class TestEmptyProbes:
             run_stage(stage, up_map(EXACT_ADJ), NO_PROBES)
 
     def test_cstar_all_zero_probes_checks_none(self):
-        rep = verify_cstar(up_map(EXACT_ADJ), stack([algebra.zero(M2)]))
+        rep = verify_cstar(up_map(EXACT_ADJ), ZERO[None])
         assert rep.probes_checked == 0 and rep.witness is None and rep.passed
 
 
@@ -364,19 +358,7 @@ class TestStagesBuildNoElements:
         assert built == []
 
 
-# ---- per-tuple Element reference for every stage ------------------------
-
-def ref_jensen(f, lam, x, y):
-    mid = algebra.scale(0.5, algebra.add(x, y))
-    lead = algebra.scale(2.0 * np.conj(complex(lam)), maps.eval_f(f, mid))
-    return algebra.sub(algebra.sub(lead, maps.eval_f(f, algebra.scale(lam, x))),
-                       maps.eval_f(f, algebra.scale(lam, y)))
-
-
-def ref_antimul(f, x, y):
-    return algebra.sub(maps.eval_f(f, algebra.mul(x, y)),
-                       algebra.mul(maps.eval_f(f, y), maps.eval_f(f, x)))
-
+# ---- per-tuple reference for every stage, one row at a time -------------
 
 def ref_entry(tuples):
     """(sup, witness, samples_used) under the strict `<` running update:
@@ -391,65 +373,87 @@ def ref_entry(tuples):
 def comparable(witness):
     if witness is None:
         return None
-    return {k: v.data.tobytes() if isinstance(v, Element) else
-            v.tobytes() if isinstance(v, np.ndarray) else v for k, v in witness.items()}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in witness.items()}
 
 
 def ref_pairs(probes):
-    """probe_pairs on a list of Elements: each probe against zero, itself,
+    """probe_pairs as a list of row pairs: each probe against zero, itself,
     and two strided partners."""
-    n, z = len(probes), algebra.zero(probes[0].spec)
+    n, z = len(probes), np.zeros_like(probes[0])
     return [pair for i, x in enumerate(probes) for pair in
             ((x, z), (x, x), (x, probes[(i + 1) % n]), (x, probes[(i * 7 + 3) % n]))]
 
 
 def ref_stages(I, I2, phi, lambdas, probes):
-    f, norm, sub, mul = I.f, algebra.norm, algebra.sub, algebra.mul
-    ctl = stabilizer.control_eval
+    """Every stage's sup, witness and count from per-row numpy arithmetic,
+    each value a one-row stack's; phi is a power-sum control."""
+    f, spec = I.f, I.f.spec
+
+    def norm(a):
+        return algebra.stacked_norms(spec, a[None])[0]
+
+    def mul(a, b):
+        return algebra.mul_rows(spec, a[None], b[None])[0]
+
+    def f_of(x):
+        return maps.eval_f_rows(f, x[None])[0]
+
+    def I_of(x, I=I):
+        return I.rows(x[None])[0]
+
+    def ctl(x, y):
+        return phi.theta * (norm(x) ** phi.r + norm(y) ** phi.r)
+
+    def jensen(lam, x, y):
+        lead = complex(2.0 * np.conj(complex(lam))) * f_of(complex(0.5) * (x + y))
+        return lead - f_of(complex(lam) * x) - f_of(complex(lam) * y)
+
     lams = maps.sample_lambdas(lambdas)
     pairs = ref_pairs(probes)
     unit = [(s, lam) for s, lam in lams if s in ("arc", "circle")]
     out = {
         "e2_jensen": ref_entry([
-            (_ratio(norm(ref_jensen(f, lam, x, y)), ctl(phi, x, y)),
+            (_ratio(norm(jensen(lam, x, y)), ctl(x, y)),
              {"x": x, "y": y, "lam": lam, "stage": s})
             for x, y in pairs for s, lam in unit]),
         "e3_antimul": ref_entry([
-            (_ratio(norm(ref_antimul(f, x, y)), ctl(phi, x, y)), {"x": x, "y": y})
-            for x, y in pairs]),
-        "e4_involutive": ref_entry([(norm(sub(I(I(x)), x)), {"x": x}) for x in probes]),
+            (_ratio(norm(f_of(mul(x, y)) - mul(f_of(y), f_of(x))), ctl(x, y)),
+             {"x": x, "y": y}) for x, y in pairs]),
+        "e4_involutive": ref_entry([(norm(I_of(I_of(x)) - x), {"x": x}) for x in probes]),
         "e6_cstar": ref_entry([
-            (_ratio(abs(norm(mul(x, maps.eval_f(f, x))) - norm(x) ** 2), ctl(phi, x, x)),
+            (_ratio(abs(norm(mul(x, f_of(x))) - norm(x) ** 2), ctl(x, x)),
              {"x": x}) for x in probes]),
         "additivity": ref_entry([
-            (norm(sub(I(algebra.add(x, y)), algebra.add(I(x), I(y))))
-             / max(1.0, norm(x) + norm(y)), {"x": x, "y": y}) for x, y in pairs]),
+            (norm(I_of(x + y) - (I_of(x) + I_of(y))) / max(1.0, norm(x) + norm(y)),
+             {"x": x, "y": y}) for x, y in pairs]),
         "antimultiplicativity": ref_entry([
-            (norm(sub(I(mul(x, y)), mul(I(y), I(x)))) / max(1.0, norm(x) * norm(y)),
+            (norm(I_of(mul(x, y)) - mul(I_of(y), I_of(x))) / max(1.0, norm(x) * norm(y)),
              {"x": x, "y": y}) for x, y in pairs]),
         "involutivity": ref_entry([
-            (norm(sub(I(I(x)), x)) / max(1.0, norm(x)), {"x": x}) for x in probes]),
-        "uniqueness": ref_entry([(norm(sub(I(x), I2(x))), {"x": x}) for x in probes]),
+            (norm(I_of(I_of(x)) - x) / max(1.0, norm(x)), {"x": x}) for x in probes]),
+        "uniqueness": ref_entry([(norm(I_of(x) - I_of(x, I2)), {"x": x}) for x in probes]),
     }
     for stage in ("arc", "circle", "reals", "complex"):
         out[f"conj_homogeneity[{stage}]"] = ref_entry([
-            (norm(sub(I(algebra.scale(lam, x)), algebra.scale(np.conj(lam), I(x))))
+            (norm(I_of(complex(lam) * x) - complex(np.conj(lam)) * I_of(x))
              / max(1.0, abs(lam) * norm(x)), {"x": x, "lam": lam})
             for s, lam in lams if s == stage for x in probes])
     bound = []
+    factor = I.direction.L ** (1 - I.direction.i) / (1.0 - I.direction.L)
     for x in probes:
-        diff = norm(sub(I(x), maps.eval_f(f, x)))
-        bnd = stabilizer.error_bound(I.direction, phi, x)
+        diff = norm(I_of(x) - f_of(x))
+        bnd = factor * ctl(x, np.zeros_like(x))
         ratio = (0.0 if diff <= 1e-9 else INF) if bnd == 0.0 else diff / bnd
         bound.append((ratio, {"x": x, "diff": diff, "bound": bnd}))
     out["bound"] = ref_entry(bound)
     out["bound_per_probe"] = [ratio for ratio, _ in bound]
+    out["bound_per_probe_bounds"] = [wit["bound"] for _, wit in bound]
     cstar, rev = [], [0.0]
     for x in probes:
         nx = norm(x)
         if nx != 0.0:
-            ratio = abs(norm(mul(x, I(x))) - nx**2) / nx**2
-            rev.append(abs(norm(mul(I(x), x)) - nx**2) / nx**2)
+            ratio = abs(norm(mul(x, I_of(x))) - nx**2) / nx**2
+            rev.append(abs(norm(mul(I_of(x), x)) - nx**2) / nx**2)
             cstar.append((ratio, {"x": x, "ratio": ratio}))
     out["cstar"] = ref_entry(cstar)
     out["cstar_reversed"] = max(rev)
@@ -473,8 +477,8 @@ class TestStackedStagesMatchElementReference:
     def test_sup_witness_and_samples(self, rng, name):
         f = REFERENCE_MAPS[name]
         lambdas = LambdaSampler(n0=3, arc=2, circle=2, reals=2, cplx=2, seed=4)
-        probes = [algebra.zero(f.spec)] + sample_elements(4, rng, spec=f.spec)
-        P = stack(probes)
+        P = np.concatenate([np.zeros((1, *f.spec.shape), dtype=np.complex128),
+                            sample_probes(4, rng, spec=f.spec)])
         I = StabilizedMap(f, UP)
         # A second admissible map over the same base; an exact map is
         # compared with itself, so every difference ties at zero.
@@ -497,11 +501,12 @@ class TestStackedStagesMatchElementReference:
         got["cstar"] = (cstar.max_ratio, cstar.witness, cstar.probes_checked)
         got["cstar_reversed"] = cstar.reversed_max_ratio
         got["bound_per_probe"] = bound.per_probe
+        got["bound_per_probe_bounds"] = bound.per_probe_bounds
 
-        ref = ref_stages(I, I2, PHI_SUM, lambdas, probes)
+        ref = ref_stages(I, I2, PHI_SUM, lambdas, P)
         assert set(got) == set(ref)
         for key, expected in ref.items():
-            if key in ("cstar_reversed", "bound_per_probe"):
+            if key in ("cstar_reversed", "bound_per_probe", "bound_per_probe_bounds"):
                 assert got[key] == expected
                 continue
             (sup, wit, n), (ref_sup, ref_wit, ref_n) = got[key], expected
@@ -514,7 +519,7 @@ class TestStackedStagesMatchElementReference:
             # Every law defect of an exact involution is 0: the witness is
             # the first tuple.
             assert laws.additivity.max_defect == 0.0
-            x, y = ref_pairs(probes)[0]
+            x, y = ref_pairs(P)[0]
             assert comparable(laws.additivity.witness) == comparable({"x": x, "y": y})
             assert uniq.max_diff == 0.0
-            assert comparable(uniq.witness) == comparable({"x": probes[0]})
+            assert comparable(uniq.witness) == comparable({"x": P[0]})

@@ -108,6 +108,24 @@ def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
     return [abs(z) for z in stack.reshape(-1).tolist()]
 
 
+# LAPACK's svd rescales a matrix whose largest entry lies outside about
+# [1.3e-138, 7.5e137] by a factor that is not a power of two, and a part
+# that is subnormal or overflows does not scale exactly; this range keeps
+# clear of both.
+EXACT_SCALING_RANGE = (1e-120, 1e120)
+
+
+def exact_scaling_rows(stack: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a stack whose entries' real and imaginary parts
+    are each 0 or of modulus inside EXACT_SCALING_RANGE.  If x and c*x both
+    pass, for c a power of two, then c*x is exact and
+    stacked_norms(c*x) == c * stacked_norms(x) bit for bit, whatever the
+    kind."""
+    parts = np.abs(np.ascontiguousarray(stack).view(np.float64)).reshape(len(stack), -1)
+    lo, hi = EXACT_SCALING_RANGE
+    return ((parts == 0.0) | ((parts >= lo) & (parts <= hi))).all(axis=1)
+
+
 def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> np.ndarray:
     """Entry array with norm log-uniform in [r_min, r_max]: a standard
     complex Gaussian direction normalized to unit norm, then scaled."""

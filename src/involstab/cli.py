@@ -23,19 +23,20 @@ import json
 import math
 import os
 import sys
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, algebra, fixedpoint, maps, stabilizer, verifier
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraKind, AlgebraSpec, Element
 from .errors import (
     ConfigError, InvolStabError, KindSpecMismatch, NoContraction, OutOfRange,
     StabilizationFailure,
 )
-from .maps import ApproxMap, Involution, LambdaSampler, PerturbationSpec
-from .stabilizer import ControlFunction
+from .maps import ApproxMap, Involution, LambdaSampler, PerturbationKind, PerturbationSpec
+from .stabilizer import ControlFunction, ControlKind
 
 
 # ------------------------- serialization helpers -------------------------
@@ -115,6 +116,14 @@ def _number(section: dict, key: str, where: str, conv, default=None, required=Fa
     return number
 
 
+def _kind(section: dict, where: str, kinds: type[Enum]) -> Enum:
+    value = _get(section, "kind", where, required=True)
+    try:
+        return kinds(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.kind: {exc}")
+
+
 def _seed(section: dict, key: str, where: str, default=None, required=False):
     value = _get(section, key, where, default=default, required=required)
     if type(value) is not int or value < 0:
@@ -144,7 +153,7 @@ def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
 def parse_scenario(raw: dict) -> Scenario:
     alg = _section(raw, "algebra")
     try:
-        spec = AlgebraSpec(_get(alg, "kind", "algebra", required=True),
+        spec = AlgebraSpec(_kind(alg, "algebra", AlgebraKind),
                            _number(alg, "dim", "algebra", int, default=1))
     except ValueError as exc:
         raise ConfigError(f"algebra: {exc}")
@@ -169,7 +178,7 @@ def parse_scenario(raw: dict) -> Scenario:
             return None
         try:
             return PerturbationSpec(
-                kind=_get(sec, "kind", section_name, required=True),
+                kind=_kind(sec, section_name, PerturbationKind),
                 theta_delta=_number(sec, "theta_delta", section_name, float, default=0.0),
                 r=_number(sec, "r", section_name, float, default=1.0),
                 direction_seed=(None if sec.get("direction_seed") is None
@@ -184,7 +193,7 @@ def parse_scenario(raw: dict) -> Scenario:
     ctl = _section(raw, "control")
     try:
         phi = ControlFunction(
-            kind=_get(ctl, "kind", "control", required=True),
+            kind=_kind(ctl, "control", ControlKind),
             theta=_number(ctl, "theta", "control", float, default=0.0),
             r=_number(ctl, "r", "control", float, default=1.0),
         )

@@ -231,19 +231,35 @@ def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None
     return parts[:, 0] + 1j * parts[:, 1]
 
 
+def _row_norms(spec: AlgebraSpec, X: np.ndarray, norms: np.ndarray | None) -> list[float]:
+    # ||x|| for each row x of X: `norms` where given, computed for its NaN
+    # entries (all rows when None) in one stacked call.
+    if norms is None:
+        return algebra.stacked_norms(spec, X)
+    missing = np.isnan(norms)
+    if missing.any():
+        norms = norms.copy()
+        norms[missing] = algebra.stacked_norms(spec, X[missing])
+    return norms.tolist()
+
+
+_HASH_CHUNK = 128
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    # delta on a stack X of shape (N, *spec.shape). Amplitudes are computed
-    # in Python floats per row; a zero amplitude or zero quantized point is
-    # a zero row, left +0 rather than 0 * u, which can be -0.  An amplitude
-    # that overflows to inf leaves a non-finite row, for the caller to
-    # reject, and no warning.
+def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
+                       norms: np.ndarray | None = None) -> np.ndarray:
+    # delta on a stack X of shape (N, *spec.shape), with `norms` as in
+    # eval_f_rows. Amplitudes are computed in Python floats per row; a zero
+    # amplitude or zero quantized point is a zero row, left +0 rather than
+    # 0 * u, which can be -0.  An amplitude that overflows to inf leaves a
+    # non-finite row, for the caller to reject, and no warning.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out
     column = (-1,) + (1,) * len(spec.shape)
     try:
-        amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
+        amplitudes = np.array([p.theta_delta * n ** p.r for n in _row_norms(spec, X, norms)],
                               dtype=np.complex128).reshape(column)
     except OverflowError:
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
@@ -252,11 +268,14 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
         out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec)
         return out
     # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
-    # normalized in one stacked norm call.
+    # normalized in one stacked norm call.  A row's seeding holds about
+    # 0.8 kB of Python ints while it is drawn, so rows are drawn in chunks.
     quantized = np.round(X * 1e6) / 1e6
     rows = live & quantized.reshape(len(X), -1).any(axis=1)
     if rows.any():
-        raw = _hashed_gaussians(spec, quantized[rows], p.direction_seed)
+        hashed = quantized[rows]
+        raw = np.concatenate([_hashed_gaussians(spec, hashed[i:i + _HASH_CHUNK], p.direction_seed)
+                              for i in range(0, len(hashed), _HASH_CHUNK)])
         inverse = 1.0 / np.array(algebra.stacked_norms(spec, raw))
         out[rows] = amplitudes[rows] * (inverse.astype(np.complex128).reshape(column) * raw)
     return out
@@ -272,15 +291,22 @@ class ApproxMap:
     spec: AlgebraSpec
 
 
-def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
+def eval_f_rows(f: ApproxMap, X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """f on a stack X of raw entry arrays shaped (N, *f.spec.shape), one
-    row per point; a row's value does not depend on the other rows."""
+    row per point; a row's value does not depend on the other rows.
+
+    `norms`, a float array with one entry per row, lends the perturbation
+    amplitude the rows' norms ||x|| where the caller knows them, and is NaN
+    where it does not; the NaN rows' norms are computed here, in one
+    stacked call.  A lent norm must equal stacked_norms on its row bit for
+    bit.  Without `norms` every row's norm is computed; a map with no
+    perturbation computes none."""
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     base = _involution_rows(f.base, f.spec, X)
     if f.perturbation.kind is PerturbationKind.NONE:
         return base
-    return base + _perturbation_rows(f.perturbation, f.spec, X)
+    return base + _perturbation_rows(f.perturbation, f.spec, X, norms)
 
 
 def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

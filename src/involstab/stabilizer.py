@@ -4,6 +4,7 @@ construction of the exact involution, and its error bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -13,7 +14,7 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
-from .maps import ApproxMap, eval_f_rows
+from .maps import ApproxMap, PerturbationKind, eval_f_rows
 
 
 class ControlKind(str, Enum):
@@ -109,6 +110,41 @@ class StabilizationTrace:
     converged: bool
 
 
+def _eval_steps(f: ApproxMap, X: np.ndarray,
+                norms: np.ndarray | None) -> tuple[np.ndarray, dict[int, OutOfRange]]:
+    """eval_f_rows(f, X, norms), with NaN rows where a perturbation
+    amplitude overflows, and the OutOfRange of each such row by index.
+    When the stacked call raises, the rows are evaluated one at a time: a
+    row's value does not depend on the others, so theirs stay bit for bit."""
+    try:
+        return eval_f_rows(f, X, norms), {}
+    except OutOfRange:
+        pass
+    values = np.full(X.shape, np.nan, dtype=np.complex128)
+    raised = {}
+    for i in range(len(X)):
+        try:
+            values[i] = eval_f_rows(f, X[i:i + 1], None if norms is None else norms[i:i + 1])[0]
+        except OutOfRange as exc:
+            raised[i] = exc
+    return values, raised
+
+
+def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
+    """The exception of the batch whose rows failed at the given (step,
+    exception), stepped together: an OutOfRange is raised at its step unless
+    a row before it failed at an earlier step, which ends the rows after it;
+    else the first failing row's exception is raised."""
+    lowest = math.inf
+    for step in sorted({n for n, _ in failed.values()}):
+        live = [k for k, (n, _) in failed.items() if n == step and k < lowest]
+        for k in live:
+            if isinstance(failed[k][1], OutOfRange):
+                return failed[k][1]
+        lowest = min([lowest, *live])
+    return failed[min(failed)][1]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def stabilize_points(
     f: ApproxMap,
@@ -120,10 +156,25 @@ def stabilize_points(
 ) -> list[StabilizationTrace]:
     """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every row x
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
-    at max_n.  The running points advance together: one stacked f
-    evaluation per step.  A point that fails leaves the batch; at the end
-    the exception of the first failing row of X is raised.  A non-finite
-    f value fails its row with IterateOverflow, not with a warning.
+    at max_n.
+
+    Every row advances in blocks of 1, 2, 4, 8, ... steps, its arguments
+    q^n x built by repeated multiplication by q.  A block is one stacked f
+    evaluation over the running rows' next steps and one stacked norm call
+    for their differences and previous iterates; then each row applies its
+    rules step by step, in order.  The steps of a block past a row's stop
+    are evaluated but raise nothing.  The perturbation amplitude reads
+    ||q^n x|| as q^n ||x||, with ||x|| computed once per row, wherever
+    algebra.exact_scaling_rows vouches for the bits; eval_f_rows computes
+    the rest (`norms=`).  A map with no perturbation computes no ||x||.
+
+    A row fails at the first step whose argument has an entry above 1e300
+    in modulus, or whose f value is not finite (IterateOverflow), or whose
+    difference grew for the 8th step running (NonCauchy).  The outcome is
+    that of stepping every row together: a perturbation amplitude that
+    overflows raises OutOfRange at its step, a failing row ends the rows
+    after it, and at the end the exception of the first failing row of X
+    is raised.
 
     `resume`, one trace or None per row, continues rows instead of starting
     them at a_0.  A row's trace must be its orbit under the same f and
@@ -139,110 +190,158 @@ def stabilize_points(
     resume = [None] * len(X) if resume is None else list(resume)
     if len(resume) != len(X):
         raise ValueError(f"{len(resume)} resumed traces for {len(X)} rows")
+    for k, tr in enumerate(resume):
+        if tr is not None and (tr.iterates.shape[1:] != f.spec.shape or tr.n_used > max_n):
+            raise ValueError(f"trace of row {k} does not fit the orbit "
+                             f"(shape {tr.iterates.shape}, max_n {max_n})")
     if not len(X):
         return []
     spec = f.spec
     q = complex(direction.q)
-    failures: dict[int, Exception] = {}
+    column = (-1,) + (1,) * len(spec.shape)
+    # Each row's iterates, as the chunks its orbit added them in.
     iterates: list[list[np.ndarray]] = [[] for _ in resume]
     diffs: list[list[float]] = [[] for _ in resume]
     increasing_run = [0] * len(resume)
     converged = [False] * len(resume)
+    # The step each failed row failed at, and its exception.  A row runs to
+    # max_n at most, and a row after a failed row no further than the step
+    # that row failed at: the batch stepped together drops it there.
+    failed: dict[int, tuple[int, Exception]] = {}
+    limit = [max_n] * len(X)
 
-    def drop_nonfinite(rows, arrays):
-        bad = ~np.isfinite(arrays[-1]).reshape(len(rows), -1).all(axis=1)
-        for k in rows[bad].tolist():
-            failures[k] = IterateOverflow("iterate f value is not finite")
-        return [a[~bad] for a in (rows, *arrays)] if bad.any() else [rows, *arrays]
+    def fail(k: int, n: int, exc: Exception) -> None:
+        failed[k] = (n, exc)
+        limit[k + 1:] = [min(m, n) for m in limit[k + 1:]]
 
+    norms = None
+    if f.perturbation.kind is not PerturbationKind.NONE:
+        norms = np.array(algebra.stacked_norms(spec, X))
     # Fresh rows start at a_0 = f(x).
-    running = np.array([k for k, tr in enumerate(resume) if tr is None], dtype=np.intp)
-    prev = np.empty((0, *spec.shape), dtype=np.complex128)
-    if len(running):
-        running, prev = drop_nonfinite(running, [eval_f_rows(f, X[running])])
-        for k, a in zip(running.tolist(), prev):
-            iterates[k].append(a)
+    fresh = [k for k, tr in enumerate(resume) if tr is None]
+    if fresh:
+        A = eval_f_rows(f, X[fresh], None if norms is None else norms[fresh])
+        finite = np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()
+        for j, (k, ok) in enumerate(zip(fresh, finite)):
+            if ok:
+                iterates[k].append(A[j:j + 1])
+            else:
+                fail(k, 0, IterateOverflow("iterate f value is not finite"))
     # A resumed row takes over its trace: the iterates, the diffs and the
     # run of increasing diffs so far.  A row the trace saw converge stops
     # if its last step also meets tol_rel; one at max_n stops there.
     resumed = [k for k, tr in enumerate(resume) if tr is not None]
     for k in resumed:
         tr = resume[k]
-        if tr.iterates.shape[1:] != spec.shape or tr.n_used > max_n:
-            raise ValueError(f"trace of row {k} does not fit the orbit "
-                             f"(shape {tr.iterates.shape}, max_n {max_n})")
-        iterates[k], diffs[k] = list(tr.iterates), list(tr.diffs)
+        iterates[k], diffs[k] = [tr.iterates], list(tr.diffs)
         for a, b in zip(tr.diffs, tr.diffs[1:]):
             increasing_run[k] = increasing_run[k] + 1 if b > a else 0
     stopped = [k for k in resumed if resume[k].converged]
     if stopped:
-        last_norms = algebra.stacked_norms(spec, np.stack([iterates[k][-2] for k in stopped]))
+        last_norms = algebra.stacked_norms(spec, np.stack([resume[k].iterates[-2] for k in stopped]))
         for k, norm in zip(stopped, last_norms):
             converged[k] = diffs[k][-1] <= tol_rel * max(1.0, norm)
-    wait_rows = np.array([k for k in resumed if not converged[k] and len(diffs[k]) < max_n],
-                         dtype=np.intp)
-    # A waiting row joins when the loop reaches the step its trace ended
-    # at; until then its argument is scaled along, so q^n x comes from the
-    # same n multiplications as in a fresh orbit.
-    wait_steps = np.array([len(diffs[k]) for k in wait_rows.tolist()], dtype=np.intp)
-    wait_X, X = X[wait_rows], X[running]
-    scale_n = 1.0
-    for step in range(max_n):
-        if len(wait_rows):
-            joins = wait_steps == step
-            if joins.any():
-                rows = wait_rows[joins]
-                running = np.concatenate([running, rows])
-                X = np.concatenate([X, wait_X[joins]])
-                prev = np.concatenate([prev, np.stack([iterates[k][-1] for k in rows.tolist()])])
-                stay = ~joins
-                wait_rows, wait_steps, wait_X = wait_rows[stay], wait_steps[stay], wait_X[stay]
-            wait_X = q * wait_X
-        if failures:
-            # Points after the first failure cannot change what is raised.
-            keep = running < min(failures)
-            running, X, prev = running[keep], X[keep], prev[keep]
-            keep = wait_rows < min(failures)
-            wait_rows, wait_steps, wait_X = wait_rows[keep], wait_steps[keep], wait_X[keep]
-        scale_n /= direction.q
-        if not len(running):
-            if not len(wait_rows):
-                break
-            continue
-        X = q * X
-        bad = np.abs(X).reshape(len(running), -1).max(axis=1) > 1e300
-        for k in running[bad].tolist():
-            failures[k] = IterateOverflow("iterate argument norm exceeded 1e300")
-        running, X, prev = running[~bad], X[~bad], prev[~bad]
-        if not len(running):
-            continue
-        running, X, prev, A = drop_nonfinite(
-            running, [X, prev, complex(scale_n) * eval_f_rows(f, X)])
-        # ||a - prev|| and ||prev|| of every running point in one call.
-        norms = algebra.stacked_norms(spec, np.concatenate([A - prev, prev]))
-        step_diffs, prev_norms = norms[:len(A)], norms[len(A):]
-        going = np.zeros(len(running), dtype=bool)
-        for j, k in enumerate(running.tolist()):
-            d = step_diffs[j]
-            if diffs[k] and d > diffs[k][-1]:
-                increasing_run[k] += 1
-                if increasing_run[k] >= 8:
-                    failures[k] = NonCauchy("successive differences grew 8 consecutive steps")
-                    continue
+
+    # q^{-n} and q^n for n = 0 .. max_n, by the repeated division and
+    # multiplication of a step-by-step orbit.
+    scales, powers = [1.0], [1.0]
+    for _ in range(max_n):
+        scales.append(scales[-1] / direction.q)
+        powers.append(powers[-1] * direction.q)
+    scales, powers = np.array(scales, dtype=np.complex128), np.array(powers)
+    if norms is not None:
+        # NaN where ||x|| may not scale exactly: eval_f_rows computes those.
+        norms = np.where(algebra.exact_scaling_rows(X), norms, np.nan)
+    # The running rows, each at its own depth, with its argument q^depth x
+    # (from `depth` multiplications, as a fresh orbit builds it) and its
+    # last iterate.
+    rows = np.array([k for k, its in enumerate(iterates) if its and not converged[k]
+                     and len(diffs[k]) < limit[k]], dtype=np.intp)
+    depth = np.array([len(diffs[k]) for k in rows.tolist()], dtype=np.intp)
+    cur = X[rows]
+    for step in range(depth.max(initial=0)):
+        deeper = depth > step
+        cur[deeper] = q * cur[deeper]
+    prev = np.array([iterates[k][-1][-1] for k in rows.tolist()],
+                    dtype=np.complex128).reshape(len(rows), *spec.shape)
+    block = 1
+    while len(rows):
+        steps = np.minimum(block, np.array(limit)[rows] - depth)
+        width = int(steps.max())
+        args = np.empty((len(rows), width, *spec.shape), dtype=np.complex128)
+        arg = cur
+        for j in range(width):
+            arg = q * arg
+            args[:, j] = arg
+        ns = depth[:, None] + np.arange(1, width + 1)
+        within = np.arange(width) < steps[:, None]
+        # A row's block ends at its first argument past the guard.
+        guarded = within & (np.abs(args).reshape(*ns.shape, -1).max(axis=2) > 1e300)
+        evaluate = within & (np.cumsum(guarded, axis=1) == 0)
+        A = np.full(args.shape, np.nan, dtype=np.complex128)
+        raised: dict[tuple[int, int], OutOfRange] = {}
+        if evaluate.any():
+            lent = None
+            if norms is not None:
+                lent = powers[ns[evaluate]] * np.broadcast_to(norms[rows][:, None], ns.shape)[evaluate]
+                lent[~algebra.exact_scaling_rows(args[evaluate])] = np.nan
+            values, overflows = _eval_steps(f, args[evaluate], lent)
+            A[evaluate] = scales[ns[evaluate]].reshape(column) * values
+            if overflows:
+                cells = np.argwhere(evaluate).tolist()
+                raised = {tuple(cells[index]): exc for index, exc in overflows.items()}
+        # A guarded, overflowing or non-finite step ends the row's block.
+        bad = within & ~np.isfinite(A).reshape(*ns.shape, -1).all(axis=2)
+        end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
+        # ||a_n - a_{n-1}|| and ||a_{n-1}|| of every step up to each row's end.
+        kept = np.arange(width) < end[:, None]
+        P = np.concatenate([prev[:, None], A[:, :-1]], axis=1)[kept]
+        step_norms = algebra.stacked_norms(spec, np.concatenate([A[kept] - P, P])) if len(P) else []
+        step_diffs, prev_norms = step_norms[:len(P)], step_norms[len(P):]
+        going = []
+        pos = 0
+        for i, (k, n, e, b) in enumerate(zip(rows.tolist(), depth.tolist(), end.tolist(),
+                                            steps.tolist())):
+            ds = diffs[k]
+            taken = e
+            for j in range(e):
+                d = step_diffs[pos + j]
+                if ds and d > ds[-1]:
+                    increasing_run[k] += 1
+                    if increasing_run[k] >= 8:
+                        fail(k, n + j + 1, NonCauchy("successive differences grew 8 consecutive steps"))
+                        taken = j
+                        break
+                else:
+                    increasing_run[k] = 0
+                ds.append(d)
+                if d <= tol_rel * max(1.0, prev_norms[pos + j]):
+                    converged[k] = True
+                    taken = j + 1
+                    break
             else:
-                increasing_run[k] = 0
-            iterates[k].append(A[j])
-            diffs[k].append(d)
-            if d <= tol_rel * max(1.0, prev_norms[j]):
-                converged[k] = True
-            else:
-                going[j] = True
-        running, X, prev = running[going], X[going], A[going]
-    if failures:
-        raise failures[min(failures)]
+                if e < b:
+                    if guarded[i, e]:
+                        exc = IterateOverflow("iterate argument norm exceeded 1e300")
+                    else:
+                        exc = raised.get((i, e)) or IterateOverflow("iterate f value is not finite")
+                    fail(k, n + e + 1, exc)
+                elif n + b < limit[k]:
+                    # Rows run in order: a failure has already cut this
+                    # row's limit if it is going to.
+                    going.append(i)
+            if taken:
+                iterates[k].append(A[i, :taken])
+            pos += e
+        last = steps[going] - 1
+        rows, depth = rows[going], depth[going] + steps[going]
+        cur, prev = args[going, last], A[going, last]
+        block *= 2
+    if failed:
+        raise _batch_outcome(failed)
     traces = []
-    for its, ds, conv in zip(iterates, diffs, converged):
-        its = np.stack(its)
+    for chunks, ds, conv in zip(iterates, diffs, converged):
+        its = np.concatenate(chunks)
         its.setflags(write=False)
         traces.append(StabilizationTrace(its, ds, len(ds), conv))
     return traces

@@ -178,6 +178,69 @@ class TestNormProperties:
         assert abs(got - ref) <= 1e-13 * ref
 
 
+_SPECS = {"scalar": SCALAR, "pointwise3": pointwise_spec(3), "matrix2": M2,
+          "matrix3": matrix_spec(3)}
+
+
+@st.composite
+def scaled_stacks(draw):
+    """(spec, X, q, n): a stack whose parts are 0 or m * 2^e with m in
+    [1, 2) and |e| <= 330, rows spread over up to 2^60, and a power q^n
+    with n <= 60, so that X and q^n X stay inside EXACT_SCALING_RANGE
+    (2^-398 .. 2^398)."""
+    spec = _SPECS[draw(st.sampled_from(sorted(_SPECS)))]
+    rows = draw(st.integers(1, 4))
+    size = rows * 2 * spec.n_entries
+    center = draw(st.integers(-300, 300))
+    exps = draw(st.lists(st.integers(center - 30, center + 30), min_size=size, max_size=size))
+    mants = draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    parts = np.array([s * math.ldexp(m, e) for s, m, e in zip(signs, mants, exps)])
+    X = parts.view(np.complex128).reshape(rows, *spec.shape)
+    return spec, X, draw(st.sampled_from([2.0, 0.5])), draw(st.integers(0, 60))
+
+
+class TestExactScaling:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(scaled_stacks())
+    def test_norm_scales_bit_for_bit(self, case):
+        # The identity the scaling orbit relies on to lend ||q^n x|| as
+        # q^n ||x||; q^n X is built as the orbit builds it.
+        spec, X, q, n = case
+        Y, power = X, 1.0
+        for _ in range(n):
+            Y, power = complex(q) * Y, power * q
+        assert algebra.exact_scaling_rows(X).all() and algebra.exact_scaling_rows(Y).all()
+        assert algebra.stacked_norms(spec, Y) == [power * v for v in algebra.stacked_norms(spec, X)]
+
+    def test_range_edges(self):
+        lo, hi = algebra.EXACT_SCALING_RANGE
+        inside = [0.0, lo, hi, -lo, -hi, 1.0]
+        outside = [lo / 2, hi * 2, 1e-140, 1e140, 5e-324, math.inf, math.nan]
+        for part in inside:
+            for row in ([part, 1.0], [1.0, part]):
+                assert algebra.exact_scaling_rows(np.array(row).view(complex)[None])
+        for part in outside:
+            for row in ([part, 1.0], [1.0, part]):
+                assert not algebra.exact_scaling_rows(np.array(row).view(complex)[None])
+
+    @pytest.mark.parametrize("spec", list(_SPECS.values()), ids=list(_SPECS))
+    @pytest.mark.parametrize("size", [1e-140, 1e140])
+    def test_lent_norms_recomputed_near_lapack_thresholds(self, spec, size, rng):
+        # Rows with entries near where LAPACK rescales are outside the
+        # range, so the orbit lends them NaN and eval_f_rows computes their
+        # norms; a lent NaN row matches an unlent one bit for bit.
+        f = ApproxMap(maps.adjoint(), maps.PerturbationSpec("fixed_direction", 0.1, 0.5, 5),
+                      spec)
+        X = complex(size) * sample_stack(spec, 8, rng)
+        assert not algebra.exact_scaling_rows(X).any()
+        lent = np.full(len(X), np.nan)
+        lent[::2] = algebra.stacked_norms(spec, X[::2])
+        want = maps.eval_f_rows(f, X)
+        assert maps.eval_f_rows(f, X, norms=lent).tobytes() == want.tobytes()
+        assert maps.eval_f_rows(f, X, norms=np.full(len(X), np.nan)).tobytes() == want.tobytes()
+
+
 class TestConjTranspose:
     # The adjoint on stacks: conjugate transpose for matrices, entrywise
     # conjugate otherwise.

@@ -105,7 +105,15 @@ class TestRun:
     def test_each_key_stabilized_once(self, monkeypatch, cstar):
         # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
         # across all stages and the trace rows, and the deeper C* batch
-        # evaluates f only on the steps past each bound-depth trace.
+        # evaluates f only on the steps past each bound-depth trace.  A row
+        # evaluates whole blocks of 1, 2, 4, ... steps from where it starts,
+        # up to the block that holds its stop, capped at max_n.
+        def block_steps(start, stop, max_n):
+            depth, block = start, 1
+            while depth < stop:
+                depth, block = min(depth + block, max_n), 2 * block
+            return depth - start
+
         batches, batch_steps, row_steps, traced = [], [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
@@ -117,9 +125,9 @@ class TestRun:
             traced.update(zip(batches[-1], traces))
             return traces
 
-        def counting_rows(f, X):
+        def counting_rows(f, X, norms=None):
             row_steps.append(len(X))
-            return eval_f_rows(f, X)
+            return eval_f_rows(f, X, norms=norms)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         monkeypatch.setattr(stabilizer, "eval_f_rows", counting_rows)
@@ -136,12 +144,13 @@ class TestRun:
         assert len(calls) == len(set(calls))
         for keys, steps in zip(batches, batch_steps):
             if keys[0][2] == sc.max_n:
-                # A fresh orbit evaluates a_0, then one row per step.
-                assert steps == sum(traced[key].n_used + 1 for key in keys)
+                # A fresh orbit evaluates a_0, then its blocks.
+                assert steps == sum(1 + block_steps(0, traced[key].n_used, sc.max_n)
+                                    for key in keys)
             else:
-                assert steps == sum(
-                    traced[key].n_used - traced[(key[0], key[1], sc.max_n, sc.tol_rel)].n_used
-                    for key in keys)
+                assert steps == sum(block_steps(
+                    traced[(key[0], key[1], sc.max_n, sc.tol_rel)].n_used, traced[key].n_used,
+                    sc.cstar_max_n) for key in keys)
 
     def test_error_bounds_once_per_pass(self, monkeypatch):
         # The trace rows read the bound stage's per-probe bounds.
@@ -273,9 +282,19 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, kinds", [
+        ("algebra", "AlgebraKind"), ("perturbation", "PerturbationKind"),
+        ("perturbation2", "PerturbationKind"), ("control", "ControlKind"),
+    ])
+    def test_unknown_kind_names_key(self, tmp_path, capsys, section, kinds):
+        cfg = small_config()
+        cfg.setdefault(section, {})["kind"] = "custom"
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}.kind: 'custom' is not a valid {kinds}\n")
+
     @pytest.mark.parametrize("section, key, value", [
-        # A kind no control has; the error names the section.
-        ("control", "kind", "custom"),
+        ("control", "kind", "custom"),  # a kind no control has
         ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
         ("sampling", "seed", -1), ("lambda", "seed", -1),
         ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
@@ -292,8 +311,7 @@ class TestExitCodes:
         cfg = small_config()
         cfg.setdefault(section, {})[key] = value
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-        name = section if key == "kind" else f"{section}.{key}"
-        assert name in capsys.readouterr().err
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_integral_float_count_accepted(self, tmp_path):
         out_int, out_float = tmp_path / "int", tmp_path / "float"

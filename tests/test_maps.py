@@ -434,10 +434,11 @@ class TestPerturbationRows:
     @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
     @pytest.mark.parametrize("seed", [None, 4])
     def test_rows_match_per_row_scaling(self, any_spec, rng, kind, seed):
+        # More rows than two of the chunks hashed directions are drawn in.
         p = PerturbationSpec(kind, 0.1, 0.5, direction_seed=seed)
         X = np.concatenate([np.zeros((1, *any_spec.shape), dtype=np.complex128),
                             np.full((1, *any_spec.shape), -1e-9 + 0j),
-                            sample_stack(any_spec, 6, rng, (1e-7, 10.0))])
+                            sample_stack(any_spec, 2 * maps._HASH_CHUNK + 6, rng, (1e-7, 10.0))])
         got = maps._perturbation_rows(p, any_spec, X)
         for k, x in enumerate(X):
             amplitude = 0.1 * algebra.stacked_norms(any_spec, x[None])[0] ** 0.5

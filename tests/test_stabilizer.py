@@ -5,7 +5,8 @@ import pytest
 
 from involstab import algebra, maps, stabilizer
 from involstab.algebra import SCALAR, matrix_spec
-from involstab.errors import NoContraction, NonCauchy, OutOfRange, IterateOverflow, SpecMismatch
+from involstab.errors import (
+    InvolStabError, IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch)
 from involstab.maps import ApproxMap, PerturbationSpec
 from involstab.stabilizer import (
     ControlKind,
@@ -365,6 +366,183 @@ class TestResumedOrbits:
             stabilize_points(f, UP, np.array([[4 + 0j]]), 20, resume=[tr])
         with pytest.raises(ValueError):
             stabilize_points(f, UP, np.array([[4 + 0j]]), 48, resume=[])
+
+
+def raised(f, X, max_n=48, tol_rel=1e-10, resume=None):
+    """The type and message of the exception a batch raises."""
+    with pytest.raises(InvolStabError) as info:
+        stabilize_points(f, UP, X, max_n, tol_rel, resume=resume)
+    return type(info.value), str(info.value)
+
+
+NON_CAUCHY = (NonCauchy, "successive differences grew 8 consecutive steps")
+NOT_FINITE = (IterateOverflow, "iterate f value is not finite")
+GUARD = (IterateOverflow, "iterate argument norm exceeded 1e300")
+# Every nonzero row of R40 has differences that grow from step 1, so it
+# fails NonCauchy at step 9 unless its amplitude (2^n x)^40 overflows first,
+# at step 26 - m for x = 2^m.
+R40 = ApproxMap(maps.conjugation(), radial(0.1, 40.0), SCALAR)
+# Three rows of one map that fail inside the block of steps 8..15: NC10 by
+# NonCauchy at step 10, NC13 at step 13; OOR11's amplitude overflows at
+# step 11.
+RANDOM_R2 = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 2.0, 3),
+                      algebra.pointwise_spec(2))
+NC10 = np.array([1, 1], dtype=complex)
+NC13 = np.array([5 + 1j, 1])
+OOR11 = np.array([2.0 ** 501, 5 * 2.0 ** 489], dtype=complex)
+OUT_OF_RANGE = (OutOfRange, "perturbation amplitude overflows at r = 2.0")
+
+
+class TestSpeculativeSteps:
+    """A block evaluates steps past a row's stop, which raise nothing: a
+    batch ends as the one-step-at-a-time loop ends it, with the same
+    exception from the same row.  Each expected outcome below is the one
+    that loop gave."""
+
+    @pytest.mark.parametrize("x, step, failure", [
+        (NC10, 10, NON_CAUCHY), (NC13, 13, NON_CAUCHY), (OOR11, 11, OUT_OF_RANGE)])
+    def test_rows_fail_at_their_steps(self, x, step, failure):
+        tr = stabilize_points(RANDOM_R2, UP, x[None], step - 1)[0]
+        assert (tr.n_used, tr.converged) == (step - 1, False)
+        assert raised(RANDOM_R2, x[None], step) == failure
+
+    @pytest.mark.parametrize("m, failure", [
+        (14, NON_CAUCHY),  # the amplitude overflows at step 12, past the stop
+        (16, NON_CAUCHY),  # at step 10, the first step past it
+        (17, (OutOfRange, "perturbation amplitude overflows at r = 40.0")),  # at step 9
+    ])
+    def test_amplitude_overflow_past_the_stop(self, m, failure):
+        assert raised(R40, np.array([[2.0 ** m + 0j]])) == failure
+
+    @pytest.mark.parametrize("tol_rel, outcome", [(7e-152, (9, True)), (5e-152, GUARD)])
+    def test_guard_past_the_stop(self, tol_rel, outcome):
+        # The argument passes the guard at step 10; at 7e-152 the row
+        # converges at step 9, in the same block.
+        f = ApproxMap(maps.conjugation(), radial(0.1, 0.5), algebra.pointwise_spec(2))
+        X = np.array([[1e297, 1]], dtype=complex)
+        if outcome is GUARD:
+            assert raised(f, X, tol_rel=tol_rel) == GUARD
+        else:
+            tr = stabilize_points(f, UP, X, 48, tol_rel)[0]
+            assert (tr.n_used, tr.converged) == outcome
+
+    @pytest.mark.parametrize("m, failure", [
+        (484, NON_CAUCHY),  # f is not finite from step 12, past the stop at 9
+        (487, NOT_FINITE),  # from step 9, before the NonCauchy rule runs
+    ])
+    def test_nonfinite_value_past_the_stop(self, m, failure):
+        f = ApproxMap(maps.conjugation(), radial(1e10, 2.0), SCALAR)
+        assert raised(f, np.array([[2.0 ** m + 0j]])) == failure
+
+    @pytest.mark.parametrize("rows, failure, row", [
+        # A failure ends the rows after it at its step, so OOR11 never
+        # reaches step 11 behind NC10 ...
+        ([NC10, OOR11], NON_CAUCHY, 0),
+        ([np.zeros(2, complex), NC10, OOR11], NON_CAUCHY, 1),
+        ([NC10, NC13, OOR11], NON_CAUCHY, 0),
+        # ... but does in front of it, or behind a row failing later.
+        ([OOR11, NC10], OUT_OF_RANGE, 0),
+        ([NC13, OOR11], OUT_OF_RANGE, 1),
+    ])
+    def test_non_cauchy_mid_block_with_rows_running(self, rows, failure, row):
+        X = np.stack(rows)
+        assert raised(RANDOM_R2, X) == failure == raised(RANDOM_R2, X[row:row + 1])
+
+    @pytest.mark.parametrize("depths, failure", [
+        ((5, None), OUT_OF_RANGE),  # OOR11 then NC10
+        ((None, 3), NON_CAUCHY),  # NC10 then OOR11
+        ((6, None), NON_CAUCHY),  # NC10 then OOR11
+        ((7, 2), OUT_OF_RANGE),  # NC13 then OOR11
+    ], ids=["resumed-oor-first", "resumed-oor-second", "resumed-nc-first", "both-resumed"])
+    def test_resumed_rows_join_mid_block(self, depths, failure):
+        # A resumed row starts at its trace's depth, so its blocks straddle
+        # the fresh rows' blocks.
+        first = OOR11 if depths == (5, None) else NC13 if depths == (7, 2) else NC10
+        X = np.stack([first, NC10 if first is OOR11 else OOR11])
+        resume = [None if n is None else stabilize_points(RANDOM_R2, UP, x[None], n)[0]
+                  for x, n in zip(X, depths)]
+        assert raised(RANDOM_R2, X, resume=resume) == failure == raised(RANDOM_R2, X)
+
+
+def counting_calls(monkeypatch):
+    """Record the stacks eval_f_rows (as the orbit calls it) and
+    algebra.stacked_norms are called on."""
+    calls = {"eval_f_rows": [], "stacked_norms": []}
+    eval_f_rows, stacked_norms = stabilizer.eval_f_rows, algebra.stacked_norms
+
+    def counting_eval(f, X, norms=None):
+        calls["eval_f_rows"].append((X, norms))
+        return eval_f_rows(f, X, norms=norms)
+
+    def counting_norms(spec, stack):
+        calls["stacked_norms"].append(stack)
+        return stacked_norms(spec, stack)
+
+    monkeypatch.setattr(stabilizer, "eval_f_rows", counting_eval)
+    monkeypatch.setattr(algebra, "stacked_norms", counting_norms)
+    return calls
+
+
+class TestOrbitBlocks:
+    @pytest.mark.parametrize("perturbation", [radial(0.1, 0.5, seed=5), maps.NO_PERTURBATION],
+                             ids=["fixed-direction", "none"])
+    def test_calls_per_batch(self, monkeypatch, rng, perturbation):
+        # 40 points that none converge by step 48: a_0 and blocks of 1, 2,
+        # 4, 8, 16 and 17 steps.
+        f = ApproxMap(maps.adjoint(), perturbation, M2)
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(40)])
+        calls = counting_calls(monkeypatch)
+        tol_rel = 1e-10 if perturbation.kind.value != "none" else 1e-300
+        traces = stabilize_points(f, UP, X, 48, tol_rel)
+        if perturbation.kind.value != "none":
+            assert not any(tr.converged for tr in traces)
+            assert [tr.n_used for tr in traces] == [48] * 40
+        evals = calls["eval_f_rows"]
+        assert len(evals) <= math.ceil(math.log2(49)) + 1
+        # Every argument q^n x the orbit evaluates, n = 0 .. 48.
+        args, Y = set(), X
+        for _ in range(49):
+            args.update(row.tobytes() for row in Y)
+            Y = complex(UP.q) * Y
+        on_args = [stack for stack in calls["stacked_norms"]
+                   if any(row.tobytes() in args for row in stack)]
+        if perturbation.kind.value == "none":
+            assert on_args == [] and all(norms is None for _, norms in evals)
+        else:
+            # One norm per point for the whole batch; every block lends
+            # q^n ||x|| for each argument.
+            assert len(on_args) == 1 and on_args[0].tobytes() == X.tobytes()
+            assert all(not np.isnan(norms).any() for _, norms in evals)
+        if len(traces[0].diffs) == 48:
+            assert [len(A) for A, _ in evals] == [40, 40, 80, 160, 320, 640, 680]
+
+    @pytest.mark.parametrize("direction, corner, rest, tol_rel, lent", [
+        # Arguments from 1e110 up to about 8e138, and from 1e-110 down to
+        # about 1e-139: in the exact-scaling range at first, then outside
+        # it and past LAPACK's rescaling thresholds.
+        (UP, 1e110, 1.0, 1e-70, "some"),
+        (DOWN, 1e-110, 0.0, 1e-200, "some"),
+        # From about 1e-140: x itself is outside, so no step is lent a norm.
+        (UP, 1e-140, 1e-140, 1e-100, "none"),
+    ], ids=["huge-q-2", "tiny-q-half", "tiny-start"])
+    def test_recompute_path_near_lapack_thresholds(self, monkeypatch, rng, direction, corner,
+                                                   rest, tol_rel, lent):
+        r = 0.5 if direction is UP else 1.5
+        f = ApproxMap(maps.adjoint(), radial(0.1, r, seed=5), M2)
+        scale = np.array([[corner, rest], [rest, rest]], dtype=complex)
+        X = np.stack([scale * algebra.sample_element(M2, (0.5, 2.0), rng) for _ in range(4)])
+        calls = counting_calls(monkeypatch)
+        traces = stabilize_points(f, direction, X, 96, tol_rel)
+        # Each block's lent norms: q^n ||x|| inside the range, NaN outside.
+        lent_norms = np.concatenate([norms for _, norms in calls["eval_f_rows"][1:]])
+        assert np.isnan(lent_norms).any()
+        assert np.isnan(lent_norms).all() == (lent == "none")
+        monkeypatch.undo()
+        for x, tr in zip(X, traces):
+            iterates, diffs, conv = reference_orbit(f, direction, x, 96, tol_rel)
+            assert tr.iterates.tobytes() == np.stack(iterates).tobytes()
+            assert (tr.diffs, tr.converged) == (diffs, conv)
+            assert tr.n_used > 80
 
 
 class TestErrorBound:

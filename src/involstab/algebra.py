@@ -97,6 +97,19 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def operator_norm_bounds(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on the operator norms of a stack of finite matrices
+    shaped (N, d, d), one per row, at the cost of a sum of squares: never
+    below stacked_norms on the row, and inf where the squares overflow."""
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    # ||A||_2 <= ||A||_F.  The factor covers the rounding of the sum of
+    # squares and of LAPACK's largest singular value, a few ulps per entry,
+    # for d up to about a thousand.  A square or partial sum that underflows
+    # loses at most 2^-1075, so the 4d^2 of them lower the Frobenius norm by
+    # under d * 2^-536, which the added 1e-150 covers.
+    return np.sqrt(np.einsum("ijk,ijk->i", parts, parts)) * (1.0 + 1e-8) + 1e-150
+
+
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
     """Algebra norms of a stack of raw entry arrays shaped (N, *spec.shape),
     one per row: modulus, operator norm, or sup norm by kind."""

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraSpec
+from .algebra import AlgebraKind, AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
 from .maps import ApproxMap, PerturbationKind, eval_f_rows
 
@@ -130,6 +130,41 @@ def _eval_steps(f: ApproxMap, X: np.ndarray,
     return values, raised
 
 
+def _meets_tol(spec: AlgebraSpec, diffs: np.ndarray, P: np.ndarray, rows: np.ndarray,
+               tol_rel: float, norms: np.ndarray | None = None) -> np.ndarray:
+    """The stop test d <= tol_rel * max(1, ||p||) of each step, from its
+    diff d and previous iterate p (the rows of P).  `rows` numbers each
+    step's orbit row, a row's steps in order; `norms` are the ||p|| where
+    the caller has them.  A row stops at its first step that meets the
+    test, so the steps after it may read the bound's answer.
+
+    An operator norm costs an svd, so a matrix step is first tested against
+    an upper bound on ||p||: a step that fails that test fails the exact
+    one, rounding being monotone, and a bound that is not finite leaves its
+    step open.  Each row's first open step computes ||p||, and its later
+    open steps do only if that one fails the exact test."""
+    if norms is None and spec.kind is not AlgebraKind.MATRIX:
+        norms = np.array(algebra.stacked_norms(spec, P))
+    if norms is not None:
+        return diffs <= tol_rel * np.maximum(1.0, norms)
+    met = diffs <= tol_rel * np.maximum(1.0, algebra.operator_norm_bounds(P))
+    open_steps = np.flatnonzero(met)
+    if not open_steps.size:
+        return met
+
+    def test(steps):
+        exact = np.array(algebra.stacked_norms(spec, P[steps]))
+        met[steps] = diffs[steps] <= tol_rel * np.maximum(1.0, exact)
+
+    first = np.diff(rows[open_steps], prepend=-1) != 0
+    heads, later = open_steps[first], open_steps[~first]
+    test(heads)
+    missed = rows[heads[~met[heads]]]
+    if missed.size:
+        test(later[np.isin(rows[later], missed)])
+    return met
+
+
 def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
     """The exception of the batch whose rows failed at the given (step,
     exception), stepped together: an OutOfRange is raised at its step unless
@@ -161,12 +196,15 @@ def stabilize_points(
     Every row advances in blocks of 1, 2, 4, 8, ... steps, its arguments
     q^n x built by repeated multiplication by q.  A block is one stacked f
     evaluation over the running rows' next steps and one stacked norm call
-    for their differences and previous iterates; then each row applies its
-    rules step by step, in order.  The steps of a block past a row's stop
-    are evaluated but raise nothing.  The perturbation amplitude reads
-    ||q^n x|| as q^n ||x||, with ||x|| computed once per row, wherever
-    algebra.exact_scaling_rows vouches for the bits; eval_f_rows computes
-    the rest (`norms=`).  A map with no perturbation computes no ||x||.
+    for their differences; then each row applies its rules step by step, in
+    order.  The stop test reads a matrix's ||a_n|| from its Frobenius bound,
+    and computes the operator norm only where the bound leaves the test open
+    (`_meets_tol`); scalar and sup norms come from the differences' call.
+    The steps of a block past a row's stop are evaluated but raise
+    nothing.  The perturbation amplitude reads ||q^n x|| as q^n ||x||, with
+    ||x|| computed once per row, wherever algebra.exact_scaling_rows
+    vouches for the bits; eval_f_rows computes the rest (`norms=`).  A map
+    with no perturbation computes no ||x||.
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
@@ -238,9 +276,11 @@ def stabilize_points(
             increasing_run[k] = increasing_run[k] + 1 if b > a else 0
     stopped = [k for k in resumed if resume[k].converged]
     if stopped:
-        last_norms = algebra.stacked_norms(spec, np.stack([resume[k].iterates[-2] for k in stopped]))
-        for k, norm in zip(stopped, last_norms):
-            converged[k] = diffs[k][-1] <= tol_rel * max(1.0, norm)
+        met = _meets_tol(spec, np.array([diffs[k][-1] for k in stopped]),
+                         np.stack([resume[k].iterates[-2] for k in stopped]),
+                         np.arange(len(stopped)), tol_rel)
+        for k, ok in zip(stopped, met.tolist()):
+            converged[k] = ok
 
     # q^{-n} and q^n for n = 0 .. max_n, by the repeated division and
     # multiplication of a step-by-step orbit.
@@ -293,11 +333,18 @@ def stabilize_points(
         # A guarded, overflowing or non-finite step ends the row's block.
         bad = within & ~np.isfinite(A).reshape(*ns.shape, -1).all(axis=2)
         end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
-        # ||a_n - a_{n-1}|| and ||a_{n-1}|| of every step up to each row's end.
+        # ||a_n - a_{n-1}|| and the stop test of every step up to each row's
+        # end.  Scalar and sup norms are cheap: one call gives the diffs and
+        # ||a_{n-1}|| too.
         kept = np.arange(width) < end[:, None]
         P = np.concatenate([prev[:, None], A[:, :-1]], axis=1)[kept]
-        step_norms = algebra.stacked_norms(spec, np.concatenate([A[kept] - P, P])) if len(P) else []
-        step_diffs, prev_norms = step_norms[:len(P)], step_norms[len(P):]
+        if spec.kind is AlgebraKind.MATRIX:
+            step_diffs, prev_norms = algebra.stacked_norms(spec, A[kept] - P), None
+        else:
+            step_norms = algebra.stacked_norms(spec, np.concatenate([A[kept] - P, P]))
+            step_diffs, prev_norms = step_norms[:len(P)], np.array(step_norms[len(P):])
+        met = _meets_tol(spec, np.array(step_diffs), P, np.nonzero(kept)[0], tol_rel,
+                         prev_norms).tolist()
         going = []
         pos = 0
         for i, (k, n, e, b) in enumerate(zip(rows.tolist(), depth.tolist(), end.tolist(),
@@ -315,7 +362,7 @@ def stabilize_points(
                 else:
                     increasing_run[k] = 0
                 ds.append(d)
-                if d <= tol_rel * max(1.0, prev_norms[pos + j]):
+                if met[pos + j]:
                     converged[k] = True
                     taken = j + 1
                     break

@@ -178,6 +178,20 @@ class TestNormProperties:
         assert abs(got - ref) <= 1e-13 * ref
 
 
+@st.composite
+def scaled_matrix_stacks(draw):
+    """A stack of general or rank-1 d x d matrices, d = 1..4, scaled by a
+    power of ten from 1e-300 to 1e160: across the underflow of the squares
+    of the entries and their overflow above about 1e154."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 3))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=2 * rows * d * d, max_size=2 * rows * d * d)
+    M = np.array(draw(parts)).view(np.complex128).reshape(rows, d, d)
+    if draw(st.booleans()):
+        M = M[:, :, :1] * M[:, :1, :].conj()
+    return M * 10.0 ** draw(st.integers(-300, 160))
+
+
 _SPECS = {"scalar": SCALAR, "pointwise3": pointwise_spec(3), "matrix2": M2,
           "matrix3": matrix_spec(3)}
 
@@ -198,6 +212,17 @@ def scaled_stacks(draw):
     parts = np.array([s * math.ldexp(m, e) for s, m, e in zip(signs, mants, exps)])
     X = parts.view(np.complex128).reshape(rows, *spec.shape)
     return spec, X, draw(st.sampled_from([2.0, 0.5])), draw(st.integers(0, 60))
+
+
+class TestOperatorNormBounds:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(scaled_matrix_stacks())
+    @example(np.ones((1, 2, 2), dtype=complex))
+    @example(np.full((1, 3, 3), 1e-300, dtype=complex))
+    @example(np.full((1, 2, 2), 1e155 + 1e155j))
+    def test_never_below_the_operator_norm(self, M):
+        norms = algebra.stacked_norms(matrix_spec(M.shape[1]), M)
+        assert all(algebra.operator_norm_bounds(M) >= norms)
 
 
 class TestExactScaling:

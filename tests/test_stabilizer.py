@@ -513,8 +513,25 @@ class TestOrbitBlocks:
             # q^n ||x|| for each argument.
             assert len(on_args) == 1 and on_args[0].tobytes() == X.tobytes()
             assert all(not np.isnan(norms).any() for _, norms in evals)
+            # The stop test bounds ||a_{n-1}|| without an svd: the orbit's
+            # other norm rows are the differences of the 40 * 48 kept steps.
+            iterates = {row.tobytes() for tr in traces for row in tr.iterates}
+            on_steps = [stack for stack in calls["stacked_norms"] if stack is not on_args[0]]
+            assert sum(map(len, on_steps)) == 40 * 48
+            assert not any(row.tobytes() in iterates for stack in on_steps for row in stack)
         if len(traces[0].diffs) == 48:
             assert [len(A) for A, _ in evals] == [40, 40, 80, 160, 320, 640, 680]
+
+    def test_block_that_keeps_no_step(self):
+        # The argument passes the guard at step 16, the first of a block:
+        # the block keeps no step, and the row fails as step by step.  r near
+        # 1 keeps the perturbation above the entries' last bit.
+        f = ApproxMap(maps.adjoint(), radial(0.1, 0.99), M2)
+        x = 1.5e300 / 2 ** 16 * np.ones(M2.shape, dtype=complex)
+        with pytest.raises(IterateOverflow, match="exceeded 1e300"):
+            reference_orbit(f, UP, x, 48, 1e-300)
+        with pytest.raises(IterateOverflow, match="exceeded 1e300"):
+            stabilize_points(f, UP, x[None], 48, 1e-300)
 
     @pytest.mark.parametrize("direction, corner, rest, tol_rel, lent", [
         # Arguments from 1e110 up to about 8e138, and from 1e-110 down to
@@ -543,6 +560,37 @@ class TestOrbitBlocks:
             assert tr.iterates.tobytes() == np.stack(iterates).tobytes()
             assert (tr.diffs, tr.converged) == (diffs, conv)
             assert tr.n_used > 80
+
+
+class TestStopTestBoundary:
+    # Rank-1 orbits, where the Frobenius bound on ||a_{n-1}|| equals the
+    # operator norm up to rounding, stopped with tol_rel at the smallest
+    # value that stops them at step n, and one ulp either side.  Entries of
+    # 1e160 make the bound overflow (r near 1 keeps the perturbation above
+    # their last bit); entries of 1e-200 leave the max(1, .) floor to decide.
+    @pytest.mark.parametrize("c, r", [(3.0, 0.5), (0.3 - 0.4j, 0.5), (1e160, 0.99),
+                                      (1e-200, 0.5)])
+    @pytest.mark.parametrize("n", [1, 6, 29])
+    def test_tol_at_a_step_boundary(self, c, r, n):
+        f = ApproxMap(maps.adjoint(), radial(0.1, r), M2)
+        x = c * np.ones(M2.shape, dtype=complex)
+        iterates, diffs, _ = reference_orbit(f, UP, x, 32, 1e-300)
+        d = diffs[n - 1]
+        assert d > 0
+        floor = max(1.0, algebra.stacked_norms(M2, iterates[n - 1][None])[0])
+        tol = d / floor
+        while d <= tol * floor:
+            tol = float(np.nextafter(tol, 0.0))
+        while not d <= tol * floor:
+            tol = float(np.nextafter(tol, 1.0))
+        stops = []
+        for tol_rel in (float(np.nextafter(tol, 0.0)), tol, float(np.nextafter(tol, 1.0))):
+            want_iterates, want_diffs, want_converged = reference_orbit(f, UP, x, 32, tol_rel)
+            tr = stabilize_points(f, UP, x[None], 32, tol_rel)[0]
+            assert tr.iterates.tobytes() == np.stack(want_iterates).tobytes()
+            assert (tr.diffs, tr.converged) == (want_diffs, want_converged)
+            stops.append(tr.n_used)
+        assert stops[0] > n and stops[1:] == [n, n]
 
 
 class TestErrorBound:

@@ -7,11 +7,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import algebra
+from . import _ziggurat, algebra
 from .algebra import AlgebraKind, AlgebraSpec, Element
 from .errors import KindSpecMismatch, OutOfRange, SpecMismatch
 
@@ -117,7 +117,9 @@ def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> np.ndarray:
 # policy (NEP 19) keeps them, and tests/test_maps.py checks the replica
 # below against numpy itself.
 _POOL_SIZE = 4
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Operands as 0-d arrays: numpy converts a Python int or numpy scalar
+# operand on every call, which costs more than the arithmetic on a short row.
+_MIX_L, _MIX_R, _16 = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
@@ -161,23 +163,23 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     pool[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(n, 2).T
     pool ^= _ENTROPY_XOR[:_POOL_SIZE]
     pool *= _ENTROPY_MUL[:_POOL_SIZE]
-    pool ^= pool >> 16
+    pool ^= pool >> _16
     for src, xor, mul in _MIX_STEPS:
         kept = pool[src].copy()
         hashed = pool[src] ^ xor
         hashed *= mul
-        hashed ^= hashed >> 16
+        hashed ^= hashed >> _16
         hashed *= _MIX_R
         pool *= _MIX_L
         pool -= hashed
-        pool ^= pool >> 16
+        pool ^= pool >> _16
         pool[src] = kept
     # The output hash reads the pool twice over, one step per word.
     words = np.empty((2, _POOL_SIZE, n), dtype=np.uint32)
     np.bitwise_xor(pool, _OUTPUT_XOR.reshape(2, _POOL_SIZE, 1), out=words)
     words = words.reshape(2 * _POOL_SIZE, n)
     words *= _OUTPUT_MUL
-    words ^= words >> 16
+    words ^= words >> _16
     return words.T
 
 
@@ -193,41 +195,152 @@ def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
+# The bit offset of each `_seed_words` word in its 128-bit value (seed
+# words 0-3, increment words 4-7), in the order of `_pcg64_states`.
+_WORD_SHIFTS = (64, 96, 0, 32)
+
+
+@lru_cache(maxsize=None)
+def _jump_limbs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 (16, 4 * count) weights and (4 * count,) bias that map the
+    16-bit halves of a `_seed_words` row to the 32-bit limbs of PCG64's
+    states after each of its first `count` steps.
+
+    Seeding and stepping are affine mod 2^128: with seed s, increment
+    inc = 2i + 1 and multiplier M, the state behind output j is
+    M^(j+2) s + C_(j+3) inc, where C_n = 1 + M + ... + M^(n-1).  Column
+    (m, j) holds limb m of each half's coefficient, the bias limb m of
+    C_(j+3); every weight is below 2^32."""
+    weights = np.empty((16, 4, count))
+    bias = np.empty((4, count))
+    power, geometric = _PCG_MULT, 1 + _PCG_MULT  # M and C_2, before step j = 0
+    for j in range(count):
+        power = power * _PCG_MULT & _MASK128
+        geometric = (geometric + power) & _MASK128
+        for k, shift in enumerate(_WORD_SHIFTS * 2):
+            coef = power if k < 4 else 2 * geometric
+            for h in range(2):
+                value = (coef << (shift + 16 * h)) & _MASK128
+                weights[2 * k + h, :, j] = [value >> (32 * m) & 0xFFFFFFFF for m in range(4)]
+        bias[:, j] = [geometric >> (32 * m) & 0xFFFFFFFF for m in range(4)]
+    return weights.reshape(16, 4 * count), bias.reshape(4 * count)
+
+
+# 0-d uint64 operands of the output replica and the ziggurat, as above.
+_32, _58, _64, _BOX_BITS, _BOX_MASK, _RABS_MASK = (
+    np.array(v, dtype=np.uint64) for v in (32, 58, 64, 9, 0x1FF, (1 << 52) - 1))
+
+
+def _pcg64_outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` outputs of `np.random.PCG64(s).random_raw()` for
+    each row of `_seed_words`, as an (N, count) uint64 array."""
+    weights, bias = _jump_limbs(count)
+    # Each sum is of 16 products below 2^48 and a bias below 2^32: an
+    # integer below 2^53, exact in float64 in any order of addition.
+    sums = np.ascontiguousarray(words, dtype="<u4").view("<u2") @ weights
+    sums += bias
+    limbs = sums.astype(np.uint64).reshape(len(words), 2, 2, count)
+    # The state is limbs 0-3 times 2^0, 2^32, 2^64, 2^96, mod 2^128: its
+    # low and high words, with the carry out of the low one.
+    halves = limbs[:, :, 1] << _32
+    halves += limbs[:, :, 0]
+    lo, hi = halves[:, 0], halves[:, 1]
+    carry = limbs[:, 0, 0] >> _32
+    carry += limbs[:, 0, 1]
+    carry >>= _32
+    hi += carry
+    # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi.  At a rotation
+    # of 0 the left shift is by 64, which gives 0 or x; either way out = x.
+    rot = hi >> _58
+    lo ^= hi
+    out = lo >> rot
+    lo <<= _64 - rot
+    out |= lo
+    return out
+
+
+# NEP 19 freezes SeedSequence and the PCG64 bit stream, but not
+# Generator.standard_normal, whose ziggurat the tables below come from.  So
+# the fast path is checked against numpy's own draws once per process
+# (`_Ziggurat.agrees`), and tests/test_maps.py derives the tables afresh.
+@dataclass(frozen=True, eq=False)
+class _Ziggurat:
+    """numpy's ziggurat tables for the fast path of a normal draw, indexed
+    by the low 9 bits of an output: the box (bits 0-7) and the sign (bit 8),
+    which `w` carries.  -x is x * -w bit for bit, as rounding is symmetric."""
+
+    k: np.ndarray
+    w: np.ndarray
+
+    def draws(self, words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first `count` draws of `Generator(PCG64(s)).standard_normal`
+        for each row of `_seed_words`, and a mask of the rows whose draws
+        the fast path settles, all of them nonzero."""
+        raw = _pcg64_outputs(words, count)
+        box = raw & _BOX_MASK
+        raw >>= _BOX_BITS
+        raw &= _RABS_MASK
+        values = raw.astype(np.float64)
+        values *= self.w[box]
+        settled = raw < self.k[box]
+        settled &= values.astype(bool)
+        return values, np.logical_and.reduce(settled, axis=1)
+
+    @cached_property
+    def agrees(self) -> bool:
+        """Whether numpy's own generator draws what `draws` settles, on 64
+        fixed seeds' rows of 16 draws.  Computed on first use."""
+        values, settled = self.draws(_seed_words(np.arange(64, dtype=np.uint64)), 16)
+        return all(np.random.Generator(np.random.PCG64(s)).standard_normal(16).tobytes()
+                   == values[s].tobytes() for s in settled.nonzero()[0].tolist())
+
+
+_ZIGGURAT = _Ziggurat(np.array(_ziggurat.KI * 2, dtype=np.uint64),
+                      np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)]))
+
+
 def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None) -> np.ndarray:
     """Row k is `algebra.gaussian_row` from `Generator(PCG64(s))`, where s is
     the 8-byte little-endian blake2b digest of `str(seed)` and the real then
     imaginary bytes of `quantized[k]`.  Seeded by the quantized point, the
     direction is a function of the point, not of the floating-point path
-    that produced it."""
+    that produced it.
+
+    Rows are drawn in array arithmetic on replicas of PCG64's output stream
+    and of the fast path of numpy's normal draw.  A row with a draw the fast
+    path does not settle, one it rejects (about one row in nine at 8 draws)
+    or a zero, is replayed from its seed through numpy's own generator, and
+    so is every row if the fast path disagrees with numpy
+    (`_Ziggurat.agrees`)."""
     prefix = hashlib.blake2b(digest_size=8)
     prefix.update(str(seed).encode())
-    # One fresh buffer: each row's bytes are hashed, then its draw fills it.
-    parts = np.stack([quantized.real, quantized.imag], axis=1)
-    width = parts[0].nbytes
-    data = parts.tobytes()
+    # Each row's bytes: the real parts of its entries, then the imaginary.
+    entries = np.ascontiguousarray(quantized, dtype=np.complex128).view(np.float64)
+    data = entries.reshape(len(quantized), spec.n_entries, 2).swapaxes(1, 2).tobytes()
+    width = 16 * spec.n_entries
     digests = []
     for start in range(0, len(data), width):
         h = prefix.copy()
         h.update(data[start:start + width])
         digests.append(h.digest())
-    states = _pcg64_states(_seed_words(np.frombuffer(b"".join(digests), dtype="<u8")))
-    # The generator is this call's own; a row is reseeded by refilling one
-    # state dict and setting it.
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-            "has_uint32": 0, "uinteger": 0}
-    pcg = full["state"]
-    for k, (state, inc) in enumerate(states):
-        pcg["state"], pcg["inc"] = state, inc
-        bits.state = full
-        rng.standard_normal(out=parts[k])
-    # A draw that came out all zero is replayed from its seed through
-    # gaussian_parts, which redraws it, or raises DegenerateDirection.
-    for k in np.flatnonzero(~parts.reshape(len(parts), -1).any(axis=1)).tolist():
-        pcg["state"], pcg["inc"] = states[k]
-        bits.state = full
-        algebra.gaussian_parts(rng, parts[k])
+    words = _seed_words(np.frombuffer(b"".join(digests), dtype="<u8"))
+    values, settled = _ZIGGURAT.draws(words, 2 * spec.n_entries)
+    parts = values.reshape(len(quantized), 2, *spec.shape)
+    settled &= _ZIGGURAT.agrees
+    replay = (~settled).nonzero()[0]
+    if len(replay):
+        # A replayed row sets its state on this call's own generator and
+        # draws through gaussian_parts, which redraws an all-zero draw, or
+        # raises DegenerateDirection.
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+                "has_uint32": 0, "uinteger": 0}
+        pcg = full["state"]
+        for k, (state, inc) in zip(replay.tolist(), _pcg64_states(words[replay])):
+            pcg["state"], pcg["inc"] = state, inc
+            bits.state = full
+            algebra.gaussian_parts(rng, parts[k])
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -268,8 +381,9 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
         out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec)
         return out
     # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
-    # normalized in one stacked norm call.  A row's seeding holds about
-    # 0.8 kB of Python ints while it is drawn, so rows are drawn in chunks.
+    # normalized in one stacked norm call.  A draw holds about 1.2 kB of
+    # arrays per row at 8 draws; chunks of _HASH_CHUNK rows keep that below
+    # the rest of a pass's peak memory.
     quantized = np.round(X * 1e6) / 1e6
     rows = live & quantized.reshape(len(X), -1).any(axis=1)
     if rows.any():

@@ -214,6 +214,9 @@ def stabilize_points(
     after it, and at the end the exception of the first failing row of X
     is raised.
 
+    Every row of X must be finite: a row that is not raises ValueError,
+    naming the first, before any evaluation.
+
     `resume`, one trace or None per row, continues rows instead of starting
     them at a_0.  A row's trace must be its orbit under the same f and
     direction at a depth no deeper and no stricter (max_n no larger,
@@ -225,6 +228,11 @@ def stabilize_points(
         raise ValueError("tol_rel must be > 0")
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
+    # A non-finite row would reach LAPACK through its norm, which prints to
+    # stdout and returns NaN.
+    bad = (~np.isfinite(X).all(axis=tuple(range(1, X.ndim)))).nonzero()[0]
+    if len(bad):
+        raise ValueError(f"row {bad[0]} of X is not finite")
     resume = [None] * len(X) if resume is None else list(resume)
     if len(resume) != len(X):
         raise ValueError(f"{len(resume)} resumed traces for {len(X)} rows")

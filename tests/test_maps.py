@@ -2,13 +2,14 @@ import hashlib
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involstab import algebra, maps
+from involstab import _ziggurat, algebra, maps
 from involstab.algebra import SCALAR, matrix_spec, pointwise_spec
 from involstab.errors import DegenerateDirection, KindSpecMismatch, SpecMismatch
 from involstab.maps import (
@@ -20,7 +21,10 @@ from involstab.maps import (
 )
 
 M2 = matrix_spec(2)
+M3 = matrix_spec(3)
 P3 = pointwise_spec(3)
+P4 = pointwise_spec(4)
+P7 = pointwise_spec(7)
 
 DIAG12 = algebra.element(M2, [1, 0, 0, 2])
 
@@ -341,9 +345,57 @@ def quantized_stack(spec, n, rng):
     return np.round(X * 1e6) / 1e6
 
 
+def derive_ziggurat_tables():
+    """numpy's ziggurat tables, derived from the installed numpy.  A PCG64
+    state whose next state has high word 0 makes the next output any chosen
+    r = rabs << 9 | idx: WI[idx] is the draw at rabs = 1, and KI[idx] the
+    smallest rabs whose draw reads more than that one output (bisection)."""
+    mask = (1 << 128) - 1
+    inverse = pow(maps._PCG_MULT, -1, 1 << 128)
+    bits = np.random.PCG64(0)
+    rng = Generator(bits)
+    full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
+            "has_uint32": 0, "uinteger": 0}
+
+    def draw(r):
+        full["state"]["state"] = (r - 1) * inverse & mask
+        bits.state = full
+        value = rng.standard_normal()
+        return value, bits.state["state"]["state"] == r
+
+    ki, wi = [], []
+    for idx in range(256):
+        wi.append(draw(1 << 9 | idx)[0])
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if draw(mid << 9 | idx)[1] else (lo, mid)
+        ki.append(lo)
+    return ki, wi
+
+
+def table_literals(ki, wi):
+    """KI and WI in the literal format of involstab/_ziggurat.py."""
+    def literal(name, items, per_line):
+        lines = [f"{name} = ("]
+        lines += ["    " + " ".join(items[i:i + per_line]) for i in range(0, len(items), per_line)]
+        return "\n".join(lines + [")"])
+
+    return (literal("KI", [f"0x{k:013X}," for k in ki], 4) + "\n\n"
+            + literal("WI", [f"{w!r}," for w in wi], 3))
+
+
+def replace_tables(monkeypatch, k=None, w=None):
+    """Swap in ziggurat tables for one test; their self-check runs afresh."""
+    zig = maps._ZIGGURAT
+    monkeypatch.setattr(maps, "_ZIGGURAT", maps._Ziggurat(zig.k if k is None else k,
+                                                          zig.w if w is None else w))
+
+
 class TestHashedGaussians:
-    """The batched draw replicates numpy's SeedSequence and PCG64 seeding
-    and keeps every bit of the per-row draw."""
+    """The batched draw replicates numpy's SeedSequence, PCG64's output
+    stream and the fast path of its normal draw, and keeps every bit of the
+    per-row draw."""
 
     def test_seed_words_match_numpy(self):
         words = maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64))
@@ -365,8 +417,64 @@ class TestHashedGaussians:
                 8, np.uint32).tolist()
             assert state == pcg64_state(seed)
 
-    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("count", [2, 8, 14, 18, 32])
+    def test_outputs_match_random_raw(self, count):
+        out = maps._pcg64_outputs(maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64)), count)
+        assert out.dtype == np.uint64 and out.shape == (len(EDGE_SEEDS), count)
+        for seed, row in zip(EDGE_SEEDS, out):
+            assert row.tolist() == np.random.PCG64(seed).random_raw(count).tolist()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 40))
+    def test_outputs_match_random_raw_sampled(self, seeds, count):
+        out = maps._pcg64_outputs(maps._seed_words(np.array(seeds, dtype=np.uint64)), count)
+        for seed, row in zip(seeds, out):
+            assert row.tolist() == np.random.PCG64(seed).random_raw(count).tolist()
+
+    def test_tables_match_numpy(self):
+        # The literal tables against the installed numpy, box by box; on a
+        # mismatch the message holds the derived tables in the source's
+        # format, to paste into involstab/_ziggurat.py.
+        ki, wi = derive_ziggurat_tables()
+        expected = table_literals(ki, wi)
+        same = list(_ziggurat.KI) == ki and np.array(_ziggurat.WI).tobytes() == np.array(wi).tobytes()
+        assert same, f"ziggurat tables differ from numpy {np.__version__}:\n{expected}"
+        assert expected in Path(_ziggurat.__file__).read_text()
+
+    def test_corrupted_table_replays_every_row(self, monkeypatch, rng):
+        # Every box's w an ulp off: the self-check finds it, and every row
+        # is drawn by numpy's generator instead.
+        replace_tables(monkeypatch, w=np.nextafter(maps._ZIGGURAT.w, np.inf))
+        assert not maps._ZIGGURAT.agrees
+        Q = quantized_stack(P4, 100, rng)
+        got = maps._hashed_gaussians(P4, Q, 7)
+        for k in range(len(Q)):
+            assert got[k].tobytes() == hashed_gaussian_reference(P4, Q[k], 7).tobytes()
+
+    def test_zero_draws_are_not_settled(self):
+        # With every w zero, every draw is 0 and no row is settled: an
+        # all-zero draw always goes to gaussian_parts, which redraws it.
+        words = maps._seed_words(np.arange(100, dtype=np.uint64))
+        zig = maps._Ziggurat(maps._ZIGGURAT.k, np.zeros_like(maps._ZIGGURAT.w))
+        values, settled = zig.draws(words, 8)
+        assert not values.any() and not settled.any()
+
+    def test_fast_path_settles_most_rows(self, monkeypatch, rng):
+        # A row is replayed when one of its 8 draws is not settled by the
+        # fast path (1.46% of draws), about 11% of rows.  A replica that
+        # replayed every row would pass every test of its bits.
+        Q = quantized_stack(P4, 1000, rng)
+        replayed = []
+        gaussian_parts = algebra.gaussian_parts
+        monkeypatch.setattr(algebra, "gaussian_parts",
+                            lambda rng, out: replayed.append(1) or gaussian_parts(rng, out))
+        maps._hashed_gaussians(P4, Q, 11)
+        assert 50 <= len(replayed) <= 200
+
+    @pytest.mark.parametrize("n", [1, 50, 129, 300])
     @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("any_spec", [SCALAR, M2, P3, P7, M3],
+                             ids=["scalar", "matrix", "pointwise", "pointwise7", "matrix3"])
     def test_rows_match_per_row_reference(self, any_spec, rng, n, seed):
         Q = quantized_stack(any_spec, n, rng)
         got = maps._hashed_gaussians(any_spec, Q, seed)
@@ -379,6 +487,7 @@ class TestHashedGaussians:
     def test_zero_draws_are_redrawn(self, monkeypatch, any_spec, rng, zeros):
         Q = quantized_stack(any_spec, 3, rng)
         plain = maps._hashed_gaussians(any_spec, Q, 5)
+        replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
         monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, zeros))
         got = maps._hashed_gaussians(any_spec, Q, 5)
         for k in range(len(Q)):
@@ -389,6 +498,7 @@ class TestHashedGaussians:
 
     def test_eight_zero_draws_raise(self, monkeypatch, any_spec, rng):
         Q = quantized_stack(any_spec, 3, rng)
+        replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
         monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, 8))
         with pytest.raises(DegenerateDirection):
             maps._hashed_gaussians(any_spec, Q, 5)

@@ -262,6 +262,18 @@ class TestStabilizePoints:
         with pytest.raises(SpecMismatch):
             stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, np.zeros((2, 2), complex))
 
+    @pytest.mark.parametrize("name", ["pointwise-random", "matrix-adjoint-fixed"])
+    def test_nonfinite_row_rejected(self, capfd, name):
+        # Rejected before any evaluation, so no norm reaches LAPACK, which
+        # would print to stdout.
+        f = BATCH_MAPS[name]
+        X = np.ones((3, *f.spec.shape), dtype=np.complex128)
+        X[1].flat[-1] = np.inf
+        X[2].flat[0] = np.nan
+        with pytest.raises(ValueError, match="row 1 of X is not finite"):
+            stabilize_points(f, UP, X)
+        assert capfd.readouterr() == ("", "")
+
     def test_nonfinite_value_is_iterate_overflow(self):
         # theta_delta * ||q^n x|| overflows to inf before the argument
         # passes the 1e300 guard; the row fails without a numpy warning.

@@ -97,17 +97,49 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def operator_norm_bounds(stack: np.ndarray) -> np.ndarray:
-    """Upper bounds on the operator norms of a stack of finite matrices
-    shaped (N, d, d), one per row, at the cost of a sum of squares: never
-    below stacked_norms on the row, and inf where the squares overflow."""
+@np.errstate(over="ignore", invalid="ignore")
+def operator_norm_enclosure(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) with lo <= stacked_norms <= hi on each row of a stack
+    of matrices shaped (N, d, d), without an svd: [0, inf] where they
+    cannot be had cheaply.
+
+    For d = 2 the largest singular value in closed form, widened by a
+    relative 1e-12, on rows that are zero or whose largest real or imaginary
+    part lies inside EXACT_SCALING_RANGE.  For other d, [F / sqrt(d), F]
+    from the Frobenius norm F."""
+    n, d = len(stack), stack.shape[-1]
     parts = np.ascontiguousarray(stack).view(np.float64)
-    # ||A||_2 <= ||A||_F.  The factor covers the rounding of the sum of
-    # squares and of LAPACK's largest singular value, a few ulps per entry,
-    # for d up to about a thousand.  A square or partial sum that underflows
-    # loses at most 2^-1075, so the 4d^2 of them lower the Frobenius norm by
-    # under d * 2^-536, which the added 1e-150 covers.
-    return np.sqrt(np.einsum("ijk,ijk->i", parts, parts)) * (1.0 + 1e-8) + 1e-150
+    if d == 2:
+        # sqrt(lambda_max(A^H A)) = sqrt((a + c)/2 + hypot((a - c)/2, |b|)),
+        # a and c the squared column norms, b = col0^H col1.  Its terms are
+        # non-negative: the rounding, like LAPACK's, is a few ulps.  Squares
+        # of parts far below the largest may underflow, which moves the
+        # result by far less than the margin.  The parts are laid out by
+        # column, then row and real or imaginary part, then matrix.
+        x, y = columns = np.ascontiguousarray(
+            parts.reshape(n, 2, 2, 2).transpose(2, 1, 3, 0)).reshape(2, 4, n)
+        a, c = np.einsum("cij,cij->cj", columns, columns)
+        b = np.hypot(np.einsum("ij,ij->j", x, y),
+                     np.einsum("ij,ij->j", x[0::2], y[1::2])
+                     - np.einsum("ij,ij->j", x[1::2], y[0::2]))
+        norm = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+        largest = np.maximum(columns.max(axis=(0, 1), initial=0.0),
+                             -columns.min(axis=(0, 1), initial=0.0))
+        lo, hi = EXACT_SCALING_RANGE
+        safe = (largest == 0.0) | ((largest >= lo) & (largest <= hi))
+        return (np.where(safe, norm * (1.0 - 1e-12), 0.0),
+                np.where(safe, norm * (1.0 + 1e-12), np.inf))
+    # ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F.  The factors cover the
+    # rounding of the sum of squares and of LAPACK's largest singular value,
+    # a few ulps per entry, for d up to about a thousand.  A square or
+    # partial sum that underflows loses at most 2^-1075, so the 4d^2 of them
+    # lower the Frobenius norm by under d * 2^-536, which the added 1e-150
+    # covers; a Frobenius norm that overflows bounds nothing.
+    parts = parts.reshape(n, 2 * d * d)
+    frobenius = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    finite = np.isfinite(frobenius)
+    return (np.where(finite, frobenius * ((1.0 - 1e-8) / math.sqrt(d)), 0.0),
+            np.where(finite, frobenius * (1.0 + 1e-8) + 1e-150, np.inf))
 
 
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:

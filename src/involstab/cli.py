@@ -344,20 +344,22 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
     radii = algebra.stacked_norms(sc.spec, P)
     traces = I.traces(P)
     # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last iterate
-    # gets no row. One stacked call gives every probe's distances to its
-    # limit, then its deviations from a_0 = f(x).
+    # gets no row. One stacked call gives every probe's diffs, then its
+    # distances to its limit, then its deviations from a_0 = f(x).
     norms = algebra.stacked_norms(sc.spec, np.concatenate(
-        [tr.iterates[:-1] - tr.iterates[-1] for tr in traces]
+        [tr.iterates[1:] - tr.iterates[:-1] for tr in traces]
+        + [tr.iterates[:-1] - tr.iterates[-1] for tr in traces]
         + [tr.iterates[:-1] - tr.iterates[0] for tr in traces]))
-    errors, deviations = norms[:len(norms) // 2], norms[len(norms) // 2:]
+    count = len(norms) // 3
+    diffs, errors, deviations = norms[:count], norms[count:2 * count], norms[2 * count:]
     row = 0
     for probe_id, (tr, radius, bnd) in enumerate(zip(traces, radii, bound.per_probe_bounds)):
-        for n, diff in enumerate(tr.diffs):
+        for n in range(tr.n_used):
             trace_rows.append({
                 "probe_id": probe_id,
                 "radius": radius,
                 "n": n,
-                "diff_norm": diff,
+                "diff_norm": diffs[row],
                 "error_vs_limit": errors[row],
                 "bound": bnd,
                 "ratio": verifier._ratio(deviations[row], bnd),

@@ -5,6 +5,7 @@ and the defect functionals entering the stability hypotheses.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -299,6 +300,11 @@ _ZIGGURAT = _Ziggurat(np.array(_ziggurat.KI * 2, dtype=np.uint64),
                       np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)]))
 
 
+# Each thread's generator for the rows `_hashed_gaussians` replays, made on
+# its first replay: a generator costs about 18 us to build.
+_REPLAY = threading.local()
+
+
 def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None) -> np.ndarray:
     """Row k is `algebra.gaussian_row` from `Generator(PCG64(s))`, where s is
     the 8-byte little-endian blake2b digest of `str(seed)` and the real then
@@ -329,11 +335,13 @@ def _hashed_gaussians(spec: AlgebraSpec, quantized: np.ndarray, seed: int | None
     settled &= _ZIGGURAT.agrees
     replay = (~settled).nonzero()[0]
     if len(replay):
-        # A replayed row sets its state on this call's own generator and
+        # A replayed row sets its state on its thread's own generator and
         # draws through gaussian_parts, which redraws an all-zero draw, or
         # raises DegenerateDirection.
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
+        if not hasattr(_REPLAY, "generator"):
+            bits = np.random.PCG64(0)
+            _REPLAY.generator = bits, np.random.Generator(bits)
+        bits, rng = _REPLAY.generator
         full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
                 "has_uint32": 0, "uinteger": 0}
         pcg = full["state"]
@@ -378,8 +386,8 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
     live = amplitudes.reshape(len(X)) != 0.0
     if p.kind is PerturbationKind.FIXED_DIRECTION:
-        out[live] = amplitudes[live] * _fixed_direction(p.direction_seed, spec)
-        return out
+        return np.multiply(amplitudes, _fixed_direction(p.direction_seed, spec), out=out,
+                           where=live.reshape(column))
     # Entries rounded to 1e-6 before hashing; the hashed Gaussian rows are
     # normalized in one stacked norm call.  A draw holds about 1.2 kB of
     # arrays per row at 8 draws; chunks of _HASH_CHUNK rows keep that below
@@ -391,7 +399,8 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
         raw = np.concatenate([_hashed_gaussians(spec, hashed[i:i + _HASH_CHUNK], p.direction_seed)
                               for i in range(0, len(hashed), _HASH_CHUNK)])
         inverse = 1.0 / np.array(algebra.stacked_norms(spec, raw))
-        out[rows] = amplitudes[rows] * (inverse.astype(np.complex128).reshape(column) * raw)
+        np.multiply(inverse.astype(np.complex128).reshape(column), raw, out=raw)
+        out[rows] = np.multiply(amplitudes[rows], raw, out=raw)
     return out
 
 
@@ -420,7 +429,8 @@ def eval_f_rows(f: ApproxMap, X: np.ndarray, norms: np.ndarray | None = None) ->
     base = _involution_rows(f.base, f.spec, X)
     if f.perturbation.kind is PerturbationKind.NONE:
         return base
-    return base + _perturbation_rows(f.perturbation, f.spec, X, norms)
+    delta = _perturbation_rows(f.perturbation, f.spec, X, norms)
+    return np.add(base, delta, out=delta)
 
 
 def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

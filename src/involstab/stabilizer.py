@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Sequence
 
@@ -101,13 +102,23 @@ def select_direction(phi: ControlFunction) -> ScalingDirection:
 @dataclass
 class StabilizationTrace:
     """One point's orbit: `iterates` is a read-only (n_used + 1, *shape)
-    array of a_0 .. a_{n_used}, whose last row is the stabilized value, and
-    diffs[n] = ||a_{n+1} - a_n||."""
+    array of a_0 .. a_{n_used} in `spec`, whose last row is the stabilized
+    value, and `increasing_run` the number of steps at its end whose
+    difference grew, which an orbit resumed from the trace continues.
+
+    diffs[n] = ||a_{n+1} - a_n||.  The orbit decides its steps from bounds
+    on these norms and keeps none of them; they are computed on first read,
+    in one stacked call, with the bits of one call per difference."""
 
     iterates: np.ndarray
-    diffs: list[float]
     n_used: int
     converged: bool
+    increasing_run: int
+    spec: AlgebraSpec
+
+    @cached_property
+    def diffs(self) -> list[float]:
+        return algebra.stacked_norms(self.spec, self.iterates[1:] - self.iterates[:-1])
 
 
 def _eval_steps(f: ApproxMap, X: np.ndarray,
@@ -130,41 +141,6 @@ def _eval_steps(f: ApproxMap, X: np.ndarray,
     return values, raised
 
 
-def _meets_tol(spec: AlgebraSpec, diffs: np.ndarray, P: np.ndarray, rows: np.ndarray,
-               tol_rel: float, norms: np.ndarray | None = None) -> np.ndarray:
-    """The stop test d <= tol_rel * max(1, ||p||) of each step, from its
-    diff d and previous iterate p (the rows of P).  `rows` numbers each
-    step's orbit row, a row's steps in order; `norms` are the ||p|| where
-    the caller has them.  A row stops at its first step that meets the
-    test, so the steps after it may read the bound's answer.
-
-    An operator norm costs an svd, so a matrix step is first tested against
-    an upper bound on ||p||: a step that fails that test fails the exact
-    one, rounding being monotone, and a bound that is not finite leaves its
-    step open.  Each row's first open step computes ||p||, and its later
-    open steps do only if that one fails the exact test."""
-    if norms is None and spec.kind is not AlgebraKind.MATRIX:
-        norms = np.array(algebra.stacked_norms(spec, P))
-    if norms is not None:
-        return diffs <= tol_rel * np.maximum(1.0, norms)
-    met = diffs <= tol_rel * np.maximum(1.0, algebra.operator_norm_bounds(P))
-    open_steps = np.flatnonzero(met)
-    if not open_steps.size:
-        return met
-
-    def test(steps):
-        exact = np.array(algebra.stacked_norms(spec, P[steps]))
-        met[steps] = diffs[steps] <= tol_rel * np.maximum(1.0, exact)
-
-    first = np.diff(rows[open_steps], prepend=-1) != 0
-    heads, later = open_steps[first], open_steps[~first]
-    test(heads)
-    missed = rows[heads[~met[heads]]]
-    if missed.size:
-        test(later[np.isin(rows[later], missed)])
-    return met
-
-
 def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
     """The exception of the batch whose rows failed at the given (step,
     exception), stepped together: an OutOfRange is raised at its step unless
@@ -180,6 +156,135 @@ def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
     return failed[min(failed)][1]
 
 
+# About the most steps of all rows one block evaluates.  A block array of
+# 64-byte elements, such as 2x2 matrices, then holds about 128 kB, glibc's
+# default mmap threshold: wider blocks raised the peak RSS of a pass.
+_BLOCK_CELLS = 2048
+
+
+def _norm_bounds(spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
+    """Lower and upper bounds, shaped (2, N), on stacked_norms of each row:
+    the operator norm's enclosure for matrices, the norms themselves for the
+    cheap kinds."""
+    if spec.kind is AlgebraKind.MATRIX:
+        return np.array(algebra.operator_norm_enclosure(stack))
+    return np.array(algebra.stacked_norms(spec, stack))[None].repeat(2, axis=0)
+
+
+def _evaluate_block(f: ApproxMap, q: complex, cur: np.ndarray, prev: np.ndarray,
+                    depth: np.ndarray, steps: np.ndarray, norms: np.ndarray | None,
+                    scales: np.ndarray, powers: np.ndarray):
+    """Each row's next `steps` steps from depth `depth`: the arguments q^n x
+    from its last argument `cur` by repeated multiplication, and the values
+    a_n = q^{-n} f(q^n x) from one stacked evaluation, which is lent q^n ||x||
+    where `norms` has ||x|| and the argument vouches for the bits.  A row's
+    evaluation stops at its first argument past the guard.
+
+    Returns the masks of the steps and of those past the guard; the chain of
+    iterates, whose slot 0 is each row's `prev` and slot j its step j's
+    value, NaN where not evaluated; each row's last argument; and the
+    OutOfRange of each step whose amplitude overflows, by (row, step)."""
+    width = int(steps.max())
+    args = np.empty((len(cur), width, *cur.shape[1:]), dtype=np.complex128)
+    arg = cur
+    for j in range(width):
+        arg = q * arg
+        args[:, j] = arg
+    within = np.arange(width) < steps[:, None]
+    guarded = within & (np.abs(args).reshape(len(cur), width, -1).max(axis=2) > 1e300)
+    evaluate = within & (np.cumsum(guarded, axis=1) == 0)
+    ns = (depth[:, None] + np.arange(1, width + 1))[evaluate]
+    values, ends = args[evaluate], args[np.arange(len(cur)), steps - 1]
+    del args  # the evaluation below holds the block's peak memory
+    raised = {}
+    if len(values):
+        lent = None
+        if norms is not None:
+            lent = powers[ns] * np.broadcast_to(norms[:, None], evaluate.shape)[evaluate]
+            lent[~algebra.exact_scaling_rows(values)] = np.nan
+        values, overflows = _eval_steps(f, values, lent)
+        values *= scales[ns].reshape((-1,) + (1,) * (values.ndim - 1))
+        if overflows:
+            where = np.argwhere(evaluate).tolist()
+            raised = {tuple(where[index]): exc for index, exc in overflows.items()}
+    chain = np.full((len(cur), width + 1, *cur.shape[1:]), np.nan, dtype=np.complex128)
+    chain[:, 0] = prev
+    chain[:, 1:][evaluate] = values
+    return within, guarded, chain, ends, raised
+
+
+def _links(chain: np.ndarray, last: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows (i, j) of the differences of a block's chain of iterates: slot
+    j > 0 holds a_{n+j} - a_{n+j-1}, slot 0 the carried `last`."""
+    out = chain[i, j]
+    out -= chain[i, j - 1]
+    out[j == 0] = last[i[j == 0]]
+    return out
+
+
+def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, last: np.ndarray,
+            kept: np.ndarray, prev_bounds: np.ndarray, last_bounds: np.ndarray):
+    """Each step j of a block, whether its difference ||a_{n+j+1} - a_{n+j}||
+    rose above the one before and whether it meets the stop test against
+    ||a_{n+j}||, as masks shaped `kept`; and the bounds, shaped (2, R, W + 1),
+    on the norms of the chain's iterates and differences.  Slot 0's are
+    carried over, NaN until computed.
+
+    One call bounds the kept steps' norms.  For matrices, the decisions the
+    bounds leave open, up to each row's first sure stop, read the operator
+    norms they compare, in one more call."""
+    it_bounds = np.full((2, *kept.shape[:1], kept.shape[1] + 1), np.nan)
+    diff_bounds = it_bounds.copy()
+    it_bounds[:, :, 0], diff_bounds[:, :, 0] = prev_bounds, last_bounds
+
+    def fill(diffs, its, values):
+        count = np.count_nonzero(diffs)
+        diff_bounds[:, diffs], it_bounds[:, its] = values[..., :count], values[..., count:]
+        return (diff_bounds[0, :, 1:] > diff_bounds[1, :, :-1],
+                diff_bounds[1, :, 1:] <= tol_rel * np.maximum(1.0, it_bounds[0, :, :-1]))
+
+    # The iterates the steps read: slot 0 once, then the kept ones but the
+    # last, which the next block reads as its slot 0.  Two calls, not one on
+    # a stack twice the size: a smaller largest array keeps the peak RSS down.
+    diffs = np.concatenate([np.isnan(last_bounds[0])[:, None], kept], axis=1)
+    its = np.concatenate([np.isnan(prev_bounds[0])[:, None], kept[:, 1:],
+                          np.zeros((len(kept), 1), dtype=bool)], axis=1)
+    rose, met = fill(diffs, its, np.concatenate(
+        [_norm_bounds(spec, _links(chain, last, *diffs.nonzero())),
+         _norm_bounds(spec, chain[its])], axis=1))
+    if spec.kind is AlgebraKind.MATRIX:
+        fell = diff_bounds[1, :, 1:] <= diff_bounds[0, :, :-1]
+        missed = diff_bounds[0, :, 1:] > tol_rel * np.maximum(1.0, it_bounds[1, :, :-1])
+        sure = kept & met
+        upto = kept & (np.cumsum(sure, axis=1) <= sure)
+        open_rose, open_met = upto & ~(rose | fell), upto & ~(met | missed)
+        need_diffs = np.zeros(diff_bounds.shape[1:], dtype=bool)
+        need_diffs[:, 1:] = open_rose | open_met
+        need_diffs[:, :-1] |= open_rose
+        need_its = np.zeros(it_bounds.shape[1:], dtype=bool)
+        need_its[:, :-1] = open_met
+        # Where a norm is known exactly, its bounds are equal.
+        need_diffs &= diff_bounds[0] < diff_bounds[1]
+        need_its &= it_bounds[0] < it_bounds[1]
+        if need_diffs.any() or need_its.any():
+            rose, met = fill(need_diffs, need_its, np.array(algebra.stacked_norms(spec, np.concatenate(
+                [_links(chain, last, *need_diffs.nonzero()), chain[need_its]]))))
+    return rose, met, it_bounds, diff_bounds
+
+
+def _block_sizes(recent: np.ndarray, floor: np.ndarray, fallback: np.ndarray | int,
+                 max_n: int) -> np.ndarray:
+    """Each row's next block size: the steps until the upper bounds `recent`
+    of its last three differences, shrinking at the rate
+    sqrt(h_k / h_{k-2}) < 1, fall below `floor`; `fallback` for a row with
+    fewer than three, NaN, or whose differences do not shrink."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.sqrt(recent[:, 2] / recent[:, 0])
+        predicted = np.ceil(np.log(floor / recent[:, 2]) / np.log(rate))
+    sized = (rate > 0) & (rate < 1) & np.isfinite(predicted)
+    return np.where(sized, predicted, fallback).clip(1, max_n).astype(np.intp)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def stabilize_points(
     f: ApproxMap,
@@ -193,18 +298,30 @@ def stabilize_points(
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.
 
-    Every row advances in blocks of 1, 2, 4, 8, ... steps, its arguments
-    q^n x built by repeated multiplication by q.  A block is one stacked f
-    evaluation over the running rows' next steps and one stacked norm call
-    for their differences; then each row applies its rules step by step, in
-    order.  The stop test reads a matrix's ||a_n|| from its Frobenius bound,
-    and computes the operator norm only where the bound leaves the test open
-    (`_meets_tol`); scalar and sup norms come from the differences' call.
-    The steps of a block past a row's stop are evaluated but raise
-    nothing.  The perturbation amplitude reads ||q^n x|| as q^n ||x||, with
-    ||x|| computed once per row, wherever algebra.exact_scaling_rows
-    vouches for the bits; eval_f_rows computes the rest (`norms=`).  A map
-    with no perturbation computes no ||x||.
+    Every row advances in blocks of steps, its arguments q^n x built by
+    repeated multiplication by q.  A block is one stacked f evaluation over
+    the running rows' next steps.  Each step's two decisions, the stop test
+    and whether its difference grew, are read off bounds on the norms they
+    compare: a matrix's from `algebra.operator_norm_enclosure`, and scalar
+    and sup norms computed outright, in one call per block.  Only the
+    matrix steps whose bounds leave a decision open, up to each row's first
+    sure stop, compute operator norms, in one stacked call with the earlier
+    differences they compare with.  So the decisions are those of the
+    exact norms, and the orbit keeps none of them
+    (`StabilizationTrace.diffs`).
+
+    A row's first blocks have 1 and 2 steps.  From its third difference on,
+    a resumed row's from the start, its next block runs to where the upper
+    bounds h of its differences, shrinking at the rate
+    sqrt(h_k / h_{k-2}) < 1, fall below tol_rel * max(1, ||a||) for its
+    last bounded iterate a; a row whose differences do not shrink doubles
+    its block.  Of R running rows, none takes more than _BLOCK_CELLS // R
+    steps (at least 1) in a block.  The steps of a block past a row's stop
+    are evaluated but raise nothing, so the width of a block changes no
+    trace and no outcome.  The perturbation amplitude reads ||q^n x|| as
+    q^n ||x||, with ||x|| computed once per row, wherever
+    algebra.exact_scaling_rows vouches for the bits; eval_f_rows computes
+    the rest (`norms=`).  A map with no perturbation computes no ||x||.
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
@@ -244,51 +361,50 @@ def stabilize_points(
         return []
     spec = f.spec
     q = complex(direction.q)
-    column = (-1,) + (1,) * len(spec.shape)
-    # Each row's iterates, as the chunks its orbit added them in.
+    # Each row's iterates, as the chunks its orbit added them in, and the
+    # run of increasing diffs at their end.
     iterates: list[list[np.ndarray]] = [[] for _ in resume]
-    diffs: list[list[float]] = [[] for _ in resume]
-    increasing_run = [0] * len(resume)
-    converged = [False] * len(resume)
+    runs = np.zeros(len(X), dtype=np.intp)
+    converged = np.zeros(len(X), dtype=bool)
     # The step each failed row failed at, and its exception.  A row runs to
-    # max_n at most, and a row after a failed row no further than the step
-    # that row failed at: the batch stepped together drops it there.
+    # max_n at most, and a failed row and the rows after it no further than
+    # the step it failed at: the batch stepped together drops them there.
     failed: dict[int, tuple[int, Exception]] = {}
-    limit = [max_n] * len(X)
+    limit = np.full(len(X), max_n, dtype=np.intp)
 
     def fail(k: int, n: int, exc: Exception) -> None:
         failed[k] = (n, exc)
-        limit[k + 1:] = [min(m, n) for m in limit[k + 1:]]
+        np.minimum(limit[k:], n, out=limit[k:])
 
     norms = None
     if f.perturbation.kind is not PerturbationKind.NONE:
         norms = np.array(algebra.stacked_norms(spec, X))
-    # Fresh rows start at a_0 = f(x).
+    # Each row's depth, last iterate and last difference.  Fresh rows start
+    # at a_0 = f(x), with no difference.  A resumed row takes over its
+    # trace: the iterates and the run of increasing diffs so far.
+    depth = np.zeros(len(X), dtype=np.intp)
+    prev, last = np.zeros(X.shape, dtype=np.complex128), np.zeros(X.shape, dtype=np.complex128)
     fresh = [k for k, tr in enumerate(resume) if tr is None]
     if fresh:
-        A = eval_f_rows(f, X[fresh], None if norms is None else norms[fresh])
+        prev[fresh] = A = eval_f_rows(f, X[fresh], None if norms is None else norms[fresh])
         finite = np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()
         for j, (k, ok) in enumerate(zip(fresh, finite)):
             if ok:
                 iterates[k].append(A[j:j + 1])
             else:
                 fail(k, 0, IterateOverflow("iterate f value is not finite"))
-    # A resumed row takes over its trace: the iterates, the diffs and the
-    # run of increasing diffs so far.  A row the trace saw converge stops
-    # if its last step also meets tol_rel; one at max_n stops there.
     resumed = [k for k, tr in enumerate(resume) if tr is not None]
     for k in resumed:
-        tr = resume[k]
-        iterates[k], diffs[k] = [tr.iterates], list(tr.diffs)
-        for a, b in zip(tr.diffs, tr.diffs[1:]):
-            increasing_run[k] = increasing_run[k] + 1 if b > a else 0
+        its = resume[k].iterates
+        iterates[k], runs[k], depth[k] = [its], resume[k].increasing_run, len(its) - 1
+        prev[k], last[k] = its[-1], its[-1] - its[-2] if len(its) > 1 else 0
+    # A row the trace saw converge stops if its last step also meets
+    # tol_rel; one at max_n stops there.
     stopped = [k for k in resumed if resume[k].converged]
     if stopped:
-        met = _meets_tol(spec, np.array([diffs[k][-1] for k in stopped]),
-                         np.stack([resume[k].iterates[-2] for k in stopped]),
-                         np.arange(len(stopped)), tol_rel)
-        for k, ok in zip(stopped, met.tolist()):
-            converged[k] = ok
+        last_diffs, last_prevs = np.split(np.array(algebra.stacked_norms(spec, np.concatenate(
+            [last[stopped], np.stack([resume[k].iterates[-2] for k in stopped])]))), 2)
+        converged[stopped] = last_diffs <= tol_rel * np.maximum(1.0, last_prevs)
 
     # q^{-n} and q^n for n = 0 .. max_n, by the repeated division and
     # multiplication of a step-by-step orbit.
@@ -301,104 +417,86 @@ def stabilize_points(
         # NaN where ||x|| may not scale exactly: eval_f_rows computes those.
         norms = np.where(algebra.exact_scaling_rows(X), norms, np.nan)
     # The running rows, each at its own depth, with its argument q^depth x
-    # (from `depth` multiplications, as a fresh orbit builds it) and its
-    # last iterate.
-    rows = np.array([k for k, its in enumerate(iterates) if its and not converged[k]
-                     and len(diffs[k]) < limit[k]], dtype=np.intp)
-    depth = np.array([len(diffs[k]) for k in rows.tolist()], dtype=np.intp)
-    cur = X[rows]
+    # (from `depth` multiplications, as a fresh orbit builds it), its last
+    # iterate and difference, and the bounds on their norms, NaN until
+    # computed.  A fresh row has no difference: bounds of inf make its first
+    # step's no rise.
+    rows = ((depth < limit) & ~converged).nonzero()[0]
+    depth, prev, last, cur = depth[rows], prev[rows], last[rows], X[rows]
     for step in range(depth.max(initial=0)):
         deeper = depth > step
         cur[deeper] = q * cur[deeper]
-    prev = np.array([iterates[k][-1][-1] for k in rows.tolist()],
-                    dtype=np.complex128).reshape(len(rows), *spec.shape)
-    block = 1
+    prev_bounds = np.full((2, len(rows)), np.nan)
+    last_bounds = np.where(depth == 0, np.inf, np.nan)[None].repeat(2, axis=0)
+    # Each row's next block size, and the upper bounds of its last three
+    # differences, NaN until it has three; a resumed row reads its trace's.
+    size = np.ones(len(rows), dtype=np.intp)
+    recent = np.full((len(rows), 3), np.nan)
+    deep = (depth >= 3).nonzero()[0]
+    if len(deep):
+        tails = np.stack([iterates[k][-1][-4:] for k in rows[deep].tolist()])
+        bounds = _norm_bounds(spec, np.concatenate(
+            [(tails[:, 1:] - tails[:, :-1]).reshape(-1, *spec.shape), tails[:, 2]]))
+        recent[deep] = bounds[1, :3 * len(deep)].reshape(-1, 3)
+        size[deep] = _block_sizes(recent[deep], tol_rel * np.maximum(1.0, bounds[0, 3 * len(deep):]),
+                                  1, max_n)
     while len(rows):
-        steps = np.minimum(block, np.array(limit)[rows] - depth)
-        width = int(steps.max())
-        args = np.empty((len(rows), width, *spec.shape), dtype=np.complex128)
-        arg = cur
-        for j in range(width):
-            arg = q * arg
-            args[:, j] = arg
-        ns = depth[:, None] + np.arange(1, width + 1)
-        within = np.arange(width) < steps[:, None]
-        # A row's block ends at its first argument past the guard.
-        guarded = within & (np.abs(args).reshape(*ns.shape, -1).max(axis=2) > 1e300)
-        evaluate = within & (np.cumsum(guarded, axis=1) == 0)
-        A = np.full(args.shape, np.nan, dtype=np.complex128)
-        raised: dict[tuple[int, int], OutOfRange] = {}
-        if evaluate.any():
-            lent = None
-            if norms is not None:
-                lent = powers[ns[evaluate]] * np.broadcast_to(norms[rows][:, None], ns.shape)[evaluate]
-                lent[~algebra.exact_scaling_rows(args[evaluate])] = np.nan
-            values, overflows = _eval_steps(f, args[evaluate], lent)
-            A[evaluate] = scales[ns[evaluate]].reshape(column) * values
-            if overflows:
-                cells = np.argwhere(evaluate).tolist()
-                raised = {tuple(cells[index]): exc for index, exc in overflows.items()}
+        steps = np.minimum(np.minimum(size, max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
+        within, guarded, chain, ends, raised = _evaluate_block(
+            f, q, cur, prev, depth, steps, None if norms is None else norms[rows], scales, powers)
+        A = chain[:, 1:]
         # A guarded, overflowing or non-finite step ends the row's block.
-        bad = within & ~np.isfinite(A).reshape(*ns.shape, -1).all(axis=2)
+        bad = within & ~np.isfinite(A).reshape(*within.shape, -1).all(axis=2)
         end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
-        # ||a_n - a_{n-1}|| and the stop test of every step up to each row's
-        # end.  Scalar and sup norms are cheap: one call gives the diffs and
-        # ||a_{n-1}|| too.
-        kept = np.arange(width) < end[:, None]
-        P = np.concatenate([prev[:, None], A[:, :-1]], axis=1)[kept]
-        if spec.kind is AlgebraKind.MATRIX:
-            step_diffs, prev_norms = algebra.stacked_norms(spec, A[kept] - P), None
-        else:
-            step_norms = algebra.stacked_norms(spec, np.concatenate([A[kept] - P, P]))
-            step_diffs, prev_norms = step_norms[:len(P)], np.array(step_norms[len(P):])
-        met = _meets_tol(spec, np.array(step_diffs), P, np.nonzero(kept)[0], tol_rel,
-                         prev_norms).tolist()
-        going = []
-        pos = 0
-        for i, (k, n, e, b) in enumerate(zip(rows.tolist(), depth.tolist(), end.tolist(),
-                                            steps.tolist())):
-            ds = diffs[k]
-            taken = e
-            for j in range(e):
-                d = step_diffs[pos + j]
-                if ds and d > ds[-1]:
-                    increasing_run[k] += 1
-                    if increasing_run[k] >= 8:
-                        fail(k, n + j + 1, NonCauchy("successive differences grew 8 consecutive steps"))
-                        taken = j
-                        break
-                else:
-                    increasing_run[k] = 0
-                ds.append(d)
-                if met[pos + j]:
-                    converged[k] = True
-                    taken = j + 1
-                    break
+        kept = np.arange(within.shape[1]) < end[:, None]
+        rose, met, it_bounds, diff_bounds = _decide(spec, tol_rel, chain, last, kept,
+                                                    prev_bounds, last_bounds)
+        # Each step's run of rises, continuing the row's; a row stops at its
+        # first kept step that meets the test or ends a run of 8.
+        number = np.arange(1, within.shape[1] + 1)
+        reset = np.maximum.accumulate(np.where(rose, 0, number), axis=1)
+        run = np.where(reset > 0, number - reset, runs[rows][:, None] + number)
+        hit = kept & ((run >= 8) | met)
+        stop = hit.argmax(axis=1)
+        stops = hit.any(axis=1)
+        non_cauchy = stops & (run[np.arange(len(rows)), stop] >= 8)
+        # A row keeps its steps up to its stop, a converging step included
+        # and a NonCauchy one not, or up to its block's end.
+        taken = np.where(non_cauchy, stop, np.where(stops, stop + 1, end))
+        # Rows run in order: a failure cuts the limits of the rows after it.
+        for i in (non_cauchy | (~stops & (end < steps))).nonzero()[0].tolist():
+            k, n, e = int(rows[i]), int(depth[i]), int(taken[i])
+            if non_cauchy[i]:
+                exc = NonCauchy("successive differences grew 8 consecutive steps")
+            elif guarded[i, e]:
+                exc = IterateOverflow("iterate argument norm exceeded 1e300")
             else:
-                if e < b:
-                    if guarded[i, e]:
-                        exc = IterateOverflow("iterate argument norm exceeded 1e300")
-                    else:
-                        exc = raised.get((i, e)) or IterateOverflow("iterate f value is not finite")
-                    fail(k, n + e + 1, exc)
-                elif n + b < limit[k]:
-                    # Rows run in order: a failure has already cut this
-                    # row's limit if it is going to.
-                    going.append(i)
-            if taken:
-                iterates[k].append(A[i, :taken])
-            pos += e
-        last = steps[going] - 1
-        rows, depth = rows[going], depth[going] + steps[going]
-        cur, prev = args[going, last], A[going, last]
-        block *= 2
+                exc = raised.get((i, e)) or IterateOverflow("iterate f value is not finite")
+            fail(k, n + e + 1, exc)
+        converged[rows[stops & ~non_cauchy]] = True
+        ran = taken.nonzero()[0]
+        runs[rows[ran]] = run[ran, taken[ran] - 1]
+        for i, k, t in zip(ran.tolist(), rows[ran].tolist(), taken[ran].tolist()):
+            iterates[k].append(A[i, :t])
+        going = (~stops & (end == steps) & (depth + steps < limit[rows])).nonzero()[0]
+        if not len(going):
+            break
+        slot = steps[going]
+        prev, last, cur = chain[going, slot], _links(chain, last, going, slot), ends[going]
+        prev_bounds, last_bounds = it_bounds[:, going, slot], diff_bounds[:, going, slot]
+        # The next block: to the predicted stop, or twice this one.
+        recent = np.take_along_axis(np.concatenate([recent[going], diff_bounds[1, going, 1:]], axis=1),
+                                    slot[:, None] + np.arange(3), axis=1)
+        size = _block_sizes(recent, tol_rel * np.maximum(1.0, it_bounds[0, going, slot - 1]),
+                            2 * size[going], max_n)
+        rows, depth = rows[going], depth[going] + slot
     if failed:
         raise _batch_outcome(failed)
     traces = []
-    for chunks, ds, conv in zip(iterates, diffs, converged):
+    for chunks, conv, tail in zip(iterates, converged.tolist(), runs.tolist()):
         its = np.concatenate(chunks)
         its.setflags(write=False)
-        traces.append(StabilizationTrace(its, ds, len(ds), conv))
+        traces.append(StabilizationTrace(its, len(its) - 1, conv, tail, spec))
     return traces
 
 

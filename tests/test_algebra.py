@@ -180,15 +180,20 @@ class TestNormProperties:
 
 @st.composite
 def scaled_matrix_stacks(draw):
-    """A stack of general or rank-1 d x d matrices, d = 1..4, scaled by a
-    power of ten from 1e-300 to 1e160: across the underflow of the squares
-    of the entries and their overflow above about 1e154."""
+    """A stack of general, rank-1 or near-unitary d x d matrices, d = 1..4,
+    some rows zero, scaled by a power of ten from 1e-300 to 1e160: across
+    the underflow of the squares of the entries and their overflow above
+    about 1e154."""
     d = draw(st.integers(1, 4))
     rows = draw(st.integers(1, 3))
     parts = st.lists(st.floats(-1.0, 1.0), min_size=2 * rows * d * d, max_size=2 * rows * d * d)
     M = np.array(draw(parts)).view(np.complex128).reshape(rows, d, d)
-    if draw(st.booleans()):
+    form = draw(st.sampled_from(["general", "rank-1", "near-unitary"]))
+    if form == "rank-1":
         M = M[:, :, :1] * M[:, :1, :].conj()
+    elif form == "near-unitary":
+        M = np.linalg.qr(M)[0] + 1e-9 * M
+    M[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
     return M * 10.0 ** draw(st.integers(-300, 160))
 
 
@@ -214,15 +219,39 @@ def scaled_stacks(draw):
     return spec, X, draw(st.sampled_from([2.0, 0.5])), draw(st.integers(0, 60))
 
 
-class TestOperatorNormBounds:
+class TestOperatorNormEnclosure:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(scaled_matrix_stacks())
     @example(np.ones((1, 2, 2), dtype=complex))
+    @example(np.zeros((2, 2, 2), dtype=complex))
     @example(np.full((1, 3, 3), 1e-300, dtype=complex))
     @example(np.full((1, 2, 2), 1e155 + 1e155j))
-    def test_never_below_the_operator_norm(self, M):
-        norms = algebra.stacked_norms(matrix_spec(M.shape[1]), M)
-        assert all(algebra.operator_norm_bounds(M) >= norms)
+    @example(np.array([[[1e-120, 0], [0, 1e-120]], [[1e120, 1e120j], [0, 1e120]],
+                       [[1.0, 1e-300], [1e-320j, 0]]]))
+    def test_encloses_the_operator_norm(self, M):
+        lo, hi = algebra.operator_norm_enclosure(M)
+        norms = np.array(algebra.stacked_norms(matrix_spec(M.shape[1]), M))
+        assert (lo <= norms).all() and (norms <= hi).all()
+        if M.shape[1] == 2:
+            # The closed form is used wherever the largest part allows it,
+            # and is no wider than its margin.
+            largest = np.abs(M.view(np.float64)).reshape(len(M), -1).max(axis=1)
+            safe = (largest == 0) | ((largest >= 1e-120) & (largest <= 1e120))
+            assert (hi[safe] <= lo[safe] * (1 + 3e-12)).all()
+            assert (lo[~safe] == 0).all() and (hi[~safe] == np.inf).all()
+
+    def test_closed_form_is_within_ulps_of_lapack(self, rng):
+        # Gaussian, rank-1, near-unitary and near-tie diagonal matrices at
+        # scales e^+-80: the margin of 1e-12 covers a few ulps by far.
+        G = rng.standard_normal((4, 500, 2, 2, 2)).view(np.complex128)[..., 0]
+        Q = np.linalg.qr(G[2])[0]
+        ties = np.zeros((500, 2, 2), dtype=complex)
+        ties[:, 0, 0], ties[:, 1, 1] = 1, 1 + 1e-15 * rng.standard_normal(500)
+        forms = [G[0], G[1][:, :, :1] * G[1][:, :1, :].conj(), Q + 1e-9 * G[3], ties]
+        M = np.concatenate(forms) * np.exp(rng.uniform(-80, 80, (2000, 1, 1)))
+        lo, hi = algebra.operator_norm_enclosure(M)
+        norms = np.array(algebra.stacked_norms(M2, M))
+        assert np.abs(np.sqrt(lo * hi) / norms - 1).max() < 1e-14
 
 
 class TestExactScaling:

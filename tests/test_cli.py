@@ -105,15 +105,9 @@ class TestRun:
     def test_each_key_stabilized_once(self, monkeypatch, cstar):
         # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
         # across all stages and the trace rows, and the deeper C* batch
-        # evaluates f only on the steps past each bound-depth trace.  A row
-        # evaluates whole blocks of 1, 2, 4, ... steps from where it starts,
-        # up to the block that holds its stop, capped at max_n.
-        def block_steps(start, stop, max_n):
-            depth, block = start, 1
-            while depth < stop:
-                depth, block = min(depth + block, max_n), 2 * block
-            return depth - start
-
+        # evaluates f only on the steps past each bound-depth trace.  A row's
+        # blocks end at its predicted stop, which on these geometric orbits
+        # is its stop: every batch evaluates f on exactly the steps it keeps.
         batches, batch_steps, row_steps, traced = [], [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
@@ -144,13 +138,11 @@ class TestRun:
         assert len(calls) == len(set(calls))
         for keys, steps in zip(batches, batch_steps):
             if keys[0][2] == sc.max_n:
-                # A fresh orbit evaluates a_0, then its blocks.
-                assert steps == sum(1 + block_steps(0, traced[key].n_used, sc.max_n)
-                                    for key in keys)
+                # A fresh orbit evaluates a_0, then its steps.
+                assert steps == sum(1 + traced[key].n_used for key in keys)
             else:
-                assert steps == sum(block_steps(
-                    traced[(key[0], key[1], sc.max_n, sc.tol_rel)].n_used, traced[key].n_used,
-                    sc.cstar_max_n) for key in keys)
+                assert steps == sum(traced[key].n_used - traced[
+                    (key[0], key[1], sc.max_n, sc.tol_rel)].n_used for key in keys)
 
     def test_error_bounds_once_per_pass(self, monkeypatch):
         # The trace rows read the bound stage's per-probe bounds.

@@ -489,6 +489,7 @@ class TestHashedGaussians:
         plain = maps._hashed_gaussians(any_spec, Q, 5)
         replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
         monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, zeros))
+        monkeypatch.setattr(maps, "_REPLAY", threading.local())  # replay on a patched one
         got = maps._hashed_gaussians(any_spec, Q, 5)
         for k in range(len(Q)):
             expected = hashed_gaussian_reference(
@@ -500,6 +501,7 @@ class TestHashedGaussians:
         Q = quantized_stack(any_spec, 3, rng)
         replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
         monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, 8))
+        monkeypatch.setattr(maps, "_REPLAY", threading.local())  # replay on a patched one
         with pytest.raises(DegenerateDirection):
             maps._hashed_gaussians(any_spec, Q, 5)
 
@@ -528,6 +530,24 @@ class TestHashedGaussians:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial[0]] * 4, [serial[1]] * 4]
+
+    def test_replay_generator_per_thread(self, rng):
+        # Replayed rows draw from one generator per thread, made on the
+        # thread's first replay.
+        Q = quantized_stack(P4, 200, rng)
+
+        def generator():
+            maps._hashed_gaussians(P4, Q, 5)
+            return maps._REPLAY.generator
+
+        other = []
+        thread = threading.Thread(target=lambda: other.extend(
+            [hasattr(maps._REPLAY, "generator"), generator()]))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert generator() is generator()
+        assert other[0] is False and other[1] is not generator()
 
     def test_gaussian_row_is_two_draws(self, any_spec):
         # One (2, *shape) block holds the real draw, then the imaginary one.

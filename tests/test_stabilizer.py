@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involstab import algebra, maps, stabilizer
 from involstab.algebra import SCALAR, matrix_spec
@@ -499,8 +502,10 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize("perturbation", [radial(0.1, 0.5, seed=5), maps.NO_PERTURBATION],
                              ids=["fixed-direction", "none"])
     def test_calls_per_batch(self, monkeypatch, rng, perturbation):
-        # 40 points that none converge by step 48: a_0 and blocks of 1, 2,
-        # 4, 8, 16 and 17 steps.
+        # 40 points that none converge by step 48: a_0, blocks of 1 and 2
+        # steps, then one block to the stop predicted from the first three
+        # differences, past max_n.  Every decision is settled by the bounds,
+        # so no operator norm of a difference or an iterate is computed.
         f = ApproxMap(maps.adjoint(), perturbation, M2)
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(40)])
         calls = counting_calls(monkeypatch)
@@ -510,7 +515,7 @@ class TestOrbitBlocks:
             assert not any(tr.converged for tr in traces)
             assert [tr.n_used for tr in traces] == [48] * 40
         evals = calls["eval_f_rows"]
-        assert len(evals) <= math.ceil(math.log2(49)) + 1
+        assert len(evals) <= 4
         # Every argument q^n x the orbit evaluates, n = 0 .. 48.
         args, Y = set(), X
         for _ in range(49):
@@ -525,14 +530,24 @@ class TestOrbitBlocks:
             # q^n ||x|| for each argument.
             assert len(on_args) == 1 and on_args[0].tobytes() == X.tobytes()
             assert all(not np.isnan(norms).any() for _, norms in evals)
-            # The stop test bounds ||a_{n-1}|| without an svd: the orbit's
-            # other norm rows are the differences of the 40 * 48 kept steps.
-            iterates = {row.tobytes() for tr in traces for row in tr.iterates}
-            on_steps = [stack for stack in calls["stacked_norms"] if stack is not on_args[0]]
-            assert sum(map(len, on_steps)) == 40 * 48
-            assert not any(row.tobytes() in iterates for stack in on_steps for row in stack)
+            steps = {row.tobytes() for tr in traces
+                     for row in [*tr.iterates, *(tr.iterates[1:] - tr.iterates[:-1])]}
+            assert not any(row.tobytes() in steps for stack in calls["stacked_norms"]
+                           for row in stack)
         if len(traces[0].diffs) == 48:
-            assert [len(A) for A, _ in evals] == [40, 40, 80, 160, 320, 640, 680]
+            assert [len(A) for A, _ in evals] == [40, 40, 80, 40 * 45]
+
+    def test_block_cells_capped(self, monkeypatch, rng):
+        # 100 rows that run to max_n: no block evaluates more than
+        # _BLOCK_CELLS steps in all, so the last ones are narrower.
+        f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2)
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(100)])
+        calls = counting_calls(monkeypatch)
+        traces = stabilize_points(f, UP, X, 48, 1e-10)
+        assert [tr.n_used for tr in traces] == [48] * 100
+        sizes = [len(A) for A, _ in calls["eval_f_rows"]]
+        assert max(sizes) <= stabilizer._BLOCK_CELLS < 100 * 45
+        assert sum(sizes) == 100 * 49
 
     def test_block_that_keeps_no_step(self):
         # The argument passes the guard at step 16, the first of a block:
@@ -603,6 +618,166 @@ class TestStopTestBoundary:
             assert (tr.diffs, tr.converged) == (want_diffs, want_converged)
             stops.append(tr.n_used)
         assert stops[0] > n and stops[1:] == [n, n]
+
+
+def reference_outcome(f, direction, X, max_n, tol_rel):
+    """orbit_outcome from reference_orbit, row by row: the traces, or the
+    exception of the first failing row, which is the batch's when no
+    perturbation amplitude overflows."""
+    out = []
+    for x in X:
+        try:
+            iterates, diffs, converged = reference_orbit(f, direction, x, max_n, tol_rel)
+        except (IterateOverflow, NonCauchy) as exc:
+            return type(exc), str(exc)
+        iterates = np.stack(iterates)
+        out.append((iterates.shape, iterates.tobytes(), diffs, len(diffs), converged))
+    return out
+
+
+def exact_diff_rows(monkeypatch, f, direction, X, max_n, tol_rel, resume=None):
+    """The outcome of a batch, and how many operator norms of its
+    differences it computed."""
+    stacks = []
+    stacked_norms = algebra.stacked_norms
+
+    def recording(spec, stack):
+        stacks.append(stack.copy())
+        return stacked_norms(spec, stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "stacked_norms", recording)
+        got = orbit_outcome(f, direction, X, max_n, tol_rel, resume)
+    if not isinstance(got, list):
+        return got, None
+    diffs = {row.tobytes() for _, data, *_ in got
+             for its in [np.frombuffer(data, complex).reshape(-1, *f.spec.shape)]
+             for row in its[1:] - its[:-1]}
+    return got, sum(row.tobytes() in diffs for stack in stacks for row in stack)
+
+
+class TestOpenDecisions:
+    """Orbits whose steps the norm bounds leave open: the decisions are
+    those of the exact norms, step by step."""
+
+    @pytest.mark.parametrize("spec", [M2, matrix_spec(3)], ids=["matrix2", "matrix3"])
+    @pytest.mark.parametrize("perturbation", [
+        # The differences of a random direction at r = 1 neither shrink nor
+        # grow; at r = 1 - 2^-50 those of a fixed one shrink by under an ulp
+        # a step, so they tie or differ in their last bits.
+        PerturbationSpec("random_direction", 0.1, 1.0, 3),
+        radial(0.1, 1.0, seed=5),
+        radial(0.1, 1 - 2.0 ** -50, seed=5),
+    ], ids=["random-r1", "fixed-r1", "fixed-near-r1"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e130], ids=["unit", "tiny", "huge"])
+    def test_near_ties_match_reference(self, monkeypatch, rng, spec, perturbation, scale):
+        f = ApproxMap(maps.adjoint(), perturbation, spec)
+        X = np.stack([scale * algebra.sample_element(spec, (0.5, 2.0), rng) for _ in range(3)])
+        got, exact = exact_diff_rows(monkeypatch, f, UP, X, 40, 1e-300)
+        assert got == reference_outcome(f, UP, X, 40, 1e-300)
+        # A 3x3 bound is wide, and entries outside EXACT_SCALING_RANGE have
+        # none: their rise decisions read operator norms.
+        if exact is not None and (spec.dim == 3 or scale != 1.0) and got[0][3] > 1:
+            assert exact > 0
+
+
+def designed_orbit(monkeypatch, ks, lift=None):
+    """A map whose orbit at x = ones, q = 2, is a_n = diag((-1)^n t_n, y_n)
+    with t_0 = 1/2: its differences have the norms t_n + t_{n-1} =
+    1 + k_n * 2^-52 for the integers k_1, k_2, ...  Equal k tie; k + 1 is one
+    ulp more.  ||a_n|| = y_n is 1, and 2 from step `lift` on."""
+    t = [Fraction(1, 2)]
+    for k in ks:
+        t.append(1 + k * Fraction(2) ** -52 - t[-1])
+    assert all(0 < v == float(v) for v in t)
+    orbit = np.zeros((len(t), 2, 2), dtype=complex)
+    orbit[:, 0, 0] = [(-1) ** n * float(v) for n, v in enumerate(t)]
+    orbit[:, 1, 1] = [1 if lift is None or n < lift else 2 for n in range(len(t))]
+
+    def eval_rows(f, X, norms=None):
+        n = np.log2(X[:, 0, 0].real).astype(int)
+        return orbit[n] * 2.0 ** n[:, None, None]
+
+    monkeypatch.setattr(maps, "eval_f_rows", eval_rows)
+    monkeypatch.setattr(stabilizer, "eval_f_rows", eval_rows)
+    return ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
+
+
+class TestRiseAtUlpEdges:
+    # Runs of differences that grow by one ulp, broken by ties and by a
+    # one-ulp fall: every rise decision is open, and the exact norms decide
+    # whether the run reaches 8.
+    @pytest.mark.parametrize("ks", [
+        [0, 1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 11, 12, 13, 14, 14, 15, 15],  # ties reset
+        [0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 8, 9, 10, 11, 12, 13, 12, 12, 12],  # a fall resets
+        [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],  # the 8th rise
+    ], ids=["tie", "fall", "non-cauchy"])
+    def test_runs_match_reference(self, monkeypatch, ks):
+        f = designed_orbit(monkeypatch, ks)
+        X = np.ones((1, 2, 2), dtype=complex)
+        ref = reference_outcome(f, UP, X, len(ks), 1e-300)
+        if ks[1] == 0:
+            assert ref == NON_CAUCHY
+        else:
+            assert ref[0][2] == [1 + k * 2.0 ** -52 for k in ks]
+        for max_n in range(1, len(ks) + 1):
+            got, exact = exact_diff_rows(monkeypatch, f, UP, X, max_n, 1e-300)
+            assert got == reference_outcome(f, UP, X, max_n, 1e-300)
+            assert exact is None or max_n == 1 or exact > 0
+            # Resumed at every depth, the run carries over.
+            for depth in range(1, min(max_n, 9)):
+                shallow = stabilize_points(f, UP, X, depth, 1e-300)
+                assert orbit_outcome(f, UP, X, max_n, 1e-300, shallow) == got
+
+    @pytest.mark.parametrize("k9, outcome", [(8, NON_CAUCHY), (7, (9, True))],
+                             ids=["eighth-rise", "tie"])
+    def test_rise_at_a_sure_stop(self, monkeypatch, k9, outcome):
+        # ||a_8|| = 2 lets step 9 surely meet tol_rel = 0.75, which step 8
+        # does not; step 9's open rise decides between the 8th rise running,
+        # which comes first, and convergence.
+        f = designed_orbit(monkeypatch, [0, 1, 2, 3, 4, 5, 6, 7, k9, 9, 10], lift=8)
+        X = np.ones((1, 2, 2), dtype=complex)
+        got = orbit_outcome(f, UP, X, 11, 0.75)
+        assert got == reference_outcome(f, UP, X, 11, 0.75)
+        if outcome == NON_CAUCHY:
+            assert got == NON_CAUCHY
+        else:
+            assert got[0][3:] == outcome
+
+
+@st.composite
+def orbit_cases(draw):
+    """(f, direction, X, max_n, tol_rel, resume depth): every kind, both
+    directions, 1 to 3 rows with norms from about 1e-160 to 1e160."""
+    spec = draw(st.sampled_from([SCALAR, P4, M2, matrix_spec(3)]))
+    kind = draw(st.sampled_from(["none", "fixed_direction", "random_direction"]))
+    perturbation = PerturbationSpec(kind, 0.1, draw(st.sampled_from([0.5, 1.0, 1.5])), 4)
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    scales = draw(st.lists(st.integers(-160, 160), min_size=1, max_size=3))
+    X = np.stack([10.0 ** e * algebra.sample_element(spec, (0.5, 2.0), rng) for e in scales])
+    max_n = draw(st.integers(1, 40))
+    shallow = draw(st.one_of(st.none(), st.tuples(st.integers(1, max_n), st.sampled_from([1e-4, 1e-10]))))
+    return (ApproxMap(maps.conjugation() if spec.kind.value != "matrix" else maps.adjoint(),
+                      perturbation, spec), draw(st.sampled_from([UP, DOWN])), X, max_n,
+            draw(st.sampled_from([1e-4, 1e-10, 1e-14])), shallow)
+
+
+class TestDifferential:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(orbit_cases())
+    def test_batch_matches_reference(self, case):
+        # Iterates, diffs and converged of every row, or the exception, as
+        # the step-by-step orbit gives them; resumed rows as fresh ones.
+        f, direction, X, max_n, tol_rel, shallow = case
+        want = reference_outcome(f, direction, X, max_n, tol_rel)
+        assert orbit_outcome(f, direction, X, max_n, tol_rel) == want
+        if shallow is not None and shallow[1] >= tol_rel:
+            try:
+                traces = stabilize_points(f, direction, X, *shallow)
+            except NonCauchy:
+                return
+            resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
+            assert orbit_outcome(f, direction, X, max_n, tol_rel, resume) == want
 
 
 class TestErrorBound:

@@ -132,13 +132,16 @@ def operator_norm_enclosure(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F.  The factors cover the
     # rounding of the sum of squares and of LAPACK's largest singular value,
     # a few ulps per entry, for d up to about a thousand.  A square or
-    # partial sum that underflows loses at most 2^-1075, so the 4d^2 of them
-    # lower the Frobenius norm by under d * 2^-536, which the added 1e-150
-    # covers; a Frobenius norm that overflows bounds nothing.
+    # partial sum that underflows moves it by at most 2^-1075 either way
+    # (it can flush to 0, or round up to the smallest subnormal), so the 4d^2
+    # of them move the Frobenius norm by under d * 2^-536, which the 1e-150
+    # taken off lo and added to hi covers; a Frobenius norm that overflows
+    # bounds nothing.
     parts = parts.reshape(n, 2 * d * d)
     frobenius = np.sqrt(np.einsum("ij,ij->i", parts, parts))
     finite = np.isfinite(frobenius)
-    return (np.where(finite, frobenius * ((1.0 - 1e-8) / math.sqrt(d)), 0.0),
+    lo = np.maximum(frobenius * ((1.0 - 1e-8) / math.sqrt(d)) - 1e-150, 0.0)
+    return (np.where(finite, lo, 0.0),
             np.where(finite, frobenius * (1.0 + 1e-8) + 1e-150, np.inf))
 
 
@@ -190,19 +193,13 @@ def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
 
 def gaussian_row(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
     """Nonzero standard complex Gaussian entries, before `sample_direction`
-    normalizes them; callers with many rows normalize them in one stack."""
-    parts = gaussian_parts(rng, np.empty((2, *spec.shape)))
-    return parts[0] + 1j * parts[1]
-
-
-def gaussian_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the float64 array `out`, shaped (2, *spec.shape), with the real
-    then imaginary parts of `gaussian_row`'s entries: one draw, redrawn
-    while all zero."""
+    normalizes them: one (2, *spec.shape) draw of the real then imaginary
+    parts, redrawn while all zero."""
+    parts = np.empty((2, *spec.shape))
     for _ in range(8):
-        rng.standard_normal(out=out)
-        if out.any():
-            return out
+        rng.standard_normal(out=parts)
+        if parts.any():
+            return parts[0] + 1j * parts[1]
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 
 

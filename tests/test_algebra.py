@@ -228,6 +228,9 @@ class TestOperatorNormEnclosure:
     @example(np.full((1, 2, 2), 1e155 + 1e155j))
     @example(np.array([[[1e-120, 0], [0, 1e-120]], [[1e120, 1e120j], [0, 1e120]],
                        [[1.0, 1e-300], [1e-320j, 0]]]))
+    # Squares that underflow round up as well as down: for d != 2 the lower
+    # bound needs the same absolute margin as the upper one.
+    @example(np.diag([1e-159, 1e-159, -7.12652458e-160 - 7.01517264e-160j])[None])
     def test_encloses_the_operator_norm(self, M):
         lo, hi = algebra.operator_norm_enclosure(M)
         norms = np.array(algebra.stacked_norms(matrix_spec(M.shape[1]), M))

@@ -1,15 +1,12 @@
-import hashlib
 import math
+import struct
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from involstab import _ziggurat, algebra, maps
+from involstab import algebra, maps
 from involstab.algebra import SCALAR, matrix_spec, pointwise_spec
 from involstab.errors import DegenerateDirection, KindSpecMismatch, SpecMismatch
 from involstab.maps import (
@@ -138,6 +135,11 @@ class TestPerturbation:
             X = sample_stack(any_spec, 200, rng)
             delta = maps._perturbation_rows(p, any_spec, X)
             assert np.all(norms(any_spec, delta) <= 0.07 * norms(any_spec, X) ** 0.5 + 1e-12)
+
+    def test_negative_direction_seed_rejected(self):
+        for kind in ("fixed_direction", "random_direction"):
+            with pytest.raises(ValueError):
+                PerturbationSpec(kind, 0.1, 0.5, direction_seed=-1)
 
     def test_random_direction_is_a_function(self, rng):
         p = PerturbationSpec("random_direction", 0.1, 0.5, direction_seed=4)
@@ -297,226 +299,103 @@ class TestEvalFRows:
             maps.eval_f_rows(f, np.zeros((2, 3, 3), dtype=complex))
 
 
-# Seeds at the edges of one and two 32-bit entropy words.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 Generator = np.random.Generator
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+# None, seeds of one 64-bit digit at both ends, and of two and three digits.
+EDGE_SEEDS = [None, 0, 2**64 - 1, 2**64, 2**130]
 
 
-def pcg64_state(seed):
-    """The 128-bit state and increment of a freshly seeded PCG64, the pair
-    `maps._pcg64_states` gives per seed."""
-    state = np.random.PCG64(seed).state
-    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
-    return state["state"]["state"], state["state"]["inc"]
+def splitmix(z):
+    """splitmix64's finalizer on a Python int below 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
-def hashed_gaussian_reference(spec, quantized, seed, generator=Generator):
-    """The per-row draw: a fresh PCG64 seeded by the point's blake2b digest."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(seed).encode())
-    h.update(np.ascontiguousarray(quantized.real).tobytes())
-    h.update(np.ascontiguousarray(quantized.imag).tobytes())
-    bits = np.random.PCG64(int.from_bytes(h.digest(), "little"))
-    return algebra.gaussian_row(spec, generator(bits))
+def reference_direction(q, seed):
+    """One quantized point's unnormalized hashed direction, in Python ints
+    from README's specification: the seed folded into k0, the salts, the
+    key of the point's float64 words and each part's map to (-1, 1)."""
+    k0 = 0
+    if seed is not None:
+        count = max(1, (seed.bit_length() + 63) // 64)
+        for word in [count] + [(seed >> (64 * i)) & MASK64 for i in range(count)]:
+            k0 = splitmix(k0 ^ word)
+    words = [int.from_bytes(struct.pack("<d", part), "little")
+             for z in q.reshape(-1).tolist() for part in (z.real, z.imag)]
+    width = len(words)
+    salts = [splitmix((k0 + (j + 1) * GAMMA) & MASK64) for j in range(2 * width)]
+    key = sum(splitmix(w ^ s) for w, s in zip(words, salts)) & MASK64
+    odd = [(splitmix((key + salts[width + j]) & MASK64) >> 11) | 1 for j in range(width)]
+    return np.array([(m - 2**52) * 2.0**-52 for m in odd]).view(np.complex128).reshape(q.shape)
 
 
 class FirstDrawsZero:
-    """A Generator whose first `zeros` draws after each seeding come out all
-    zero; each still consumes its share of the stream."""
+    """A Generator whose first `zeros` draws come out all zero; each still
+    consumes its share of the stream."""
 
     def __init__(self, bits, zeros):
-        self._bits, self._rng, self._zeros = bits, Generator(bits), zeros
-        self._state_after, self._count = None, 0
+        self._rng, self._zeros = Generator(bits), zeros
 
     def standard_normal(self, out):
-        if self._bits.state != self._state_after:
-            self._count = 0
         self._rng.standard_normal(out=out)
-        if self._count < self._zeros:
+        if self._zeros:
+            self._zeros -= 1
             out[...] = 0.0
-        self._count += 1
-        self._state_after = self._bits.state
         return out
 
 
 def quantized_stack(spec, n, rng):
-    X = sample_stack(spec, n, rng, (1e-7, 10.0))
-    X[0] = -1e-9  # entries that round to -0.0, whose bytes differ from +0.0
-    return np.round(X * 1e6) / 1e6
-
-
-def derive_ziggurat_tables():
-    """numpy's ziggurat tables, derived from the installed numpy.  A PCG64
-    state whose next state has high word 0 makes the next output any chosen
-    r = rabs << 9 | idx: WI[idx] is the draw at rabs = 1, and KI[idx] the
-    smallest rabs whose draw reads more than that one output (bisection)."""
-    mask = (1 << 128) - 1
-    inverse = pow(maps._PCG_MULT, -1, 1 << 128)
-    bits = np.random.PCG64(0)
-    rng = Generator(bits)
-    full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
-            "has_uint32": 0, "uinteger": 0}
-
-    def draw(r):
-        full["state"]["state"] = (r - 1) * inverse & mask
-        bits.state = full
-        value = rng.standard_normal()
-        return value, bits.state["state"]["state"] == r
-
-    ki, wi = [], []
-    for idx in range(256):
-        wi.append(draw(1 << 9 | idx)[0])
-        lo, hi = 0, 1 << 52
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if draw(mid << 9 | idx)[1] else (lo, mid)
-        ki.append(lo)
-    return ki, wi
-
-
-def table_literals(ki, wi):
-    """KI and WI in the literal format of involstab/_ziggurat.py."""
-    def literal(name, items, per_line):
-        lines = [f"{name} = ("]
-        lines += ["    " + " ".join(items[i:i + per_line]) for i in range(0, len(items), per_line)]
-        return "\n".join(lines + [")"])
-
-    return (literal("KI", [f"0x{k:013X}," for k in ki], 4) + "\n\n"
-            + literal("WI", [f"{w!r}," for w in wi], 3))
-
-
-def replace_tables(monkeypatch, k=None, w=None):
-    """Swap in ziggurat tables for one test; their self-check runs afresh."""
-    zig = maps._ZIGGURAT
-    monkeypatch.setattr(maps, "_ZIGGURAT", maps._Ziggurat(zig.k if k is None else k,
-                                                          zig.w if w is None else w))
+    Q = np.round(sample_stack(spec, n, rng, (1e-7, 10.0)) * 1e6) / 1e6
+    Q[0] = complex(-0.0, -0.0)  # parts whose bits differ from +0.0
+    Q[-1].reshape(-1)[0] = -0.0  # and one next to nonzero entries
+    return Q
 
 
 class TestHashedGaussians:
-    """The batched draw replicates numpy's SeedSequence, PCG64's output
-    stream and the fast path of its normal draw, and keeps every bit of the
-    per-row draw."""
-
-    def test_seed_words_match_numpy(self):
-        words = maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64))
-        assert words.dtype == np.uint32 and words.shape == (len(EDGE_SEEDS), 8)
-        for seed, row in zip(EDGE_SEEDS, words):
-            expected = np.random.SeedSequence(seed).generate_state(8, np.uint32)
-            assert row.tolist() == expected.tolist()
-
-    def test_states_match_numpy(self):
-        states = maps._pcg64_states(maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64)))
-        assert states == [pcg64_state(seed) for seed in EDGE_SEEDS]
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
-    def test_replica_matches_numpy_sampled(self, seeds):
-        words = maps._seed_words(np.array(seeds, dtype=np.uint64))
-        for seed, row, state in zip(seeds, words, maps._pcg64_states(words)):
-            assert row.tolist() == np.random.SeedSequence(seed).generate_state(
-                8, np.uint32).tolist()
-            assert state == pcg64_state(seed)
-
-    @pytest.mark.parametrize("count", [2, 8, 14, 18, 32])
-    def test_outputs_match_random_raw(self, count):
-        out = maps._pcg64_outputs(maps._seed_words(np.array(EDGE_SEEDS, dtype=np.uint64)), count)
-        assert out.dtype == np.uint64 and out.shape == (len(EDGE_SEEDS), count)
-        for seed, row in zip(EDGE_SEEDS, out):
-            assert row.tolist() == np.random.PCG64(seed).random_raw(count).tolist()
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 40))
-    def test_outputs_match_random_raw_sampled(self, seeds, count):
-        out = maps._pcg64_outputs(maps._seed_words(np.array(seeds, dtype=np.uint64)), count)
-        for seed, row in zip(seeds, out):
-            assert row.tolist() == np.random.PCG64(seed).random_raw(count).tolist()
-
-    def test_tables_match_numpy(self):
-        # The literal tables against the installed numpy, box by box; on a
-        # mismatch the message holds the derived tables in the source's
-        # format, to paste into involstab/_ziggurat.py.
-        ki, wi = derive_ziggurat_tables()
-        expected = table_literals(ki, wi)
-        same = list(_ziggurat.KI) == ki and np.array(_ziggurat.WI).tobytes() == np.array(wi).tobytes()
-        assert same, f"ziggurat tables differ from numpy {np.__version__}:\n{expected}"
-        assert expected in Path(_ziggurat.__file__).read_text()
-
-    def test_corrupted_table_replays_every_row(self, monkeypatch, rng):
-        # Every box's w an ulp off: the self-check finds it, and every row
-        # is drawn by numpy's generator instead.
-        replace_tables(monkeypatch, w=np.nextafter(maps._ZIGGURAT.w, np.inf))
-        assert not maps._ZIGGURAT.agrees
-        Q = quantized_stack(P4, 100, rng)
-        got = maps._hashed_gaussians(P4, Q, 7)
-        for k in range(len(Q)):
-            assert got[k].tobytes() == hashed_gaussian_reference(P4, Q[k], 7).tobytes()
-
-    def test_zero_draws_are_not_settled(self):
-        # With every w zero, every draw is 0 and no row is settled: an
-        # all-zero draw always goes to gaussian_parts, which redraws it.
-        words = maps._seed_words(np.arange(100, dtype=np.uint64))
-        zig = maps._Ziggurat(maps._ZIGGURAT.k, np.zeros_like(maps._ZIGGURAT.w))
-        values, settled = zig.draws(words, 8)
-        assert not values.any() and not settled.any()
-
-    def test_fast_path_settles_most_rows(self, monkeypatch, rng):
-        # A row is replayed when one of its 8 draws is not settled by the
-        # fast path (1.46% of draws), about 11% of rows.  A replica that
-        # replayed every row would pass every test of its bits.
-        Q = quantized_stack(P4, 1000, rng)
-        replayed = []
-        gaussian_parts = algebra.gaussian_parts
-        monkeypatch.setattr(algebra, "gaussian_parts",
-                            lambda rng, out: replayed.append(1) or gaussian_parts(rng, out))
-        maps._hashed_gaussians(P4, Q, 11)
-        assert 50 <= len(replayed) <= 200
+    """The hashed directions, which replaced hashed Gaussian draws, against
+    a per-row reference of README's specification; and the seeded Gaussian
+    rows of probes and fixed directions."""
 
     @pytest.mark.parametrize("n", [1, 50, 129, 300])
-    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("seed", [None, 7] + EDGE_SEEDS[1:], ids=str)
     @pytest.mark.parametrize("any_spec", [SCALAR, M2, P3, P7, M3],
                              ids=["scalar", "matrix", "pointwise", "pointwise7", "matrix3"])
     def test_rows_match_per_row_reference(self, any_spec, rng, n, seed):
         Q = quantized_stack(any_spec, n, rng)
-        got = maps._hashed_gaussians(any_spec, Q, seed)
+        got = maps._hashed_directions(any_spec, Q, seed)
         assert got.shape == (n, *any_spec.shape) and got.dtype == np.complex128
         for k in range(n):
-            expected = hashed_gaussian_reference(any_spec, Q[k], seed)
-            assert got[k].tobytes() == expected.tobytes()
+            assert got[k].tobytes() == reference_direction(Q[k], seed).tobytes()
+        # Every part is an odd multiple of 2^-52 in (-1, 1).
+        parts = got.view(np.float64)
+        scaled = parts * 2.0**52
+        assert (np.abs(parts) < 1).all()
+        assert (scaled == np.round(scaled)).all() and (np.fmod(scaled, 2) != 0).all()
+        # A -0.0 part keys apart from +0.0.
+        plus = Q[-1:].copy()
+        plus.reshape(-1)[0] = 0.0
+        assert plus.tobytes() != Q[-1].tobytes() and (plus == Q[-1]).all()
+        assert maps._hashed_directions(any_spec, plus, seed).tobytes() != got[-1].tobytes()
 
-    @pytest.mark.parametrize("zeros", [1, 7])
-    def test_zero_draws_are_redrawn(self, monkeypatch, any_spec, rng, zeros):
-        Q = quantized_stack(any_spec, 3, rng)
-        plain = maps._hashed_gaussians(any_spec, Q, 5)
-        replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
-        monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, zeros))
-        monkeypatch.setattr(maps, "_REPLAY", threading.local())  # replay on a patched one
-        got = maps._hashed_gaussians(any_spec, Q, 5)
-        for k in range(len(Q)):
-            expected = hashed_gaussian_reference(
-                any_spec, Q[k], 5, generator=lambda bits: FirstDrawsZero(bits, zeros))
-            assert got[k].tobytes() == expected.tobytes()
-            assert got[k].tobytes() != plain[k].tobytes()
-
-    def test_eight_zero_draws_raise(self, monkeypatch, any_spec, rng):
-        Q = quantized_stack(any_spec, 3, rng)
-        replace_tables(monkeypatch, k=np.zeros_like(maps._ZIGGURAT.k))
-        monkeypatch.setattr(np.random, "Generator", lambda bits: FirstDrawsZero(bits, 8))
-        monkeypatch.setattr(maps, "_REPLAY", threading.local())  # replay on a patched one
-        with pytest.raises(DegenerateDirection):
-            maps._hashed_gaussians(any_spec, Q, 5)
+    def test_none_zero_and_two_digit_seeds_differ(self, any_spec, rng):
+        Q = quantized_stack(any_spec, 10, rng)
+        rows = {maps._hashed_directions(any_spec, Q, seed).tobytes() for seed in (None, 0, 2**64)}
+        assert len(rows) == 3
 
     def test_concurrent_calls_match_serial(self, rng):
-        # Each call draws from its own generator: two threads, switching
+        # The hash keeps no state between calls: two threads, switching
         # every few microseconds, still get the serial rows.
         stacks = [quantized_stack(P3, 300, rng) for _ in range(2)]
-        serial = [maps._hashed_gaussians(P3, Q, 5).tobytes() for Q in stacks]
+        serial = [maps._hashed_directions(P3, Q, 5).tobytes() for Q in stacks]
         results = [[], []]
         barrier = threading.Barrier(2, timeout=60)
 
         def draw(i):
             barrier.wait()
             for _ in range(4):
-                results[i].append(maps._hashed_gaussians(P3, stacks[i], 5).tobytes())
+                results[i].append(maps._hashed_directions(P3, stacks[i], 5).tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -531,24 +410,6 @@ class TestHashedGaussians:
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial[0]] * 4, [serial[1]] * 4]
 
-    def test_replay_generator_per_thread(self, rng):
-        # Replayed rows draw from one generator per thread, made on the
-        # thread's first replay.
-        Q = quantized_stack(P4, 200, rng)
-
-        def generator():
-            maps._hashed_gaussians(P4, Q, 5)
-            return maps._REPLAY.generator
-
-        other = []
-        thread = threading.Thread(target=lambda: other.extend(
-            [hasattr(maps._REPLAY, "generator"), generator()]))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert generator() is generator()
-        assert other[0] is False and other[1] is not generator()
-
     def test_gaussian_row_is_two_draws(self, any_spec):
         # One (2, *shape) block holds the real draw, then the imaginary one.
         rng_a, rng_b = Generator(np.random.PCG64(3)), Generator(np.random.PCG64(3))
@@ -556,6 +417,22 @@ class TestHashedGaussians:
             expected = (rng_b.standard_normal(any_spec.shape)
                         + 1j * rng_b.standard_normal(any_spec.shape))
             assert algebra.gaussian_row(any_spec, rng_a).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zeros", [1, 7])
+    def test_zero_draws_are_redrawn(self, any_spec, zeros):
+        # The row is the first draw that is not all zero: the plain
+        # generator's draw after `zeros` skipped ones.
+        got = algebra.gaussian_row(any_spec, FirstDrawsZero(np.random.PCG64(5), zeros))
+        plain = Generator(np.random.PCG64(5))
+        first = algebra.gaussian_row(any_spec, plain)
+        for _ in range(zeros - 1):
+            algebra.gaussian_row(any_spec, plain)
+        assert got.tobytes() == algebra.gaussian_row(any_spec, plain).tobytes()
+        assert got.tobytes() != first.tobytes()
+
+    def test_eight_zero_draws_raise(self, any_spec):
+        with pytest.raises(DegenerateDirection):
+            algebra.gaussian_row(any_spec, FirstDrawsZero(np.random.PCG64(5), 8))
 
 
 class TestPerturbationRows:
@@ -579,7 +456,7 @@ class TestPerturbationRows:
                 q = np.round(x * 1e6) / 1e6
                 expected = np.zeros(any_spec.shape, dtype=np.complex128)
                 if q.any():
-                    g = hashed_gaussian_reference(any_spec, q, seed)
+                    g = reference_direction(q, seed)
                     n = algebra.stacked_norms(any_spec, g[None])[0]
                     expected = complex(amplitude) * (complex(1.0 / n) * g)
             if amplitude == 0.0:

@@ -402,9 +402,9 @@ R40 = ApproxMap(maps.conjugation(), radial(0.1, 40.0), SCALAR)
 # step 11.
 RANDOM_R2 = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 2.0, 3),
                       algebra.pointwise_spec(2))
-NC10 = np.array([1, 1], dtype=complex)
-NC13 = np.array([5 + 1j, 1])
-OOR11 = np.array([2.0 ** 501, 5 * 2.0 ** 489], dtype=complex)
+NC10 = np.array([3 + 1j, 3])
+NC13 = np.array([7, 3], dtype=complex)
+OOR11 = np.array([2.0 ** 501, 3 * 2.0 ** 489], dtype=complex)
 OUT_OF_RANGE = (OutOfRange, "perturbation amplitude overflows at r = 2.0")
 
 

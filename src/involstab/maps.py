@@ -198,7 +198,9 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
     # eval_f_rows. Amplitudes are computed in Python floats per row; a zero
     # amplitude or zero quantized point is a zero row, left +0 rather than
     # 0 * u, which can be -0.  An amplitude that overflows to inf leaves a
-    # non-finite row, for the caller to reject, and no warning.
+    # non-finite row, for the caller to reject, and no warning.  Python's
+    # n ** 0.5 differed from numpy's power and sqrt on 361 of 400,000 norms
+    # (AVX-512 x86-64, numpy 2.4), so an array form would move digests.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out

@@ -15,7 +15,7 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraKind, AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
-from .maps import ApproxMap, PerturbationKind, eval_f_rows
+from .maps import ApproxMap, PerturbationKind, PerturbationSpec, eval_f_rows
 
 
 class ControlKind(str, Enum):
@@ -272,17 +272,23 @@ def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, last: np.ndarr
     return rose, met, it_bounds, diff_bounds
 
 
-def _block_sizes(recent: np.ndarray, floor: np.ndarray, fallback: np.ndarray | int,
-                 max_n: int) -> np.ndarray:
-    """Each row's next block size: the steps until the upper bounds `recent`
-    of its last three differences, shrinking at the rate
-    sqrt(h_k / h_{k-2}) < 1, fall below `floor`; `fallback` for a row with
-    fewer than three, NaN, or whose differences do not shrink."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.sqrt(recent[:, 2] / recent[:, 0])
-        predicted = np.ceil(np.log(floor / recent[:, 2]) / np.log(rate))
-    sized = (rate > 0) & (rate < 1) & np.isfinite(predicted)
-    return np.where(sized, predicted, fallback).clip(1, max_n).astype(np.intp)
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _predicted_stops(p: PerturbationSpec, q: float, norms: np.ndarray, lower: np.ndarray,
+                     tol_rel: float, max_n: int) -> np.ndarray:
+    """Each row's step n_hat, at most max_n, by which its orbit meets the
+    stop test in exact arithmetic, from ||x|| (`norms`) and a lower bound on
+    the norm of its last iterate; 0, no prediction, where rho = q^{r-1} >= 1.
+    The perturbation of a_n has the norm rho^n A for A = theta_delta ||x||^r,
+    so d_n <= (1 + rho) rho^{n-1} A and ||a_{n-1}|| >= lower - 2A."""
+    amplitudes = p.theta_delta * norms ** p.r
+    log_rho = (p.r - 1.0) * math.log(q)
+    if log_rho >= 0:
+        stops = np.where(amplitudes > 0, 0.0, 1.0)
+    else:
+        ratio = tol_rel * np.maximum(1.0, lower - 2.0 * amplitudes) / (
+            (1.0 + math.exp(log_rho)) * amplitudes)
+        stops = 1.0 + np.fmax(0.0, np.ceil(np.log(ratio) / log_rho))
+    return stops.clip(max=max_n).astype(np.intp)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -310,13 +316,12 @@ def stabilize_points(
     exact norms, and the orbit keeps none of them
     (`StabilizationTrace.diffs`).
 
-    A row's first blocks have 1 and 2 steps.  From its third difference on,
-    a resumed row's from the start, its next block runs to where the upper
-    bounds h of its differences, shrinking at the rate
-    sqrt(h_k / h_{k-2}) < 1, fall below tol_rel * max(1, ||a||) for its
-    last bounded iterate a; a row whose differences do not shrink doubles
-    its block.  Of R running rows, none takes more than _BLOCK_CELLS // R
-    steps (at least 1) in a block.  The steps of a block past a row's stop
+    A row's first block, fresh or resumed, runs to the step by which the
+    perturbation's closed-form decay meets the stop test (_predicted_stops),
+    at least one step.  A row still running past that step, or whose
+    perturbation does not decay (rho >= 1), goes on in blocks of 1, 2, 4, ...
+    steps.  Of R running rows, none takes more than _BLOCK_CELLS // R steps
+    (at least 1) in a block.  The steps of a block past a row's stop
     are evaluated but raise nothing, so the width of a block changes no
     trace and no outcome.  The perturbation amplitude reads ||q^n x|| as
     q^n ||x||, with ||x|| computed once per row, wherever
@@ -413,35 +418,29 @@ def stabilize_points(
         scales.append(scales[-1] / direction.q)
         powers.append(powers[-1] * direction.q)
     scales, powers = np.array(scales, dtype=np.complex128), np.array(powers)
-    if norms is not None:
-        # NaN where ||x|| may not scale exactly: eval_f_rows computes those.
-        norms = np.where(algebra.exact_scaling_rows(X), norms, np.nan)
     # The running rows, each at its own depth, with its argument q^depth x
     # (from `depth` multiplications, as a fresh orbit builds it), its last
-    # iterate and difference, and the bounds on their norms, NaN until
-    # computed.  A fresh row has no difference: bounds of inf make its first
-    # step's no rise.
+    # iterate and difference, and the bounds on their norms, the
+    # difference's NaN until computed.  A fresh row has no difference: bounds
+    # of inf make its first step's no rise.
     rows = ((depth < limit) & ~converged).nonzero()[0]
     depth, prev, last, cur = depth[rows], prev[rows], last[rows], X[rows]
     for step in range(depth.max(initial=0)):
         deeper = depth > step
         cur[deeper] = q * cur[deeper]
-    prev_bounds = np.full((2, len(rows)), np.nan)
+    prev_bounds = _norm_bounds(spec, prev)
     last_bounds = np.where(depth == 0, np.inf, np.nan)[None].repeat(2, axis=0)
-    # Each row's next block size, and the upper bounds of its last three
-    # differences, NaN until it has three; a resumed row reads its trace's.
-    size = np.ones(len(rows), dtype=np.intp)
-    recent = np.full((len(rows), 3), np.nan)
-    deep = (depth >= 3).nonzero()[0]
-    if len(deep):
-        tails = np.stack([iterates[k][-1][-4:] for k in rows[deep].tolist()])
-        bounds = _norm_bounds(spec, np.concatenate(
-            [(tails[:, 1:] - tails[:, :-1]).reshape(-1, *spec.shape), tails[:, 2]]))
-        recent[deep] = bounds[1, :3 * len(deep)].reshape(-1, 3)
-        size[deep] = _block_sizes(recent[deep], tol_rel * np.maximum(1.0, bounds[0, 3 * len(deep):]),
-                                  1, max_n)
+    # Each row's first block runs to its predicted stop `target`; past it, or
+    # with no prediction, the row goes on in blocks of `size` = 1, 2, 4, ...
+    size = target = np.ones(len(rows), dtype=np.intp)
+    if norms is not None:
+        target = _predicted_stops(f.perturbation, direction.q, norms[rows], prev_bounds[0],
+                                  tol_rel, max_n)
+        # NaN where ||x|| may not scale exactly: eval_f_rows computes those.
+        norms = np.where(algebra.exact_scaling_rows(X), norms, np.nan)
     while len(rows):
-        steps = np.minimum(np.minimum(size, max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
+        steps = np.minimum(np.minimum(np.maximum(target - depth, size),
+                                      max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
         within, guarded, chain, ends, raised = _evaluate_block(
             f, q, cur, prev, depth, steps, None if norms is None else norms[rows], scales, powers)
         A = chain[:, 1:]
@@ -484,12 +483,8 @@ def stabilize_points(
         slot = steps[going]
         prev, last, cur = chain[going, slot], _links(chain, last, going, slot), ends[going]
         prev_bounds, last_bounds = it_bounds[:, going, slot], diff_bounds[:, going, slot]
-        # The next block: to the predicted stop, or twice this one.
-        recent = np.take_along_axis(np.concatenate([recent[going], diff_bounds[1, going, 1:]], axis=1),
-                                    slot[:, None] + np.arange(3), axis=1)
-        size = _block_sizes(recent, tol_rel * np.maximum(1.0, it_bounds[0, going, slot - 1]),
-                            2 * size[going], max_n)
-        rows, depth = rows[going], depth[going] + slot
+        size = np.where(depth >= target, 2 * size, size)[going]
+        rows, depth, target = rows[going], depth[going] + slot, target[going]
     if failed:
         raise _batch_outcome(failed)
     traces = []

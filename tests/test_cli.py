@@ -106,8 +106,11 @@ class TestRun:
         # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
         # across all stages and the trace rows, and the deeper C* batch
         # evaluates f only on the steps past each bound-depth trace.  A row's
-        # blocks end at its predicted stop, which on these geometric orbits
-        # is its stop: every batch evaluates f on exactly the steps it keeps.
+        # first block ends at its predicted stop, from the bound
+        # (1 + rho) rho^{n-1} A on its differences, which are at least
+        # (1 - rho) rho^{n-1} A on this fixed direction: the row evaluates at
+        # most ceil(log((1 + rho) / (1 - rho)) / log(1 / rho)) + 1 steps past
+        # its stop, and none where the prediction is past max_n.
         batches, batch_steps, row_steps, traced = [], [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
@@ -141,8 +144,11 @@ class TestRun:
                 # A fresh orbit evaluates a_0, then its steps.
                 assert steps == sum(1 + traced[key].n_used for key in keys)
             else:
-                assert steps == sum(traced[key].n_used - traced[
+                kept = sum(traced[key].n_used - traced[
                     (key[0], key[1], sc.max_n, sc.tol_rel)].n_used for key in keys)
+                rho = results["direction"].q ** (sc.f.perturbation.r - 1.0)
+                past = math.ceil(math.log((1 + rho) / (1 - rho)) / math.log(1 / rho)) + 1
+                assert kept <= steps <= kept + past * len(keys)
 
     def test_error_bounds_once_per_pass(self, monkeypatch):
         # The trace rows read the bound stage's per-probe bounds.

@@ -502,10 +502,10 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize("perturbation", [radial(0.1, 0.5, seed=5), maps.NO_PERTURBATION],
                              ids=["fixed-direction", "none"])
     def test_calls_per_batch(self, monkeypatch, rng, perturbation):
-        # 40 points that none converge by step 48: a_0, blocks of 1 and 2
-        # steps, then one block to the stop predicted from the first three
-        # differences, past max_n.  Every decision is settled by the bounds,
-        # so no operator norm of a difference or an iterate is computed.
+        # 40 points that none converge by step 48: a_0, then one block to
+        # the stop predicted from the perturbation's decay, past max_n.
+        # Every decision is settled by the bounds, so no operator norm of a
+        # difference or an iterate is computed.
         f = ApproxMap(maps.adjoint(), perturbation, M2)
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(40)])
         calls = counting_calls(monkeypatch)
@@ -515,7 +515,7 @@ class TestOrbitBlocks:
             assert not any(tr.converged for tr in traces)
             assert [tr.n_used for tr in traces] == [48] * 40
         evals = calls["eval_f_rows"]
-        assert len(evals) <= 4
+        assert len(evals) == 2
         # Every argument q^n x the orbit evaluates, n = 0 .. 48.
         args, Y = set(), X
         for _ in range(49):
@@ -535,7 +535,7 @@ class TestOrbitBlocks:
             assert not any(row.tobytes() in steps for stack in calls["stacked_norms"]
                            for row in stack)
         if len(traces[0].diffs) == 48:
-            assert [len(A) for A, _ in evals] == [40, 40, 80, 40 * 45]
+            assert [len(A) for A, _ in evals] == [40, 40 * 48]
 
     def test_block_cells_capped(self, monkeypatch, rng):
         # 100 rows that run to max_n: no block evaluates more than
@@ -778,6 +778,80 @@ class TestDifferential:
                 return
             resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
             assert orbit_outcome(f, direction, X, max_n, tol_rel, resume) == want
+
+
+class TestPredictedStops:
+    @pytest.mark.parametrize("spec", [SCALAR, algebra.pointwise_spec(3), M2],
+                             ids=["scalar", "pointwise3", "matrix2"])
+    @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
+    @pytest.mark.parametrize("direction, r", [(UP, 0.5), (DOWN, 1.5)], ids=["q-2", "q-half"])
+    def test_prediction_covers_the_stop(self, monkeypatch, rng, spec, kind, direction, r):
+        # Rows that converge before max_n each stop inside their first
+        # block: one evaluation for a_0, one for the block.
+        base = maps.adjoint() if spec.kind.value == "matrix" else maps.conjugation()
+        f = ApproxMap(base, PerturbationSpec(kind, 0.1, r, 4), spec)
+        X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng) for _ in range(8)])
+        calls = counting_calls(monkeypatch)
+        traces = stabilize_points(f, direction, X, 96, 1e-10)
+        assert all(tr.converged and tr.n_used < 96 for tr in traces)
+        assert len(calls["eval_f_rows"]) == 2
+
+    @pytest.mark.parametrize("p, q, norm, lower, want", [
+        (radial(0.1, 0.5), 2.0, 0.0, 0.0, 1),  # A = 0 at x = 0
+        (radial(0.0, 0.5), 2.0, 4.0, 4.0, 1),  # A = 0 at theta_delta = 0
+        (radial(0.1, 2.0), 0.5, 1e300, 1e300, 96),  # A overflows to inf
+        (radial(0.1, 1100.0), 0.5, 1.0, 1.0, 2),  # rho = 2^-1099 underflows to 0
+        (radial(0.1, 1.0), 2.0, 4.0, 4.0, 0),  # rho = 1: no prediction
+        (radial(0.1, 2.0), 2.0, 4.0, 4.0, 0),  # rho = 2
+        (radial(0.1, 1.0), 2.0, 0.0, 0.0, 1),  # rho = 1 at A = 0
+        # rho = 2^-0.5 and A = 0.2: the [0, inf] enclosure's lower bound of
+        # 0 floors as 1 does; a large one lets the differences stop sooner.
+        (radial(0.1, 0.5), 2.0, 4.0, 0.0, 65),
+        (radial(0.1, 0.5), 2.0, 4.0, 1.0, 65),
+        (radial(0.1, 0.5), 2.0, 4.0, 1e6, 25),
+        (radial(0.1, 0.5), 2.0, 1e20, 0.0, 96),  # capped at max_n
+    ])
+    def test_edges(self, p, q, norm, lower, want):
+        # None of them warns, which pytest would raise.
+        got = stabilizer._predicted_stops(p, q, np.array([norm]), np.array([lower]), 1e-10, 96)
+        assert got.dtype == np.intp and got.tolist() == [want]
+
+    def test_underflowing_rate_through_the_orbit(self, monkeypatch):
+        # a_1 drops the perturbation of a_0 whole, and a_2 = a_1: the orbit
+        # stops at step 2, as predicted.
+        f = ApproxMap(maps.conjugation(), radial(0.1, 1100.0), algebra.pointwise_spec(3))
+        X = np.ones((1, 3), dtype=complex)
+        calls = counting_calls(monkeypatch)
+        got = orbit_outcome(f, DOWN, X, 48, 1e-10)
+        assert len(calls["eval_f_rows"]) == 2
+        monkeypatch.undo()
+        assert got == reference_outcome(f, DOWN, X, 48, 1e-10)
+        assert got[0][3:] == (2, True)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(orbit_cases(), st.data())
+    def test_any_widths_match_reference(self, case, data):
+        # Whatever the predicted stops and the cell cap, so whatever the
+        # blocks' widths, fresh and resumed rows end as the step-by-step
+        # orbit: the same iterates, diffs and converged, or exception.
+        f, direction, X, max_n, tol_rel, shallow = case
+        want = reference_outcome(f, direction, X, max_n, tol_rel)
+
+        def drawn_stops(p, q, norms, lower, tol_rel, max_n):
+            return np.array(data.draw(st.lists(st.integers(0, max_n + 2), min_size=len(norms),
+                                               max_size=len(norms))), dtype=np.intp)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stabilizer, "_predicted_stops", drawn_stops)
+            patch.setattr(stabilizer, "_BLOCK_CELLS", data.draw(st.integers(1, 64)))
+            assert orbit_outcome(f, direction, X, max_n, tol_rel) == want
+            if shallow is not None and shallow[1] >= tol_rel:
+                try:
+                    traces = stabilize_points(f, direction, X, *shallow)
+                except NonCauchy:
+                    return
+                resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
+                assert orbit_outcome(f, direction, X, max_n, tol_rel, resume) == want
 
 
 class TestErrorBound:

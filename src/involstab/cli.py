@@ -247,6 +247,8 @@ def parse_scenario(raw: dict) -> Scenario:
     cstar_max_n = _number(cstar_sec, "max_n", "cstar", int, default=96)
     cstar_tol_rel = _number(cstar_sec, "tol_rel", "cstar", float, default=1e-12)
     cstar_tol = _number(cstar_sec, "tol", "cstar", float, default=1e-8)
+    if cstar_max_n < 1:
+        raise ConfigError("cstar.max_n must be >= 1")
     if cstar_tol_rel <= 0:
         raise ConfigError("cstar.tol_rel must be > 0")
     if cstar_tol < 0:
@@ -319,14 +321,13 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
     if sc.f2 is not None:
         I2 = verifier.StabilizedMap(sc.f2, direction, sc.max_n, sc.tol_rel)
         uniq = verifier.verify_uniqueness(I, I2, P)
-    # The C*-check certifies the limit map; the scaling tail at the bound
-    # depth is above the 1e-8 certification tolerance at small radii, so
-    # stabilize deeper here.  The deeper map is at least as deep and as
-    # strict, so it continues I's orbits rather than restarting them.
+    # The C* verdict reads the limit map, and the scaling tail at the bound
+    # depth is above the 1e-8 certification tolerance at small radii: its
+    # map is never shallower or looser than the bound map's.
     cstar_depth = (max(sc.max_n, sc.cstar_max_n), min(sc.tol_rel, sc.cstar_tol_rel))
     I_cstar = I
     if cstar_depth != (sc.max_n, sc.tol_rel):
-        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth, resume_from=I)
+        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
     cstar = verifier.verify_cstar(I_cstar, P, tol=sc.cstar_tol)
 
     results = {

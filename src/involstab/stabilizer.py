@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -103,8 +102,7 @@ def select_direction(phi: ControlFunction) -> ScalingDirection:
 class StabilizationTrace:
     """One point's orbit: `iterates` is a read-only (n_used + 1, *shape)
     array of a_0 .. a_{n_used} in `spec`, whose last row is the stabilized
-    value, and `increasing_run` the number of steps at its end whose
-    difference grew, which an orbit resumed from the trace continues.
+    value.
 
     diffs[n] = ||a_{n+1} - a_n||.  The orbit decides its steps from bounds
     on these norms and keeps none of them; they are computed on first read,
@@ -113,7 +111,6 @@ class StabilizationTrace:
     iterates: np.ndarray
     n_used: int
     converged: bool
-    increasing_run: int
     spec: AlgebraSpec
 
     @cached_property
@@ -228,7 +225,7 @@ def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, last: np.ndarr
     rose above the one before and whether it meets the stop test against
     ||a_{n+j}||, as masks shaped `kept`; and the bounds, shaped (2, R, W + 1),
     on the norms of the chain's iterates and differences.  Slot 0's are
-    carried over, NaN until computed.
+    carried over, the iterate's NaN until computed.
 
     One call bounds the kept steps' norms.  For matrices, the decisions the
     bounds leave open, up to each row's first sure stop, read the operator
@@ -243,10 +240,11 @@ def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, last: np.ndarr
         return (diff_bounds[0, :, 1:] > diff_bounds[1, :, :-1],
                 diff_bounds[1, :, 1:] <= tol_rel * np.maximum(1.0, it_bounds[0, :, :-1]))
 
-    # The iterates the steps read: slot 0 once, then the kept ones but the
-    # last, which the next block reads as its slot 0.  Two calls, not one on
-    # a stack twice the size: a smaller largest array keeps the peak RSS down.
-    diffs = np.concatenate([np.isnan(last_bounds[0])[:, None], kept], axis=1)
+    # The differences the steps read: the kept ones, slot 0's being carried
+    # over.  The iterates: slot 0 once, then the kept ones but the last,
+    # which the next block reads as its slot 0.  Two calls, not one on a
+    # stack twice the size: a smaller largest array keeps the peak RSS down.
+    diffs = np.concatenate([np.zeros((len(kept), 1), dtype=bool), kept], axis=1)
     its = np.concatenate([np.isnan(prev_bounds[0])[:, None], kept[:, 1:],
                           np.zeros((len(kept), 1), dtype=bool)], axis=1)
     rose, met = fill(diffs, its, np.concatenate(
@@ -298,7 +296,6 @@ def stabilize_points(
     X: np.ndarray,
     max_n: int = 48,
     tol_rel: float = 1e-10,
-    resume: Sequence[StabilizationTrace | None] | None = None,
 ) -> list[StabilizationTrace]:
     """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every row x
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
@@ -316,15 +313,15 @@ def stabilize_points(
     exact norms, and the orbit keeps none of them
     (`StabilizationTrace.diffs`).
 
-    A row's first block, fresh or resumed, runs to the step by which the
-    perturbation's closed-form decay meets the stop test (_predicted_stops),
-    at least one step.  A row still running past that step, or whose
-    perturbation does not decay (rho >= 1), goes on in blocks of 1, 2, 4, ...
-    steps.  Of R running rows, none takes more than _BLOCK_CELLS // R steps
-    (at least 1) in a block.  The steps of a block past a row's stop
-    are evaluated but raise nothing, so the width of a block changes no
-    trace and no outcome.  The perturbation amplitude reads ||q^n x|| as
-    q^n ||x||, with ||x|| computed once per row, wherever
+    Every row starts at a_0 = f(x).  Its first block runs to the step by
+    which the perturbation's closed-form decay meets the stop test
+    (_predicted_stops), at least one step.  A row still running past that
+    step, or whose perturbation does not decay (rho >= 1), goes on in blocks
+    of 1, 2, 4, ... steps.  Of R running rows, none takes more than
+    _BLOCK_CELLS // R steps (at least 1) in a block.  The steps of a block
+    past a row's stop are evaluated but raise nothing, so the width of a
+    block changes no trace and no outcome.  The perturbation amplitude reads
+    ||q^n x|| as q^n ||x||, with ||x|| computed once per row, wherever
     algebra.exact_scaling_rows vouches for the bits; eval_f_rows computes
     the rest (`norms=`).  A map with no perturbation computes no ||x||.
 
@@ -337,13 +334,7 @@ def stabilize_points(
     is raised.
 
     Every row of X must be finite: a row that is not raises ValueError,
-    naming the first, before any evaluation.
-
-    `resume`, one trace or None per row, continues rows instead of starting
-    them at a_0.  A row's trace must be its orbit under the same f and
-    direction at a depth no deeper and no stricter (max_n no larger,
-    tol_rel no smaller); the row goes on from the trace's last step, and
-    its result is the fresh orbit's bit for bit."""
+    naming the first, before any evaluation."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
@@ -355,20 +346,13 @@ def stabilize_points(
     bad = (~np.isfinite(X).all(axis=tuple(range(1, X.ndim)))).nonzero()[0]
     if len(bad):
         raise ValueError(f"row {bad[0]} of X is not finite")
-    resume = [None] * len(X) if resume is None else list(resume)
-    if len(resume) != len(X):
-        raise ValueError(f"{len(resume)} resumed traces for {len(X)} rows")
-    for k, tr in enumerate(resume):
-        if tr is not None and (tr.iterates.shape[1:] != f.spec.shape or tr.n_used > max_n):
-            raise ValueError(f"trace of row {k} does not fit the orbit "
-                             f"(shape {tr.iterates.shape}, max_n {max_n})")
     if not len(X):
         return []
     spec = f.spec
     q = complex(direction.q)
     # Each row's iterates, as the chunks its orbit added them in, and the
     # run of increasing diffs at their end.
-    iterates: list[list[np.ndarray]] = [[] for _ in resume]
+    iterates: list[list[np.ndarray]] = [[] for _ in X]
     runs = np.zeros(len(X), dtype=np.intp)
     converged = np.zeros(len(X), dtype=bool)
     # The step each failed row failed at, and its exception.  A row runs to
@@ -384,32 +368,13 @@ def stabilize_points(
     norms = None
     if f.perturbation.kind is not PerturbationKind.NONE:
         norms = np.array(algebra.stacked_norms(spec, X))
-    # Each row's depth, last iterate and last difference.  Fresh rows start
-    # at a_0 = f(x), with no difference.  A resumed row takes over its
-    # trace: the iterates and the run of increasing diffs so far.
-    depth = np.zeros(len(X), dtype=np.intp)
-    prev, last = np.zeros(X.shape, dtype=np.complex128), np.zeros(X.shape, dtype=np.complex128)
-    fresh = [k for k, tr in enumerate(resume) if tr is None]
-    if fresh:
-        prev[fresh] = A = eval_f_rows(f, X[fresh], None if norms is None else norms[fresh])
-        finite = np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()
-        for j, (k, ok) in enumerate(zip(fresh, finite)):
-            if ok:
-                iterates[k].append(A[j:j + 1])
-            else:
-                fail(k, 0, IterateOverflow("iterate f value is not finite"))
-    resumed = [k for k, tr in enumerate(resume) if tr is not None]
-    for k in resumed:
-        its = resume[k].iterates
-        iterates[k], runs[k], depth[k] = [its], resume[k].increasing_run, len(its) - 1
-        prev[k], last[k] = its[-1], its[-1] - its[-2] if len(its) > 1 else 0
-    # A row the trace saw converge stops if its last step also meets
-    # tol_rel; one at max_n stops there.
-    stopped = [k for k in resumed if resume[k].converged]
-    if stopped:
-        last_diffs, last_prevs = np.split(np.array(algebra.stacked_norms(spec, np.concatenate(
-            [last[stopped], np.stack([resume[k].iterates[-2] for k in stopped])]))), 2)
-        converged[stopped] = last_diffs <= tol_rel * np.maximum(1.0, last_prevs)
+    # Every row starts at a_0 = f(x).
+    A = eval_f_rows(f, X, norms)
+    for k, ok in enumerate(np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()):
+        if ok:
+            iterates[k].append(A[k:k + 1])
+        else:
+            fail(k, 0, IterateOverflow("iterate f value is not finite"))
 
     # q^{-n} and q^n for n = 0 .. max_n, by the repeated division and
     # multiplication of a step-by-step orbit.
@@ -418,18 +383,17 @@ def stabilize_points(
         scales.append(scales[-1] / direction.q)
         powers.append(powers[-1] * direction.q)
     scales, powers = np.array(scales, dtype=np.complex128), np.array(powers)
-    # The running rows, each at its own depth, with its argument q^depth x
-    # (from `depth` multiplications, as a fresh orbit builds it), its last
-    # iterate and difference, and the bounds on their norms, the
-    # difference's NaN until computed.  A fresh row has no difference: bounds
-    # of inf make its first step's no rise.
-    rows = ((depth < limit) & ~converged).nonzero()[0]
-    depth, prev, last, cur = depth[rows], prev[rows], last[rows], X[rows]
-    for step in range(depth.max(initial=0)):
-        deeper = depth > step
-        cur[deeper] = q * cur[deeper]
+    # The running rows, each at its own depth, with its argument q^depth x,
+    # its last iterate and difference, and the bounds on their norms.  A row
+    # starts with no difference: bounds of inf make its first step's no rise.
+    rows = (limit > 0).nonzero()[0]
+    depth = np.zeros(len(rows), dtype=np.intp)
+    # Complex and in C order whatever f returns, as every later block's
+    # iterates: the norm bounds' sums read the entries in that order.
+    prev = np.array(A[rows], dtype=np.complex128, order="C")
+    last, cur = np.zeros_like(prev), X[rows]
     prev_bounds = _norm_bounds(spec, prev)
-    last_bounds = np.where(depth == 0, np.inf, np.nan)[None].repeat(2, axis=0)
+    last_bounds = np.full((2, len(rows)), np.inf)
     # Each row's first block runs to its predicted stop `target`; past it, or
     # with no prediction, the row goes on in blocks of `size` = 1, 2, 4, ...
     size = target = np.ones(len(rows), dtype=np.intp)
@@ -488,10 +452,10 @@ def stabilize_points(
     if failed:
         raise _batch_outcome(failed)
     traces = []
-    for chunks, conv, tail in zip(iterates, converged.tolist(), runs.tolist()):
+    for chunks, conv in zip(iterates, converged.tolist()):
         its = np.concatenate(chunks)
         its.setflags(write=False)
-        traces.append(StabilizationTrace(its, len(its) - 1, conv, tail, spec))
+        traces.append(StabilizationTrace(its, len(its) - 1, conv, spec))
     return traces
 
 

@@ -39,25 +39,14 @@ class StabilizedMap:
     each point is stabilized once and its whole StabilizationTrace kept.
     Build one per map and depth and pass it to every stage.  A stage asks
     for all the values it needs in one `rows` call, so its uncached points
-    share one batched orbit.
-
-    `resume_from`, a map of the same f and direction at a depth no deeper
-    and no stricter, lends its cached traces: a point it has stabilized
-    continues that orbit here instead of restarting it at a_0."""
+    share one batched orbit."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection,
-                 max_n: int = 48, tol_rel: float = 1e-10,
-                 resume_from: StabilizedMap | None = None):
-        if resume_from is not None and (
-                resume_from.f is not f or resume_from.direction != direction
-                or resume_from.max_n > max_n or resume_from.tol_rel < tol_rel):
-            raise ValueError("resume_from must stabilize the same f and direction "
-                             "at a depth no deeper and no stricter")
+                 max_n: int = 48, tol_rel: float = 1e-10):
         self.f = f
         self.direction = direction
         self.max_n = max_n
         self.tol_rel = tol_rel
-        self.resume_from = resume_from
         self._traces: dict[bytes, StabilizationTrace] = {}
 
     def traces(self, X: np.ndarray) -> list[StabilizationTrace]:
@@ -66,12 +55,9 @@ class StabilizedMap:
         keys = [row.tobytes() for row in X]
         todo = {key: row for key, row in zip(keys, X) if key not in self._traces}
         if todo:
-            resume = None
-            if self.resume_from is not None:
-                resume = [self.resume_from._traces.get(key) for key in todo]
             traces = stabilizer.stabilize_points(
                 self.f, self.direction, np.stack(list(todo.values())),
-                max_n=self.max_n, tol_rel=self.tol_rel, resume=resume,
+                max_n=self.max_n, tol_rel=self.tol_rel,
             )
             self._traces.update(zip(todo, traces))
         return [self._traces[key] for key in keys]

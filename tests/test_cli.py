@@ -104,20 +104,21 @@ class TestRun:
                              ids=["deeper-cstar", "same-depth-cstar"])
     def test_each_key_stabilized_once(self, monkeypatch, cstar):
         # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
-        # across all stages and the trace rows, and the deeper C* batch
-        # evaluates f only on the steps past each bound-depth trace.  A row's
-        # first block ends at its predicted stop, from the bound
+        # across all stages and the trace rows, and each row evaluates f on
+        # a_0 and its steps, and on `past` steps more at most.  A row's first
+        # block ends at its predicted stop, from the bound
         # (1 + rho) rho^{n-1} A on its differences, which are at least
-        # (1 - rho) rho^{n-1} A on this fixed direction: the row evaluates at
-        # most ceil(log((1 + rho) / (1 - rho)) / log(1 / rho)) + 1 steps past
-        # its stop, and none where the prediction is past max_n.
+        # (1 - rho) rho^{n-1} A on this fixed direction: the row evaluates
+        # at most ceil(log((1 + rho) / (1 - rho)) / log(1 / rho)) + 1 steps
+        # past its stop, and none where the prediction is past max_n, as on
+        # every bound-depth row here.
         batches, batch_steps, row_steps, traced = [], [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10, resume=None):
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
             batches.append([(id(f), row.tobytes(), max_n, tol_rel) for row in X])
             row_steps.clear()
-            traces = stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel, resume=resume)
+            traces = stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
             batch_steps.append(sum(row_steps))
             traced.update(zip(batches[-1], traces))
             return traces
@@ -139,15 +140,13 @@ class TestRun:
         assert {(key[0], key[2]) for key in calls} == {
             (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
         assert len(calls) == len(set(calls))
+        rho = results["direction"].q ** (sc.f.perturbation.r - 1.0)
+        past = math.ceil(math.log((1 + rho) / (1 - rho)) / math.log(1 / rho)) + 1
         for keys, steps in zip(batches, batch_steps):
+            kept = sum(1 + traced[key].n_used for key in keys)
             if keys[0][2] == sc.max_n:
-                # A fresh orbit evaluates a_0, then its steps.
-                assert steps == sum(1 + traced[key].n_used for key in keys)
+                assert steps == kept
             else:
-                kept = sum(traced[key].n_used - traced[
-                    (key[0], key[1], sc.max_n, sc.tol_rel)].n_used for key in keys)
-                rho = results["direction"].q ** (sc.f.perturbation.r - 1.0)
-                past = math.ceil(math.log((1 + rho) / (1 - rho)) / math.log(1 / rho)) + 1
                 assert kept <= steps <= kept + past * len(keys)
 
     def test_error_bounds_once_per_pass(self, monkeypatch):
@@ -294,6 +293,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
         ("control", "kind", "custom"),  # a kind no control has
         ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
+        ("cstar", "max_n", 0), ("cstar", "max_n", -5),
         ("sampling", "seed", -1), ("lambda", "seed", -1),
         ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
         # Written as JSON NaN and Infinity, which Python's json reads back

@@ -1,3 +1,5 @@
+import inspect
+
 import involstab
 
 # The public names of the package, as README's "Python API" lists them. A
@@ -23,3 +25,13 @@ PUBLIC_NAMES = [
 
 def test_public_names_pinned():
     assert sorted(name for name in vars(involstab) if not name.startswith("_")) == PUBLIC_NAMES
+
+
+# The parameters of the orbit API. A knob added back here is a deliberate
+# change of the API, as a public name is.
+def test_orbit_parameters_pinned():
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(involstab.stabilize_points) == ["f", "direction", "X", "max_n", "tol_rel"]
+    assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "max_n", "tol_rel"]

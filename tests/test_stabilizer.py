@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -231,6 +232,24 @@ def reference_orbit(f, direction, x, max_n, tol_rel):
     return iterates, diffs, False
 
 
+def orbit_outcome(f, direction, X, max_n, tol_rel):
+    """Every bit of a batch's traces, or the type and message it raised."""
+    try:
+        traces = stabilize_points(f, direction, X, max_n, tol_rel)
+    except (IterateOverflow, NonCauchy, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(tr.iterates.shape, tr.iterates.tobytes(), tr.diffs, tr.n_used, tr.converged)
+            for tr in traces]
+
+
+R15 = ApproxMap(maps.adjoint(), radial(0.1, 1.5, seed=5), M2)
+# Wrong-direction and non-contracting maps for the failing orbits: r = 2
+# under q = 2 grows every difference; a random direction at r = 1 neither
+# converges nor diverges until the argument overflows.
+DIVERGING = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
+WANDERING = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 1.0, 3), P4)
+
+
 class TestStabilizePoints:
     @pytest.mark.parametrize("name", BATCH_MAPS)
     @pytest.mark.parametrize("max_n, tol_rel", [(48, 1e-10), (30, 1e-4)],
@@ -294,48 +313,26 @@ class TestStabilizePoints:
         with pytest.raises((IterateOverflow, NonCauchy)):
             stabilize_points(f, UP, np.array([[0j], [4 + 0j]]), max_n=400)
 
-
-def orbit_outcome(f, direction, X, max_n, tol_rel, resume=None):
-    """Every bit of a batch's traces, or the type and message it raised."""
-    try:
-        traces = stabilize_points(f, direction, X, max_n, tol_rel, resume=resume)
-    except (IterateOverflow, NonCauchy, ValueError) as exc:
-        return type(exc), str(exc)
-    return [(tr.iterates.shape, tr.iterates.tobytes(), tr.diffs, tr.n_used, tr.converged)
-            for tr in traces]
-
-
-R15 = ApproxMap(maps.adjoint(), radial(0.1, 1.5, seed=5), M2)
-# Wrong-direction and non-contracting maps for the failing orbits: r = 2
-# under q = 2 grows every difference; a random direction at r = 1 neither
-# converges nor diverges until the argument overflows.
-DIVERGING = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
-WANDERING = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 1.0, 3), P4)
-
-
-class TestResumedOrbits:
-    """A batch resuming shallower traces gives the fresh deep orbit bit for
-    bit: iterates, diffs, n_used, converged, or the exception raised."""
-
     @pytest.mark.parametrize("f, direction", [
         pytest.param(BATCH_MAPS["matrix-adjoint-fixed"], UP, id="matrix-fixed"),
         pytest.param(BATCH_MAPS["pointwise-random"], UP, id="pointwise-random"),
         pytest.param(R15, select_direction(power_sum(0.3, 1.5)), id="q-half"),
     ])
     @pytest.mark.parametrize("shallow", [(10, 1e-10), (30, 1e-4)], ids=["capped", "loose"])
-    def test_resumed_matches_fresh(self, rng, f, direction, shallow):
+    def test_deeper_orbit_extends_shallower(self, rng, f, direction, shallow):
+        # Each a_n is evaluated from x, not from a_{n-1}: a deeper or
+        # stricter orbit begins with the shallower one's iterates, bit for
+        # bit, whatever blocks either ran in.
         X = np.stack([np.zeros(f.spec.shape, dtype=np.complex128)] + [
             algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(7)])
         traces = stabilize_points(f, direction, X, *shallow)
-        # Every other row resumes, the rest start afresh in the same batch.
-        resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
-        got = orbit_outcome(f, direction, X, 96, 1e-12, resume)
-        want = orbit_outcome(f, direction, X, 96, 1e-12)
-        assert got == want
-        deep = [n_used for _, _, _, n_used, _ in want]
-        # The zero row stops where its trace did; the others go deeper.
-        assert deep[0] == traces[0].n_used == 1
-        assert all(deep[k] > traces[k].n_used for k in range(2, len(X), 2))
+        deep = stabilize_points(f, direction, X, 96, 1e-12)
+        for tr, dt in zip(traces, deep):
+            assert dt.iterates[:tr.n_used + 1].tobytes() == tr.iterates.tobytes()
+            assert dt.diffs[:tr.n_used] == tr.diffs
+        # The zero row stops at step 1 at any depth; the others go deeper.
+        assert deep[0].n_used == traces[0].n_used == 1
+        assert all(dt.n_used > tr.n_used for tr, dt in zip(traces[1:], deep[1:]))
         if shallow[1] == 1e-4:
             assert all(tr.converged and tr.n_used < shallow[0] for tr in traces)
         else:
@@ -344,49 +341,38 @@ class TestResumedOrbits:
     @pytest.mark.parametrize("max_n", [8, 9, 20])
     def test_non_cauchy_run_straddles_the_cap(self, max_n):
         # The differences grow from the first step: the 8-step rule fires
-        # at step 9, four steps past the shallow cap.
+        # at step 9, so only an orbit allowed that far fails.
         X = np.array([[0j], [4 + 0j]])
-        traces = stabilize_points(DIVERGING, UP, X, 5)
-        assert traces[1].n_used == 5 and not traces[1].converged
-        got = orbit_outcome(DIVERGING, UP, X, max_n, 1e-10, traces)
-        assert got == orbit_outcome(DIVERGING, UP, X, max_n, 1e-10)
+        got = orbit_outcome(DIVERGING, UP, X, max_n, 1e-10)
+        assert got == reference_outcome(DIVERGING, UP, X, max_n, 1e-10)
         assert (got[0] is NonCauchy) == (max_n >= 9)
 
     def test_overflow_after_the_cap(self):
-        # Every running row overflows at once, 14 steps past the cap.
+        # The argument passes the guard at step 34: a cap of 20 stops the
+        # row unconverged, one of 60 lets it overflow.
         X = np.array([[1e290, 2e289j, 0, 1e288]])
-        traces = stabilize_points(WANDERING, UP, X, 20)
-        assert traces[0].n_used == 20 and not traces[0].converged
-        got = orbit_outcome(WANDERING, UP, X, 60, 1e-10, traces)
-        assert got == orbit_outcome(WANDERING, UP, X, 60, 1e-10)
-        assert got == (IterateOverflow, "iterate argument norm exceeded 1e300")
+        assert orbit_outcome(WANDERING, UP, X, 20, 1e-10)[0][3:] == (20, False)
+        got = orbit_outcome(WANDERING, UP, X, 60, 1e-10)
+        assert got == reference_outcome(WANDERING, UP, X, 60, 1e-10)
+        assert got == GUARD
 
     @np.errstate(over="ignore", invalid="ignore")
     def test_first_failing_row_is_raised(self):
         # Row 1's f(x) is not finite (its perturbation is inf * u), which
-        # is an IterateOverflow; row 0, resumed and waiting to rejoin, fails
-        # later in the orbit but first in the batch.
+        # is an IterateOverflow at a_0; row 0 fails later in the orbit but
+        # first in the batch.
         f = ApproxMap(maps.conjugation(), radial(1e10, 2.0), SCALAR)
         X = np.array([[1e-3 + 0j], [1e150 + 0j]])
-        resume = [stabilize_points(f, UP, X[:1], 5)[0], None]
-        got = orbit_outcome(f, UP, X, 20, 1e-10, resume)
-        assert got == orbit_outcome(f, UP, X, 20, 1e-10)
-        assert got == (NonCauchy, "successive differences grew 8 consecutive steps")
+        got = orbit_outcome(f, UP, X, 20, 1e-10)
+        assert got == reference_outcome(f, UP, X, 20, 1e-10)
+        assert got == NON_CAUCHY
         assert orbit_outcome(f, UP, X[1:], 20, 1e-10)[0] is IterateOverflow
 
-    def test_trace_must_fit(self):
-        f = BATCH_MAPS["scalar-conjugation"]
-        tr = stabilize_points(f, UP, np.array([[4.0 + 0j]]), max_n=30, tol_rel=1e-14)[0]
-        with pytest.raises(ValueError):
-            stabilize_points(f, UP, np.array([[4 + 0j]]), 20, resume=[tr])
-        with pytest.raises(ValueError):
-            stabilize_points(f, UP, np.array([[4 + 0j]]), 48, resume=[])
 
-
-def raised(f, X, max_n=48, tol_rel=1e-10, resume=None):
+def raised(f, X, max_n=48, tol_rel=1e-10):
     """The type and message of the exception a batch raises."""
     with pytest.raises(InvolStabError) as info:
-        stabilize_points(f, UP, X, max_n, tol_rel, resume=resume)
+        stabilize_points(f, UP, X, max_n, tol_rel)
     return type(info.value), str(info.value)
 
 
@@ -463,20 +449,22 @@ class TestSpeculativeSteps:
         X = np.stack(rows)
         assert raised(RANDOM_R2, X) == failure == raised(RANDOM_R2, X[row:row + 1])
 
-    @pytest.mark.parametrize("depths, failure", [
-        ((5, None), OUT_OF_RANGE),  # OOR11 then NC10
-        ((None, 3), NON_CAUCHY),  # NC10 then OOR11
-        ((6, None), NON_CAUCHY),  # NC10 then OOR11
+    @pytest.mark.parametrize("firsts, failure", [
+        ((5, 0), OUT_OF_RANGE),  # OOR11 then NC10
+        ((0, 3), NON_CAUCHY),  # NC10 then OOR11
+        ((6, 0), NON_CAUCHY),  # NC10 then OOR11
         ((7, 2), OUT_OF_RANGE),  # NC13 then OOR11
-    ], ids=["resumed-oor-first", "resumed-oor-second", "resumed-nc-first", "both-resumed"])
-    def test_resumed_rows_join_mid_block(self, depths, failure):
-        # A resumed row starts at its trace's depth, so its blocks straddle
-        # the fresh rows' blocks.
-        first = OOR11 if depths == (5, None) else NC13 if depths == (7, 2) else NC10
+    ], ids=["oor-first-split", "oor-second-split", "nc-first-split", "both-split"])
+    def test_rows_split_at_different_depths(self, monkeypatch, firsts, failure):
+        # A row whose first block ends at another depth than its neighbour's
+        # (0 is no prediction: blocks of 1, 2, 4, ...) straddles their
+        # blocks, and the batch ends as the unsplit one.
+        first = OOR11 if firsts == (5, 0) else NC13 if firsts == (7, 2) else NC10
         X = np.stack([first, NC10 if first is OOR11 else OOR11])
-        resume = [None if n is None else stabilize_points(RANDOM_R2, UP, x[None], n)[0]
-                  for x, n in zip(X, depths)]
-        assert raised(RANDOM_R2, X, resume=resume) == failure == raised(RANDOM_R2, X)
+        want = raised(RANDOM_R2, X)
+        monkeypatch.setattr(stabilizer, "_predicted_stops",
+                            lambda *args: np.array(firsts, dtype=np.intp))
+        assert raised(RANDOM_R2, X) == failure == want
 
 
 def counting_calls(monkeypatch):
@@ -635,7 +623,7 @@ def reference_outcome(f, direction, X, max_n, tol_rel):
     return out
 
 
-def exact_diff_rows(monkeypatch, f, direction, X, max_n, tol_rel, resume=None):
+def exact_diff_rows(monkeypatch, f, direction, X, max_n, tol_rel):
     """The outcome of a batch, and how many operator norms of its
     differences it computed."""
     stacks = []
@@ -647,7 +635,7 @@ def exact_diff_rows(monkeypatch, f, direction, X, max_n, tol_rel, resume=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "stacked_norms", recording)
-        got = orbit_outcome(f, direction, X, max_n, tol_rel, resume)
+        got = orbit_outcome(f, direction, X, max_n, tol_rel)
     if not isinstance(got, list):
         return got, None
     diffs = {row.tobytes() for _, data, *_ in got
@@ -724,10 +712,27 @@ class TestRiseAtUlpEdges:
             got, exact = exact_diff_rows(monkeypatch, f, UP, X, max_n, 1e-300)
             assert got == reference_outcome(f, UP, X, max_n, 1e-300)
             assert exact is None or max_n == 1 or exact > 0
-            # Resumed at every depth, the run carries over.
-            for depth in range(1, min(max_n, 9)):
-                shallow = stabilize_points(f, UP, X, depth, 1e-300)
-                assert orbit_outcome(f, UP, X, max_n, 1e-300, shallow) == got
+            # Split into blocks at any depth, the run carries over.  The
+            # perturbation, which eval_rows ignores, makes the orbit read
+            # _predicted_stops, so the first block ends at `depth`; a cap of
+            # one cell makes every step a block.
+            predicted = []
+
+            def stops_at(depth):
+                def stops(p, q, norms, lower, tol_rel, max_n):
+                    predicted.append(depth)
+                    return np.full(len(norms), depth, dtype=np.intp)
+                return stops
+
+            split = dataclasses.replace(f, perturbation=radial(0.1, 0.5))
+            depths = range(1, min(max_n, 9))
+            with monkeypatch.context() as patch:
+                for depth in depths:
+                    patch.setattr(stabilizer, "_predicted_stops", stops_at(depth))
+                    assert orbit_outcome(split, UP, X, max_n, 1e-300) == got
+                patch.setattr(stabilizer, "_BLOCK_CELLS", 1)
+                assert orbit_outcome(split, UP, X, max_n, 1e-300) == got
+            assert predicted[:len(depths)] == list(depths)
 
     @pytest.mark.parametrize("k9, outcome", [(8, NON_CAUCHY), (7, (9, True))],
                              ids=["eighth-rise", "tie"])
@@ -747,8 +752,8 @@ class TestRiseAtUlpEdges:
 
 @st.composite
 def orbit_cases(draw):
-    """(f, direction, X, max_n, tol_rel, resume depth): every kind, both
-    directions, 1 to 3 rows with norms from about 1e-160 to 1e160."""
+    """(f, direction, X, max_n, tol_rel): every kind, both directions, 1 to
+    3 rows with norms from about 1e-160 to 1e160."""
     spec = draw(st.sampled_from([SCALAR, P4, M2, matrix_spec(3)]))
     kind = draw(st.sampled_from(["none", "fixed_direction", "random_direction"]))
     perturbation = PerturbationSpec(kind, 0.1, draw(st.sampled_from([0.5, 1.0, 1.5])), 4)
@@ -756,10 +761,9 @@ def orbit_cases(draw):
     scales = draw(st.lists(st.integers(-160, 160), min_size=1, max_size=3))
     X = np.stack([10.0 ** e * algebra.sample_element(spec, (0.5, 2.0), rng) for e in scales])
     max_n = draw(st.integers(1, 40))
-    shallow = draw(st.one_of(st.none(), st.tuples(st.integers(1, max_n), st.sampled_from([1e-4, 1e-10]))))
     return (ApproxMap(maps.conjugation() if spec.kind.value != "matrix" else maps.adjoint(),
                       perturbation, spec), draw(st.sampled_from([UP, DOWN])), X, max_n,
-            draw(st.sampled_from([1e-4, 1e-10, 1e-14])), shallow)
+            draw(st.sampled_from([1e-4, 1e-10, 1e-14])))
 
 
 class TestDifferential:
@@ -767,17 +771,10 @@ class TestDifferential:
     @given(orbit_cases())
     def test_batch_matches_reference(self, case):
         # Iterates, diffs and converged of every row, or the exception, as
-        # the step-by-step orbit gives them; resumed rows as fresh ones.
-        f, direction, X, max_n, tol_rel, shallow = case
-        want = reference_outcome(f, direction, X, max_n, tol_rel)
-        assert orbit_outcome(f, direction, X, max_n, tol_rel) == want
-        if shallow is not None and shallow[1] >= tol_rel:
-            try:
-                traces = stabilize_points(f, direction, X, *shallow)
-            except NonCauchy:
-                return
-            resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
-            assert orbit_outcome(f, direction, X, max_n, tol_rel, resume) == want
+        # the step-by-step orbit gives them.
+        f, direction, X, max_n, tol_rel = case
+        assert orbit_outcome(f, direction, X, max_n, tol_rel) == reference_outcome(
+            f, direction, X, max_n, tol_rel)
 
 
 class TestPredictedStops:
@@ -832,9 +829,9 @@ class TestPredictedStops:
     @given(orbit_cases(), st.data())
     def test_any_widths_match_reference(self, case, data):
         # Whatever the predicted stops and the cell cap, so whatever the
-        # blocks' widths, fresh and resumed rows end as the step-by-step
-        # orbit: the same iterates, diffs and converged, or exception.
-        f, direction, X, max_n, tol_rel, shallow = case
+        # blocks' widths, the rows end as the step-by-step orbit: the same
+        # iterates, diffs and converged, or exception.
+        f, direction, X, max_n, tol_rel = case
         want = reference_outcome(f, direction, X, max_n, tol_rel)
 
         def drawn_stops(p, q, norms, lower, tol_rel, max_n):
@@ -845,13 +842,6 @@ class TestPredictedStops:
             patch.setattr(stabilizer, "_predicted_stops", drawn_stops)
             patch.setattr(stabilizer, "_BLOCK_CELLS", data.draw(st.integers(1, 64)))
             assert orbit_outcome(f, direction, X, max_n, tol_rel) == want
-            if shallow is not None and shallow[1] >= tol_rel:
-                try:
-                    traces = stabilize_points(f, direction, X, *shallow)
-                except NonCauchy:
-                    return
-                resume = [tr if k % 2 == 0 else None for k, tr in enumerate(traces)]
-                assert orbit_outcome(f, direction, X, max_n, tol_rel, resume) == want
 
 
 class TestErrorBound:

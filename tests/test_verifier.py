@@ -74,9 +74,9 @@ class TestStabilizedMap:
         batches = []
         stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10, resume=None):
+        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
             batches.append([row.tobytes() for row in X])
-            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel, resume=resume)
+            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = StabilizedMap(BUDGET_F, UP)
@@ -91,26 +91,19 @@ class TestStabilizedMap:
         assert batches == [[x.tobytes(), y.tobytes()], [z.tobytes()]]
         assert I.traces(z[None])[0] is I.traces(z[None])[0]
 
-    def test_resume_from_shallower_map(self, rng):
-        # The deeper map continues the cached orbits and reads as a fresh one.
+    @pytest.mark.parametrize("shallow, deep", [
+        ((20, 1e-6), (60, 1e-12)), ((10, 1e-10), (48, 1e-10)), ((48, 1e-8), (48, 1e-10)),
+    ], ids=["shallower-looser", "shallower", "looser"])
+    def test_deeper_map_extends_shallower(self, rng, shallow, deep):
+        # Maps at two depths keep their own traces, and the deeper one's
+        # orbits begin with the shallower one's iterates, bit for bit.
         P = sample_probes(6, rng)
-        shallow = StabilizedMap(BUDGET_F, UP, max_n=20, tol_rel=1e-6)
-        shallow.rows(P[:4])
-        deep = StabilizedMap(BUDGET_F, UP, max_n=60, tol_rel=1e-12, resume_from=shallow)
-        fresh = StabilizedMap(BUDGET_F, UP, max_n=60, tol_rel=1e-12)
-        for got, want in zip(deep.traces(P), fresh.traces(P)):
-            assert got.iterates.tobytes() == want.iterates.tobytes()
-            assert (got.diffs, got.n_used, got.converged) == (
-                want.diffs, want.n_used, want.converged)
-        assert len(shallow._traces) == 4
-
-    @pytest.mark.parametrize("f, depth", [
-        (BUDGET_F, (10, 1e-10)), (BUDGET_F, (48, 1e-8)),
-        (ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=8), M2), (48, 1e-10)),
-    ], ids=["shallower", "looser", "other-map"])
-    def test_resume_from_rejects_deeper_or_other_map(self, f, depth):
-        with pytest.raises(ValueError):
-            StabilizedMap(f, UP, *depth, resume_from=StabilizedMap(BUDGET_F, UP, 20, 1e-9))
+        lo, hi = StabilizedMap(BUDGET_F, UP, *shallow), StabilizedMap(BUDGET_F, UP, *deep)
+        lo.rows(P[:4])
+        for got, prefix in zip(hi.traces(P), lo.traces(P)):
+            assert got.n_used >= prefix.n_used
+            assert got.iterates[:prefix.n_used + 1].tobytes() == prefix.iterates.tobytes()
+        assert len(lo._traces) == len(hi._traces) == 6
 
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)

@@ -90,59 +90,40 @@ def finite_rows(where: str, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+# The closed form's safe range: a 2x2 matrix whose largest real or imaginary
+# part lies in it, or that is zero, has no square of that part that
+# overflows or underflows, so the sums below round as the standard model
+# says.  Squares of much smaller parts may underflow; they move a result of
+# at least 1e-240 by at most a few 2^-1074.
+EXACT_SCALING_RANGE = (1e-120, 1e120)
+
+
 def _operator_norm(stack: np.ndarray) -> np.ndarray:
-    # Largest singular value from LAPACK: no start vector, gap condition or
-    # iteration cap.  A stack (N, d, d) gives the same bits as the
-    # per-matrix calls.
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def operator_norm_enclosure(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) with lo <= stacked_norms <= hi on each row of a stack
-    of matrices shaped (N, d, d), without an svd: [0, inf] where they
-    cannot be had cheaply.
-
-    For d = 2 the largest singular value in closed form, widened by a
-    relative 1e-12, on rows that are zero or whose largest real or imaginary
-    part lies inside EXACT_SCALING_RANGE.  For other d, [F / sqrt(d), F]
-    from the Frobenius norm F."""
-    n, d = len(stack), stack.shape[-1]
-    parts = np.ascontiguousarray(stack).view(np.float64)
-    if d == 2:
-        # sqrt(lambda_max(A^H A)) = sqrt((a + c)/2 + hypot((a - c)/2, |b|)),
-        # a and c the squared column norms, b = col0^H col1.  Its terms are
-        # non-negative: the rounding, like LAPACK's, is a few ulps.  Squares
-        # of parts far below the largest may underflow, which moves the
-        # result by far less than the margin.  The parts are laid out by
-        # column, then row and real or imaginary part, then matrix.
-        x, y = columns = np.ascontiguousarray(
-            parts.reshape(n, 2, 2, 2).transpose(2, 1, 3, 0)).reshape(2, 4, n)
-        a, c = np.einsum("cij,cij->cj", columns, columns)
-        b = np.hypot(np.einsum("ij,ij->j", x, y),
-                     np.einsum("ij,ij->j", x[0::2], y[1::2])
-                     - np.einsum("ij,ij->j", x[1::2], y[0::2]))
-        norm = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
-        largest = np.maximum(columns.max(axis=(0, 1), initial=0.0),
-                             -columns.min(axis=(0, 1), initial=0.0))
-        lo, hi = EXACT_SCALING_RANGE
-        safe = (largest == 0.0) | ((largest >= lo) & (largest <= hi))
-        return (np.where(safe, norm * (1.0 - 1e-12), 0.0),
-                np.where(safe, norm * (1.0 + 1e-12), np.inf))
-    # ||A||_F / sqrt(d) <= ||A||_2 <= ||A||_F.  The factors cover the
-    # rounding of the sum of squares and of LAPACK's largest singular value,
-    # a few ulps per entry, for d up to about a thousand.  A square or
-    # partial sum that underflows moves it by at most 2^-1075 either way
-    # (it can flush to 0, or round up to the smallest subnormal), so the 4d^2
-    # of them move the Frobenius norm by under d * 2^-536, which the 1e-150
-    # taken off lo and added to hi covers; a Frobenius norm that overflows
-    # bounds nothing.
-    parts = parts.reshape(n, 2 * d * d)
-    frobenius = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    finite = np.isfinite(frobenius)
-    lo = np.maximum(frobenius * ((1.0 - 1e-8) / math.sqrt(d)) - 1e-150, 0.0)
-    return (np.where(finite, lo, 0.0),
-            np.where(finite, frobenius * (1.0 + 1e-8) + 1e-150, np.inf))
+    # Largest singular value of each matrix of a stack (N, d, d).  For d = 2
+    # in the safe range, sqrt(lambda_max(A^H A)) in closed form,
+    # sqrt((a + c)/2 + hypot((a - c)/2, |b|)) for the squared column norms a
+    # and c and b = col0^H col1, in real elementwise arithmetic, so that a
+    # row's bits do not depend on the stack; within 8u of the exact value
+    # (README, "Operator norm").  Every other matrix takes LAPACK's svd,
+    # which needs no start vector, gap condition or iteration cap, and also
+    # gives a stack the bits of the per-matrix calls.
+    if stack.shape[-1] != 2:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    largest = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(1, 2), initial=0.0)
+    lo, hi = EXACT_SCALING_RANGE
+    closed = (largest == 0.0) | ((largest >= lo) & (largest <= hi))
+    norms = np.empty(len(stack))
+    if not closed.all():
+        norms[~closed] = np.linalg.svd(stack[~closed], compute_uv=False)[:, 0]
+    m = stack[closed]
+    (r00, r01), (r10, r11) = m.real.transpose(1, 2, 0)
+    (i00, i01), (i10, i11) = m.imag.transpose(1, 2, 0)
+    a = (r00 * r00 + i00 * i00) + (r10 * r10 + i10 * i10)
+    c = (r01 * r01 + i01 * i01) + (r11 * r11 + i11 * i11)
+    b = np.hypot((r00 * r01 + i00 * i01) + (r10 * r11 + i10 * i11),
+                 (r00 * i01 - i00 * r01) + (r10 * i11 - i10 * r11))
+    norms[closed] = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+    return norms
 
 
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
@@ -154,24 +135,6 @@ def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
         return np.max(np.abs(stack), axis=-1).tolist()
     # Python's complex abs; numpy's differs in the last bit.
     return [abs(z) for z in stack.reshape(-1).tolist()]
-
-
-# LAPACK's svd rescales a matrix whose largest entry lies outside about
-# [1.3e-138, 7.5e137] by a factor that is not a power of two, and a part
-# that is subnormal or overflows does not scale exactly; this range keeps
-# clear of both.
-EXACT_SCALING_RANGE = (1e-120, 1e120)
-
-
-def exact_scaling_rows(stack: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a stack whose entries' real and imaginary parts
-    are each 0 or of modulus inside EXACT_SCALING_RANGE.  If x and c*x both
-    pass, for c a power of two, then c*x is exact and
-    stacked_norms(c*x) == c * stacked_norms(x) bit for bit, whatever the
-    kind."""
-    parts = np.abs(np.ascontiguousarray(stack).view(np.float64)).reshape(len(stack), -1)
-    lo, hi = EXACT_SCALING_RANGE
-    return ((parts == 0.0) | ((parts >= lo) & (parts <= hi))).all(axis=1)
 
 
 def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> np.ndarray:

@@ -176,26 +176,13 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
     return parts.view(np.complex128).reshape(len(quantized), *spec.shape)
 
 
-def _row_norms(spec: AlgebraSpec, X: np.ndarray, norms: np.ndarray | None) -> list[float]:
-    # ||x|| for each row x of X: `norms` where given, computed for its NaN
-    # entries (all rows when None) in one stacked call.
-    if norms is None:
-        return algebra.stacked_norms(spec, X)
-    missing = np.isnan(norms)
-    if missing.any():
-        norms = norms.copy()
-        norms[missing] = algebra.stacked_norms(spec, X[missing])
-    return norms.tolist()
-
-
 _HASH_CHUNK = 128
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
-                       norms: np.ndarray | None = None) -> np.ndarray:
-    # delta on a stack X of shape (N, *spec.shape), with `norms` as in
-    # eval_f_rows. Amplitudes are computed in Python floats per row; a zero
+def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
+    # delta on a stack X of shape (N, *spec.shape). Amplitudes are computed
+    # in Python floats per row, from one stacked norm call; a zero
     # amplitude or zero quantized point is a zero row, left +0 rather than
     # 0 * u, which can be -0.  An amplitude that overflows to inf leaves a
     # non-finite row, for the caller to reject, and no warning.  Python's
@@ -206,7 +193,7 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray,
         return out
     column = (-1,) + (1,) * len(spec.shape)
     try:
-        amplitudes = np.array([p.theta_delta * n ** p.r for n in _row_norms(spec, X, norms)],
+        amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
                               dtype=np.complex128).reshape(column)
     except OverflowError:
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
@@ -240,22 +227,17 @@ class ApproxMap:
     spec: AlgebraSpec
 
 
-def eval_f_rows(f: ApproxMap, X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     """f on a stack X of raw entry arrays shaped (N, *f.spec.shape), one
-    row per point; a row's value does not depend on the other rows.
-
-    `norms`, a float array with one entry per row, lends the perturbation
-    amplitude the rows' norms ||x|| where the caller knows them, and is NaN
-    where it does not; the NaN rows' norms are computed here, in one
-    stacked call.  A lent norm must equal stacked_norms on its row bit for
-    bit.  Without `norms` every row's norm is computed; a map with no
-    perturbation computes none."""
+    row per point; a row's value does not depend on the other rows.  The
+    perturbation amplitude reads every row's norm ||x||, from one stacked
+    call; a map with no perturbation computes none."""
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     base = _involution_rows(f.base, f.spec, X)
     if f.perturbation.kind is PerturbationKind.NONE:
         return base
-    delta = _perturbation_rows(f.perturbation, f.spec, X, norms)
+    delta = _perturbation_rows(f.perturbation, f.spec, X)
     return np.add(base, delta, out=delta)
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraKind, AlgebraSpec
+from .algebra import AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
 from .maps import ApproxMap, PerturbationKind, PerturbationSpec, eval_f_rows
 
@@ -104,9 +104,9 @@ class StabilizationTrace:
     array of a_0 .. a_{n_used} in `spec`, whose last row is the stabilized
     value.
 
-    diffs[n] = ||a_{n+1} - a_n||.  The orbit decides its steps from bounds
-    on these norms and keeps none of them; they are computed on first read,
-    in one stacked call, with the bits of one call per difference."""
+    diffs[n] = ||a_{n+1} - a_n||.  The orbit decides its steps from these
+    norms but keeps none of them; they are computed again on first read, in
+    one stacked call, with the bits the orbit read."""
 
     iterates: np.ndarray
     n_used: int
@@ -118,21 +118,20 @@ class StabilizationTrace:
         return algebra.stacked_norms(self.spec, self.iterates[1:] - self.iterates[:-1])
 
 
-def _eval_steps(f: ApproxMap, X: np.ndarray,
-                norms: np.ndarray | None) -> tuple[np.ndarray, dict[int, OutOfRange]]:
-    """eval_f_rows(f, X, norms), with NaN rows where a perturbation
+def _eval_steps(f: ApproxMap, X: np.ndarray) -> tuple[np.ndarray, dict[int, OutOfRange]]:
+    """eval_f_rows(f, X), with NaN rows where a perturbation
     amplitude overflows, and the OutOfRange of each such row by index.
     When the stacked call raises, the rows are evaluated one at a time: a
     row's value does not depend on the others, so theirs stay bit for bit."""
     try:
-        return eval_f_rows(f, X, norms), {}
+        return eval_f_rows(f, X), {}
     except OutOfRange:
         pass
     values = np.full(X.shape, np.nan, dtype=np.complex128)
     raised = {}
     for i in range(len(X)):
         try:
-            values[i] = eval_f_rows(f, X[i:i + 1], None if norms is None else norms[i:i + 1])[0]
+            values[i] = eval_f_rows(f, X[i:i + 1])[0]
         except OutOfRange as exc:
             raised[i] = exc
     return values, raised
@@ -159,23 +158,12 @@ def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
 _BLOCK_CELLS = 2048
 
 
-def _norm_bounds(spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
-    """Lower and upper bounds, shaped (2, N), on stacked_norms of each row:
-    the operator norm's enclosure for matrices, the norms themselves for the
-    cheap kinds."""
-    if spec.kind is AlgebraKind.MATRIX:
-        return np.array(algebra.operator_norm_enclosure(stack))
-    return np.array(algebra.stacked_norms(spec, stack))[None].repeat(2, axis=0)
-
-
-def _evaluate_block(f: ApproxMap, q: complex, cur: np.ndarray, prev: np.ndarray,
-                    depth: np.ndarray, steps: np.ndarray, norms: np.ndarray | None,
-                    scales: np.ndarray, powers: np.ndarray):
+def _evaluate_block(f: ApproxMap, q: float, cur: np.ndarray, prev: np.ndarray,
+                    depth: np.ndarray, steps: np.ndarray):
     """Each row's next `steps` steps from depth `depth`: the arguments q^n x
     from its last argument `cur` by repeated multiplication, and the values
-    a_n = q^{-n} f(q^n x) from one stacked evaluation, which is lent q^n ||x||
-    where `norms` has ||x|| and the argument vouches for the bits.  A row's
-    evaluation stops at its first argument past the guard.
+    a_n = q^{-n} f(q^n x) from one stacked evaluation.  A row's evaluation
+    stops at its first argument past the guard.
 
     Returns the masks of the steps and of those past the guard; the chain of
     iterates, whose slot 0 is each row's `prev` and slot j its step j's
@@ -185,7 +173,7 @@ def _evaluate_block(f: ApproxMap, q: complex, cur: np.ndarray, prev: np.ndarray,
     args = np.empty((len(cur), width, *cur.shape[1:]), dtype=np.complex128)
     arg = cur
     for j in range(width):
-        arg = q * arg
+        arg = complex(q) * arg
         args[:, j] = arg
     within = np.arange(width) < steps[:, None]
     guarded = within & (np.abs(args).reshape(len(cur), width, -1).max(axis=2) > 1e300)
@@ -195,12 +183,12 @@ def _evaluate_block(f: ApproxMap, q: complex, cur: np.ndarray, prev: np.ndarray,
     del args  # the evaluation below holds the block's peak memory
     raised = {}
     if len(values):
-        lent = None
-        if norms is not None:
-            lent = powers[ns] * np.broadcast_to(norms[:, None], evaluate.shape)[evaluate]
-            lent[~algebra.exact_scaling_rows(values)] = np.nan
-        values, overflows = _eval_steps(f, values, lent)
-        values *= scales[ns].reshape((-1,) + (1,) * (values.ndim - 1))
+        values, overflows = _eval_steps(f, values)
+        # q is 2 or 1/2, so q^{-n} is 2^-n or 2^n: ldexp gives the bits of
+        # repeated division by q, down to 0 and up to inf.  numpy multiplies
+        # complex values by it as by a complex scale, signed zeros included.
+        scales = np.ldexp(1.0, -ns if q == 2.0 else ns)
+        values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
         if overflows:
             where = np.argwhere(evaluate).tolist()
             raised = {tuple(where[index]): exc for index, exc in overflows.items()}
@@ -210,64 +198,24 @@ def _evaluate_block(f: ApproxMap, q: complex, cur: np.ndarray, prev: np.ndarray,
     return within, guarded, chain, ends, raised
 
 
-def _links(chain: np.ndarray, last: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Rows (i, j) of the differences of a block's chain of iterates: slot
-    j > 0 holds a_{n+j} - a_{n+j-1}, slot 0 the carried `last`."""
-    out = chain[i, j]
-    out -= chain[i, j - 1]
-    out[j == 0] = last[i[j == 0]]
-    return out
-
-
-def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, last: np.ndarray,
-            kept: np.ndarray, prev_bounds: np.ndarray, last_bounds: np.ndarray):
+def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, kept: np.ndarray,
+            prev_norms: np.ndarray, last_diffs: np.ndarray):
     """Each step j of a block, whether its difference ||a_{n+j+1} - a_{n+j}||
     rose above the one before and whether it meets the stop test against
-    ||a_{n+j}||, as masks shaped `kept`; and the bounds, shaped (2, R, W + 1),
-    on the norms of the chain's iterates and differences.  Slot 0's are
-    carried over, the iterate's NaN until computed.
-
-    One call bounds the kept steps' norms.  For matrices, the decisions the
-    bounds leave open, up to each row's first sure stop, read the operator
-    norms they compare, in one more call."""
-    it_bounds = np.full((2, *kept.shape[:1], kept.shape[1] + 1), np.nan)
-    diff_bounds = it_bounds.copy()
-    it_bounds[:, :, 0], diff_bounds[:, :, 0] = prev_bounds, last_bounds
-
-    def fill(diffs, its, values):
-        count = np.count_nonzero(diffs)
-        diff_bounds[:, diffs], it_bounds[:, its] = values[..., :count], values[..., count:]
-        return (diff_bounds[0, :, 1:] > diff_bounds[1, :, :-1],
-                diff_bounds[1, :, 1:] <= tol_rel * np.maximum(1.0, it_bounds[0, :, :-1]))
-
-    # The differences the steps read: the kept ones, slot 0's being carried
-    # over.  The iterates: slot 0 once, then the kept ones but the last,
-    # which the next block reads as its slot 0.  Two calls, not one on a
-    # stack twice the size: a smaller largest array keeps the peak RSS down.
-    diffs = np.concatenate([np.zeros((len(kept), 1), dtype=bool), kept], axis=1)
-    its = np.concatenate([np.isnan(prev_bounds[0])[:, None], kept[:, 1:],
-                          np.zeros((len(kept), 1), dtype=bool)], axis=1)
-    rose, met = fill(diffs, its, np.concatenate(
-        [_norm_bounds(spec, _links(chain, last, *diffs.nonzero())),
-         _norm_bounds(spec, chain[its])], axis=1))
-    if spec.kind is AlgebraKind.MATRIX:
-        fell = diff_bounds[1, :, 1:] <= diff_bounds[0, :, :-1]
-        missed = diff_bounds[0, :, 1:] > tol_rel * np.maximum(1.0, it_bounds[1, :, :-1])
-        sure = kept & met
-        upto = kept & (np.cumsum(sure, axis=1) <= sure)
-        open_rose, open_met = upto & ~(rose | fell), upto & ~(met | missed)
-        need_diffs = np.zeros(diff_bounds.shape[1:], dtype=bool)
-        need_diffs[:, 1:] = open_rose | open_met
-        need_diffs[:, :-1] |= open_rose
-        need_its = np.zeros(it_bounds.shape[1:], dtype=bool)
-        need_its[:, :-1] = open_met
-        # Where a norm is known exactly, its bounds are equal.
-        need_diffs &= diff_bounds[0] < diff_bounds[1]
-        need_its &= it_bounds[0] < it_bounds[1]
-        if need_diffs.any() or need_its.any():
-            rose, met = fill(need_diffs, need_its, np.array(algebra.stacked_norms(spec, np.concatenate(
-                [_links(chain, last, *need_diffs.nonzero()), chain[need_its]]))))
-    return rose, met, it_bounds, diff_bounds
+    ||a_{n+j}||, as masks shaped `kept`; and the norms, shaped (R, W + 1), of
+    the chain's iterates and differences, NaN where not kept.  Slot 0's are
+    carried over: the last iterate's norm, and the last difference's, inf
+    before the first step, so that the first step is no rise."""
+    its = np.full((kept.shape[0], kept.shape[1] + 1), np.nan)
+    diffs = its.copy()
+    its[:, 0], diffs[:, 0] = prev_norms, last_diffs
+    values = chain[:, 1:][kept]
+    # Two calls, not one on a stack twice the size: a smaller largest array
+    # keeps the peak RSS down.
+    diffs[:, 1:][kept] = algebra.stacked_norms(spec, values - chain[:, :-1][kept])
+    its[:, 1:][kept] = algebra.stacked_norms(spec, values)
+    return (diffs[:, 1:] > diffs[:, :-1],
+            diffs[:, 1:] <= tol_rel * np.maximum(1.0, its[:, :-1]), its, diffs)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -304,13 +252,9 @@ def stabilize_points(
     Every row advances in blocks of steps, its arguments q^n x built by
     repeated multiplication by q.  A block is one stacked f evaluation over
     the running rows' next steps.  Each step's two decisions, the stop test
-    and whether its difference grew, are read off bounds on the norms they
-    compare: a matrix's from `algebra.operator_norm_enclosure`, and scalar
-    and sup norms computed outright, in one call per block.  Only the
-    matrix steps whose bounds leave a decision open, up to each row's first
-    sure stop, compute operator norms, in one stacked call with the earlier
-    differences they compare with.  So the decisions are those of the
-    exact norms, and the orbit keeps none of them
+    and whether its difference grew, read the norms they compare, computed
+    for the whole block in one stacked call on the differences and one on
+    the iterates.  The orbit keeps none of them
     (`StabilizationTrace.diffs`).
 
     Every row starts at a_0 = f(x).  Its first block runs to the step by
@@ -320,10 +264,8 @@ def stabilize_points(
     of 1, 2, 4, ... steps.  Of R running rows, none takes more than
     _BLOCK_CELLS // R steps (at least 1) in a block.  The steps of a block
     past a row's stop are evaluated but raise nothing, so the width of a
-    block changes no trace and no outcome.  The perturbation amplitude reads
-    ||q^n x|| as q^n ||x||, with ||x|| computed once per row, wherever
-    algebra.exact_scaling_rows vouches for the bits; eval_f_rows computes
-    the rest (`norms=`).  A map with no perturbation computes no ||x||.
+    block changes no trace and no outcome.  Nothing is tabulated by step,
+    so a deep max_n costs only the steps the rows run.
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
@@ -349,7 +291,6 @@ def stabilize_points(
     if not len(X):
         return []
     spec = f.spec
-    q = complex(direction.q)
     # Each row's iterates, as the chunks its orbit added them in, and the
     # run of increasing diffs at their end.
     iterates: list[list[np.ndarray]] = [[] for _ in X]
@@ -365,55 +306,42 @@ def stabilize_points(
         failed[k] = (n, exc)
         np.minimum(limit[k:], n, out=limit[k:])
 
-    norms = None
-    if f.perturbation.kind is not PerturbationKind.NONE:
-        norms = np.array(algebra.stacked_norms(spec, X))
     # Every row starts at a_0 = f(x).
-    A = eval_f_rows(f, X, norms)
+    A = eval_f_rows(f, X)
     for k, ok in enumerate(np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()):
         if ok:
             iterates[k].append(A[k:k + 1])
         else:
             fail(k, 0, IterateOverflow("iterate f value is not finite"))
 
-    # q^{-n} and q^n for n = 0 .. max_n, by the repeated division and
-    # multiplication of a step-by-step orbit.
-    scales, powers = [1.0], [1.0]
-    for _ in range(max_n):
-        scales.append(scales[-1] / direction.q)
-        powers.append(powers[-1] * direction.q)
-    scales, powers = np.array(scales, dtype=np.complex128), np.array(powers)
     # The running rows, each at its own depth, with its argument q^depth x,
-    # its last iterate and difference, and the bounds on their norms.  A row
-    # starts with no difference: bounds of inf make its first step's no rise.
+    # its last iterate, and the norms of that iterate and of its last
+    # difference.  A row starts with no difference: inf makes its first step
+    # no rise.
     rows = (limit > 0).nonzero()[0]
     depth = np.zeros(len(rows), dtype=np.intp)
-    # Complex and in C order whatever f returns, as every later block's
-    # iterates: the norm bounds' sums read the entries in that order.
-    prev = np.array(A[rows], dtype=np.complex128, order="C")
-    last, cur = np.zeros_like(prev), X[rows]
-    prev_bounds = _norm_bounds(spec, prev)
-    last_bounds = np.full((2, len(rows)), np.inf)
+    prev, cur = A[rows], X[rows]
+    prev_norms = np.array(algebra.stacked_norms(spec, prev))
+    last_diffs = np.full(len(rows), np.inf)
     # Each row's first block runs to its predicted stop `target`; past it, or
     # with no prediction, the row goes on in blocks of `size` = 1, 2, 4, ...
     size = target = np.ones(len(rows), dtype=np.intp)
-    if norms is not None:
-        target = _predicted_stops(f.perturbation, direction.q, norms[rows], prev_bounds[0],
+    if f.perturbation.kind is not PerturbationKind.NONE:
+        target = _predicted_stops(f.perturbation, direction.q,
+                                  np.array(algebra.stacked_norms(spec, cur)), prev_norms,
                                   tol_rel, max_n)
-        # NaN where ||x|| may not scale exactly: eval_f_rows computes those.
-        norms = np.where(algebra.exact_scaling_rows(X), norms, np.nan)
     while len(rows):
         steps = np.minimum(np.minimum(np.maximum(target - depth, size),
                                       max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
         within, guarded, chain, ends, raised = _evaluate_block(
-            f, q, cur, prev, depth, steps, None if norms is None else norms[rows], scales, powers)
+            f, direction.q, cur, prev, depth, steps)
         A = chain[:, 1:]
         # A guarded, overflowing or non-finite step ends the row's block.
         bad = within & ~np.isfinite(A).reshape(*within.shape, -1).all(axis=2)
         end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
         kept = np.arange(within.shape[1]) < end[:, None]
-        rose, met, it_bounds, diff_bounds = _decide(spec, tol_rel, chain, last, kept,
-                                                    prev_bounds, last_bounds)
+        rose, met, it_norms, diff_norms = _decide(spec, tol_rel, chain, kept,
+                                                  prev_norms, last_diffs)
         # Each step's run of rises, continuing the row's; a row stops at its
         # first kept step that meets the test or ends a run of 8.
         number = np.arange(1, within.shape[1] + 1)
@@ -445,8 +373,8 @@ def stabilize_points(
         if not len(going):
             break
         slot = steps[going]
-        prev, last, cur = chain[going, slot], _links(chain, last, going, slot), ends[going]
-        prev_bounds, last_bounds = it_bounds[:, going, slot], diff_bounds[:, going, slot]
+        prev, cur = chain[going, slot], ends[going]
+        prev_norms, last_diffs = it_norms[going, slot], diff_norms[going, slot]
         size = np.where(depth >= target, 2 * size, size)[going]
         rows, depth, target = rows[going], depth[going] + slot, target[going]
     if failed:

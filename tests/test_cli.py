@@ -123,9 +123,9 @@ class TestRun:
             traced.update(zip(batches[-1], traces))
             return traces
 
-        def counting_rows(f, X, norms=None):
+        def counting_rows(f, X):
             row_steps.append(len(X))
-            return eval_f_rows(f, X, norms=norms)
+            return eval_f_rows(f, X)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         monkeypatch.setattr(stabilizer, "eval_f_rows", counting_rows)
@@ -425,11 +425,11 @@ class TestBundledScenarios:
 # the suite runs with.
 GOLDEN_DIGESTS = {
     "adjoint_rsum_r05": (
-        "e575600b6051943d433008a3db9316f743f279fee5884c8207e84165e060916c",
-        "cb748b9ed2951f75dd9fb9527d7c9ef8d3b77754f57a1f84234f3a73c64899df"),
+        "5b9d8e8c6d4fb71a644824170f271fb1887ec65091dd25a9ff3bc58a67cd4c59",
+        "ae9f86775412562603ff556e52f3ad271a9b036189d15da5d145b3021501444c"),
     "twisted_cstar": (
-        "1afe9d0b78d11916660eeb215636610707f2608b5fb34669b2691e2e4fcbabed",
-        "adae0c581bf486dcd7f09577bb88362c59991a38de4999fef5dee049c4be8c2d"),
+        "779f957508592eeceb8364c8cfbbc5f7169548be8be77d664c4bb107120be495",
+        "f990909b4ff45ccf58fc0debd03363d6a4144d5ac9d89774911df8921ef76c88"),
     "product_superstability": (
         "a2871e922ed3aa1df06c569226f8729e6cef5ec9201009da96d7dc6f0b32f48e",
         "9321acd42ab93f5b0e5cc38228653fff5d0e17ea813b1f91f9c2d4a4163443c1"),
@@ -442,8 +442,8 @@ GOLDEN_DIGESTS = {
     # No bundled scenario takes the q = 1/2 (i = 1) direction, whose
     # error_bound factor differs; power-sum r = 1.5 does.
     "adjoint_rsum_r15": (
-        "690c8c1fd8bc256ec0d275fe0b2c3971ce3165712683d06563e1b130fbd3fa7a",
-        "43d51d4a1261c2cacb6538b0333d9164ad6e4100be9f6e4cb5c9c02847b61394"),
+        "60807525f51ee9cda233f4f33ef88c60725ce11ba6241765d2da51ead00de974",
+        "4a9cdd429aafb923a2a57f42c849910d41688e5f9e4f7b0f58662430f3a2f8b0"),
 }
 
 POINTWISE_RANDOM_DIRECTION = {
@@ -522,7 +522,7 @@ class TestSweep:
         (None, "r", "0.25,0.5,1.0,1.5",
          "a3bca492a18d524ddaa4f70a5b87c2e059aedf70334173759150ed548800bc89"),
         ("adjoint_rsum_r05", "num_probes", "3,4",
-         "33f84f8cc186dd3f3bcbf3b0df6f90db8992f54592b44aa7e0a80c190fa2f07a"),
+         "806a867c7a2f35a89323145b4a77e7b4a2f2572f7df6ad7a185c95f8cf5d6634"),
     ], ids=["small-r", "adjoint-num_probes"])
     def test_sweep_csv_unchanged(self, tmp_path, config, param, values, digest):
         config = config or str(write_config(tmp_path, small_config()))

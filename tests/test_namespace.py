@@ -35,3 +35,4 @@ def test_orbit_parameters_pinned():
 
     assert names(involstab.stabilize_points) == ["f", "direction", "X", "max_n", "tol_rel"]
     assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "max_n", "tol_rel"]
+    assert names(involstab.eval_f_rows) == ["f", "X"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,20 @@ WANDERING = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0
 
 
 class TestStabilizePoints:
+    def test_deep_cap_costs_only_the_steps_run(self):
+        # Every row stops at step 1, so a cap of two million steps builds
+        # nothing sized by it.
+        f = ApproxMap(maps.conjugation(), maps.NO_PERTURBATION, SCALAR)
+        X = np.array([[1 + 1j], [0j], [-3 + 0j]])
+        tracemalloc.start()
+        try:
+            traces = stabilize_points(f, UP, X, max_n=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(tr.n_used, tr.converged) for tr in traces] == [(1, True)] * 3
+        assert peak < 100_000
+
     @pytest.mark.parametrize("name", BATCH_MAPS)
     @pytest.mark.parametrize("max_n, tol_rel", [(48, 1e-10), (30, 1e-4)],
                              ids=["tight", "loose"])
@@ -337,6 +352,33 @@ class TestStabilizePoints:
             assert all(tr.converged and tr.n_used < shallow[0] for tr in traces)
         else:
             assert not any(tr.converged for tr in traces[1:])
+
+    def test_scales_past_the_exponent_range(self):
+        # q^-n = 2^-n is subnormal from step 1023 and rounds to 0 at step
+        # 1075, where a_n = 0.  For q = 1/2, q^-n = 2^n is inf at step 1024,
+        # where a_n is not finite; at r = 1.01 that orbit's differences decay
+        # by only 2^-0.01 a step.  Both as the step-by-step orbit.
+        f = ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR)
+        X = np.array([[1e-300 + 0j]])
+        got = orbit_outcome(f, UP, X, 1100, 5e-324)
+        assert got == reference_outcome(f, UP, X, 1100, 5e-324)
+        assert got[0][3] > 1075 and not np.frombuffer(got[0][1], complex)[1075:].any()
+        f = ApproxMap(maps.conjugation(), radial(0.1, 1.01), SCALAR)
+        X = np.array([[2.0 ** 60 + 0j]])
+        got = orbit_outcome(f, DOWN, X, 1023, 5e-324)
+        assert got == reference_outcome(f, DOWN, X, 1023, 5e-324)
+        assert got[0][3:] == (1023, False)
+        assert orbit_outcome(f, DOWN, X, 1024, 5e-324) == NOT_FINITE
+
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=["q-2", "q-half"])
+    def test_signed_zeros_match_reference(self, direction):
+        # The adjoint of a real matrix has imaginary parts -0.0; scaling by
+        # q^-n as a complex number turns those of positive entries to +0.0,
+        # as the step-by-step orbit does.
+        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
+        X = np.array([[[1.0, -2.0], [0.0, 3.0]]], dtype=complex)
+        got = orbit_outcome(f, direction, X, 48, 1e-10)
+        assert got == reference_outcome(f, direction, X, 48, 1e-10)
 
     @pytest.mark.parametrize("max_n", [8, 9, 20])
     def test_non_cauchy_run_straddles_the_cap(self, max_n):
@@ -473,12 +515,12 @@ def counting_calls(monkeypatch):
     calls = {"eval_f_rows": [], "stacked_norms": []}
     eval_f_rows, stacked_norms = stabilizer.eval_f_rows, algebra.stacked_norms
 
-    def counting_eval(f, X, norms=None):
-        calls["eval_f_rows"].append((X, norms))
-        return eval_f_rows(f, X, norms=norms)
+    def counting_eval(f, X):
+        calls["eval_f_rows"].append(X)
+        return eval_f_rows(f, X)
 
     def counting_norms(spec, stack):
-        calls["stacked_norms"].append(stack)
+        calls["stacked_norms"].append(stack.copy())
         return stacked_norms(spec, stack)
 
     monkeypatch.setattr(stabilizer, "eval_f_rows", counting_eval)
@@ -490,10 +532,11 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize("perturbation", [radial(0.1, 0.5, seed=5), maps.NO_PERTURBATION],
                              ids=["fixed-direction", "none"])
     def test_calls_per_batch(self, monkeypatch, rng, perturbation):
-        # 40 points that none converge by step 48: a_0, then one block to
-        # the stop predicted from the perturbation's decay, past max_n.
-        # Every decision is settled by the bounds, so no operator norm of a
-        # difference or an iterate is computed.
+        # 40 points, which with the perturbation none converge by step 48,
+        # and without it all stop at step 1: a_0, then one block to the stop
+        # predicted from the perturbation's decay.  The orbit reads the norms
+        # of a_0 in one call, and the block's norms of its differences and
+        # of its iterates in one call each.
         f = ApproxMap(maps.adjoint(), perturbation, M2)
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(40)])
         calls = counting_calls(monkeypatch)
@@ -509,21 +552,23 @@ class TestOrbitBlocks:
         for _ in range(49):
             args.update(row.tobytes() for row in Y)
             Y = complex(UP.q) * Y
-        on_args = [stack for stack in calls["stacked_norms"]
-                   if any(row.tobytes() in args for row in stack)]
+
+        def stacks_of(rows):
+            return [len(stack) for stack in calls["stacked_norms"]
+                    if all(row.tobytes() in rows for row in stack)]
+
         if perturbation.kind.value == "none":
-            assert on_args == [] and all(norms is None for _, norms in evals)
+            assert stacks_of(args) == []
         else:
-            # One norm per point for the whole batch; every block lends
-            # q^n ||x|| for each argument.
-            assert len(on_args) == 1 and on_args[0].tobytes() == X.tobytes()
-            assert all(not np.isnan(norms).any() for _, norms in evals)
-            steps = {row.tobytes() for tr in traces
-                     for row in [*tr.iterates, *(tr.iterates[1:] - tr.iterates[:-1])]}
-            assert not any(row.tobytes() in steps for stack in calls["stacked_norms"]
-                           for row in stack)
+            # ||x|| for the predicted stops, and for the amplitudes of each
+            # evaluation, on its arguments.
+            assert stacks_of(args) == [40, 40, len(evals[1])]
+        blocks = [len(A) for A in evals[1:]]
+        assert stacks_of({row.tobytes() for tr in traces
+                          for row in tr.iterates[1:] - tr.iterates[:-1]}) == blocks
+        assert stacks_of({row.tobytes() for tr in traces for row in tr.iterates}) == [40, *blocks]
         if len(traces[0].diffs) == 48:
-            assert [len(A) for A, _ in evals] == [40, 40 * 48]
+            assert [len(A) for A in evals] == [40, 40 * 48]
 
     def test_block_cells_capped(self, monkeypatch, rng):
         # 100 rows that run to max_n: no block evaluates more than
@@ -533,7 +578,7 @@ class TestOrbitBlocks:
         calls = counting_calls(monkeypatch)
         traces = stabilize_points(f, UP, X, 48, 1e-10)
         assert [tr.n_used for tr in traces] == [48] * 100
-        sizes = [len(A) for A, _ in calls["eval_f_rows"]]
+        sizes = [len(A) for A in calls["eval_f_rows"]]
         assert max(sizes) <= stabilizer._BLOCK_CELLS < 100 * 45
         assert sum(sizes) == 100 * 49
 
@@ -548,27 +593,33 @@ class TestOrbitBlocks:
         with pytest.raises(IterateOverflow, match="exceeded 1e300"):
             stabilize_points(f, UP, x[None], 48, 1e-300)
 
-    @pytest.mark.parametrize("direction, corner, rest, tol_rel, lent", [
+    @pytest.mark.parametrize("direction, corner, rest, tol_rel", [
         # Arguments from 1e110 up to about 8e138, and from 1e-110 down to
-        # about 1e-139: in the exact-scaling range at first, then outside
-        # it and past LAPACK's rescaling thresholds.
-        (UP, 1e110, 1.0, 1e-70, "some"),
-        (DOWN, 1e-110, 0.0, 1e-200, "some"),
-        # From about 1e-140: x itself is outside, so no step is lent a norm.
-        (UP, 1e-140, 1e-140, 1e-100, "none"),
+        # about 1e-139: in the closed form's safe range at first, then
+        # outside it and past LAPACK's rescaling thresholds.
+        (UP, 1e110, 1.0, 1e-70),
+        (DOWN, 1e-110, 0.0, 1e-200),
+        # From about 1e-140: x itself is outside.
+        (UP, 1e-140, 1e-140, 1e-100),
     ], ids=["huge-q-2", "tiny-q-half", "tiny-start"])
     def test_recompute_path_near_lapack_thresholds(self, monkeypatch, rng, direction, corner,
-                                                   rest, tol_rel, lent):
+                                                   rest, tol_rel):
+        # The norms of the arguments outside the safe range come from
+        # LAPACK's svd, and the orbit still matches the step-by-step one.
         r = 0.5 if direction is UP else 1.5
         f = ApproxMap(maps.adjoint(), radial(0.1, r, seed=5), M2)
         scale = np.array([[corner, rest], [rest, rest]], dtype=complex)
         X = np.stack([scale * algebra.sample_element(M2, (0.5, 2.0), rng) for _ in range(4)])
-        calls = counting_calls(monkeypatch)
+        svd_rows = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_rows.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         traces = stabilize_points(f, direction, X, 96, tol_rel)
-        # Each block's lent norms: q^n ||x|| inside the range, NaN outside.
-        lent_norms = np.concatenate([norms for _, norms in calls["eval_f_rows"][1:]])
-        assert np.isnan(lent_norms).any()
-        assert np.isnan(lent_norms).all() == (lent == "none")
+        assert sum(svd_rows) > 0
         monkeypatch.undo()
         for x, tr in zip(X, traces):
             iterates, diffs, conv = reference_orbit(f, direction, x, 96, tol_rel)
@@ -578,11 +629,11 @@ class TestOrbitBlocks:
 
 
 class TestStopTestBoundary:
-    # Rank-1 orbits, where the Frobenius bound on ||a_{n-1}|| equals the
-    # operator norm up to rounding, stopped with tol_rel at the smallest
-    # value that stops them at step n, and one ulp either side.  Entries of
-    # 1e160 make the bound overflow (r near 1 keeps the perturbation above
-    # their last bit); entries of 1e-200 leave the max(1, .) floor to decide.
+    # Rank-1 orbits stopped with tol_rel at the smallest value that stops
+    # them at step n, and one ulp either side.  Entries of 1e160 lie outside
+    # the closed form's safe range, so LAPACK computes their norms (r near 1
+    # keeps the perturbation above their last bit); entries of 1e-200 leave
+    # the max(1, .) floor to decide.
     @pytest.mark.parametrize("c, r", [(3.0, 0.5), (0.3 - 0.4j, 0.5), (1e160, 0.99),
                                       (1e-200, 0.5)])
     @pytest.mark.parametrize("n", [1, 6, 29])
@@ -623,30 +674,9 @@ def reference_outcome(f, direction, X, max_n, tol_rel):
     return out
 
 
-def exact_diff_rows(monkeypatch, f, direction, X, max_n, tol_rel):
-    """The outcome of a batch, and how many operator norms of its
-    differences it computed."""
-    stacks = []
-    stacked_norms = algebra.stacked_norms
-
-    def recording(spec, stack):
-        stacks.append(stack.copy())
-        return stacked_norms(spec, stack)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(algebra, "stacked_norms", recording)
-        got = orbit_outcome(f, direction, X, max_n, tol_rel)
-    if not isinstance(got, list):
-        return got, None
-    diffs = {row.tobytes() for _, data, *_ in got
-             for its in [np.frombuffer(data, complex).reshape(-1, *f.spec.shape)]
-             for row in its[1:] - its[:-1]}
-    return got, sum(row.tobytes() in diffs for stack in stacks for row in stack)
-
-
 class TestOpenDecisions:
-    """Orbits whose steps the norm bounds leave open: the decisions are
-    those of the exact norms, step by step."""
+    """Orbits whose differences tie or differ in their last bits: the
+    decisions are those of the exact norms, step by step."""
 
     @pytest.mark.parametrize("spec", [M2, matrix_spec(3)], ids=["matrix2", "matrix3"])
     @pytest.mark.parametrize("perturbation", [
@@ -658,15 +688,12 @@ class TestOpenDecisions:
         radial(0.1, 1 - 2.0 ** -50, seed=5),
     ], ids=["random-r1", "fixed-r1", "fixed-near-r1"])
     @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e130], ids=["unit", "tiny", "huge"])
-    def test_near_ties_match_reference(self, monkeypatch, rng, spec, perturbation, scale):
+    def test_near_ties_match_reference(self, rng, spec, perturbation, scale):
+        # The tiny and huge rows' norms come from LAPACK, the unit 2x2 rows'
+        # from the closed form.
         f = ApproxMap(maps.adjoint(), perturbation, spec)
         X = np.stack([scale * algebra.sample_element(spec, (0.5, 2.0), rng) for _ in range(3)])
-        got, exact = exact_diff_rows(monkeypatch, f, UP, X, 40, 1e-300)
-        assert got == reference_outcome(f, UP, X, 40, 1e-300)
-        # A 3x3 bound is wide, and entries outside EXACT_SCALING_RANGE have
-        # none: their rise decisions read operator norms.
-        if exact is not None and (spec.dim == 3 or scale != 1.0) and got[0][3] > 1:
-            assert exact > 0
+        assert orbit_outcome(f, UP, X, 40, 1e-300) == reference_outcome(f, UP, X, 40, 1e-300)
 
 
 def designed_orbit(monkeypatch, ks, lift=None):
@@ -682,7 +709,7 @@ def designed_orbit(monkeypatch, ks, lift=None):
     orbit[:, 0, 0] = [(-1) ** n * float(v) for n, v in enumerate(t)]
     orbit[:, 1, 1] = [1 if lift is None or n < lift else 2 for n in range(len(t))]
 
-    def eval_rows(f, X, norms=None):
+    def eval_rows(f, X):
         n = np.log2(X[:, 0, 0].real).astype(int)
         return orbit[n] * 2.0 ** n[:, None, None]
 
@@ -693,8 +720,7 @@ def designed_orbit(monkeypatch, ks, lift=None):
 
 class TestRiseAtUlpEdges:
     # Runs of differences that grow by one ulp, broken by ties and by a
-    # one-ulp fall: every rise decision is open, and the exact norms decide
-    # whether the run reaches 8.
+    # one-ulp fall: the exact norms decide whether the run reaches 8.
     @pytest.mark.parametrize("ks", [
         [0, 1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 11, 12, 13, 14, 14, 15, 15],  # ties reset
         [0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 8, 9, 10, 11, 12, 13, 12, 12, 12],  # a fall resets
@@ -709,9 +735,8 @@ class TestRiseAtUlpEdges:
         else:
             assert ref[0][2] == [1 + k * 2.0 ** -52 for k in ks]
         for max_n in range(1, len(ks) + 1):
-            got, exact = exact_diff_rows(monkeypatch, f, UP, X, max_n, 1e-300)
+            got = orbit_outcome(f, UP, X, max_n, 1e-300)
             assert got == reference_outcome(f, UP, X, max_n, 1e-300)
-            assert exact is None or max_n == 1 or exact > 0
             # Split into blocks at any depth, the run carries over.  The
             # perturbation, which eval_rows ignores, makes the orbit read
             # _predicted_stops, so the first block ends at `depth`; a cap of
@@ -737,9 +762,9 @@ class TestRiseAtUlpEdges:
     @pytest.mark.parametrize("k9, outcome", [(8, NON_CAUCHY), (7, (9, True))],
                              ids=["eighth-rise", "tie"])
     def test_rise_at_a_sure_stop(self, monkeypatch, k9, outcome):
-        # ||a_8|| = 2 lets step 9 surely meet tol_rel = 0.75, which step 8
-        # does not; step 9's open rise decides between the 8th rise running,
-        # which comes first, and convergence.
+        # ||a_8|| = 2 lets step 9 meet tol_rel = 0.75, which step 8 does not;
+        # step 9's rise by an ulp or tie decides between the 8th rise
+        # running, which comes first, and convergence.
         f = designed_orbit(monkeypatch, [0, 1, 2, 3, 4, 5, 6, 7, k9, 9, 10], lift=8)
         X = np.ones((1, 2, 2), dtype=complex)
         got = orbit_outcome(f, UP, X, 11, 0.75)
@@ -801,8 +826,8 @@ class TestPredictedStops:
         (radial(0.1, 1.0), 2.0, 4.0, 4.0, 0),  # rho = 1: no prediction
         (radial(0.1, 2.0), 2.0, 4.0, 4.0, 0),  # rho = 2
         (radial(0.1, 1.0), 2.0, 0.0, 0.0, 1),  # rho = 1 at A = 0
-        # rho = 2^-0.5 and A = 0.2: the [0, inf] enclosure's lower bound of
-        # 0 floors as 1 does; a large one lets the differences stop sooner.
+        # rho = 2^-0.5 and A = 0.2: a last iterate's norm of 0 floors as 1
+        # does; a large one lets the differences stop sooner.
         (radial(0.1, 0.5), 2.0, 4.0, 0.0, 65),
         (radial(0.1, 0.5), 2.0, 4.0, 1.0, 65),
         (radial(0.1, 0.5), 2.0, 4.0, 1e6, 25),

@@ -260,6 +260,97 @@ class TestOperatorNorm:
             assert within_bound(got, mp_norm_2x2(m), CLOSED_FORM_BOUND)
 
 
+_SPECS = {"scalar": SCALAR, "pointwise3": pointwise_spec(3), "matrix2": M2,
+          "matrix3": matrix_spec(3)}
+
+
+@st.composite
+def scaled_stacks(draw):
+    """(spec, X, q, n): a stack whose parts are 0 or m * 2^e with m in
+    [1, 2) and |e| <= 330, rows spread over up to 2^60, and a power q^n
+    with n <= 60, so that X and q^n X stay inside EXACT_SCALING_RANGE
+    (2^-398 .. 2^398)."""
+    spec = _SPECS[draw(st.sampled_from(sorted(_SPECS)))]
+    rows = draw(st.integers(1, 4))
+    size = rows * 2 * spec.n_entries
+    center = draw(st.integers(-300, 300))
+    exps = draw(st.lists(st.integers(center - 30, center + 30), min_size=size, max_size=size))
+    mants = draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    parts = np.array([s * math.ldexp(m, e) for s, m, e in zip(signs, mants, exps)])
+    X = parts.view(np.complex128).reshape(rows, *spec.shape)
+    return spec, X, draw(st.sampled_from([2.0, 0.5])), draw(st.integers(0, 60))
+
+
+class TestExactScaling:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(scaled_stacks())
+    def test_norm_scales_bit_for_bit(self, case):
+        # Inside the range every square and product of two parts is a normal
+        # number, so a power of two scales each step of the closed form, and
+        # of the other kinds' norms, exactly: ||q^n x|| = q^n ||x||, with
+        # q^n x built as the orbit builds it.
+        spec, X, q, n = case
+        Y, power = X, 1.0
+        for _ in range(n):
+            Y, power = complex(q) * Y, power * q
+        assert algebra.stacked_norms(spec, Y) == [power * v for v in algebra.stacked_norms(spec, X)]
+
+    def test_range_edges(self, monkeypatch):
+        # A 2x2 row takes the closed form when it is zero or its largest part
+        # lies in the range, edges included, however small its other parts;
+        # every other row, and every 3x3 row, takes LAPACK's svd.  A single
+        # nonzero part p, in any of the eight slots, has the norm |p|.
+        lo, hi = algebra.EXACT_SCALING_RANGE
+        inside = [0.0, lo, hi, -lo, -hi, 1.0]
+        outside = [lo / 2, hi * 2, 1e-140, 1e140, 5e-324, math.inf, math.nan]
+        svd_rows = []
+
+        def recording_svd(a, compute_uv):
+            svd_rows.extend(a.copy())
+            return np.full(a.shape[:-1], -1.0)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+
+        def single_parts(part):
+            parts = np.zeros((8, 8))
+            np.fill_diagonal(parts, part)
+            return parts.view(np.complex128).reshape(8, 2, 2)
+
+        for part in inside:
+            assert algebra.stacked_norms(M2, single_parts(part)) == [abs(part)] * 8
+        tiny = np.array([[[1.0, 1e-300], [1e-320j, 0]]])
+        assert algebra.stacked_norms(M2, tiny) == [1.0]
+        assert svd_rows == []
+        for part in outside:
+            M = single_parts(part)
+            assert algebra.stacked_norms(M2, M) == [-1.0] * 8
+            assert np.array(svd_rows).tobytes() == M.tobytes()
+            svd_rows.clear()
+        assert algebra.stacked_norms(matrix_spec(3), np.eye(3)[None]) == [-1.0]
+        # Mixed in one stack, each row keeps its own path and place.
+        M = np.concatenate([single_parts(p) for p in [1.0, 1e140, lo, hi * 2]])
+        assert algebra.stacked_norms(M2, M) == [1.0] * 8 + [-1.0] * 8 + [lo] * 8 + [-1.0] * 8
+
+    @pytest.mark.parametrize("spec", list(_SPECS.values()), ids=list(_SPECS))
+    @pytest.mark.parametrize("size", [1e-140, 1e140])
+    def test_rows_near_lapack_thresholds_match_single_calls(self, spec, size, rng):
+        # Rows with entries near where LAPACK rescales are outside the range;
+        # stacked with rows inside it, each row of f has the bits of its own
+        # call, and its perturbation the amplitude of its own norm.
+        p = maps.PerturbationSpec("fixed_direction", 0.1, 0.5, 5)
+        f = ApproxMap(maps.adjoint(), p, spec)
+        X = sample_stack(spec, 8, rng)
+        X[::2] *= complex(size)
+        got = maps.eval_f_rows(f, X)
+        delta = maps._perturbation_rows(p, spec, X)
+        u = maps._fixed_direction(5, spec)
+        for x, row, d in zip(X, got, delta):
+            assert row.tobytes() == maps.eval_f_rows(f, x[None])[0].tobytes()
+            amplitude = 0.1 * algebra.stacked_norms(spec, x[None])[0] ** 0.5
+            assert d.tobytes() == (complex(amplitude) * u).tobytes()
+
+
 class TestConjTranspose:
     # The adjoint on stacks: conjugate transpose for matrices, entrywise
     # conjugate otherwise.

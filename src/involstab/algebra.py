@@ -109,21 +109,29 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     # gives a stack the bits of the per-matrix calls.
     if stack.shape[-1] != 2:
         return np.linalg.svd(stack, compute_uv=False)[..., 0]
-    largest = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(1, 2), initial=0.0)
+    # One copy into rows of N contiguous parts r00, i00, r01, i01, ..., i11.
+    parts = np.ascontiguousarray(stack, np.complex128).reshape(-1, 4).view(np.float64).T.copy()
+    largest = np.abs(parts).max(axis=0, initial=0.0)
     lo, hi = EXACT_SCALING_RANGE
     closed = (largest == 0.0) | ((largest >= lo) & (largest <= hi))
+    if closed.all():
+        return _closed_form(parts)
     norms = np.empty(len(stack))
-    if not closed.all():
-        norms[~closed] = np.linalg.svd(stack[~closed], compute_uv=False)[:, 0]
-    m = stack[closed]
-    (r00, r01), (r10, r11) = m.real.transpose(1, 2, 0)
-    (i00, i01), (i10, i11) = m.imag.transpose(1, 2, 0)
-    a = (r00 * r00 + i00 * i00) + (r10 * r10 + i10 * i10)
-    c = (r01 * r01 + i01 * i01) + (r11 * r11 + i11 * i11)
-    b = np.hypot((r00 * r01 + i00 * i01) + (r10 * r11 + i10 * i11),
-                 (r00 * i01 - i00 * r01) + (r10 * i11 - i10 * r11))
-    norms[closed] = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+    norms[~closed] = np.linalg.svd(stack[~closed], compute_uv=False)[:, 0]
+    norms[closed] = _closed_form(parts[:, closed])
     return norms
+
+
+def _closed_form(parts: np.ndarray) -> np.ndarray:
+    m = parts.reshape(2, 2, 2, -1)  # m[row, column, real/imag]
+    squares = m * m
+    moduli = squares[:, :, 0] + squares[:, :, 1]  # |m_jk|^2
+    a, c = moduli[0] + moduli[1]
+    same = m[:, 0] * m[:, 1]  # r_j0 r_j1, i_j0 i_j1
+    cross = m[:, 0] * m[:, 1, ::-1]  # r_j0 i_j1, i_j0 r_j1
+    re, im = same[:, 0] + same[:, 1], cross[:, 0] - cross[:, 1]
+    b = np.hypot(re[0] + re[1], im[0] + im[1])
+    return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
 
 
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
@@ -133,8 +141,13 @@ def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
         return _operator_norm(stack).tolist()
     if spec.kind is AlgebraKind.POINTWISE:
         return np.max(np.abs(stack), axis=-1).tolist()
-    # Python's complex abs; numpy's differs in the last bit.
-    return [abs(z) for z in stack.reshape(-1).tolist()]
+    # libm's hypot and OverflowError, as Python's complex abs; np.abs
+    # differs in the last bit.
+    try:
+        with np.errstate(over="raise"):
+            return np.hypot(stack.real, stack.imag).reshape(-1).tolist()
+    except FloatingPointError:
+        raise OverflowError("absolute value too large") from None
 
 
 def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> np.ndarray:

@@ -294,12 +294,18 @@ def bundled_scenario_path(name: str) -> Path | None:
 
 
 def make_probes(sc: Scenario) -> np.ndarray:
-    """The probe stack: the sampled probes, then the extra ones."""
+    """The probe stack: the sampled probes, with the draws and bits of
+    `algebra.sample_element`, normalized in one call; then the extra ones."""
     rng = np.random.Generator(np.random.PCG64(sc.seed))
-    return np.stack([
-        algebra.sample_element(sc.spec, (sc.radius_min, sc.radius_max), rng)
-        for _ in range(sc.num_probes)
-    ] + [x.data for x in sc.extra_probes])
+    raw, radii = [], []
+    for _ in range(sc.num_probes):
+        raw.append(algebra.gaussian_row(sc.spec, rng))
+        radii.append(math.exp(rng.uniform(math.log(sc.radius_min), math.log(sc.radius_max))))
+    raw = np.stack(raw)
+    column = (-1,) + (1,) * len(sc.spec.shape)
+    inverse = (1.0 / np.array(algebra.stacked_norms(sc.spec, raw))).astype(np.complex128)
+    probes = np.array(radii, dtype=np.complex128).reshape(column) * (inverse.reshape(column) * raw)
+    return np.stack([*probes, *(x.data for x in sc.extra_probes)])
 
 
 # ------------------------------- pipeline --------------------------------
@@ -386,16 +392,18 @@ TRACE_COLUMNS = ["probe_id", "radius", "n", "diff_norm", "error_vs_limit", "boun
 
 
 def _trace_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
+    # Every cell is an int, a float repr or "inf", none of which CSV quotes.
+    # A probe's radius and bound are rendered once, on its first row.
+    lines = [",".join(TRACE_COLUMNS)]
+    probe = None
     for row in rows:
-        writer.writerow([
-            row["probe_id"], repr(row["radius"]), row["n"], repr(row["diff_norm"]),
-            repr(row["error_vs_limit"]), repr(row["bound"]),
-            "inf" if math.isinf(row["ratio"]) else repr(row["ratio"]),
-        ])
-    return buf.getvalue()
+        if row["probe_id"] != probe:
+            probe = row["probe_id"]
+            radius, bound = repr(row["radius"]), repr(row["bound"])
+        ratio = "inf" if math.isinf(row["ratio"]) else repr(row["ratio"])
+        lines.append(f"{probe},{radius},{row['n']},{row['diff_norm']!r},"
+                     f"{row['error_vs_limit']!r},{bound},{ratio}")
+    return "\n".join(lines) + "\n"
 
 
 def _output_dir(out_dir: str | Path | None, config_path: str | Path, suffix: str) -> Path:

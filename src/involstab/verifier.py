@@ -16,6 +16,7 @@ import numpy as np
 
 from . import algebra, maps, stabilizer
 from .algebra import AlgebraSpec
+from .errors import OutOfRange
 from .maps import ApproxMap, LambdaSampler
 from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
@@ -194,7 +195,9 @@ def verify_involution_laws(
     I_sum, I_x, I_y, I_lp, I_xy, I_p = np.split(
         I.rows(args), np.cumsum([n, n, n, len(lams) * m, n]))
     norms = functools.partial(_norms, "verify_involution_laws", spec)
-    nx, ny, npr = norms(X), norms(Y), norms(P)
+    # probe_pairs on P's norms gives X's and Y's; a zero row's norm is 0.
+    npr = norms(P)
+    nx, ny = (v.tolist() for v in probe_pairs(np.array(npr)))
     add = [d / max(1.0, a + b) for d, a, b in zip(norms(I_sum - (I_x + I_y)), nx, ny)]
     homog = norms(I_lp - (np.conj(L) * I_p).reshape(I_lp.shape))
     am = [d / max(1.0, a * b)
@@ -301,20 +304,26 @@ def verify_cstar(
     tol: float = 1e-8,
 ) -> CstarReport:
     """Relative C*-identity defect | ||x I(x)|| - ||x||^2 | / ||x||^2 of the
-    stabilized map.  Zero probes are skipped.  The reversed product order
-    is reported for information only."""
+    stabilized map.  Zero probes are skipped; a nonzero ||x||^2 that rounds
+    to 0 or inf is OutOfRange.  The reversed order is for information only."""
     _require_probes(P)
     spec = I.f.spec
     radii = np.array(algebra.stacked_norms(spec, P))
     Q, nq = P[radii != 0.0], radii[radii != 0.0].tolist()
+    try:
+        squares = [nx**2 for nx in nq]
+    except OverflowError:
+        squares = [INF]
+    if not all(0.0 < sq < INF for sq in squares):
+        raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite")
     worst, rev_worst, witness = 0.0, 0.0, None
     if nq:
         IQ = I.rows(Q)
         norms = _norms("verify_cstar", spec, np.concatenate(
             [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))
         n = len(nq)
-        ratios = [abs(a - nx**2) / nx**2 for a, nx in zip(norms[:n], nq)]
-        reversed_ratios = [abs(a - nx**2) / nx**2 for a, nx in zip(norms[n:], nq)]
+        ratios = [abs(a - sq) / sq for a, sq in zip(norms[:n], squares)]
+        reversed_ratios = [abs(a - sq) / sq for a, sq in zip(norms[n:], squares)]
         worst, witness, _ = _sup(ratios, [
             {"x": x, "ratio": ratio} for x, ratio in zip(Q, ratios)])
         rev_worst = max(reversed_ratios)

@@ -99,6 +99,28 @@ class TestNorm:
         assert algebra.stacked_norms(P2, algebra.element(P2, [1, -2j]).data[None]) == [2.0]
 
 
+class TestScalarModulus:
+    def test_bits_of_python_abs(self, rng):
+        # From subnormal to near overflow, and at zeros, infinities and NaN.
+        z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * 10.0 ** rng.uniform(
+            -320, 307, 20000)
+        special = [0.0, -0.0j, -0.0 - 0.0j, 5e-324j, complex(math.inf, 1), complex(1, -math.inf),
+                   complex(math.nan, 1), complex(math.inf, math.nan), 1.7e308 + 1e307j]
+        z = np.concatenate([z, special])
+        got = algebra.stacked_norms(SCALAR, z[:, None])
+        assert [v.hex() for v in got] == [abs(v).hex() for v in z.tolist()]
+
+    def test_overflowing_modulus_raises(self):
+        # A finite entry whose modulus overflows raises as Python's abs does,
+        # whatever the caller's numpy error state, and warns nothing.
+        z = np.array([[1.0 + 0j], [1.5e308 + 1.5e308j]])
+        with pytest.raises(OverflowError):
+            abs(complex(z[1, 0]))
+        for state in ("ignore", "warn"):
+            with np.errstate(over=state), pytest.raises(OverflowError):
+                algebra.stacked_norms(SCALAR, z)
+
+
 def _unitary(rng, d):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return q
@@ -217,6 +239,53 @@ def scaled_matrix_stacks(draw):
     return M * 10.0 ** draw(st.integers(-300, 160))
 
 
+def reference_norm_2x2(m: np.ndarray) -> float:
+    """README's closed form for one 2x2 matrix in Python floats, with libm's
+    hypot as Python's complex abs (math.hypot rounds differently); a matrix
+    outside the safe range, and not zero, gets its own svd call."""
+    parts = [p for z in np.asarray(m, dtype=complex).reshape(-1).tolist()
+             for p in (z.real, z.imag)]
+    largest = max(abs(p) for p in parts)
+    lo, hi = algebra.EXACT_SCALING_RANGE
+    if largest != 0.0 and not lo <= largest <= hi:
+        return float(np.linalg.svd(m[None], compute_uv=False)[0, 0])
+
+    def hypot(x, y):
+        return abs(complex(x, y))
+
+    r00, i00, r01, i01, r10, i10, r11, i11 = parts
+    a = (r00 * r00 + i00 * i00) + (r10 * r10 + i10 * i10)
+    c = (r01 * r01 + i01 * i01) + (r11 * r11 + i11 * i11)
+    b = hypot((r00 * r01 + i00 * i01) + (r10 * r11 + i10 * i11),
+              (r00 * i01 - i00 * r01) + (r10 * i11 - i10 * r11))
+    return math.sqrt(0.5 * (a + c) + hypot(0.5 * (a - c), b))
+
+
+_EDGE_PARTS = [0.0, -0.0, 1e-120, 1e120, -1e-120, -1e120, 5e-121, 2e120, 5e-324, 1e-300]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Up to 6 2x2 matrices, each at its own scale from 1e-300 to 1e140 and
+    with parts at the safe range's edges mixed in, handed over complex or
+    real (a strided view of the real parts), as built, Fortran-ordered, or
+    as a strided or transposed view."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        scale = draw(st.sampled_from([1.0, 1e-300, 1e-125, 1e-110, 1e110, 1e125, 1e140]))
+        part = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-4.0, 4.0).map(scale.__mul__))
+        rows.append(draw(st.lists(part, min_size=8, max_size=8)))
+    M = np.array(rows, dtype=float).reshape(-1, 8).view(np.complex128).reshape(-1, 2, 2)
+    if draw(st.booleans()):
+        M = M.real
+    layout = draw(st.sampled_from(["as built", "F", "strided", "transposed"]))
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "strided":
+        return np.repeat(np.repeat(M, 2, axis=0), 2, axis=2)[::2, :, ::2]
+    return M.transpose(0, 2, 1) if layout == "transposed" else M
+
+
 class TestOperatorNorm:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(scaled_matrix_stacks())
@@ -258,6 +327,19 @@ class TestOperatorNorm:
         M = np.concatenate(forms) * np.exp(rng.uniform(-80, 80, (2000, 1, 1)))
         for m, got in zip(M, algebra.stacked_norms(M2, M)):
             assert within_bound(got, mp_norm_2x2(m), CLOSED_FORM_BOUND)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(kernel_inputs())
+    @example(np.zeros((0, 2, 2), dtype=complex))
+    @example(np.zeros((0, 2, 2)))
+    @example(np.array([[[1e-120, -0.0], [0, 1e-120j]], [[1e140, 1], [0, 0]],
+                       [[-1e120, 1e120j], [5e-324, 1]], [[5e-121, 0], [0, -0.0j]],
+                       [[0, 0], [0, -0.0]], [[1.0, 1e-300], [1e-320j, 0]]]))
+    def test_bits_match_formula_per_row(self, M):
+        # Each row has the bits of README's formula, evaluated for that row
+        # alone in Python floats, or of its own svd call.
+        got = algebra.stacked_norms(M2, M)
+        assert [v.hex() for v in got] == [reference_norm_2x2(m).hex() for m in M]
 
 
 _SPECS = {"scalar": SCALAR, "pointwise3": pointwise_spec(3), "matrix2": M2,

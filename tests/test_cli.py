@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from involstab import algebra, cli, maps, stabilizer, verifier
@@ -210,7 +211,137 @@ class TestRun:
         assert report["bound"]["pass"] is False
 
 
+class ZeroDrawsFrom:
+    """A Generator whose Gaussian draws from the `start`-th on come out all
+    zero; it records the kind of every draw it makes."""
+
+    Generator = np.random.Generator  # bound before a test patches numpy's
+
+    def __init__(self, bits, start):
+        self._rng, self._start, self.draws = self.Generator(bits), start, []
+
+    def standard_normal(self, out):
+        self._rng.standard_normal(out=out)
+        if self.draws.count("normal") >= self._start:
+            out[...] = 0.0
+        self.draws.append("normal")
+        return out
+
+    def uniform(self, low, high):
+        self.draws.append("uniform")
+        return self._rng.uniform(low, high)
+
+
+class TestProbes:
+    @pytest.mark.parametrize("algebra_cfg, involution", [
+        ({"kind": "scalar"}, "conjugation"),
+        ({"kind": "pointwise", "dim": 3}, "conjugation"),
+        ({"kind": "matrix", "dim": 2}, "adjoint"),
+        ({"kind": "matrix", "dim": 3}, "adjoint"),
+    ], ids=["scalar", "pointwise3", "matrix2", "matrix3"])
+    def test_bits_of_per_probe_draws(self, algebra_cfg, involution):
+        # The stack normalized in one call has the bits of one
+        # sample_element draw per probe, then the extra probes.
+        dim = algebra_cfg.get("dim", 1)
+        entries = dim * dim if algebra_cfg["kind"] == "matrix" else dim
+        extra = [[[0.5, -1.0]] * entries, [[0.0, -0.0]] * entries]
+        sc = cli.parse_scenario(small_config(
+            algebra=algebra_cfg, involution={"kind": involution},
+            sampling={"num_probes": 9, "seed": 11, "radius_min": 1e-3, "radius_max": 1e3,
+                      "extra_probes": extra}))
+        rng = np.random.Generator(np.random.PCG64(sc.seed))
+        want = np.stack([algebra.sample_element(sc.spec, (1e-3, 1e3), rng) for _ in range(9)]
+                        + [x.data for x in sc.extra_probes])
+        got = cli.make_probes(sc)
+        assert got.shape == want.shape == (11, *sc.spec.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_degenerate_draw_at_the_same_probe(self, monkeypatch, start):
+        # Eight zero draws raise at the probe, and after the draws, that the
+        # per-probe sample_element loop reaches.
+        sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
+                                             involution={"kind": "adjoint"}))
+        ref = ZeroDrawsFrom(np.random.PCG64(sc.seed), start)
+        with pytest.raises(DegenerateDirection):
+            for _ in range(sc.num_probes):
+                algebra.sample_element(sc.spec, (sc.radius_min, sc.radius_max), ref)
+        made = []
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bits: made.append(ZeroDrawsFrom(bits, start)) or made[-1])
+        with pytest.raises(DegenerateDirection):
+            cli.make_probes(sc)
+        assert made[0].draws == ref.draws == ["normal", "uniform"] * start + ["normal"] * 8
+
+    def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
+        # make_probes normalizes its rows in one stacked call, and the laws
+        # take the norms of their pairs' rows from one call on their probes.
+        stage, calls = [None], []
+        stacked_norms = algebra.stacked_norms
+
+        def counting(spec, stack):
+            calls.append((stage[0], stack.copy()))
+            return stacked_norms(spec, stack)
+
+        def staged(name, run):
+            def wrapper(*args):
+                stage[0] = name
+                try:
+                    return run(*args)
+                finally:
+                    stage[0] = None
+            return wrapper
+
+        sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
+                                             involution={"kind": "adjoint"}))
+        P = cli.make_probes(sc)[: sc.laws_max_probes]
+        X, Y = verifier.probe_pairs(P)
+        monkeypatch.setattr(algebra, "stacked_norms", counting)
+        monkeypatch.setattr(cli, "make_probes", staged("probes", cli.make_probes))
+        monkeypatch.setattr(verifier, "verify_involution_laws",
+                            staged("laws", verifier.verify_involution_laws))
+        cli.run_pipeline(sc)
+        assert [len(stack) for name, stack in calls if name == "probes"] == [sc.num_probes]
+        inputs = [stack for name, stack in calls if name == "laws"
+                  and any(np.array_equal(stack, Z) for Z in (X, Y, P))]
+        assert len(inputs) == 1 and inputs[0].tobytes() == P.tobytes()
+
+
+class TestTraceCsv:
+    def test_lines_of_csv_writer(self):
+        # The lines joined by hand are those csv.writer wrote, for an inf
+        # ratio, -0.0, a subnormal and 1e300 in every float column.
+        values = [-0.0, 5e-324, 1e300, 0.1, 2.5e-310, 1.0]
+        rows = [{"probe_id": k // 3, "radius": values[k // 3], "n": k % 3,
+                 "diff_norm": values[k % 6], "error_vs_limit": values[(k + 1) % 6],
+                 "bound": values[(k // 3 + 2) % 6],
+                 "ratio": [math.inf, -0.0, 5e-324, 1e300][k % 4]} for k in range(12)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli.TRACE_COLUMNS)
+        for row in rows:
+            writer.writerow([
+                row["probe_id"], repr(row["radius"]), row["n"], repr(row["diff_norm"]),
+                repr(row["error_vs_limit"]), repr(row["bound"]),
+                "inf" if math.isinf(row["ratio"]) else repr(row["ratio"]),
+            ])
+        assert cli._trace_csv(rows) == buf.getvalue()
+        assert cli._trace_csv([]) == ",".join(cli.TRACE_COLUMNS) + "\n"
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("scenario", ["product_superstability", "adjoint_rsum_r05",
+                                          "twisted_cstar"])
+    def test_probe_norm_squared_underflows(self, tmp_path, monkeypatch, capsys, scenario):
+        # At radius 1e-200 the C* stage's ||x||^2 underflows to 0.
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(bundled_scenario_path(scenario).read_text())
+        cfg["sampling"].update(radius_min=1e-200, radius_max=1e-200)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 5
+        err = capsys.readouterr().err
+        assert "OutOfRange" in err and "verify_cstar" in err
+        assert not (tmp_path / "scenario_out").exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 

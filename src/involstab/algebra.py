@@ -163,19 +163,18 @@ def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) ->
 
 def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm entry array of independent standard complex Gaussians."""
-    raw = gaussian_row(spec, rng)
+    parts = gaussian_parts(rng, np.empty((2, *spec.shape)))
+    raw = parts[0] + 1j * parts[1]
     return complex(1.0 / stacked_norms(spec, raw[None])[0]) * raw
 
 
-def gaussian_row(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
-    """Nonzero standard complex Gaussian entries, before `sample_direction`
-    normalizes them: one (2, *spec.shape) draw of the real then imaginary
-    parts, redrawn while all zero."""
-    parts = np.empty((2, *spec.shape))
+def gaussian_parts(rng: np.random.Generator, parts: np.ndarray) -> np.ndarray:
+    """Fill `parts`, a (2, *shape) float array, with the real then imaginary
+    parts of standard complex Gaussian entries in one draw, redrawn while
+    all zero; returns `parts`."""
     for _ in range(8):
-        rng.standard_normal(out=parts)
-        if parts.any():
-            return parts[0] + 1j * parts[1]
+        if rng.standard_normal(out=parts).any():
+            return parts
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 
 

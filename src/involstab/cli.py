@@ -297,23 +297,24 @@ def make_probes(sc: Scenario) -> np.ndarray:
     """The probe stack: the sampled probes, with the draws and bits of
     `algebra.sample_element`, normalized in one call; then the extra ones."""
     rng = np.random.Generator(np.random.PCG64(sc.seed))
-    raw, radii = [], []
-    for _ in range(sc.num_probes):
-        raw.append(algebra.gaussian_row(sc.spec, rng))
+    # Each probe draws its Gaussian parts, then its radius.
+    parts, radii = np.empty((sc.num_probes, 2, *sc.spec.shape)), []
+    for draw in parts:
+        algebra.gaussian_parts(rng, draw)
         radii.append(math.exp(rng.uniform(math.log(sc.radius_min), math.log(sc.radius_max))))
-    raw = np.stack(raw)
+    raw = parts[:, 0] + 1j * parts[:, 1]
     column = (-1,) + (1,) * len(sc.spec.shape)
     inverse = (1.0 / np.array(algebra.stacked_norms(sc.spec, raw))).astype(np.complex128)
     probes = np.array(radii, dtype=np.complex128).reshape(column) * (inverse.reshape(column) * raw)
-    return np.stack([*probes, *(x.data for x in sc.extra_probes)])
+    return np.concatenate([probes, *(x.data[None] for x in sc.extra_probes)])
 
 
 # ------------------------------- pipeline --------------------------------
 
-def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
-    """Execute the full certification pipeline; returns (results, traces),
-    where results maps each report key to its stage result.  Raises
-    NoContraction / StabilizationFailure."""
+def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
+    """Execute the full certification pipeline; returns (results, trace):
+    each report key's stage result, and each trace.csv column's cells.
+    Raises NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
     P = make_probes(sc)
     # Every stage reads the one stabilized map per (map, depth), so each
@@ -347,32 +348,22 @@ def run_pipeline(sc: Scenario) -> tuple[dict, list[dict]]:
         "tolerances": {"max_n": sc.max_n, "tol_rel": sc.tol_rel},
     }
 
-    trace_rows = []
-    radii = algebra.stacked_norms(sc.spec, P)
     traces = I.traces(P)
-    # Row n pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so the last iterate
-    # gets no row. One stacked call gives every probe's diffs, then its
-    # distances to its limit, then its deviations from a_0 = f(x).
-    norms = algebra.stacked_norms(sc.spec, np.concatenate(
-        [tr.iterates[1:] - tr.iterates[:-1] for tr in traces]
-        + [tr.iterates[:-1] - tr.iterates[-1] for tr in traces]
-        + [tr.iterates[:-1] - tr.iterates[0] for tr in traces]))
-    count = len(norms) // 3
-    diffs, errors, deviations = norms[:count], norms[count:2 * count], norms[2 * count:]
-    row = 0
-    for probe_id, (tr, radius, bnd) in enumerate(zip(traces, radii, bound.per_probe_bounds)):
-        for n in range(tr.n_used):
-            trace_rows.append({
-                "probe_id": probe_id,
-                "radius": radius,
-                "n": n,
-                "diff_norm": diffs[row],
-                "error_vs_limit": errors[row],
-                "bound": bnd,
-                "ratio": verifier._ratio(deviations[row], bnd),
-            })
-            row += 1
-    return results, trace_rows
+    used = np.array([tr.n_used for tr in traces], dtype=np.intp)
+    its = np.concatenate([tr.iterates for tr in traces])
+    # Row n of a probe pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so its
+    # last iterate gets no row. One stacked call gives every row's diff,
+    # then its distance to the limit, then its deviation from a_0 = f(x).
+    last = np.cumsum(used + 1) - 1
+    first, at = last - used, np.delete(np.arange(len(its)), last)
+    probe = np.repeat(np.arange(len(P)), used)
+    norms = np.array(algebra.stacked_norms(sc.spec, np.concatenate([
+        its[at + 1] - its[at], its[at] - its[last[probe]], its[at] - its[first[probe]]])))
+    diffs, errors, deviations = norms.reshape(3, -1)
+    bounds = np.repeat(bound.per_probe_bounds, used)
+    columns = [probe, np.repeat(algebra.stacked_norms(sc.spec, P), used), at - first[probe],
+               diffs, errors, bounds, verifier._ratios(deviations, bounds)]
+    return results, {name: c.tolist() for name, c in zip(TRACE_COLUMNS, columns)}
 
 
 def _corollary_audit(phi: ControlFunction) -> dict | None:
@@ -391,18 +382,17 @@ def _corollary_audit(phi: ControlFunction) -> dict | None:
 TRACE_COLUMNS = ["probe_id", "radius", "n", "diff_norm", "error_vs_limit", "bound", "ratio"]
 
 
-def _trace_csv(rows: list[dict]) -> str:
+def _trace_csv(trace: dict[str, list]) -> str:
     # Every cell is an int, a float repr or "inf", none of which CSV quotes.
     # A probe's radius and bound are rendered once, on its first row.
     lines = [",".join(TRACE_COLUMNS)]
     probe = None
-    for row in rows:
-        if row["probe_id"] != probe:
-            probe = row["probe_id"]
-            radius, bound = repr(row["radius"]), repr(row["bound"])
-        ratio = "inf" if math.isinf(row["ratio"]) else repr(row["ratio"])
-        lines.append(f"{probe},{radius},{row['n']},{row['diff_norm']!r},"
-                     f"{row['error_vs_limit']!r},{bound},{ratio}")
+    for probe_id, radius, n, diff, error, bound, ratio in zip(
+            *(trace[name] for name in TRACE_COLUMNS)):
+        if probe_id != probe:
+            probe, radius_s, bound_s = probe_id, repr(radius), repr(bound)
+        ratio_s = "inf" if math.isinf(ratio) else repr(ratio)
+        lines.append(f"{probe},{radius_s},{n},{diff!r},{error!r},{bound_s},{ratio_s}")
     return "\n".join(lines) + "\n"
 
 
@@ -430,14 +420,14 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
     raw = load_config(config_path)
     sc = parse_scenario(raw)
     out = _output_dir(out_dir, config_path, "_out")
-    results, trace_rows = run_pipeline(sc)
+    results, trace = run_pipeline(sc)
     report = _json(results)
     # Made only now, so a run that fails leaves no directory behind.
     _make_dir(out)
 
     report_text = json.dumps(report, indent=2)
     _atomic_write(out / "report.json", report_text + "\n")
-    _atomic_write(out / "trace.csv", _trace_csv(trace_rows))
+    _atomic_write(out / "trace.csv", _trace_csv(trace))
     manifest = {
         "config": raw,
         "derived": report["direction"],

@@ -5,6 +5,7 @@ construction of the exact involution, and its error bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -116,6 +117,33 @@ class StabilizationTrace:
     @cached_property
     def diffs(self) -> list[float]:
         return algebra.stacked_norms(self.spec, self.iterates[1:] - self.iterates[:-1])
+
+
+class Orbits(Sequence):
+    """The orbits of a batch of rows: `iterates` stacks every row's a_0 ..
+    a_{n_used}, read-only, row k's at offsets[k]:offsets[k + 1], and
+    `limits` each row's last iterate.  Item k is row k's StabilizationTrace,
+    built on first access as a view of `iterates` and kept."""
+
+    def __init__(self, spec: AlgebraSpec, iterates: np.ndarray, offsets: np.ndarray,
+                 converged: np.ndarray):
+        self.spec, self.iterates, self.offsets, self.converged = (
+            spec, iterates, offsets, converged)
+        self.limits = iterates[offsets[1:] - 1]
+        self._traces: list[StabilizationTrace | None] = [None] * len(converged)
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        if self._traces[k] is None:
+            start, end = self.offsets[k:k + 2].tolist()
+            self._traces[k] = StabilizationTrace(self.iterates[start:end], end - start - 1,
+                                                 bool(self.converged[k]), self.spec)
+        return self._traces[k]
 
 
 def _eval_steps(f: ApproxMap, X: np.ndarray) -> tuple[np.ndarray, dict[int, OutOfRange]]:
@@ -244,7 +272,7 @@ def stabilize_points(
     X: np.ndarray,
     max_n: int = 48,
     tol_rel: float = 1e-10,
-) -> list[StabilizationTrace]:
+) -> Orbits:
     """Orbits a_n = q^{-n} f(q^n x) of the scaling operator for every row x
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.
@@ -265,7 +293,8 @@ def stabilize_points(
     _BLOCK_CELLS // R steps (at least 1) in a block.  The steps of a block
     past a row's stop are evaluated but raise nothing, so the width of a
     block changes no trace and no outcome.  Nothing is tabulated by step,
-    so a deep max_n costs only the steps the rows run.
+    so a deep max_n costs only the steps the rows run.  Each block keeps its
+    rows' steps as one slice, sorted by row into the Orbits' flat stack.
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
@@ -288,12 +317,11 @@ def stabilize_points(
     bad = (~np.isfinite(X).all(axis=tuple(range(1, X.ndim)))).nonzero()[0]
     if len(bad):
         raise ValueError(f"row {bad[0]} of X is not finite")
-    if not len(X):
-        return []
     spec = f.spec
-    # Each row's iterates, as the chunks its orbit added them in, and the
-    # run of increasing diffs at their end.
-    iterates: list[list[np.ndarray]] = [[] for _ in X]
+    if not len(X):
+        return Orbits(spec, np.empty(X.shape, np.complex128), np.zeros(1, np.intp),
+                      np.zeros(0, bool))
+    # Each row's run of increasing diffs at the end of its iterates.
     runs = np.zeros(len(X), dtype=np.intp)
     converged = np.zeros(len(X), dtype=bool)
     # The step each failed row failed at, and its exception.  A row runs to
@@ -308,11 +336,10 @@ def stabilize_points(
 
     # Every row starts at a_0 = f(x).
     A = eval_f_rows(f, X)
-    for k, ok in enumerate(np.isfinite(A).reshape(len(A), -1).all(axis=1).tolist()):
-        if ok:
-            iterates[k].append(A[k:k + 1])
-        else:
-            fail(k, 0, IterateOverflow("iterate f value is not finite"))
+    for k in (~np.isfinite(A).all(axis=tuple(range(1, A.ndim)))).nonzero()[0].tolist():
+        fail(k, 0, IterateOverflow("iterate f value is not finite"))
+    # The iterates kept, one slice per block, and the row of each.
+    parts, owners = [], []
 
     # The running rows, each at its own depth, with its argument q^depth x,
     # its last iterate, and the norms of that iterate and of its last
@@ -367,8 +394,11 @@ def stabilize_points(
         converged[rows[stops & ~non_cauchy]] = True
         ran = taken.nonzero()[0]
         runs[rows[ran]] = run[ran, taken[ran] - 1]
-        for i, k, t in zip(ran.tolist(), rows[ran].tolist(), taken[ran].tolist()):
-            iterates[k].append(A[i, :t])
+        # Slots 1 to taken of each row's chain; on the first block, a_0 too.
+        slots = np.arange(within.shape[1] + 1)
+        keep = (slots >= (1 if parts else 0)) & (slots <= taken[:, None])
+        parts.append(chain[keep])
+        owners.append(np.repeat(rows, keep.sum(axis=1)))
         going = (~stops & (end == steps) & (depth + steps < limit[rows])).nonzero()[0]
         if not len(going):
             break
@@ -379,12 +409,13 @@ def stabilize_points(
         rows, depth, target = rows[going], depth[going] + slot, target[going]
     if failed:
         raise _batch_outcome(failed)
-    traces = []
-    for chunks, conv in zip(iterates, converged.tolist()):
-        its = np.concatenate(chunks)
-        its.setflags(write=False)
-        traces.append(StabilizationTrace(its, len(its) - 1, conv, spec))
-    return traces
+    owner = np.concatenate(owners)
+    # Later blocks add steps to some rows: a stable sort by row orders them.
+    iterates = parts[0] if len(parts) == 1 else np.concatenate(parts)[
+        np.argsort(owner, kind="stable")]
+    iterates.setflags(write=False)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(X)))])
+    return Orbits(spec, iterates, offsets, converged)
 
 
 def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,

@@ -9,6 +9,7 @@ P shaped (N, *spec.shape), and its witnesses hold rows of P.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,20 +28,19 @@ ZERO_BOUND_ABS = 1e-9
 UNIQUENESS_TOL = 1e-6
 
 
-def _ratio(num: float, den: float) -> float:
-    # 0/0 := 0 so exact involutions pass product-control scans;
-    # a positive defect over zero control is infinite.
-    if den == 0.0:
-        return 0.0 if num == 0.0 else INF
-    return num / den
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den by rows, with 0/0 := 0 so exact involutions pass
+    product-control scans; a positive defect over zero control is inf."""
+    return np.where(den == 0.0, np.where(num == 0.0, 0.0, INF), num / den)
 
 
 class StabilizedMap:
     """The stabilized map I of f at one depth (max_n, tol_rel), memoized:
-    each point is stabilized once and its whole StabilizationTrace kept.
-    Build one per map and depth and pass it to every stage.  A stage asks
-    for all the values it needs in one `rows` call, so its uncached points
-    share one batched orbit."""
+    each point is stabilized once, and its limit and its batch's Orbits are
+    kept.  Build one per map and depth and pass it to every stage.  A stage
+    asks for all the values it needs in one `rows` call, so its uncached
+    points share one batched orbit."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection,
                  max_n: int = 48, tol_rel: float = 1e-10):
@@ -48,25 +48,37 @@ class StabilizedMap:
         self.direction = direction
         self.max_n = max_n
         self.tol_rel = tol_rel
-        self._traces: dict[bytes, StabilizationTrace] = {}
+        # Row bytes -> index into the stacked limits -> (Orbits, item).
+        self._index: dict[bytes, int] = {}
+        self._limits = np.empty((0, *f.spec.shape), dtype=np.complex128)
+        self._orbits: list[tuple[stabilizer.Orbits, int]] = []
 
-    def traces(self, X: np.ndarray) -> list[StabilizationTrace]:
-        """The trace of each row of a stack X shaped (N, *shape); the
+    def _indices(self, X: np.ndarray) -> list[int]:
+        """The index of each row of a stack X into the stack of limits; the
         distinct uncached rows are stabilized in one batched orbit."""
-        keys = [row.tobytes() for row in X]
-        todo = {key: row for key, row in zip(keys, X) if key not in self._traces}
+        # One void item per row, whose bytes are row.tobytes().
+        rows = np.ascontiguousarray(X).reshape(len(X), math.prod(X.shape[1:]))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        todo = {key: k for k, key in enumerate(keys) if key not in self._index}
         if todo:
-            traces = stabilizer.stabilize_points(
-                self.f, self.direction, np.stack(list(todo.values())),
+            batch = stabilizer.stabilize_points(
+                self.f, self.direction, X[list(todo.values())],
                 max_n=self.max_n, tol_rel=self.tol_rel,
             )
-            self._traces.update(zip(todo, traces))
-        return [self._traces[key] for key in keys]
+            self._index.update(zip(todo, range(len(self._limits), len(self._limits) + len(batch))))
+            self._limits = np.concatenate([self._limits, batch.limits])
+            self._orbits.extend(zip(itertools.repeat(batch), range(len(batch))))
+        return list(map(self._index.__getitem__, keys))
+
+    def traces(self, X: np.ndarray) -> list[StabilizationTrace]:
+        """The trace of each row of a stack X shaped (N, *shape), built when
+        first asked for."""
+        return [batch[k] for batch, k in map(self._orbits.__getitem__, self._indices(X))]
 
     def rows(self, X: np.ndarray) -> np.ndarray:
         """I on each row of a stack X shaped (N, *shape)."""
-        return np.array([tr.iterates[-1] for tr in self.traces(X)],
-                        dtype=np.complex128).reshape(X.shape)
+        indices = self._indices(X)  # before _limits is read: it may grow
+        return self._limits[indices].reshape(X.shape)
 
 
 def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +97,21 @@ def _require_probes(P: np.ndarray) -> None:
         raise ValueError("probe set must be nonempty")
 
 
-def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
-    return algebra.stacked_norms(spec, algebra.finite_rows(stage, stack))
+def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
+    return np.array(algebra.stacked_norms(spec, algebra.finite_rows(stage, stack)))
 
 
-def _sup(values: list[float], witnesses: list[dict]) -> tuple[float, dict, int]:
-    """The sup, its witness and the sample count.  np.argmax gives the first
-    maximal index, the tuple a strict `<` running update keeps."""
+def _witness(**columns):
+    """The witness of index k: item k of each named column."""
+    return lambda k: {name: column[k] for name, column in columns.items()}
+
+
+def _sup(values, witness) -> tuple[float, dict, int]:
+    """The sup of a column of values, its witness and the sample count.
+    np.argmax gives the first maximal index (a NaN's, if any), the tuple a
+    strict `<` running update keeps; only its witness(k) is built."""
     k = int(np.argmax(values))
-    return values[k], witnesses[k], len(values)
+    return float(values[k]), witness(k), len(values)
 
 
 @dataclass
@@ -128,33 +146,25 @@ def scan_hypotheses(
     # Its rows run pair-major, then lambda.
     unit_lams = [(s, lam) for s, lam in maps.sample_lambdas(lambdas) if s in ("arc", "circle")]
     nl = len(unit_lams)
-    e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(
-        f, [lam for _, lam in unit_lams] * len(X),
-        np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0),
-    ))
+    XL, YL = np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0)
+    lams, stages = [v for _, v in unit_lams] * len(X), [s for s, _ in unit_lams] * len(X)
+    e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(f, lams, XL, YL))
     e3 = algebra.stacked_norms(f.spec, maps.antimul_defect(f, X, Y))
-    dens = stabilizer.control_rows(phi, f.spec, X, Y)
+    dens = np.array(stabilizer.control_rows(phi, f.spec, X, Y))
     e4 = _norms("scan_hypotheses", f.spec, I.rows(I.rows(P)) - P)
     e6 = maps.cstar_defect(f, P)
 
-    pair_wit = [{"x": x, "y": y} for x, y in zip(X, Y)]
-    probe_wit = [{"x": x} for x in P]
     columns = {
-        "e2_jensen": (
-            [_ratio(num, dens[k // nl]) for k, num in enumerate(e2)],
-            [{**wit, "lam": lam, "stage": s} for wit in pair_wit for s, lam in unit_lams],
-        ),
-        "e3_antimul": ([_ratio(num, den) for num, den in zip(e3, dens)], pair_wit),
-        "e4_involutive": (e4, probe_wit),
-        "e6_cstar": (
-            # dens[1::4] is phi(x, x): the (x, x) pairs of probe_pairs.
-            [_ratio(num, den) for num, den in zip(e6, dens[1::4])],
-            probe_wit,
-        ),
+        "e2_jensen": (_ratios(np.array(e2), np.repeat(dens, nl)),
+                      _witness(x=XL, y=YL, lam=lams, stage=stages)),
+        "e3_antimul": (_ratios(np.array(e3), dens), _witness(x=X, y=Y)),
+        "e4_involutive": (e4, _witness(x=P)),
+        # dens[1::4] is phi(x, x): the (x, x) pairs of probe_pairs.
+        "e6_cstar": (_ratios(np.array(e6), dens[1::4]), _witness(x=P)),
     }
     return DefectReport(entries={
-        name: HypothesisEntry(name, *_sup(values, witnesses))
-        for name, (values, witnesses) in columns.items()
+        name: HypothesisEntry(name, *_sup(values, witness))
+        for name, (values, witness) in columns.items()
     })
 
 
@@ -196,28 +206,26 @@ def verify_involution_laws(
         I.rows(args), np.cumsum([n, n, n, len(lams) * m, n]))
     norms = functools.partial(_norms, "verify_involution_laws", spec)
     # probe_pairs on P's norms gives X's and Y's; a zero row's norm is 0.
+    # np.fmax(1, v) is Python's max(1.0, v), NaN included.
     npr = norms(P)
-    nx, ny = (v.tolist() for v in probe_pairs(np.array(npr)))
-    add = [d / max(1.0, a + b) for d, a, b in zip(norms(I_sum - (I_x + I_y)), nx, ny)]
-    homog = norms(I_lp - (np.conj(L) * I_p).reshape(I_lp.shape))
-    am = [d / max(1.0, a * b)
-          for d, a, b in zip(norms(I_xy - algebra.mul_rows(spec, I_y, I_x)), nx, ny)]
-    inv = [d / max(1.0, a) for d, a in zip(norms(I.rows(I_p) - P), npr)]
+    nx, ny = probe_pairs(npr)
+    add = norms(I_sum - (I_x + I_y)) / np.fmax(1.0, nx + ny)
+    # Row k of homog is lams[k] on every probe; abs(lam) is Python's.
+    homog = norms(I_lp - (np.conj(L) * I_p).reshape(I_lp.shape)).reshape(-1, m) / np.fmax(
+        1.0, np.multiply.outer([abs(lam) for _, lam in lams], npr))
+    am = norms(I_xy - algebra.mul_rows(spec, I_y, I_x)) / np.fmax(1.0, nx * ny)
+    inv = norms(I.rows(I_p) - P) / np.fmax(1.0, npr)
 
-    pair_wit = [{"x": x, "y": y} for x, y in zip(X, Y)]
     conj_homogeneity = {}
     for stage in ("arc", "circle", "reals", "complex"):
-        rows = [(k, lam, i) for k, (s, lam) in enumerate(lams) if s == stage
-                for i in range(m)]
+        ks = [k for k, (s, _) in enumerate(lams) if s == stage]
         conj_homogeneity[stage] = LawEntry(f"conj_homogeneity[{stage}]", *_sup(
-            [homog[k * m + i] / max(1.0, abs(lam) * npr[i]) for k, lam, i in rows],
-            [{"x": P[i], "lam": lam} for _, lam, i in rows],
-        ))
+            homog[ks].ravel(), lambda j, ks=ks: {"x": P[j % m], "lam": lams[ks[j // m]][1]}))
     return LawReport(
-        additivity=LawEntry("additivity", *_sup(add, pair_wit)),
+        additivity=LawEntry("additivity", *_sup(add, _witness(x=X, y=Y))),
         conj_homogeneity=conj_homogeneity,
-        antimultiplicativity=LawEntry("antimultiplicativity", *_sup(am, pair_wit)),
-        involutivity=LawEntry("involutivity", *_sup(inv, [{"x": x} for x in P])),
+        antimultiplicativity=LawEntry("antimultiplicativity", *_sup(am, _witness(x=X, y=Y))),
+        involutivity=LawEntry("involutivity", *_sup(inv, _witness(x=P))),
         total_tuples=2 * n + len(lams) * m + m,
     )
 
@@ -232,7 +240,7 @@ class BoundReport:
     per_probe_bounds: list[float]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def verify_bound(
     I: StabilizedMap,
     phi: ControlFunction,
@@ -244,20 +252,15 @@ def verify_bound(
     _require_probes(P)
     diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
     bounds = stabilizer.error_bounds(I.direction, phi, I.f.spec, P)
-    ratios = []
-    for diff, bound in zip(diffs, bounds):
-        if bound == 0.0:
-            ratios.append(0.0 if diff <= ZERO_BOUND_ABS else INF)
-        else:
-            ratios.append(diff / bound)
-    worst, witness, _ = _sup(ratios, [
-        {"x": x, "diff": diff, "bound": bound} for x, diff, bound in zip(P, diffs, bounds)])
+    b = np.array(bounds)
+    ratios = np.where(b == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / b)
+    worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds))
     return BoundReport(
         max_ratio=worst,
         probes_checked=len(P),
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
-        per_probe=ratios,
+        per_probe=ratios.tolist(),
         per_probe_bounds=bounds,
     )
 
@@ -281,7 +284,7 @@ def verify_uniqueness(
     _require_probes(P)
     worst, witness, checked = _sup(
         _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P)),
-        [{"x": x} for x in P])
+        _witness(x=P))
     return UniquenessReport(
         max_diff=worst, probes_checked=checked, passed=worst <= UNIQUENESS_TOL, witness=witness
     )
@@ -321,12 +324,9 @@ def verify_cstar(
         IQ = I.rows(Q)
         norms = _norms("verify_cstar", spec, np.concatenate(
             [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))
-        n = len(nq)
-        ratios = [abs(a - sq) / sq for a, sq in zip(norms[:n], squares)]
-        reversed_ratios = [abs(a - sq) / sq for a, sq in zip(norms[n:], squares)]
-        worst, witness, _ = _sup(ratios, [
-            {"x": x, "ratio": ratio} for x, ratio in zip(Q, ratios)])
-        rev_worst = max(reversed_ratios)
+        ratios, reversed_ratios = np.abs(norms.reshape(2, -1) - squares) / squares
+        worst, witness, _ = _sup(ratios, _witness(x=Q, ratio=ratios.tolist()))
+        rev_worst = float(reversed_ratios.max())
     return CstarReport(
         max_ratio=worst,
         reversed_max_ratio=rev_worst,

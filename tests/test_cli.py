@@ -84,7 +84,7 @@ class TestRun:
     def test_trace_columns_match_per_row_norms(self, algebra_cfg, involution):
         sc = cli.parse_scenario(small_config(algebra=algebra_cfg,
                                              involution={"kind": involution}))
-        results, rows = cli.run_pipeline(sc)
+        results, trace = cli.run_pipeline(sc)
         direction = results["direction"]
         expected = []
 
@@ -97,9 +97,10 @@ class TestRun:
             fx = maps.eval_f_rows(sc.f, x[None])[0]
             bnd = stabilizer.error_bounds(direction, sc.phi, sc.spec, x[None])[0]
             for a_n in tr.iterates[:-1]:
-                expected.append((norm(a_n - tr.iterates[-1]),
-                                 verifier._ratio(norm(a_n - fx), bnd)))
-        assert [(r["error_vs_limit"], r["ratio"]) for r in rows] == expected
+                deviation = norm(a_n - fx)
+                ratio = (0.0 if deviation == 0.0 else math.inf) if bnd == 0.0 else deviation / bnd
+                expected.append((norm(a_n - tr.iterates[-1]), ratio))
+        assert list(zip(trace["error_vs_limit"], trace["ratio"])) == expected
 
     @pytest.mark.parametrize("cstar", [{}, {"max_n": 48, "tol_rel": 1e-10}],
                              ids=["deeper-cstar", "same-depth-cstar"])
@@ -161,11 +162,34 @@ class TestRun:
 
         monkeypatch.setattr(stabilizer, "error_bounds", counting)
         sc = cli.parse_scenario(small_config())
-        results, rows = cli.run_pipeline(sc)
+        results, trace = cli.run_pipeline(sc)
         assert calls == [sc.num_probes]
         bounds = results["bound"].per_probe_bounds
-        assert [row["bound"] for row in rows] == [
-            bounds[row["probe_id"]] for row in rows]
+        assert trace["bound"] == [bounds[probe] for probe in trace["probe_id"]]
+
+    def test_traces_only_for_trace_csv_and_one_witness_per_sup(self, monkeypatch):
+        # The orbits stay flat stacks: only the probes whose rows trace.csv
+        # writes get a StabilizationTrace, one each.  Each sup builds the
+        # witness of its maximum only: 4 hypotheses, 7 laws, bound and C*.
+        sc = cli.parse_scenario(cli.load_config("product_superstability"))
+        built, witnesses = [], []
+        init, sup = stabilizer.StabilizationTrace.__init__, verifier._sup
+
+        def counting_init(trace, *args):
+            built.append(trace)
+            init(trace, *args)
+
+        def counting_sup(values, witness):
+            calls = []
+            result = sup(values, lambda k: calls.append(k) or witness(k))
+            witnesses.append(len(calls))
+            return result
+
+        monkeypatch.setattr(stabilizer.StabilizationTrace, "__init__", counting_init)
+        monkeypatch.setattr(verifier, "_sup", counting_sup)
+        cli.run_pipeline(sc)
+        assert len(built) == sc.num_probes == 60
+        assert witnesses == [1] * 13
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "twisted_cstar",
                                           "product_superstability"])
@@ -325,8 +349,10 @@ class TestTraceCsv:
                 repr(row["error_vs_limit"]), repr(row["bound"]),
                 "inf" if math.isinf(row["ratio"]) else repr(row["ratio"]),
             ])
-        assert cli._trace_csv(rows) == buf.getvalue()
-        assert cli._trace_csv([]) == ",".join(cli.TRACE_COLUMNS) + "\n"
+        columns = {name: [row[name] for row in rows] for name in cli.TRACE_COLUMNS}
+        assert cli._trace_csv(columns) == buf.getvalue()
+        empty = {name: [] for name in cli.TRACE_COLUMNS}
+        assert cli._trace_csv(empty) == ",".join(cli.TRACE_COLUMNS) + "\n"
 
 
 class TestExitCodes:

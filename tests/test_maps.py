@@ -410,29 +410,35 @@ class TestHashedGaussians:
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial[0]] * 4, [serial[1]] * 4]
 
-    def test_gaussian_row_is_two_draws(self, any_spec):
+    def test_gaussian_parts_are_two_draws(self, any_spec):
         # One (2, *shape) block holds the real draw, then the imaginary one.
         rng_a, rng_b = Generator(np.random.PCG64(3)), Generator(np.random.PCG64(3))
+        parts = np.empty((2, *any_spec.shape))
         for _ in range(5):
-            expected = (rng_b.standard_normal(any_spec.shape)
-                        + 1j * rng_b.standard_normal(any_spec.shape))
-            assert algebra.gaussian_row(any_spec, rng_a).tobytes() == expected.tobytes()
+            expected = np.stack([rng_b.standard_normal(any_spec.shape),
+                                 rng_b.standard_normal(any_spec.shape)])
+            assert algebra.gaussian_parts(rng_a, parts) is parts
+            assert parts.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("zeros", [1, 7])
     def test_zero_draws_are_redrawn(self, any_spec, zeros):
-        # The row is the first draw that is not all zero: the plain
+        # The parts are the first draw that is not all zero: the plain
         # generator's draw after `zeros` skipped ones.
-        got = algebra.gaussian_row(any_spec, FirstDrawsZero(np.random.PCG64(5), zeros))
+        def draw(rng):
+            return algebra.gaussian_parts(rng, np.empty((2, *any_spec.shape)))
+
+        got = draw(FirstDrawsZero(np.random.PCG64(5), zeros))
         plain = Generator(np.random.PCG64(5))
-        first = algebra.gaussian_row(any_spec, plain)
+        first = draw(plain)
         for _ in range(zeros - 1):
-            algebra.gaussian_row(any_spec, plain)
-        assert got.tobytes() == algebra.gaussian_row(any_spec, plain).tobytes()
+            draw(plain)
+        assert got.tobytes() == draw(plain).tobytes()
         assert got.tobytes() != first.tobytes()
 
     def test_eight_zero_draws_raise(self, any_spec):
         with pytest.raises(DegenerateDirection):
-            algebra.gaussian_row(any_spec, FirstDrawsZero(np.random.PCG64(5), 8))
+            algebra.gaussian_parts(FirstDrawsZero(np.random.PCG64(5), 8),
+                                   np.empty((2, *any_spec.shape)))
 
 
 class TestPerturbationRows:

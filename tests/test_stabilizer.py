@@ -291,9 +291,38 @@ class TestStabilizePoints:
         with pytest.raises(ValueError):
             tr.iterates[0, 0] = 0.0
 
-    def test_empty_batch(self):
-        empty = np.zeros((0, 1), dtype=np.complex128)
-        assert stabilize_points(BATCH_MAPS["scalar-conjugation"], UP, empty) == []
+    @pytest.mark.parametrize("name", BATCH_MAPS)
+    def test_empty_batch(self, name):
+        f = BATCH_MAPS[name]
+        orbits = stabilize_points(f, UP, np.zeros((0, *f.spec.shape), dtype=np.complex128))
+        assert list(orbits) == []
+        assert orbits.iterates.shape == orbits.limits.shape == (0, *f.spec.shape)
+
+    @pytest.mark.parametrize("size", [6, 300], ids=["one-block", "many-blocks"])
+    def test_orbits_are_views_of_one_flat_stack(self, rng, size):
+        # Each row's trace is built on first access, as a view of the
+        # batch's read-only iterate stack, and kept; `limits` holds the
+        # rows' last iterates.  300 rows run in blocks of 2048 // 300 steps,
+        # whose slices the stack sorts by row.
+        f = BATCH_MAPS["matrix-adjoint-fixed"]
+        X = np.stack([np.zeros(f.spec.shape, dtype=np.complex128)] + [
+            algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(size - 1)])
+        orbits = stabilize_points(f, UP, X, 30, 1e-4)
+        for k in range(0, size, size // 6):
+            single = stabilize_points(f, UP, X[k:k + 1], 30, 1e-4)[0]
+            assert orbits[k].iterates.tobytes() == single.iterates.tobytes()
+        assert not orbits.iterates.flags.writeable
+        assert orbits.offsets[0] == 0 and orbits.offsets[-1] == len(orbits.iterates)
+        for k, tr in enumerate(orbits):
+            start, end = orbits.offsets[k], orbits.offsets[k + 1]
+            assert np.shares_memory(tr.iterates, orbits.iterates)
+            assert tr.iterates.tobytes() == orbits.iterates[start:end].tobytes()
+            assert tr.n_used == end - start - 1 and tr.converged == orbits.converged[k]
+            assert orbits.limits[k].tobytes() == tr.iterates[-1].tobytes()
+            assert orbits[k] is tr and orbits[k - len(orbits)] is tr
+        assert orbits[1:3] == [orbits[1], orbits[2]]
+        with pytest.raises(IndexError):
+            orbits[len(orbits)]
 
     def test_stack_shape_checked(self):
         with pytest.raises(SpecMismatch):

@@ -9,7 +9,6 @@ from involstab.maps import ApproxMap, LambdaSampler, NO_PERTURBATION, Perturbati
 from involstab.stabilizer import power_product, power_sum, select_direction
 from involstab.verifier import (
     INF,
-    _ratio,
     StabilizedMap,
     probe_pairs,
     scan_hypotheses,
@@ -103,7 +102,7 @@ class TestStabilizedMap:
         for got, prefix in zip(hi.traces(P), lo.traces(P)):
             assert got.n_used >= prefix.n_used
             assert got.iterates[:prefix.n_used + 1].tobytes() == prefix.iterates.tobytes()
-        assert len(lo._traces) == len(hi._traces) == 6
+        assert len(lo._index) == len(hi._index) == 6
 
     def test_matches_conj_transpose(self, rng):
         I = StabilizedMap(BUDGET_F, UP)
@@ -353,6 +352,50 @@ class TestStagesBuildNoElements:
 
 # ---- per-tuple reference for every stage, one row at a time -------------
 
+def ref_ratio(num, den):
+    """The defect/control ratio of one row: 0/0 := 0, and a positive defect
+    over zero control is infinite."""
+    if den == 0.0:
+        return 0.0 if num == 0.0 else INF
+    return num / den
+
+
+def ref_sup(values, witnesses):
+    """The sup, its witness and the sample count from a list of values and
+    one witness per value: np.argmax's first maximal index."""
+    k = int(np.argmax(values))
+    return values[k], witnesses[k], len(values)
+
+
+class TestRatiosAndSup:
+    # Numerators and denominators: 0/0, x/0, inf/inf, inf/0, an overflow,
+    # an underflow and plain quotients, against the one-row reference.
+    NUM = [0.0, 1.5, 0.0, INF, INF, 3.0, 5e-324, 1e308, 1.0, -0.0]
+    DEN = [0.0, 0.0, 2.0, INF, 0.0, 1.5, 1e308, 1e-308, 3.0, 0.0]
+
+    def test_ratios_match_one_row_reference(self):
+        got = verifier._ratios(np.array(self.NUM), np.array(self.DEN))
+        want = [ref_ratio(num, den) for num, den in zip(self.NUM, self.DEN)]
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+        assert math.isnan(got[3]) and got[1] == got[4] == INF and got[0] == 0.0
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 3.0, 3.0, 2.0], [0.0, 0.0, 0.0], [1.0, math.nan, 5.0, math.nan],
+        [INF, 1.0, INF], [-0.0, 0.0], [2.0],
+    ], ids=["tie", "all-zero", "nan", "inf-tie", "signed-zero", "one"])
+    def test_sup_builds_one_witness_of_the_first_maximum(self, values):
+        built = []
+
+        def witness(k):
+            built.append(k)
+            return {"k": k}
+
+        sup, wit, n = verifier._sup(np.array(values), witness)
+        ref, ref_wit, ref_n = ref_sup(values, [{"k": k} for k in range(len(values))])
+        assert (repr(sup), wit, n) == (repr(ref), ref_wit, ref_n)
+        assert built == [ref_wit["k"]]
+
+
 def ref_entry(tuples):
     """(sup, witness, samples_used) under the strict `<` running update:
     the first tuple starts the sup, later ones replace it only when larger."""
@@ -406,15 +449,15 @@ def ref_stages(I, I2, phi, lambdas, probes):
     unit = [(s, lam) for s, lam in lams if s in ("arc", "circle")]
     out = {
         "e2_jensen": ref_entry([
-            (_ratio(norm(jensen(lam, x, y)), ctl(x, y)),
+            (ref_ratio(norm(jensen(lam, x, y)), ctl(x, y)),
              {"x": x, "y": y, "lam": lam, "stage": s})
             for x, y in pairs for s, lam in unit]),
         "e3_antimul": ref_entry([
-            (_ratio(norm(f_of(mul(x, y)) - mul(f_of(y), f_of(x))), ctl(x, y)),
+            (ref_ratio(norm(f_of(mul(x, y)) - mul(f_of(y), f_of(x))), ctl(x, y)),
              {"x": x, "y": y}) for x, y in pairs]),
         "e4_involutive": ref_entry([(norm(I_of(I_of(x)) - x), {"x": x}) for x in probes]),
         "e6_cstar": ref_entry([
-            (_ratio(abs(norm(mul(x, f_of(x))) - norm(x) ** 2), ctl(x, x)),
+            (ref_ratio(abs(norm(mul(x, f_of(x))) - norm(x) ** 2), ctl(x, x)),
              {"x": x}) for x in probes]),
         "additivity": ref_entry([
             (norm(I_of(x + y) - (I_of(x) + I_of(y))) / max(1.0, norm(x) + norm(y)),

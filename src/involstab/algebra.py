@@ -134,13 +134,24 @@ def _closed_form(parts: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
 
 
+def _row_reduce(ufunc: np.ufunc, stack: np.ndarray) -> np.ndarray:
+    # ufunc over every axis but the first of a stack (N, ...), one result
+    # per row, through a contiguous (k, N) copy: numpy reduces a short
+    # trailing axis row by row, so the maxima of a (2000, 4) array took
+    # 163 us along axis 1, and 12 us, copy included, along axis 0 of its
+    # transpose (Xeon, numpy 2.4).  And, or, uint64 sums and the max of
+    # moduli do not depend on the order of a row's entries: no bit moves.
+    k = math.prod(stack.shape[1:])
+    return ufunc.reduce(np.ascontiguousarray(stack.reshape(len(stack), k).T), axis=0)
+
+
 def stacked_norms(spec: AlgebraSpec, stack: np.ndarray) -> list[float]:
     """Algebra norms of a stack of raw entry arrays shaped (N, *spec.shape),
     one per row: modulus, operator norm, or sup norm by kind."""
     if spec.kind is AlgebraKind.MATRIX:
         return _operator_norm(stack).tolist()
     if spec.kind is AlgebraKind.POINTWISE:
-        return np.max(np.abs(stack), axis=-1).tolist()
+        return _row_reduce(np.maximum, np.abs(stack)).tolist()
     # libm's hypot and OverflowError, as Python's complex abs; np.abs
     # differs in the last bit.
     try:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -165,8 +166,8 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
     salts = _salts(seed, width)
     words = np.ascontiguousarray(quantized, dtype=np.complex128).view(np.uint64)
     words = words.reshape(len(quantized), width) ^ salts[:width]
-    keys = _mix(words).sum(axis=1, dtype=np.uint64)
-    bits = keys[:, None] + salts[width:]
+    keys = algebra._row_reduce(np.add, _mix(words))
+    bits = np.add(keys[:, None], salts[width:], out=words)
     _mix(bits)
     bits >>= _11
     bits |= _1
@@ -176,43 +177,37 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
     return parts.view(np.complex128).reshape(len(quantized), *spec.shape)
 
 
-_HASH_CHUNK = 128
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    # delta on a stack X of shape (N, *spec.shape). Amplitudes are computed
-    # in Python floats per row, from one stacked norm call; a zero
-    # amplitude or zero quantized point is a zero row, left +0 rather than
-    # 0 * u, which can be -0.  An amplitude that overflows to inf leaves a
-    # non-finite row, for the caller to reject, and no warning.  Python's
-    # n ** 0.5 differed from numpy's power and sqrt on 361 of 400,000 norms
-    # (AVX-512 x86-64, numpy 2.4), so an array form would move digests.
+    # delta on a stack X of shape (N, *spec.shape). Each amplitude is libm's
+    # pow of a norm from one stacked call, through `map` as Python's n ** r,
+    # times theta_delta in float64: the bits of Python floats, which numpy's
+    # power and sqrt missed on 361 of 400,000 norms (AVX-512, numpy 2.4).  A
+    # zero amplitude or zero quantized point is a zero row, left +0 rather
+    # than 0 * u, which can be -0.  An amplitude that overflows to inf leaves
+    # a non-finite row, for the caller to reject, and no warning.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out
     column = (-1,) + (1,) * len(spec.shape)
     try:
-        amplitudes = np.array([p.theta_delta * n ** p.r for n in algebra.stacked_norms(spec, X)],
-                              dtype=np.complex128).reshape(column)
+        amplitudes = p.theta_delta * np.fromiter(
+            map(pow, algebra.stacked_norms(spec, X), repeat(p.r)), float, count=len(X))
     except OverflowError:
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
-    live = amplitudes.reshape(len(X)) != 0.0
+    live = amplitudes != 0.0
+    amplitudes = amplitudes.reshape(column)
     if p.kind is PerturbationKind.FIXED_DIRECTION:
         return np.multiply(amplitudes, _fixed_direction(p.direction_seed, spec), out=out,
                            where=live.reshape(column))
-    # Entries rounded to 1e-6 before hashing; the hashed rows are normalized
-    # in one stacked norm call.  A hash holds three arrays of a row's W
-    # words, 24 W bytes per row; chunks of _HASH_CHUNK rows keep that below
-    # the rest of a pass's peak memory.
+    # Entries rounded to 1e-6 before hashing, all rows in one call; the
+    # hashed rows are normalized in one stacked norm call.
     quantized = np.round(X * 1e6) / 1e6
-    rows = live & quantized.reshape(len(X), -1).any(axis=1)
+    rows = live & algebra._row_reduce(np.logical_or, quantized)
     if rows.any():
-        hashed = quantized[rows]
-        raw = np.concatenate([_hashed_directions(spec, hashed[i:i + _HASH_CHUNK], p.direction_seed)
-                              for i in range(0, len(hashed), _HASH_CHUNK)])
+        raw = _hashed_directions(spec, quantized[rows], p.direction_seed)
         inverse = 1.0 / np.array(algebra.stacked_norms(spec, raw))
-        np.multiply(inverse.astype(np.complex128).reshape(column), raw, out=raw)
+        np.multiply(inverse.reshape(column), raw, out=raw)
         out[rows] = np.multiply(amplitudes[rows], raw, out=raw)
     return out
 

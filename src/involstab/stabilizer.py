@@ -198,17 +198,20 @@ def _evaluate_block(f: ApproxMap, q: float, cur: np.ndarray, prev: np.ndarray,
     value, NaN where not evaluated; each row's last argument; and the
     OutOfRange of each step whose amplitude overflows, by (row, step)."""
     width = int(steps.max())
-    args = np.empty((len(cur), width, *cur.shape[1:]), dtype=np.complex128)
-    arg = cur
-    for j in range(width):
-        arg = complex(q) * arg
-        args[:, j] = arg
+    # Slice j holds every row's q^(j+1) x, built as complex(q) * arg, which
+    # np.multiply.accumulate's arg * complex(q) signs apart on underflow.
+    ladder = np.empty((width, *cur.shape), dtype=np.complex128)
+    arg, scale = cur, np.array(complex(q))
+    for nxt in ladder:
+        arg = np.multiply(scale, arg, out=nxt)
+    args = ladder.swapaxes(0, 1)
     within = np.arange(width) < steps[:, None]
-    guarded = within & (np.abs(args).reshape(len(cur), width, -1).max(axis=2) > 1e300)
+    largest = algebra._row_reduce(np.maximum, np.abs(ladder).reshape(within.size, -1))
+    guarded = within & (largest.reshape(width, len(cur)).T > 1e300)
     evaluate = within & (np.cumsum(guarded, axis=1) == 0)
     ns = (depth[:, None] + np.arange(1, width + 1))[evaluate]
     values, ends = args[evaluate], args[np.arange(len(cur)), steps - 1]
-    del args  # the evaluation below holds the block's peak memory
+    del args, ladder  # the evaluation below holds the block's peak memory
     raised = {}
     if len(values):
         values, overflows = _eval_steps(f, values)
@@ -314,7 +317,7 @@ def stabilize_points(
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     # A non-finite row would reach LAPACK through its norm, which prints to
     # stdout and returns NaN.
-    bad = (~np.isfinite(X).all(axis=tuple(range(1, X.ndim)))).nonzero()[0]
+    bad = (~algebra._row_reduce(np.logical_and, np.isfinite(X))).nonzero()[0]
     if len(bad):
         raise ValueError(f"row {bad[0]} of X is not finite")
     spec = f.spec
@@ -336,7 +339,7 @@ def stabilize_points(
 
     # Every row starts at a_0 = f(x).
     A = eval_f_rows(f, X)
-    for k in (~np.isfinite(A).all(axis=tuple(range(1, A.ndim)))).nonzero()[0].tolist():
+    for k in (~algebra._row_reduce(np.logical_and, np.isfinite(A))).nonzero()[0].tolist():
         fail(k, 0, IterateOverflow("iterate f value is not finite"))
     # The iterates kept, one slice per block, and the row of each.
     parts, owners = [], []
@@ -364,7 +367,8 @@ def stabilize_points(
             f, direction.q, cur, prev, depth, steps)
         A = chain[:, 1:]
         # A guarded, overflowing or non-finite step ends the row's block.
-        bad = within & ~np.isfinite(A).reshape(*within.shape, -1).all(axis=2)
+        finite = algebra._row_reduce(np.logical_and, np.isfinite(A).reshape(within.size, -1))
+        bad = within & ~finite.reshape(within.shape)
         end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
         kept = np.arange(within.shape[1]) < end[:, None]
         rose, met, it_norms, diff_norms = _decide(spec, tol_rel, chain, kept,

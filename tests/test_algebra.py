@@ -433,6 +433,54 @@ class TestExactScaling:
             assert d.tobytes() == (complex(amplitude) * u).tobytes()
 
 
+# Entries the row reductions must treat exactly: signed zeros, infinities,
+# NaN, the extremes of float64, and uint64 words whose sums wrap.
+_FLOAT_PALETTE = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 5e-324,
+                           1.7976931348623157e308])
+_WORD_PALETTE = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+
+
+@st.composite
+def reduction_cases(draw):
+    ufunc, dtype = draw(st.sampled_from([
+        (np.maximum, np.float64), (np.logical_and, np.bool_), (np.logical_and, np.float64),
+        (np.logical_or, np.bool_), (np.logical_or, np.complex128), (np.add, np.uint64)]))
+    n = draw(st.sampled_from([0, 1, 7, 300]))
+    shape = draw(st.sampled_from([(1,), (3,), (4,), (2, 2), (3, 3)]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    size = n * math.prod(shape)
+    if dtype is np.uint64:
+        a = np.where(rng.random(size) < 0.5, rng.choice(_WORD_PALETTE, size),
+                     rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False))
+    elif dtype is np.bool_:
+        a = rng.random(size) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    else:
+        a = rng.choice(_FLOAT_PALETTE, size * (2 if dtype is np.complex128 else 1)).view(dtype)
+    if ufunc is np.maximum:
+        # Every max the pipeline takes is over moduli: between -0.0 and
+        # +0.0 np.maximum keeps its first operand, so only there would the
+        # order of the entries show.
+        a = np.abs(a)
+    return ufunc, a.reshape(n, *shape)
+
+
+class TestRowReduce:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(reduction_cases())
+    @example((np.add, np.array([[2**64 - 1, 2, 2**63], [2**63, 2**63, 0]], dtype=np.uint64)))
+    def test_matches_trailing_axis_reduce(self, case):
+        # The leading-axis layout gives each row the result of reducing its
+        # own entries, bit for bit, NaN where NaN, and wrapping uint64 sums.
+        ufunc, a = case
+        got = algebra._row_reduce(ufunc, a)
+        expected = ufunc.reduce(a.reshape(len(a), math.prod(a.shape[1:])), axis=1)
+        assert got.dtype == expected.dtype and got.shape == (len(a),)
+        if got.dtype == np.float64:
+            assert (np.isnan(got) == np.isnan(expected)).all()
+            got, expected = (np.where(np.isnan(v), 0.0, v) for v in (got, expected))
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestConjTranspose:
     # The adjoint on stacks: conjugate transpose for matrices, entrywise
     # conjugate otherwise.

@@ -596,6 +596,9 @@ GOLDEN_DIGESTS = {
     "pointwise_random_direction": (
         "3207eb52df8ee43522b2edf3ed3fef477d99e41d6e5611168e86358b4524890b",
         "c4aa89280705576f8ec5d244edf5137cc3480188171b1c7b59978886f7d87a79"),
+    "pointwise_hashed_warm": (
+        "e7df8d9218b9f6ad0a39ce57e252da7ff9274c4959464624f4004a5db3da8d9a",
+        "ce92d9e4dac5d19fc2979252577b82c576c83609283d0d9450c38a43767c267f"),
     # No bundled scenario takes the q = 1/2 (i = 1) direction, whose
     # error_bound factor differs; power-sum r = 1.5 does.
     "adjoint_rsum_r15": (
@@ -616,6 +619,23 @@ POINTWISE_RANDOM_DIRECTION = {
 }
 
 
+# The benchmark's pointwise_hashed workload as its warm pass certifies it:
+# hashed random directions on every orbit step of the main map.
+POINTWISE_HASHED_WARM = {
+    "algebra": {"kind": "pointwise", "dim": 4},
+    "involution": {"kind": "conjugation"},
+    "perturbation": {"kind": "random_direction", "theta_delta": 0.1, "r": 0.5,
+                     "direction_seed": 2471825185},
+    "perturbation2": {"kind": "fixed_direction", "theta_delta": 0.1, "r": 0.5,
+                      "direction_seed": 3566546985},
+    "control": {"kind": "power_sum", "theta": 0.3, "r": 0.5},
+    "stabilizer": {"max_n": 48, "tol_rel": 1e-10},
+    "sampling": {"num_probes": 6, "radius_min": 0.1, "radius_max": 10.0, "seed": 25456244},
+    "lambda": {"n0": 3, "arc": 4, "circle": 4, "reals": 3, "complex": 3, "seed": 2065615711},
+    "laws": {"max_probes": 3},
+}
+
+
 def adjoint_rsum_r15():
     cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
     for section in ("control", "perturbation", "perturbation2"):
@@ -631,6 +651,8 @@ class TestGoldenDigests:
         config = name
         if name == "pointwise_random_direction":
             config = str(write_config(tmp_path, POINTWISE_RANDOM_DIRECTION))
+        elif name == "pointwise_hashed_warm":
+            config = str(write_config(tmp_path, POINTWISE_HASHED_WARM))
         elif name == "adjoint_rsum_r15":
             config = str(write_config(tmp_path, adjoint_rsum_r15()))
         out = tmp_path / "out"

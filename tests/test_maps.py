@@ -447,11 +447,12 @@ class TestPerturbationRows:
     @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
     @pytest.mark.parametrize("seed", [None, 4])
     def test_rows_match_per_row_scaling(self, any_spec, rng, kind, seed):
-        # More rows than two of the chunks hashed directions are drawn in.
+        # Enough rows that a hash over a whole stack must keep each row's
+        # direction its own.
         p = PerturbationSpec(kind, 0.1, 0.5, direction_seed=seed)
         X = np.concatenate([np.zeros((1, *any_spec.shape), dtype=np.complex128),
                             np.full((1, *any_spec.shape), -1e-9 + 0j),
-                            sample_stack(any_spec, 2 * maps._HASH_CHUNK + 6, rng, (1e-7, 10.0))])
+                            sample_stack(any_spec, 262, rng, (1e-7, 10.0))])
         got = maps._perturbation_rows(p, any_spec, X)
         for k, x in enumerate(X):
             amplitude = 0.1 * algebra.stacked_norms(any_spec, x[None])[0] ** 0.5
@@ -469,6 +470,28 @@ class TestPerturbationRows:
                 expected = np.zeros(any_spec.shape, dtype=np.complex128)
             assert got[k].tobytes() == expected.tobytes()
         assert not np.signbit(got[0].view(np.float64)).any()
+
+    @pytest.mark.parametrize("kind", ["none", "fixed_direction", "random_direction"])
+    def test_empty_stack(self, any_spec, kind):
+        f = ApproxMap(maps.adjoint(), PerturbationSpec(kind, 0.1, 0.5), any_spec)
+        empty = np.zeros((0, *any_spec.shape), dtype=np.complex128)
+        got = maps.eval_f_rows(f, empty)
+        assert got.shape == empty.shape and got.dtype == np.complex128
+        assert algebra.stacked_norms(any_spec, empty) == []
+
+    def test_one_hash_per_evaluation(self, monkeypatch, rng):
+        # Every row of a stack is hashed in one call, however many rows.
+        calls = []
+        hashed_directions = maps._hashed_directions
+
+        def counting(spec, quantized, seed):
+            calls.append(len(quantized))
+            return hashed_directions(spec, quantized, seed)
+
+        monkeypatch.setattr(maps, "_hashed_directions", counting)
+        X = sample_stack(P3, 1000, rng)
+        maps._perturbation_rows(PerturbationSpec("random_direction", 0.1, 0.5, 3), P3, X)
+        assert calls == [1000]
 
     @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
     def test_overflowing_amplitude_gives_nonfinite_rows(self, any_spec, kind):

@@ -657,6 +657,35 @@ class TestOrbitBlocks:
             assert tr.n_used > 80
 
 
+class TestArgumentLadder:
+    @pytest.mark.parametrize("direction, x", [
+        # Halving from subnormal parts rounds at every step: 11 * 2^-1074
+        # becomes 6, 3, then 2 * 2^-1074, where one-shot scaling by 2^-3
+        # gives 1 * 2^-1074.  A negative imaginary part that underflows
+        # stays -0.0 in complex(q) * arg, but is +0.0 in arg * complex(q)
+        # where the real part is positive or +0.0.
+        (DOWN, [11 * 5e-324 * (1 + 1j), -0.0 + 3 * 5e-324j, 1e-300 - 5e-324j,
+                5e-324 - 7 * 5e-324j]),
+        # Doubling across the 1e300 guard, with signed zero parts.
+        (UP, [1e290 - 0.0j, -0.0 + 3e-300j, -1e295 + 0j, 0j]),
+    ], ids=["halving-subnormal", "doubling-past-guard"])
+    def test_arguments_repeat_the_multiplication(self, direction, x):
+        # Row j of a block, with j + 1 steps, ends at q^(j+1) x: each
+        # argument has the bits of repeated multiplication by complex(q),
+        # also past the guard, where no step is evaluated.
+        width = 40
+        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
+        cur = np.repeat(np.array(x).reshape(1, 2, 2), width, axis=0)
+        steps = np.arange(1, width + 1)
+        _, guarded, _, ends, _ = stabilizer._evaluate_block(
+            f, direction.q, cur, cur, np.zeros(width, np.intp), steps)
+        assert guarded.any() == (direction is UP)
+        arg = cur[:1]
+        for j in range(width):
+            arg = complex(direction.q) * arg
+            assert ends[j].tobytes() == arg[0].tobytes()
+
+
 class TestStopTestBoundary:
     # Rank-1 orbits stopped with tol_rel at the smallest value that stops
     # them at step n, and one ulp either side.  Entries of 1e160 lie outside

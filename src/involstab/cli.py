@@ -304,7 +304,7 @@ def make_probes(sc: Scenario) -> np.ndarray:
         radii.append(math.exp(rng.uniform(math.log(sc.radius_min), math.log(sc.radius_max))))
     raw = parts[:, 0] + 1j * parts[:, 1]
     column = (-1,) + (1,) * len(sc.spec.shape)
-    inverse = (1.0 / np.array(algebra.stacked_norms(sc.spec, raw))).astype(np.complex128)
+    inverse = (1.0 / algebra.stacked_norms(sc.spec, raw)).astype(np.complex128)
     probes = np.array(radii, dtype=np.complex128).reshape(column) * (inverse.reshape(column) * raw)
     return np.concatenate([probes, *(x.data[None] for x in sc.extra_probes)])
 
@@ -357,8 +357,8 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     last = np.cumsum(used + 1) - 1
     first, at = last - used, np.delete(np.arange(len(its)), last)
     probe = np.repeat(np.arange(len(P)), used)
-    norms = np.array(algebra.stacked_norms(sc.spec, np.concatenate([
-        its[at + 1] - its[at], its[at] - its[last[probe]], its[at] - its[first[probe]]])))
+    norms = algebra.stacked_norms(sc.spec, np.concatenate([
+        its[at + 1] - its[at], its[at] - its[last[probe]], its[at] - its[first[probe]]]))
     diffs, errors, deviations = norms.reshape(3, -1)
     bounds = np.repeat(bound.per_probe_bounds, used)
     columns = [probe, np.repeat(algebra.stacked_norms(sc.spec, P), used), at - first[probe],

@@ -137,16 +137,13 @@ class FunctionSpaceMetric:
 
 
 def function_space_distance(g, h, m: FunctionSpaceMetric) -> float:
-    """Conventions: 0/0 := 0 and positive/0 := inf."""
+    """Conventions: 0/0 := 0 and positive/0 := inf; a NaN ratio is skipped."""
     P = m.probe_set
-    worst = 0.0
-    for num, den in zip(algebra.stacked_norms(m.spec, g(P) - h(P)), m.control_of_x(P)):
-        if den == 0.0:
-            if num == 0.0:
-                continue
-            return INF
-        worst = max(worst, num / den)
-    return worst
+    nums = algebra.stacked_norms(m.spec, g(P) - h(P))
+    dens = np.asarray(m.control_of_x(P), dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = np.where(nums == 0.0, 0.0, np.where(dens == 0.0, INF, nums / dens))
+    return float(np.fmax.reduce(ratios, initial=0.0))
 
 
 def scaling_operator(g, q: float):

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -179,20 +178,16 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
 
 @np.errstate(over="ignore", invalid="ignore")
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    # delta on a stack X of shape (N, *spec.shape). Each amplitude is libm's
-    # pow of a norm from one stacked call, through `map` as Python's n ** r,
-    # times theta_delta in float64: the bits of Python floats, which numpy's
-    # power and sqrt missed on 361 of 400,000 norms (AVX-512, numpy 2.4).  A
-    # zero amplitude or zero quantized point is a zero row, left +0 rather
-    # than 0 * u, which can be -0.  An amplitude that overflows to inf leaves
-    # a non-finite row, for the caller to reject, and no warning.
+    # delta on a stack X of shape (N, *spec.shape).  A zero amplitude or zero
+    # quantized point is a zero row, left +0 rather than 0 * u, which can be
+    # -0.  An amplitude that overflows to inf leaves a non-finite row, for
+    # the caller to reject, and no warning.
     out = np.zeros(X.shape, dtype=np.complex128)
     if p.kind is PerturbationKind.NONE:
         return out
     column = (-1,) + (1,) * len(spec.shape)
     try:
-        amplitudes = p.theta_delta * np.fromiter(
-            map(pow, algebra.stacked_norms(spec, X), repeat(p.r)), float, count=len(X))
+        amplitudes = p.theta_delta * algebra._libm_pow(algebra.stacked_norms(spec, X), p.r)
     except OverflowError:
         raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
     live = amplitudes != 0.0
@@ -206,7 +201,7 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
     rows = live & algebra._row_reduce(np.logical_or, quantized)
     if rows.any():
         raw = _hashed_directions(spec, quantized[rows], p.direction_seed)
-        inverse = 1.0 / np.array(algebra.stacked_norms(spec, raw))
+        inverse = 1.0 / algebra.stacked_norms(spec, raw)
         np.multiply(inverse.reshape(column), raw, out=raw)
         out[rows] = np.multiply(amplitudes[rows], raw, out=raw)
     return out
@@ -256,11 +251,11 @@ def antimul_defect(f: ApproxMap, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return algebra.finite_rows("antimul_defect", f_xy - algebra.mul_rows(f.spec, f_y, f_x))
 
 
-def cstar_defect(f: ApproxMap, X: np.ndarray) -> list[float]:
+def cstar_defect(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     """| ||x f(x)|| - ||x||^2 | for each row x of X."""
     XF = algebra.finite_rows("cstar_defect", algebra.mul_rows(f.spec, X, eval_f_rows(f, X)))
     norms = algebra.stacked_norms(f.spec, np.concatenate([XF, X]))
-    return [abs(a - b ** 2) for a, b in zip(norms[:len(X)], norms[len(X):])]
+    return np.abs(norms[:len(X)] - algebra._libm_pow(norms[len(X):], 2))
 
 
 @dataclass(frozen=True)

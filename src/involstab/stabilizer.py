@@ -50,15 +50,15 @@ def power_product(theta: float, r: float) -> ControlFunction:
 
 @np.errstate(over="ignore", invalid="ignore")
 def control_rows(phi: ControlFunction, spec: AlgebraSpec, X: np.ndarray,
-                 Y: np.ndarray) -> list[float]:
+                 Y: np.ndarray) -> np.ndarray:
     """phi(x, y) on the row pairs of two stacks shaped (N, *spec.shape).
     phi(x, 0) is identically zero for the product control (superstability)."""
     try:
         if phi.kind is ControlKind.POWER_SUM:
-            return [phi.theta * (a ** phi.r + b ** phi.r) for a, b in zip(
-                algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y))]
+            a, b = algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y)
+            return phi.theta * (algebra._libm_pow(a, phi.r) + algebra._libm_pow(b, phi.r))
         XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
-        return [phi.theta * a ** phi.r for a in algebra.stacked_norms(spec, XY)]
+        return phi.theta * algebra._libm_pow(algebra.stacked_norms(spec, XY), phi.r)
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
 
@@ -116,7 +116,7 @@ class StabilizationTrace:
 
     @cached_property
     def diffs(self) -> list[float]:
-        return algebra.stacked_norms(self.spec, self.iterates[1:] - self.iterates[:-1])
+        return algebra.stacked_norms(self.spec, self.iterates[1:] - self.iterates[:-1]).tolist()
 
 
 class Orbits(Sequence):
@@ -351,15 +351,14 @@ def stabilize_points(
     rows = (limit > 0).nonzero()[0]
     depth = np.zeros(len(rows), dtype=np.intp)
     prev, cur = A[rows], X[rows]
-    prev_norms = np.array(algebra.stacked_norms(spec, prev))
+    prev_norms = algebra.stacked_norms(spec, prev)
     last_diffs = np.full(len(rows), np.inf)
     # Each row's first block runs to its predicted stop `target`; past it, or
     # with no prediction, the row goes on in blocks of `size` = 1, 2, 4, ...
     size = target = np.ones(len(rows), dtype=np.intp)
     if f.perturbation.kind is not PerturbationKind.NONE:
-        target = _predicted_stops(f.perturbation, direction.q,
-                                  np.array(algebra.stacked_norms(spec, cur)), prev_norms,
-                                  tol_rel, max_n)
+        target = _predicted_stops(f.perturbation, direction.q, algebra.stacked_norms(spec, cur),
+                                  prev_norms, tol_rel, max_n)
     while len(rows):
         steps = np.minimum(np.minimum(np.maximum(target - depth, size),
                                       max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
@@ -422,12 +421,13 @@ def stabilize_points(
     return Orbits(spec, iterates, offsets, converged)
 
 
+@np.errstate(over="ignore")
 def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
-                 X: np.ndarray) -> list[float]:
+                 X: np.ndarray) -> np.ndarray:
     """The closeness bound L^{1-i}/(1-L) * phi(x, 0) on each row x of a
     stack X shaped (N, *spec.shape)."""
     factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
-    return [factor * c for c in control_rows(phi, spec, X, np.zeros_like(X))]
+    return factor * control_rows(phi, spec, X, np.zeros_like(X))
 
 
 class Regime(str, Enum):

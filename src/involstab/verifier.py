@@ -98,7 +98,7 @@ def _require_probes(P: np.ndarray) -> None:
 
 
 def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
-    return np.array(algebra.stacked_norms(spec, algebra.finite_rows(stage, stack)))
+    return algebra.stacked_norms(spec, algebra.finite_rows(stage, stack))
 
 
 def _witness(**columns):
@@ -150,17 +150,17 @@ def scan_hypotheses(
     lams, stages = [v for _, v in unit_lams] * len(X), [s for s, _ in unit_lams] * len(X)
     e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(f, lams, XL, YL))
     e3 = algebra.stacked_norms(f.spec, maps.antimul_defect(f, X, Y))
-    dens = np.array(stabilizer.control_rows(phi, f.spec, X, Y))
+    dens = stabilizer.control_rows(phi, f.spec, X, Y)
     e4 = _norms("scan_hypotheses", f.spec, I.rows(I.rows(P)) - P)
     e6 = maps.cstar_defect(f, P)
 
     columns = {
-        "e2_jensen": (_ratios(np.array(e2), np.repeat(dens, nl)),
+        "e2_jensen": (_ratios(e2, np.repeat(dens, nl)),
                       _witness(x=XL, y=YL, lam=lams, stage=stages)),
-        "e3_antimul": (_ratios(np.array(e3), dens), _witness(x=X, y=Y)),
+        "e3_antimul": (_ratios(e3, dens), _witness(x=X, y=Y)),
         "e4_involutive": (e4, _witness(x=P)),
         # dens[1::4] is phi(x, x): the (x, x) pairs of probe_pairs.
-        "e6_cstar": (_ratios(np.array(e6), dens[1::4]), _witness(x=P)),
+        "e6_cstar": (_ratios(e6, dens[1::4]), _witness(x=P)),
     }
     return DefectReport(entries={
         name: HypothesisEntry(name, *_sup(values, witness))
@@ -252,16 +252,15 @@ def verify_bound(
     _require_probes(P)
     diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
     bounds = stabilizer.error_bounds(I.direction, phi, I.f.spec, P)
-    b = np.array(bounds)
-    ratios = np.where(b == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / b)
-    worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds))
+    ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
+    worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
     return BoundReport(
         max_ratio=worst,
         probes_checked=len(P),
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios.tolist(),
-        per_probe_bounds=bounds,
+        per_probe_bounds=bounds.tolist(),
     )
 
 
@@ -311,16 +310,16 @@ def verify_cstar(
     to 0 or inf is OutOfRange.  The reversed order is for information only."""
     _require_probes(P)
     spec = I.f.spec
-    radii = np.array(algebra.stacked_norms(spec, P))
-    Q, nq = P[radii != 0.0], radii[radii != 0.0].tolist()
+    radii = algebra.stacked_norms(spec, P)
+    Q, nq = P[radii != 0.0], radii[radii != 0.0]
     try:
-        squares = [nx**2 for nx in nq]
+        squares = algebra._libm_pow(nq, 2)
+        if not ((0.0 < squares) & (squares < INF)).all():
+            raise OverflowError
     except OverflowError:
-        squares = [INF]
-    if not all(0.0 < sq < INF for sq in squares):
-        raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite")
+        raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite") from None
     worst, rev_worst, witness = 0.0, 0.0, None
-    if nq:
+    if len(nq):
         IQ = I.rows(Q)
         norms = _norms("verify_cstar", spec, np.concatenate(
             [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))

@@ -599,6 +599,9 @@ GOLDEN_DIGESTS = {
     "pointwise_hashed_warm": (
         "e7df8d9218b9f6ad0a39ce57e252da7ff9274c4959464624f4004a5db3da8d9a",
         "ce92d9e4dac5d19fc2979252577b82c576c83609283d0d9450c38a43767c267f"),
+    "matrix_rsum_warm": (
+        "9b3f405199490c6328d4f96af92f736e6ed157d53a12e60722434a195a761ad9",
+        "365e70ea3c6733c992a916a1d80d2cfdcedb4b285a77af06bd85e27a1fad850d"),
     # No bundled scenario takes the q = 1/2 (i = 1) direction, whose
     # error_bound factor differs; power-sum r = 1.5 does.
     "adjoint_rsum_r15": (
@@ -636,6 +639,23 @@ POINTWISE_HASHED_WARM = {
 }
 
 
+# The benchmark's matrix_rsum workload as its warm pass certifies it: 2x2
+# adjoint orbits with the closed-form norm, both perturbation kinds.
+MATRIX_RSUM_WARM = {
+    "algebra": {"kind": "matrix", "dim": 2},
+    "involution": {"kind": "adjoint"},
+    "perturbation": {"kind": "fixed_direction", "theta_delta": 0.1, "r": 0.5,
+                     "direction_seed": 2471825185},
+    "perturbation2": {"kind": "random_direction", "theta_delta": 0.1, "r": 0.5,
+                      "direction_seed": 3566546985},
+    "control": {"kind": "power_sum", "theta": 0.3, "r": 0.5},
+    "stabilizer": {"max_n": 48, "tol_rel": 1e-10},
+    "sampling": {"num_probes": 6, "radius_min": 0.1, "radius_max": 10.0, "seed": 25456244},
+    "lambda": {"n0": 3, "arc": 2, "circle": 2, "reals": 2, "complex": 2, "seed": 2065615711},
+    "laws": {"max_probes": 3},
+}
+
+
 def adjoint_rsum_r15():
     cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
     for section in ("control", "perturbation", "perturbation2"):
@@ -653,6 +673,8 @@ class TestGoldenDigests:
             config = str(write_config(tmp_path, POINTWISE_RANDOM_DIRECTION))
         elif name == "pointwise_hashed_warm":
             config = str(write_config(tmp_path, POINTWISE_HASHED_WARM))
+        elif name == "matrix_rsum_warm":
+            config = str(write_config(tmp_path, MATRIX_RSUM_WARM))
         elif name == "adjoint_rsum_r15":
             config = str(write_config(tmp_path, adjoint_rsum_r15()))
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,31 @@ class TestFunctionSpaceMetric:
         g = as_callable(radial_map(0.2, 3))
         h = as_callable(ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2))
         assert function_space_distance(g, h, m) == INF
+
+    def test_matches_loop_reference(self):
+        # The ratio column and its NaN-skipping max against the per-probe
+        # loop it replaced, bit for bit, over every pair of norm and control
+        # from a palette of edge values, in one- and two-probe stacks.
+        def reference(nums, dens):
+            worst = 0.0
+            for num, den in zip(nums, dens):
+                if den == 0.0:
+                    if num == 0.0:
+                        continue
+                    return INF
+                worst = max(worst, num / den)
+            return worst
+
+        palette = [0.0, 5e-324, 1e-300, 0.5, 3.0, 1e300, INF, math.nan]
+        for k in (1, 2):
+            for nums in itertools.product(palette, repeat=k):
+                P = np.array(nums, dtype=complex)[:, None]
+                for dens in itertools.product(palette, repeat=k):
+                    m = FunctionSpaceMetric(SCALAR, P, lambda X, dens=dens: list(dens))
+                    got = function_space_distance(lambda X: X, np.zeros_like, m)
+                    want = reference(nums, dens)
+                    assert type(got) is float
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestScalingOperator:

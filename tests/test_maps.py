@@ -44,7 +44,7 @@ def sample_stack(spec, n, rng, rad=(0.1, 10.0)):
 
 
 def norms(spec, X):
-    return np.array(algebra.stacked_norms(spec, X))
+    return algebra.stacked_norms(spec, X)
 
 
 class TestEvalInvolution:
@@ -455,7 +455,7 @@ class TestPerturbationRows:
                             sample_stack(any_spec, 262, rng, (1e-7, 10.0))])
         got = maps._perturbation_rows(p, any_spec, X)
         for k, x in enumerate(X):
-            amplitude = 0.1 * algebra.stacked_norms(any_spec, x[None])[0] ** 0.5
+            amplitude = 0.1 * algebra.stacked_norms(any_spec, x[None]).tolist()[0] ** 0.5
             if kind == "fixed_direction":
                 u = maps._fixed_direction(seed, any_spec)
                 expected = complex(amplitude) * u
@@ -477,7 +477,7 @@ class TestPerturbationRows:
         empty = np.zeros((0, *any_spec.shape), dtype=np.complex128)
         got = maps.eval_f_rows(f, empty)
         assert got.shape == empty.shape and got.dtype == np.complex128
-        assert algebra.stacked_norms(any_spec, empty) == []
+        assert algebra.stacked_norms(any_spec, empty).tolist() == []
 
     def test_one_hash_per_evaluation(self, monkeypatch, rng):
         # Every row of a stack is hashed in one call, however many rows.

@@ -39,7 +39,7 @@ def reference_control(phi, spec, x, y):
     """phi(x, y) one row pair at a time: the per-pair formula that
     control_rows stacks."""
     def norm(a):
-        return algebra.stacked_norms(spec, a[None])[0]
+        return algebra.stacked_norms(spec, a[None]).tolist()[0]
 
     if phi.kind is ControlKind.POWER_SUM:
         return phi.theta * (norm(x) ** phi.r + norm(y) ** phi.r)
@@ -68,10 +68,11 @@ class TestControlEval:
             d = select_direction(phi)
             x = algebra.sample_element(M2, (0.5, 2.0), rng)
             y = algebra.sample_element(M2, (0.5, 2.0), rng)
-            (base,) = control_rows(phi, M2, x[None], y[None])
+            (base,) = control_rows(phi, M2, x[None], y[None]).tolist()
             q = np.array([d.q ** n for n in (1, 3, 7)], dtype=np.complex128)[:, None, None]
             lhs = control_rows(phi, M2, q * x, q * y)
-            assert lhs == [pytest.approx((d.q * d.L) ** n * base, rel=1e-10) for n in (1, 3, 7)]
+            assert lhs.tolist() == [
+                pytest.approx((d.q * d.L) ** n * base, rel=1e-10) for n in (1, 3, 7)]
 
     @pytest.mark.parametrize("spec", [SCALAR, P4, M2], ids=["scalar", "pointwise", "matrix"])
     def test_rows_match_element_reference(self, rng, spec):
@@ -79,7 +80,7 @@ class TestControlEval:
         Y = np.concatenate([np.zeros_like(X[:2]), X[2:][::-1]])
         for phi in (power_sum(0.3, 0.5), power_sum(0.2, 2.0), power_product(0.1, 0.25)):
             want = [reference_control(phi, spec, x, y) for x, y in zip(X, Y)]
-            assert control_rows(phi, spec, X, Y) == want
+            assert control_rows(phi, spec, X, Y).tolist() == want
 
     def test_product_overflow_is_out_of_range(self):
         big = np.array([[1e200 + 0j]])
@@ -951,7 +952,7 @@ class TestErrorBound:
             for phi in (power_sum(0.3, 0.5), power_product(0.4, 0.25)):
                 factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
                 want = [factor * reference_control(phi, M2, x, np.zeros_like(x)) for x in X]
-                assert error_bounds(direction, phi, M2, X) == want
+                assert error_bounds(direction, phi, M2, X).tolist() == want
 
 
 class TestCorollaryConstant:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from involstab import algebra, maps, stabilizer, verifier
+from involstab.fixedpoint import FunctionSpaceMetric, function_space_distance
 from involstab.algebra import SCALAR, Element, matrix_spec, pointwise_spec
 from involstab.maps import ApproxMap, LambdaSampler, NO_PERTURBATION, PerturbationSpec
 from involstab.stabilizer import power_product, power_sum, select_direction
@@ -206,6 +207,41 @@ class TestVerifyBound:
         assert not rep.passed and rep.max_ratio == INF
 
 
+ROW_SPECS = {"scalar": SCALAR, "pointwise3": pointwise_spec(3), "matrix1": matrix_spec(1),
+             "matrix2": M2, "matrix3": matrix_spec(3)}
+
+
+class TestArrayReturns:
+    # Per-row reals are float64 arrays; Python floats appear only in report
+    # fields and witnesses, and in what is written to JSON or CSV.
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("name", list(ROW_SPECS))
+    def test_row_values_are_float64_arrays(self, name, n, rng):
+        spec = ROW_SPECS[name]
+        X = sample_probes(n, rng, spec) if n else np.zeros((0, *spec.shape), complex)
+        Y = X[::-1].copy()
+        f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=7), spec)
+        rows = [algebra.stacked_norms(spec, X), maps.cstar_defect(f, X)]
+        for phi in (PHI_SUM, power_product(0.1, 0.25)):
+            rows += [stabilizer.control_rows(phi, spec, X, Y),
+                     stabilizer.error_bounds(select_direction(phi), phi, spec, X)]
+        for got in rows:
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (n,)
+        exact = ApproxMap(maps.adjoint(), NO_PERTURBATION, spec)
+        m = FunctionSpaceMetric(spec, X, lambda Z: stabilizer.control_rows(
+            PHI_SUM, spec, Z, np.zeros_like(Z)))
+        distance = function_space_distance(
+            lambda Z: maps.eval_f_rows(f, Z), lambda Z: maps.eval_f_rows(exact, Z), m)
+        assert type(distance) is float
+        if n:
+            rep = verify_bound(up_map(f), PHI_SUM, X)
+            assert type(rep.max_ratio) is float
+            for column in (rep.per_probe, rep.per_probe_bounds):
+                assert type(column) is list and len(column) == n
+                assert all(type(v) is float for v in column)
+            assert type(rep.witness["diff"]) is float and type(rep.witness["bound"]) is float
+
+
 class TestVerifyLaws:
     def test_exact_involution(self, rng):
         rep = verify_involution_laws(up_map(EXACT_ADJ), LAMBDAS, sample_probes(8, rng))
@@ -274,6 +310,14 @@ class TestVerifyCstar:
     def test_zero_probe_skipped(self, rng):
         rep = verify_cstar(up_map(EXACT_ADJ), np.concatenate([ZERO[None], sample_probes(3, rng)]))
         assert rep.probes_checked == 3
+
+    @pytest.mark.parametrize("radius", [1e160, 1e-170])
+    def test_square_out_of_range(self, radius, rng):
+        # ||x||^2 overflows (Python's ** raises) or underflows to 0 for one
+        # probe among ordinary ones.
+        probes = np.concatenate([sample_probes(2, rng), sample_probes(1, rng, rad=(radius,) * 2)])
+        with pytest.raises(verifier.OutOfRange, match="is 0 or not finite"):
+            verify_cstar(up_map(EXACT_ADJ), probes)
 
 
 def run_stage(stage, I, probes):

@@ -105,6 +105,9 @@ def _get(section: dict, key: str, where: str, default=None, required=False):
 def _number(section: dict, key: str, where: str, conv, default=None, required=False):
     value = _get(section, key, where, default=default, required=required)
     try:
+        # JSON's true and false are Python ints, which conv would pass.
+        if isinstance(value, bool):
+            raise TypeError(value)
         number = conv(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
@@ -461,16 +464,14 @@ def sweep(config_path: str | Path, param: str, values: list[float],
         cfg = json.loads(json.dumps(raw))
         row = {"param": param, "value": value}
         try:
-            if param == "theta":
-                _override(cfg, "control", theta=value)
-                if _section(cfg, "perturbation", required=False).get("kind", "none") != "none":
-                    # Budget rule: a third of the control amplitude keeps the
-                    # Jensen hypothesis satisfied.
-                    _override(cfg, "perturbation", theta_delta=value / 3.0)
-            elif param == "r":
-                _override(cfg, "control", r=value)
-                if _section(cfg, "perturbation", required=False).get("kind", "none") != "none":
-                    _override(cfg, "perturbation", r=value)
+            if param in ("theta", "r"):
+                _override(cfg, "control", **{param: value})
+                # Budget rule: a third of the control amplitude keeps the
+                # Jensen hypothesis satisfied.
+                retune = {"theta_delta": value / 3.0} if param == "theta" else {"r": value}
+                for key in ("perturbation", "perturbation2"):
+                    if _section(cfg, key, required=False).get("kind", "none") != "none":
+                        _override(cfg, key, **retune)
             elif param == "dim":
                 _override(cfg, "algebra", dim=value)
             else:

@@ -180,81 +180,75 @@ def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
     return failed[min(failed)][1]
 
 
-# About the most steps of all rows one block evaluates.  A block array of
-# 64-byte elements, such as 2x2 matrices, then holds about 128 kB, glibc's
-# default mmap threshold: wider blocks raised the peak RSS of a pass.
+# About the most cells, rows times widest width, one block's arrays hold.
+# An array of 64-byte elements, such as 2x2 matrices, then holds about
+# 128 kB, glibc's default mmap threshold: wider blocks raised peak RSS.
 _BLOCK_CELLS = 2048
 
 
-def _evaluate_block(f: ApproxMap, q: float, cur: np.ndarray, prev: np.ndarray,
-                    depth: np.ndarray, steps: np.ndarray):
-    """Each row's next `steps` steps from depth `depth`: the arguments q^n x
-    from its last argument `cur` by repeated multiplication, and the values
-    a_n = q^{-n} f(q^n x) from one stacked evaluation.  A row's evaluation
-    stops at its first argument past the guard.
+def _evaluate_block(f: ApproxMap, q: float, X: np.ndarray, A0: np.ndarray, widths: np.ndarray):
+    """Each row x of X from step 1 to its width: the arguments q^n x by
+    repeated multiplication, and the values a_n = q^{-n} f(q^n x) from one
+    stacked evaluation.  A row's evaluation stops at its first argument
+    past the guard.
 
-    Returns the masks of the steps and of those past the guard; the chain of
-    iterates, whose slot 0 is each row's `prev` and slot j its step j's
-    value, NaN where not evaluated; each row's last argument; and the
-    OutOfRange of each step whose amplitude overflows, by (row, step)."""
-    width = int(steps.max())
+    Returns the mask of the steps past the guard; the chain of iterates,
+    whose slot 0 is each row's a_0 (`A0`) and slot n its a_n, NaN where not
+    evaluated; and the OutOfRange of each step whose amplitude overflows,
+    by (row, n - 1)."""
+    width = int(widths.max())
     # Slice j holds every row's q^(j+1) x, built as complex(q) * arg, which
     # np.multiply.accumulate's arg * complex(q) signs apart on underflow.
-    ladder = np.empty((width, *cur.shape), dtype=np.complex128)
-    arg, scale = cur, np.array(complex(q))
+    ladder = np.empty((width, *X.shape), dtype=np.complex128)
+    arg, scale = X, np.array(complex(q))
     for nxt in ladder:
         arg = np.multiply(scale, arg, out=nxt)
-    args = ladder.swapaxes(0, 1)
-    within = np.arange(width) < steps[:, None]
+    within = np.arange(width) < widths[:, None]
     largest = algebra._row_reduce(np.maximum, np.abs(ladder).reshape(within.size, -1))
-    guarded = within & (largest.reshape(width, len(cur)).T > 1e300)
+    guarded = within & (largest.reshape(width, len(X)).T > 1e300)
     evaluate = within & (np.cumsum(guarded, axis=1) == 0)
-    ns = (depth[:, None] + np.arange(1, width + 1))[evaluate]
-    values, ends = args[evaluate], args[np.arange(len(cur)), steps - 1]
-    del args, ladder  # the evaluation below holds the block's peak memory
+    values = ladder.swapaxes(0, 1)[evaluate]
+    del ladder  # the evaluation below holds the block's peak memory
     raised = {}
     if len(values):
         values, overflows = _eval_steps(f, values)
         # q is 2 or 1/2, so q^{-n} is 2^-n or 2^n: ldexp gives the bits of
         # repeated division by q, down to 0 and up to inf.  numpy multiplies
         # complex values by it as by a complex scale, signed zeros included.
+        ns = evaluate.nonzero()[1] + 1
         scales = np.ldexp(1.0, -ns if q == 2.0 else ns)
         values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
         if overflows:
             where = np.argwhere(evaluate).tolist()
             raised = {tuple(where[index]): exc for index, exc in overflows.items()}
-    chain = np.full((len(cur), width + 1, *cur.shape[1:]), np.nan, dtype=np.complex128)
-    chain[:, 0] = prev
+    chain = np.full((len(X), width + 1, *X.shape[1:]), np.nan, dtype=np.complex128)
+    chain[:, 0] = A0
     chain[:, 1:][evaluate] = values
-    return within, guarded, chain, ends, raised
+    return guarded, chain, raised
 
 
 def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, kept: np.ndarray,
-            prev_norms: np.ndarray, last_diffs: np.ndarray):
-    """Each step j of a block, whether its difference ||a_{n+j+1} - a_{n+j}||
-    rose above the one before and whether it meets the stop test against
-    ||a_{n+j}||, as masks shaped `kept`; and the norms, shaped (R, W + 1), of
-    the chain's iterates and differences, NaN where not kept.  Slot 0's are
-    carried over: the last iterate's norm, and the last difference's, inf
-    before the first step, so that the first step is no rise."""
+            a0_norms: np.ndarray):
+    """Each step n of a block, whether its difference ||a_n - a_{n-1}|| rose
+    above the one before and whether it meets the stop test against
+    ||a_{n-1}||, as masks shaped `kept`.  Step 1 is no rise."""
     its = np.full((kept.shape[0], kept.shape[1] + 1), np.nan)
     diffs = its.copy()
-    its[:, 0], diffs[:, 0] = prev_norms, last_diffs
+    its[:, 0], diffs[:, 0] = a0_norms, np.inf
     values = chain[:, 1:][kept]
     # Two calls, not one on a stack twice the size: a smaller largest array
     # keeps the peak RSS down.
     diffs[:, 1:][kept] = algebra.stacked_norms(spec, values - chain[:, :-1][kept])
     its[:, 1:][kept] = algebra.stacked_norms(spec, values)
-    return (diffs[:, 1:] > diffs[:, :-1],
-            diffs[:, 1:] <= tol_rel * np.maximum(1.0, its[:, :-1]), its, diffs)
+    return diffs[:, 1:] > diffs[:, :-1], diffs[:, 1:] <= tol_rel * np.maximum(1.0, its[:, :-1])
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _predicted_stops(p: PerturbationSpec, q: float, norms: np.ndarray, lower: np.ndarray,
                      tol_rel: float, max_n: int) -> np.ndarray:
     """Each row's step n_hat, at most max_n, by which its orbit meets the
-    stop test in exact arithmetic, from ||x|| (`norms`) and a lower bound on
-    the norm of its last iterate; 0, no prediction, where rho = q^{r-1} >= 1.
+    stop test in exact arithmetic, from ||x|| (`norms`) and ||a_0||
+    (`lower`); 0, no prediction, where rho = q^{r-1} >= 1.
     The perturbation of a_n has the norm rho^n A for A = theta_delta ||x||^r,
     so d_n <= (1 + rho) rho^{n-1} A and ||a_{n-1}|| >= lower - 2A."""
     amplitudes = p.theta_delta * norms ** p.r
@@ -280,35 +274,25 @@ def stabilize_points(
     of X, each stopped when ||a_{n+1} - a_n|| <= tol_rel * max(1, ||a_n||) or
     at max_n.
 
-    Every row advances in blocks of steps, its arguments q^n x built by
-    repeated multiplication by q.  A block is one stacked f evaluation over
-    the running rows' next steps.  Each step's two decisions, the stop test
-    and whether its difference grew, read the norms they compare, computed
-    for the whole block in one stacked call on the differences and one on
-    the iterates.  The orbit keeps none of them
-    (`StabilizationTrace.diffs`).
-
-    Every row starts at a_0 = f(x).  Its first block runs to the step by
-    which the perturbation's closed-form decay meets the stop test
-    (_predicted_stops), at least one step.  A row still running past that
-    step, or whose perturbation does not decay (rho >= 1), goes on in blocks
-    of 1, 2, 4, ... steps.  Of R running rows, none takes more than
-    _BLOCK_CELLS // R steps (at least 1) in a block.  The steps of a block
-    past a row's stop are evaluated but raise nothing, so the width of a
-    block changes no trace and no outcome.  Nothing is tabulated by step,
-    so a deep max_n costs only the steps the rows run.  Each block keeps its
-    rows' steps as one slice, sorted by row into the Orbits' flat stack.
+    Every row starts at a_0 = f(x) and runs from step 1 to a width, its
+    arguments q^n x built by repeated multiplication by q.  Its first width
+    is the step by which the perturbation's closed-form decay meets the stop
+    test (_predicted_stops), at least 1.  A row that runs its whole width
+    below max_n without stopping or failing runs again from step 1 at twice
+    the width, at most max_n: a_n needs nothing from a_{n-1}.  A block is
+    one stacked f evaluation over whole rows, the next queued whose count
+    times widest width is at most _BLOCK_CELLS, at least one.  Each step's
+    stop test and whether its difference grew read the norms they compare,
+    from one stacked call on the block's differences and one on its
+    iterates (`StabilizationTrace.diffs`).  Steps past a row's stop are
+    evaluated but raise nothing, so the widths change no trace or outcome.
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
     difference grew for the 8th step running (NonCauchy).  The outcome is
-    that of stepping every row together: a perturbation amplitude that
-    overflows raises OutOfRange at its step, a failing row ends the rows
-    after it, and at the end the exception of the first failing row of X
-    is raised.
-
-    Every row of X must be finite: a row that is not raises ValueError,
-    naming the first, before any evaluation."""
+    that of stepping every row together (_batch_outcome).  Every row of X
+    must be finite: a row that is not raises ValueError, naming the first,
+    before any evaluation."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
@@ -324,96 +308,71 @@ def stabilize_points(
     if not len(X):
         return Orbits(spec, np.empty(X.shape, np.complex128), np.zeros(1, np.intp),
                       np.zeros(0, bool))
-    # Each row's run of increasing diffs at the end of its iterates.
-    runs = np.zeros(len(X), dtype=np.intp)
     converged = np.zeros(len(X), dtype=bool)
-    # The step each failed row failed at, and its exception.  A row runs to
-    # max_n at most, and a failed row and the rows after it no further than
-    # the step it failed at: the batch stepped together drops them there.
+    # The step each failed row failed at, and its exception.
     failed: dict[int, tuple[int, Exception]] = {}
-    limit = np.full(len(X), max_n, dtype=np.intp)
-
-    def fail(k: int, n: int, exc: Exception) -> None:
-        failed[k] = (n, exc)
-        np.minimum(limit[k:], n, out=limit[k:])
-
-    # Every row starts at a_0 = f(x).
     A = eval_f_rows(f, X)
-    for k in (~algebra._row_reduce(np.logical_and, np.isfinite(A))).nonzero()[0].tolist():
-        fail(k, 0, IterateOverflow("iterate f value is not finite"))
+    finite = algebra._row_reduce(np.logical_and, np.isfinite(A))
+    for k in (~finite).nonzero()[0].tolist():
+        failed[k] = (0, IterateOverflow("iterate f value is not finite"))
+    # The queued rows and their widths; ||a_0|| of each row, by row.
+    queue = finite.nonzero()[0]
+    a0_norms = np.full(len(X), np.nan)
+    a0_norms[queue] = algebra.stacked_norms(spec, A[queue])
+    widths = np.ones(len(queue), dtype=np.intp)
+    if f.perturbation.kind is not PerturbationKind.NONE:
+        widths = _predicted_stops(f.perturbation, direction.q,
+                                  algebra.stacked_norms(spec, X[queue]), a0_norms[queue],
+                                  tol_rel, max_n)
+    widths = widths.clip(1, max_n)
     # The iterates kept, one slice per block, and the row of each.
     parts, owners = [], []
-
-    # The running rows, each at its own depth, with its argument q^depth x,
-    # its last iterate, and the norms of that iterate and of its last
-    # difference.  A row starts with no difference: inf makes its first step
-    # no rise.
-    rows = (limit > 0).nonzero()[0]
-    depth = np.zeros(len(rows), dtype=np.intp)
-    prev, cur = A[rows], X[rows]
-    prev_norms = algebra.stacked_norms(spec, prev)
-    last_diffs = np.full(len(rows), np.inf)
-    # Each row's first block runs to its predicted stop `target`; past it, or
-    # with no prediction, the row goes on in blocks of `size` = 1, 2, 4, ...
-    size = target = np.ones(len(rows), dtype=np.intp)
-    if f.perturbation.kind is not PerturbationKind.NONE:
-        target = _predicted_stops(f.perturbation, direction.q, algebra.stacked_norms(spec, cur),
-                                  prev_norms, tol_rel, max_n)
-    while len(rows):
-        steps = np.minimum(np.minimum(np.maximum(target - depth, size),
-                                      max(1, _BLOCK_CELLS // len(rows))), limit[rows] - depth)
-        within, guarded, chain, ends, raised = _evaluate_block(
-            f, direction.q, cur, prev, depth, steps)
-        A = chain[:, 1:]
-        # A guarded, overflowing or non-finite step ends the row's block.
-        finite = algebra._row_reduce(np.logical_and, np.isfinite(A).reshape(within.size, -1))
-        bad = within & ~finite.reshape(within.shape)
-        end = np.where(bad.any(axis=1), bad.argmax(axis=1), steps)
-        kept = np.arange(within.shape[1]) < end[:, None]
-        rose, met, it_norms, diff_norms = _decide(spec, tol_rel, chain, kept,
-                                                  prev_norms, last_diffs)
-        # Each step's run of rises, continuing the row's; a row stops at its
-        # first kept step that meets the test or ends a run of 8.
-        number = np.arange(1, within.shape[1] + 1)
-        reset = np.maximum.accumulate(np.where(rose, 0, number), axis=1)
-        run = np.where(reset > 0, number - reset, runs[rows][:, None] + number)
+    while len(queue):
+        cells = np.maximum.accumulate(widths) * np.arange(1, len(widths) + 1)
+        take = max(1, int(np.count_nonzero(cells <= _BLOCK_CELLS)))
+        rows, width = queue[:take], widths[:take]
+        guarded, chain, raised = _evaluate_block(f, direction.q, X[rows], A[rows], width)
+        # A row's run ends at its first guarded, overflowing or non-finite
+        # step, or past its width, where its chain is NaN.
+        R, W = guarded.shape
+        finite = algebra._row_reduce(np.logical_and, np.isfinite(chain[:, 1:]).reshape(R * W, -1))
+        bad = ~finite.reshape(R, W)
+        end = np.where(bad.any(axis=1), bad.argmax(axis=1), W)
+        kept = np.arange(W) < end[:, None]
+        rose, met = _decide(spec, tol_rel, chain, kept, a0_norms[rows])
+        # Each step's run of rises; a row stops at its first kept step that
+        # meets the test or ends a run of 8.
+        number = np.arange(1, W + 1)
+        run = number - np.maximum.accumulate(np.where(rose, 0, number), axis=1)
         hit = kept & ((run >= 8) | met)
         stop = hit.argmax(axis=1)
         stops = hit.any(axis=1)
-        non_cauchy = stops & (run[np.arange(len(rows)), stop] >= 8)
+        non_cauchy = stops & (run[np.arange(R), stop] >= 8)
         # A row keeps its steps up to its stop, a converging step included
-        # and a NonCauchy one not, or up to its block's end.
+        # and a NonCauchy one not, or up to its run's end.
         taken = np.where(non_cauchy, stop, np.where(stops, stop + 1, end))
-        # Rows run in order: a failure cuts the limits of the rows after it.
-        for i in (non_cauchy | (~stops & (end < steps))).nonzero()[0].tolist():
-            k, n, e = int(rows[i]), int(depth[i]), int(taken[i])
+        for i in (non_cauchy | (~stops & (end < width))).nonzero()[0].tolist():
+            e = int(taken[i])
             if non_cauchy[i]:
                 exc = NonCauchy("successive differences grew 8 consecutive steps")
             elif guarded[i, e]:
                 exc = IterateOverflow("iterate argument norm exceeded 1e300")
             else:
                 exc = raised.get((i, e)) or IterateOverflow("iterate f value is not finite")
-            fail(k, n + e + 1, exc)
+            failed[int(rows[i])] = (e + 1, exc)
         converged[rows[stops & ~non_cauchy]] = True
-        ran = taken.nonzero()[0]
-        runs[rows[ran]] = run[ran, taken[ran] - 1]
-        # Slots 1 to taken of each row's chain; on the first block, a_0 too.
-        slots = np.arange(within.shape[1] + 1)
-        keep = (slots >= (1 if parts else 0)) & (slots <= taken[:, None])
+        again = ~stops & (end == width) & (width < max_n)
+        queue = np.concatenate([queue[take:], rows[again]])
+        widths = np.concatenate([widths[take:], np.minimum(2 * width[again], max_n)])
+        # Slots 0 to taken of each row that ran its last width.
+        keep = (np.arange(W + 1) <= taken[:, None]) & ~again[:, None]
         parts.append(chain[keep])
         owners.append(np.repeat(rows, keep.sum(axis=1)))
-        going = (~stops & (end == steps) & (depth + steps < limit[rows])).nonzero()[0]
-        if not len(going):
-            break
-        slot = steps[going]
-        prev, cur = chain[going, slot], ends[going]
-        prev_norms, last_diffs = it_norms[going, slot], diff_norms[going, slot]
-        size = np.where(depth >= target, 2 * size, size)[going]
-        rows, depth, target = rows[going], depth[going] + slot, target[going]
     if failed:
         raise _batch_outcome(failed)
     owner = np.concatenate(owners)
-    # Later blocks add steps to some rows: a stable sort by row orders them.
+    # Each row's iterates are one slice; with more than one block, a stable
+    # sort by row orders them.
     iterates = parts[0] if len(parts) == 1 else np.concatenate(parts)[
         np.argsort(owner, kind="stable")]
     iterates.setflags(write=False)

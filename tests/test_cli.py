@@ -429,6 +429,9 @@ class TestExitCodes:
         ("perturbation", "direction_seed", "abc"),
         ("perturbation", "direction_seed", [1]),
         ("sampling", "extra_probes", 5),
+        # JSON's true would pass as 1 and 1.0.
+        ("stabilizer", "max_n", True),
+        ("control", "theta", True),
     ])
     def test_non_numeric_value_names_key(self, tmp_path, capsys, section, key, value):
         cfg = small_config()
@@ -698,6 +701,28 @@ class TestSweep:
         ok_rows = [l for l in lines[1:] if l.endswith(",ok")]
         assert len(ok_rows) == 2
         assert any("NoContraction" in l for l in lines[1:])
+
+    def test_sweep_over_r_retunes_perturbation2(self, tmp_path, monkeypatch):
+        # adjoint_rsum_r05's perturbation2 takes the swept r and theta as its
+        # perturbation does: left at r = 0.5, it grows under q = 1/2 and the
+        # r = 1.5 row would read NonCauchy.
+        seen = []
+        parse_scenario = cli.parse_scenario
+
+        def recording(cfg):
+            seen.append({key: cfg[key] for key in ("perturbation", "perturbation2")})
+            return parse_scenario(cfg)
+
+        monkeypatch.setattr(cli, "parse_scenario", recording)
+        for param, retuned in (("r", {"r": 1.5}), ("theta", {"theta_delta": 0.5})):
+            out = tmp_path / param
+            assert main(["sweep", "adjoint_rsum_r05", "--param", param, "--values", "1.5",
+                         "--out", str(out)]) == 0
+            with open(out / "sweep.csv", newline="") as fh:
+                (row,) = list(csv.DictReader(fh))
+            assert row["status"] == "ok"
+            for section in seen.pop().values():
+                assert section.items() >= retuned.items()
 
     def test_sweep_records_other_package_errors(self, tmp_path, monkeypatch):
         make_probes = cli.make_probes

@@ -303,8 +303,8 @@ class TestStabilizePoints:
     def test_orbits_are_views_of_one_flat_stack(self, rng, size):
         # Each row's trace is built on first access, as a view of the
         # batch's read-only iterate stack, and kept; `limits` holds the
-        # rows' last iterates.  300 rows run in blocks of 2048 // 300 steps,
-        # whose slices the stack sorts by row.
+        # rows' last iterates.  300 rows run in several blocks of whole
+        # rows, whose slices the stack joins in row order.
         f = BATCH_MAPS["matrix-adjoint-fixed"]
         X = np.stack([np.zeros(f.spec.shape, dtype=np.complex128)] + [
             algebra.sample_element(f.spec, (0.1, 10.0), rng) for _ in range(size - 1)])
@@ -528,9 +528,9 @@ class TestSpeculativeSteps:
         ((7, 2), OUT_OF_RANGE),  # NC13 then OOR11
     ], ids=["oor-first-split", "oor-second-split", "nc-first-split", "both-split"])
     def test_rows_split_at_different_depths(self, monkeypatch, firsts, failure):
-        # A row whose first block ends at another depth than its neighbour's
-        # (0 is no prediction: blocks of 1, 2, 4, ...) straddles their
-        # blocks, and the batch ends as the unsplit one.
+        # A row whose first width differs from its neighbour's (0 is no
+        # prediction: widths 1, 2, 4, ...) restarts in other blocks, and the
+        # batch ends as the unsplit one.
         first = OOR11 if firsts == (5, 0) else NC13 if firsts == (7, 2) else NC10
         X = np.stack([first, NC10 if first is OOR11 else OOR11])
         want = raised(RANDOM_R2, X)
@@ -601,16 +601,77 @@ class TestOrbitBlocks:
             assert [len(A) for A in evals] == [40, 40 * 48]
 
     def test_block_cells_capped(self, monkeypatch, rng):
-        # 100 rows that run to max_n: no block evaluates more than
-        # _BLOCK_CELLS steps in all, so the last ones are narrower.
+        # 100 rows that run to max_n, in blocks of whole rows taken in
+        # order: no block's rows times its widest width passes _BLOCK_CELLS,
+        # unless it is one row.  Then with mixed first widths and a cap of 40
+        # cells: rows restart at 2, 4, 8 ... times their width, some blocks
+        # mix widths, and rows wider than 40 run alone.
         f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2)
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(100)])
+        want = [tr.iterates.tobytes() for tr in stabilize_points(f, UP, X, 48, 1e-10)]
+        evaluate_block = stabilizer._evaluate_block
+        for mixed in (False, True):
+            cells = 40 if mixed else stabilizer._BLOCK_CELLS
+            blocks = []
+
+            def recording(f, q, rows, A0, widths):
+                blocks.append(widths.tolist())
+                return evaluate_block(f, q, rows, A0, widths)
+
+            with monkeypatch.context() as patch:
+                if mixed:
+                    firsts = rng.integers(1, 49, len(X))
+                    patch.setattr(stabilizer, "_predicted_stops", lambda *args: firsts)
+                    patch.setattr(stabilizer, "_BLOCK_CELLS", cells)
+                calls = counting_calls(patch)
+                patch.setattr(stabilizer, "_evaluate_block", recording)
+                traces = stabilize_points(f, UP, X, 48, 1e-10)
+            assert [tr.n_used for tr in traces] == [48] * 100
+            assert [tr.iterates.tobytes() for tr in traces] == want
+            for widths, stack in zip(blocks, calls["eval_f_rows"][1:]):
+                assert len(stack) == sum(widths)
+                assert len(widths) == 1 or len(widths) * max(widths) <= cells
+            if mixed:
+                assert any(len(set(widths)) > 1 for widths in blocks)
+                assert any(widths[0] > cells for widths in blocks)
+                assert sum(map(len, blocks)) > len(X)
+            else:
+                sizes = [len(A) for A in calls["eval_f_rows"]]
+                assert max(sizes) <= cells < 100 * 45
+                assert sum(sizes) == 100 * 49
+
+    def test_rows_restart_from_step_1_at_double_width(self, monkeypatch, rng):
+        # Rows whose first width ends before their stop run again from
+        # step 1 at twice the width, at most max_n, until a width reaches
+        # the stop; the batch ends as the step-by-step orbit.
+        f = BATCH_MAPS["matrix-adjoint-fixed"]
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(4)])
+        want = reference_outcome(f, UP, X, 30, 1e-4)
+        firsts = np.array([1, 3, 5, 30], dtype=np.intp)
+        monkeypatch.setattr(stabilizer, "_predicted_stops", lambda *args: firsts)
+        blocks = []
+        evaluate_block = stabilizer._evaluate_block
+
+        def recording(f, q, rows, A0, widths):
+            assert A0.tobytes() == maps.eval_f_rows(f, rows).tobytes()
+            blocks.append({row.tobytes(): w for row, w in zip(rows, widths.tolist())})
+            return evaluate_block(f, q, rows, A0, widths)
+
         calls = counting_calls(monkeypatch)
-        traces = stabilize_points(f, UP, X, 48, 1e-10)
-        assert [tr.n_used for tr in traces] == [48] * 100
-        sizes = [len(A) for A in calls["eval_f_rows"]]
-        assert max(sizes) <= stabilizer._BLOCK_CELLS < 100 * 45
-        assert sum(sizes) == 100 * 49
+        monkeypatch.setattr(stabilizer, "_evaluate_block", recording)
+        assert orbit_outcome(f, UP, X, 30, 1e-4) == want
+        restarted = 0
+        for x, first, (*_, n_used, _) in zip(X, firsts.tolist(), want):
+            expected = [first]
+            while expected[-1] < n_used:
+                expected.append(min(2 * expected[-1], 30))
+            assert [block[x.tobytes()] for block in blocks if x.tobytes() in block] == expected
+            # Each width's block evaluates step 1, q x, again.
+            step_1 = (complex(UP.q) * x).tobytes()
+            assert sum(step_1 in {row.tobytes() for row in stack}
+                       for stack in calls["eval_f_rows"][1:]) == len(expected)
+            restarted += len(expected) > 1
+        assert restarted == 3
 
     def test_block_that_keeps_no_step(self):
         # The argument passes the guard at step 16, the first of a block:
@@ -670,21 +731,38 @@ class TestArgumentLadder:
         # Doubling across the 1e300 guard, with signed zero parts.
         (UP, [1e290 - 0.0j, -0.0 + 3e-300j, -1e295 + 0j, 0j]),
     ], ids=["halving-subnormal", "doubling-past-guard"])
-    def test_arguments_repeat_the_multiplication(self, direction, x):
-        # Row j of a block, with j + 1 steps, ends at q^(j+1) x: each
-        # argument has the bits of repeated multiplication by complex(q),
-        # also past the guard, where no step is evaluated.
+    def test_arguments_repeat_the_multiplication(self, monkeypatch, direction, x):
+        # Row j of a block, of width j + 1, evaluates q^n x for n = 1 to
+        # j + 1, up to the guard, in one stacked call: each argument has the
+        # bits of repeated multiplication by complex(q), each value those of
+        # the step-by-step orbit, and a step is guarded where its argument,
+        # so built, passes 1e300.
         width = 40
         f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
-        cur = np.repeat(np.array(x).reshape(1, 2, 2), width, axis=0)
-        steps = np.arange(1, width + 1)
-        _, guarded, _, ends, _ = stabilizer._evaluate_block(
-            f, direction.q, cur, cur, np.zeros(width, np.intp), steps)
-        assert guarded.any() == (direction is UP)
-        arg = cur[:1]
+        X = np.repeat(np.array(x).reshape(1, 2, 2), width, axis=0)
+        calls = counting_calls(monkeypatch)
+        guarded, chain, _ = stabilizer._evaluate_block(f, direction.q, X, X,
+                                                       np.arange(1, width + 1))
+        monkeypatch.undo()
+        (evaluated,) = calls["eval_f_rows"]
+        ladder, values, arg, scale = [], [], X[0], 1.0
+        for _ in range(width):
+            arg, scale = complex(direction.q) * arg, scale / direction.q
+            ladder.append(arg)
+            values.append(complex(scale) * maps.eval_f_rows(f, arg[None])[0])
+        past = [float(np.max(np.abs(a))) > 1e300 for a in ladder]
+        assert any(past) == (direction is UP)
+        evaluated = iter(evaluated)
         for j in range(width):
-            arg = complex(direction.q) * arg
-            assert ends[j].tobytes() == arg[0].tobytes()
+            assert guarded[j].tolist() == [past[n] and n <= j for n in range(width)]
+            assert chain[j, 0].tobytes() == X[j].tobytes()
+            for n in range(j + 1):
+                if any(past[:n + 1]):
+                    assert np.isnan(chain[j, n + 1]).all()
+                    continue
+                assert next(evaluated).tobytes() == ladder[n].tobytes()
+                assert chain[j, n + 1].tobytes() == values[n].tobytes()
+        assert next(evaluated, None) is None
 
 
 class TestStopTestBoundary:
@@ -796,10 +874,10 @@ class TestRiseAtUlpEdges:
         for max_n in range(1, len(ks) + 1):
             got = orbit_outcome(f, UP, X, max_n, 1e-300)
             assert got == reference_outcome(f, UP, X, max_n, 1e-300)
-            # Split into blocks at any depth, the run carries over.  The
-            # perturbation, which eval_rows ignores, makes the orbit read
-            # _predicted_stops, so the first block ends at `depth`; a cap of
-            # one cell makes every step a block.
+            # Run first to any width, then from step 1 again at twice it,
+            # the orbit ends the same.  The perturbation, which eval_rows
+            # ignores, makes the orbit read _predicted_stops, so the first
+            # width is `depth`; a cap of one cell runs every row alone.
             predicted = []
 
             def stops_at(depth):

@@ -75,7 +75,6 @@ def _atomic_write(path: Path, text: str) -> None:
 
 @dataclasses.dataclass
 class Scenario:
-    raw: dict
     spec: AlgebraSpec
     f: ApproxMap
     f2: ApproxMap | None
@@ -153,7 +152,25 @@ def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
         raise ConfigError(f"{where}: expected {spec.n_entries} [re, im] pairs ({exc})")
 
 
+# The keys parse_scenario reads, by section.
+_PERTURBATION_KEYS = {"kind", "theta_delta", "r", "direction_seed"}
+_KEYS = {
+    "algebra": {"kind", "dim"}, "involution": {"kind", "s"},
+    "perturbation": _PERTURBATION_KEYS, "perturbation2": _PERTURBATION_KEYS,
+    "control": {"kind", "theta", "r"}, "stabilizer": {"max_n", "tol_rel"},
+    "sampling": {"num_probes", "radius_min", "radius_max", "seed", "extra_probes"},
+    "lambda": {"n0", "arc", "circle", "reals", "complex", "seed"},
+    "laws": {"max_probes"}, "cstar": {"max_n", "tol_rel", "tol"},
+}
+
+
 def parse_scenario(raw: dict) -> Scenario:
+    for key, section in raw.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown section {key}")
+        unknown = sorted(section.keys() - _KEYS[key]) if isinstance(section, dict) else []
+        if unknown:
+            raise ConfigError(f"unknown key {key}.{unknown[0]}")
     alg = _section(raw, "algebra")
     try:
         spec = AlgebraSpec(_kind(alg, "algebra", AlgebraKind),
@@ -260,7 +277,7 @@ def parse_scenario(raw: dict) -> Scenario:
     f = ApproxMap(base=base, perturbation=pert, spec=spec)
     f2 = ApproxMap(base=base, perturbation=pert2, spec=spec) if pert2 else None
     return Scenario(
-        raw=raw, spec=spec, f=f, f2=f2, phi=phi, max_n=max_n, tol_rel=tol_rel,
+        spec=spec, f=f, f2=f2, phi=phi, max_n=max_n, tol_rel=tol_rel,
         num_probes=num_probes, radius_min=radius_min, radius_max=radius_max,
         seed=seed, extra_probes=extra, lambdas=lambdas,
         laws_max_probes=laws_max_probes, cstar_max_n=cstar_max_n,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import AlgebraKind, AlgebraSpec, Element
-from .errors import KindSpecMismatch, OutOfRange, SpecMismatch
+from .errors import KindSpecMismatch, SpecMismatch
 
 
 class InvolutionKind(str, Enum):
@@ -176,20 +176,30 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
     return parts.view(np.complex128).reshape(len(quantized), *spec.shape)
 
 
+def _amplitudes(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
+    """theta_delta * ||x||^r for each row x of X, inf where ||x|| or ||x||^r
+    overflows.  After an overflow every row is computed again on its own,
+    which gives it the bits of the stacked call."""
+    try:
+        return p.theta_delta * algebra._libm_pow(algebra.stacked_norms(spec, X), p.r)
+    except OverflowError:
+        if len(X) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_amplitudes(p, spec, X[k:k + 1]) for k in range(len(X))])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     # delta on a stack X of shape (N, *spec.shape).  A zero amplitude or zero
     # quantized point is a zero row, left +0 rather than 0 * u, which can be
-    # -0.  An amplitude that overflows to inf leaves a non-finite row, for
-    # the caller to reject, and no warning.
+    # -0; a zero theta_delta gives zero rows whatever ||x||^r is.  An
+    # amplitude that overflows is inf and leaves a non-finite row, for the
+    # caller to reject, with no exception and no warning.
     out = np.zeros(X.shape, dtype=np.complex128)
-    if p.kind is PerturbationKind.NONE:
+    if p.kind is PerturbationKind.NONE or p.theta_delta == 0.0:
         return out
     column = (-1,) + (1,) * len(spec.shape)
-    try:
-        amplitudes = p.theta_delta * algebra._libm_pow(algebra.stacked_norms(spec, X), p.r)
-    except OverflowError:
-        raise OutOfRange(f"perturbation amplitude overflows at r = {p.r}") from None
+    amplitudes = _amplitudes(p, spec, X)
     live = amplitudes != 0.0
     amplitudes = amplitudes.reshape(column)
     if p.kind is PerturbationKind.FIXED_DIRECTION:
@@ -221,7 +231,8 @@ def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     """f on a stack X of raw entry arrays shaped (N, *f.spec.shape), one
     row per point; a row's value does not depend on the other rows.  The
     perturbation amplitude reads every row's norm ||x||, from one stacked
-    call; a map with no perturbation computes none."""
+    call; a map with no perturbation computes none.  A finite stack raises
+    nothing: a row whose amplitude overflows is not finite."""
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     base = _involution_rows(f.base, f.spec, X)

@@ -146,40 +146,6 @@ class Orbits(Sequence):
         return self._traces[k]
 
 
-def _eval_steps(f: ApproxMap, X: np.ndarray) -> tuple[np.ndarray, dict[int, OutOfRange]]:
-    """eval_f_rows(f, X), with NaN rows where a perturbation
-    amplitude overflows, and the OutOfRange of each such row by index.
-    When the stacked call raises, the rows are evaluated one at a time: a
-    row's value does not depend on the others, so theirs stay bit for bit."""
-    try:
-        return eval_f_rows(f, X), {}
-    except OutOfRange:
-        pass
-    values = np.full(X.shape, np.nan, dtype=np.complex128)
-    raised = {}
-    for i in range(len(X)):
-        try:
-            values[i] = eval_f_rows(f, X[i:i + 1])[0]
-        except OutOfRange as exc:
-            raised[i] = exc
-    return values, raised
-
-
-def _batch_outcome(failed: dict[int, tuple[int, Exception]]) -> Exception:
-    """The exception of the batch whose rows failed at the given (step,
-    exception), stepped together: an OutOfRange is raised at its step unless
-    a row before it failed at an earlier step, which ends the rows after it;
-    else the first failing row's exception is raised."""
-    lowest = math.inf
-    for step in sorted({n for n, _ in failed.values()}):
-        live = [k for k, (n, _) in failed.items() if n == step and k < lowest]
-        for k in live:
-            if isinstance(failed[k][1], OutOfRange):
-                return failed[k][1]
-        lowest = min([lowest, *live])
-    return failed[min(failed)][1]
-
-
 # About the most cells, rows times widest width, one block's arrays hold.
 # An array of 64-byte elements, such as 2x2 matrices, then holds about
 # 128 kB, glibc's default mmap threshold: wider blocks raised peak RSS.
@@ -192,10 +158,9 @@ def _evaluate_block(f: ApproxMap, q: float, X: np.ndarray, A0: np.ndarray, width
     stacked evaluation.  A row's evaluation stops at its first argument
     past the guard.
 
-    Returns the mask of the steps past the guard; the chain of iterates,
-    whose slot 0 is each row's a_0 (`A0`) and slot n its a_n, NaN where not
-    evaluated; and the OutOfRange of each step whose amplitude overflows,
-    by (row, n - 1)."""
+    Returns the mask of the steps past the guard, and the chain of
+    iterates, whose slot 0 is each row's a_0 (`A0`) and slot n its a_n, NaN
+    where not evaluated."""
     width = int(widths.max())
     # Slice j holds every row's q^(j+1) x, built as complex(q) * arg, which
     # np.multiply.accumulate's arg * complex(q) signs apart on underflow.
@@ -209,22 +174,18 @@ def _evaluate_block(f: ApproxMap, q: float, X: np.ndarray, A0: np.ndarray, width
     evaluate = within & (np.cumsum(guarded, axis=1) == 0)
     values = ladder.swapaxes(0, 1)[evaluate]
     del ladder  # the evaluation below holds the block's peak memory
-    raised = {}
     if len(values):
-        values, overflows = _eval_steps(f, values)
+        values = eval_f_rows(f, values)
         # q is 2 or 1/2, so q^{-n} is 2^-n or 2^n: ldexp gives the bits of
         # repeated division by q, down to 0 and up to inf.  numpy multiplies
         # complex values by it as by a complex scale, signed zeros included.
         ns = evaluate.nonzero()[1] + 1
         scales = np.ldexp(1.0, -ns if q == 2.0 else ns)
         values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
-        if overflows:
-            where = np.argwhere(evaluate).tolist()
-            raised = {tuple(where[index]): exc for index, exc in overflows.items()}
     chain = np.full((len(X), width + 1, *X.shape[1:]), np.nan, dtype=np.complex128)
     chain[:, 0] = A0
     chain[:, 1:][evaluate] = values
-    return guarded, chain, raised
+    return guarded, chain
 
 
 def _decide(spec: AlgebraSpec, tol_rel: float, chain: np.ndarray, kept: np.ndarray,
@@ -289,10 +250,11 @@ def stabilize_points(
 
     A row fails at the first step whose argument has an entry above 1e300
     in modulus, or whose f value is not finite (IterateOverflow), or whose
-    difference grew for the 8th step running (NonCauchy).  The outcome is
-    that of stepping every row together (_batch_outcome).  Every row of X
-    must be finite: a row that is not raises ValueError, naming the first,
-    before any evaluation."""
+    difference grew for the 8th step running (NonCauchy).  The batch raises
+    the exception of its lowest failing row; once a row fails, the rows
+    above it are not run further.  Every row of X must be finite: a row
+    that is not raises ValueError, naming the first, before any
+    evaluation."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if tol_rel <= 0:
@@ -309,14 +271,14 @@ def stabilize_points(
         return Orbits(spec, np.empty(X.shape, np.complex128), np.zeros(1, np.intp),
                       np.zeros(0, bool))
     converged = np.zeros(len(X), dtype=bool)
-    # The step each failed row failed at, and its exception.
-    failed: dict[int, tuple[int, Exception]] = {}
     A = eval_f_rows(f, X)
     finite = algebra._row_reduce(np.logical_and, np.isfinite(A))
-    for k in (~finite).nonzero()[0].tolist():
-        failed[k] = (0, IterateOverflow("iterate f value is not finite"))
+    # The lowest failed row and its exception; only the rows below it run.
+    lowest, error = len(X), None
+    if not finite.all():
+        lowest, error = int(finite.argmin()), IterateOverflow("iterate f value is not finite")
     # The queued rows and their widths; ||a_0|| of each row, by row.
-    queue = finite.nonzero()[0]
+    queue = np.arange(lowest)
     a0_norms = np.full(len(X), np.nan)
     a0_norms[queue] = algebra.stacked_norms(spec, A[queue])
     widths = np.ones(len(queue), dtype=np.intp)
@@ -331,9 +293,9 @@ def stabilize_points(
         cells = np.maximum.accumulate(widths) * np.arange(1, len(widths) + 1)
         take = max(1, int(np.count_nonzero(cells <= _BLOCK_CELLS)))
         rows, width = queue[:take], widths[:take]
-        guarded, chain, raised = _evaluate_block(f, direction.q, X[rows], A[rows], width)
-        # A row's run ends at its first guarded, overflowing or non-finite
-        # step, or past its width, where its chain is NaN.
+        guarded, chain = _evaluate_block(f, direction.q, X[rows], A[rows], width)
+        # A row's run ends at its first guarded or non-finite step, or past
+        # its width, where its chain is NaN.
         R, W = guarded.shape
         finite = algebra._row_reduce(np.logical_and, np.isfinite(chain[:, 1:]).reshape(R * W, -1))
         bad = ~finite.reshape(R, W)
@@ -351,25 +313,29 @@ def stabilize_points(
         # A row keeps its steps up to its stop, a converging step included
         # and a NonCauchy one not, or up to its run's end.
         taken = np.where(non_cauchy, stop, np.where(stops, stop + 1, end))
-        for i in (non_cauchy | (~stops & (end < width))).nonzero()[0].tolist():
-            e = int(taken[i])
+        failing = (non_cauchy | (~stops & (end < width))).nonzero()[0]
+        if len(failing):
+            # Every row of the block lies below the lowest failed row.
+            i = int(failing[rows[failing].argmin()])
             if non_cauchy[i]:
-                exc = NonCauchy("successive differences grew 8 consecutive steps")
-            elif guarded[i, e]:
-                exc = IterateOverflow("iterate argument norm exceeded 1e300")
+                error = NonCauchy("successive differences grew 8 consecutive steps")
+            elif guarded[i, taken[i]]:
+                error = IterateOverflow("iterate argument norm exceeded 1e300")
             else:
-                exc = raised.get((i, e)) or IterateOverflow("iterate f value is not finite")
-            failed[int(rows[i])] = (e + 1, exc)
+                error = IterateOverflow("iterate f value is not finite")
+            lowest = int(rows[i])
         converged[rows[stops & ~non_cauchy]] = True
         again = ~stops & (end == width) & (width < max_n)
         queue = np.concatenate([queue[take:], rows[again]])
         widths = np.concatenate([widths[take:], np.minimum(2 * width[again], max_n)])
+        below = queue < lowest
+        queue, widths = queue[below], widths[below]
         # Slots 0 to taken of each row that ran its last width.
         keep = (np.arange(W + 1) <= taken[:, None]) & ~again[:, None]
         parts.append(chain[keep])
         owners.append(np.repeat(rows, keep.sum(axis=1)))
-    if failed:
-        raise _batch_outcome(failed)
+    if error is not None:
+        raise error
     owner = np.concatenate(owners)
     # Each row's iterates are one slice; with more than one block, a stable
     # sort by row orders them.

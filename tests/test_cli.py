@@ -439,6 +439,19 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value, message", [
+        # Read as a typo of max_n, this ran at the default max_n of 48.
+        ("stabilizer", {"maxn": 5}, "unknown key stabilizer.maxn"),
+        ("perturbation2", {"kind": "none", "theta": 0.1}, "unknown key perturbation2.theta"),
+        ("sampling", {"num_probes": 6, "seed": 3, "radius": 2, "extra": []},
+         "unknown key sampling.extra"),
+        ("stabiliser", {"max_n": 5}, "unknown section stabiliser"),
+    ])
+    def test_unknown_key_names_key(self, tmp_path, capsys, section, value, message):
+        cfg = small_config(**{section: value})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("section, kinds", [
         ("algebra", "AlgebraKind"), ("perturbation", "PerturbationKind"),
         ("perturbation2", "PerturbationKind"), ("control", "ControlKind"),
@@ -787,6 +800,16 @@ class TestSweep:
         with open(out / "sweep.csv", newline="") as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["status"] == f"ConfigError: section {section} must be an object"
+
+    def test_sweep_unknown_key_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, small_config(stabilizer={"maxn": 5}))
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--param", "r", "--values", "0.5,1.5",
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == [
+            "ConfigError: unknown key stabilizer.maxn"] * 2
 
     def test_sweep_bad_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -495,10 +495,20 @@ class TestPerturbationRows:
 
     @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
     def test_overflowing_amplitude_gives_nonfinite_rows(self, any_spec, kind):
-        # 1e9 * 1e300 overflows to inf: the row is not finite, for the
-        # orbit to reject, and no warning is raised.
-        p = PerturbationSpec(kind, 1e9, 1.0)
-        X = np.full((2, *any_spec.shape), 1e300 + 0j)
-        X[0] = 0.5
-        got = maps._perturbation_rows(p, any_spec, X)
-        assert np.isfinite(got[0]).all() and not np.isfinite(got[1]).all()
+        # An amplitude that overflows, in theta_delta * ||x||^r (1e9 * 1e300),
+        # in ||x||^r (1e200^2) or in ||x||, leaves its row not finite, for the
+        # caller to reject; nothing is raised and nothing warns.  The other
+        # rows keep the bits of their one-row evaluation, and a zero
+        # theta_delta gives zero rows.
+        for theta, r, big in [(1e9, 1.0, 1e300), (0.1, 2.0, 1e200),
+                              (0.1, 0.5, 1.5e308 * (1 + 1j))]:
+            p = PerturbationSpec(kind, theta, r)
+            X = np.stack([np.full(any_spec.shape, z, dtype=complex)
+                          for z in (0.5, big, 3 - 2j, big)])
+            got = maps._perturbation_rows(p, any_spec, X)
+            assert [np.isfinite(row).all() for row in got] == [True, False, True, False]
+            for k in (0, 2):
+                assert got[k].tobytes() == maps._perturbation_rows(
+                    p, any_spec, X[k:k + 1])[0].tobytes()
+            zero = maps._perturbation_rows(PerturbationSpec(kind, 0.0, r), any_spec, X)
+            assert zero.tobytes() == np.zeros_like(X).tobytes()

@@ -204,21 +204,29 @@ BATCH_MAPS = {
 
 def reference_orbit(f, direction, x, max_n, tol_rel):
     """One point's orbit, step by step on one-row stacks: the serial loop
-    stabilize_points batches.  Returns (iterates, diffs, converged)."""
+    stabilize_points batches.  Returns (iterates, diffs, converged), or
+    raises at the first failing step: IterateOverflow for an argument past
+    the guard or an iterate that is not finite, NonCauchy at the 8th rise."""
     def f_of(a):
         return maps.eval_f_rows(f, a[None])[0]
 
     def norm(a):
         return algebra.stacked_norms(f.spec, a[None])[0]
 
-    iterates, diffs = [f_of(x)], []
+    def finite(a):
+        if not np.isfinite(a).all():
+            raise IterateOverflow("iterate f value is not finite")
+        return a
+
+    iterates, diffs = [finite(f_of(x))], []
     xn, scale_n, increasing_run = x, 1.0, 0
     for _ in range(max_n):
         xn = complex(direction.q) * xn
         scale_n /= direction.q
         if float(np.max(np.abs(xn))) > 1e300:
             raise IterateOverflow("iterate argument norm exceeded 1e300")
-        a = complex(scale_n) * f_of(xn)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = finite(complex(scale_n) * f_of(xn))
         d = norm(a - iterates[-1])
         if diffs and d > diffs[-1]:
             increasing_run += 1
@@ -442,10 +450,13 @@ class TestStabilizePoints:
 
 
 def raised(f, X, max_n=48, tol_rel=1e-10):
-    """The type and message of the exception a batch raises."""
+    """The type and message of the exception a batch raises, which the
+    step-by-step orbit raises too."""
     with pytest.raises(InvolStabError) as info:
         stabilize_points(f, UP, X, max_n, tol_rel)
-    return type(info.value), str(info.value)
+    got = type(info.value), str(info.value)
+    assert got == reference_outcome(f, UP, X, max_n, tol_rel)
+    return got
 
 
 NON_CAUCHY = (NonCauchy, "successive differences grew 8 consecutive steps")
@@ -453,27 +464,26 @@ NOT_FINITE = (IterateOverflow, "iterate f value is not finite")
 GUARD = (IterateOverflow, "iterate argument norm exceeded 1e300")
 # Every nonzero row of R40 has differences that grow from step 1, so it
 # fails NonCauchy at step 9 unless its amplitude (2^n x)^40 overflows first,
-# at step 26 - m for x = 2^m.
+# at step 26 - m for x = 2^m, which makes its f value not finite.
 R40 = ApproxMap(maps.conjugation(), radial(0.1, 40.0), SCALAR)
 # Three rows of one map that fail inside the block of steps 8..15: NC10 by
 # NonCauchy at step 10, NC13 at step 13; OOR11's amplitude overflows at
-# step 11.
+# step 11, where its f value is not finite.
 RANDOM_R2 = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 2.0, 3),
                       algebra.pointwise_spec(2))
 NC10 = np.array([3 + 1j, 3])
 NC13 = np.array([7, 3], dtype=complex)
 OOR11 = np.array([2.0 ** 501, 3 * 2.0 ** 489], dtype=complex)
-OUT_OF_RANGE = (OutOfRange, "perturbation amplitude overflows at r = 2.0")
 
 
 class TestSpeculativeSteps:
     """A block evaluates steps past a row's stop, which raise nothing: a
-    batch ends as the one-step-at-a-time loop ends it, with the same
-    exception from the same row.  Each expected outcome below is the one
-    that loop gave."""
+    batch raises the exception of its lowest failing row, as the
+    one-step-at-a-time loop does (`raised` checks each against
+    reference_outcome)."""
 
     @pytest.mark.parametrize("x, step, failure", [
-        (NC10, 10, NON_CAUCHY), (NC13, 13, NON_CAUCHY), (OOR11, 11, OUT_OF_RANGE)])
+        (NC10, 10, NON_CAUCHY), (NC13, 13, NON_CAUCHY), (OOR11, 11, NOT_FINITE)])
     def test_rows_fail_at_their_steps(self, x, step, failure):
         tr = stabilize_points(RANDOM_R2, UP, x[None], step - 1)[0]
         assert (tr.n_used, tr.converged) == (step - 1, False)
@@ -482,7 +492,7 @@ class TestSpeculativeSteps:
     @pytest.mark.parametrize("m, failure", [
         (14, NON_CAUCHY),  # the amplitude overflows at step 12, past the stop
         (16, NON_CAUCHY),  # at step 10, the first step past it
-        (17, (OutOfRange, "perturbation amplitude overflows at r = 40.0")),  # at step 9
+        (17, NOT_FINITE),  # at step 9
     ])
     def test_amplitude_overflow_past_the_stop(self, m, failure):
         assert raised(R40, np.array([[2.0 ** m + 0j]])) == failure
@@ -508,24 +518,23 @@ class TestSpeculativeSteps:
         assert raised(f, np.array([[2.0 ** m + 0j]])) == failure
 
     @pytest.mark.parametrize("rows, failure, row", [
-        # A failure ends the rows after it at its step, so OOR11 never
-        # reaches step 11 behind NC10 ...
+        # The lowest failing row decides, whichever row fails at the
+        # earliest step.
         ([NC10, OOR11], NON_CAUCHY, 0),
         ([np.zeros(2, complex), NC10, OOR11], NON_CAUCHY, 1),
         ([NC10, NC13, OOR11], NON_CAUCHY, 0),
-        # ... but does in front of it, or behind a row failing later.
-        ([OOR11, NC10], OUT_OF_RANGE, 0),
-        ([NC13, OOR11], OUT_OF_RANGE, 1),
+        ([OOR11, NC10], NOT_FINITE, 0),
+        ([NC13, OOR11], NON_CAUCHY, 0),
     ])
     def test_non_cauchy_mid_block_with_rows_running(self, rows, failure, row):
         X = np.stack(rows)
         assert raised(RANDOM_R2, X) == failure == raised(RANDOM_R2, X[row:row + 1])
 
     @pytest.mark.parametrize("firsts, failure", [
-        ((5, 0), OUT_OF_RANGE),  # OOR11 then NC10
+        ((5, 0), NOT_FINITE),  # OOR11 then NC10
         ((0, 3), NON_CAUCHY),  # NC10 then OOR11
         ((6, 0), NON_CAUCHY),  # NC10 then OOR11
-        ((7, 2), OUT_OF_RANGE),  # NC13 then OOR11
+        ((7, 2), NON_CAUCHY),  # NC13 then OOR11
     ], ids=["oor-first-split", "oor-second-split", "nc-first-split", "both-split"])
     def test_rows_split_at_different_depths(self, monkeypatch, firsts, failure):
         # A row whose first width differs from its neighbour's (0 is no
@@ -673,6 +682,22 @@ class TestOrbitBlocks:
             restarted += len(expected) > 1
         assert restarted == 3
 
+    @pytest.mark.parametrize("order, evaluated", [([0, 1, 2], 353), ([2, 1, 0], 1921)],
+                             ids=["failing-first", "failing-last"])
+    def test_rows_above_a_failed_row_stop(self, monkeypatch, order, evaluated):
+        # WANDERING's rows neither stop nor fail before max_n, so without a
+        # prediction they run at widths 1, 2, 4, ..., 256, 400; the large
+        # row passes the guard at step 34, in its block of width 64.  The
+        # rows above it then run no further: a_0, widths 1 to 32, and that
+        # block are 3 + 3 * 63 + 33 + 2 * 64 rows.  The rows below it run to
+        # max_n: 3 + 2 * (511 + 400) + 63 + 33.
+        X = np.stack([np.full(4, 1e300 / 2 ** 33.5 + 0j), np.full(4, 0.7 + 0.2j),
+                      np.full(4, 1.3 - 0.4j)])[order]
+        calls = counting_calls(monkeypatch)
+        with pytest.raises(IterateOverflow, match="exceeded 1e300"):
+            stabilize_points(WANDERING, UP, X, 400)
+        assert sum(map(len, calls["eval_f_rows"])) == evaluated
+
     def test_block_that_keeps_no_step(self):
         # The argument passes the guard at step 16, the first of a block:
         # the block keeps no step, and the row fails as step by step.  r near
@@ -741,8 +766,8 @@ class TestArgumentLadder:
         f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
         X = np.repeat(np.array(x).reshape(1, 2, 2), width, axis=0)
         calls = counting_calls(monkeypatch)
-        guarded, chain, _ = stabilizer._evaluate_block(f, direction.q, X, X,
-                                                       np.arange(1, width + 1))
+        guarded, chain = stabilizer._evaluate_block(f, direction.q, X, X,
+                                                    np.arange(1, width + 1))
         monkeypatch.undo()
         (evaluated,) = calls["eval_f_rows"]
         ladder, values, arg, scale = [], [], X[0], 1.0
@@ -798,8 +823,7 @@ class TestStopTestBoundary:
 
 def reference_outcome(f, direction, X, max_n, tol_rel):
     """orbit_outcome from reference_orbit, row by row: the traces, or the
-    exception of the first failing row, which is the batch's when no
-    perturbation amplitude overflows."""
+    exception of the first failing row, which is the batch's."""
     out = []
     for x in X:
         try:
@@ -913,12 +937,14 @@ class TestRiseAtUlpEdges:
 
 
 @st.composite
-def orbit_cases(draw):
+def orbit_cases(draw, rs=(0.5, 1.0, 1.5, 40.0)):
     """(f, direction, X, max_n, tol_rel): every kind, both directions, 1 to
-    3 rows with norms from about 1e-160 to 1e160."""
+    3 rows with norms from about 1e-160 to 1e160, and a perturbation
+    exponent from `rs`.  At r = 40 the amplitude overflows for norms above
+    about 1e8, at a_0 or on the way up."""
     spec = draw(st.sampled_from([SCALAR, P4, M2, matrix_spec(3)]))
     kind = draw(st.sampled_from(["none", "fixed_direction", "random_direction"]))
-    perturbation = PerturbationSpec(kind, 0.1, draw(st.sampled_from([0.5, 1.0, 1.5])), 4)
+    perturbation = PerturbationSpec(kind, 0.1, draw(st.sampled_from(rs)), 4)
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
     scales = draw(st.lists(st.integers(-160, 160), min_size=1, max_size=3))
     X = np.stack([10.0 ** e * algebra.sample_element(spec, (0.5, 2.0), rng) for e in scales])
@@ -937,6 +963,19 @@ class TestDifferential:
         f, direction, X, max_n, tol_rel = case
         assert orbit_outcome(f, direction, X, max_n, tol_rel) == reference_outcome(
             f, direction, X, max_n, tol_rel)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(orbit_cases(rs=(40.0,)))
+    def test_overflowing_amplitudes_raise_no_out_of_range(self, case):
+        # An amplitude that overflows makes its row's f value not finite:
+        # the orbit raises only the reference's IterateOverflow or
+        # NonCauchy, never the OutOfRange of an exception inside f.
+        f, direction, X, max_n, tol_rel = case
+        try:
+            got = orbit_outcome(f, direction, X, max_n, tol_rel)
+        except OutOfRange as exc:
+            pytest.fail(f"OutOfRange from the orbit: {exc}")
+        assert got == reference_outcome(f, direction, X, max_n, tol_rel)
 
 
 class TestPredictedStops:

@@ -57,7 +57,9 @@ from .fixedpoint import (
     Branch,
     FunctionSpaceMetric,
     GeneralizedMetricSpace,
+    Regime,
     aposteriori_bound,
+    corollary_constant,
     function_space_distance,
     gmetric_check,
     iterate_alternative,
@@ -67,10 +69,8 @@ from .fixedpoint import (
 from .stabilizer import (
     ControlFunction,
     ControlKind,
-    Regime,
     ScalingDirection,
     StabilizationTrace,
-    corollary_constant,
     power_product,
     power_sum,
     select_direction,

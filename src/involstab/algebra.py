@@ -84,10 +84,11 @@ def mul_rows(spec: AlgebraSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B if spec.kind is AlgebraKind.MATRIX else A * B
 
 
-def finite_rows(where: str, stack: np.ndarray) -> np.ndarray:
-    """`stack` once every entry is finite; else OutOfRange."""
+def finite_rows(where: str, stack: np.ndarray, operand: str = "stage arithmetic") -> np.ndarray:
+    """`stack` once every entry is finite; else OutOfRange naming the stage
+    and the operand that went non-finite."""
     if not np.isfinite(stack).all():
-        raise OutOfRange(f"{where}: stage arithmetic overflowed to non-finite entries")
+        raise OutOfRange(f"{where}: {operand} overflowed to non-finite entries")
     return stack
 
 

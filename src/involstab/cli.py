@@ -35,6 +35,7 @@ from .errors import (
     ConfigError, InvolStabError, KindSpecMismatch, NoContraction, OutOfRange,
     StabilizationFailure,
 )
+from .fixedpoint import Regime, corollary_constant
 from .maps import ApproxMap, Involution, LambdaSampler, PerturbationKind, PerturbationSpec
 from .stabilizer import ControlFunction, ControlKind
 
@@ -88,8 +89,6 @@ class Scenario:
     extra_probes: list[Element]
     lambdas: LambdaSampler
     laws_max_probes: int
-    cstar_max_n: int
-    cstar_tol_rel: float
     cstar_tol: float
 
 
@@ -220,13 +219,20 @@ def parse_scenario(raw: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"control: {exc}")
 
-    stab = _section(raw, "stabilizer", required=False)
-    max_n = _number(stab, "max_n", "stabilizer", int, default=48)
-    tol_rel = _number(stab, "tol_rel", "stabilizer", float, default=1e-10)
-    if max_n < 1:
-        raise ConfigError("stabilizer.max_n must be >= 1")
-    if tol_rel <= 0:
-        raise ConfigError("stabilizer.tol_rel must be > 0")
+    # The depth keys of both sections are read and range-checked, and the
+    # stabilizer's are reported, but none has an effect: each probe's depth
+    # comes from its tail (stabilizer.DEPTH_TOL_REL, DEPTH_TOL_ABS).
+    depth_keys = {}
+    for name in ("stabilizer", "cstar"):
+        section = _section(raw, name, required=False)
+        max_n = _number(section, "max_n", name, int, default=48)
+        tol_rel = _number(section, "tol_rel", name, float, default=1e-10)
+        if max_n < 1:
+            raise ConfigError(f"{name}.max_n must be >= 1")
+        if tol_rel <= 0:
+            raise ConfigError(f"{name}.tol_rel must be > 0")
+        depth_keys[name] = max_n, tol_rel
+    max_n, tol_rel = depth_keys["stabilizer"]
 
     samp = _section(raw, "sampling")
     num_probes = _number(samp, "num_probes", "sampling", int, required=True)
@@ -263,14 +269,8 @@ def parse_scenario(raw: dict) -> Scenario:
     if laws_max_probes < 1:
         raise ConfigError("laws.max_probes must be >= 1")
 
-    cstar_sec = _section(raw, "cstar", required=False)
-    cstar_max_n = _number(cstar_sec, "max_n", "cstar", int, default=96)
-    cstar_tol_rel = _number(cstar_sec, "tol_rel", "cstar", float, default=1e-12)
-    cstar_tol = _number(cstar_sec, "tol", "cstar", float, default=1e-8)
-    if cstar_max_n < 1:
-        raise ConfigError("cstar.max_n must be >= 1")
-    if cstar_tol_rel <= 0:
-        raise ConfigError("cstar.tol_rel must be > 0")
+    cstar_tol = _number(_section(raw, "cstar", required=False), "tol", "cstar", float,
+                        default=1e-8)
     if cstar_tol < 0:
         raise ConfigError("cstar.tol must be >= 0")
 
@@ -280,8 +280,7 @@ def parse_scenario(raw: dict) -> Scenario:
         spec=spec, f=f, f2=f2, phi=phi, max_n=max_n, tol_rel=tol_rel,
         num_probes=num_probes, radius_min=radius_min, radius_max=radius_max,
         seed=seed, extra_probes=extra, lambdas=lambdas,
-        laws_max_probes=laws_max_probes, cstar_max_n=cstar_max_n,
-        cstar_tol_rel=cstar_tol_rel, cstar_tol=cstar_tol,
+        laws_max_probes=laws_max_probes, cstar_tol=cstar_tol,
     )
 
 
@@ -337,25 +336,17 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     Raises NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
     P = make_probes(sc)
-    # Every stage reads the one stabilized map per (map, depth), so each
-    # probe is stabilized once per depth.
-    I = verifier.StabilizedMap(sc.f, direction, sc.max_n, sc.tol_rel)
+    # Every stage reads the one stabilized map per map, so each probe is
+    # stabilized once.
+    I = verifier.StabilizedMap(sc.f, direction, sc.phi)
 
     hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, P)
     bound = verifier.verify_bound(I, sc.phi, P)
     laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
     uniq = None
     if sc.f2 is not None:
-        I2 = verifier.StabilizedMap(sc.f2, direction, sc.max_n, sc.tol_rel)
-        uniq = verifier.verify_uniqueness(I, I2, P)
-    # The C* verdict reads the limit map, and the scaling tail at the bound
-    # depth is above the 1e-8 certification tolerance at small radii: its
-    # map is never shallower or looser than the bound map's.
-    cstar_depth = (max(sc.max_n, sc.cstar_max_n), min(sc.tol_rel, sc.cstar_tol_rel))
-    I_cstar = I
-    if cstar_depth != (sc.max_n, sc.tol_rel):
-        I_cstar = verifier.StabilizedMap(sc.f, direction, *cstar_depth)
-    cstar = verifier.verify_cstar(I_cstar, P, tol=sc.cstar_tol)
+        uniq = verifier.verify_uniqueness(I, verifier.StabilizedMap(sc.f2, direction, sc.phi), P)
+    cstar = verifier.verify_cstar(I, P, tol=sc.cstar_tol)
 
     results = {
         "direction": direction,
@@ -368,27 +359,23 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
         "tolerances": {"max_n": sc.max_n, "tol_rel": sc.tol_rel},
     }
 
-    traces = I.traces(P)
-    used = np.array([tr.n_used for tr in traces], dtype=np.intp)
-    its = np.concatenate([tr.iterates for tr in traces])
-    # Row n of a probe pairs a_n with diffs[n] = ||a_{n+1} - a_n||, so its
-    # last iterate gets no row. One stacked call gives every row's diff,
-    # then its distance to the limit, then its deviation from a_0 = f(x).
-    last = np.cumsum(used + 1) - 1
-    first, at = last - used, np.delete(np.arange(len(its)), last)
-    probe = np.repeat(np.arange(len(P)), used)
-    norms = algebra.stacked_norms(sc.spec, np.concatenate([
-        its[at + 1] - its[at], its[at] - its[last[probe]], its[at] - its[first[probe]]]))
-    diffs, errors, deviations = norms.reshape(3, -1)
-    bounds = np.repeat(bound.per_probe_bounds, used)
-    columns = [probe, np.repeat(algebra.stacked_norms(sc.spec, P), used), at - first[probe],
-               diffs, errors, bounds, verifier._ratios(deviations, bounds)]
+    # One row per probe and ladder depth but its last, n*: the difference
+    # to the next depth, the distance to the limit a_{n*} and the
+    # deviation from a_0 = f(x), the last two from one stacked call.
+    tr = I.traces(P)
+    its, first, last = tr.iterates, tr.offsets[:-1], tr.offsets[1:] - 1
+    probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets) - 1)
+    at = np.delete(np.arange(len(its)), last)
+    norms = algebra.stacked_norms(sc.spec, np.concatenate(
+        [its[at] - its[last[probe]], its[at] - its[first[probe]]]))
+    errors, deviations = norms.reshape(2, -1)
+    bounds = np.asarray(bound.per_probe_bounds)[probe]
+    columns = [probe, algebra.stacked_norms(sc.spec, P)[probe], tr.depths[at], tr.gaps[at],
+               errors, bounds, verifier._ratios(deviations, bounds)]
     return results, {name: c.tolist() for name, c in zip(TRACE_COLUMNS, columns)}
 
 
 def _corollary_audit(phi: ControlFunction) -> dict | None:
-    from .stabilizer import Regime, corollary_constant
-
     regime = Regime.PRODUCT
     if phi.kind is stabilizer.ControlKind.POWER_SUM:
         regime = Regime.SUM_R_LT_1 if phi.r < 1 else Regime.SUM_R_GT_1

@@ -34,12 +34,12 @@ class StabilizationFailure(InvolStabError):
 
 
 class IterateOverflow(StabilizationFailure):
-    """An iterate's argument exceeded the overflow guard, or its f value
-    is not finite."""
+    """An iterate's argument exceeded the overflow guard, or its value is
+    not finite."""
 
 
 class NonCauchy(StabilizationFailure):
-    """Successive differences kept growing; hypothesis bound violated."""
+    """A ladder difference broke the tail bound; hypothesis violated."""
 
 
 class OutOfRange(InvolStabError):

@@ -1,6 +1,6 @@
 """Generalized metric spaces (distances allowed to be infinite), the
-fixed-point alternative for strict contractions, and the function-space
-metric with its scaling operator.
+fixed-point alternative for strict contractions, the function-space metric
+with its scaling operator, and the closeness constant of the corollaries.
 
 Infinity is represented as math.inf; arithmetic with it is total and
 absorbing, matching the triangle inequality convention.
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import AlgebraSpec
-from .errors import Exhausted, NotContractive
+from .errors import Exhausted, NotContractive, OutOfRange
 
 INF = math.inf
 
@@ -162,3 +162,41 @@ def ray_probes(base_points: np.ndarray, q: float, depth: int) -> np.ndarray:
     for _ in range(depth):
         rays.append(complex(q) * rays[-1])
     return np.stack(rays, axis=1).reshape(-1, *base_points.shape[1:])
+
+
+class Regime(str, Enum):
+    SUM_R_LT_1 = "sum_r_lt_1"
+    SUM_R_GT_1 = "sum_r_gt_1"
+    PRODUCT = "product"
+
+
+@dataclass(frozen=True)
+class CorollaryAudit:
+    derived: float
+    paper_stated: float
+    sign_anomaly: bool
+
+
+def corollary_constant(r: float, regime: Regime) -> CorollaryAudit:
+    """Coefficient of theta*||x||^r in the closeness bound: the value derived
+    by substituting the selected L, next to the printed corollary value.
+    The printed r > 1 coefficient is negative; it is flagged, not corrected.
+    """
+    regime = Regime(regime)
+    if regime is Regime.SUM_R_LT_1:
+        if not 0 < r < 1:
+            raise OutOfRange(f"regime {regime.value} needs 0 < r < 1, got {r}")
+        derived = 2.0**r / (2.0 - 2.0**r)
+        paper = 2.0 / (2.0 - 2.0**r)
+    elif regime is Regime.SUM_R_GT_1:
+        if r <= 1:
+            raise OutOfRange(f"regime {regime.value} needs r > 1, got {r}")
+        derived = 2.0**r / (2.0**r - 2.0)
+        paper = 2.0**r / (2.0 - 2.0**r)
+    else:
+        if r <= 0 or r == 0.5:
+            raise OutOfRange(f"regime {regime.value} needs r > 0, r != 1/2, got {r}")
+        derived = 0.0
+        paper = 0.0
+    return CorollaryAudit(derived=derived, paper_stated=paper, sign_anomaly=paper < 0)
+

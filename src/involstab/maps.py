@@ -205,9 +205,11 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
     if p.kind is PerturbationKind.FIXED_DIRECTION:
         return np.multiply(amplitudes, _fixed_direction(p.direction_seed, spec), out=out,
                            where=live.reshape(column))
-    # Entries rounded to 1e-6 before hashing, all rows in one call; the
-    # hashed rows are normalized in one stacked norm call.
-    quantized = np.round(X * 1e6) / 1e6
+    # Each real and imaginary part rounded to 1e-6 on its own, as float64,
+    # before hashing, all rows in one call; the hashed rows are normalized
+    # in one stacked norm call.
+    parts = np.rint(np.ascontiguousarray(X).view(np.float64) * 1e6)
+    quantized = np.divide(parts, 1e6, out=parts).view(np.complex128)
     rows = live & algebra._row_reduce(np.logical_or, quantized)
     if rows.any():
         raw = _hashed_directions(spec, quantized[rows], p.direction_seed)
@@ -242,6 +244,16 @@ def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     return np.add(base, delta, out=delta)
 
 
+def _f_values(where: str, f: ApproxMap, X: np.ndarray) -> np.ndarray:
+    """f on the rows of a finite stack X, checked finite.  On finite
+    arguments a value overflows through its perturbation amplitude
+    theta_delta * ||x||^r, so the OutOfRange names that exponent."""
+    operand = "f values"
+    if f.perturbation.kind is not PerturbationKind.NONE:
+        operand += f" (amplitude theta_delta * ||x||^r at perturbation.r = {f.perturbation.r})"
+    return algebra.finite_rows(where, eval_f_rows(f, X), operand)
+
+
 def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Rows 2*conj(lam)*f((x+y)/2) - f(lam*x) - f(lam*y) over the rows x of X
     and y of Y; lam is one scalar or one per row."""
@@ -249,7 +261,8 @@ def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray
         raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
     lam = np.asarray(lam, dtype=np.complex128).reshape((-1,) + (1,) * len(f.spec.shape))
     args = np.concatenate([complex(0.5) * (X + Y), lam * X, lam * Y])
-    f_mid, f_lx, f_ly = np.split(eval_f_rows(f, algebra.finite_rows("jensen_defect", args)), 3)
+    f_mid, f_lx, f_ly = np.split(
+        _f_values("jensen_defect", f, algebra.finite_rows("jensen_defect", args)), 3)
     return algebra.finite_rows("jensen_defect", 2.0 * np.conj(lam) * f_mid - f_lx - f_ly)
 
 
@@ -258,13 +271,14 @@ def antimul_defect(f: ApproxMap, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape != Y.shape:
         raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
     XY = algebra.finite_rows("antimul_defect", algebra.mul_rows(f.spec, X, Y))
-    f_xy, f_y, f_x = np.split(eval_f_rows(f, np.concatenate([XY, Y, X])), 3)
+    f_xy, f_y, f_x = np.split(_f_values("antimul_defect", f, np.concatenate([XY, Y, X])), 3)
     return algebra.finite_rows("antimul_defect", f_xy - algebra.mul_rows(f.spec, f_y, f_x))
 
 
 def cstar_defect(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     """| ||x f(x)|| - ||x||^2 | for each row x of X."""
-    XF = algebra.finite_rows("cstar_defect", algebra.mul_rows(f.spec, X, eval_f_rows(f, X)))
+    XF = algebra.finite_rows("cstar_defect",
+                             algebra.mul_rows(f.spec, X, _f_values("cstar_defect", f, X)))
     norms = algebra.stacked_norms(f.spec, np.concatenate([XF, X]))
     return np.abs(norms[:len(X)] - algebra._libm_pow(norms[len(X):], 2))
 

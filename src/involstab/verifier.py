@@ -9,7 +9,6 @@ P shaped (N, *spec.shape), and its witnesses hold rows of P.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,44 +35,49 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 class StabilizedMap:
-    """The stabilized map I of f at one depth (max_n, tol_rel), memoized:
-    each point is stabilized once, and its limit and its batch's Orbits are
-    kept.  Build one per map and depth and pass it to every stage.  A stage
-    asks for all the values it needs in one `rows` call, so its uncached
-    points share one batched orbit."""
+    """The stabilized map I of f, memoized: each point is stabilized once,
+    and its ladder is kept.  Build one per map and pass it to every stage.
+    A stage asks for all the values it needs in one `rows` call, so its
+    uncached points share one stacked evaluation."""
 
-    def __init__(self, f: ApproxMap, direction: ScalingDirection,
-                 max_n: int = 48, tol_rel: float = 1e-10):
+    def __init__(self, f: ApproxMap, direction: ScalingDirection, phi: ControlFunction):
         self.f = f
         self.direction = direction
-        self.max_n = max_n
-        self.tol_rel = tol_rel
-        # Row bytes -> index into the stacked limits -> (Orbits, item).
+        self.phi = phi
+        # Row bytes -> index into the stacked limits, which hold the
+        # batches' rows in order.
         self._index: dict[bytes, int] = {}
         self._limits = np.empty((0, *f.spec.shape), dtype=np.complex128)
-        self._orbits: list[tuple[stabilizer.Orbits, int]] = []
+        self._batches: list[StabilizationTrace] = []
 
     def _indices(self, X: np.ndarray) -> list[int]:
         """The index of each row of a stack X into the stack of limits; the
-        distinct uncached rows are stabilized in one batched orbit."""
+        distinct uncached rows are stabilized in one batch."""
         # One void item per row, whose bytes are row.tobytes().
         rows = np.ascontiguousarray(X).reshape(len(X), math.prod(X.shape[1:]))
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
         todo = {key: k for k, key in enumerate(keys) if key not in self._index}
         if todo:
-            batch = stabilizer.stabilize_points(
-                self.f, self.direction, X[list(todo.values())],
-                max_n=self.max_n, tol_rel=self.tol_rel,
-            )
-            self._index.update(zip(todo, range(len(self._limits), len(self._limits) + len(batch))))
-            self._limits = np.concatenate([self._limits, batch.limits])
-            self._orbits.extend(zip(itertools.repeat(batch), range(len(batch))))
+            batch = stabilizer.stabilize_points(self.f, self.direction, self.phi,
+                                                X[list(todo.values())])
+            self._index.update(zip(todo, range(len(self._limits), len(self._limits) + len(todo))))
+            self._limits = np.concatenate([self._limits, batch.iterates[batch.offsets[1:] - 1]])
+            self._batches.append(batch)
         return list(map(self._index.__getitem__, keys))
 
-    def traces(self, X: np.ndarray) -> list[StabilizationTrace]:
-        """The trace of each row of a stack X shaped (N, *shape), built when
-        first asked for."""
-        return [batch[k] for batch, k in map(self._orbits.__getitem__, self._indices(X))]
+    def traces(self, X: np.ndarray) -> StabilizationTrace:
+        """The ladders of the rows of a stack X shaped (N, *shape), as one
+        trace in X's row order."""
+        indices = self._indices(X)  # before _batches is read: it may grow
+        batches = self._batches
+        ends = np.cumsum([0] + [len(b.depths) for b in batches])
+        counts = np.concatenate([np.diff(b.offsets) for b in batches])[indices]
+        starts = np.concatenate([b.offsets[:-1] + e for b, e in zip(batches, ends)])[indices]
+        offsets = np.append(0, np.cumsum(counts))
+        at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return StabilizationTrace(offsets, *(
+            np.concatenate([getattr(b, name) for b in batches])[at]
+            for name in ("depths", "iterates", "gaps")))
 
     def rows(self, X: np.ndarray) -> np.ndarray:
         """I on each row of a stack X shaped (N, *shape)."""

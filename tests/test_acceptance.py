@@ -16,6 +16,8 @@ from involstab.fixedpoint import (
     Branch,
     FunctionSpaceMetric,
     GeneralizedMetricSpace,
+    Regime,
+    corollary_constant,
     function_space_distance,
     iterate_alternative,
     ray_probes,
@@ -23,8 +25,6 @@ from involstab.fixedpoint import (
 )
 from involstab.maps import ApproxMap, LambdaSampler, NO_PERTURBATION, PerturbationSpec
 from involstab.stabilizer import (
-    Regime,
-    corollary_constant,
     power_product,
     power_sum,
     select_direction,
@@ -64,8 +64,16 @@ def sample_probes(n, seed, spec=M2, rad=(0.1, 10.0)):
     return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
 
 
-def limits(traces):
-    return np.stack([tr.iterates[-1] for tr in traces])
+def limits(trace):
+    return trace.iterates[trace.offsets[1:] - 1]
+
+
+def iterates_at(f, x, depths):
+    """a_n(x) = q^{-n} f(q^n x) at each of the given depths, for q = 2:
+    powers of 2 scale exactly away from overflow and underflow."""
+    args = np.stack([complex(2.0 ** n) * x for n in depths])
+    scales = np.array([2.0 ** -n for n in depths]).reshape(-1, *(1,) * x.ndim)
+    return scales * maps.eval_f_rows(f, args)
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +83,12 @@ def probes200():
 
 @pytest.fixture(scope="module")
 def traces200(probes200):
-    return stabilize_points(ADJ_F, DIRECTION, probes200, max_n=48)
+    return stabilize_points(ADJ_F, DIRECTION, PHI, probes200)
 
 
 def test_criterion_1_bound_reproduction(probes200, verdict):
     t0 = time.perf_counter()
-    traces = stabilize_points(ADJ_F, DIRECTION, probes200, max_n=48)
+    traces = stabilize_points(ADJ_F, DIRECTION, PHI, probes200)
     elapsed = time.perf_counter() - t0
     worst_margin, worst_ratio_err = -INF, 0.0
     diffs = algebra.stacked_norms(M2, limits(traces) - maps.eval_f_rows(ADJ_F, probes200))
@@ -103,8 +111,8 @@ def test_criterion_2_geometric_rate(verdict):
 
     def diff_errors(x):
         nx = algebra.stacked_norms(SCALAR, x[None])[0]
-        tr = stabilize_points(f, DIRECTION, x[None], max_n=48, tol_rel=1e-14)[0]
-        diffs = tr.diffs[:41]
+        its = iterates_at(f, x, range(42))
+        diffs = algebra.stacked_norms(SCALAR, its[1:] - its[:-1])
         rels = [
             abs(d - THETA_DELTA * nx**0.5 * (1 - L_HALF) * L_HALF**n)
             / (THETA_DELTA * nx**0.5 * (1 - L_HALF) * L_HALF**n)
@@ -153,7 +161,7 @@ def test_criterion_4_involution_laws(verdict):
     total, worst = 0, 0.0
     for f in variants.values():
         rep = verifier.verify_involution_laws(
-            StabilizedMap(f, DIRECTION, max_n=48), LAMBDAS, sample_probes(24, 31)
+            StabilizedMap(f, DIRECTION, PHI), LAMBDAS, sample_probes(24, 31)
         )
         total += rep.total_tuples
         worst = max(
@@ -170,14 +178,12 @@ def test_criterion_4_involution_laws(verdict):
 
 def test_criterion_5_cstar_dichotomy(verdict):
     probes = sample_probes(20, 41)
-    adj = verifier.verify_cstar(
-        StabilizedMap(ADJ_F, DIRECTION, max_n=96, tol_rel=1e-12), probes
-    )
+    adj = verifier.verify_cstar(StabilizedMap(ADJ_F, DIRECTION, PHI), probes)
     nil = algebra.element(M2, [0, 1, 0, 0]).data[None]
     twisted = ApproxMap(
         maps.twisted_adjoint(algebra.element(M2, [1, 0, 0, 2])), NO_PERTURBATION, M2
     )
-    I_twisted = StabilizedMap(twisted, DIRECTION, max_n=96)
+    I_twisted = StabilizedMap(twisted, DIRECTION, PHI)
     tw = verifier.verify_cstar(I_twisted, np.concatenate([probes, nil]))
     tw_nil = verifier.verify_cstar(I_twisted, nil)
     ok = (adj.passed and adj.max_ratio <= 1e-8
@@ -193,16 +199,16 @@ def test_criterion_6_superstability(verdict):
     d = select_direction(phi)
     exact = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
     probes = sample_probes(30, 51, spec=SCALAR)
-    rep = verifier.scan_hypotheses(StabilizedMap(exact, d), phi, LAMBDAS, probes)
+    rep = verifier.scan_hypotheses(StabilizedMap(exact, d, phi), phi, LAMBDAS, probes)
     sup = max(e.sup_ratio for e in rep.entries.values())
-    constant = all(
-        tr.n_used == 1 and all(np.array_equal(it, fx) for it in tr.iterates)
-        for tr, fx in zip(stabilize_points(exact, d, probes), maps.eval_f_rows(exact, probes))
-    )
+    # e(x) = 0: each probe is evaluated at depths 0 and 1, both f(x).
+    trace = stabilize_points(exact, d, phi, probes)
+    constant = (trace.depths.tolist() == [0, 1] * len(probes) and np.array_equal(
+        trace.iterates, np.repeat(maps.eval_f_rows(exact, probes), 2, axis=0)))
     perturbed = ApproxMap(
         maps.conjugation(), PerturbationSpec("fixed_direction", 0.01, 0.25), SCALAR
     )
-    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d), phi, LAMBDAS, probes)
+    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d, phi), phi, LAMBDAS, probes)
     e2 = rep2.entries["e2_jensen"]
     refuted = e2.sup_ratio == INF and algebra.stacked_norms(SCALAR, e2.witness["y"][None]) == [0.0]
     ok = sup <= 1e-12 and constant and refuted
@@ -272,7 +278,7 @@ def test_criterion_9_uniqueness(verdict):
         M2,
     )
     rep = verifier.verify_uniqueness(
-        StabilizedMap(ADJ_F, DIRECTION, max_n=48), StabilizedMap(f2, DIRECTION, max_n=48),
+        StabilizedMap(ADJ_F, DIRECTION, PHI), StabilizedMap(f2, DIRECTION, PHI),
         sample_probes(40, 91),
     )
     ok = rep.passed and rep.max_diff <= 1e-6

@@ -13,7 +13,7 @@ import pytest
 
 from involstab import algebra, cli, maps, stabilizer, verifier
 from involstab.cli import bundled_scenario_path, main
-from involstab.errors import DegenerateDirection
+from involstab.errors import DegenerateDirection, IterateOverflow, OutOfRange
 
 
 def small_config(**overrides):
@@ -82,6 +82,10 @@ class TestRun:
         ({"kind": "matrix", "dim": 2}, "adjoint"),
     ], ids=["scalar", "pointwise", "matrix"])
     def test_trace_columns_match_per_row_norms(self, algebra_cfg, involution):
+        # One row per probe and ladder depth but its last, n*, from the
+        # probe's own one-row ladder: its depth, the difference to the next
+        # depth, the distance to a_{n*} and the deviation from a_0 = f(x)
+        # over the bound.
         sc = cli.parse_scenario(small_config(algebra=algebra_cfg,
                                              involution={"kind": involution}))
         results, trace = cli.run_pipeline(sc)
@@ -91,42 +95,35 @@ class TestRun:
         def norm(a):
             return algebra.stacked_norms(sc.spec, a[None])[0]
 
-        for x in cli.make_probes(sc):
-            tr = stabilizer.stabilize_points(sc.f, direction, x[None],
-                                             max_n=sc.max_n, tol_rel=sc.tol_rel)[0]
-            fx = maps.eval_f_rows(sc.f, x[None])[0]
+        for k, x in enumerate(cli.make_probes(sc)):
+            tr = stabilizer.stabilize_points(sc.f, direction, sc.phi, x[None])
             bnd = stabilizer.error_bounds(direction, sc.phi, sc.spec, x[None])[0]
-            for a_n in tr.iterates[:-1]:
-                deviation = norm(a_n - fx)
+            its = tr.iterates
+            for j in range(len(its) - 1):
+                deviation = norm(its[j] - its[0])
                 ratio = (0.0 if deviation == 0.0 else math.inf) if bnd == 0.0 else deviation / bnd
-                expected.append((norm(a_n - tr.iterates[-1]), ratio))
-        assert list(zip(trace["error_vs_limit"], trace["ratio"])) == expected
+                expected.append((k, tr.depths[j], norm(its[j + 1] - its[j]),
+                                 norm(its[j] - its[-1]), ratio))
+        got = zip(trace["probe_id"], trace["n"], trace["diff_norm"], trace["error_vs_limit"],
+                  trace["ratio"])
+        assert list(got) == expected
+        assert trace["n"][:2] == [0, 1]
 
-    @pytest.mark.parametrize("cstar", [{}, {"max_n": 48, "tol_rel": 1e-10}],
-                             ids=["deeper-cstar", "same-depth-cstar"])
-    def test_each_key_stabilized_once(self, monkeypatch, cstar):
-        # Each distinct (map, point, max_n, tol_rel) is in exactly one batch
-        # across all stages and the trace rows, and each row evaluates f on
-        # a_0 and its steps, and on `past` steps more at most.  A row's first
-        # block ends at its predicted stop, from the bound
-        # (1 + rho) rho^{n-1} A on its differences, which are at least
-        # (1 - rho) rho^{n-1} A on this fixed direction: the row evaluates
-        # at most ceil(log((1 + rho) / (1 - rho)) / log(1 / rho)) + 1 steps
-        # past its stop, and none where the prediction is past max_n, as on
-        # every bound-depth row here.
-        batches, batch_steps, row_steps, traced = [], [], [], {}
+    def test_each_key_stabilized_once(self, monkeypatch):
+        # Each distinct (map, point) is in exactly one batch across all
+        # stages and the trace rows, and each batch evaluates f once per
+        # ladder entry of its rows: no row is evaluated twice.
+        batches, batch_rows, traced = [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
-            batches.append([(id(f), row.tobytes(), max_n, tol_rel) for row in X])
-            row_steps.clear()
-            traces = stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
-            batch_steps.append(sum(row_steps))
-            traced.update(zip(batches[-1], traces))
-            return traces
+        def counting(f, direction, phi, X):
+            batches.append([(id(f), row.tobytes()) for row in X])
+            trace = stabilize(f, direction, phi, X)
+            traced.update(zip(batches[-1], np.diff(trace.offsets).tolist()))
+            return trace
 
         def counting_rows(f, X):
-            row_steps.append(len(X))
+            batch_rows.append(len(X))
             return eval_f_rows(f, X)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
@@ -134,22 +131,13 @@ class TestRun:
         sc = cli.parse_scenario(small_config(
             perturbation2={"kind": "random_direction", "theta_delta": 0.1,
                            "r": 0.5, "direction_seed": 5},
-            cstar=cstar,
         ))
         results, _ = cli.run_pipeline(sc)
         assert results["uniqueness"].passed is True
         calls = [key for batch in batches for key in batch]
-        assert {(key[0], key[2]) for key in calls} == {
-            (id(sc.f), sc.max_n), (id(sc.f2), sc.max_n), (id(sc.f), sc.cstar_max_n)}
+        assert {key[0] for key in calls} == {id(sc.f), id(sc.f2)}
         assert len(calls) == len(set(calls))
-        rho = results["direction"].q ** (sc.f.perturbation.r - 1.0)
-        past = math.ceil(math.log((1 + rho) / (1 - rho)) / math.log(1 / rho)) + 1
-        for keys, steps in zip(batches, batch_steps):
-            kept = sum(1 + traced[key].n_used for key in keys)
-            if keys[0][2] == sc.max_n:
-                assert steps == kept
-            else:
-                assert kept <= steps <= kept + past * len(keys)
+        assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
     def test_error_bounds_once_per_pass(self, monkeypatch):
         # The trace rows read the bound stage's per-probe bounds.
@@ -167,17 +155,23 @@ class TestRun:
         bounds = results["bound"].per_probe_bounds
         assert trace["bound"] == [bounds[probe] for probe in trace["probe_id"]]
 
-    def test_traces_only_for_trace_csv_and_one_witness_per_sup(self, monkeypatch):
-        # The orbits stay flat stacks: only the probes whose rows trace.csv
-        # writes get a StabilizationTrace, one each.  Each sup builds the
-        # witness of its maximum only: 4 hypotheses, 7 laws, bound and C*.
+    def test_one_trace_per_batch_and_one_witness_per_sup(self, monkeypatch):
+        # The ladders stay flat stacks: a pass builds one StabilizationTrace
+        # per stabilized batch and one for the rows trace.csv writes.  Each
+        # sup builds the witness of its maximum only: 4 hypotheses, 7 laws,
+        # bound and C*.
         sc = cli.parse_scenario(cli.load_config("product_superstability"))
-        built, witnesses = [], []
+        built, witnesses, batches = [], [], []
         init, sup = stabilizer.StabilizationTrace.__init__, verifier._sup
+        stabilize = stabilizer.stabilize_points
 
         def counting_init(trace, *args):
             built.append(trace)
             init(trace, *args)
+
+        def counting_stabilize(*args):
+            batches.append(len(built))
+            return stabilize(*args)
 
         def counting_sup(values, witness):
             calls = []
@@ -186,9 +180,11 @@ class TestRun:
             return result
 
         monkeypatch.setattr(stabilizer.StabilizationTrace, "__init__", counting_init)
+        monkeypatch.setattr(stabilizer, "stabilize_points", counting_stabilize)
         monkeypatch.setattr(verifier, "_sup", counting_sup)
         cli.run_pipeline(sc)
-        assert len(built) == sc.num_probes == 60
+        assert len(built) == len(batches) + 1
+        assert len(built[-1].offsets) == sc.num_probes + 1 == 61
         assert witnesses == [1] * 13
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "twisted_cstar",
@@ -504,20 +500,24 @@ class TestExitCodes:
         assert "OutOfRange" in capsys.readouterr().err
         assert not (tmp_path / "scenario_out").exists()
 
-    @pytest.mark.parametrize("section, value", [
-        # ||x||^r overflows a float in the control, then in the perturbation.
-        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1030}),
-        ("perturbation", {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030}),
+    @pytest.mark.parametrize("section, value, cause", [
+        # ||x||^r overflows a float in the control, then in the perturbation,
+        # whose amplitude the message names by its exponent.
+        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1030},
+         "power_sum control overflows at r = 1030.0"),
+        ("perturbation", {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030},
+         "jensen_defect: f values (amplitude theta_delta * ||x||^r at perturbation.r = 1030.0)"),
         # L = 2^(1-r), and 2^(1-2r) for the product, underflows to 0.
-        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1100}),
-        ("control", {"kind": "power_product", "theta": 0.3, "r": 600}),
+        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1100}, "L underflows to 0"),
+        ("control", {"kind": "power_product", "theta": 0.3, "r": 600}, "L underflows to 0"),
     ], ids=["control-overflow", "perturbation-overflow", "sum-L-underflow",
             "product-L-underflow"])
-    def test_large_exponent(self, tmp_path, monkeypatch, capsys, section, value):
+    def test_large_exponent(self, tmp_path, monkeypatch, capsys, section, value, cause):
         monkeypatch.chdir(tmp_path)
         cfg = small_config(**{section: value})
         assert main(["run", str(write_config(tmp_path, cfg))]) == 5
-        assert "OutOfRange" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange: ") and cause in err
         assert not (tmp_path / "scenario_out").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "r", "--values", "0.5"]],
@@ -537,8 +537,9 @@ class TestExitCodes:
         assert afile.read_text() == "kept"
 
     def test_iterate_overflow_of_every_probe(self, tmp_path, capsys):
-        # A random direction at r = 1 keeps the orbit from converging until
-        # every probe's argument overflows in the same step.
+        # A random direction at r = 1 under an r = 1/2 control does not
+        # decay: at radius 1e150, far from the argument guard, a_1 - a_0
+        # already breaks the tail bound.
         cfg = small_config(
             algebra={"kind": "pointwise", "dim": 2},
             perturbation={"kind": "random_direction", "theta_delta": 0.1, "r": 1.0,
@@ -547,11 +548,12 @@ class TestExitCodes:
             stabilizer={"max_n": 600, "tol_rel": 1e-10},
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 4
-        assert "exceeded 1e300" in capsys.readouterr().err
+        assert "ladder difference ||a_n - a_m|| exceeds" in capsys.readouterr().err
 
     def test_nonfinite_iterate(self, tmp_path, capsys):
-        # theta_delta * ||q^n x|| overflows to inf just before the argument
-        # passes the 1e300 check: the f value is not finite.
+        # theta_delta = 1e9 at r = 1 does not decay under the r = 1/2
+        # control: the ladder stops the map at a_1 - a_0, long before
+        # theta_delta * ||q^n x|| could overflow.
         cfg = small_config(
             algebra={"kind": "pointwise", "dim": 2},
             perturbation={"kind": "random_direction", "theta_delta": 1e9, "r": 1.0,
@@ -559,7 +561,7 @@ class TestExitCodes:
             stabilizer={"max_n": 1100, "tol_rel": 1e-10},
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 4
-        assert "not finite" in capsys.readouterr().err
+        assert "ladder difference ||a_n - a_m|| exceeds" in capsys.readouterr().err
 
     def test_stabilization_failure(self, tmp_path):
         # r = 2 perturbation under an r = 1/2 control: the upward scaling
@@ -569,6 +571,42 @@ class TestExitCodes:
             stabilizer={"max_n": 400, "tol_rel": 1e-10},
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 4
+
+
+class TestVerdictsOverRadius:
+    """adjoint_rsum_r05 with every probe at one radius r. Its limit map is
+    the exact adjoint, whose C* defect is 0, and both of its maps share it."""
+
+    @staticmethod
+    def results_at(r):
+        raw = cli.load_config("adjoint_rsum_r05")
+        raw["sampling"].update(radius_min=r, radius_max=r)
+        return cli.run_pipeline(cli.parse_scenario(raw))[0]
+
+    @pytest.mark.parametrize("r", [1e-4, 1e-20, 1e-150])
+    def test_small_radii_pass(self, r):
+        # The step-by-step orbit, stopped by a test absolute below norm 1,
+        # refuted C* here with ratios 1.7e-8, 1.7e8 and 7.0e73.
+        results = self.results_at(r)
+        assert results["bound"].passed and results["uniqueness"].passed
+        assert results["cstar"].passed and results["cstar"].max_ratio <= 1e-9
+
+    def test_uniqueness_at_1e4(self):
+        # The absolute 1e-7 in the depth rule keeps the tail within
+        # UNIQUENESS_TOL; the step-by-step orbit was refuted with 2.88e-6.
+        assert self.results_at(1e4)["uniqueness"].passed
+
+    def test_uniqueness_refuted_at_rounding_level_at_1e10(self):
+        uniq = self.results_at(1e10)["uniqueness"]
+        assert not uniq.passed and uniq.max_diff <= 1e10 * 1e-14
+
+    @pytest.mark.parametrize("r, error, message", [
+        (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1"),
+        (1e200, OutOfRange, "antimul_defect: stage arithmetic overflowed"),
+    ])
+    def test_large_radii_fail(self, r, error, message):
+        with pytest.raises(error, match=message):
+            self.results_at(r)
 
 
 class TestBundledScenarios:
@@ -593,37 +631,15 @@ class TestBundledScenarios:
         assert report["cstar"]["max_ratio"] >= 0.25
 
 
-# sha256 of report.json and trace.csv. A change that claims to keep every
-# output bit must leave these unchanged; they hold for the numpy and LAPACK
-# the suite runs with.
-GOLDEN_DIGESTS = {
-    "adjoint_rsum_r05": (
-        "5b9d8e8c6d4fb71a644824170f271fb1887ec65091dd25a9ff3bc58a67cd4c59",
-        "ae9f86775412562603ff556e52f3ad271a9b036189d15da5d145b3021501444c"),
-    "twisted_cstar": (
-        "779f957508592eeceb8364c8cfbbc5f7169548be8be77d664c4bb107120be495",
-        "f990909b4ff45ccf58fc0debd03363d6a4144d5ac9d89774911df8921ef76c88"),
-    "product_superstability": (
-        "a2871e922ed3aa1df06c569226f8729e6cef5ec9201009da96d7dc6f0b32f48e",
-        "9321acd42ab93f5b0e5cc38228653fff5d0e17ea813b1f91f9c2d4a4163443c1"),
-    # Of the bundled scenarios only adjoint_rsum_r05's perturbation2 draws
-    # hashed random directions; this config does in both maps, with a
-    # direction seed and without.
-    "pointwise_random_direction": (
-        "3207eb52df8ee43522b2edf3ed3fef477d99e41d6e5611168e86358b4524890b",
-        "c4aa89280705576f8ec5d244edf5137cc3480188171b1c7b59978886f7d87a79"),
-    "pointwise_hashed_warm": (
-        "e7df8d9218b9f6ad0a39ce57e252da7ff9274c4959464624f4004a5db3da8d9a",
-        "ce92d9e4dac5d19fc2979252577b82c576c83609283d0d9450c38a43767c267f"),
-    "matrix_rsum_warm": (
-        "9b3f405199490c6328d4f96af92f736e6ed157d53a12e60722434a195a761ad9",
-        "365e70ea3c6733c992a916a1d80d2cfdcedb4b285a77af06bd85e27a1fad850d"),
-    # No bundled scenario takes the q = 1/2 (i = 1) direction, whose
-    # error_bound factor differs; power-sum r = 1.5 does.
-    "adjoint_rsum_r15": (
-        "60807525f51ee9cda233f4f33ef88c60725ce11ba6241765d2da51ead00de974",
-        "4a9cdd429aafb923a2a57f42c849910d41688e5f9e4f7b0f58662430f3a2f8b0"),
-}
+# sha256 of report.json and trace.csv, by config, in one table. A change
+# that claims to keep every output bit must leave it unchanged; it holds for
+# the numpy and LAPACK the suite runs with. Of the bundled scenarios only
+# adjoint_rsum_r05's perturbation2 draws hashed random directions;
+# pointwise_random_direction does in both maps, with a direction seed and
+# without. No bundled scenario takes the q = 1/2 (i = 1) direction, whose
+# error_bound factor differs; adjoint_rsum_r15 does. The *_warm entries
+# are the benchmark workloads' warm passes.
+GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
 POINTWISE_RANDOM_DIRECTION = {
     "algebra": {"kind": "pointwise", "dim": 3},
@@ -639,7 +655,7 @@ POINTWISE_RANDOM_DIRECTION = {
 
 
 # The benchmark's pointwise_hashed workload as its warm pass certifies it:
-# hashed random directions on every orbit step of the main map.
+# hashed random directions at every ladder depth of the main map.
 POINTWISE_HASHED_WARM = {
     "algebra": {"kind": "pointwise", "dim": 4},
     "involution": {"kind": "conjugation"},
@@ -656,7 +672,7 @@ POINTWISE_HASHED_WARM = {
 
 
 # The benchmark's matrix_rsum workload as its warm pass certifies it: 2x2
-# adjoint orbits with the closed-form norm, both perturbation kinds.
+# adjoint ladders with the closed-form norm, both perturbation kinds.
 MATRIX_RSUM_WARM = {
     "algebra": {"kind": "matrix", "dim": 2},
     "involution": {"kind": "adjoint"},
@@ -672,6 +688,20 @@ MATRIX_RSUM_WARM = {
 }
 
 
+# The benchmark's scalar_exact workload as its warm pass certifies it:
+# product_superstability's control, where e(x) = 0 and I = f.
+SCALAR_EXACT_WARM = {
+    "algebra": {"kind": "scalar", "dim": 1},
+    "involution": {"kind": "conjugation"},
+    "perturbation": {"kind": "none"},
+    "control": {"kind": "power_product", "theta": 0.1, "r": 0.25},
+    "stabilizer": {"max_n": 48, "tol_rel": 1e-10},
+    "sampling": {"num_probes": 60, "radius_min": 0.1, "radius_max": 10.0, "seed": 25456244},
+    "lambda": {"n0": 3, "arc": 4, "circle": 4, "reals": 3, "complex": 3, "seed": 2065615711},
+    "laws": {"max_probes": 20},
+}
+
+
 def adjoint_rsum_r15():
     cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
     for section in ("control", "perturbation", "perturbation2"):
@@ -681,22 +711,26 @@ def adjoint_rsum_r15():
     return cfg
 
 
+GOLDEN_CONFIGS = {
+    "pointwise_random_direction": POINTWISE_RANDOM_DIRECTION,
+    "pointwise_hashed_warm": POINTWISE_HASHED_WARM,
+    "matrix_rsum_warm": MATRIX_RSUM_WARM,
+    "scalar_exact_warm": SCALAR_EXACT_WARM,
+    "adjoint_rsum_r15": adjoint_rsum_r15(),
+}
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, name):
+        # A name that is not a config here is a bundled scenario.
         config = name
-        if name == "pointwise_random_direction":
-            config = str(write_config(tmp_path, POINTWISE_RANDOM_DIRECTION))
-        elif name == "pointwise_hashed_warm":
-            config = str(write_config(tmp_path, POINTWISE_HASHED_WARM))
-        elif name == "matrix_rsum_warm":
-            config = str(write_config(tmp_path, MATRIX_RSUM_WARM))
-        elif name == "adjoint_rsum_r15":
-            config = str(write_config(tmp_path, adjoint_rsum_r15()))
+        if name in GOLDEN_CONFIGS:
+            config = str(write_config(tmp_path, GOLDEN_CONFIGS[name]))
         out = tmp_path / "out"
         assert main(["run", config, "--out", str(out)]) == 0
-        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                    for f in ("report.json", "trace.csv"))
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("report.json", "trace.csv")}
         assert got == GOLDEN_DIGESTS[name]
 
 
@@ -759,9 +793,9 @@ class TestSweep:
     # scaling directions.
     @pytest.mark.parametrize("config, param, values, digest", [
         (None, "r", "0.25,0.5,1.0,1.5",
-         "a3bca492a18d524ddaa4f70a5b87c2e059aedf70334173759150ed548800bc89"),
+         "61660bb6b3f642067445ca8ffff4496e33a36f5bdeb15ad0d6b90cf48aaaa7d5"),
         ("adjoint_rsum_r05", "num_probes", "3,4",
-         "806a867c7a2f35a89323145b4a77e7b4a2f2572f7df6ad7a185c95f8cf5d6634"),
+         "6b6b5dd6e92485f8c667245f41ca2794b0aed85fd8866b7fedc96d84a271aab0"),
     ], ids=["small-r", "adjoint-num_probes"])
     def test_sweep_csv_unchanged(self, tmp_path, config, param, values, digest):
         config = config or str(write_config(tmp_path, small_config()))

@@ -7,13 +7,15 @@ import pytest
 
 from involstab import algebra, fixedpoint, maps, stabilizer
 from involstab.algebra import SCALAR, matrix_spec
-from involstab.errors import Exhausted, NotContractive
+from involstab.errors import Exhausted, NotContractive, OutOfRange
 from involstab.fixedpoint import (
     INF,
     Branch,
     FunctionSpaceMetric,
     GeneralizedMetricSpace,
+    Regime,
     aposteriori_bound,
+    corollary_constant,
     function_space_distance,
     gmetric_check,
     iterate_alternative,
@@ -222,3 +224,30 @@ class TestContractionTransfer:
             t_g, t_h = scaling_operator(g, q), scaling_operator(h, q)
             d_tgh = function_space_distance(t_g, t_h, m)
             assert d_tgh <= L * d_gh * (1 + 1e-9)
+
+
+class TestCorollaryConstant:
+    def test_sum_r_half(self):
+        audit = corollary_constant(0.5, Regime.SUM_R_LT_1)
+        assert audit.derived == pytest.approx(1 + math.sqrt(2), rel=1e-12)
+        assert audit.paper_stated == pytest.approx(2 / (2 - math.sqrt(2)), rel=1e-12)
+        assert not audit.sign_anomaly
+
+    def test_sum_r_two_sign_anomaly(self):
+        audit = corollary_constant(2.0, Regime.SUM_R_GT_1)
+        assert audit.derived == pytest.approx(2.0)
+        assert audit.paper_stated == pytest.approx(-2.0)
+        assert audit.sign_anomaly
+
+    def test_product(self):
+        audit = corollary_constant(0.25, Regime.PRODUCT)
+        assert audit.derived == 0.0
+
+    def test_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            corollary_constant(1.5, Regime.SUM_R_LT_1)
+        with pytest.raises(OutOfRange):
+            corollary_constant(0.5, Regime.SUM_R_GT_1)
+        with pytest.raises(OutOfRange):
+            corollary_constant(0.5, Regime.PRODUCT)
+

@@ -346,8 +346,13 @@ class FirstDrawsZero:
         return out
 
 
+def quantize(X):
+    """Each real and imaginary part rounded to 1e-6 on its own, in float64."""
+    return (np.rint(np.ascontiguousarray(X).view(np.float64) * 1e6) / 1e6).view(np.complex128)
+
+
 def quantized_stack(spec, n, rng):
-    Q = np.round(sample_stack(spec, n, rng, (1e-7, 10.0)) * 1e6) / 1e6
+    Q = quantize(sample_stack(spec, n, rng, (1e-7, 10.0)))
     Q[0] = complex(-0.0, -0.0)  # parts whose bits differ from +0.0
     Q[-1].reshape(-1)[0] = -0.0  # and one next to nonzero entries
     return Q
@@ -460,7 +465,7 @@ class TestPerturbationRows:
                 u = maps._fixed_direction(seed, any_spec)
                 expected = complex(amplitude) * u
             else:
-                q = np.round(x * 1e6) / 1e6
+                q = quantize(x)
                 expected = np.zeros(any_spec.shape, dtype=np.complex128)
                 if q.any():
                     g = reference_direction(q, seed)
@@ -470,6 +475,20 @@ class TestPerturbationRows:
                 expected = np.zeros(any_spec.shape, dtype=np.complex128)
             assert got[k].tobytes() == expected.tobytes()
         assert not np.signbit(got[0].view(np.float64)).any()
+
+    @pytest.mark.parametrize("other", [0.0, -0.0, 1.0, -1.0], ids=str)
+    def test_sign_rule_per_part(self, other):
+        # A part that quantizes to zero keeps its sign whatever the other
+        # part of its entry is: x and -x key apart in the real part next to
+        # any imaginary part, and in the imaginary part next to any real
+        # part, each as the point whose part is exactly +-0.0.
+        p = PerturbationSpec("random_direction", 0.1, 0.5, 3)
+        for entry in (lambda t: complex(t, other), lambda t: complex(other, t)):
+            X = np.array([[entry(-1e-9), 1.0], [entry(1e-9), 1.0]])
+            zeros = np.array([[entry(-0.0), 1.0], [entry(0.0), 1.0]])
+            got = maps._perturbation_rows(p, pointwise_spec(2), X)
+            assert got[0].tobytes() != got[1].tobytes()
+            assert got.tobytes() == maps._perturbation_rows(p, pointwise_spec(2), zeros).tobytes()
 
     @pytest.mark.parametrize("kind", ["none", "fixed_direction", "random_direction"])
     def test_empty_stack(self, any_spec, kind):

@@ -27,12 +27,13 @@ def test_public_names_pinned():
     assert sorted(name for name in vars(involstab) if not name.startswith("_")) == PUBLIC_NAMES
 
 
-# The parameters of the orbit API. A knob added back here is a deliberate
-# change of the API, as a public name is.
+# The parameters of the orbit API: the depth comes from the control's
+# tail, so the orbit takes phi and no depth knob. A knob added back here is
+# a deliberate change of the API, as a public name is.
 def test_orbit_parameters_pinned():
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert names(involstab.stabilize_points) == ["f", "direction", "X", "max_n", "tol_rel"]
-    assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "max_n", "tol_rel"]
+    assert names(involstab.stabilize_points) == ["f", "direction", "phi", "X"]
+    assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "phi"]
     assert names(involstab.eval_f_rows) == ["f", "X"]

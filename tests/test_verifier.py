@@ -45,7 +45,7 @@ UP = select_direction(PHI_SUM)
 
 
 def up_map(f):
-    return StabilizedMap(f, UP)
+    return StabilizedMap(f, UP, PHI_SUM)
 
 
 class TestProbePairs:
@@ -64,22 +64,27 @@ class TestProbePairs:
 
 class TestStabilizedMap:
     def test_memoized(self, rng):
-        I = StabilizedMap(BUDGET_F, UP)
+        # A row's ladder is kept: asked for again, by equal bytes, it is
+        # the same trace, whose last value is I(x).
+        I = up_map(BUDGET_F)
         x = sample_probes(1, rng)
         again = algebra.element(M2, x.reshape(-1)).data[None]
-        assert I.traces(x)[0] is I.traces(again)[0]
-        assert I.rows(x).tobytes() == I.traces(x)[0].iterates[-1:].tobytes()
+        first, second = I.traces(x), I.traces(again)
+        for name in ("offsets", "depths", "iterates", "gaps"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert I.rows(x).tobytes() == first.iterates[-1:].tobytes()
+        assert len(I._batches) == 1
 
     def test_stabilize_batches_distinct_uncached(self, rng, monkeypatch):
         batches = []
         stabilize = stabilizer.stabilize_points
 
-        def counting(f, direction, X, max_n=48, tol_rel=1e-10):
+        def counting(f, direction, phi, X):
             batches.append([row.tobytes() for row in X])
-            return stabilize(f, direction, X, max_n=max_n, tol_rel=tol_rel)
+            return stabilize(f, direction, phi, X)
 
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
-        I = StabilizedMap(BUDGET_F, UP)
+        I = up_map(BUDGET_F)
         x, y, z = sample_probes(3, rng)
         values = I.rows(np.stack([x, y, algebra.element(M2, x.reshape(-1)).data, x]))
         assert values.shape == (4, 2, 2)
@@ -89,24 +94,25 @@ class TestStabilizedMap:
         I.rows(z[None]), I.rows(x[None])
         assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
         assert batches == [[x.tobytes(), y.tobytes()], [z.tobytes()]]
-        assert I.traces(z[None])[0] is I.traces(z[None])[0]
 
-    @pytest.mark.parametrize("shallow, deep", [
-        ((20, 1e-6), (60, 1e-12)), ((10, 1e-10), (48, 1e-10)), ((48, 1e-8), (48, 1e-10)),
-    ], ids=["shallower-looser", "shallower", "looser"])
-    def test_deeper_map_extends_shallower(self, rng, shallow, deep):
-        # Maps at two depths keep their own traces, and the deeper one's
-        # orbits begin with the shallower one's iterates, bit for bit.
-        P = sample_probes(6, rng)
-        lo, hi = StabilizedMap(BUDGET_F, UP, *shallow), StabilizedMap(BUDGET_F, UP, *deep)
-        lo.rows(P[:4])
-        for got, prefix in zip(hi.traces(P), lo.traces(P)):
-            assert got.n_used >= prefix.n_used
-            assert got.iterates[:prefix.n_used + 1].tobytes() == prefix.iterates.tobytes()
-        assert len(lo._index) == len(hi._index) == 6
+    def test_traces_gather_across_batches(self, rng):
+        # Rows stabilized in different batches come back as one trace in
+        # the asked order, each row's entries as its own batch made them.
+        I = up_map(BUDGET_F)
+        P = np.concatenate([ZERO[None], sample_probes(4, rng)])
+        I.rows(P[[3, 1]]), I.rows(P[[0, 4]]), I.rows(P[[2]])
+        got = I.traces(P[[4, 0, 2, 1, 3, 1]])
+        assert len(I._batches) == 3
+        for k, x in enumerate(P[[4, 0, 2, 1, 3, 1]]):
+            want = stabilizer.stabilize_points(BUDGET_F, UP, PHI_SUM, x[None])
+            start, end = got.offsets[k:k + 2]
+            assert got.depths[start:end].tolist() == want.depths.tolist()
+            assert got.iterates[start:end].tobytes() == want.iterates.tobytes()
+            assert got.gaps[start:end].tobytes() == want.gaps.tobytes()
+        assert got.offsets[-1] == len(got.depths) == len(got.iterates) == len(got.gaps)
 
     def test_matches_conj_transpose(self, rng):
-        I = StabilizedMap(BUDGET_F, UP)
+        I = up_map(BUDGET_F)
         P = sample_probes(10, rng)
         diffs = algebra.stacked_norms(M2, I.rows(P) - P.conj().swapaxes(-1, -2))
         for diff, norm in zip(diffs, algebra.stacked_norms(M2, P)):
@@ -114,18 +120,17 @@ class TestStabilizedMap:
 
     # ||I(I(x)) - x||: the involutivity residual of the stabilized map.
     def test_involutive_exact_involution(self, rng):
-        I = StabilizedMap(EXACT_ADJ, UP)
+        I = up_map(EXACT_ADJ)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)[None]
         assert algebra.stacked_norms(M2, I.rows(I.rows(x)) - x)[0] <= 1e-12
 
     def test_involutive_perturbed_adjoint(self, rng):
-        I = StabilizedMap(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2), UP,
-                          max_n=48)
+        I = up_map(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2))
         P = sample_probes(10, rng)
         assert max(algebra.stacked_norms(M2, I.rows(I.rows(P)) - P)) <= 1e-6
 
     def test_involutive_zero(self):
-        I = StabilizedMap(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2), UP)
+        I = up_map(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2))
         z = ZERO[None]
         assert algebra.stacked_norms(M2, I.rows(I.rows(z)) - z) == [0.0]
 
@@ -152,7 +157,7 @@ class TestScanHypotheses:
         f = ApproxMap(maps.conjugation(), radial(0.01, 0.25), SCALAR)
         phi = power_product(0.1, 0.25)
         rep = scan_hypotheses(
-            StabilizedMap(f, select_direction(phi)), phi, LAMBDAS,
+            StabilizedMap(f, select_direction(phi), phi), phi, LAMBDAS,
             sample_probes(8, rng, spec=SCALAR),
         )
         entry = rep.entries["e2_jensen"]
@@ -196,14 +201,14 @@ class TestVerifyBound:
     def test_superstability_zero_bound(self, rng):
         phi = power_product(0.1, 0.25)
         d = select_direction(phi)
-        rep = verify_bound(StabilizedMap(EXACT_ADJ, d), phi, sample_probes(10, rng))
+        rep = verify_bound(StabilizedMap(EXACT_ADJ, d, phi), phi, sample_probes(10, rng))
         assert rep.passed and rep.max_ratio == 0.0
 
     def test_zero_bound_violation_is_infinite(self, rng):
         phi = power_product(0.1, 0.25)
         d = select_direction(phi)
         f = ApproxMap(maps.conjugation(), radial(0.01, 0.25), SCALAR)
-        rep = verify_bound(StabilizedMap(f, d), phi, sample_probes(5, rng, spec=SCALAR))
+        rep = verify_bound(StabilizedMap(f, d, phi), phi, sample_probes(5, rng, spec=SCALAR))
         assert not rep.passed and rep.max_ratio == INF
 
 
@@ -328,7 +333,7 @@ def run_stage(stage, I, probes):
     if stage == "laws":
         return verify_involution_laws(I, LAMBDAS, probes)
     if stage == "uniqueness":
-        return verify_uniqueness(I, StabilizedMap(I.f, UP), probes)
+        return verify_uniqueness(I, StabilizedMap(I.f, UP, I.phi), probes)
     return verify_cstar(I, probes)
 
 
@@ -374,7 +379,7 @@ class TestStageCallCounts:
 
 
 class TestStagesBuildNoElements:
-    # A probe set stays one stack through every stage and the batched orbit.
+    # A probe set stays one stack through every stage and the stabilizer.
     @pytest.mark.parametrize("stage", STAGES + ["stabilize_points"])
     def test_no_element_constructed(self, rng, monkeypatch, stage):
         P = sample_probes(6, rng)
@@ -388,7 +393,7 @@ class TestStagesBuildNoElements:
 
         monkeypatch.setattr(Element, "__post_init__", counting)
         if stage == "stabilize_points":
-            stabilizer.stabilize_points(BUDGET_F, UP, P)
+            stabilizer.stabilize_points(BUDGET_F, UP, PHI_SUM, P)
         else:
             run_stage(stage, up_map(BUDGET_F), P)
         assert built == []
@@ -559,12 +564,12 @@ class TestStackedStagesMatchElementReference:
         lambdas = LambdaSampler(n0=3, arc=2, circle=2, reals=2, cplx=2, seed=4)
         P = np.concatenate([np.zeros((1, *f.spec.shape), dtype=np.complex128),
                             sample_probes(4, rng, spec=f.spec)])
-        I = StabilizedMap(f, UP)
+        I = up_map(f)
         # A second admissible map over the same base; an exact map is
         # compared with itself, so every difference ties at zero.
         f2 = f if name.startswith("exact") else ApproxMap(
             f.base, PerturbationSpec("random_direction", 0.1, 0.5, 13), f.spec)
-        I2 = StabilizedMap(f2, UP)
+        I2 = up_map(f2)
 
         hyp = scan_hypotheses(I, PHI_SUM, lambdas, P)
         laws = verify_involution_laws(I, lambdas, P)

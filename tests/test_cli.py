@@ -583,7 +583,7 @@ class TestVerdictsOverRadius:
         raw["sampling"].update(radius_min=r, radius_max=r)
         return cli.run_pipeline(cli.parse_scenario(raw))[0]
 
-    @pytest.mark.parametrize("r", [1e-4, 1e-20, 1e-150])
+    @pytest.mark.parametrize("r", [1e-1, 1e-4, 1e-8, 1e-20, 1e-50, 1e-100, 1e-150])
     def test_small_radii_pass(self, r):
         # The step-by-step orbit, stopped by a test absolute below norm 1,
         # refuted C* here with ratios 1.7e-8, 1.7e8 and 7.0e73.
@@ -596,6 +596,10 @@ class TestVerdictsOverRadius:
         # UNIQUENESS_TOL; the step-by-step orbit was refuted with 2.88e-6.
         assert self.results_at(1e4)["uniqueness"].passed
 
+    @pytest.mark.parametrize("r", [1e1, 1e2, 1e3])
+    def test_uniqueness_below_1e4(self, r):
+        assert self.results_at(r)["uniqueness"].passed
+
     def test_uniqueness_refuted_at_rounding_level_at_1e10(self):
         uniq = self.results_at(1e10)["uniqueness"]
         assert not uniq.passed and uniq.max_diff <= 1e10 * 1e-14
@@ -607,6 +611,38 @@ class TestVerdictsOverRadius:
     def test_large_radii_fail(self, r, error, message):
         with pytest.raises(error, match=message):
             self.results_at(r)
+
+
+class TestDepthKeys:
+    """stabilizer.max_n, stabilizer.tol_rel, cstar.max_n and cstar.tol_rel
+    are accepted and range-checked, but every probe's depth comes from its
+    tail: no value changes a verdict or a trace row."""
+
+    @staticmethod
+    def outputs(tmp_path, cfg, name):
+        out = tmp_path / name
+        assert main(["run", str(write_config(tmp_path, cfg, f"{name}.json")),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        return report, (out / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (section, key, value) for section in ("stabilizer", "cstar")
+        for key, values in (("max_n", (1, 400)), ("tol_rel", (1e-3, 1e-14)))
+        for value in values])
+    def test_value_has_no_effect(self, tmp_path, section, key, value):
+        report, trace = self.outputs(tmp_path, small_config(), "default")
+        cfg = small_config()
+        cfg.setdefault(section, {})[key] = value
+        got_report, got_trace = self.outputs(tmp_path, cfg, "set")
+        assert got_trace == trace
+        tolerances = report.pop("tolerances"), got_report.pop("tolerances")
+        assert got_report == report
+        # report.json repeats the stabilizer's two keys as read.
+        if section == "stabilizer":
+            assert tolerances[1] == {**tolerances[0], key: value}
+        else:
+            assert tolerances[1] == tolerances[0]
 
 
 class TestBundledScenarios:

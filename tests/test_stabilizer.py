@@ -20,6 +20,7 @@ from involstab.stabilizer import (
 )
 
 M2 = matrix_spec(2)
+M3 = matrix_spec(3)
 P4 = algebra.pointwise_spec(4)
 SQRT2 = math.sqrt(2)
 
@@ -119,6 +120,17 @@ def admissible(spec, kind, direction, seed=4):
     return ApproxMap(base, PerturbationSpec(kind, 0.1, r, seed), spec)
 
 
+def exact(spec):
+    """The base involution of `admissible(spec, ...)`, unperturbed: the
+    limit of every map admissible() builds on spec."""
+    return admissible(spec, "none", UP)
+
+
+SPECS = [pytest.param(spec, id=name) for spec, name in
+         ((SCALAR, "scalar"), (P4, "pointwise"), (M2, "matrix2"), (M3, "matrix3"))]
+DIRECTIONS = [pytest.param(UP, id="q-2"), pytest.param(DOWN, id="q-half")]
+
+
 def phi_of(direction):
     return PHI_UP if direction is UP else PHI_DOWN
 
@@ -154,11 +166,12 @@ def reference_iterate(f, direction, x, n):
 
 
 class TestStabilizePoint:
-    @pytest.mark.parametrize("direction", [UP, DOWN], ids=["q-2", "q-half"])
-    def test_exact_involution_constant(self, rng, direction):
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_exact_involution_constant(self, rng, spec, direction):
         # a_n(x) = q^-n (q^n x)* = x* at every depth, bit for bit.
-        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
-        x = algebra.sample_element(M2, (0.5, 2.0), rng)
+        f = exact(spec)
+        x = algebra.sample_element(spec, (0.5, 2.0), rng)
         trace = stabilize_points(f, direction, phi_of(direction), x[None])
         assert trace.depths[-1] > 1
         assert trace.iterates.tobytes() == np.repeat(
@@ -193,14 +206,21 @@ class TestStabilizePoint:
         want = [amplitude * (UP.L ** m - UP.L ** n) for m, n in zip(depths, depths[1:])]
         assert gaps[:-1].tolist() == pytest.approx(want, rel=1e-6, abs=1e-14)
 
-    def test_wrong_direction_breaks_the_tail(self):
+    @pytest.mark.parametrize("direction, r, depth", [
         # r = 2 with q = 2 scales the perturbation up: a_n = 4 + 1.6 * 2^n,
         # whose a_2 - a_1 = 3.2 exceeds (L + L^2) e(4) = 1.75.
-        f = ApproxMap(maps.conjugation(), radial(0.1, 2.0), SCALAR)
-        with pytest.raises(NonCauchy, match=r"at depth 2, row 1$"):
-            stabilize_points(f, UP, PHI_UP, np.array([[0j], [4 + 0j]]))
+        pytest.param(UP, 2.0, 2, id="q-2"),
+        # r = 1/2 with q = 1/2: a_n = 4 + 0.2 * 2^{n/2}, whose a_8 - a_4 =
+        # 2.4 exceeds (L^4 + L^8) e(4) = 0.1 for L = 1/4, e(4) = 25.6.
+        pytest.param(DOWN, 0.5, 8, id="q-half"),
+    ])
+    def test_wrong_direction_breaks_the_tail(self, direction, r, depth):
+        f = ApproxMap(maps.conjugation(), radial(0.1, r), SCALAR)
+        phi = phi_of(direction)
+        with pytest.raises(NonCauchy, match=rf"at depth {depth}, row 1$"):
+            stabilize_points(f, direction, phi, np.array([[0j], [4 + 0j]]))
         # The zero row alone stabilizes.
-        assert stabilize_points(f, UP, PHI_UP, np.array([[0j]])).depths.tolist() == [0, 1]
+        assert stabilize_points(f, direction, phi, np.array([[0j]])).depths.tolist() == [0, 1]
 
     def test_bound_e5_on_probes(self, rng):
         f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=5), M2)
@@ -256,12 +276,26 @@ class TestStabilizePoints:
         # The zero row stops at depth 1, so the rows end at mixed depths.
         assert len({depths[-1] for depths, _, _ in batch}) > 1
 
-    @pytest.mark.parametrize("direction", [UP, DOWN], ids=["q-2", "q-half"])
-    @pytest.mark.parametrize("spec", [SCALAR, P4, M2], ids=["scalar", "pointwise", "matrix"])
-    def test_depth_rule_and_ladder(self, rng, spec, direction):
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_batch_matches_single_points_q_half(self, rng, spec):
+        # The same at q = 1/2, whose arguments shrink, over both hashed and
+        # fixed directions.
+        X = np.stack([np.zeros(spec.shape, dtype=np.complex128)] + [
+            algebra.sample_element(spec, (1e-3, 1e3), rng) for _ in range(5)])
+        for kind in ("fixed_direction", "random_direction"):
+            f = admissible(spec, kind, DOWN)
+            batch = rows_of(stabilize_points(f, DOWN, PHI_DOWN, X))
+            for x, got in zip(X, batch):
+                (want,) = rows_of(stabilize_points(f, DOWN, PHI_DOWN, x[None]))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("kind", ["fixed_direction", "random_direction"])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_depth_rule_and_ladder(self, rng, spec, direction, kind):
         # n* is the least n >= 1 whose tail meets tol(x), and the ladder is
         # 0, 1, 2, 4, ... < n*, then n*.  Radii from 1e-20 to 1e20, and 0.
-        f = admissible(spec, "fixed_direction", direction)
+        f = admissible(spec, kind, direction)
         X = np.concatenate([np.zeros((1, *spec.shape), dtype=np.complex128)] + [
             algebra.sample_element(spec, (10.0 ** e, 10.0 ** e), rng)[None]
             for e in range(-20, 21, 4)])
@@ -270,11 +304,13 @@ class TestStabilizePoints:
             n = reference_depth(direction, phi_of(direction), spec, x)
             assert depths.tolist() == [0] + [2 ** k for k in range(12) if 2 ** k < n] + [n]
 
-    def test_empty_batch(self):
-        f = BATCH_MAPS["matrix-adjoint-fixed"]
-        trace = stabilize_points(f, UP, PHI_UP, np.zeros((0, 2, 2), dtype=np.complex128))
+    @pytest.mark.parametrize("name", BATCH_MAPS)
+    def test_empty_batch(self, name):
+        f = BATCH_MAPS[name]
+        trace = stabilize_points(f, UP, PHI_UP, np.zeros((0, *f.spec.shape), dtype=np.complex128))
         assert trace.offsets.tolist() == [0]
-        assert trace.iterates.shape == (0, 2, 2) and len(trace.depths) == len(trace.gaps) == 0
+        assert trace.iterates.shape == (0, *f.spec.shape)
+        assert len(trace.depths) == len(trace.gaps) == 0
 
     def test_stack_shape_checked(self):
         with pytest.raises(SpecMismatch):
@@ -314,21 +350,29 @@ class TestStabilizePoints:
         with pytest.raises(IterateOverflow, match=r"a_n is not finite at depth 0, row 1$"):
             stabilize_points(f, UP, PHI_UP, X)
 
-    def test_ladder_violation_names_the_row(self):
+    @pytest.mark.parametrize("bad, named", [
+        ([1], 1), ([0], 0), ([3], 3), ([2, 4], 2)], ids=["row-1", "row-0", "row-3", "rows-2-4"])
+    def test_ladder_violation_names_the_row(self, bad, named):
         # A random direction at r = 1 under the r = 1/2 control does not
         # decay: its differences stay near 0.1 ||x|| while the tail bound
-        # shrinks, until the pair (4, 8) of the nonzero row breaks it.
+        # shrinks, until the pair (4, 8) of a nonzero row breaks it.  Zero
+        # rows stabilize; of several failing rows the first is named.
         f = ApproxMap(maps.conjugation(), PerturbationSpec("random_direction", 0.1, 1.0, 3), P4)
-        X = np.stack([np.zeros(4, complex), np.full(4, 2.0 + 1j)])
-        with pytest.raises(NonCauchy, match=r"\|\|a_n - a_m\|\| exceeds .* at depth 8, row 1$"):
+        X = np.zeros((max(bad) + 2, 4), complex)
+        X[bad] = 2.0 + 1j
+        with pytest.raises(NonCauchy,
+                           match=rf"\|\|a_n - a_m\|\| exceeds .* at depth 8, row {named}$"):
             stabilize_points(f, UP, PHI_UP, X)
 
-    @pytest.mark.parametrize("direction", [UP, DOWN], ids=["q-2", "q-half"])
-    def test_signed_zeros_kept(self, direction):
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("X", [
+        np.array([[[1.0, -2.0], [0.0, 3.0]]], dtype=complex),
+        np.array([[[1.0, -2.0, 0.5], [0.0, 3.0, -1.0], [4.0, 0.0, -0.25]]], dtype=complex),
+    ], ids=["matrix2", "matrix3"])
+    def test_signed_zeros_kept(self, X, direction):
         # The adjoint of a real matrix has imaginary parts -0.0; scaling the
         # float64 parts keeps every one, at every depth.
-        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, M2)
-        X = np.array([[[1.0, -2.0], [0.0, 3.0]]], dtype=complex)
+        f = ApproxMap(maps.adjoint(), maps.NO_PERTURBATION, matrix_spec(X.shape[1]))
         trace = stabilize_points(f, direction, phi_of(direction), X)
         fx = maps.eval_f_rows(f, X)
         assert np.signbit(fx.imag).any()
@@ -341,6 +385,33 @@ class TestStabilizePoints:
         trace = stabilize_points(f, UP, PHI_UP, np.array([[1e-300 + 0j]]))
         assert trace.depths[-1] > 1024
         assert abs(trace.iterates[-1, 0] - 1e-300) <= 1e-309
+
+
+class TestLimitOverTheFloatRange:
+    """Every admissible map here converges to its base involution x*:
+    ||a_n(x) - x*|| <= 0.1 L^n ||x||^r, a third of the tail L^n e(x).  So
+    I(x) = a_{n*}(x) must lie within tol(x) of x*, up to rounding, at
+    every radius the float range allows: up to 1e280 for q = 2, whose
+    arguments grow, and 1e100 for q = 1/2, whose e(x) grows as ||x||^3."""
+
+    @pytest.mark.parametrize("direction, exponent", [
+        pytest.param(UP, e, id=f"q-2-1e{e}") for e in range(-300, 300, 20)] + [
+        pytest.param(DOWN, e, id=f"q-half-1e{e}") for e in range(-300, 101, 20)])
+    def test_limit_within_tol_of_the_base_involution(self, rng, direction, exponent):
+        for spec in (SCALAR, P4, M2):
+            X = np.stack([algebra.sample_element(spec, (0.5, 2.0), rng) * 10.0 ** exponent
+                          for _ in range(3)])
+            want = maps.eval_f_rows(exact(spec), X)
+            norms = algebra.stacked_norms(spec, X)
+            tol = np.maximum(8 * U * norms, np.minimum(1e-9 * norms, 1e-7))
+            for kind in ("fixed_direction", "random_direction"):
+                trace = stabilize_points(admissible(spec, kind, direction), direction,
+                                         phi_of(direction), X)
+                last = trace.offsets[1:] - 1
+                got = algebra.stacked_norms(spec, trace.iterates[last] - want)
+                assert (got <= tol + 4 * U * norms).all(), (spec, kind, got, tol)
+                assert trace.depths[last].tolist() == [
+                    reference_depth(direction, phi_of(direction), spec, x) for x in X]
 
 
 @st.composite
@@ -400,12 +471,16 @@ class TestErrorBound:
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
         assert error_bounds(UP, phi, M2, x[None]) == [0.0]
 
-    def test_product_control_computes_no_norm(self, monkeypatch, rng):
+    @pytest.mark.parametrize("phi", [power_product(0.4, 0.25), power_product(0.4, 1.0)],
+                             ids=["q-2", "q-half"])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_product_control_computes_no_norm(self, monkeypatch, rng, spec, phi):
         # phi(x, 0) = theta ||x 0||^r = 0 for every finite x, in closed form.
-        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(3)])
+        X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng) for _ in range(3)])
+        direction = select_direction(phi)
         for name in ("stacked_norms", "_libm_pow"):
             monkeypatch.setattr(algebra, name, None)
-        got = error_bounds(UP, power_product(0.4, 0.25), M2, X)
+        got = error_bounds(direction, phi, spec, X)
         assert got.dtype == np.float64 and got.tolist() == [0.0] * 3
 
     def test_rows_match_error_bound(self, rng):

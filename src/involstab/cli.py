@@ -7,9 +7,10 @@ Commands:
   demo-fixedpoint                    both branches of the alternative
 
 Exit codes: 2 configuration error (including an --out that is a file or
-lies under one), 3 no contractive direction, 4 stabilization failure, 5
-any other package error (e.g. a degenerate random direction), 0 otherwise
-(failed certifications are data).
+lies under one, or an output file that cannot be written), 3 no
+contractive direction, 4 stabilization failure, 5 any other package
+error (e.g. a degenerate random direction), 0 otherwise (failed
+certifications are data).
 """
 
 from __future__ import annotations
@@ -40,36 +41,18 @@ from .maps import ApproxMap, Involution, LambdaSampler, PerturbationKind, Pertur
 from .stabilizer import ControlFunction, ControlKind
 
 
-# ------------------------- serialization helpers -------------------------
-
-# Fields a report leaves out: entry names are already the report's keys,
-# and per-probe ratios and bounds are not part of the report.
-_UNREPORTED = {"name", "law", "per_probe", "per_probe_bounds"}
-
-
-def _json(value):
-    """A stage result as JSON data: a dataclass becomes its fields in
-    declaration order (`passed` written as `pass`), a probe row a flat list of
-    [re, im] pairs, and an infinite float the string "inf", which strict JSON
-    needs in place of an infinity literal."""
-    if isinstance(value, np.ndarray):
-        return [_json(z) for z in value.reshape(-1).tolist()]
-    if dataclasses.is_dataclass(value):
-        return {("pass" if f.name == "passed" else f.name): _json(getattr(value, f.name))
-                for f in dataclasses.fields(value) if f.name not in _UNREPORTED}
-    if isinstance(value, dict):
-        return {k: _json(v) for k, v in value.items()}
-    if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
-
+# ----------------------------- output files ------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through `path`.tmp; a failed write is a ConfigError."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"--out {path.parent}: cannot write {path.name} ({exc})")
 
 
 # ----------------------------- configuration -----------------------------
@@ -185,7 +168,7 @@ def parse_scenario(raw: dict) -> Scenario:
                                "involution.s")
             base = maps.twisted_adjoint(s)
         else:
-            base = Involution(kind)
+            base = Involution(kind, inv.get("s"))
         # Raises KindSpecMismatch if the involution is not defined on spec.
         maps._involution_rows(base, spec, np.zeros((1, *spec.shape), dtype=np.complex128))
     except (ValueError, KindSpecMismatch) as exc:
@@ -341,7 +324,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     I = verifier.StabilizedMap(sc.f, direction, sc.phi)
 
     hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, P)
-    bound = verifier.verify_bound(I, sc.phi, P)
+    bound = verifier.verify_bound(I, P)
     laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
     uniq = None
     if sc.f2 is not None:
@@ -360,17 +343,17 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     }
 
     # One row per probe and ladder depth but its last, n*: the difference
-    # to the next depth, the distance to the limit a_{n*} and the
-    # deviation from a_0 = f(x), the last two from one stacked call.
+    # to the next depth, the distance to the limit a_{n*}, the deviation
+    # from a_0 = f(x) and the probe's radius, the last three from one
+    # stacked call.
     tr = I.traces(P)
     its, first, last = tr.iterates, tr.offsets[:-1], tr.offsets[1:] - 1
     probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets) - 1)
     at = np.delete(np.arange(len(its)), last)
-    norms = algebra.stacked_norms(sc.spec, np.concatenate(
-        [its[at] - its[last[probe]], its[at] - its[first[probe]]]))
-    errors, deviations = norms.reshape(2, -1)
+    errors, deviations, radii = np.split(algebra.stacked_norms(sc.spec, np.concatenate(
+        [its[at] - its[last[probe]], its[at] - its[first[probe]], P])), [len(at), 2 * len(at)])
     bounds = np.asarray(bound.per_probe_bounds)[probe]
-    columns = [probe, algebra.stacked_norms(sc.spec, P)[probe], tr.depths[at], tr.gaps[at],
+    columns = [probe, radii[probe], tr.depths[at], tr.gaps[at],
                errors, bounds, verifier._ratios(deviations, bounds)]
     return results, {name: c.tolist() for name, c in zip(TRACE_COLUMNS, columns)}
 
@@ -428,22 +411,21 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
     sc = parse_scenario(raw)
     out = _output_dir(out_dir, config_path, "_out")
     results, trace = run_pipeline(sc)
-    report = _json(results)
     # Made only now, so a run that fails leaves no directory behind.
     _make_dir(out)
 
-    report_text = json.dumps(report, indent=2)
-    _atomic_write(out / "report.json", report_text + "\n")
+    _atomic_write(out / "report.json", verifier._render(results) + "\n")
     _atomic_write(out / "trace.csv", _trace_csv(trace))
+    # parse_scenario has checked each number in raw finite: no "inf" rule.
     manifest = {
         "config": raw,
-        "derived": report["direction"],
-        "corollary_audit": report["corollary_audit"],
+        "derived": results["direction"],
+        "corollary_audit": results["corollary_audit"],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": {"report": "report.json", "trace": "trace.csv"},
     }
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out / "manifest.json", verifier._render(manifest) + "\n")
     return out
 
 

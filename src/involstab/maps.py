@@ -303,7 +303,8 @@ class LambdaSampler:
             raise ValueError("each stage needs at least one sample")
 
 
-def sample_lambdas(ls: LambdaSampler) -> list[tuple[str, complex]]:
+@lru_cache(maxsize=1)  # the last sampler's: the stages of a pass share it
+def sample_lambdas(ls: LambdaSampler) -> tuple[tuple[str, complex], ...]:
     """Stage-tagged scalars; the arc stage always contains lambda = 1."""
     rng = np.random.Generator(np.random.PCG64(ls.seed))
     out: list[tuple[str, complex]] = [("arc", 1.0 + 0.0j)]
@@ -317,4 +318,4 @@ def sample_lambdas(ls: LambdaSampler) -> list[tuple[str, complex]]:
     angles = rng.uniform(0.0, 2.0 * np.pi, ls.cplx)
     for m, t in zip(moduli, angles):
         out.append(("complex", complex(m * np.exp(1j * t))))
-    return out
+    return tuple(out)

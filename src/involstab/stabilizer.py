@@ -178,18 +178,26 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     return StabilizationTrace(np.append(0, np.cumsum(used.sum(axis=1))), depths, values, gaps)
 
 
-@np.errstate(over="ignore")
 def _tails(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
            X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ||x|| and e(x) of each row; the product control's phi(x, 0) is 0.
-    if phi.kind is ControlKind.POWER_PRODUCT:
-        return np.zeros(len(X)), np.zeros(len(X))
-    factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
+    # ||x|| and e(x) of each row; the product control computes no norm.
     try:
-        norms = algebra.stacked_norms(spec, X)
-        return norms, factor * (phi.theta * algebra._libm_pow(norms, phi.r))
+        product = phi.kind is ControlKind.POWER_PRODUCT
+        norms = np.zeros(len(X)) if product else algebra.stacked_norms(spec, X)
+        return norms, _closeness(direction, phi, norms)
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+
+
+@np.errstate(over="ignore")
+def _closeness(direction: ScalingDirection, phi: ControlFunction,
+               norms: np.ndarray) -> np.ndarray:
+    # e(x) = L^{1-i}/(1-L) * phi(x, 0) from the rows' norms ||x||, 0 for the
+    # product control with no power; an overflowing power is OverflowError.
+    if phi.kind is ControlKind.POWER_PRODUCT:
+        return np.zeros(len(norms))
+    factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
+    return factor * (phi.theta * algebra._libm_pow(norms, phi.r))
 
 
 def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,

@@ -1,5 +1,6 @@
 """Hypothesis scans with witnesses, involution-law suites for the
-stabilized map, and bound / uniqueness / C*-identity certification.
+stabilized map, bound / uniqueness / C*-identity certification, and the
+JSON text of the stage results.
 
 Suprema are taken over the sampled probe region only; violations are
 reported as data, never raised.  Each stage takes its probe set as one stack
@@ -8,9 +9,10 @@ P shaped (N, *spec.shape), and its witnesses hold rows of P.
 
 from __future__ import annotations
 
-import functools
+import itertools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -101,8 +103,12 @@ def _require_probes(P: np.ndarray) -> None:
         raise ValueError("probe set must be nonempty")
 
 
-def _norms(stage: str, spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
-    return algebra.stacked_norms(spec, algebra.finite_rows(stage, stack))
+def _norms(stage: str, spec: AlgebraSpec, *stacks: np.ndarray) -> list[np.ndarray]:
+    """Each stack's norms, from one stacked_norms call on their concatenation
+    once it is checked finite; a row's norm does not depend on the stack."""
+    norms = algebra.stacked_norms(spec, algebra.finite_rows(stage, np.concatenate(stacks)))
+    ends = list(itertools.accumulate(map(len, stacks)))
+    return [norms[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _witness(**columns):
@@ -142,7 +148,7 @@ def scan_hypotheses(
     anti-multiplicativity and C*-norm hypotheses, plus the absolute
     involutivity residual ||I(I(x)) - x||."""
     _require_probes(P)
-    f = I.f
+    f, spec = I.f, I.f.spec
     X, Y = probe_pairs(P)
 
     # The Jensen hypothesis is quantified over unit-modulus scalars only;
@@ -152,10 +158,18 @@ def scan_hypotheses(
     nl = len(unit_lams)
     XL, YL = np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0)
     lams, stages = [v for _, v in unit_lams] * len(X), [s for s, _ in unit_lams] * len(X)
-    e2 = algebra.stacked_norms(f.spec, maps.jensen_defect(f, lams, XL, YL))
-    e3 = algebra.stacked_norms(f.spec, maps.antimul_defect(f, X, Y))
-    dens = stabilizer.control_rows(phi, f.spec, X, Y)
-    e4 = _norms("scan_hypotheses", f.spec, I.rows(I.rows(P)) - P)
+    stacks = [maps.jensen_defect(f, lams, XL, YL), maps.antimul_defect(f, X, Y)]
+    # The control reads ||x|| and ||y|| from P's norms through probe_pairs
+    # (a zero partner's is 0), or ||xy|| from the products.
+    sums = phi.kind is stabilizer.ControlKind.POWER_SUM
+    stacks += [P if sums else algebra.finite_rows(
+        "power_product control", algebra.mul_rows(spec, X, Y)), I.rows(I.rows(P)) - P]
+    try:
+        e2, e3, nc, e4 = _norms("scan_hypotheses", spec, *stacks)
+        powers = algebra._libm_pow(nc, phi.r)
+    except OverflowError:
+        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+    dens = phi.theta * (np.add(*probe_pairs(powers)) if sums else powers)
     e6 = maps.cstar_defect(f, P)
 
     columns = {
@@ -208,17 +222,19 @@ def verify_involution_laws(
         X + Y, X, Y, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y), P]))
     I_sum, I_x, I_y, I_lp, I_xy, I_p = np.split(
         I.rows(args), np.cumsum([n, n, n, len(lams) * m, n]))
-    norms = functools.partial(_norms, "verify_involution_laws", spec)
+    npr, add, homog, am, inv = _norms(
+        "verify_involution_laws", spec, P, I_sum - (I_x + I_y),
+        I_lp - (np.conj(L) * I_p).reshape(I_lp.shape), I_xy - algebra.mul_rows(spec, I_y, I_x),
+        I.rows(I_p) - P)
     # probe_pairs on P's norms gives X's and Y's; a zero row's norm is 0.
     # np.fmax(1, v) is Python's max(1.0, v), NaN included.
-    npr = norms(P)
     nx, ny = probe_pairs(npr)
-    add = norms(I_sum - (I_x + I_y)) / np.fmax(1.0, nx + ny)
+    add = add / np.fmax(1.0, nx + ny)
     # Row k of homog is lams[k] on every probe; abs(lam) is Python's.
-    homog = norms(I_lp - (np.conj(L) * I_p).reshape(I_lp.shape)).reshape(-1, m) / np.fmax(
+    homog = homog.reshape(-1, m) / np.fmax(
         1.0, np.multiply.outer([abs(lam) for _, lam in lams], npr))
-    am = norms(I_xy - algebra.mul_rows(spec, I_y, I_x)) / np.fmax(1.0, nx * ny)
-    inv = norms(I.rows(I_p) - P) / np.fmax(1.0, npr)
+    am = am / np.fmax(1.0, nx * ny)
+    inv = inv / np.fmax(1.0, npr)
 
     conj_homogeneity = {}
     for stage in ("arc", "circle", "reals", "complex"):
@@ -247,15 +263,15 @@ class BoundReport:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def verify_bound(
     I: StabilizedMap,
-    phi: ControlFunction,
     P: np.ndarray,
 ) -> BoundReport:
-    """||I(x) - f(x)|| against L^{1-i}/(1-L) * phi(x,0) per probe; a zero
-    bound demands the difference vanish to ZERO_BOUND_ABS (superstability).
-    The report keeps each probe's ratio and bound."""
+    """||I(x) - f(x)|| against e(x) = L^{1-i}/(1-L) * phi(x,0) per probe, with
+    I's phi and L; a zero bound demands the difference vanish to ZERO_BOUND_ABS
+    (superstability).  The report keeps each probe's ratio and bound."""
     _require_probes(P)
-    diffs = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P))
-    bounds = stabilizer.error_bounds(I.direction, phi, I.f.spec, P)
+    diffs, radii = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P), P)
+    # No power overflows: stabilizing P took each e(x) from the same norms.
+    bounds = stabilizer._closeness(I.direction, I.phi, radii)
     ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
     worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
     return BoundReport(
@@ -285,9 +301,8 @@ def verify_uniqueness(
     """Two admissible maps over the same base must stabilize to the same
     involution pointwise."""
     _require_probes(P)
-    worst, witness, checked = _sup(
-        _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P)),
-        _witness(x=P))
+    (diffs,) = _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P))
+    worst, witness, checked = _sup(diffs, _witness(x=P))
     return UniquenessReport(
         max_diff=worst, probes_checked=checked, passed=worst <= UNIQUENESS_TOL, witness=witness
     )
@@ -325,9 +340,8 @@ def verify_cstar(
     worst, rev_worst, witness = 0.0, 0.0, None
     if len(nq):
         IQ = I.rows(Q)
-        norms = _norms("verify_cstar", spec, np.concatenate(
-            [algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)]))
-        ratios, reversed_ratios = np.abs(norms.reshape(2, -1) - squares) / squares
+        ratios, reversed_ratios = (np.abs(norms - squares) / squares for norms in _norms(
+            "verify_cstar", spec, algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)))
         worst, witness, _ = _sup(ratios, _witness(x=Q, ratio=ratios.tolist()))
         rev_worst = float(reversed_ratios.max())
     return CstarReport(
@@ -338,3 +352,38 @@ def verify_cstar(
         witness=witness,
         tol=tol,
     )
+
+
+# A report leaves out entry names, already its keys, and per-probe columns.
+_UNREPORTED = {"name", "law", "per_probe", "per_probe_bounds"}
+_string = json.encoder.encode_basestring_ascii
+
+
+def _render(value, pad: str = "") -> str:
+    """A stage result as the text json.dumps(..., indent=2) writes at the
+    indent `pad`, with a dataclass as its fields in order (`passed` as
+    `pass`), an ndarray as a flat list, a complex number as [re, im] and an
+    infinite float as "inf", as strict JSON needs; not in a list, a tuple or
+    a complex number's parts, which json.dumps writes by its own rules."""
+    inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        items, brackets = [_render(z, inner) for z in value.reshape(-1).tolist()], "[]"
+    elif is_dataclass(value):
+        items, brackets = [f"{_string('pass' if f.name == 'passed' else f.name)}: "
+                           f"{_render(getattr(value, f.name), inner)}"
+                           for f in fields(value) if f.name not in _UNREPORTED], "{}"
+    elif isinstance(value, dict):
+        items, brackets = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, complex):
+        items, brackets = [float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+                           for x in (value.real, value.imag)], "[]"
+    elif isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else (
+            '"inf"' if math.isinf(value) else "NaN")
+    elif isinstance(value, (list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    else:  # str, int, bool and None; any other type is a TypeError
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"

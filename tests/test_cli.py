@@ -35,6 +35,41 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return p
 
 
+def tag_norm_calls(monkeypatch, tags):
+    """Record each algebra.stacked_norms call as (tag, stack copy), the tag
+    of the innermost running function of `tags`, {(module, name): tag}, or
+    None; each is patched in its module, where its callers look it up."""
+    stage, calls = [None], []
+    stacked_norms = algebra.stacked_norms
+
+    def counting(spec, stack):
+        calls.append((stage[0], stack.copy()))
+        return stacked_norms(spec, stack)
+
+    def tagged(run, tag):
+        def wrapper(*args, **kwargs):
+            outer, stage[0] = stage[0], tag
+            try:
+                return run(*args, **kwargs)
+            finally:
+                stage[0] = outer
+        return wrapper
+
+    for (module, name), tag in tags.items():
+        monkeypatch.setattr(module, name, tagged(getattr(module, name), tag))
+    monkeypatch.setattr(algebra, "stacked_norms", counting)
+    return calls
+
+
+# The functions whose norm calls are their own, not the calling stage's.
+INNER = {(maps, "eval_f_rows"): "inner", (stabilizer, "eval_f_rows"): "inner",
+         (stabilizer, "stabilize_points"): "inner", (maps, "cstar_defect"): "inner"}
+STAGES = {(verifier, "scan_hypotheses"): "scan", (verifier, "verify_bound"): "bound",
+          (verifier, "verify_involution_laws"): "laws",
+          (verifier, "verify_uniqueness"): "uniqueness", (verifier, "verify_cstar"): "cstar",
+          (cli, "make_probes"): "probes"}
+
+
 REPORT_KEYS = {
     "direction", "hypotheses", "bound", "laws", "uniqueness", "cstar",
     "corollary_audit", "tolerances",
@@ -139,21 +174,43 @@ class TestRun:
         assert len(calls) == len(set(calls))
         assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
-    def test_error_bounds_once_per_pass(self, monkeypatch):
-        # The trace rows read the bound stage's per-probe bounds.
-        calls = []
-        error_bounds = stabilizer.error_bounds
-
-        def counting(direction, phi, spec, X):
-            calls.append(len(X))
-            return error_bounds(direction, phi, spec, X)
-
-        monkeypatch.setattr(stabilizer, "error_bounds", counting)
+    def test_bound_norms_from_one_call(self, monkeypatch):
+        # The bound stage takes ||I(x) - f(x)|| and the radii its e(x) reads
+        # from one call on I(P) - f(P) and P, and no error_bounds call; the
+        # trace rows read its per-probe bounds.
+        monkeypatch.setattr(stabilizer, "error_bounds", None)
+        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
         sc = cli.parse_scenario(small_config())
         results, trace = cli.run_pipeline(sc)
-        assert calls == [sc.num_probes]
+        P = cli.make_probes(sc)
+        (stack,) = [stack for tag, stack in calls if tag == "bound"]
+        assert len(stack) == 2 * len(P) and stack[len(P):].tobytes() == P.tobytes()
         bounds = results["bound"].per_probe_bounds
         assert trace["bound"] == [bounds[probe] for probe in trace["probe_id"]]
+
+    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
+    def test_one_norm_call_per_stage(self, monkeypatch, scenario):
+        # Each stage takes its norms from one stacked_norms call, leaving
+        # out those made inside eval_f_rows, stabilize_points and
+        # cstar_defect; C* takes two, so that ||x||^2 is checked before the
+        # products.  The untagged call is the trace rows'.  One bundled
+        # adjoint_rsum_r05 run makes 27 calls in all.
+        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
+        sc = cli.parse_scenario(cli.load_config(scenario))
+        cli.run_pipeline(sc)
+        tags = [tag for tag, _ in calls if tag != "inner"]
+        assert sorted(tags, key=str) == sorted(
+            ["probes", "scan", "bound", "laws", "cstar", "cstar", None]
+            + ["uniqueness"] * (sc.f2 is not None), key=str)
+        if scenario == "adjoint_rsum_r05":
+            assert len(calls) <= 27
+
+    def test_scalars_sampled_once_per_pass(self):
+        # The scan and the laws read one memoized sample of the scalars.
+        maps.sample_lambdas.cache_clear()
+        cli.run_pipeline(cli.parse_scenario(small_config()))
+        info = maps.sample_lambdas.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_one_trace_per_batch_and_one_witness_per_sup(self, monkeypatch):
         # The ladders stay flat stacks: a pass builds one StabilizationTrace
@@ -295,36 +352,16 @@ class TestProbes:
 
     def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
         # make_probes normalizes its rows in one stacked call, and the laws
-        # take the norms of their pairs' rows from one call on their probes.
-        stage, calls = [None], []
-        stacked_norms = algebra.stacked_norms
-
-        def counting(spec, stack):
-            calls.append((stage[0], stack.copy()))
-            return stacked_norms(spec, stack)
-
-        def staged(name, run):
-            def wrapper(*args):
-                stage[0] = name
-                try:
-                    return run(*args)
-                finally:
-                    stage[0] = None
-            return wrapper
-
+        # take the norms of their probes, whose probe_pairs are the norms of
+        # their pairs' rows, from their one call, which leads with P.
         sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
                                              involution={"kind": "adjoint"}))
         P = cli.make_probes(sc)[: sc.laws_max_probes]
-        X, Y = verifier.probe_pairs(P)
-        monkeypatch.setattr(algebra, "stacked_norms", counting)
-        monkeypatch.setattr(cli, "make_probes", staged("probes", cli.make_probes))
-        monkeypatch.setattr(verifier, "verify_involution_laws",
-                            staged("laws", verifier.verify_involution_laws))
+        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
         cli.run_pipeline(sc)
-        assert [len(stack) for name, stack in calls if name == "probes"] == [sc.num_probes]
-        inputs = [stack for name, stack in calls if name == "laws"
-                  and any(np.array_equal(stack, Z) for Z in (X, Y, P))]
-        assert len(inputs) == 1 and inputs[0].tobytes() == P.tobytes()
+        assert [len(stack) for tag, stack in calls if tag == "probes"] == [sc.num_probes]
+        (stack,) = [stack for tag, stack in calls if tag == "laws"]
+        assert stack[:len(P)].tobytes() == P.tobytes()
 
 
 class TestTraceCsv:
@@ -535,6 +572,37 @@ class TestExitCodes:
         assert main([command[0], config, *command[1:], "--out", str(afile / under)]) == 2
         assert "--out" in capsys.readouterr().err
         assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command, blocked, name", [
+        (["run", "product_superstability"], "report.json.tmp", "report.json"),
+        (["run", "product_superstability"], "trace.csv", "trace.csv"),
+        (["run", "product_superstability"], "manifest.json", "manifest.json"),
+        (["sweep", "product_superstability", "--param", "r", "--values", "0.75"],
+         "sweep.csv", "sweep.csv"),
+        (["sweep", "product_superstability", "--param", "r", "--values", "0.75"],
+         "sweep.csv.tmp", "sweep.csv"),
+    ])
+    def test_failed_write(self, tmp_path, capsys, command, blocked, name):
+        # A directory where an output file or its temporary file goes: the
+        # write fails, exit 2 names --out and the file, no temporary file
+        # is left, and the directory is kept.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: cannot write {name} (")
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and not p.is_dir()]
+        assert (out / blocked).is_dir()
+
+    @pytest.mark.parametrize("s", [math.inf, [[1, 0]], "x"])
+    def test_twist_given_to_another_kind(self, tmp_path, monkeypatch, capsys, s):
+        # Only the twisted adjoint reads involution.s; another kind ignored
+        # it, and manifest.json wrote it back unchecked.
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(involution={"kind": "conjugation", "s": s})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: involution.kind: conjugation takes no twist element\n")
 
     def test_iterate_overflow_of_every_probe(self, tmp_path, capsys):
         # A random direction at r = 1 under an r = 1/2 control does not
@@ -768,6 +836,10 @@ class TestGoldenDigests:
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in ("report.json", "trace.csv")}
         assert got == GOLDEN_DIGESTS[name]
+        # Both JSON files are json.dumps' text of their data.
+        for f in ("report.json", "manifest.json"):
+            text = (out / f).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestSweep:

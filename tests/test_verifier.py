@@ -186,29 +186,31 @@ class TestScanHypotheses:
 
 class TestVerifyBound:
     def test_exact_ratio(self, rng):
-        # diff = 0.1*||x||^{1/2}, bound = (1+sqrt(2))*0.1*||x||^{1/2}
+        # The limit is the exact adjoint: diff = 0.1*||x||^{1/2}, and
+        # bound = (1+sqrt(2))*0.1*||x||^{1/2} under the map's control.
         phi = power_sum(0.1, 0.5)
-        rep = verify_bound(up_map(BUDGET_F), phi, sample_probes(20, rng))
+        rep = verify_bound(StabilizedMap(BUDGET_F, select_direction(phi), phi),
+                           sample_probes(20, rng))
         assert rep.passed
         assert rep.max_ratio == pytest.approx(1 / (1 + SQRT2), rel=1e-6)
         assert all(r == pytest.approx(1 / (1 + SQRT2), rel=1e-6) for r in rep.per_probe)
 
     def test_headroom_under_budget_control(self, rng):
-        rep = verify_bound(up_map(BUDGET_F), PHI_SUM, sample_probes(20, rng))
+        rep = verify_bound(up_map(BUDGET_F), sample_probes(20, rng))
         assert rep.passed
         assert rep.max_ratio == pytest.approx(1 / (3 * (1 + SQRT2)), rel=1e-6)
 
     def test_superstability_zero_bound(self, rng):
         phi = power_product(0.1, 0.25)
         d = select_direction(phi)
-        rep = verify_bound(StabilizedMap(EXACT_ADJ, d, phi), phi, sample_probes(10, rng))
+        rep = verify_bound(StabilizedMap(EXACT_ADJ, d, phi), sample_probes(10, rng))
         assert rep.passed and rep.max_ratio == 0.0
 
     def test_zero_bound_violation_is_infinite(self, rng):
         phi = power_product(0.1, 0.25)
         d = select_direction(phi)
         f = ApproxMap(maps.conjugation(), radial(0.01, 0.25), SCALAR)
-        rep = verify_bound(StabilizedMap(f, d, phi), phi, sample_probes(5, rng, spec=SCALAR))
+        rep = verify_bound(StabilizedMap(f, d, phi), sample_probes(5, rng, spec=SCALAR))
         assert not rep.passed and rep.max_ratio == INF
 
 
@@ -239,7 +241,7 @@ class TestArrayReturns:
             lambda Z: maps.eval_f_rows(f, Z), lambda Z: maps.eval_f_rows(exact, Z), m)
         assert type(distance) is float
         if n:
-            rep = verify_bound(up_map(f), PHI_SUM, X)
+            rep = verify_bound(up_map(f), X)
             assert type(rep.max_ratio) is float
             for column in (rep.per_probe, rep.per_probe_bounds):
                 assert type(column) is list and len(column) == n
@@ -329,7 +331,7 @@ def run_stage(stage, I, probes):
     if stage == "scan":
         return scan_hypotheses(I, PHI_SUM, LAMBDAS, probes)
     if stage == "bound":
-        return verify_bound(I, PHI_SUM, probes)
+        return verify_bound(I, probes)
     if stage == "laws":
         return verify_involution_laws(I, LAMBDAS, probes)
     if stage == "uniqueness":
@@ -573,7 +575,7 @@ class TestStackedStagesMatchElementReference:
 
         hyp = scan_hypotheses(I, PHI_SUM, lambdas, P)
         laws = verify_involution_laws(I, lambdas, P)
-        bound = verify_bound(I, PHI_SUM, P)
+        bound = verify_bound(I, P)
         uniq = verify_uniqueness(I, I2, P)
         cstar = verify_cstar(I, P)
         got = {name: (e.sup_ratio, e.witness, e.samples_used)

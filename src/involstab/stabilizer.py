@@ -52,12 +52,18 @@ def control_rows(phi: ControlFunction, spec: AlgebraSpec, X: np.ndarray,
     phi(x, 0) is identically zero for the product control (superstability)."""
     try:
         if phi.kind is ControlKind.POWER_SUM:
-            a, b = algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y)
-            return phi.theta * (algebra._libm_pow(a, phi.r) + algebra._libm_pow(b, phi.r))
+            return _control(phi, algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y))
         XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
-        return phi.theta * algebra._libm_pow(algebra.stacked_norms(spec, XY), phi.r)
+        return _control(phi, algebra.stacked_norms(spec, XY))
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+
+
+def _control(phi: ControlFunction, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    # theta * (a^r + b^r) from the norms a = ||x||, b = ||y|| (the power sum), and
+    # theta * a^r without b: phi(x, 0), or the product's a = ||xy||.  Powers may overflow.
+    powers = algebra._libm_pow(a, phi.r)
+    return phi.theta * (powers if b is None else powers + algebra._libm_pow(b, phi.r))
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,10 @@ def _tails(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
 @np.errstate(over="ignore")
 def _closeness(direction: ScalingDirection, phi: ControlFunction,
                norms: np.ndarray) -> np.ndarray:
-    # e(x) = L^{1-i}/(1-L) * phi(x, 0) from the rows' norms ||x||, 0 for the
-    # product control with no power; an overflowing power is OverflowError.
+    # e(x) = L^{1-i}/(1-L) phi(x, 0) from the norms ||x||; 0 under the product control, no power.
     if phi.kind is ControlKind.POWER_PRODUCT:
         return np.zeros(len(norms))
-    factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
-    return factor * (phi.theta * algebra._libm_pow(norms, phi.r))
+    return direction.L ** (1 - direction.i) / (1.0 - direction.L) * _control(phi, norms)
 
 
 def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,

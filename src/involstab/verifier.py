@@ -104,8 +104,7 @@ def _require_probes(P: np.ndarray) -> None:
 
 
 def _norms(stage: str, spec: AlgebraSpec, *stacks: np.ndarray) -> list[np.ndarray]:
-    """Each stack's norms, from one stacked_norms call on their concatenation
-    once it is checked finite; a row's norm does not depend on the stack."""
+    """Each stack's norms from one stacked_norms call; a row's bits do not depend on the stack."""
     norms = algebra.stacked_norms(spec, algebra.finite_rows(stage, np.concatenate(stacks)))
     ends = list(itertools.accumulate(map(len, stacks)))
     return [norms[start:end] for start, end in zip([0, *ends], ends)]
@@ -166,10 +165,9 @@ def scan_hypotheses(
         "power_product control", algebra.mul_rows(spec, X, Y)), I.rows(I.rows(P)) - P]
     try:
         e2, e3, nc, e4 = _norms("scan_hypotheses", spec, *stacks)
-        powers = algebra._libm_pow(nc, phi.r)
+        dens = stabilizer._control(phi, *(probe_pairs(nc) if sums else [nc]))
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-    dens = phi.theta * (np.add(*probe_pairs(powers)) if sums else powers)
     e6 = maps.cstar_defect(f, P)
 
     columns = {
@@ -360,11 +358,9 @@ _string = json.encoder.encode_basestring_ascii
 
 
 def _render(value, pad: str = "") -> str:
-    """A stage result as the text json.dumps(..., indent=2) writes at the
-    indent `pad`, with a dataclass as its fields in order (`passed` as
-    `pass`), an ndarray as a flat list, a complex number as [re, im] and an
-    infinite float as "inf", as strict JSON needs; not in a list, a tuple or
-    a complex number's parts, which json.dumps writes by its own rules."""
+    """`value` as json.dumps(..., indent=2) writes it at indent `pad`, once a dataclass is its
+    fields (`passed` as `pass`), an ndarray a flat list, a complex number [re, im] and an
+    infinite float "inf"; lists, tuples and a complex number's parts keep json's rules."""
     inner = pad + "  "
     if isinstance(value, np.ndarray):
         items, brackets = [_render(z, inner) for z in value.reshape(-1).tolist()], "[]"

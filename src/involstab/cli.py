@@ -16,6 +16,7 @@ certifications are data).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -43,16 +44,25 @@ from .stabilizer import ControlFunction, ControlKind
 
 # ----------------------------- output files ------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write through `path`.tmp; a failed write is a ConfigError."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Write each file of `files` ({name: text}) through NAME.tmp, every
+    temporary file before the first replace. A failed write is a
+    ConfigError naming the file, and leaves none of the call's files."""
+    written: list[Path] = []  # each temporary file begun, then each file replaced
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for name, text in files.items():
+            written.append(out / f"{name}.tmp")
+            written[-1].write_text(text)
+        for name in files:
+            os.replace(out / f"{name}.tmp", out / name)
+            written.append(out / name)
     except OSError as exc:
-        if tmp.is_file():
-            tmp.unlink()
-        raise ConfigError(f"--out {path.parent}: cannot write {path.name} ({exc})")
+        for path in written:
+            # A path that is gone (a replaced temporary file) or a
+            # directory in the way is not this call's file.
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise ConfigError(f"--out {out}: cannot write {name} ({exc})")
 
 
 # ----------------------------- configuration -----------------------------
@@ -63,8 +73,6 @@ class Scenario:
     f: ApproxMap
     f2: ApproxMap | None
     phi: ControlFunction
-    max_n: int
-    tol_rel: float
     num_probes: int
     radius_min: float
     radius_max: float
@@ -75,44 +83,98 @@ class Scenario:
     cstar_tol: float
 
 
-def _get(section: dict, key: str, where: str, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key {where}.{key}")
-        return default
-    return section[key]
+# A reader takes a key's value and its dotted name, "section.key", and
+# returns the value parsed or raises a ConfigError naming the key.
+
+def _number(conv):
+    def read(value, name):
+        try:
+            # JSON's true and false are Python ints, which conv would pass.
+            if isinstance(value, bool):
+                raise TypeError(value)
+            number = conv(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        # float() passes JSON's NaN and Infinity; int() truncates 6.9 to 6.
+        if conv is float and not math.isfinite(number):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if conv is int and isinstance(value, float) and number != value:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return number
+    return read
 
 
-def _number(section: dict, key: str, where: str, conv, default=None, required=False):
-    value = _get(section, key, where, default=default, required=required)
-    try:
-        # JSON's true and false are Python ints, which conv would pass.
-        if isinstance(value, bool):
-            raise TypeError(value)
-        number = conv(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    # float() passes JSON's NaN and Infinity; int() truncates 6.9 to 6.
-    if conv is float and not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    if conv is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return number
+_int, _real = _number(int), _number(float)
 
 
-def _kind(section: dict, where: str, kinds: type[Enum]) -> Enum:
-    value = _get(section, "kind", where, required=True)
-    try:
-        return kinds(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.kind: {exc}")
+def _at_least(read_number, low, strict=False):
+    def read(value, name):
+        number = read_number(value, name)
+        if number < low or strict and number == low:
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
+        return number
+    return read
 
 
-def _seed(section: dict, key: str, where: str, default=None, required=False):
-    value = _get(section, key, where, default=default, required=required)
+def _seed(value, name):
     if type(value) is not int or value < 0:
-        raise ConfigError(f"{where}.{key} must be a non-negative integer, got {value!r}")
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
     return value
+
+
+def _seed_or_null(value, name):
+    return None if value is None else _seed(value, name)
+
+
+def _kind(kinds: type[Enum]):
+    def read(value, name):
+        try:
+            return kinds(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}")
+    return read
+
+
+def _list(value, name):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _as_is(value, name):
+    return value
+
+
+REQUIRED = object()
+
+# The config schema: section -> key -> (reader, default). A key that is
+# absent takes its default, and one whose default is REQUIRED is an error;
+# a default of None leaves the key out, so that the section's dataclass
+# declares it (or, for the stabilizer, that nothing reads it).
+_PERTURBATION = {
+    "kind": (_kind(PerturbationKind), REQUIRED), "theta_delta": (_real, None),
+    "r": (_real, None), "direction_seed": (_seed_or_null, None),
+}
+SCHEMA = {
+    "algebra": {"kind": (_kind(AlgebraKind), REQUIRED), "dim": (_int, None)},
+    "involution": {"kind": (_kind(maps.InvolutionKind), REQUIRED), "s": (_as_is, None)},
+    "perturbation": _PERTURBATION,
+    "perturbation2": _PERTURBATION,
+    "control": {"kind": (_kind(ControlKind), REQUIRED), "theta": (_real, None),
+                "r": (_real, None)},
+    # Checked, then dropped: each probe's depth comes from its tail
+    # (stabilizer.DEPTH_TOL_REL, DEPTH_TOL_ABS).
+    "stabilizer": {"max_n": (_at_least(_int, 1), None),
+                   "tol_rel": (_at_least(_real, 0, strict=True), None)},
+    "sampling": {
+        "num_probes": (_at_least(_int, 1), REQUIRED), "radius_min": (_real, 0.1),
+        "radius_max": (_real, 10.0), "seed": (_seed, REQUIRED), "extra_probes": (_list, []),
+    },
+    "lambda": {"n0": (_int, None), "arc": (_int, None), "circle": (_int, None),
+               "reals": (_int, None), "complex": (_int, None), "seed": (_seed, None)},
+    "laws": {"max_probes": (_at_least(_int, 1), 16)},
+    "cstar": {"tol": (_at_least(_real, 0), 1e-8)},
+}
 
 
 def _section(raw: dict, key: str, required=True) -> dict:
@@ -126,6 +188,19 @@ def _section(raw: dict, key: str, required=True) -> dict:
     return sec
 
 
+def _read(raw: dict, name: str, required=True) -> dict:
+    """Section `name` of raw, each key read by its SCHEMA reader."""
+    section, values = _section(raw, name, required), {}
+    for key, (read, default) in SCHEMA[name].items():
+        if key in section:
+            values[key] = read(section[key], f"{name}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {name}.{key}")
+        elif default is not None:
+            values[key] = default
+    return values
+
+
 def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
     try:
         flat = [complex(re, im) for re, im in entries]
@@ -134,136 +209,61 @@ def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
         raise ConfigError(f"{where}: expected {spec.n_entries} [re, im] pairs ({exc})")
 
 
-# The keys parse_scenario reads, by section.
-_PERTURBATION_KEYS = {"kind", "theta_delta", "r", "direction_seed"}
-_KEYS = {
-    "algebra": {"kind", "dim"}, "involution": {"kind", "s"},
-    "perturbation": _PERTURBATION_KEYS, "perturbation2": _PERTURBATION_KEYS,
-    "control": {"kind", "theta", "r"}, "stabilizer": {"max_n", "tol_rel"},
-    "sampling": {"num_probes", "radius_min", "radius_max", "seed", "extra_probes"},
-    "lambda": {"n0", "arc", "circle", "reals", "complex", "seed"},
-    "laws": {"max_probes"}, "cstar": {"max_n", "tol_rel", "tol"},
-}
+def _build(name: str, cls, values: dict):
+    """cls(**values); its ValueError is a ConfigError naming the section."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}")
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    for key, section in raw.items():
-        if key not in _KEYS:
-            raise ConfigError(f"unknown section {key}")
-        unknown = sorted(section.keys() - _KEYS[key]) if isinstance(section, dict) else []
+    for name, section in raw.items():
+        if name not in SCHEMA:
+            raise ConfigError(f"unknown section {name}")
+        unknown = sorted(section.keys() - SCHEMA[name].keys()) if isinstance(section, dict) else []
         if unknown:
-            raise ConfigError(f"unknown key {key}.{unknown[0]}")
-    alg = _section(raw, "algebra")
-    try:
-        spec = AlgebraSpec(_kind(alg, "algebra", AlgebraKind),
-                           _number(alg, "dim", "algebra", int, default=1))
-    except ValueError as exc:
-        raise ConfigError(f"algebra: {exc}")
+            raise ConfigError(f"unknown key {name}.{unknown[0]}")
+    spec = _build("algebra", AlgebraSpec, _read(raw, "algebra"))
 
-    inv = _section(raw, "involution")
-    kind = _get(inv, "kind", "involution", required=True)
+    inv = _read(raw, "involution")
     try:
-        if kind == "twisted_adjoint":
-            s = _parse_element(spec, _get(inv, "s", "involution", required=True),
-                               "involution.s")
-            base = maps.twisted_adjoint(s)
+        if inv["kind"] is maps.InvolutionKind.TWISTED_ADJOINT:
+            if "s" not in inv:
+                raise ConfigError("missing key involution.s")
+            base = maps.twisted_adjoint(_parse_element(spec, inv["s"], "involution.s"))
         else:
-            base = Involution(kind, inv.get("s"))
+            base = Involution(inv["kind"], inv.get("s"))
         # Raises KindSpecMismatch if the involution is not defined on spec.
         maps._involution_rows(base, spec, np.zeros((1, *spec.shape), dtype=np.complex128))
     except (ValueError, KindSpecMismatch) as exc:
         raise ConfigError(f"involution.kind: {exc}")
 
-    def parse_pert(section_name: str, required: bool) -> PerturbationSpec | None:
-        sec = _section(raw, section_name, required=required)
-        if not sec:
-            return None
-        try:
-            return PerturbationSpec(
-                kind=_kind(sec, section_name, PerturbationKind),
-                theta_delta=_number(sec, "theta_delta", section_name, float, default=0.0),
-                r=_number(sec, "r", section_name, float, default=1.0),
-                direction_seed=(None if sec.get("direction_seed") is None
-                                else _seed(sec, "direction_seed", section_name)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{section_name}: {exc}")
+    pert = _build("perturbation", PerturbationSpec, _read(raw, "perturbation"))
+    pert2 = None
+    if _section(raw, "perturbation2", required=False):
+        pert2 = _build("perturbation2", PerturbationSpec, _read(raw, "perturbation2"))
+    phi = _build("control", ControlFunction, _read(raw, "control"))
+    _read(raw, "stabilizer", required=False)
 
-    pert = parse_pert("perturbation", required=True)
-    pert2 = parse_pert("perturbation2", required=False)
-
-    ctl = _section(raw, "control")
-    try:
-        phi = ControlFunction(
-            kind=_kind(ctl, "control", ControlKind),
-            theta=_number(ctl, "theta", "control", float, default=0.0),
-            r=_number(ctl, "r", "control", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"control: {exc}")
-
-    # The depth keys of both sections are read and range-checked, and the
-    # stabilizer's are reported, but none has an effect: each probe's depth
-    # comes from its tail (stabilizer.DEPTH_TOL_REL, DEPTH_TOL_ABS).
-    depth_keys = {}
-    for name in ("stabilizer", "cstar"):
-        section = _section(raw, name, required=False)
-        max_n = _number(section, "max_n", name, int, default=48)
-        tol_rel = _number(section, "tol_rel", name, float, default=1e-10)
-        if max_n < 1:
-            raise ConfigError(f"{name}.max_n must be >= 1")
-        if tol_rel <= 0:
-            raise ConfigError(f"{name}.tol_rel must be > 0")
-        depth_keys[name] = max_n, tol_rel
-    max_n, tol_rel = depth_keys["stabilizer"]
-
-    samp = _section(raw, "sampling")
-    num_probes = _number(samp, "num_probes", "sampling", int, required=True)
-    radius_min = _number(samp, "radius_min", "sampling", float, default=0.1)
-    radius_max = _number(samp, "radius_max", "sampling", float, default=10.0)
-    seed = _seed(samp, "seed", "sampling", required=True)
-    if num_probes < 1:
-        raise ConfigError("sampling.num_probes must be >= 1")
-    if not (0 < radius_min <= radius_max):
+    samp = _read(raw, "sampling")
+    if not (0 < samp["radius_min"] <= samp["radius_max"]):
         raise ConfigError("sampling.radius_min/radius_max must satisfy 0 < min <= max")
-    extra = _get(samp, "extra_probes", "sampling", default=[])
-    if not isinstance(extra, list):
-        raise ConfigError(f"sampling.extra_probes must be a list, got {extra!r}")
-    extra = [
-        _parse_element(spec, entries, f"sampling.extra_probes[{k}]")
-        for k, entries in enumerate(extra)
-    ]
+    extra = [_parse_element(spec, entries, f"sampling.extra_probes[{k}]")
+             for k, entries in enumerate(samp["extra_probes"])]
 
-    lam = _section(raw, "lambda", required=False)
-    try:
-        lambdas = LambdaSampler(
-            n0=_number(lam, "n0", "lambda", int, default=3),
-            arc=_number(lam, "arc", "lambda", int, default=4),
-            circle=_number(lam, "circle", "lambda", int, default=4),
-            reals=_number(lam, "reals", "lambda", int, default=3),
-            cplx=_number(lam, "complex", "lambda", int, default=3),
-            seed=_seed(lam, "seed", "lambda", default=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"lambda: {exc}")
+    lam = _read(raw, "lambda", required=False)
+    if "complex" in lam:
+        lam["cplx"] = lam.pop("complex")
+    lambdas = _build("lambda", LambdaSampler, lam)
 
-    laws = _section(raw, "laws", required=False)
-    laws_max_probes = _number(laws, "max_probes", "laws", int, default=16)
-    if laws_max_probes < 1:
-        raise ConfigError("laws.max_probes must be >= 1")
-
-    cstar_tol = _number(_section(raw, "cstar", required=False), "tol", "cstar", float,
-                        default=1e-8)
-    if cstar_tol < 0:
-        raise ConfigError("cstar.tol must be >= 0")
-
-    f = ApproxMap(base=base, perturbation=pert, spec=spec)
-    f2 = ApproxMap(base=base, perturbation=pert2, spec=spec) if pert2 else None
     return Scenario(
-        spec=spec, f=f, f2=f2, phi=phi, max_n=max_n, tol_rel=tol_rel,
-        num_probes=num_probes, radius_min=radius_min, radius_max=radius_max,
-        seed=seed, extra_probes=extra, lambdas=lambdas,
-        laws_max_probes=laws_max_probes, cstar_tol=cstar_tol,
+        spec=spec, f=ApproxMap(base=base, perturbation=pert, spec=spec),
+        f2=ApproxMap(base=base, perturbation=pert2, spec=spec) if pert2 else None,
+        phi=phi, num_probes=samp["num_probes"], radius_min=samp["radius_min"],
+        radius_max=samp["radius_max"], seed=samp["seed"], extra_probes=extra,
+        lambdas=lambdas, laws_max_probes=_read(raw, "laws", required=False)["max_probes"],
+        cstar_tol=_read(raw, "cstar", required=False)["tol"],
     )
 
 
@@ -323,7 +323,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     # stabilized once.
     I = verifier.StabilizedMap(sc.f, direction, sc.phi)
 
-    hyp = verifier.scan_hypotheses(I, sc.phi, sc.lambdas, P)
+    hyp = verifier.scan_hypotheses(I, sc.lambdas, P)
     bound = verifier.verify_bound(I, P)
     laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
     uniq = None
@@ -339,7 +339,6 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
         "uniqueness": uniq,
         "cstar": cstar,
         "corollary_audit": _corollary_audit(sc.phi),
-        "tolerances": {"max_n": sc.max_n, "tol_rel": sc.tol_rel},
     }
 
     # One row per probe and ladder depth but its last, n*: the difference
@@ -414,8 +413,6 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
     # Made only now, so a run that fails leaves no directory behind.
     _make_dir(out)
 
-    _atomic_write(out / "report.json", verifier._render(results) + "\n")
-    _atomic_write(out / "trace.csv", _trace_csv(trace))
     # parse_scenario has checked each number in raw finite: no "inf" rule.
     manifest = {
         "config": raw,
@@ -425,7 +422,9 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": {"report": "report.json", "trace": "trace.csv"},
     }
-    _atomic_write(out / "manifest.json", verifier._render(manifest) + "\n")
+    _write_files(out, {"report.json": verifier._render(results) + "\n",
+                       "trace.csv": _trace_csv(trace),
+                       "manifest.json": verifier._render(manifest) + "\n"})
     return out
 
 
@@ -490,7 +489,7 @@ def sweep(config_path: str | Path, param: str, values: list[float],
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    _atomic_write(out / "sweep.csv", buf.getvalue())
+    _write_files(out, {"sweep.csv": buf.getvalue()})
     return out
 
 

@@ -104,7 +104,7 @@ class PerturbationSpec:
 NO_PERTURBATION = PerturbationSpec(PerturbationKind.NONE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a pass's two maps
 def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> np.ndarray:
     if seed is None:
         u = algebra.canonical_direction(spec)
@@ -133,7 +133,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a pass's two maps
 def _salts(seed: int | None, width: int) -> np.ndarray:
     """The 2 * width salts s_j = mix(k0 + (j + 1) * gamma) of a row of
     `width` float64 words: the first width for its words, the rest for its
@@ -289,7 +289,7 @@ class LambdaSampler:
     {e^{i*t}: 0 <= t <= 1/n0} to the full circle, the positive reals,
     and general complex values."""
 
-    n0: int
+    n0: int = 3
     arc: int = 4
     circle: int = 4
     reals: int = 3

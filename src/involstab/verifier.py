@@ -137,17 +137,12 @@ class DefectReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def scan_hypotheses(
-    I: StabilizedMap,
-    phi: ControlFunction,
-    lambdas: LambdaSampler,
-    P: np.ndarray,
-) -> DefectReport:
-    """Supremum defect/control ratios of I.f for the Jensen,
-    anti-multiplicativity and C*-norm hypotheses, plus the absolute
-    involutivity residual ||I(I(x)) - x||."""
+def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> DefectReport:
+    """Supremum defect/control ratios of I.f, under I's control I.phi, for
+    the Jensen, anti-multiplicativity and C*-norm hypotheses, plus the
+    absolute involutivity residual ||I(I(x)) - x||."""
     _require_probes(P)
-    f, spec = I.f, I.f.spec
+    f, spec, phi = I.f, I.f.spec, I.phi
     X, Y = probe_pairs(P)
 
     # The Jensen hypothesis is quantified over unit-modulus scalars only;

@@ -199,7 +199,7 @@ def test_criterion_6_superstability(verdict):
     d = select_direction(phi)
     exact = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
     probes = sample_probes(30, 51, spec=SCALAR)
-    rep = verifier.scan_hypotheses(StabilizedMap(exact, d, phi), phi, LAMBDAS, probes)
+    rep = verifier.scan_hypotheses(StabilizedMap(exact, d, phi), LAMBDAS, probes)
     sup = max(e.sup_ratio for e in rep.entries.values())
     # e(x) = 0: each probe is evaluated at depths 0 and 1, both f(x).
     trace = stabilize_points(exact, d, phi, probes)
@@ -208,7 +208,7 @@ def test_criterion_6_superstability(verdict):
     perturbed = ApproxMap(
         maps.conjugation(), PerturbationSpec("fixed_direction", 0.01, 0.25), SCALAR
     )
-    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d, phi), phi, LAMBDAS, probes)
+    rep2 = verifier.scan_hypotheses(StabilizedMap(perturbed, d, phi), LAMBDAS, probes)
     e2 = rep2.entries["e2_jensen"]
     refuted = e2.sup_ratio == INF and algebra.stacked_norms(SCALAR, e2.witness["y"][None]) == [0.0]
     ok = sup <= 1e-12 and constant and refuted

@@ -72,7 +72,7 @@ STAGES = {(verifier, "scan_hypotheses"): "scan", (verifier, "verify_bound"): "bo
 
 REPORT_KEYS = {
     "direction", "hypotheses", "bound", "laws", "uniqueness", "cstar",
-    "corollary_audit", "tolerances",
+    "corollary_audit",
 }
 
 
@@ -479,11 +479,21 @@ class TestExitCodes:
         ("sampling", {"num_probes": 6, "seed": 3, "radius": 2, "extra": []},
          "unknown key sampling.extra"),
         ("stabiliser", {"max_n": 5}, "unknown section stabiliser"),
+        # Each probe's depth comes from its tail; the C* stage has no depth.
+        ("cstar", {"max_n": 5}, "unknown key cstar.max_n"),
+        ("cstar", {"tol": 1e-8, "tol_rel": 1e-12}, "unknown key cstar.tol_rel"),
     ])
     def test_unknown_key_names_key(self, tmp_path, capsys, section, value, message):
         cfg = small_config(**{section: value})
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_empty_perturbation_names_kind(self, tmp_path, capsys):
+        # An empty section was read as no perturbation at all, and the
+        # first stage ended in an AttributeError traceback.
+        cfg = small_config(perturbation={})
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == "config error: missing key perturbation.kind\n"
 
     @pytest.mark.parametrize("section, kinds", [
         ("algebra", "AlgebraKind"), ("perturbation", "PerturbationKind"),
@@ -585,7 +595,7 @@ class TestExitCodes:
     def test_failed_write(self, tmp_path, capsys, command, blocked, name):
         # A directory where an output file or its temporary file goes: the
         # write fails, exit 2 names --out and the file, no temporary file
-        # is left, and the directory is kept.
+        # or other output file is left, and the directory is kept.
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         assert main([*command, "--out", str(out)]) == 2
@@ -593,6 +603,8 @@ class TestExitCodes:
         assert err.startswith(f"config error: --out {out}: cannot write {name} (")
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp") and not p.is_dir()]
         assert (out / blocked).is_dir()
+        # All or nothing: no file written before the failed one is left.
+        assert [p.name for p in out.iterdir()] == [blocked]
 
     @pytest.mark.parametrize("s", [math.inf, [[1, 0]], "x"])
     def test_twist_given_to_another_kind(self, tmp_path, monkeypatch, capsys, s):
@@ -682,35 +694,45 @@ class TestVerdictsOverRadius:
 
 
 class TestDepthKeys:
-    """stabilizer.max_n, stabilizer.tol_rel, cstar.max_n and cstar.tol_rel
-    are accepted and range-checked, but every probe's depth comes from its
-    tail: no value changes a verdict or a trace row."""
+    """stabilizer.max_n and stabilizer.tol_rel are accepted and range-checked,
+    but every probe's depth comes from its tail: no value changes a byte of
+    report.json or trace.csv."""
 
     @staticmethod
     def outputs(tmp_path, cfg, name):
         out = tmp_path / name
         assert main(["run", str(write_config(tmp_path, cfg, f"{name}.json")),
                      "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        return report, (out / "trace.csv").read_bytes()
+        return (out / "report.json").read_bytes(), (out / "trace.csv").read_bytes()
 
     @pytest.mark.parametrize("section, key, value", [
-        (section, key, value) for section in ("stabilizer", "cstar")
+        ("stabilizer", key, value)
         for key, values in (("max_n", (1, 400)), ("tol_rel", (1e-3, 1e-14)))
         for value in values])
     def test_value_has_no_effect(self, tmp_path, section, key, value):
-        report, trace = self.outputs(tmp_path, small_config(), "default")
         cfg = small_config()
         cfg.setdefault(section, {})[key] = value
-        got_report, got_trace = self.outputs(tmp_path, cfg, "set")
-        assert got_trace == trace
-        tolerances = report.pop("tolerances"), got_report.pop("tolerances")
-        assert got_report == report
-        # report.json repeats the stabilizer's two keys as read.
-        if section == "stabilizer":
-            assert tolerances[1] == {**tolerances[0], key: value}
-        else:
-            assert tolerances[1] == tolerances[0]
+        assert self.outputs(tmp_path, cfg, "set") == self.outputs(
+            tmp_path, small_config(), "default")
+
+
+class TestConfigReference:
+    def test_readme_table_lists_the_schema(self):
+        # README's config reference against cli.SCHEMA: the same
+        # section.key pairs, and the same ones required.
+        lines = (Path(__file__).parents[1] / "README.md").read_text().split(
+            "### Config reference\n", 1)[1].splitlines()
+        start = lines.index("|---|---|---|---|---|") + 1
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            sections, key, _, _, required = (c.strip() for c in line.strip("|").split("|"))
+            for section in sections.replace("`", "").split(", "):
+                documented[f"{section}.{key.strip('`')}"] = required == "yes"
+        assert documented == {
+            f"{section}.{key}": default is cli.REQUIRED
+            for section, keys in cli.SCHEMA.items() for key, (_, default) in keys.items()}
 
 
 class TestBundledScenarios:

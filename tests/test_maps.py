@@ -446,6 +446,24 @@ class TestHashedGaussians:
                                    np.empty((2, *any_spec.shape)))
 
 
+class TestDirectionCaches:
+    def test_bounded_and_recomputed_bit_for_bit(self, any_spec):
+        # Every benchmark pass certifies fresh direction seeds; an unbounded
+        # cache kept one entry per seed for the life of the process.
+        width = 2 * any_spec.n_entries
+        maps._fixed_direction.cache_clear()
+        maps._salts.cache_clear()
+        first = maps._fixed_direction(0, any_spec).copy(), maps._salts(0, width).copy()
+        for seed in range(1, 11):
+            maps._fixed_direction(seed, any_spec)
+            maps._salts(seed, width)
+        assert maps._fixed_direction.cache_info().currsize <= 2
+        assert maps._salts.cache_info().currsize <= 2
+        # Seed 0 was evicted: recomputed, it has the same bits.
+        assert maps._fixed_direction(0, any_spec).tobytes() == first[0].tobytes()
+        assert maps._salts(0, width).tobytes() == first[1].tobytes()
+
+
 class TestPerturbationRows:
     """Broadcast scaling keeps the per-row loop's bits, including +0 rows."""
 

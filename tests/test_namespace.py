@@ -28,8 +28,9 @@ def test_public_names_pinned():
 
 
 # The parameters of the orbit API: the depth comes from the control's
-# tail, so the orbit takes phi and no depth knob. A knob added back here is
-# a deliberate change of the API, as a public name is.
+# tail, so the orbit takes phi and no depth knob, and a stage reads phi from
+# the StabilizedMap whose depths it set. A knob added back here is a
+# deliberate change of the API, as a public name is.
 def test_orbit_parameters_pinned():
     def names(fn):
         return list(inspect.signature(fn).parameters)
@@ -37,3 +38,4 @@ def test_orbit_parameters_pinned():
     assert names(involstab.stabilize_points) == ["f", "direction", "phi", "X"]
     assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "phi"]
     assert names(involstab.eval_f_rows) == ["f", "X"]
+    assert names(involstab.scan_hypotheses) == ["I", "lambdas", "P"]

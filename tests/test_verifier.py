@@ -137,7 +137,7 @@ class TestStabilizedMap:
 
 class TestScanHypotheses:
     def test_exact_involution_all_small(self, rng):
-        rep = scan_hypotheses(up_map(EXACT_ADJ), PHI_SUM, LAMBDAS, sample_probes(12, rng))
+        rep = scan_hypotheses(up_map(EXACT_ADJ), LAMBDAS, sample_probes(12, rng))
         for name in ("e2_jensen", "e3_antimul", "e4_involutive", "e6_cstar"):
             entry = rep.entries[name]
             assert entry.sup_ratio <= 1e-9
@@ -146,7 +146,7 @@ class TestScanHypotheses:
 
     def test_budget_scenario_within_control(self, rng):
         # theta_delta = THETA/3 keeps the Jensen ratio at or below one
-        rep = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, sample_probes(20, rng))
+        rep = scan_hypotheses(up_map(BUDGET_F), LAMBDAS, sample_probes(20, rng))
         assert rep.entries["e2_jensen"].sup_ratio <= 1.0 + 1e-12
         assert rep.entries["e3_antimul"].sup_ratio < INF
         assert rep.entries["e4_involutive"].sup_ratio <= 1e-6
@@ -157,7 +157,7 @@ class TestScanHypotheses:
         f = ApproxMap(maps.conjugation(), radial(0.01, 0.25), SCALAR)
         phi = power_product(0.1, 0.25)
         rep = scan_hypotheses(
-            StabilizedMap(f, select_direction(phi), phi), phi, LAMBDAS,
+            StabilizedMap(f, select_direction(phi), phi), LAMBDAS,
             sample_probes(8, rng, spec=SCALAR),
         )
         entry = rep.entries["e2_jensen"]
@@ -165,7 +165,7 @@ class TestScanHypotheses:
         assert algebra.stacked_norms(SCALAR, entry.witness["y"][None]) == [0.0]
 
     def test_witness_reevaluates_to_sup(self, rng):
-        rep = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, sample_probes(20, rng))
+        rep = scan_hypotheses(up_map(BUDGET_F), LAMBDAS, sample_probes(20, rng))
         w = rep.entries["e2_jensen"].witness
         d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"][None], w["y"][None])
         num = algebra.stacked_norms(M2, d)[0]
@@ -174,14 +174,14 @@ class TestScanHypotheses:
 
     def test_sup_monotone_in_probes(self, rng):
         probes = sample_probes(24, rng)
-        small = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, probes[:8])
-        large = scan_hypotheses(up_map(BUDGET_F), PHI_SUM, LAMBDAS, probes)
+        small = scan_hypotheses(up_map(BUDGET_F), LAMBDAS, probes[:8])
+        large = scan_hypotheses(up_map(BUDGET_F), LAMBDAS, probes)
         for name in ("e2_jensen", "e3_antimul", "e6_cstar"):
             assert large.entries[name].sup_ratio >= small.entries[name].sup_ratio
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
-            scan_hypotheses(up_map(EXACT_ADJ), PHI_SUM, LAMBDAS, NO_PROBES)
+            scan_hypotheses(up_map(EXACT_ADJ), LAMBDAS, NO_PROBES)
 
 
 class TestVerifyBound:
@@ -329,7 +329,7 @@ class TestVerifyCstar:
 
 def run_stage(stage, I, probes):
     if stage == "scan":
-        return scan_hypotheses(I, PHI_SUM, LAMBDAS, probes)
+        return scan_hypotheses(I, LAMBDAS, probes)
     if stage == "bound":
         return verify_bound(I, probes)
     if stage == "laws":
@@ -573,7 +573,7 @@ class TestStackedStagesMatchElementReference:
             f.base, PerturbationSpec("random_direction", 0.1, 0.5, 13), f.spec)
         I2 = up_map(f2)
 
-        hyp = scan_hypotheses(I, PHI_SUM, lambdas, P)
+        hyp = scan_hypotheses(I, lambdas, P)
         laws = verify_involution_laws(I, lambdas, P)
         bound = verify_bound(I, P)
         uniq = verify_uniqueness(I, I2, P)

@@ -43,11 +43,8 @@ from .maps import (
     PerturbationKind,
     PerturbationSpec,
     adjoint,
-    antimul_defect,
     conjugation,
-    cstar_defect,
     eval_f_rows,
-    jensen_defect,
     sample_lambdas,
     twisted_adjoint,
 )

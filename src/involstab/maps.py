@@ -1,5 +1,5 @@
 """Reference involutions, admissible perturbations, candidate maps f,
-and the defect functionals entering the stability hypotheses.
+and the scalar samples of the Jensen and homogeneity checks.
 """
 
 from __future__ import annotations
@@ -252,35 +252,6 @@ def _f_values(where: str, f: ApproxMap, X: np.ndarray) -> np.ndarray:
     if f.perturbation.kind is not PerturbationKind.NONE:
         operand += f" (amplitude theta_delta * ||x||^r at perturbation.r = {f.perturbation.r})"
     return algebra.finite_rows(where, eval_f_rows(f, X), operand)
-
-
-def jensen_defect(f: ApproxMap, lam, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Rows 2*conj(lam)*f((x+y)/2) - f(lam*x) - f(lam*y) over the rows x of X
-    and y of Y; lam is one scalar or one per row."""
-    if X.shape != Y.shape:
-        raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
-    lam = np.asarray(lam, dtype=np.complex128).reshape((-1,) + (1,) * len(f.spec.shape))
-    args = np.concatenate([complex(0.5) * (X + Y), lam * X, lam * Y])
-    f_mid, f_lx, f_ly = np.split(
-        _f_values("jensen_defect", f, algebra.finite_rows("jensen_defect", args)), 3)
-    return algebra.finite_rows("jensen_defect", 2.0 * np.conj(lam) * f_mid - f_lx - f_ly)
-
-
-def antimul_defect(f: ApproxMap, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Rows f(xy) - f(y)f(x) over the rows x of X and y of Y."""
-    if X.shape != Y.shape:
-        raise SpecMismatch(f"stack shapes {X.shape} vs {Y.shape}")
-    XY = algebra.finite_rows("antimul_defect", algebra.mul_rows(f.spec, X, Y))
-    f_xy, f_y, f_x = np.split(_f_values("antimul_defect", f, np.concatenate([XY, Y, X])), 3)
-    return algebra.finite_rows("antimul_defect", f_xy - algebra.mul_rows(f.spec, f_y, f_x))
-
-
-def cstar_defect(f: ApproxMap, X: np.ndarray) -> np.ndarray:
-    """| ||x f(x)|| - ||x||^2 | for each row x of X."""
-    XF = algebra.finite_rows("cstar_defect",
-                             algebra.mul_rows(f.spec, X, _f_values("cstar_defect", f, X)))
-    norms = algebra.stacked_norms(f.spec, np.concatenate([XF, X]))
-    return np.abs(norms[:len(X)] - algebra._libm_pow(norms[len(X):], 2))
 
 
 @dataclass(frozen=True)

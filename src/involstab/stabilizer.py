@@ -45,23 +45,12 @@ def power_product(theta: float, r: float) -> ControlFunction:
     return ControlFunction(ControlKind.POWER_PRODUCT, theta, r)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def control_rows(phi: ControlFunction, spec: AlgebraSpec, X: np.ndarray,
-                 Y: np.ndarray) -> np.ndarray:
-    """phi(x, y) on the row pairs of two stacks shaped (N, *spec.shape).
-    phi(x, 0) is identically zero for the product control (superstability)."""
-    try:
-        if phi.kind is ControlKind.POWER_SUM:
-            return _control(phi, algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y))
-        XY = algebra.finite_rows("power_product control", algebra.mul_rows(spec, X, Y))
-        return _control(phi, algebra.stacked_norms(spec, XY))
-    except OverflowError:
-        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-
-
-def _control(phi: ControlFunction, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    # theta * (a^r + b^r) from the norms a = ||x||, b = ||y|| (the power sum), and
-    # theta * a^r without b: phi(x, 0), or the product's a = ||xy||.  Powers may overflow.
+@np.errstate(over="ignore")
+def control(phi: ControlFunction, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """phi from the norms of its arguments: theta * (a^r + b^r) from a = ||x||
+    and b = ||y|| (the power sum), and theta * a^r without b: phi(x, 0) from
+    a = ||x||, or the product's phi(x, y) from a = ||xy||.  A power that
+    overflows raises OverflowError."""
     powers = algebra._libm_pow(a, phi.r)
     return phi.theta * (powers if b is None else powers + algebra._libm_pow(b, phi.r))
 
@@ -190,22 +179,15 @@ def _tails(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
     try:
         product = phi.kind is ControlKind.POWER_PRODUCT
         norms = np.zeros(len(X)) if product else algebra.stacked_norms(spec, X)
-        return norms, _closeness(direction, phi, norms)
+        return norms, closeness(direction, phi, norms)
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
 
 
 @np.errstate(over="ignore")
-def _closeness(direction: ScalingDirection, phi: ControlFunction,
-               norms: np.ndarray) -> np.ndarray:
-    # e(x) = L^{1-i}/(1-L) phi(x, 0) from the norms ||x||; 0 under the product control, no power.
+def closeness(direction: ScalingDirection, phi: ControlFunction, norms: np.ndarray) -> np.ndarray:
+    """The closeness bound e(x) = L^{1-i}/(1-L) * phi(x, 0) from the norms
+    ||x||; 0 under the product control, where no power is taken."""
     if phi.kind is ControlKind.POWER_PRODUCT:
         return np.zeros(len(norms))
-    return direction.L ** (1 - direction.i) / (1.0 - direction.L) * _control(phi, norms)
-
-
-def error_bounds(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
-                 X: np.ndarray) -> np.ndarray:
-    """The closeness bound L^{1-i}/(1-L) * phi(x, 0) on each row x of a
-    stack X shaped (N, *spec.shape)."""
-    return _tails(direction, phi, spec, X)[1]
+    return direction.L ** (1 - direction.i) / (1.0 - direction.L) * control(phi, norms)

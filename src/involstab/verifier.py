@@ -140,7 +140,9 @@ class DefectReport:
 def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> DefectReport:
     """Supremum defect/control ratios of I.f, under I's control I.phi, for
     the Jensen, anti-multiplicativity and C*-norm hypotheses, plus the
-    absolute involutivity residual ||I(I(x)) - x||."""
+    absolute involutivity residual ||I(I(x)) - x||.  f is evaluated once, on
+    every argument, and every norm comes from one call; the arguments, the
+    f values and the defect rows are checked finite before I is evaluated."""
     _require_probes(P)
     f, spec, phi = I.f, I.f.spec, I.phi
     X, Y = probe_pairs(P)
@@ -152,18 +154,33 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     nl = len(unit_lams)
     XL, YL = np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0)
     lams, stages = [v for _, v in unit_lams] * len(X), [s for s, _ in unit_lams] * len(X)
-    stacks = [maps.jensen_defect(f, lams, XL, YL), maps.antimul_defect(f, X, Y)]
+    lam = np.array(lams, dtype=np.complex128).reshape((-1,) + (1,) * len(spec.shape))
+    # Every argument of f in one stack: (x+y)/2, lam x and lam y for Jensen,
+    # then xy, y and x.  X repeats each probe four times, so f(P) is every
+    # fourth row of f(X).
+    XY = algebra.mul_rows(spec, X, Y)
+    args = algebra.finite_rows("scan_hypotheses", np.concatenate(
+        [complex(0.5) * (XL + YL), lam * XL, lam * YL, XY, Y, X]))
+    f_mid, f_lx, f_ly, f_xy, f_y, f_x = np.split(maps._f_values("scan_hypotheses", f, args),
+                                                 np.cumsum([len(XL)] * 3 + [len(X)] * 2))
+    defects = algebra.finite_rows("scan_hypotheses", np.concatenate([
+        2.0 * np.conj(lam) * f_mid - f_lx - f_ly, f_xy - algebra.mul_rows(spec, f_y, f_x),
+        algebra.mul_rows(spec, P, f_x[::4])]))
     # The control reads ||x|| and ||y|| from P's norms through probe_pairs
     # (a zero partner's is 0), or ||xy|| from the products.
     sums = phi.kind is stabilizer.ControlKind.POWER_SUM
-    stacks += [P if sums else algebra.finite_rows(
-        "power_product control", algebra.mul_rows(spec, X, Y)), I.rows(I.rows(P)) - P]
+    residuals = I.rows(I.rows(P)) - P
     try:
-        e2, e3, nc, e4 = _norms("scan_hypotheses", spec, *stacks)
-        dens = stabilizer._control(phi, *(probe_pairs(nc) if sums else [nc]))
+        nd, npr, *nxy, e4 = _norms("scan_hypotheses", spec, defects, P,
+                                   *([] if sums else [XY]), residuals)
+        dens = stabilizer.control(phi, *(probe_pairs(npr) if sums else nxy))
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-    e6 = maps.cstar_defect(f, P)
+    e2, e3, nxf = np.split(nd, np.cumsum([len(XL), len(X)]))
+    try:
+        e6 = np.abs(nxf - algebra._libm_pow(npr, 2))
+    except OverflowError:
+        raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite") from None
 
     columns = {
         "e2_jensen": (_ratios(e2, np.repeat(dens, nl)),
@@ -264,7 +281,7 @@ def verify_bound(
     _require_probes(P)
     diffs, radii = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P), P)
     # No power overflows: stabilizing P took each e(x) from the same norms.
-    bounds = stabilizer._closeness(I.direction, I.phi, radii)
+    bounds = stabilizer.closeness(I.direction, I.phi, radii)
     ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
     worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
     return BoundReport(

@@ -237,7 +237,7 @@ def test_criterion_7_fixed_point_alternative(verdict):
         bases = np.stack([algebra.sample_element(M2, (0.2, 2.0), rng) for _ in range(3)])
         metric = FunctionSpaceMetric(
             M2, ray_probes(bases, DIRECTION.q, 5),
-            lambda X: stabilizer.control_rows(PHI, M2, X, np.zeros_like(X)),
+            lambda X: stabilizer.control(PHI, algebra.stacked_norms(M2, X)),
         )
         d_gh = function_space_distance(g, h, metric)
         d_t = function_space_distance(

@@ -35,16 +35,17 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return p
 
 
-def tag_norm_calls(monkeypatch, tags):
-    """Record each algebra.stacked_norms call as (tag, stack copy), the tag
+def tag_calls(monkeypatch, tags, module=algebra, name="stacked_norms"):
+    """Record each call of module.name, algebra.stacked_norms by default, as
+    (tag, stack copy): the stack is its second argument, and the tag is that
     of the innermost running function of `tags`, {(module, name): tag}, or
-    None; each is patched in its module, where its callers look it up."""
+    None.  Each is patched in its module, where its callers look it up."""
     stage, calls = [None], []
-    stacked_norms = algebra.stacked_norms
+    counted = getattr(module, name)
 
-    def counting(spec, stack):
+    def counting(first, stack):
         calls.append((stage[0], stack.copy()))
-        return stacked_norms(spec, stack)
+        return counted(first, stack)
 
     def tagged(run, tag):
         def wrapper(*args, **kwargs):
@@ -55,15 +56,15 @@ def tag_norm_calls(monkeypatch, tags):
                 stage[0] = outer
         return wrapper
 
-    for (module, name), tag in tags.items():
-        monkeypatch.setattr(module, name, tagged(getattr(module, name), tag))
-    monkeypatch.setattr(algebra, "stacked_norms", counting)
+    for (owner, function), tag in tags.items():
+        monkeypatch.setattr(owner, function, tagged(getattr(owner, function), tag))
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 # The functions whose norm calls are their own, not the calling stage's.
 INNER = {(maps, "eval_f_rows"): "inner", (stabilizer, "eval_f_rows"): "inner",
-         (stabilizer, "stabilize_points"): "inner", (maps, "cstar_defect"): "inner"}
+         (stabilizer, "stabilize_points"): "inner"}
 STAGES = {(verifier, "scan_hypotheses"): "scan", (verifier, "verify_bound"): "bound",
           (verifier, "verify_involution_laws"): "laws",
           (verifier, "verify_uniqueness"): "uniqueness", (verifier, "verify_cstar"): "cstar",
@@ -132,7 +133,7 @@ class TestRun:
 
         for k, x in enumerate(cli.make_probes(sc)):
             tr = stabilizer.stabilize_points(sc.f, direction, sc.phi, x[None])
-            bnd = stabilizer.error_bounds(direction, sc.phi, sc.spec, x[None])[0]
+            bnd = stabilizer.closeness(direction, sc.phi, np.array([norm(x)]))[0]
             its = tr.iterates
             for j in range(len(its) - 1):
                 deviation = norm(its[j] - its[0])
@@ -176,10 +177,9 @@ class TestRun:
 
     def test_bound_norms_from_one_call(self, monkeypatch):
         # The bound stage takes ||I(x) - f(x)|| and the radii its e(x) reads
-        # from one call on I(P) - f(P) and P, and no error_bounds call; the
-        # trace rows read its per-probe bounds.
-        monkeypatch.setattr(stabilizer, "error_bounds", None)
-        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
+        # from one call on I(P) - f(P) and P; the trace rows read its
+        # per-probe bounds.
+        calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         sc = cli.parse_scenario(small_config())
         results, trace = cli.run_pipeline(sc)
         P = cli.make_probes(sc)
@@ -191,11 +191,11 @@ class TestRun:
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
     def test_one_norm_call_per_stage(self, monkeypatch, scenario):
         # Each stage takes its norms from one stacked_norms call, leaving
-        # out those made inside eval_f_rows, stabilize_points and
-        # cstar_defect; C* takes two, so that ||x||^2 is checked before the
-        # products.  The untagged call is the trace rows'.  One bundled
-        # adjoint_rsum_r05 run makes 27 calls in all.
-        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
+        # out those made inside eval_f_rows and stabilize_points; C* takes
+        # two, so that ||x||^2 is checked before the products.  The untagged
+        # call is the trace rows'.  One bundled adjoint_rsum_r05 run makes
+        # 24 calls in all.
+        calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         sc = cli.parse_scenario(cli.load_config(scenario))
         cli.run_pipeline(sc)
         tags = [tag for tag, _ in calls if tag != "inner"]
@@ -203,7 +203,16 @@ class TestRun:
             ["probes", "scan", "bound", "laws", "cstar", "cstar", None]
             + ["uniqueness"] * (sc.f2 is not None), key=str)
         if scenario == "adjoint_rsum_r05":
-            assert len(calls) <= 27
+            assert len(calls) <= 24
+
+    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
+    def test_one_f_call_per_stage(self, monkeypatch, scenario):
+        # Outside stabilize_points, the scan evaluates f on all of its
+        # arguments in one call and the bound on P in one; the laws,
+        # uniqueness and C* read only the stabilized map.
+        calls = tag_calls(monkeypatch, {**INNER, **STAGES}, maps, "eval_f_rows")
+        cli.run_pipeline(cli.parse_scenario(cli.load_config(scenario)))
+        assert sorted(tag for tag, _ in calls if tag != "inner") == ["bound", "scan"]
 
     def test_scalars_sampled_once_per_pass(self):
         # The scan and the laws read one memoized sample of the scalars.
@@ -357,7 +366,7 @@ class TestProbes:
         sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
                                              involution={"kind": "adjoint"}))
         P = cli.make_probes(sc)[: sc.laws_max_probes]
-        calls = tag_norm_calls(monkeypatch, {**INNER, **STAGES})
+        calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         cli.run_pipeline(sc)
         assert [len(stack) for tag, stack in calls if tag == "probes"] == [sc.num_probes]
         (stack,) = [stack for tag, stack in calls if tag == "laws"]
@@ -508,8 +517,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, key, value", [
         ("control", "kind", "custom"),  # a kind no control has
-        ("laws", "max_probes", 0), ("laws", "max_probes", -2), ("cstar", "tol_rel", 0.0),
-        ("cstar", "max_n", 0), ("cstar", "max_n", -5),
+        ("laws", "max_probes", 0), ("laws", "max_probes", -2),
         ("sampling", "seed", -1), ("lambda", "seed", -1),
         ("perturbation", "direction_seed", -1), ("perturbation", "direction_seed", 1.5),
         # Written as JSON NaN and Infinity, which Python's json reads back
@@ -553,7 +561,7 @@ class TestExitCodes:
         ("control", {"kind": "power_sum", "theta": 0.3, "r": 1030},
          "power_sum control overflows at r = 1030.0"),
         ("perturbation", {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030},
-         "jensen_defect: f values (amplitude theta_delta * ||x||^r at perturbation.r = 1030.0)"),
+         "scan_hypotheses: f values (amplitude theta_delta * ||x||^r at perturbation.r = 1030.0)"),
         # L = 2^(1-r), and 2^(1-2r) for the product, underflows to 0.
         ("control", {"kind": "power_sum", "theta": 0.3, "r": 1100}, "L underflows to 0"),
         ("control", {"kind": "power_product", "theta": 0.3, "r": 600}, "L underflows to 0"),
@@ -686,7 +694,7 @@ class TestVerdictsOverRadius:
 
     @pytest.mark.parametrize("r, error, message", [
         (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1"),
-        (1e200, OutOfRange, "antimul_defect: stage arithmetic overflowed"),
+        (1e200, OutOfRange, "scan_hypotheses: stage arithmetic overflowed"),
     ])
     def test_large_radii_fail(self, r, error, message):
         with pytest.raises(error, match=message):

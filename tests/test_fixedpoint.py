@@ -217,7 +217,7 @@ class TestContractionTransfer:
             base_points = sample_stack(M2, 3, rng, (0.2, 2.0))
             m = FunctionSpaceMetric(
                 M2, ray_probes(base_points, q, 5),
-                lambda X: stabilizer.control_rows(phi, M2, X, np.zeros_like(X)),
+                lambda X: stabilizer.control(phi, algebra.stacked_norms(M2, X)),
             )
             d_gh = function_space_distance(g, h, m)
             assert d_gh < INF

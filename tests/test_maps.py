@@ -1,4 +1,3 @@
-import math
 import struct
 import sys
 import threading
@@ -164,87 +163,6 @@ class TestEvalF:
         f = ApproxMap(base, radial(0.3, 0.5, seed=2), any_spec)
         Z = np.zeros((1, *any_spec.shape), dtype=np.complex128)
         assert np.array_equal(maps.eval_f_rows(f, Z), Z)
-
-
-class TestJensenDefect:
-    def test_exact_involution_vanishes(self, rng):
-        f = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
-        lams = maps.sample_lambdas(LambdaSampler(n0=3, seed=1))
-        for stage, lam in lams:
-            if stage not in ("arc", "circle"):
-                continue
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            y = algebra.sample_element(M2, (0.1, 10.0), rng)
-            d = maps.jensen_defect(f, lam, x[None], y[None])
-            bound = 1e-12 * max(1.0, norms(M2, np.stack([x, y])).sum())
-            assert algebra.stacked_norms(M2, d)[0] <= bound
-
-    def test_scalar_example(self):
-        # 2 f(2) - f(4) = 0.2*sqrt(2) - 0.2
-        d = maps.jensen_defect(SCALAR_F, 1.0, np.array([[4.0 + 0j]]), np.array([[0j]]))
-        expected = 0.2 * math.sqrt(2) - 0.2
-        assert algebra.stacked_norms(SCALAR, d)[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_symmetric_degenerate(self, rng):
-        x = algebra.sample_element(SCALAR, (0.5, 2.0), rng)
-        d = maps.jensen_defect(SCALAR_F, 1.0, x[None], x[None])
-        assert algebra.stacked_norms(SCALAR, d)[0] == 0.0
-
-    def test_budget_lemma(self, rng):
-        # theta_delta = THETA/3 keeps the defect below THETA*(|x|^r + |y|^r)
-        # for unit-modulus lambda and r <= 1
-        THETA = 0.3
-        f = ApproxMap(maps.adjoint(), radial(THETA / 3, 0.5, seed=6), M2)
-        lams = [lam for s, lam in maps.sample_lambdas(LambdaSampler(n0=3, arc=6, circle=6, seed=2))
-                if s in ("arc", "circle")]
-        for _ in range(200):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            y = algebra.sample_element(M2, (0.1, 10.0), rng)
-            budget = THETA * (norms(M2, np.stack([x, y])) ** 0.5).sum()
-            for lam in lams:
-                d = maps.jensen_defect(f, lam, x[None], y[None])
-                assert algebra.stacked_norms(M2, d)[0] <= budget + 1e-12
-
-
-class TestAntimulDefect:
-    def test_exact_involution(self, rng):
-        f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        for _ in range(100):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            y = algebra.sample_element(M2, (0.1, 10.0), rng)
-            d = maps.antimul_defect(f, x[None], y[None])
-            bound = 1e-12 * max(1.0, norms(M2, np.stack([x, y])).prod())
-            assert algebra.stacked_norms(M2, d)[0] <= bound
-
-    def test_zero_argument(self, rng):
-        y = algebra.sample_element(SCALAR, (0.5, 2.0), rng)
-        d = maps.antimul_defect(SCALAR_F, np.array([[0j]]), y[None])
-        assert algebra.stacked_norms(SCALAR, d)[0] == 0.0
-
-    def test_scalar_example(self):
-        # f(4) - f(2)^2 = 4.2 - (2 + 0.1*sqrt(2))^2
-        two = np.array([[2.0 + 0j]])
-        d = maps.antimul_defect(SCALAR_F, two, two)
-        expected = 4.2 - (2 + 0.1 * math.sqrt(2)) ** 2
-        assert d[0, 0].real == pytest.approx(expected, abs=1e-12)
-        assert algebra.stacked_norms(SCALAR, d)[0] == pytest.approx(abs(expected), abs=1e-12)
-
-
-class TestCstarDefect:
-    def test_adjoint_matrix(self, rng):
-        f = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
-        for _ in range(100):
-            x = algebra.sample_element(M2, (0.1, 10.0), rng)
-            assert maps.cstar_defect(f, x[None])[0] <= 1e-9 * max(1.0, norms(M2, x[None])[0] ** 2)
-
-    def test_twisted_witness(self):
-        f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        x = algebra.element(M2, [0, 1, 0, 0])
-        assert maps.cstar_defect(f, x.data[None])[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero(self):
-        f = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)
-        assert maps.cstar_defect(f, np.zeros((1, 2, 2), dtype=np.complex128))[0] == 0.0
 
 
 class TestLambdaSampler:

@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import involstab
 
@@ -13,18 +15,26 @@ PUBLIC_NAMES = [
     "NoContraction", "NonCauchy", "NotContractive", "OutOfRange", "PerturbationKind",
     "PerturbationSpec", "Regime", "SCALAR", "ScalingDirection", "SpecMismatch",
     "StabilizationFailure", "StabilizationTrace", "StabilizedMap", "UniquenessReport",
-    "adjoint", "algebra", "antimul_defect", "aposteriori_bound", "cli", "conjugation",
-    "corollary_constant", "cstar_defect", "element", "errors", "eval_f_rows", "fixedpoint",
-    "function_space_distance", "gmetric_check", "iterate_alternative", "jensen_defect",
-    "maps", "matrix_spec", "pointwise_spec", "power_product", "power_sum", "ray_probes",
-    "sample_element", "sample_lambdas", "scaling_operator", "scan_hypotheses",
-    "select_direction", "stabilize_points", "stabilizer", "twisted_adjoint", "verifier",
-    "verify_bound", "verify_cstar", "verify_involution_laws", "verify_uniqueness",
+    "adjoint", "algebra", "aposteriori_bound", "cli", "conjugation", "corollary_constant",
+    "element", "errors", "eval_f_rows", "fixedpoint", "function_space_distance",
+    "gmetric_check", "iterate_alternative", "maps", "matrix_spec", "pointwise_spec",
+    "power_product", "power_sum", "ray_probes", "sample_element", "sample_lambdas",
+    "scaling_operator", "scan_hypotheses", "select_direction", "stabilize_points",
+    "stabilizer", "twisted_adjoint", "verifier", "verify_bound", "verify_cstar",
+    "verify_involution_laws", "verify_uniqueness",
 ]
 
 
 def test_public_names_pinned():
     assert sorted(name for name in vars(involstab) if not name.startswith("_")) == PUBLIC_NAMES
+
+
+def test_readme_lists_the_public_names():
+    # README's public-names bullets, the paragraph after the one that
+    # introduces them, name each of PUBLIC_NAMES once.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullets = readme.split("The package exports these public names", 1)[1].split("\n\n")[1]
+    assert sorted(re.findall(r"`(\w+)`", bullets)) == PUBLIC_NAMES
 
 
 # The parameters of the orbit API: the depth comes from the control's

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involstab import algebra, cli, maps, stabilizer
-from involstab.algebra import SCALAR, matrix_spec
-from involstab.errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
+from involstab.algebra import SCALAR, matrix_spec, stacked_norms
+from involstab.errors import IterateOverflow, NoContraction, NonCauchy, SpecMismatch
 from involstab.maps import ApproxMap, PerturbationSpec
 from involstab.stabilizer import (
     ControlKind,
-    control_rows,
-    error_bounds,
+    closeness,
+    control,
     power_product,
     power_sum,
     select_direction,
@@ -29,9 +29,17 @@ def radial(theta, r, seed=None):
     return PerturbationSpec("fixed_direction", theta, r, direction_seed=seed)
 
 
+def control_of(phi, spec, X, Y):
+    """phi(x, y) on the row pairs of X and Y, as the scan computes it: from
+    ||x|| and ||y||, or from ||xy|| under the product control."""
+    if phi.kind is ControlKind.POWER_SUM:
+        return control(phi, stacked_norms(spec, X), stacked_norms(spec, Y))
+    return control(phi, stacked_norms(spec, algebra.mul_rows(spec, X, Y)))
+
+
 def reference_control(phi, spec, x, y):
     """phi(x, y) one row pair at a time: the per-pair formula that
-    control_rows stacks."""
+    control stacks."""
     def norm(a):
         return algebra.stacked_norms(spec, a[None]).tolist()[0]
 
@@ -43,18 +51,18 @@ def reference_control(phi, spec, x, y):
 class TestControlEval:
     def test_power_sum(self):
         phi = power_sum(0.3, 0.5)
-        got = control_rows(phi, SCALAR, np.array([[4.0 + 0j]]), np.array([[0j]]))
+        got = control_of(phi, SCALAR, np.array([[4.0 + 0j]]), np.array([[0j]]))
         assert got == [pytest.approx(0.6)]
 
     def test_power_product_zero_arg(self, rng):
         phi = power_product(0.7, 0.3)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert control_rows(phi, M2, x[None], np.zeros_like(x)[None]) == [0.0]
+        assert control_of(phi, M2, x[None], np.zeros_like(x)[None]) == [0.0]
 
     def test_zero_amplitude(self, rng):
         phi = power_sum(0.0, 0.5)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert control_rows(phi, M2, x[None], x[None]) == [0.0]
+        assert control_of(phi, M2, x[None], x[None]) == [0.0]
 
     def test_scaling_law(self, rng):
         # phi(q^n x, q^n y) = (qL)^n phi(x, y), which forces (e9) in the limit
@@ -62,9 +70,9 @@ class TestControlEval:
             d = select_direction(phi)
             x = algebra.sample_element(M2, (0.5, 2.0), rng)
             y = algebra.sample_element(M2, (0.5, 2.0), rng)
-            (base,) = control_rows(phi, M2, x[None], y[None]).tolist()
+            (base,) = control_of(phi, M2, x[None], y[None]).tolist()
             q = np.array([d.q ** n for n in (1, 3, 7)], dtype=np.complex128)[:, None, None]
-            lhs = control_rows(phi, M2, q * x, q * y)
+            lhs = control_of(phi, M2, q * x, q * y)
             assert lhs.tolist() == [
                 pytest.approx((d.q * d.L) ** n * base, rel=1e-10) for n in (1, 3, 7)]
 
@@ -74,12 +82,21 @@ class TestControlEval:
         Y = np.concatenate([np.zeros_like(X[:2]), X[2:][::-1]])
         for phi in (power_sum(0.3, 0.5), power_sum(0.2, 2.0), power_product(0.1, 0.25)):
             want = [reference_control(phi, spec, x, y) for x, y in zip(X, Y)]
-            assert control_rows(phi, spec, X, Y).tolist() == want
+            assert control_of(phi, spec, X, Y).tolist() == want
 
-    def test_product_overflow_is_out_of_range(self):
-        big = np.array([[1e200 + 0j]])
-        with pytest.raises(OutOfRange):
-            control_rows(power_product(0.1, 0.25), SCALAR, big, big)
+    def test_phi_x_zero_is_the_one_norm_form(self, rng):
+        # phi(x, 0) from ||x|| alone has the bits of the pair form at y = 0:
+        # a^r + 0.0 == a^r.
+        X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(6)])
+        phi = power_sum(0.3, 0.5)
+        assert control(phi, stacked_norms(M2, X)).tobytes() == control(
+            phi, stacked_norms(M2, X), np.zeros(len(X))).tobytes()
+
+    def test_power_overflow_raises(self):
+        # A power that overflows is an OverflowError, which each stage turns
+        # into OutOfRange.
+        with pytest.raises(OverflowError):
+            control(power_sum(0.3, 1030), np.array([10.0]))
 
 
 class TestSelectDirection:
@@ -146,7 +163,7 @@ def reference_depth(direction, phi, spec, x):
     """n*(x) by its definition: the least n >= 1 with L^n e(x) <= tol(x),
     1 where e(x) = 0, searched one n at a time in Python floats."""
     norm = algebra.stacked_norms(spec, x[None]).tolist()[0]
-    e = error_bounds(direction, phi, spec, x[None]).tolist()[0]
+    e = closeness(direction, phi, stacked_norms(spec, x[None])).tolist()[0]
     tol = max(8 * U * norm, min(1e-9 * norm, 1e-7))
     n = 1
     while e > 0 and direction.L ** n * e > tol and n < stabilizer.MAX_DEPTH:
@@ -228,7 +245,7 @@ class TestStabilizePoint:
         trace = stabilize_points(f, UP, PHI_UP, X)
         limits = trace.iterates[trace.offsets[1:] - 1]
         diffs = algebra.stacked_norms(M2, limits - maps.eval_f_rows(f, X))
-        for diff, bound in zip(diffs, error_bounds(UP, PHI_UP, M2, X)):
+        for diff, bound in zip(diffs, closeness(UP, PHI_UP, stacked_norms(M2, X))):
             assert diff <= bound + 1e-9
 
     def test_uniqueness_of_limit(self, rng):
@@ -457,31 +474,33 @@ class TestErrorBound:
     def test_up_direction_value(self):
         # L/(1-L) = 1 + sqrt(2) for L = 2^{-1/2}
         phi = power_sum(0.1, 0.5)
-        got = error_bounds(UP, phi, SCALAR, np.array([[4.0 + 0j]]))
+        got = closeness(UP, phi, stacked_norms(SCALAR, np.array([[4.0 + 0j]])))
         assert got == [pytest.approx((1 + SQRT2) * 0.1 * 2, rel=1e-12)]
 
     def test_down_direction_value(self):
         # phi(1, 0) = 1 and L^0/(1-L) = 4/3 for L = 1/4
         phi = power_sum(1.0, 3.0)
-        got = error_bounds(DOWN, phi, SCALAR, np.array([[1.0 + 0j]]))
+        got = closeness(DOWN, phi, stacked_norms(SCALAR, np.array([[1.0 + 0j]])))
         assert got == [pytest.approx(4.0 / 3.0)]
 
     def test_product_control_superstability(self, rng):
         phi = power_product(0.4, 0.25)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)
-        assert error_bounds(UP, phi, M2, x[None]) == [0.0]
+        assert closeness(UP, phi, stacked_norms(M2, x[None])) == [0.0]
 
     @pytest.mark.parametrize("phi", [power_product(0.4, 0.25), power_product(0.4, 1.0)],
                              ids=["q-2", "q-half"])
     @pytest.mark.parametrize("spec", SPECS)
     def test_product_control_computes_no_norm(self, monkeypatch, rng, spec, phi):
-        # phi(x, 0) = theta ||x 0||^r = 0 for every finite x, in closed form.
+        # phi(x, 0) = theta ||x 0||^r = 0 for every finite x, in closed form:
+        # closeness takes no power, and the orbit's tails read no norm.
         X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng) for _ in range(3)])
-        direction = select_direction(phi)
+        direction, radii = select_direction(phi), stacked_norms(spec, X)
         for name in ("stacked_norms", "_libm_pow"):
             monkeypatch.setattr(algebra, name, None)
-        got = error_bounds(direction, phi, spec, X)
-        assert got.dtype == np.float64 and got.tolist() == [0.0] * 3
+        tails = stabilizer._tails(direction, phi, spec, X)[1]
+        for got in (closeness(direction, phi, radii), tails):
+            assert got.dtype == np.float64 and got.tolist() == [0.0] * 3
 
     def test_rows_match_error_bound(self, rng):
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(5)])
@@ -489,4 +508,4 @@ class TestErrorBound:
             for phi in (power_sum(0.3, 0.5), power_product(0.4, 0.25)):
                 factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
                 want = [factor * reference_control(phi, M2, x, np.zeros_like(x)) for x in X]
-                assert error_bounds(direction, phi, M2, X).tolist() == want
+                assert closeness(direction, phi, stacked_norms(M2, X)).tolist() == want

@@ -6,6 +6,7 @@ import pytest
 from involstab import algebra, maps, stabilizer, verifier
 from involstab.fixedpoint import FunctionSpaceMetric, function_space_distance
 from involstab.algebra import SCALAR, Element, matrix_spec, pointwise_spec
+from involstab.errors import OutOfRange
 from involstab.maps import ApproxMap, LambdaSampler, NO_PERTURBATION, PerturbationSpec
 from involstab.stabilizer import power_product, power_sum, select_direction
 from involstab.verifier import (
@@ -46,6 +47,18 @@ UP = select_direction(PHI_SUM)
 
 def up_map(f):
     return StabilizedMap(f, UP, PHI_SUM)
+
+
+def scan(f, phi, P, lambdas=LAMBDAS):
+    """scan_hypotheses of f under phi, in phi's contracting direction."""
+    return scan_hypotheses(StabilizedMap(f, select_direction(phi), phi), lambdas, P)
+
+
+def pair_bounds(P, bound):
+    """bound(||x||, ||y||) / PHI_SUM(x, y) over the pairs of probe_pairs(P):
+    the ratio each pair may reach when its defect is within bound."""
+    nx, ny = probe_pairs(algebra.stacked_norms(M2, P))
+    return bound(nx, ny) / (PHI_SUM.theta * (nx ** PHI_SUM.r + ny ** PHI_SUM.r))
 
 
 class TestProbePairs:
@@ -167,9 +180,12 @@ class TestScanHypotheses:
     def test_witness_reevaluates_to_sup(self, rng):
         rep = scan_hypotheses(up_map(BUDGET_F), LAMBDAS, sample_probes(20, rng))
         w = rep.entries["e2_jensen"].witness
-        d = maps.jensen_defect(BUDGET_F, w["lam"], w["x"][None], w["y"][None])
-        num = algebra.stacked_norms(M2, d)[0]
-        den = stabilizer.control_rows(PHI_SUM, M2, w["x"][None], w["y"][None])[0]
+        x, y, lam = w["x"][None], w["y"][None], w["lam"]
+        f_mid, f_lx, f_ly = maps.eval_f_rows(
+            BUDGET_F, np.concatenate([complex(0.5) * (x + y), lam * x, lam * y]))
+        num = algebra.stacked_norms(M2, (2.0 * np.conj(lam) * f_mid - f_lx - f_ly)[None])[0]
+        den = stabilizer.control(PHI_SUM, algebra.stacked_norms(M2, x),
+                                 algebra.stacked_norms(M2, y))[0]
         assert num / den == rep.entries["e2_jensen"].sup_ratio
 
     def test_sup_monotone_in_probes(self, rng):
@@ -182,6 +198,98 @@ class TestScanHypotheses:
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
             scan_hypotheses(up_map(EXACT_ADJ), LAMBDAS, NO_PROBES)
+
+
+# The defects of f, each through the scan: its supremum against the
+# closed-form defect over the control, or, where the control of a row is
+# zero, 0 only when that row's defect is exactly zero (else inf).
+SCALAR_F = ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR)
+
+
+class TestJensenDefect:
+    def test_exact_involution_vanishes(self, rng):
+        P = sample_probes(8, rng)
+        rep = scan(EXACT_ADJ, PHI_SUM, P, LambdaSampler(n0=3, seed=1))
+        bounds = pair_bounds(P, lambda nx, ny: 1e-12 * np.maximum(1.0, nx + ny))
+        assert rep.entries["e2_jensen"].sup_ratio <= bounds.max()
+
+    def test_scalar_example(self):
+        # P = [4] pairs 4 with 0, then with itself.  For y = 0,
+        # 2 conj(lam) f(2) - f(4 lam) = 0.2 (sqrt(2) conj(lam) - 1) over
+        # phi(4, 0) = 0.6; for y = x, 2 conj(lam) f(4) - 2 f(4 lam) =
+        # 0.4 (conj(lam) - 1), zero at lam = 1, over phi(4, 4) = 1.2.
+        lams = np.array([lam for s, lam in maps.sample_lambdas(LAMBDAS) if s in ("arc", "circle")])
+        want = max(np.abs(0.2 * (SQRT2 * np.conj(lams) - 1)).max() / 0.6,
+                   np.abs(0.4 * (np.conj(lams) - 1)).max() / 1.2)
+        rep = scan(SCALAR_F, PHI_SUM, np.array([[4.0 + 0j]]))
+        assert rep.entries["e2_jensen"].sup_ratio == pytest.approx(want, rel=1e-12)
+
+    def test_budget_lemma(self, rng):
+        # theta_delta = THETA/3 keeps the defect below THETA*(|x|^r + |y|^r)
+        # for unit-modulus lambda and r <= 1
+        f = ApproxMap(maps.adjoint(), radial(PHI_SUM.theta / 3, 0.5, seed=6), M2)
+        P = sample_probes(200, rng)
+        rep = scan(f, PHI_SUM, P, LambdaSampler(n0=3, arc=6, circle=6, seed=2))
+        bounds = pair_bounds(P, lambda nx, ny: PHI_SUM.theta * (nx ** 0.5 + ny ** 0.5) + 1e-12)
+        assert rep.entries["e2_jensen"].sup_ratio <= bounds.max()
+
+
+class TestAntimulDefect:
+    def test_exact_involution(self, rng):
+        f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
+        P = sample_probes(25, rng)
+        rep = scan(f, PHI_SUM, P)
+        bounds = pair_bounds(P, lambda nx, ny: 1e-12 * np.maximum(1.0, nx * ny))
+        assert rep.entries["e3_antimul"].sup_ratio <= bounds.max()
+
+    def test_zero_argument(self):
+        # Under the product control every pair with a zero factor has a zero
+        # control, so its f(xy) - f(y)f(x) must be exactly 0; the pair (2, 2)
+        # gives f(4) - f(2)^2 = 4.2 - (2 + 0.1*sqrt(2))^2 over phi = 0.1 * 4^0.25.
+        rep = scan(SCALAR_F, power_product(0.1, 0.25), np.array([[0j], [2.0 + 0j]]))
+        want = abs(4.2 - (2 + 0.1 * SQRT2) ** 2) / (0.1 * SQRT2)
+        assert rep.entries["e3_antimul"].sup_ratio == pytest.approx(want, rel=1e-12)
+
+    def test_scalar_example(self):
+        # f(4) - f(2)^2 = 4.2 - (2 + 0.1*sqrt(2))^2 over phi(2, 2) = 0.6*sqrt(2);
+        # the pair (2, 0) has defect 0.
+        rep = scan(SCALAR_F, PHI_SUM, np.array([[2.0 + 0j]]))
+        want = abs(4.2 - (2 + 0.1 * SQRT2) ** 2) / (0.6 * SQRT2)
+        assert rep.entries["e3_antimul"].sup_ratio == pytest.approx(want, rel=1e-12)
+
+    def test_product_overflow_is_out_of_range(self):
+        # xy overflows, and the scan's argument check names the stage.
+        f = ApproxMap(maps.conjugation(), NO_PERTURBATION, SCALAR)
+        with pytest.raises(OutOfRange, match="^scan_hypotheses: stage arithmetic overflowed"):
+            scan(f, power_product(0.1, 0.25), np.array([[1e200 + 0j]]))
+
+
+class TestCstarDefect:
+    # | ||x f(x)|| - ||x||^2 | over phi(x, x) = 0.6 ||x||^0.5.
+    def test_adjoint_matrix(self, rng):
+        P = sample_probes(100, rng)
+        radii = algebra.stacked_norms(M2, P)
+        rep = scan(EXACT_ADJ, PHI_SUM, P)
+        bounds = 1e-9 * np.maximum(1.0, radii ** 2) / (0.6 * radii ** 0.5)
+        assert rep.entries["e6_cstar"].sup_ratio <= bounds.max()
+
+    def test_twisted_witness(self):
+        # | ||x f(x)|| - 1 | = 0.5 at the unit nilpotent, over phi(x, x) = 0.6.
+        f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
+        entry = scan(f, PHI_SUM, NIL[None]).entries["e6_cstar"]
+        assert entry.sup_ratio == pytest.approx(0.5 / 0.6, abs=1e-12 / 0.6)
+        assert entry.witness["x"].tobytes() == NIL.tobytes()
+
+    def test_zero(self):
+        # A zero control: a nonzero defect would read inf.
+        assert scan(EXACT_ADJ, PHI_SUM, ZERO[None]).entries["e6_cstar"].sup_ratio == 0.0
+
+    def test_square_out_of_range(self):
+        # x f(x) = 0.5 a^2 E11 is finite at a = 1.5e154 while ||x||^2 = a^2 is
+        # not, and x x = 0: the square is the first value to overflow.
+        f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
+        with pytest.raises(OutOfRange, match=r"^scan_hypotheses: \|\|x\|\|\^2 of a probe"):
+            scan(f, power_sum(0.3, 1.5), 1.5e154 * NIL[None])
 
 
 class TestVerifyBound:
@@ -228,15 +336,15 @@ class TestArrayReturns:
         X = sample_probes(n, rng, spec) if n else np.zeros((0, *spec.shape), complex)
         Y = X[::-1].copy()
         f = ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=7), spec)
-        rows = [algebra.stacked_norms(spec, X), maps.cstar_defect(f, X)]
+        nx, ny = algebra.stacked_norms(spec, X), algebra.stacked_norms(spec, Y)
+        rows = [nx, stabilizer.control(PHI_SUM, nx, ny), stabilizer.control(PHI_SUM, nx)]
         for phi in (PHI_SUM, power_product(0.1, 0.25)):
-            rows += [stabilizer.control_rows(phi, spec, X, Y),
-                     stabilizer.error_bounds(select_direction(phi), phi, spec, X)]
+            rows.append(stabilizer.closeness(select_direction(phi), phi, nx))
         for got in rows:
             assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (n,)
         exact = ApproxMap(maps.adjoint(), NO_PERTURBATION, spec)
-        m = FunctionSpaceMetric(spec, X, lambda Z: stabilizer.control_rows(
-            PHI_SUM, spec, Z, np.zeros_like(Z)))
+        m = FunctionSpaceMetric(
+            spec, X, lambda Z: stabilizer.control(PHI_SUM, algebra.stacked_norms(spec, Z)))
         distance = function_space_distance(
             lambda Z: maps.eval_f_rows(f, Z), lambda Z: maps.eval_f_rows(exact, Z), m)
         assert type(distance) is float

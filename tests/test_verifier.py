@@ -54,11 +54,29 @@ def scan(f, phi, P, lambdas=LAMBDAS):
     return scan_hypotheses(StabilizedMap(f, select_direction(phi), phi), lambdas, P)
 
 
-def pair_bounds(P, bound):
-    """bound(||x||, ||y||) / PHI_SUM(x, y) over the pairs of probe_pairs(P):
-    the ratio each pair may reach when its defect is within bound."""
-    nx, ny = probe_pairs(algebra.stacked_norms(M2, P))
-    return bound(nx, ny) / (PHI_SUM.theta * (nx ** PHI_SUM.r + ny ** PHI_SUM.r))
+def scan_rows(monkeypatch, f, phi, P, lambdas=LAMBDAS):
+    """The scan of f by rows: each entry's name -> (values, witnesses), the
+    per-row column scan_hypotheses takes its supremum of and the witness of
+    every row."""
+    columns = []
+    sup = verifier._sup
+
+    def spy(values, witness):
+        columns.append((values, [witness(k) for k in range(len(values))]))
+        return sup(values, witness)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_sup", spy)
+        rep = scan(f, phi, P, lambdas)
+    return dict(zip(rep.entries, columns))
+
+
+def row_allowances(rows, bound, y="y", spec=M2, phi=PHI_SUM):
+    """bound(||x||, ||y||) / phi(x, y) for each witness row: the ratio the
+    row may reach when its own defect is within bound.  y="x" pairs each
+    row's x with itself."""
+    nx, ny = (algebra.stacked_norms(spec, np.stack([w[k] for w in rows])) for k in ("x", y))
+    return bound(nx, ny) / stabilizer.control(phi, nx, ny)
 
 
 class TestProbePairs:
@@ -200,47 +218,59 @@ class TestScanHypotheses:
             scan_hypotheses(up_map(EXACT_ADJ), LAMBDAS, NO_PROBES)
 
 
-# The defects of f, each through the scan: its supremum against the
-# closed-form defect over the control, or, where the control of a row is
-# zero, 0 only when that row's defect is exactly zero (else inf).
+# The defects of f, each through the scan, row by row: each row's ratio
+# against its own allowance or its closed-form defect over its control, or,
+# where the control of a row is zero, 0 only when that row's defect is
+# exactly zero (else inf).  A sampled stack [x0, y0, x1, y1, ...] holds the
+# independent pairs (x_k, y_k) among its probe pairs.
 SCALAR_F = ApproxMap(maps.conjugation(), radial(0.1, 0.5), SCALAR)
 
 
 class TestJensenDefect:
-    def test_exact_involution_vanishes(self, rng):
-        P = sample_probes(8, rng)
-        rep = scan(EXACT_ADJ, PHI_SUM, P, LambdaSampler(n0=3, seed=1))
-        bounds = pair_bounds(P, lambda nx, ny: 1e-12 * np.maximum(1.0, nx + ny))
-        assert rep.entries["e2_jensen"].sup_ratio <= bounds.max()
+    def test_exact_involution_vanishes(self, rng, monkeypatch):
+        # 8 independent pairs, each under every unit scalar
+        values, rows = scan_rows(monkeypatch, EXACT_ADJ, PHI_SUM, sample_probes(16, rng),
+                                 LambdaSampler(n0=3, seed=1))["e2_jensen"]
+        assert np.all(values <= row_allowances(rows, lambda nx, ny: 1e-12 * np.maximum(1.0, nx + ny)))
 
-    def test_scalar_example(self):
+    def test_scalar_example(self, monkeypatch):
         # P = [4] pairs 4 with 0, then with itself.  For y = 0,
         # 2 conj(lam) f(2) - f(4 lam) = 0.2 (sqrt(2) conj(lam) - 1) over
         # phi(4, 0) = 0.6; for y = x, 2 conj(lam) f(4) - 2 f(4 lam) =
-        # 0.4 (conj(lam) - 1), zero at lam = 1, over phi(4, 4) = 1.2.
-        lams = np.array([lam for s, lam in maps.sample_lambdas(LAMBDAS) if s in ("arc", "circle")])
-        want = max(np.abs(0.2 * (SQRT2 * np.conj(lams) - 1)).max() / 0.6,
-                   np.abs(0.4 * (np.conj(lams) - 1)).max() / 1.2)
-        rep = scan(SCALAR_F, PHI_SUM, np.array([[4.0 + 0j]]))
-        assert rep.entries["e2_jensen"].sup_ratio == pytest.approx(want, rel=1e-12)
+        # 0.4 (conj(lam) - 1) over phi(4, 4) = 1.2.
+        values, rows = scan_rows(monkeypatch, SCALAR_F, PHI_SUM, np.array([[4.0 + 0j]]))["e2_jensen"]
+        lams = np.array([w["lam"] for w in rows])
+        zero_y = np.array([w["y"][0] == 0 for w in rows])
+        want = np.where(zero_y, np.abs(0.2 * (SQRT2 * np.conj(lams) - 1)) / 0.6,
+                        np.abs(0.4 * (np.conj(lams) - 1)) / 1.2)
+        assert zero_y.sum() == len(rows) // 4
+        assert values == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_budget_lemma(self, rng):
+    def test_symmetric_degenerate(self, rng, monkeypatch):
+        # y = x at lam = 1: 2 f(x) - f(x) - f(x) is exactly 0.
+        x = algebra.sample_element(SCALAR, (0.5, 2.0), rng)
+        values, rows = scan_rows(monkeypatch, SCALAR_F, PHI_SUM, x[None])["e2_jensen"]
+        at = [k for k, w in enumerate(rows)
+              if w["lam"] == 1.0 and w["y"].tobytes() == x.tobytes()]
+        assert len(at) == 3  # the probe's self pair and its two strided partners
+        assert [values[k] for k in at] == [0.0] * 3
+
+    def test_budget_lemma(self, rng, monkeypatch):
         # theta_delta = THETA/3 keeps the defect below THETA*(|x|^r + |y|^r)
-        # for unit-modulus lambda and r <= 1
+        # for unit-modulus lambda and r <= 1; 200 independent pairs
         f = ApproxMap(maps.adjoint(), radial(PHI_SUM.theta / 3, 0.5, seed=6), M2)
-        P = sample_probes(200, rng)
-        rep = scan(f, PHI_SUM, P, LambdaSampler(n0=3, arc=6, circle=6, seed=2))
-        bounds = pair_bounds(P, lambda nx, ny: PHI_SUM.theta * (nx ** 0.5 + ny ** 0.5) + 1e-12)
-        assert rep.entries["e2_jensen"].sup_ratio <= bounds.max()
+        values, rows = scan_rows(monkeypatch, f, PHI_SUM, sample_probes(400, rng),
+                                 LambdaSampler(n0=3, arc=6, circle=6, seed=2))["e2_jensen"]
+        budget = row_allowances(rows, lambda nx, ny: PHI_SUM.theta * (nx ** 0.5 + ny ** 0.5) + 1e-12)
+        assert np.all(values <= budget)
 
 
 class TestAntimulDefect:
-    def test_exact_involution(self, rng):
+    def test_exact_involution(self, rng, monkeypatch):
+        # 100 independent pairs
         f = ApproxMap(maps.twisted_adjoint(DIAG12), NO_PERTURBATION, M2)
-        P = sample_probes(25, rng)
-        rep = scan(f, PHI_SUM, P)
-        bounds = pair_bounds(P, lambda nx, ny: 1e-12 * np.maximum(1.0, nx * ny))
-        assert rep.entries["e3_antimul"].sup_ratio <= bounds.max()
+        values, rows = scan_rows(monkeypatch, f, PHI_SUM, sample_probes(200, rng))["e3_antimul"]
+        assert np.all(values <= row_allowances(rows, lambda nx, ny: 1e-12 * np.maximum(1.0, nx * ny)))
 
     def test_zero_argument(self):
         # Under the product control every pair with a zero factor has a zero
@@ -266,12 +296,10 @@ class TestAntimulDefect:
 
 class TestCstarDefect:
     # | ||x f(x)|| - ||x||^2 | over phi(x, x) = 0.6 ||x||^0.5.
-    def test_adjoint_matrix(self, rng):
-        P = sample_probes(100, rng)
-        radii = algebra.stacked_norms(M2, P)
-        rep = scan(EXACT_ADJ, PHI_SUM, P)
-        bounds = 1e-9 * np.maximum(1.0, radii ** 2) / (0.6 * radii ** 0.5)
-        assert rep.entries["e6_cstar"].sup_ratio <= bounds.max()
+    def test_adjoint_matrix(self, rng, monkeypatch):
+        values, rows = scan_rows(monkeypatch, EXACT_ADJ, PHI_SUM, sample_probes(100, rng))["e6_cstar"]
+        assert len(rows) == 100
+        assert np.all(values <= row_allowances(rows, lambda nx, _: 1e-9 * np.maximum(1.0, nx ** 2), y="x"))
 
     def test_twisted_witness(self):
         # | ||x f(x)|| - 1 | = 0.5 at the unit nilpotent, over phi(x, x) = 0.6.

@@ -234,7 +234,9 @@ def eval_f_rows(f: ApproxMap, X: np.ndarray) -> np.ndarray:
     row per point; a row's value does not depend on the other rows.  The
     perturbation amplitude reads every row's norm ||x||, from one stacked
     call; a map with no perturbation computes none.  A finite stack raises
-    nothing: a row whose amplitude overflows is not finite."""
+    nothing: a row whose amplitude overflows is not finite.  A real stack
+    is taken as its complex cast, which is exact."""
+    X = np.asarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     base = _involution_rows(f.base, f.spec, X)

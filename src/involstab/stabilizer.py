@@ -137,7 +137,8 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     above 1e300, found before any evaluation, or an a_n that is not finite
     is an IterateOverflow; each names a depth and a row.  A row of X that
     is not finite is a ValueError, raised before its norm reaches LAPACK,
-    which would print to stdout."""
+    which would print to stdout.  A real X is taken as its complex cast."""
+    X = np.asarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     bad = (~algebra._row_reduce(np.logical_and, np.isfinite(X))).nonzero()[0]

@@ -54,7 +54,9 @@ class StabilizedMap:
 
     def _indices(self, X: np.ndarray) -> list[int]:
         """The index of each row of a stack X into the stack of limits; the
-        distinct uncached rows are stabilized in one batch."""
+        distinct uncached rows are stabilized in one batch.  A real X is
+        keyed, and stabilized, as its complex cast."""
+        X = np.asarray(X, dtype=np.complex128)
         # One void item per row, whose bytes are row.tobytes().
         rows = np.ascontiguousarray(X).reshape(len(X), math.prod(X.shape[1:]))
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
@@ -87,15 +89,19 @@ class StabilizedMap:
         return self._limits[indices].reshape(X.shape)
 
 
-def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair sample from a probe stack P, as the stacks (X, Y)
-    of left and right rows: each probe against zero, itself, and two
+def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic pair sample from a probe stack P of m rows, as the
+    stack Z = [P; 0] and the index columns (ix, iy) into Z of the pairs'
+    left and right rows: each probe against zero (row m), itself, and two
     strided partners.  The (x, 0) pairs come first per probe so zero-control
-    witnesses are found with the lowest probe index."""
-    i = np.arange(len(P))
-    # A +0 partner: 0 * P would write -0 into the y witnesses.
-    partners = [np.zeros_like(P), P, P[(i + 1) % len(P)], P[(i * 7 + 3) % len(P)]]
-    return np.repeat(P, 4, axis=0), np.stack(partners, axis=1).reshape(-1, *P.shape[1:])
+    witnesses are found with the lowest probe index; the zero row comes
+    last so a stage that stabilizes Z meets P's rows first."""
+    m = len(P)
+    i = np.arange(m)
+    # A +0 row: 0 * P would write -0 into the y witnesses.
+    Z = np.concatenate([P, np.zeros_like(P[:1])])
+    iy = np.stack([np.full(m, m), i, (i + 1) % m, (i * 7 + 3) % m], axis=1).reshape(-1)
+    return Z, np.repeat(i, 4), iy
 
 
 def _require_probes(P: np.ndarray) -> None:
@@ -145,50 +151,57 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     f values and the defect rows are checked finite before I is evaluated."""
     _require_probes(P)
     f, spec, phi = I.f, I.f.spec, I.phi
-    X, Y = probe_pairs(P)
+    Z, ix, iy = probe_pairs(P)
+    X, Y = Z[ix], Z[iy]
+    n, m = len(ix), len(P)
 
     # The Jensen hypothesis is quantified over unit-modulus scalars only;
     # larger moduli belong to the homogeneity extension of the conclusion.
     # Its rows run pair-major, then lambda.
     unit_lams = [(s, lam) for s, lam in maps.sample_lambdas(lambdas) if s in ("arc", "circle")]
     nl = len(unit_lams)
-    XL, YL = np.repeat(X, nl, axis=0), np.repeat(Y, nl, axis=0)
-    lams, stages = [v for _, v in unit_lams] * len(X), [s for s, _ in unit_lams] * len(X)
-    lam = np.array(lams, dtype=np.complex128).reshape((-1,) + (1,) * len(spec.shape))
-    # Every argument of f in one stack: (x+y)/2, lam x and lam y for Jensen,
-    # then xy, y and x.  X repeats each probe four times, so f(P) is every
-    # fourth row of f(X).
-    XY = algebra.mul_rows(spec, X, Y)
+    lam = np.array([v for _, v in unit_lams]).reshape((-1,) + (1,) * len(spec.shape))
+    # The control's pairs: the sample's, then each probe with itself for
+    # the C* ratio's phi(x, x).
+    jx, jy = np.append(ix, np.arange(m)), np.append(iy, np.arange(m))
+    XY = algebra.mul_rows(spec, Z[jx], Z[jy])
+    # Every argument of f in one stack: (x+y)/2 and xy per pair, lam z per
+    # row z of Z and scalar (z-major), and Z.  f(lam x) and f(lam y) are
+    # gathered from f(lam Z), f(x) and f(y) from f(Z).
     args = algebra.finite_rows("scan_hypotheses", np.concatenate(
-        [complex(0.5) * (XL + YL), lam * XL, lam * YL, XY, Y, X]))
-    f_mid, f_lx, f_ly, f_xy, f_y, f_x = np.split(maps._f_values("scan_hypotheses", f, args),
-                                                 np.cumsum([len(XL)] * 3 + [len(X)] * 2))
+        [complex(0.5) * (X + Y), (lam * Z[:, None]).reshape(-1, *spec.shape), XY[:n], Z]))
+    f_mid, f_lz, f_xy, f_z = np.split(maps._f_values("scan_hypotheses", f, args),
+                                      np.cumsum([n, len(Z) * nl, n]))
+    f_lz = f_lz.reshape(len(Z), nl, *spec.shape)
+    jensen = 2.0 * np.conj(lam) * f_mid[:, None] - f_lz[ix] - f_lz[iy]
     defects = algebra.finite_rows("scan_hypotheses", np.concatenate([
-        2.0 * np.conj(lam) * f_mid - f_lx - f_ly, f_xy - algebra.mul_rows(spec, f_y, f_x),
-        algebra.mul_rows(spec, P, f_x[::4])]))
-    # The control reads ||x|| and ||y|| from P's norms through probe_pairs
-    # (a zero partner's is 0), or ||xy|| from the products.
+        jensen.reshape(-1, *spec.shape), f_xy - algebra.mul_rows(spec, f_z[iy], f_z[ix]),
+        algebra.mul_rows(spec, P, f_z[:m])]))
+    # The control reads ||x|| and ||y|| from Z's norms (the zero row's is
+    # 0), or ||xy|| from the products.
     sums = phi.kind is stabilizer.ControlKind.POWER_SUM
     residuals = I.rows(I.rows(P)) - P
     try:
-        nd, npr, *nxy, e4 = _norms("scan_hypotheses", spec, defects, P,
-                                   *([] if sums else [XY]), residuals)
-        dens = stabilizer.control(phi, *(probe_pairs(npr) if sums else nxy))
+        nd, nz, *nxy, e4 = _norms("scan_hypotheses", spec, defects, Z,
+                                  *([] if sums else [XY]), residuals)
+        dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
-    e2, e3, nxf = np.split(nd, np.cumsum([len(XL), len(X)]))
+    e2, e3, nxf = np.split(nd, np.cumsum([n * nl, n]))
     try:
-        e6 = np.abs(nxf - algebra._libm_pow(npr, 2))
+        e6 = np.abs(nxf - algebra._libm_pow(nz[:m], 2))
     except OverflowError:
         raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite") from None
 
+    def jensen_witness(k):
+        stage, lam_k = unit_lams[k % nl]
+        return {"x": X[k // nl], "y": Y[k // nl], "lam": lam_k, "stage": stage}
+
     columns = {
-        "e2_jensen": (_ratios(e2, np.repeat(dens, nl)),
-                      _witness(x=XL, y=YL, lam=lams, stage=stages)),
-        "e3_antimul": (_ratios(e3, dens), _witness(x=X, y=Y)),
+        "e2_jensen": (_ratios(e2, np.repeat(dens[:n], nl)), jensen_witness),
+        "e3_antimul": (_ratios(e3, dens[:n]), _witness(x=X, y=Y)),
         "e4_involutive": (e4, _witness(x=P)),
-        # dens[1::4] is phi(x, x): the (x, x) pairs of probe_pairs.
-        "e6_cstar": (_ratios(e6, dens[1::4]), _witness(x=P)),
+        "e6_cstar": (_ratios(e6, dens[n:]), _witness(x=P)),
     }
     return DefectReport(entries={
         name: HypothesisEntry(name, *_sup(values, witness))
@@ -224,21 +237,22 @@ def verify_involution_laws(
     _require_probes(P)
     spec = I.f.spec
     lams = maps.sample_lambdas(lambdas)
-    X, Y = probe_pairs(P)
-    n, m = len(X), len(P)
+    Z, ix, iy = probe_pairs(P)
+    X, Y = Z[ix], Z[iy]
+    n, m = len(ix), len(P)
     L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
-    # Every point the laws read, in one batch; the lam*x rows run lam-major.
+    # Every point the laws read, in one batch; the lam*p rows run lam-major.
+    # I(x), I(y) and I(p) are gathered from I(Z).
     args = algebra.finite_rows("verify_involution_laws", np.concatenate([
-        X + Y, X, Y, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y), P]))
-    I_sum, I_x, I_y, I_lp, I_xy, I_p = np.split(
-        I.rows(args), np.cumsum([n, n, n, len(lams) * m, n]))
-    npr, add, homog, am, inv = _norms(
-        "verify_involution_laws", spec, P, I_sum - (I_x + I_y),
+        X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)]))
+    I_sum, I_z, I_lp, I_xy = np.split(I.rows(args), np.cumsum([n, len(Z), len(lams) * m]))
+    I_x, I_y, I_p = I_z[ix], I_z[iy], I_z[:m]
+    nz, add, homog, am, inv = _norms(
+        "verify_involution_laws", spec, Z, I_sum - (I_x + I_y),
         I_lp - (np.conj(L) * I_p).reshape(I_lp.shape), I_xy - algebra.mul_rows(spec, I_y, I_x),
         I.rows(I_p) - P)
-    # probe_pairs on P's norms gives X's and Y's; a zero row's norm is 0.
     # np.fmax(1, v) is Python's max(1.0, v), NaN included.
-    nx, ny = probe_pairs(npr)
+    nx, ny, npr = nz[ix], nz[iy], nz[:m]
     add = add / np.fmax(1.0, nx + ny)
     # Row k of homog is lams[k] on every probe; abs(lam) is Python's.
     homog = homog.reshape(-1, m) / np.fmax(

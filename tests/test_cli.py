@@ -209,10 +209,28 @@ class TestRun:
     def test_one_f_call_per_stage(self, monkeypatch, scenario):
         # Outside stabilize_points, the scan evaluates f on all of its
         # arguments in one call and the bound on P in one; the laws,
-        # uniqueness and C* read only the stabilized map.
+        # uniqueness and C* read only the stabilized map.  Each stack holds
+        # a point once per role, for m probes, Z = [P; 0] and nl unit
+        # scalars of the |Lambda| sampled: the scan's (x+y)/2 and xy per
+        # pair, lam z per row of Z and unit scalar, and Z, 8m + (nl+1)(m+1)
+        # rows; the laws' x+y and xy per pair, Z and lam p, then I(p).  On
+        # adjoint_rsum_r05 that is 689 rows (4,320 with every pair row
+        # stacked) and 277 + 12 (372 + 12).
         calls = tag_calls(monkeypatch, {**INNER, **STAGES}, maps, "eval_f_rows")
-        cli.run_pipeline(cli.parse_scenario(cli.load_config(scenario)))
+        batches = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "rows")
+        sc = cli.parse_scenario(cli.load_config(scenario))
+        cli.run_pipeline(sc)
         assert sorted(tag for tag, _ in calls if tag != "inner") == ["bound", "scan"]
+        lams = maps.sample_lambdas(sc.lambdas)
+        nl = sum(stage in ("arc", "circle") for stage, _ in lams)
+        m = len(cli.make_probes(sc))
+        (scan,) = [len(stack) for tag, stack in calls if tag == "scan"]
+        assert scan == 8 * m + (nl + 1) * (m + 1)
+        m = min(m, sc.laws_max_probes)
+        laws = [len(stack) for tag, stack in batches if tag == "laws"]
+        assert laws == [8 * m + (m + 1) + len(lams) * m, m]
+        if scenario == "adjoint_rsum_r05":
+            assert (scan, laws) == (689, [277, 12])
 
     def test_scalars_sampled_once_per_pass(self):
         # The scan and the laws read one memoized sample of the scalars.
@@ -361,8 +379,8 @@ class TestProbes:
 
     def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
         # make_probes normalizes its rows in one stacked call, and the laws
-        # take the norms of their probes, whose probe_pairs are the norms of
-        # their pairs' rows, from their one call, which leads with P.
+        # take the norms of Z = [P; 0], which their pairs' rows gather, from
+        # their one call, which leads with Z.
         sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
                                              involution={"kind": "adjoint"}))
         P = cli.make_probes(sc)[: sc.laws_max_probes]
@@ -370,7 +388,7 @@ class TestProbes:
         cli.run_pipeline(sc)
         assert [len(stack) for tag, stack in calls if tag == "probes"] == [sc.num_probes]
         (stack,) = [stack for tag, stack in calls if tag == "laws"]
-        assert stack[:len(P)].tobytes() == P.tobytes()
+        assert stack[:len(P)].tobytes() == P.tobytes() and not stack[len(P)].any()
 
 
 class TestTraceCsv:
@@ -693,12 +711,19 @@ class TestVerdictsOverRadius:
         assert not uniq.passed and uniq.max_diff <= 1e10 * 1e-14
 
     @pytest.mark.parametrize("r, error, message", [
-        (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1"),
-        (1e200, OutOfRange, "scan_hypotheses: stage arithmetic overflowed"),
+        (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1, row 187"),
+        (1e154, IterateOverflow, "iterate argument exceeded 1e300 at depth 0, row 187"),
+        (1e155, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
+        (1e200, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
+        (1.3e308, OutOfRange,
+         "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
     ])
     def test_large_radii_fail(self, r, error, message):
-        with pytest.raises(error, match=message):
+        # The whole message: the row is the failing point's place in the
+        # laws' first-seen batch order.
+        with pytest.raises(error) as caught:
             self.results_at(r)
+        assert str(caught.value) == message
 
 
 class TestDepthKeys:

@@ -294,6 +294,19 @@ class TestStabilizePoints:
         assert len({depths[-1] for depths, _, _ in batch}) > 1
 
     @pytest.mark.parametrize("spec", SPECS)
+    def test_real_stack_is_its_complex_cast(self, rng, spec):
+        # A float64 stack is taken as its complex cast, which is exact: f
+        # and every ladder get the cast's bits.  Viewing its float64 parts
+        # as complex once halved the last axis, or failed on an odd width.
+        f = admissible(spec, "random_direction", UP)
+        X = rng.standard_normal((3, *spec.shape))
+        C = X.astype(np.complex128)
+        assert maps.eval_f_rows(f, X).tobytes() == maps.eval_f_rows(f, C).tobytes()
+        real, cast = stabilize_points(f, UP, PHI_UP, X), stabilize_points(f, UP, PHI_UP, C)
+        for name in ("offsets", "depths", "iterates", "gaps"):
+            assert getattr(real, name).tobytes() == getattr(cast, name).tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS)
     def test_batch_matches_single_points_q_half(self, rng, spec):
         # The same at q = 1/2, whose arguments shrink, over both hashed and
         # fixed directions.

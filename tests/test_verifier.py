@@ -80,17 +80,16 @@ def row_allowances(rows, bound, y="y", spec=M2, phi=PHI_SUM):
 
 
 class TestProbePairs:
-    def test_structure(self, rng):
-        P = sample_probes(5, rng)
-        X, Y = probe_pairs(P)
-        assert X.shape == Y.shape == (4 * len(P), 2, 2)
-        for i, x in enumerate(P):
-            assert all(X[4 * i + k].tobytes() == x.tobytes() for k in range(4))
-            # The zero partner is +0 in every entry.
-            assert Y[4 * i].tobytes() == ZERO.tobytes()
-            assert Y[4 * i + 1].tobytes() == x.tobytes()
-            assert Y[4 * i + 2].tobytes() == P[(i + 1) % 5].tobytes()
-            assert Y[4 * i + 3].tobytes() == P[(i * 7 + 3) % 5].tobytes()
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_structure(self, rng, m):
+        # Z is P with one zero row last, +0 in every entry, and the index
+        # columns pick ref_pairs' rows out of it, in its order.
+        P = sample_probes(m, rng)
+        Z, ix, iy = probe_pairs(P)
+        assert Z.shape == (m + 1, 2, 2)
+        assert Z[:m].tobytes() == P.tobytes() and Z[m].tobytes() == ZERO.tobytes()
+        assert [(Z[i].tobytes(), Z[j].tobytes()) for i, j in zip(ix, iy)] == [
+            (x.tobytes(), y.tobytes()) for x, y in ref_pairs(P)]
 
 
 class TestStabilizedMap:
@@ -125,6 +124,18 @@ class TestStabilizedMap:
         I.rows(z[None]), I.rows(x[None])
         assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
         assert batches == [[x.tobytes(), y.tobytes()], [z.tobytes()]]
+
+    @pytest.mark.parametrize("spec", [SCALAR, pointwise_spec(2), pointwise_spec(3), M2],
+                             ids=["scalar", "pointwise2", "pointwise3", "matrix2"])
+    def test_real_stack_keyed_as_its_complex_cast(self, rng, spec):
+        # I on a float64 stack is I on its complex cast, and the cast's rows
+        # are the keys: asking for the cast stabilizes nothing more.
+        base = maps.adjoint() if spec is M2 else maps.conjugation()
+        I = up_map(ApproxMap(base, PerturbationSpec("random_direction", 0.1, 0.5, 3), spec))
+        X = rng.standard_normal((3, *spec.shape))
+        real = I.rows(X)
+        assert real.tobytes() == I.rows(X.astype(np.complex128)).tobytes()
+        assert len(I._batches) == 1 and real.dtype == np.complex128
 
     def test_traces_gather_across_batches(self, rng):
         # Rows stabilized in different batches come back as one trace in
@@ -410,6 +421,24 @@ class TestVerifyLaws:
         assert rep.antimultiplicativity.max_defect <= 1e-6
         assert rep.involutivity.max_defect <= 1e-6
 
+    def test_batch_in_first_seen_order(self, rng, monkeypatch):
+        # The laws stabilize their distinct points in the order they first
+        # meet them among x+y, x and y per pair, lam p (lam-major) and xy
+        # per pair: the order that numbers a failing row.  Probes with -0
+        # imaginary parts keep x+0 apart from x, so the zero row, last in
+        # probe_pairs' stack, is met after every probe.
+        batches = []
+        stabilize = stabilizer.stabilize_points
+        monkeypatch.setattr(stabilizer, "stabilize_points", lambda f, direction, phi, X: (
+            batches.append([row.tobytes() for row in X]) or stabilize(f, direction, phi, X)))
+        P = sample_probes(3, rng).real.astype(np.complex128).conj()
+        verify_involution_laws(up_map(BUDGET_F), LAMBDAS, P)
+        pairs = ref_pairs(P)
+        rows = ([x + y for x, y in pairs] + [x for x, _ in pairs] + [y for _, y in pairs]
+                + [complex(lam) * p for _, lam in maps.sample_lambdas(LAMBDAS) for p in P]
+                + [algebra.mul_rows(M2, x[None], y[None])[0] for x, y in pairs])
+        assert batches[0] == list(dict.fromkeys(row.tobytes() for row in rows))
+
 
 class TestVerifyUniqueness:
     def test_same_base_different_perturbations(self, rng):
@@ -607,10 +636,10 @@ def ref_pairs(probes):
             ((x, z), (x, x), (x, probes[(i + 1) % n]), (x, probes[(i * 7 + 3) % n]))]
 
 
-def ref_stages(I, I2, phi, lambdas, probes):
+def ref_stages(I, I2, lambdas, probes):
     """Every stage's sup, witness and count from per-row numpy arithmetic,
-    each value a one-row stack's; phi is a power-sum control."""
-    f, spec = I.f, I.f.spec
+    each value a one-row stack's, under I's control."""
+    f, spec, phi = I.f, I.f.spec, I.phi
 
     def norm(a):
         return algebra.stacked_norms(spec, a[None])[0]
@@ -625,6 +654,8 @@ def ref_stages(I, I2, phi, lambdas, probes):
         return I.rows(x[None])[0]
 
     def ctl(x, y):
+        if phi.kind is stabilizer.ControlKind.POWER_PRODUCT:
+            return phi.theta * norm(mul(x, y)) ** phi.r
         return phi.theta * (norm(x) ** phi.r + norm(y) ** phi.r)
 
     def jensen(lam, x, y):
@@ -695,19 +726,28 @@ REFERENCE_MAPS = {
 }
 
 
+# (zero rows, sampled rows) of the probe stack: with one probe every
+# strided partner is the probe itself, with three the (7i + 3) one.
+REFERENCE_PROBES = {"zero+4": (1, 4), "zero+2": (1, 2), "zero+1": (1, 1), "one": (0, 1)}
+
+
 class TestStackedStagesMatchElementReference:
     @pytest.mark.parametrize("name", list(REFERENCE_MAPS))
-    def test_sup_witness_and_samples(self, rng, name):
+    @pytest.mark.parametrize("phi", [PHI_SUM, power_product(0.3, 0.25)],
+                             ids=["power_sum", "power_product"])
+    @pytest.mark.parametrize("probes", list(REFERENCE_PROBES))
+    def test_sup_witness_and_samples(self, rng, name, phi, probes):
         f = REFERENCE_MAPS[name]
         lambdas = LambdaSampler(n0=3, arc=2, circle=2, reals=2, cplx=2, seed=4)
-        P = np.concatenate([np.zeros((1, *f.spec.shape), dtype=np.complex128),
-                            sample_probes(4, rng, spec=f.spec)])
-        I = up_map(f)
+        zero, sampled = REFERENCE_PROBES[probes]
+        P = np.concatenate([np.zeros((zero, *f.spec.shape), dtype=np.complex128),
+                            sample_probes(sampled, rng, spec=f.spec)])
+        I = StabilizedMap(f, select_direction(phi), phi)
         # A second admissible map over the same base; an exact map is
         # compared with itself, so every difference ties at zero.
         f2 = f if name.startswith("exact") else ApproxMap(
             f.base, PerturbationSpec("random_direction", 0.1, 0.5, 13), f.spec)
-        I2 = up_map(f2)
+        I2 = StabilizedMap(f2, I.direction, phi)
 
         hyp = scan_hypotheses(I, lambdas, P)
         laws = verify_involution_laws(I, lambdas, P)
@@ -726,7 +766,7 @@ class TestStackedStagesMatchElementReference:
         got["bound_per_probe"] = bound.per_probe
         got["bound_per_probe_bounds"] = bound.per_probe_bounds
 
-        ref = ref_stages(I, I2, PHI_SUM, lambdas, P)
+        ref = ref_stages(I, I2, lambdas, P)
         assert set(got) == set(ref)
         for key, expected in ref.items():
             if key in ("cstar_reversed", "bound_per_probe", "bound_per_probe_bounds"):

@@ -341,18 +341,17 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
         "corollary_audit": _corollary_audit(sc.phi),
     }
 
-    # One row per probe and ladder depth but its last, n*: the difference
-    # to the next depth, the distance to the limit a_{n*}, the deviation
-    # from a_0 = f(x) and the probe's radius, the last three from one
-    # stacked call.
+    # One row per probe and ladder depth but its last, n*: the difference to
+    # the next depth, the distance to the limit a_{n*} and the deviation from
+    # a_0 = f(x), these two from one stacked call, and I's radius and bound.
     tr = I.traces(P)
     its, first, last = tr.iterates, tr.offsets[:-1], tr.offsets[1:] - 1
     probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets) - 1)
     at = np.delete(np.arange(len(its)), last)
-    errors, deviations, radii = np.split(algebra.stacked_norms(sc.spec, np.concatenate(
-        [its[at] - its[last[probe]], its[at] - its[first[probe]], P])), [len(at), 2 * len(at)])
-    bounds = np.asarray(bound.per_probe_bounds)[probe]
-    columns = [probe, radii[probe], tr.depths[at], tr.gaps[at],
+    errors, deviations = np.split(algebra.stacked_norms(sc.spec, np.concatenate(
+        [its[at] - its[last[probe]], its[at] - its[first[probe]]])), 2)
+    bounds = tr.bound[probe]
+    columns = [probe, tr.radius[probe], tr.depths[at], tr.gaps[at],
                errors, bounds, verifier._ratios(deviations, bounds)]
     return results, {name: c.tolist() for name, c in zip(TRACE_COLUMNS, columns)}
 

@@ -10,7 +10,6 @@ from enum import Enum
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraSpec
 from .errors import IterateOverflow, NoContraction, NonCauchy, OutOfRange, SpecMismatch
 from .maps import ApproxMap, eval_f_rows
 
@@ -107,12 +106,15 @@ class StabilizationTrace:
     """The ladders of a stack of rows, flat: row k's entries are
     offsets[k]:offsets[k + 1], at the `depths` 0, 1, 2, 4, ... < n* and n*,
     with the values a_n in `iterates`, the last one a_{n*} = I(x), and in
-    `gaps` the difference to the row's next entry, NaN on its last."""
+    `gaps` the difference to the row's next entry, NaN on its last.  Per
+    row, `radius` is ||x|| and `bound` the closeness bound e(x)."""
 
     offsets: np.ndarray
     depths: np.ndarray
     iterates: np.ndarray
     gaps: np.ndarray
+    radius: np.ndarray
+    bound: np.ndarray
 
 
 def _scale(Z: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
@@ -134,17 +136,25 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     at n*, all rows in one stacked f call, and each consecutive pair m < n
     of its depths must meet the tail, ||a_n - a_m|| <= (L^m + L^n) e(x) +
     16u ||x||, unless e(x) = 0; else NonCauchy.  An argument with a part
-    above 1e300, found before any evaluation, or an a_n that is not finite
-    is an IterateOverflow; each names a depth and a row.  A row of X that
-    is not finite is a ValueError, raised before its norm reaches LAPACK,
-    which would print to stdout.  A real X is taken as its complex cast."""
-    X = np.asarray(X, dtype=np.complex128)
+    above 1e300 (found before any evaluation, x itself before its norm) or
+    an a_n that is not finite is an IterateOverflow naming a depth and a
+    row.  A row of X that is not finite is a ValueError, raised before its
+    norm reaches LAPACK, which would print to stdout; a real X is its complex cast."""
+    X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     bad = (~algebra._row_reduce(np.logical_and, np.isfinite(X))).nonzero()[0]
     if len(bad):
         raise ValueError(f"row {bad[0]} of X is not finite")
-    norms, bounds = _tails(direction, phi, f.spec, X)
+    # X's own arguments first: a row whose norm overflows has a part above 1e300.
+    big = (algebra._row_reduce(np.maximum, np.abs(X.view(np.float64))) > 1e300).nonzero()[0]
+    if len(big):
+        raise IterateOverflow(f"iterate argument exceeded 1e300 at depth 0, row {big[0]}")
+    norms = algebra.stacked_norms(f.spec, X)
+    try:
+        bounds = closeness(direction, phi, norms)
+    except OverflowError:
+        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
     tol = np.maximum(8 * _U * norms, np.minimum(DEPTH_TOL_REL * norms, DEPTH_TOL_ABS))
     deep = np.fmin(np.fmax(np.ceil(np.log(tol / bounds) / math.log(direction.L)), 1), MAX_DEPTH)
     # Each row's ladder: the distinct entries of min(_LADDER, n*).
@@ -171,18 +181,8 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     tail = (L ** depths[:-1] + L ** depths[1:]) * bounds[k] + 16 * _U * norms[k]
     fail(np.append(False, pair & (bounds[k] > 0) & ~(gaps[:-1] <= tail)),
          NonCauchy("ladder difference ||a_n - a_m|| exceeds (L^m + L^n) e(x) + 16u ||x||"))
-    return StabilizationTrace(np.append(0, np.cumsum(used.sum(axis=1))), depths, values, gaps)
-
-
-def _tails(direction: ScalingDirection, phi: ControlFunction, spec: AlgebraSpec,
-           X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ||x|| and e(x) of each row; the product control computes no norm.
-    try:
-        product = phi.kind is ControlKind.POWER_PRODUCT
-        norms = np.zeros(len(X)) if product else algebra.stacked_norms(spec, X)
-        return norms, closeness(direction, phi, norms)
-    except OverflowError:
-        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+    return StabilizationTrace(np.append(0, np.cumsum(used.sum(axis=1))), depths, values, gaps,
+                              norms, bounds)
 
 
 @np.errstate(over="ignore")

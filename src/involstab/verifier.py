@@ -39,20 +39,19 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 class StabilizedMap:
     """The stabilized map I of f, memoized: each point is stabilized once,
     and its ladder is kept.  Build one per map and pass it to every stage.
-    A stage asks for all the values it needs in one `rows` call, so its
-    uncached points share one stacked evaluation."""
+    A stage asks for all the values it needs in one `rows` or `limits`
+    call, so its uncached points share one stacked evaluation."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection, phi: ControlFunction):
         self.f = f
         self.direction = direction
         self.phi = phi
-        # Row bytes -> index into the stacked limits, which hold the
-        # batches' rows in order.
+        # Row bytes -> index into the stacked limits, radii and bounds: the batches' rows.
         self._index: dict[bytes, int] = {}
-        self._limits = np.empty((0, *f.spec.shape), dtype=np.complex128)
+        self._limits = [np.empty((0, *f.spec.shape), np.complex128), np.empty(0), np.empty(0)]
         self._batches: list[StabilizationTrace] = []
 
-    def _indices(self, X: np.ndarray) -> list[int]:
+    def _indices(self, X: np.ndarray) -> np.ndarray:
         """The index of each row of a stack X into the stack of limits; the
         distinct uncached rows are stabilized in one batch.  A real X is
         keyed, and stabilized, as its complex cast."""
@@ -64,10 +63,11 @@ class StabilizedMap:
         if todo:
             batch = stabilizer.stabilize_points(self.f, self.direction, self.phi,
                                                 X[list(todo.values())])
-            self._index.update(zip(todo, range(len(self._limits), len(self._limits) + len(todo))))
-            self._limits = np.concatenate([self._limits, batch.iterates[batch.offsets[1:] - 1]])
+            self._index.update(zip(todo, itertools.count(len(self._index))))
+            columns = (batch.iterates[batch.offsets[1:] - 1], batch.radius, batch.bound)
+            self._limits = list(map(np.concatenate, zip(self._limits, columns)))
             self._batches.append(batch)
-        return list(map(self._index.__getitem__, keys))
+        return np.fromiter(map(self._index.__getitem__, keys), np.intp, count=len(keys))
 
     def traces(self, X: np.ndarray) -> StabilizationTrace:
         """The ladders of the rows of a stack X shaped (N, *shape), as one
@@ -79,14 +79,20 @@ class StabilizedMap:
         starts = np.concatenate([b.offsets[:-1] + e for b, e in zip(batches, ends)])[indices]
         offsets = np.append(0, np.cumsum(counts))
         at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-        return StabilizationTrace(offsets, *(
-            np.concatenate([getattr(b, name) for b in batches])[at]
-            for name in ("depths", "iterates", "gaps")))
+        ladders = (np.concatenate([getattr(b, name) for b in batches])[at]
+                   for name in ("depths", "iterates", "gaps"))
+        radius, bound = (column[indices] for column in self._limits[1:])
+        return StabilizationTrace(offsets, *ladders, radius, bound)
+
+    def limits(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """I, the radius ||x|| and the closeness bound e(x) on each row of a stack X."""
+        indices = self._indices(X)  # before _limits is read: it may grow
+        values, radius, bound = (column[indices] for column in self._limits)
+        return values.reshape(X.shape), radius, bound
 
     def rows(self, X: np.ndarray) -> np.ndarray:
         """I on each row of a stack X shaped (N, *shape)."""
-        indices = self._indices(X)  # before _limits is read: it may grow
-        return self._limits[indices].reshape(X.shape)
+        return self.limits(X)[0]
 
 
 def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,19 +183,21 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     defects = algebra.finite_rows("scan_hypotheses", np.concatenate([
         jensen.reshape(-1, *spec.shape), f_xy - algebra.mul_rows(spec, f_z[iy], f_z[ix]),
         algebra.mul_rows(spec, P, f_z[:m])]))
-    # The control reads ||x|| and ||y|| from Z's norms (the zero row's is
-    # 0), or ||xy|| from the products.
+    # The control reads ||x|| and ||y|| from Z's radii, or ||xy|| from the
+    # products.  I is not asked for Z: its zero row stays in the laws' batch.
     sums = phi.kind is stabilizer.ControlKind.POWER_SUM
-    residuals = I.rows(I.rows(P)) - P
+    IP, radii, _ = I.limits(P)
+    nz = np.append(radii, 0.0)
+    residuals = I.rows(IP) - P
     try:
-        nd, nz, *nxy, e4 = _norms("scan_hypotheses", spec, defects, Z,
-                                  *([] if sums else [XY]), residuals)
+        nd, *nxy, e4 = _norms("scan_hypotheses", spec, defects,
+                              *([] if sums else [XY]), residuals)
         dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
     except OverflowError:
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
     e2, e3, nxf = np.split(nd, np.cumsum([n * nl, n]))
     try:
-        e6 = np.abs(nxf - algebra._libm_pow(nz[:m], 2))
+        e6 = np.abs(nxf - algebra._libm_pow(radii, 2))
     except OverflowError:
         raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite") from None
 
@@ -242,13 +250,14 @@ def verify_involution_laws(
     n, m = len(ix), len(P)
     L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
     # Every point the laws read, in one batch; the lam*p rows run lam-major.
-    # I(x), I(y) and I(p) are gathered from I(Z).
+    # I(x), I(y), I(p) and the radii are gathered from Z's rows.
     args = algebra.finite_rows("verify_involution_laws", np.concatenate([
         X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)]))
-    I_sum, I_z, I_lp, I_xy = np.split(I.rows(args), np.cumsum([n, len(Z), len(lams) * m]))
-    I_x, I_y, I_p = I_z[ix], I_z[iy], I_z[:m]
-    nz, add, homog, am, inv = _norms(
-        "verify_involution_laws", spec, Z, I_sum - (I_x + I_y),
+    values, radii, _ = I.limits(args)
+    I_sum, I_z, I_lp, I_xy = np.split(values, np.cumsum([n, len(Z), len(lams) * m]))
+    I_x, I_y, I_p, nz = I_z[ix], I_z[iy], I_z[:m], radii[n:n + len(Z)]
+    add, homog, am, inv = _norms(
+        "verify_involution_laws", spec, I_sum - (I_x + I_y),
         I_lp - (np.conj(L) * I_p).reshape(I_lp.shape), I_xy - algebra.mul_rows(spec, I_y, I_x),
         I.rows(I_p) - P)
     # np.fmax(1, v) is Python's max(1.0, v), NaN included.
@@ -281,7 +290,6 @@ class BoundReport:
     passed: bool
     witness: dict | None
     per_probe: list[float]
-    per_probe_bounds: list[float]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -289,13 +297,12 @@ def verify_bound(
     I: StabilizedMap,
     P: np.ndarray,
 ) -> BoundReport:
-    """||I(x) - f(x)|| against e(x) = L^{1-i}/(1-L) * phi(x,0) per probe, with
-    I's phi and L; a zero bound demands the difference vanish to ZERO_BOUND_ABS
-    (superstability).  The report keeps each probe's ratio and bound."""
+    """||I(x) - f(x)|| against the e(x) = L^{1-i}/(1-L) * phi(x,0) that I
+    took for each probe; a zero bound demands the difference vanish to
+    ZERO_BOUND_ABS (superstability).  The report keeps each probe's ratio."""
     _require_probes(P)
-    diffs, radii = _norms("verify_bound", I.f.spec, I.rows(P) - maps.eval_f_rows(I.f, P), P)
-    # No power overflows: stabilizing P took each e(x) from the same norms.
-    bounds = stabilizer.closeness(I.direction, I.phi, radii)
+    IP, _, bounds = I.limits(P)
+    (diffs,) = _norms("verify_bound", I.f.spec, IP - maps.eval_f_rows(I.f, P))
     ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
     worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
     return BoundReport(
@@ -304,7 +311,6 @@ def verify_bound(
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios.tolist(),
-        per_probe_bounds=bounds.tolist(),
     )
 
 
@@ -353,8 +359,8 @@ def verify_cstar(
     to 0 or inf is OutOfRange.  The reversed order is for information only."""
     _require_probes(P)
     spec = I.f.spec
-    radii = algebra.stacked_norms(spec, P)
-    Q, nq = P[radii != 0.0], radii[radii != 0.0]
+    IP, radii, _ = I.limits(P)
+    Q, IQ, nq = P[radii != 0.0], IP[radii != 0.0], radii[radii != 0.0]
     try:
         squares = algebra._libm_pow(nq, 2)
         if not ((0.0 < squares) & (squares < INF)).all():
@@ -363,7 +369,6 @@ def verify_cstar(
         raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite") from None
     worst, rev_worst, witness = 0.0, 0.0, None
     if len(nq):
-        IQ = I.rows(Q)
         ratios, reversed_ratios = (np.abs(norms - squares) / squares for norms in _norms(
             "verify_cstar", spec, algebra.mul_rows(spec, Q, IQ), algebra.mul_rows(spec, IQ, Q)))
         worst, witness, _ = _sup(ratios, _witness(x=Q, ratio=ratios.tolist()))
@@ -379,7 +384,7 @@ def verify_cstar(
 
 
 # A report leaves out entry names, already its keys, and per-probe columns.
-_UNREPORTED = {"name", "law", "per_probe", "per_probe_bounds"}
+_UNREPORTED = {"name", "law", "per_probe"}
 _string = json.encoder.encode_basestring_ascii
 
 

@@ -176,34 +176,38 @@ class TestRun:
         assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
     def test_bound_norms_from_one_call(self, monkeypatch):
-        # The bound stage takes ||I(x) - f(x)|| and the radii its e(x) reads
-        # from one call on I(P) - f(P) and P; the trace rows read its
-        # per-probe bounds.
+        # The bound stage takes ||I(x) - f(x)|| from one call on exactly
+        # I(P) - f(P), and e(x) from I; the trace rows read each probe's
+        # radius and bound from I.limits(P).
         calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         sc = cli.parse_scenario(small_config())
         results, trace = cli.run_pipeline(sc)
-        P = cli.make_probes(sc)
         (stack,) = [stack for tag, stack in calls if tag == "bound"]
-        assert len(stack) == 2 * len(P) and stack[len(P):].tobytes() == P.tobytes()
-        bounds = results["bound"].per_probe_bounds
-        assert trace["bound"] == [bounds[probe] for probe in trace["probe_id"]]
+        P = cli.make_probes(sc)
+        I = verifier.StabilizedMap(sc.f, results["direction"], sc.phi)
+        values, radius, bound = I.limits(P)
+        assert stack.tobytes() == (values - maps.eval_f_rows(sc.f, P)).tobytes()
+        assert trace["radius"] == radius[trace["probe_id"]].tolist()
+        assert trace["bound"] == bound[trace["probe_id"]].tolist()
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
     def test_one_norm_call_per_stage(self, monkeypatch, scenario):
         # Each stage takes its norms from one stacked_norms call, leaving
-        # out those made inside eval_f_rows and stabilize_points; C* takes
-        # two, so that ||x||^2 is checked before the products.  The untagged
-        # call is the trace rows'.  One bundled adjoint_rsum_r05 run makes
-        # 24 calls in all.
-        calls = tag_calls(monkeypatch, {**INNER, **STAGES})
+        # out those made inside eval_f_rows and stabilize_points, and reads
+        # the radii from I; so does C*, whose ||x||^2 is checked before
+        # the products.  The untagged call is the trace rows'.  One bundled
+        # adjoint_rsum_r05 run makes 22 calls in all once its fixed
+        # direction is cached.
         sc = cli.parse_scenario(cli.load_config(scenario))
+        maps.eval_f_rows(sc.f, cli.make_probes(sc))  # builds the cached fixed direction
+        calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         cli.run_pipeline(sc)
         tags = [tag for tag, _ in calls if tag != "inner"]
         assert sorted(tags, key=str) == sorted(
-            ["probes", "scan", "bound", "laws", "cstar", "cstar", None]
+            ["probes", "scan", "bound", "laws", "cstar", None]
             + ["uniqueness"] * (sc.f2 is not None), key=str)
         if scenario == "adjoint_rsum_r05":
-            assert len(calls) <= 24
+            assert len(calls) <= 22
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
     def test_one_f_call_per_stage(self, monkeypatch, scenario):
@@ -215,9 +219,12 @@ class TestRun:
         # pair, lam z per row of Z and unit scalar, and Z, 8m + (nl+1)(m+1)
         # rows; the laws' x+y and xy per pair, Z and lam p, then I(p).  On
         # adjoint_rsum_r05 that is 689 rows (4,320 with every pair row
-        # stacked) and 277 + 12 (372 + 12).
+        # stacked) and 277 + 12 (372 + 12).  Every `rows` call is a
+        # `limits` call: the laws ask `limits` for both stacks, and `rows`
+        # for I(I(p)).
         calls = tag_calls(monkeypatch, {**INNER, **STAGES}, maps, "eval_f_rows")
-        batches = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "rows")
+        batches = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "limits")
+        requests = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "rows")
         sc = cli.parse_scenario(cli.load_config(scenario))
         cli.run_pipeline(sc)
         assert sorted(tag for tag, _ in calls if tag != "inner") == ["bound", "scan"]
@@ -229,6 +236,7 @@ class TestRun:
         m = min(m, sc.laws_max_probes)
         laws = [len(stack) for tag, stack in batches if tag == "laws"]
         assert laws == [8 * m + (m + 1) + len(lams) * m, m]
+        assert [len(stack) for tag, stack in requests if tag == "laws"] == [m]
         if scenario == "adjoint_rsum_r05":
             assert (scan, laws) == (689, [277, 12])
 
@@ -378,17 +386,18 @@ class TestProbes:
         assert made[0].draws == ref.draws == ["normal", "uniform"] * start + ["normal"] * 8
 
     def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
-        # make_probes normalizes its rows in one stacked call, and the laws
-        # take the norms of Z = [P; 0], which their pairs' rows gather, from
-        # their one call, which leads with Z.
+        # make_probes normalizes its rows in one stacked call.  Every other
+        # norm of a probe is the stabilizer's: no norm call of a stage or
+        # of the trace rows holds a row of P.
         sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
                                              involution={"kind": "adjoint"}))
-        P = cli.make_probes(sc)[: sc.laws_max_probes]
+        probes = {row.tobytes() for row in cli.make_probes(sc)}
         calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         cli.run_pipeline(sc)
         assert [len(stack) for tag, stack in calls if tag == "probes"] == [sc.num_probes]
-        (stack,) = [stack for tag, stack in calls if tag == "laws"]
-        assert stack[:len(P)].tobytes() == P.tobytes() and not stack[len(P)].any()
+        staged = [stack for tag, stack in calls if tag not in ("inner", "probes")]
+        assert not [row for stack in staged for row in stack if row.tobytes() in probes]
+        assert len(staged) == 5
 
 
 class TestTraceCsv:
@@ -684,8 +693,8 @@ class TestVerdictsOverRadius:
     the exact adjoint, whose C* defect is 0, and both of its maps share it."""
 
     @staticmethod
-    def results_at(r):
-        raw = cli.load_config("adjoint_rsum_r05")
+    def results_at(r, scenario="adjoint_rsum_r05"):
+        raw = cli.load_config(scenario)
         raw["sampling"].update(radius_min=r, radius_max=r)
         return cli.run_pipeline(cli.parse_scenario(raw))[0]
 
@@ -711,19 +720,22 @@ class TestVerdictsOverRadius:
         assert not uniq.passed and uniq.max_diff <= 1e10 * 1e-14
 
     @pytest.mark.parametrize("r, error, message", [
-        (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1, row 187"),
-        (1e154, IterateOverflow, "iterate argument exceeded 1e300 at depth 0, row 187"),
+        (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1, row {row}"),
+        (1e154, IterateOverflow, "iterate argument exceeded 1e300 at depth 0, row {row}"),
         (1e155, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
         (1e200, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
         (1.3e308, OutOfRange,
          "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
     ])
-    def test_large_radii_fail(self, r, error, message):
+    @pytest.mark.parametrize("scenario, row", [("adjoint_rsum_r05", 187),
+                                               ("product_superstability", 315)])
+    def test_large_radii_fail(self, scenario, row, r, error, message):
         # The whole message: the row is the failing point's place in the
-        # laws' first-seen batch order.
+        # laws' first-seen batch order.  The product control's norms are
+        # taken too, after each row's own argument guard.
         with pytest.raises(error) as caught:
-            self.results_at(r)
-        assert str(caught.value) == message
+            self.results_at(r, scenario)
+        assert str(caught.value) == message.format(row=row)
 
 
 class TestDepthKeys:

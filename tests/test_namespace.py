@@ -47,5 +47,6 @@ def test_orbit_parameters_pinned():
 
     assert names(involstab.stabilize_points) == ["f", "direction", "phi", "X"]
     assert names(involstab.StabilizedMap.__init__) == ["self", "f", "direction", "phi"]
+    assert names(involstab.StabilizedMap.limits) == ["self", "X"]
     assert names(involstab.eval_f_rows) == ["f", "X"]
     assert names(involstab.scan_hypotheses) == ["I", "lambdas", "P"]

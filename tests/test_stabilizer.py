@@ -18,6 +18,7 @@ from involstab.stabilizer import (
     select_direction,
     stabilize_points,
 )
+from involstab.verifier import StabilizedMap
 
 M2 = matrix_spec(2)
 M3 = matrix_spec(3)
@@ -372,6 +373,17 @@ class TestStabilizePoints:
             stabilize_points(f, UP, PHI_UP, X)
         assert calls == []
 
+    @pytest.mark.parametrize("phi", [PHI_UP, power_product(0.3, 0.25)],
+                             ids=["power_sum", "power_product"])
+    def test_overflowing_norm_is_an_argument_overflow(self, phi):
+        # ||x|| of row 1 overflows: its argument guard, at depth 0, names it
+        # before its norm is taken, under either control.  It is not a
+        # control overflow: the power sum's r = 0.5 overflows nothing.
+        f = ApproxMap(maps.conjugation(), maps.NO_PERTURBATION, SCALAR)
+        X = np.array([[1.0 + 0j], [1.5e308 + 1.5e308j]])
+        with pytest.raises(IterateOverflow, match=r"exceeded 1e300 at depth 0, row 1$"):
+            stabilize_points(f, select_direction(phi), phi, X)
+
     @np.errstate(over="ignore", invalid="ignore")
     def test_nonfinite_value_is_iterate_overflow(self):
         # Row 1's amplitude 1e10 * (1e150)^2 overflows at a_0.
@@ -506,14 +518,17 @@ class TestErrorBound:
     @pytest.mark.parametrize("spec", SPECS)
     def test_product_control_computes_no_norm(self, monkeypatch, rng, spec, phi):
         # phi(x, 0) = theta ||x 0||^r = 0 for every finite x, in closed form:
-        # closeness takes no power, and the orbit's tails read no norm.
+        # closeness takes no power and no norm.  The orbit's trace keeps
+        # that exact 0 as each row's bound, next to the row's radius.
         X = np.stack([algebra.sample_element(spec, (0.1, 10.0), rng) for _ in range(3)])
         direction, radii = select_direction(phi), stacked_norms(spec, X)
+        trace = stabilize_points(exact(spec), direction, phi, X)
+        assert trace.bound.dtype == np.float64 and trace.bound.tolist() == [0.0] * 3
+        assert trace.radius.tobytes() == radii.tobytes()
         for name in ("stacked_norms", "_libm_pow"):
             monkeypatch.setattr(algebra, name, None)
-        tails = stabilizer._tails(direction, phi, spec, X)[1]
-        for got in (closeness(direction, phi, radii), tails):
-            assert got.dtype == np.float64 and got.tolist() == [0.0] * 3
+        got = closeness(direction, phi, radii)
+        assert got.dtype == np.float64 and got.tolist() == [0.0] * 3
 
     def test_rows_match_error_bound(self, rng):
         X = np.stack([algebra.sample_element(M2, (0.1, 10.0), rng) for _ in range(5)])
@@ -522,3 +537,42 @@ class TestErrorBound:
                 factor = direction.L ** (1 - direction.i) / (1.0 - direction.L)
                 want = [factor * reference_control(phi, M2, x, np.zeros_like(x)) for x in X]
                 assert closeness(direction, phi, stacked_norms(M2, X)).tolist() == want
+
+
+# The splits of an 8-row stack into the batches I first sees: the whole
+# stack, one row at a time from the last, and shuffled thirds.
+SPLITS = {"whole": [range(8)], "reversed-rows": [[k] for k in range(7, -1, -1)],
+          "shuffled-thirds": [[5, 0, 7], [3, 1, 5], [6, 2, 4]]}
+
+
+class TestLimits:
+    @pytest.mark.parametrize("split", list(SPLITS))
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("phi", [PHI_UP, power_product(0.3, 0.25)],
+                             ids=["power_sum", "power_product"])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_radius_and_bound_bits(self, rng, spec, phi, real, split):
+        # I.limits(X) gives each row's radius and closeness bound with the
+        # bits of stacked_norms and closeness on the stack I keys, X's
+        # complex cast, however the rows were first batched; a +0 and a -0
+        # row are two keys, each of radius 0.  (LAPACK's norm of a real 3x3
+        # row may differ from its complex cast's in the last bit.)
+        scales = 10.0 ** rng.integers(-5, 6, 8).reshape((8,) + (1,) * len(spec.shape))
+        if real:
+            X = scales * rng.standard_normal((8, *spec.shape))
+        else:
+            X = np.stack([algebra.sample_element(spec, (1.0, 1.0), rng) for _ in range(8)])
+            X = scales * X
+        X[2], X[6] = 0.0, -0.0
+        direction, cast = select_direction(phi), X.astype(np.complex128)
+        radius = stacked_norms(spec, cast)
+        bound = closeness(direction, phi, radius)
+        I = StabilizedMap(exact(spec), direction, phi)
+        for rows in SPLITS[split]:
+            I.limits(X[list(rows)])
+        values, got_radius, got_bound = I.limits(X)
+        assert len(I._batches) == len(SPLITS[split])
+        assert got_radius.tobytes() == radius.tobytes()
+        assert got_bound.tobytes() == bound.tobytes()
+        assert values.tobytes() == I.rows(cast).tobytes()
+        assert np.signbit(cast[6].real).all() and radius[[2, 6]].tolist() == [0.0, 0.0]

@@ -379,6 +379,7 @@ class TestArrayReturns:
         rows = [nx, stabilizer.control(PHI_SUM, nx, ny), stabilizer.control(PHI_SUM, nx)]
         for phi in (PHI_SUM, power_product(0.1, 0.25)):
             rows.append(stabilizer.closeness(select_direction(phi), phi, nx))
+            rows.extend(StabilizedMap(f, select_direction(phi), phi).limits(X)[1:])
         for got in rows:
             assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (n,)
         exact = ApproxMap(maps.adjoint(), NO_PERTURBATION, spec)
@@ -390,9 +391,8 @@ class TestArrayReturns:
         if n:
             rep = verify_bound(up_map(f), X)
             assert type(rep.max_ratio) is float
-            for column in (rep.per_probe, rep.per_probe_bounds):
-                assert type(column) is list and len(column) == n
-                assert all(type(v) is float for v in column)
+            assert type(rep.per_probe) is list and len(rep.per_probe) == n
+            assert all(type(v) is float for v in rep.per_probe)
             assert type(rep.witness["diff"]) is float and type(rep.witness["bound"]) is float
 
 
@@ -701,7 +701,8 @@ def ref_stages(I, I2, lambdas, probes):
         bound.append((ratio, {"x": x, "diff": diff, "bound": bnd}))
     out["bound"] = ref_entry(bound)
     out["bound_per_probe"] = [ratio for ratio, _ in bound]
-    out["bound_per_probe_bounds"] = [wit["bound"] for _, wit in bound]
+    out["limits_radius"] = [norm(x) for x in probes]
+    out["limits_bound"] = [wit["bound"] for _, wit in bound]
     cstar, rev = [], [0.0]
     for x in probes:
         nx = norm(x)
@@ -764,12 +765,12 @@ class TestStackedStagesMatchElementReference:
         got["cstar"] = (cstar.max_ratio, cstar.witness, cstar.probes_checked)
         got["cstar_reversed"] = cstar.reversed_max_ratio
         got["bound_per_probe"] = bound.per_probe
-        got["bound_per_probe_bounds"] = bound.per_probe_bounds
+        got["limits_radius"], got["limits_bound"] = (column.tolist() for column in I.limits(P)[1:])
 
         ref = ref_stages(I, I2, lambdas, P)
         assert set(got) == set(ref)
         for key, expected in ref.items():
-            if key in ("cstar_reversed", "bound_per_probe", "bound_per_probe_bounds"):
+            if key in ("cstar_reversed", "bound_per_probe", "limits_radius", "limits_bound"):
                 assert got[key] == expected
                 continue
             (sup, wit, n), (ref_sup, ref_wit, ref_n) = got[key], expected

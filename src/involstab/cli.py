@@ -80,7 +80,6 @@ class Scenario:
     extra_probes: list[Element]
     lambdas: LambdaSampler
     laws_max_probes: int
-    cstar_tol: float
 
 
 # A reader takes a key's value and its dotted name, "section.key", and
@@ -173,7 +172,8 @@ SCHEMA = {
     "lambda": {"n0": (_int, None), "arc": (_int, None), "circle": (_int, None),
                "reals": (_int, None), "complex": (_int, None), "seed": (_seed, None)},
     "laws": {"max_probes": (_at_least(_int, 1), 16)},
-    "cstar": {"tol": (_at_least(_real, 0), 1e-8)},
+    # No keys: the C* tolerance is verifier.CSTAR_TOL.
+    "cstar": {},
 }
 
 
@@ -244,7 +244,8 @@ def parse_scenario(raw: dict) -> Scenario:
     if _section(raw, "perturbation2", required=False):
         pert2 = _build("perturbation2", PerturbationSpec, _read(raw, "perturbation2"))
     phi = _build("control", ControlFunction, _read(raw, "control"))
-    _read(raw, "stabilizer", required=False)
+    for name in ("stabilizer", "cstar"):  # checked only: nothing reads their values
+        _read(raw, name, required=False)
 
     samp = _read(raw, "sampling")
     if not (0 < samp["radius_min"] <= samp["radius_max"]):
@@ -263,7 +264,6 @@ def parse_scenario(raw: dict) -> Scenario:
         phi=phi, num_probes=samp["num_probes"], radius_min=samp["radius_min"],
         radius_max=samp["radius_max"], seed=samp["seed"], extra_probes=extra,
         lambdas=lambdas, laws_max_probes=_read(raw, "laws", required=False)["max_probes"],
-        cstar_tol=_read(raw, "cstar", required=False)["tol"],
     )
 
 
@@ -329,7 +329,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
     uniq = None
     if sc.f2 is not None:
         uniq = verifier.verify_uniqueness(I, verifier.StabilizedMap(sc.f2, direction, sc.phi), P)
-    cstar = verifier.verify_cstar(I, P, tol=sc.cstar_tol)
+    cstar = verifier.verify_cstar(I, P)
 
     results = {
         "direction": direction,

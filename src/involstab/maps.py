@@ -176,18 +176,6 @@ def _hashed_directions(spec: AlgebraSpec, quantized: np.ndarray, seed: int | Non
     return parts.view(np.complex128).reshape(len(quantized), *spec.shape)
 
 
-def _amplitudes(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    """theta_delta * ||x||^r for each row x of X, inf where ||x|| or ||x||^r
-    overflows.  After an overflow every row is computed again on its own,
-    which gives it the bits of the stacked call."""
-    try:
-        return p.theta_delta * algebra._libm_pow(algebra.stacked_norms(spec, X), p.r)
-    except OverflowError:
-        if len(X) == 1:
-            return np.array([np.inf])
-        return np.concatenate([_amplitudes(p, spec, X[k:k + 1]) for k in range(len(X))])
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     # delta on a stack X of shape (N, *spec.shape).  A zero amplitude or zero
@@ -199,7 +187,7 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
     if p.kind is PerturbationKind.NONE or p.theta_delta == 0.0:
         return out
     column = (-1,) + (1,) * len(spec.shape)
-    amplitudes = _amplitudes(p, spec, X)
+    amplitudes = p.theta_delta * algebra._libm_pow(algebra.stacked_norms(spec, X), p.r)
     live = amplitudes != 0.0
     amplitudes = amplitudes.reshape(column)
     if p.kind is PerturbationKind.FIXED_DIRECTION:

@@ -49,7 +49,7 @@ def control(phi: ControlFunction, a: np.ndarray, b: np.ndarray | None = None) ->
     """phi from the norms of its arguments: theta * (a^r + b^r) from a = ||x||
     and b = ||y|| (the power sum), and theta * a^r without b: phi(x, 0) from
     a = ||x||, or the product's phi(x, y) from a = ||xy||.  A power that
-    overflows raises OverflowError."""
+    overflows is inf."""
     powers = algebra._libm_pow(a, phi.r)
     return phi.theta * (powers if b is None else powers + algebra._libm_pow(b, phi.r))
 
@@ -92,7 +92,7 @@ def select_direction(phi: ControlFunction) -> ScalingDirection:
 
 # The depth rule.  A row's depth n*(x) is the least n >= 1 whose tail
 # L^n e(x) is at most tol(x) = max(8u ||x||, min(1e-9 ||x||, 1e-7)), for
-# u = 2^-52: 1e-9 is a tenth of the default relative C* tolerance, 1e-7 a
+# u = 2^-52: 1e-9 is a tenth of the relative verifier.CSTAR_TOL, 1e-7 a
 # tenth of the absolute UNIQUENESS_TOL, and 8u ||x|| is rounding level.  A
 # row with e(x) = 0 takes n* = 1.  Past MAX_DEPTH every nonzero finite
 # argument leaves the float range, so no depth is larger.
@@ -138,8 +138,10 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     16u ||x||, unless e(x) = 0; else NonCauchy.  An argument with a part
     above 1e300 (found before any evaluation, x itself before its norm) or
     an a_n that is not finite is an IterateOverflow naming a depth and a
-    row.  A row of X that is not finite is a ValueError, raised before its
-    norm reaches LAPACK, which would print to stdout; a real X is its complex cast."""
+    row.  An e(x) that is not finite, whether ||x||^r or its product with
+    theta overflowed, is OutOfRange.  A row of X that is not finite is a
+    ValueError, raised before its norm reaches LAPACK, which would print to
+    stdout; a real X is its complex cast."""
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
@@ -151,10 +153,9 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     if len(big):
         raise IterateOverflow(f"iterate argument exceeded 1e300 at depth 0, row {big[0]}")
     norms = algebra.stacked_norms(f.spec, X)
-    try:
-        bounds = closeness(direction, phi, norms)
-    except OverflowError:
-        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+    bounds = closeness(direction, phi, norms)
+    if not np.isfinite(bounds).all():
+        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}")
     tol = np.maximum(8 * _U * norms, np.minimum(DEPTH_TOL_REL * norms, DEPTH_TOL_ABS))
     deep = np.fmin(np.fmax(np.ceil(np.log(tol / bounds) / math.log(direction.L)), 1), MAX_DEPTH)
     # Each row's ladder: the distinct entries of min(_LADDER, n*).

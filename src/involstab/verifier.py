@@ -24,9 +24,11 @@ from .stabilizer import ControlFunction, ScalingDirection, StabilizationTrace
 
 INF = math.inf
 # A zero closeness bound (superstability) passes when the difference is at
-# most ZERO_BOUND_ABS; two stabilized maps agree within UNIQUENESS_TOL.
+# most ZERO_BOUND_ABS; two stabilized maps agree within UNIQUENESS_TOL; the
+# relative C* defect passes at most CSTAR_TOL.
 ZERO_BOUND_ABS = 1e-9
 UNIQUENESS_TOL = 1e-6
+CSTAR_TOL = 1e-8
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -189,17 +191,15 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     IP, radii, _ = I.limits(P)
     nz = np.append(radii, 0.0)
     residuals = I.rows(IP) - P
-    try:
-        nd, *nxy, e4 = _norms("scan_hypotheses", spec, defects,
-                              *([] if sums else [XY]), residuals)
-        dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
-    except OverflowError:
-        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}") from None
+    nd, *nxy, e4 = _norms("scan_hypotheses", spec, defects, *([] if sums else [XY]), residuals)
+    dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
+    if not np.isfinite(dens).all():
+        raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}")
     e2, e3, nxf = np.split(nd, np.cumsum([n * nl, n]))
-    try:
-        e6 = np.abs(nxf - algebra._libm_pow(radii, 2))
-    except OverflowError:
-        raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite") from None
+    squares = algebra._libm_pow(radii, 2)
+    if not np.isfinite(squares).all():
+        raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite")
+    e6 = np.abs(nxf - squares)
 
     def jensen_witness(k):
         stage, lam_k = unit_lams[k % nl]
@@ -349,24 +349,18 @@ class CstarReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def verify_cstar(
-    I: StabilizedMap,
-    P: np.ndarray,
-    tol: float = 1e-8,
-) -> CstarReport:
+def verify_cstar(I: StabilizedMap, P: np.ndarray) -> CstarReport:
     """Relative C*-identity defect | ||x I(x)|| - ||x||^2 | / ||x||^2 of the
-    stabilized map.  Zero probes are skipped; a nonzero ||x||^2 that rounds
-    to 0 or inf is OutOfRange.  The reversed order is for information only."""
+    stabilized map, passing at most CSTAR_TOL.  Zero probes are skipped; a
+    nonzero ||x||^2 that rounds to 0 or inf is OutOfRange.  The reversed
+    order is for information only."""
     _require_probes(P)
     spec = I.f.spec
     IP, radii, _ = I.limits(P)
     Q, IQ, nq = P[radii != 0.0], IP[radii != 0.0], radii[radii != 0.0]
-    try:
-        squares = algebra._libm_pow(nq, 2)
-        if not ((0.0 < squares) & (squares < INF)).all():
-            raise OverflowError
-    except OverflowError:
-        raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite") from None
+    squares = algebra._libm_pow(nq, 2)
+    if not ((0.0 < squares) & (squares < INF)).all():
+        raise OutOfRange("verify_cstar: ||x||^2 of a nonzero probe is 0 or not finite")
     worst, rev_worst, witness = 0.0, 0.0, None
     if len(nq):
         ratios, reversed_ratios = (np.abs(norms - squares) / squares for norms in _norms(
@@ -377,9 +371,9 @@ def verify_cstar(
         max_ratio=worst,
         reversed_max_ratio=rev_worst,
         probes_checked=len(nq),
-        passed=worst <= tol,
+        passed=worst <= CSTAR_TOL,
         witness=witness,
-        tol=tol,
+        tol=CSTAR_TOL,
     )
 
 

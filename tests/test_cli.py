@@ -515,9 +515,10 @@ class TestExitCodes:
         ("sampling", {"num_probes": 6, "seed": 3, "radius": 2, "extra": []},
          "unknown key sampling.extra"),
         ("stabiliser", {"max_n": 5}, "unknown section stabiliser"),
-        # Each probe's depth comes from its tail; the C* stage has no depth.
+        # Each probe's depth comes from its tail; the C* stage has no depth,
+        # and its tolerance is verifier.CSTAR_TOL.
         ("cstar", {"max_n": 5}, "unknown key cstar.max_n"),
-        ("cstar", {"tol": 1e-8, "tol_rel": 1e-12}, "unknown key cstar.tol_rel"),
+        ("cstar", {"tol": 1e-8}, "unknown key cstar.tol"),
     ])
     def test_unknown_key_names_key(self, tmp_path, capsys, section, value, message):
         cfg = small_config(**{section: value})
@@ -551,7 +552,7 @@ class TestExitCodes:
         # (as it reads 1e999) as non-finite floats.
         ("control", "theta", math.nan), ("control", "theta", math.inf),
         ("control", "theta", -math.inf), ("perturbation", "theta_delta", math.nan),
-        ("sampling", "radius_max", math.inf), ("cstar", "tol", math.nan), ("cstar", "tol", -1),
+        ("sampling", "radius_max", math.inf),
         # Counts that int() would truncate.
         ("sampling", "num_probes", 6.9), ("stabilizer", "max_n", 48.5),
         ("lambda", "arc", 2.5), ("laws", "max_probes", 3.5), ("algebra", "dim", 1.5),
@@ -582,21 +583,32 @@ class TestExitCodes:
         assert "OutOfRange" in capsys.readouterr().err
         assert not (tmp_path / "scenario_out").exists()
 
-    @pytest.mark.parametrize("section, value, cause", [
+    @pytest.mark.parametrize("overrides, cause", [
         # ||x||^r overflows a float in the control, then in the perturbation,
         # whose amplitude the message names by its exponent.
-        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1030},
+        ({"control": {"kind": "power_sum", "theta": 0.3, "r": 1030}},
          "power_sum control overflows at r = 1030.0"),
-        ("perturbation", {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030},
+        ({"perturbation": {"kind": "fixed_direction", "theta_delta": 0.1, "r": 1030}},
          "scan_hypotheses: f values (amplitude theta_delta * ||x||^r at perturbation.r = 1030.0)"),
         # L = 2^(1-r), and 2^(1-2r) for the product, underflows to 0.
-        ("control", {"kind": "power_sum", "theta": 0.3, "r": 1100}, "L underflows to 0"),
-        ("control", {"kind": "power_product", "theta": 0.3, "r": 600}, "L underflows to 0"),
+        ({"control": {"kind": "power_sum", "theta": 0.3, "r": 1100}}, "L underflows to 0"),
+        ({"control": {"kind": "power_product", "theta": 0.3, "r": 600}}, "L underflows to 0"),
+        # ||x||^r is finite and theta * ||x||^r is not: e(x) is inf, which
+        # sent the depth to MAX_DEPTH (a false ladder failure at depth 2048)
+        # or the orbit past the 1e300 argument guard (at depth 1024).
+        ({"perturbation": {"kind": "none"}, "control": {"kind": "power_sum", "theta": 1e10, "r": 3},
+          "sampling": {"num_probes": 6, "seed": 3, "radius_min": 1e100, "radius_max": 1e100}},
+         "power_sum control overflows at r = 3.0"),
+        ({"perturbation": {"kind": "none"},
+          "control": {"kind": "power_sum", "theta": 1e300, "r": 0.5},
+          "sampling": {"num_probes": 6, "seed": 3, "radius_min": 1e20, "radius_max": 1e20}},
+         "power_sum control overflows at r = 0.5"),
     ], ids=["control-overflow", "perturbation-overflow", "sum-L-underflow",
-            "product-L-underflow"])
-    def test_large_exponent(self, tmp_path, monkeypatch, capsys, section, value, cause):
+            "product-L-underflow", "control-product-overflow-3",
+            "control-product-overflow-0.5"])
+    def test_large_exponent(self, tmp_path, monkeypatch, capsys, overrides, cause):
         monkeypatch.chdir(tmp_path)
-        cfg = small_config(**{section: value})
+        cfg = small_config(**overrides)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 5
         err = capsys.readouterr().err
         assert err.startswith("OutOfRange: ") and cause in err
@@ -722,12 +734,10 @@ class TestVerdictsOverRadius:
     @pytest.mark.parametrize("r, error, message", [
         (1e150, IterateOverflow, "iterate argument exceeded 1e300 at depth 1, row {row}"),
         (1e154, IterateOverflow, "iterate argument exceeded 1e300 at depth 0, row {row}"),
-        (1e155, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
-        (1e200, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
-        (1.3e308, OutOfRange,
-         "scan_hypotheses: stage arithmetic overflowed to non-finite entries"),
+        *((r, OutOfRange, "scan_hypotheses: stage arithmetic overflowed to non-finite entries")
+          for r in (1e155, 1e200, 1e300, 1.3e308, 1.7e308)),
     ])
-    @pytest.mark.parametrize("scenario, row", [("adjoint_rsum_r05", 187),
+    @pytest.mark.parametrize("scenario, row", [("adjoint_rsum_r05", 187), ("twisted_cstar", 187),
                                                ("product_superstability", 315)])
     def test_large_radii_fail(self, scenario, row, r, error, message):
         # The whole message: the row is the failing point's place in the
@@ -999,7 +1009,7 @@ class TestSweep:
         assert "JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, value, param", [
-        ("control", [1], "theta"), ("perturbation", "x", "r"),
+        ("control", [1], "theta"), ("perturbation", "x", "r"), ("cstar", 5, "theta"),
     ])
     def test_sweep_non_object_section_is_config_error(self, tmp_path, section, value, param):
         cfg = write_config(tmp_path, small_config(**{section: value}))

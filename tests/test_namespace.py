@@ -50,3 +50,5 @@ def test_orbit_parameters_pinned():
     assert names(involstab.StabilizedMap.limits) == ["self", "X"]
     assert names(involstab.eval_f_rows) == ["f", "X"]
     assert names(involstab.scan_hypotheses) == ["I", "lambdas", "P"]
+    # The C* tolerance is verifier.CSTAR_TOL, no knob.
+    assert names(involstab.verify_cstar) == ["I", "P"]

@@ -93,11 +93,11 @@ class TestControlEval:
         assert control(phi, stacked_norms(M2, X)).tobytes() == control(
             phi, stacked_norms(M2, X), np.zeros(len(X))).tobytes()
 
-    def test_power_overflow_raises(self):
-        # A power that overflows is an OverflowError, which each stage turns
-        # into OutOfRange.
-        with pytest.raises(OverflowError):
-            control(power_sum(0.3, 1030), np.array([10.0]))
+    def test_power_overflow_is_inf(self):
+        # A power that overflows is inf, which each stage's finite check
+        # turns into OutOfRange; the other rows keep their values.
+        got = control(power_sum(0.3, 1030), np.array([10.0, 1.0]))
+        assert got.tolist() == [math.inf, 0.3]
 
 
 class TestSelectDirection:

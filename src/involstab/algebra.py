@@ -109,7 +109,7 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     # which needs no start vector, gap condition or iteration cap, and also
     # gives a stack the bits of the per-matrix calls.
     if stack.shape[-1] != 2:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+        return _svd_norms(stack)
     # One copy into rows of N contiguous parts r00, i00, r01, i01, ..., i11.
     parts = np.ascontiguousarray(stack).reshape(-1, 4).view(np.float64).T.copy()
     largest = np.abs(parts).max(axis=0, initial=0.0)
@@ -118,8 +118,26 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     if closed.all():
         return _closed_form(parts)
     norms = np.empty(len(stack))
-    norms[~closed] = np.linalg.svd(stack[~closed], compute_uv=False)[:, 0]
+    norms[~closed] = _svd_norms(stack[~closed])
     norms[closed] = _closed_form(parts[:, closed])
+    return norms
+
+
+@np.errstate(over="ignore")
+def _svd_norms(stack: np.ndarray) -> np.ndarray:
+    # LAPACK's largest singular values.  A finite matrix with an entry whose
+    # modulus overflows comes back NaN, as LAPACK scales by its infinite
+    # entry norm: it is taken again at 2^-e times its size, for 2^e above
+    # its largest part, and its norm scaled back by 2^e, inf where the norm
+    # overflows.  Every other matrix keeps the bits of its first call (a
+    # NaN entry is LAPACK's LinAlgError, an infinite one its NaN).
+    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    redo = np.isnan(norms) & _row_reduce(np.logical_and, np.isfinite(stack))
+    if redo.any():
+        parts = np.ascontiguousarray(stack[redo]).view(np.float64)
+        e = np.frexp(_row_reduce(np.maximum, np.abs(parts)))[1].reshape(-1, 1, 1)
+        scaled = np.ldexp(parts, -e).view(np.complex128)
+        norms[redo] = np.ldexp(np.linalg.svd(scaled, compute_uv=False)[..., 0], e.ravel())
     return norms
 
 

@@ -172,8 +172,6 @@ SCHEMA = {
     "lambda": {"n0": (_int, None), "arc": (_int, None), "circle": (_int, None),
                "reals": (_int, None), "complex": (_int, None), "seed": (_seed, None)},
     "laws": {"max_probes": (_at_least(_int, 1), 16)},
-    # No keys: the C* tolerance is verifier.CSTAR_TOL.
-    "cstar": {},
 }
 
 
@@ -244,8 +242,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if _section(raw, "perturbation2", required=False):
         pert2 = _build("perturbation2", PerturbationSpec, _read(raw, "perturbation2"))
     phi = _build("control", ControlFunction, _read(raw, "control"))
-    for name in ("stabilizer", "cstar"):  # checked only: nothing reads their values
-        _read(raw, name, required=False)
+    _read(raw, "stabilizer", required=False)  # checked only: nothing reads its values
 
     samp = _read(raw, "sampling")
     if not (0 < samp["radius_min"] <= samp["radius_max"]):
@@ -313,10 +310,9 @@ def make_probes(sc: Scenario) -> np.ndarray:
 
 # ------------------------------- pipeline --------------------------------
 
-def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
-    """Execute the full certification pipeline; returns (results, trace):
-    each report key's stage result, and each trace.csv column's cells.
-    Raises NoContraction / StabilizationFailure."""
+def run_pipeline(sc: Scenario) -> dict:
+    """Execute the full certification pipeline; returns each report key's
+    stage result.  Raises NoContraction / StabilizationFailure."""
     direction = stabilizer.select_direction(sc.phi)
     P = make_probes(sc)
     # Every stage reads the one stabilized map per map, so each probe is
@@ -331,7 +327,7 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
         uniq = verifier.verify_uniqueness(I, verifier.StabilizedMap(sc.f2, direction, sc.phi), P)
     cstar = verifier.verify_cstar(I, P)
 
-    results = {
+    return {
         "direction": direction,
         "hypotheses": hyp.entries,
         "bound": bound,
@@ -340,20 +336,6 @@ def run_pipeline(sc: Scenario) -> tuple[dict, dict[str, list]]:
         "cstar": cstar,
         "corollary_audit": _corollary_audit(sc.phi),
     }
-
-    # One row per probe and ladder depth but its last, n*: the difference to
-    # the next depth, the distance to the limit a_{n*} and the deviation from
-    # a_0 = f(x), these two from one stacked call, and I's radius and bound.
-    tr = I.traces(P)
-    its, first, last = tr.iterates, tr.offsets[:-1], tr.offsets[1:] - 1
-    probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets) - 1)
-    at = np.delete(np.arange(len(its)), last)
-    errors, deviations = np.split(algebra.stacked_norms(sc.spec, np.concatenate(
-        [its[at] - its[last[probe]], its[at] - its[first[probe]]])), 2)
-    bounds = tr.bound[probe]
-    columns = [probe, tr.radius[probe], tr.depths[at], tr.gaps[at],
-               errors, bounds, verifier._ratios(deviations, bounds)]
-    return results, {name: c.tolist() for name, c in zip(TRACE_COLUMNS, columns)}
 
 
 def _corollary_audit(phi: ControlFunction) -> dict | None:
@@ -367,16 +349,13 @@ def _corollary_audit(phi: ControlFunction) -> dict | None:
     return {"regime": regime.value, **dataclasses.asdict(audit)}
 
 
-TRACE_COLUMNS = ["probe_id", "radius", "n", "diff_norm", "error_vs_limit", "bound", "ratio"]
-
-
 def _trace_csv(trace: dict[str, list]) -> str:
     # Every cell is an int, a float repr or "inf", none of which CSV quotes.
     # A probe's radius and bound are rendered once, on its first row.
-    lines = [",".join(TRACE_COLUMNS)]
+    lines = [",".join(verifier.TRACE_COLUMNS)]
     probe = None
     for probe_id, radius, n, diff, error, bound, ratio in zip(
-            *(trace[name] for name in TRACE_COLUMNS)):
+            *(trace[name] for name in verifier.TRACE_COLUMNS)):
         if probe_id != probe:
             probe, radius_s, bound_s = probe_id, repr(radius), repr(bound)
         ratio_s = "inf" if math.isinf(ratio) else repr(ratio)
@@ -408,7 +387,7 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
     raw = load_config(config_path)
     sc = parse_scenario(raw)
     out = _output_dir(out_dir, config_path, "_out")
-    results, trace = run_pipeline(sc)
+    results = run_pipeline(sc)
     # Made only now, so a run that fails leaves no directory behind.
     _make_dir(out)
 
@@ -422,7 +401,7 @@ def run_scenario(config_path: str | Path, out_dir: str | Path | None = None) -> 
         "files": {"report": "report.json", "trace": "trace.csv"},
     }
     _write_files(out, {"report.json": verifier._render(results) + "\n",
-                       "trace.csv": _trace_csv(trace),
+                       "trace.csv": _trace_csv(results["bound"].trace),
                        "manifest.json": verifier._render(manifest) + "\n"})
     return out
 
@@ -461,7 +440,7 @@ def sweep(config_path: str | Path, param: str, values: list[float],
             else:
                 _override(cfg, "sampling", num_probes=value)
             sc = parse_scenario(cfg)
-            results, _ = run_pipeline(sc)
+            results = run_pipeline(sc)
             laws = results["laws"]
             row.update({
                 "L": results["direction"].L,

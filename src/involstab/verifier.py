@@ -41,22 +41,24 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 class StabilizedMap:
     """The stabilized map I of f, memoized: each point is stabilized once,
     and its ladder is kept.  Build one per map and pass it to every stage.
-    A stage asks for all the values it needs in one `rows` or `limits`
+    A stage asks for all the values it needs in one `limits` or `traces`
     call, so its uncached points share one stacked evaluation."""
 
     def __init__(self, f: ApproxMap, direction: ScalingDirection, phi: ControlFunction):
         self.f = f
         self.direction = direction
         self.phi = phi
-        # Row bytes -> index into the stacked limits, radii and bounds: the batches' rows.
+        # Row bytes -> the row's index into the one trace of every row stabilized.
         self._index: dict[bytes, int] = {}
-        self._limits = [np.empty((0, *f.spec.shape), np.complex128), np.empty(0), np.empty(0)]
-        self._batches: list[StabilizationTrace] = []
+        empty = np.empty(0)
+        self._trace = StabilizationTrace(np.zeros(1, np.intp), np.empty(0, np.intp),
+                                         np.empty((0, *f.spec.shape), np.complex128),
+                                         empty, empty, empty)
 
     def _indices(self, X: np.ndarray) -> np.ndarray:
-        """The index of each row of a stack X into the stack of limits; the
-        distinct uncached rows are stabilized in one batch.  A real X is
-        keyed, and stabilized, as its complex cast."""
+        """The index of each row of a stack X into the trace; the distinct
+        uncached rows are stabilized in one batch, appended to the trace.
+        A real X is keyed, and stabilized, as its complex cast."""
         X = np.asarray(X, dtype=np.complex128)
         # One void item per row, whose bytes are row.tobytes().
         rows = np.ascontiguousarray(X).reshape(len(X), math.prod(X.shape[1:]))
@@ -66,35 +68,30 @@ class StabilizedMap:
             batch = stabilizer.stabilize_points(self.f, self.direction, self.phi,
                                                 X[list(todo.values())])
             self._index.update(zip(todo, itertools.count(len(self._index))))
-            columns = (batch.iterates[batch.offsets[1:] - 1], batch.radius, batch.bound)
-            self._limits = list(map(np.concatenate, zip(self._limits, columns)))
-            self._batches.append(batch)
+            kept = self._trace
+            self._trace = StabilizationTrace(
+                np.append(kept.offsets, batch.offsets[1:] + kept.offsets[-1]),
+                *(np.concatenate([getattr(kept, name), getattr(batch, name)])
+                  for name in ("depths", "iterates", "gaps", "radius", "bound")))
         return np.fromiter(map(self._index.__getitem__, keys), np.intp, count=len(keys))
 
     def traces(self, X: np.ndarray) -> StabilizationTrace:
         """The ladders of the rows of a stack X shaped (N, *shape), as one
         trace in X's row order."""
-        indices = self._indices(X)  # before _batches is read: it may grow
-        batches = self._batches
-        ends = np.cumsum([0] + [len(b.depths) for b in batches])
-        counts = np.concatenate([np.diff(b.offsets) for b in batches])[indices]
-        starts = np.concatenate([b.offsets[:-1] + e for b, e in zip(batches, ends)])[indices]
+        indices = self._indices(X)  # before _trace is read: it may grow
+        kept = self._trace
+        starts, counts = kept.offsets[indices], np.diff(kept.offsets)[indices]
         offsets = np.append(0, np.cumsum(counts))
         at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-        ladders = (np.concatenate([getattr(b, name) for b in batches])[at]
-                   for name in ("depths", "iterates", "gaps"))
-        radius, bound = (column[indices] for column in self._limits[1:])
-        return StabilizationTrace(offsets, *ladders, radius, bound)
+        return StabilizationTrace(offsets, kept.depths[at], kept.iterates[at], kept.gaps[at],
+                                  kept.radius[indices], kept.bound[indices])
 
     def limits(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """I, the radius ||x|| and the closeness bound e(x) on each row of a stack X."""
-        indices = self._indices(X)  # before _limits is read: it may grow
-        values, radius, bound = (column[indices] for column in self._limits)
-        return values.reshape(X.shape), radius, bound
-
-    def rows(self, X: np.ndarray) -> np.ndarray:
-        """I on each row of a stack X shaped (N, *shape)."""
-        return self.limits(X)[0]
+        indices = self._indices(X)  # before _trace is read: it may grow
+        kept = self._trace
+        values = kept.iterates[kept.offsets[indices + 1] - 1]
+        return values.reshape(X.shape), kept.radius[indices], kept.bound[indices]
 
 
 def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,7 +187,7 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     sums = phi.kind is stabilizer.ControlKind.POWER_SUM
     IP, radii, _ = I.limits(P)
     nz = np.append(radii, 0.0)
-    residuals = I.rows(IP) - P
+    residuals = I.limits(IP)[0] - P
     nd, *nxy, e4 = _norms("scan_hypotheses", spec, defects, *([] if sums else [XY]), residuals)
     dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
     if not np.isfinite(dens).all():
@@ -259,7 +256,7 @@ def verify_involution_laws(
     add, homog, am, inv = _norms(
         "verify_involution_laws", spec, I_sum - (I_x + I_y),
         I_lp - (np.conj(L) * I_p).reshape(I_lp.shape), I_xy - algebra.mul_rows(spec, I_y, I_x),
-        I.rows(I_p) - P)
+        I.limits(I_p)[0] - P)
     # np.fmax(1, v) is Python's max(1.0, v), NaN included.
     nx, ny, npr = nz[ix], nz[iy], nz[:m]
     add = add / np.fmax(1.0, nx + ny)
@@ -283,6 +280,10 @@ def verify_involution_laws(
     )
 
 
+# The trace.csv columns, one row per probe and ladder depth n below its n*.
+TRACE_COLUMNS = ["probe_id", "radius", "n", "diff_norm", "error_vs_limit", "bound", "ratio"]
+
+
 @dataclass
 class BoundReport:
     max_ratio: float
@@ -290,6 +291,7 @@ class BoundReport:
     passed: bool
     witness: dict | None
     per_probe: list[float]
+    trace: dict[str, list]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -298,19 +300,31 @@ def verify_bound(
     P: np.ndarray,
 ) -> BoundReport:
     """||I(x) - f(x)|| against the e(x) = L^{1-i}/(1-L) * phi(x,0) that I
-    took for each probe; a zero bound demands the difference vanish to
-    ZERO_BOUND_ABS (superstability).  The report keeps each probe's ratio."""
+    took for each probe, read from the ends of its ladder, a_0 = f(x) and
+    a_{n*} = I(x); a zero bound demands the difference vanish to
+    ZERO_BOUND_ABS (superstability).  The report keeps each probe's ratio,
+    and, as `trace`, each TRACE_COLUMNS column over every depth n < n*: the
+    gap to the next depth, ||a_n - a_{n*}|| and ||a_n - a_0|| / e(x)."""
     _require_probes(P)
-    IP, _, bounds = I.limits(P)
-    (diffs,) = _norms("verify_bound", I.f.spec, IP - maps.eval_f_rows(I.f, P))
+    tr = I.traces(P)
+    its, last = tr.iterates, tr.offsets[1:] - 1
+    probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets))
+    errors, deviations = _norms("verify_bound", I.f.spec, its - its[last][probe],
+                                its - its[tr.offsets[:-1]][probe])
+    diffs, bounds = deviations[last], tr.bound
     ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
     worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
+    at = np.delete(np.arange(len(its)), last)
+    rows = probe[at]
+    columns = [rows, tr.radius[rows], tr.depths[at], tr.gaps[at], errors[at], bounds[rows],
+               _ratios(deviations[at], bounds[rows])]
     return BoundReport(
         max_ratio=worst,
         probes_checked=len(P),
         passed=worst <= 1.0 + 1e-9,
         witness=witness,
         per_probe=ratios.tolist(),
+        trace={name: column.tolist() for name, column in zip(TRACE_COLUMNS, columns)},
     )
 
 
@@ -331,7 +345,7 @@ def verify_uniqueness(
     """Two admissible maps over the same base must stabilize to the same
     involution pointwise."""
     _require_probes(P)
-    (diffs,) = _norms("verify_uniqueness", I1.f.spec, I1.rows(P) - I2.rows(P))
+    (diffs,) = _norms("verify_uniqueness", I1.f.spec, I1.limits(P)[0] - I2.limits(P)[0])
     worst, witness, checked = _sup(diffs, _witness(x=P))
     return UniquenessReport(
         max_diff=worst, probes_checked=checked, passed=worst <= UNIQUENESS_TOL, witness=witness
@@ -378,7 +392,7 @@ def verify_cstar(I: StabilizedMap, P: np.ndarray) -> CstarReport:
 
 
 # A report leaves out entry names, already its keys, and per-probe columns.
-_UNREPORTED = {"name", "law", "per_probe"}
+_UNREPORTED = {"name", "law", "per_probe", "trace"}
 _string = json.encoder.encode_basestring_ascii
 
 

@@ -447,6 +447,25 @@ class TestExactScaling:
             amplitude = 0.1 * algebra.stacked_norms(spec, x[None]).tolist()[0] ** 0.5
             assert d.tobytes() == (complex(amplitude) * u).tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_entry_modulus_is_inf(self, d, rng):
+        # An entry 1.5e308 + 1.5e308j has a modulus above the float range, and
+        # LAPACK's svd, scaling by it, gave NaN.  Its matrix's norm is inf,
+        # alone and in a mixed stack, and a matrix whose entry norms overflow
+        # but whose operator norm does not gets its norm; every other row
+        # keeps the bits of its own call.
+        spec = matrix_spec(d)
+        big = np.full((1, d, d), 1.5e308 + 1.5e308j)
+        assert algebra.stacked_norms(spec, big).tolist() == [math.inf]
+        edge = np.full((1, d, d), (1.2e308 + 1.2e308j) / d)
+        stack = np.concatenate([sample_stack(spec, 2, rng), big, np.full((1, d, d), 1e308 + 0j),
+                                1e200 * sample_stack(spec, 1, rng), edge])
+        got = algebra.stacked_norms(spec, stack)
+        assert got[[2, 3]].tolist() == [math.inf, math.inf]
+        assert got[5] == pytest.approx(1.2e308 * math.sqrt(2))
+        for k in (0, 1, 3, 4):
+            assert got[k:k + 1].tobytes() == algebra.stacked_norms(spec, stack[k:k + 1]).tobytes()
+
 
 # Entries the row reductions must treat exactly: signed zeros, infinities,
 # NaN, the extremes of float64, and uint64 words whose sums wrap.

@@ -121,10 +121,11 @@ class TestRun:
         # One row per probe and ladder depth but its last, n*, from the
         # probe's own one-row ladder: its depth, the difference to the next
         # depth, the distance to a_{n*} and the deviation from a_0 = f(x)
-        # over the bound.
+        # over the bound.  The bound stage's report carries the columns.
         sc = cli.parse_scenario(small_config(algebra=algebra_cfg,
                                              involution={"kind": involution}))
-        results, trace = cli.run_pipeline(sc)
+        results = cli.run_pipeline(sc)
+        trace = results["bound"].trace
         direction = results["direction"]
         expected = []
 
@@ -147,7 +148,7 @@ class TestRun:
 
     def test_each_key_stabilized_once(self, monkeypatch):
         # Each distinct (map, point) is in exactly one batch across all
-        # stages and the trace rows, and each batch evaluates f once per
+        # stages, the bound's trace rows included, and each batch evaluates f once per
         # ladder entry of its rows: no row is evaluated twice.
         batches, batch_rows, traced = [], [], {}
         stabilize, eval_f_rows = stabilizer.stabilize_points, stabilizer.eval_f_rows
@@ -168,7 +169,7 @@ class TestRun:
             perturbation2={"kind": "random_direction", "theta_delta": 0.1,
                            "r": 0.5, "direction_seed": 5},
         ))
-        results, _ = cli.run_pipeline(sc)
+        results = cli.run_pipeline(sc)
         assert results["uniqueness"].passed is True
         calls = [key for batch in batches for key in batch]
         assert {key[0] for key in calls} == {id(sc.f), id(sc.f2)}
@@ -176,17 +177,25 @@ class TestRun:
         assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
     def test_bound_norms_from_one_call(self, monkeypatch):
-        # The bound stage takes ||I(x) - f(x)|| from one call on exactly
-        # I(P) - f(P), and e(x) from I; the trace rows read each probe's
-        # radius and bound from I.limits(P).
+        # The bound stage takes its norms from one call on exactly
+        # [a_n - a_{n*}; a_n - a_0] over every ladder entry of I.traces(P):
+        # its ||I(x) - f(x)|| is the last entry's a_{n*} - a_0, whose a_0
+        # has the bits of f(P), and its e(x) is I's.  The trace rows read
+        # each probe's radius and bound from I.limits(P).
         calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         sc = cli.parse_scenario(small_config())
-        results, trace = cli.run_pipeline(sc)
+        results = cli.run_pipeline(sc)
         (stack,) = [stack for tag, stack in calls if tag == "bound"]
         P = cli.make_probes(sc)
         I = verifier.StabilizedMap(sc.f, results["direction"], sc.phi)
-        values, radius, bound = I.limits(P)
-        assert stack.tobytes() == (values - maps.eval_f_rows(sc.f, P)).tobytes()
+        tr = I.traces(P)
+        its, owner = tr.iterates, np.repeat(np.arange(len(P)), np.diff(tr.offsets))
+        first, last = its[tr.offsets[:-1]], its[tr.offsets[1:] - 1]
+        assert stack.tobytes() == np.concatenate(
+            [its - last[owner], its - first[owner]]).tobytes()
+        assert first.tobytes() == maps.eval_f_rows(sc.f, P).tobytes()
+        _, radius, bound = I.limits(P)
+        trace = results["bound"].trace
         assert trace["radius"] == radius[trace["probe_id"]].tolist()
         assert trace["bound"] == bound[trace["probe_id"]].tolist()
 
@@ -195,39 +204,38 @@ class TestRun:
         # Each stage takes its norms from one stacked_norms call, leaving
         # out those made inside eval_f_rows and stabilize_points, and reads
         # the radii from I; so does C*, whose ||x||^2 is checked before
-        # the products.  The untagged call is the trace rows'.  One bundled
-        # adjoint_rsum_r05 run makes 22 calls in all once its fixed
-        # direction is cached.
+        # the products.  The trace rows' norms are the bound's: no call is
+        # untagged.  One bundled adjoint_rsum_r05 run makes 20 calls in all
+        # once its fixed direction is cached.
         sc = cli.parse_scenario(cli.load_config(scenario))
         maps.eval_f_rows(sc.f, cli.make_probes(sc))  # builds the cached fixed direction
         calls = tag_calls(monkeypatch, {**INNER, **STAGES})
         cli.run_pipeline(sc)
         tags = [tag for tag, _ in calls if tag != "inner"]
         assert sorted(tags, key=str) == sorted(
-            ["probes", "scan", "bound", "laws", "cstar", None]
+            ["probes", "scan", "bound", "laws", "cstar"]
             + ["uniqueness"] * (sc.f2 is not None), key=str)
+        assert None not in (tag for tag, _ in calls)
         if scenario == "adjoint_rsum_r05":
-            assert len(calls) <= 22
+            assert len(calls) <= 20
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
     def test_one_f_call_per_stage(self, monkeypatch, scenario):
-        # Outside stabilize_points, the scan evaluates f on all of its
-        # arguments in one call and the bound on P in one; the laws,
-        # uniqueness and C* read only the stabilized map.  Each stack holds
-        # a point once per role, for m probes, Z = [P; 0] and nl unit
-        # scalars of the |Lambda| sampled: the scan's (x+y)/2 and xy per
-        # pair, lam z per row of Z and unit scalar, and Z, 8m + (nl+1)(m+1)
-        # rows; the laws' x+y and xy per pair, Z and lam p, then I(p).  On
-        # adjoint_rsum_r05 that is 689 rows (4,320 with every pair row
-        # stacked) and 277 + 12 (372 + 12).  Every `rows` call is a
-        # `limits` call: the laws ask `limits` for both stacks, and `rows`
-        # for I(I(p)).
+        # Outside stabilize_points, only the scan evaluates f, on all of its
+        # arguments in one call; the bound reads f(x) = a_0 from I's
+        # ladders, and the laws, uniqueness and C* read only the stabilized
+        # map.  Each stack holds a point once per role, for m probes,
+        # Z = [P; 0] and nl unit scalars of the |Lambda| sampled: the scan's
+        # (x+y)/2 and xy per pair, lam z per row of Z and unit scalar, and
+        # Z, 8m + (nl+1)(m+1) rows; the laws' x+y and xy per pair, Z and
+        # lam p, then I(p).  On adjoint_rsum_r05 that is 689 rows (4,320
+        # with every pair row stacked) and 277 + 12 (372 + 12): the laws
+        # ask `limits` for both stacks, the second for I(I(p)).
         calls = tag_calls(monkeypatch, {**INNER, **STAGES}, maps, "eval_f_rows")
         batches = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "limits")
-        requests = tag_calls(monkeypatch, STAGES, verifier.StabilizedMap, "rows")
         sc = cli.parse_scenario(cli.load_config(scenario))
         cli.run_pipeline(sc)
-        assert sorted(tag for tag, _ in calls if tag != "inner") == ["bound", "scan"]
+        assert [tag for tag, _ in calls if tag != "inner"] == ["scan"]
         lams = maps.sample_lambdas(sc.lambdas)
         nl = sum(stage in ("arc", "circle") for stage, _ in lams)
         m = len(cli.make_probes(sc))
@@ -236,7 +244,6 @@ class TestRun:
         m = min(m, sc.laws_max_probes)
         laws = [len(stack) for tag, stack in batches if tag == "laws"]
         assert laws == [8 * m + (m + 1) + len(lams) * m, m]
-        assert [len(stack) for tag, stack in requests if tag == "laws"] == [m]
         if scenario == "adjoint_rsum_r05":
             assert (scan, laws) == (689, [277, 12])
 
@@ -249,13 +256,14 @@ class TestRun:
 
     def test_one_trace_per_batch_and_one_witness_per_sup(self, monkeypatch):
         # The ladders stay flat stacks: a pass builds one StabilizationTrace
-        # per stabilized batch and one for the rows trace.csv writes.  Each
-        # sup builds the witness of its maximum only: 4 hypotheses, 7 laws,
-        # bound and C*.
+        # per stabilized map, its empty store; two per stabilized batch, the
+        # batch's and the store it is appended to; and one gather, the
+        # bound's ladders of P, which trace.csv writes.  Each sup builds the
+        # witness of its maximum only: 4 hypotheses, 7 laws, bound and C*.
         sc = cli.parse_scenario(cli.load_config("product_superstability"))
-        built, witnesses, batches = [], [], []
+        built, witnesses, batches, gathers = [], [], [], []
         init, sup = stabilizer.StabilizationTrace.__init__, verifier._sup
-        stabilize = stabilizer.stabilize_points
+        stabilize, traces = stabilizer.stabilize_points, verifier.StabilizedMap.traces
 
         def counting_init(trace, *args):
             built.append(trace)
@@ -274,9 +282,11 @@ class TestRun:
         monkeypatch.setattr(stabilizer.StabilizationTrace, "__init__", counting_init)
         monkeypatch.setattr(stabilizer, "stabilize_points", counting_stabilize)
         monkeypatch.setattr(verifier, "_sup", counting_sup)
+        monkeypatch.setattr(verifier.StabilizedMap, "traces",
+                            lambda I, X: gathers.append(traces(I, X)) or gathers[-1])
         cli.run_pipeline(sc)
-        assert len(built) == len(batches) + 1
-        assert len(built[-1].offsets) == sc.num_probes + 1 == 61
+        assert len(built) == (1 + (sc.f2 is not None)) + 2 * len(batches) + len(gathers)
+        assert [len(trace.offsets) for trace in gathers] == [sc.num_probes + 1] == [61]
         assert witnesses == [1] * 13
 
     @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "twisted_cstar",
@@ -387,8 +397,8 @@ class TestProbes:
 
     def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
         # make_probes normalizes its rows in one stacked call.  Every other
-        # norm of a probe is the stabilizer's: no norm call of a stage or
-        # of the trace rows holds a row of P.
+        # norm of a probe is the stabilizer's: no norm call of a stage, the
+        # bound's trace rows included, holds a row of P.
         sc = cli.parse_scenario(small_config(algebra={"kind": "matrix", "dim": 2},
                                              involution={"kind": "adjoint"}))
         probes = {row.tobytes() for row in cli.make_probes(sc)}
@@ -397,7 +407,7 @@ class TestProbes:
         assert [len(stack) for tag, stack in calls if tag == "probes"] == [sc.num_probes]
         staged = [stack for tag, stack in calls if tag not in ("inner", "probes")]
         assert not [row for stack in staged for row in stack if row.tobytes() in probes]
-        assert len(staged) == 5
+        assert len(staged) == 4
 
 
 class TestTraceCsv:
@@ -411,17 +421,17 @@ class TestTraceCsv:
                  "ratio": [math.inf, -0.0, 5e-324, 1e300][k % 4]} for k in range(12)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cli.TRACE_COLUMNS)
+        writer.writerow(verifier.TRACE_COLUMNS)
         for row in rows:
             writer.writerow([
                 row["probe_id"], repr(row["radius"]), row["n"], repr(row["diff_norm"]),
                 repr(row["error_vs_limit"]), repr(row["bound"]),
                 "inf" if math.isinf(row["ratio"]) else repr(row["ratio"]),
             ])
-        columns = {name: [row[name] for row in rows] for name in cli.TRACE_COLUMNS}
+        columns = {name: [row[name] for row in rows] for name in verifier.TRACE_COLUMNS}
         assert cli._trace_csv(columns) == buf.getvalue()
-        empty = {name: [] for name in cli.TRACE_COLUMNS}
-        assert cli._trace_csv(empty) == ",".join(cli.TRACE_COLUMNS) + "\n"
+        empty = {name: [] for name in verifier.TRACE_COLUMNS}
+        assert cli._trace_csv(empty) == ",".join(verifier.TRACE_COLUMNS) + "\n"
 
 
 class TestExitCodes:
@@ -516,9 +526,9 @@ class TestExitCodes:
          "unknown key sampling.extra"),
         ("stabiliser", {"max_n": 5}, "unknown section stabiliser"),
         # Each probe's depth comes from its tail; the C* stage has no depth,
-        # and its tolerance is verifier.CSTAR_TOL.
-        ("cstar", {"max_n": 5}, "unknown key cstar.max_n"),
-        ("cstar", {"tol": 1e-8}, "unknown key cstar.tol"),
+        # and its tolerance is verifier.CSTAR_TOL: there is no cstar section.
+        ("cstar", {"max_n": 5}, "unknown section cstar"),
+        ("cstar", {"tol": 1e-8}, "unknown section cstar"),
     ])
     def test_unknown_key_names_key(self, tmp_path, capsys, section, value, message):
         cfg = small_config(**{section: value})
@@ -708,7 +718,7 @@ class TestVerdictsOverRadius:
     def results_at(r, scenario="adjoint_rsum_r05"):
         raw = cli.load_config(scenario)
         raw["sampling"].update(radius_min=r, radius_max=r)
-        return cli.run_pipeline(cli.parse_scenario(raw))[0]
+        return cli.run_pipeline(cli.parse_scenario(raw))
 
     @pytest.mark.parametrize("r", [1e-1, 1e-4, 1e-8, 1e-20, 1e-50, 1e-100, 1e-150])
     def test_small_radii_pass(self, r):
@@ -1012,13 +1022,16 @@ class TestSweep:
         ("control", [1], "theta"), ("perturbation", "x", "r"), ("cstar", 5, "theta"),
     ])
     def test_sweep_non_object_section_is_config_error(self, tmp_path, section, value, param):
+        # A section the parser does not read, cstar, is unknown before its value is read.
+        message = ("unknown section cstar" if section == "cstar"
+                   else f"section {section} must be an object")
         cfg = write_config(tmp_path, small_config(**{section: value}))
         out = tmp_path / "sw"
         assert main(["sweep", str(cfg), "--param", param, "--values", "0.5",
                      "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             (row,) = list(csv.DictReader(fh))
-        assert row["status"] == f"ConfigError: section {section} must be an object"
+        assert row["status"] == f"ConfigError: {message}"
 
     def test_sweep_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, small_config(stabilizer={"maxn": 5}))

@@ -50,5 +50,7 @@ def test_orbit_parameters_pinned():
     assert names(involstab.StabilizedMap.limits) == ["self", "X"]
     assert names(involstab.eval_f_rows) == ["f", "X"]
     assert names(involstab.scan_hypotheses) == ["I", "lambdas", "P"]
+    # The bound reads f(x) and its control from I's ladders.
+    assert names(involstab.verify_bound) == ["I", "P"]
     # The C* tolerance is verifier.CSTAR_TOL, no knob.
     assert names(involstab.verify_cstar) == ["I", "P"]

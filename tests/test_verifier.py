@@ -49,6 +49,15 @@ def up_map(f):
     return StabilizedMap(f, UP, PHI_SUM)
 
 
+def count_batches(monkeypatch):
+    """The row count of each batch stabilize_points is called on, as a list
+    that grows."""
+    batches, stabilize = [], stabilizer.stabilize_points
+    monkeypatch.setattr(stabilizer, "stabilize_points",
+                        lambda *args: batches.append(len(args[-1])) or stabilize(*args))
+    return batches
+
+
 def scan(f, phi, P, lambdas=LAMBDAS):
     """scan_hypotheses of f under phi, in phi's contracting direction."""
     return scan_hypotheses(StabilizedMap(f, select_direction(phi), phi), lambdas, P)
@@ -93,17 +102,18 @@ class TestProbePairs:
 
 
 class TestStabilizedMap:
-    def test_memoized(self, rng):
+    def test_memoized(self, monkeypatch, rng):
         # A row's ladder is kept: asked for again, by equal bytes, it is
         # the same trace, whose last value is I(x).
+        batches = count_batches(monkeypatch)
         I = up_map(BUDGET_F)
         x = sample_probes(1, rng)
         again = algebra.element(M2, x.reshape(-1)).data[None]
         first, second = I.traces(x), I.traces(again)
         for name in ("offsets", "depths", "iterates", "gaps"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
-        assert I.rows(x).tobytes() == first.iterates[-1:].tobytes()
-        assert len(I._batches) == 1
+        assert I.limits(x)[0].tobytes() == first.iterates[-1:].tobytes()
+        assert batches == [1]
 
     def test_stabilize_batches_distinct_uncached(self, rng, monkeypatch):
         batches = []
@@ -116,35 +126,37 @@ class TestStabilizedMap:
         monkeypatch.setattr(stabilizer, "stabilize_points", counting)
         I = up_map(BUDGET_F)
         x, y, z = sample_probes(3, rng)
-        values = I.rows(np.stack([x, y, algebra.element(M2, x.reshape(-1)).data, x]))
+        values = I.limits(np.stack([x, y, algebra.element(M2, x.reshape(-1)).data, x]))[0]
         assert values.shape == (4, 2, 2)
-        limits = [I.rows(row[None])[0] for row in (x, y, x, x)]
+        limits = [I.limits(row[None])[0][0] for row in (x, y, x, x)]
         assert values.tobytes() == np.stack(limits).tobytes()
-        I.rows(np.stack([y, z, x]))
-        I.rows(z[None]), I.rows(x[None])
-        assert I.rows(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
+        I.limits(np.stack([y, z, x]))
+        I.limits(z[None]), I.limits(x[None])
+        assert I.limits(np.zeros((0, 2, 2), dtype=complex))[0].shape == (0, 2, 2)
         assert batches == [[x.tobytes(), y.tobytes()], [z.tobytes()]]
 
     @pytest.mark.parametrize("spec", [SCALAR, pointwise_spec(2), pointwise_spec(3), M2],
                              ids=["scalar", "pointwise2", "pointwise3", "matrix2"])
-    def test_real_stack_keyed_as_its_complex_cast(self, rng, spec):
+    def test_real_stack_keyed_as_its_complex_cast(self, monkeypatch, rng, spec):
         # I on a float64 stack is I on its complex cast, and the cast's rows
         # are the keys: asking for the cast stabilizes nothing more.
+        batches = count_batches(monkeypatch)
         base = maps.adjoint() if spec is M2 else maps.conjugation()
         I = up_map(ApproxMap(base, PerturbationSpec("random_direction", 0.1, 0.5, 3), spec))
         X = rng.standard_normal((3, *spec.shape))
-        real = I.rows(X)
-        assert real.tobytes() == I.rows(X.astype(np.complex128)).tobytes()
-        assert len(I._batches) == 1 and real.dtype == np.complex128
+        real = I.limits(X)[0]
+        assert real.tobytes() == I.limits(X.astype(np.complex128))[0].tobytes()
+        assert batches == [3] and real.dtype == np.complex128
 
-    def test_traces_gather_across_batches(self, rng):
+    def test_traces_gather_across_batches(self, monkeypatch, rng):
         # Rows stabilized in different batches come back as one trace in
         # the asked order, each row's entries as its own batch made them.
+        batches = count_batches(monkeypatch)
         I = up_map(BUDGET_F)
         P = np.concatenate([ZERO[None], sample_probes(4, rng)])
-        I.rows(P[[3, 1]]), I.rows(P[[0, 4]]), I.rows(P[[2]])
+        I.limits(P[[3, 1]]), I.limits(P[[0, 4]]), I.limits(P[[2]])
         got = I.traces(P[[4, 0, 2, 1, 3, 1]])
-        assert len(I._batches) == 3
+        assert batches == [2, 2, 1]
         for k, x in enumerate(P[[4, 0, 2, 1, 3, 1]]):
             want = stabilizer.stabilize_points(BUDGET_F, UP, PHI_SUM, x[None])
             start, end = got.offsets[k:k + 2]
@@ -156,7 +168,7 @@ class TestStabilizedMap:
     def test_matches_conj_transpose(self, rng):
         I = up_map(BUDGET_F)
         P = sample_probes(10, rng)
-        diffs = algebra.stacked_norms(M2, I.rows(P) - P.conj().swapaxes(-1, -2))
+        diffs = algebra.stacked_norms(M2, I.limits(P)[0] - P.conj().swapaxes(-1, -2))
         for diff, norm in zip(diffs, algebra.stacked_norms(M2, P)):
             assert diff <= 1e-7 * max(1.0, norm)
 
@@ -164,17 +176,17 @@ class TestStabilizedMap:
     def test_involutive_exact_involution(self, rng):
         I = up_map(EXACT_ADJ)
         x = algebra.sample_element(M2, (0.5, 2.0), rng)[None]
-        assert algebra.stacked_norms(M2, I.rows(I.rows(x)) - x)[0] <= 1e-12
+        assert algebra.stacked_norms(M2, I.limits(I.limits(x)[0])[0] - x)[0] <= 1e-12
 
     def test_involutive_perturbed_adjoint(self, rng):
         I = up_map(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2))
         P = sample_probes(10, rng)
-        assert max(algebra.stacked_norms(M2, I.rows(I.rows(P)) - P)) <= 1e-6
+        assert max(algebra.stacked_norms(M2, I.limits(I.limits(P)[0])[0] - P)) <= 1e-6
 
     def test_involutive_zero(self):
         I = up_map(ApproxMap(maps.adjoint(), radial(0.1, 0.5, seed=4), M2))
         z = ZERO[None]
-        assert algebra.stacked_norms(M2, I.rows(I.rows(z)) - z) == [0.0]
+        assert algebra.stacked_norms(M2, I.limits(I.limits(z)[0])[0] - z) == [0.0]
 
 
 class TestScanHypotheses:
@@ -651,7 +663,7 @@ def ref_stages(I, I2, lambdas, probes):
         return maps.eval_f_rows(f, x[None])[0]
 
     def I_of(x, I=I):
-        return I.rows(x[None])[0]
+        return I.limits(x[None])[0][0]
 
     def ctl(x, y):
         if phi.kind is stabilizer.ControlKind.POWER_PRODUCT:

@@ -125,19 +125,24 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def _svd_norms(stack: np.ndarray) -> np.ndarray:
-    # LAPACK's largest singular values.  A finite matrix with an entry whose
-    # modulus overflows comes back NaN, as LAPACK scales by its infinite
-    # entry norm: it is taken again at 2^-e times its size, for 2^e above
-    # its largest part, and its norm scaled back by 2^e, inf where the norm
-    # overflows.  Every other matrix keeps the bits of its first call (a
-    # NaN entry is LAPACK's LinAlgError, an infinite one its NaN).
-    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
-    redo = np.isnan(norms) & _row_reduce(np.logical_and, np.isfinite(stack))
+    # LAPACK's largest singular values.  A matrix with a part that is not
+    # finite skips LAPACK, which would print to stdout or raise: its norm is
+    # its largest |part|, NaN if a part is NaN and else inf, as the modulus
+    # and the sup norm give.  A finite matrix with an entry whose modulus
+    # overflows comes back NaN, as LAPACK scales by its infinite entry norm:
+    # it is taken again at 2^-e times its size, for 2^e above its largest
+    # part, and its norm scaled back by 2^e, inf where the norm overflows.
+    # Every other matrix keeps the bits of its first call.
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    largest = _row_reduce(np.maximum, np.abs(parts))
+    finite = np.isfinite(largest)
+    norms = largest.copy()
+    norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[..., 0]
+    redo = finite & np.isnan(norms)
     if redo.any():
-        parts = np.ascontiguousarray(stack[redo]).view(np.float64)
-        e = np.frexp(_row_reduce(np.maximum, np.abs(parts)))[1].reshape(-1, 1, 1)
-        scaled = np.ldexp(parts, -e).view(np.complex128)
-        norms[redo] = np.ldexp(np.linalg.svd(scaled, compute_uv=False)[..., 0], e.ravel())
+        e = np.frexp(largest[redo])[1]
+        scaled = np.ldexp(parts[redo], -e.reshape(-1, 1, 1)).view(np.complex128)
+        norms[redo] = np.ldexp(np.linalg.svd(scaled, compute_uv=False)[..., 0], e)
     return norms
 
 
@@ -184,9 +189,15 @@ def _libm_pow(values: np.ndarray, r: float) -> np.ndarray:
     # Python's v ** r for each v: libm's pow, with its bits, and inf where
     # ** overflows.  np.power(v, 0.5) missed the bits on 309 of
     # 400,000 values log-uniform in [1e-3, 1e3], and v * v those of v ** 2
-    # on 1,658 of 2,000,000 in [1, 10) (glibc 2.36, numpy 2.4.6).
+    # on 1,658 of 2,000,000 in [1, 10) (glibc 2.36, numpy 2.4.6).  The
+    # row-by-row loop runs only once ** has overflowed.
+    floats = values.tolist()
+    try:
+        return np.array([v ** r for v in floats], dtype=float)
+    except OverflowError:
+        pass
     powers = []
-    for v in values.tolist():
+    for v in floats:
         try:
             powers.append(v ** r)
         except OverflowError:

@@ -318,10 +318,17 @@ def run_pipeline(sc: Scenario) -> dict:
     # Every stage reads the one stabilized map per map, so each probe is
     # stabilized once.
     I = verifier.StabilizedMap(sc.f, direction, sc.phi)
+    laws_P = P[: sc.laws_max_probes]
+    # The first level in one batch: P and every point the laws read.  A
+    # batch with a failing row caches nothing, so each stage then meets its
+    # own failure, with its own message and row, as it would alone.
+    with contextlib.suppress(InvolStabError, ValueError), np.errstate(all="ignore"):
+        laws_points = verifier._law_points(sc.spec, maps.sample_lambdas(sc.lambdas), laws_P)[0]
+        I.limits(np.concatenate([P, laws_points]))
 
     hyp = verifier.scan_hypotheses(I, sc.lambdas, P)
     bound = verifier.verify_bound(I, P)
-    laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
+    laws = verifier.verify_involution_laws(I, sc.lambdas, laws_P)
     uniq = None
     if sc.f2 is not None:
         uniq = verifier.verify_uniqueness(I, verifier.StabilizedMap(sc.f2, direction, sc.phi), P)
@@ -351,16 +358,16 @@ def _corollary_audit(phi: ControlFunction) -> dict | None:
 
 def _trace_csv(trace: dict[str, list]) -> str:
     # Every cell is an int, a float repr or "inf", none of which CSV quotes.
-    # A probe's radius and bound are rendered once, on its first row.
-    lines = [",".join(verifier.TRACE_COLUMNS)]
-    probe = None
-    for probe_id, radius, n, diff, error, bound, ratio in zip(
-            *(trace[name] for name in verifier.TRACE_COLUMNS)):
-        if probe_id != probe:
-            probe, radius_s, bound_s = probe_id, repr(radius), repr(bound)
-        ratio_s = "inf" if math.isinf(ratio) else repr(ratio)
-        lines.append(f"{probe},{radius_s},{n},{diff!r},{error!r},{bound_s},{ratio_s}")
-    return "\n".join(lines) + "\n"
+    # A probe's radius and bound, the same on each of its rows, are
+    # rendered once.
+    ids = trace["probe_id"]
+    cells = {probe: (f"{probe},{radius!r}", repr(bound)) for probe, (radius, bound)
+             in dict(zip(ids, zip(trace["radius"], trace["bound"]))).items()}
+    lines = [f"{cells[probe][0]},{n},{diff!r},{error!r},{cells[probe][1]},"
+             f"{'inf' if math.isinf(ratio) else repr(ratio)}"
+             for probe, n, diff, error, ratio in zip(
+                 ids, trace["n"], trace["diff_norm"], trace["error_vs_limit"], trace["ratio"])]
+    return "\n".join([",".join(verifier.TRACE_COLUMNS), *lines]) + "\n"
 
 
 def _output_dir(out_dir: str | Path | None, config_path: str | Path, suffix: str) -> Path:

@@ -99,6 +99,8 @@ def select_direction(phi: ControlFunction) -> ScalingDirection:
 DEPTH_TOL_REL, DEPTH_TOL_ABS, MAX_DEPTH = 1e-9, 1e-7, 2100
 _U = 2.0 ** -52
 _LADDER = np.concatenate([[0], 2 ** np.arange(13)])  # 0, 1, 2, 4, ..., 4096
+# A ladder entry is used iff the entry below it is below n*.
+_BELOW = np.concatenate([[-1], _LADDER[:-1]])
 
 
 @dataclass(frozen=True)
@@ -145,11 +147,13 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
-    bad = (~algebra._row_reduce(np.logical_and, np.isfinite(X))).nonzero()[0]
+    # Each row's largest |part|: NaN or inf iff the row is not finite.
+    largest = algebra._row_reduce(np.maximum, np.abs(X.view(np.float64)))
+    bad = (~np.isfinite(largest)).nonzero()[0]
     if len(bad):
         raise ValueError(f"row {bad[0]} of X is not finite")
     # X's own arguments first: a row whose norm overflows has a part above 1e300.
-    big = (algebra._row_reduce(np.maximum, np.abs(X.view(np.float64))) > 1e300).nonzero()[0]
+    big = (largest > 1e300).nonzero()[0]
     if len(big):
         raise IterateOverflow(f"iterate argument exceeded 1e300 at depth 0, row {big[0]}")
     norms = algebra.stacked_norms(f.spec, X)
@@ -159,9 +163,9 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     tol = np.maximum(8 * _U * norms, np.minimum(DEPTH_TOL_REL * norms, DEPTH_TOL_ABS))
     deep = np.fmin(np.fmax(np.ceil(np.log(tol / bounds) / math.log(direction.L)), 1), MAX_DEPTH)
     # Each row's ladder: the distinct entries of min(_LADDER, n*).
-    grid = np.minimum(_LADDER, np.where(bounds > 0, deep, 1).astype(np.intp)[:, None])
-    used = np.diff(grid, axis=1, prepend=-1) > 0
-    depths, owner = grid[used], used.nonzero()[0]
+    stop = np.where(bounds > 0, deep, 1).astype(np.intp)[:, None]
+    used = _BELOW < stop
+    depths, owner = np.minimum(_LADDER, stop)[used], used.nonzero()[0]
 
     def fail(failed: np.ndarray, error: Exception):
         # Raise `error` at the first failed entry, naming its depth and row.
@@ -169,17 +173,19 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
             j = failed.argmax()
             raise type(error)(f"{error} at depth {depths[j]}, row {owner[j]}")
 
-    args = _scale(X[owner], depths, direction.q)
-    fail(algebra._row_reduce(np.maximum, np.abs(args.view(np.float64))) > 1e300,
+    # The largest |part| of q^n x is q^n times x's, exactly, or inf where it
+    # overflows, or rounded as the parts themselves where it underflows.
+    fail(np.ldexp(largest[owner], depths if direction.q == 2.0 else -depths) > 1e300,
          IterateOverflow("iterate argument exceeded 1e300"))
+    args = _scale(X[owner], depths, direction.q)
     values = _scale(eval_f_rows(f, args), -depths, direction.q)
     fail(~algebra._row_reduce(np.logical_and, np.isfinite(values)),
          IterateOverflow("iterate a_n is not finite"))
     pair = owner[1:] == owner[:-1]
     gaps = np.full(len(depths), np.nan)
     gaps[:-1][pair] = algebra.stacked_norms(f.spec, values[1:][pair] - values[:-1][pair])
-    L, k = direction.L, owner[1:]
-    tail = (L ** depths[:-1] + L ** depths[1:]) * bounds[k] + 16 * _U * norms[k]
+    powers, k = direction.L ** depths, owner[1:]
+    tail = (powers[:-1] + powers[1:]) * bounds[k] + 16 * _U * norms[k]
     fail(np.append(False, pair & (bounds[k] > 0) & ~(gaps[:-1] <= tail)),
          NonCauchy("ladder difference ||a_n - a_m|| exceeds (L^m + L^n) e(x) + 16u ||x||"))
     return StabilizationTrace(np.append(0, np.cumsum(used.sum(axis=1))), depths, values, gaps,

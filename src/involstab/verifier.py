@@ -9,6 +9,7 @@ P shaped (N, *spec.shape), and its witnesses hold rows of P.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -231,6 +232,19 @@ class LawReport:
     total_tuples: int
 
 
+def _law_points(spec: AlgebraSpec, lams, P: np.ndarray):
+    """Every point the laws read of a probe stack P, in one stack checked
+    finite: x + y per pair of probe_pairs(P), its Z = [P; 0], lam p per
+    scalar of `lams` and probe (lam-major), and xy per pair; with Z, the
+    pairs' index columns into Z, and the scalars as a stack L."""
+    Z, ix, iy = probe_pairs(P)
+    X, Y = Z[ix], Z[iy]
+    L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
+    args = algebra.finite_rows("verify_involution_laws", np.concatenate([
+        X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)]))
+    return args, Z, ix, iy, L
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def verify_involution_laws(
     I: StabilizedMap,
@@ -242,14 +256,11 @@ def verify_involution_laws(
     _require_probes(P)
     spec = I.f.spec
     lams = maps.sample_lambdas(lambdas)
-    Z, ix, iy = probe_pairs(P)
+    args, Z, ix, iy, L = _law_points(spec, lams, P)
     X, Y = Z[ix], Z[iy]
     n, m = len(ix), len(P)
-    L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
-    # Every point the laws read, in one batch; the lam*p rows run lam-major.
-    # I(x), I(y), I(p) and the radii are gathered from Z's rows.
-    args = algebra.finite_rows("verify_involution_laws", np.concatenate([
-        X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)]))
+    # Every point the laws read, in one batch.  I(x), I(y), I(p) and the
+    # radii are gathered from Z's rows.
     values, radii, _ = I.limits(args)
     I_sum, I_z, I_lp, I_xy = np.split(values, np.cumsum([n, len(Z), len(lams) * m]))
     I_x, I_y, I_p, nz = I_z[ix], I_z[iy], I_z[:m], radii[n:n + len(Z)]
@@ -396,28 +407,61 @@ _UNREPORTED = {"name", "law", "per_probe", "trace"}
 _string = json.encoder.encode_basestring_ascii
 
 
+def _real(value: float) -> str:
+    # A float as json.dumps writes it, but "inf" for either infinity.
+    return float.__repr__(value) if math.isfinite(value) else (
+        '"inf"' if math.isinf(value) else "NaN")
+
+
+def _part(value: float) -> str:
+    # A complex number's part, as json.dumps writes it.
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# The writers of the leaves of exactly these types; a subclass takes
+# _render's isinstance branches.
+_LEAVES = {float: _real, str: _string, int: int.__repr__,
+           bool: {True: "true", False: "false"}.get, type(None): lambda value: "null"}
+
+
+@functools.cache
+def _reported(cls: type) -> list[tuple[str, str]]:
+    # The fields a report writes of a dataclass type, each with its key's text.
+    return [(f.name, f"{_string('pass' if f.name == 'passed' else f.name)}: ")
+            for f in fields(cls) if f.name not in _UNREPORTED]
+
+
 def _render(value, pad: str = "") -> str:
     """`value` as json.dumps(..., indent=2) writes it at indent `pad`, once a dataclass is its
     fields (`passed` as `pass`), an ndarray a flat list, a complex number [re, im] and an
     infinite float "inf"; lists, tuples and a complex number's parts keep json's rules."""
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(value)
     inner = pad + "  "
-    if isinstance(value, np.ndarray):
+    if kind is dict:
+        items, brackets = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()], "{}"
+    elif kind is np.ndarray and value.dtype == np.complex128:
+        # Each entry's [re, im], its parts as json.dumps writes them.
+        deep = inner + "  "
+        parts = [_part(x) for x in np.ascontiguousarray(value).view(np.float64).reshape(-1).tolist()]
+        items, brackets = [f"[\n{deep}{re},\n{deep}{im}\n{inner}]"
+                           for re, im in zip(parts[::2], parts[1::2])], "[]"
+    elif isinstance(value, np.ndarray):
         items, brackets = [_render(z, inner) for z in value.reshape(-1).tolist()], "[]"
     elif is_dataclass(value):
-        items, brackets = [f"{_string('pass' if f.name == 'passed' else f.name)}: "
-                           f"{_render(getattr(value, f.name), inner)}"
-                           for f in fields(value) if f.name not in _UNREPORTED], "{}"
+        items, brackets = [key + _render(getattr(value, name), inner)
+                           for name, key in _reported(kind)], "{}"
     elif isinstance(value, dict):
         items, brackets = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()], "{}"
     elif isinstance(value, complex):
-        items, brackets = [float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-                           for x in (value.real, value.imag)], "[]"
+        items, brackets = [_part(value.real), _part(value.imag)], "[]"
     elif isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else (
-            '"inf"' if math.isinf(value) else "NaN")
+        return _real(value)
     elif isinstance(value, (list, tuple)):
         return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    else:  # str, int, bool and None; any other type is a TypeError
+    else:  # subclasses of str, int and bool; any other type is a TypeError
         return json.dumps(value)
     if not items:
         return brackets

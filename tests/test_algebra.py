@@ -395,11 +395,12 @@ class TestExactScaling:
     def test_range_edges(self, monkeypatch):
         # A 2x2 row takes the closed form when it is zero or its largest part
         # lies in the range, edges included, however small its other parts;
-        # every other row, and every 3x3 row, takes LAPACK's svd.  A single
+        # every other finite row, and every finite 3x3 row, takes LAPACK's
+        # svd, and a row with a part that is not finite neither.  A single
         # nonzero part p, in any of the eight slots, has the norm |p|.
         lo, hi = algebra.EXACT_SCALING_RANGE
         inside = [0.0, lo, hi, -lo, -hi, 1.0]
-        outside = [lo / 2, hi * 2, 1e-140, 1e140, 5e-324, math.inf, math.nan]
+        outside = [lo / 2, hi * 2, 1e-140, 1e140, 5e-324]
         svd_rows = []
 
         def recording_svd(a, compute_uv):
@@ -417,6 +418,9 @@ class TestExactScaling:
             assert algebra.stacked_norms(M2, single_parts(part)).tolist() == [abs(part)] * 8
         tiny = np.array([[[1.0, 1e-300], [1e-320j, 0]]])
         assert algebra.stacked_norms(M2, tiny).tolist() == [1.0]
+        for part in (math.inf, -math.inf, math.nan):
+            got = algebra.stacked_norms(M2, single_parts(part))
+            assert got.tobytes() == np.full(8, abs(part)).tobytes()
         assert svd_rows == []
         for part in outside:
             M = single_parts(part)
@@ -465,6 +469,31 @@ class TestExactScaling:
         assert got[5] == pytest.approx(1.2e308 * math.sqrt(2))
         for k in (0, 1, 3, 4):
             assert got[k:k + 1].tobytes() == algebra.stacked_norms(spec, stack[k:k + 1]).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_finite_rows(self, d, rng, capfd):
+        # A matrix with an infinite part has norm inf, and one with a NaN
+        # part NaN, as the modulus and the sup norm give, alone and in a
+        # mixed stack, with nothing printed; LAPACK printed DLASCL's
+        # complaint to stdout for the first at d = 3 and raised LinAlgError
+        # for the second.  The finite rows keep the bits of their own call.
+        spec = matrix_spec(d)
+        inf, nan = np.full((1, d, d), math.inf + 0j), np.full((1, d, d), math.nan + 0j)
+        mixed = sample_stack(spec, 1, rng)
+        mixed[0, 0, -1] = complex(math.inf, math.nan)
+        one_inf = sample_stack(spec, 1, rng)
+        one_inf[0, -1, 0] = complex(-math.inf, 0.0)
+        for row, want in ((inf, math.inf), (nan, math.nan), (mixed, math.nan),
+                          (one_inf, math.inf)):
+            assert algebra.stacked_norms(spec, row).tobytes() == np.array([want]).tobytes()
+        finite = sample_stack(spec, 2, rng)
+        stack = np.concatenate([finite[:1], inf, nan, mixed, 1e200 * finite[1:], one_inf])
+        got = algebra.stacked_norms(spec, stack)
+        assert got[[1, 2, 3, 5]].tobytes() == np.array(
+            [math.inf, math.nan, math.nan, math.inf]).tobytes()
+        for k in (0, 4):
+            assert got[k:k + 1].tobytes() == algebra.stacked_norms(spec, stack[k:k + 1]).tobytes()
+        assert capfd.readouterr() == ("", "")
 
 
 # Entries the row reductions must treat exactly: signed zeros, infinities,

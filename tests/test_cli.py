@@ -176,6 +176,30 @@ class TestRun:
         assert len(calls) == len(set(calls))
         assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
+    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
+    def test_one_batch_per_level(self, monkeypatch, scenario):
+        # f stabilizes P and every point the laws read in one batch, each
+        # distinct row once in first-seen order, then I(P) in a second; f2,
+        # where there is one, stabilizes P.  That is 2 calls for f per pass,
+        # where the scan's P and the laws' points were 2 of 3.
+        sc = cli.parse_scenario(cli.load_config(scenario))
+        P = cli.make_probes(sc)
+        IP = verifier.StabilizedMap(sc.f, stabilizer.select_direction(sc.phi), sc.phi).limits(P)[0]
+        points = verifier._law_points(sc.spec, maps.sample_lambdas(sc.lambdas),
+                                      P[:sc.laws_max_probes])[0]
+        first = list(dict.fromkeys(row.tobytes() for row in np.concatenate([P, points])))
+        batches, stabilize = [], stabilizer.stabilize_points
+        monkeypatch.setattr(stabilizer, "stabilize_points", lambda f, direction, phi, X: (
+            batches.append((f, X.copy())) or stabilize(f, direction, phi, X)))
+        cli.run_pipeline(sc)
+        assert [f for f, _ in batches] == [sc.f, sc.f] + [sc.f2] * (sc.f2 is not None)
+        assert [row.tobytes() for row in batches[0][1]] == first
+        assert batches[1][1].tobytes() == IP.tobytes()
+        if sc.f2 is not None:
+            assert batches[2][1].tobytes() == P.tobytes()
+        if scenario == "adjoint_rsum_r05":
+            assert [len(X) for _, X in batches] == [265, 40, 40]
+
     def test_bound_norms_from_one_call(self, monkeypatch):
         # The bound stage takes its norms from one call on exactly
         # [a_n - a_{n*}; a_n - a_0] over every ladder entry of I.traces(P):
@@ -248,11 +272,12 @@ class TestRun:
             assert (scan, laws) == (689, [277, 12])
 
     def test_scalars_sampled_once_per_pass(self):
-        # The scan and the laws read one memoized sample of the scalars.
+        # The first-level batch, the scan and the laws read one memoized
+        # sample of the scalars.
         maps.sample_lambdas.cache_clear()
         cli.run_pipeline(cli.parse_scenario(small_config()))
         info = maps.sample_lambdas.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_one_trace_per_batch_and_one_witness_per_sup(self, monkeypatch):
         # The ladders stay flat stacks: a pass builds one StabilizationTrace
@@ -756,6 +781,25 @@ class TestVerdictsOverRadius:
         with pytest.raises(error) as caught:
             self.results_at(r, scenario)
         assert str(caught.value) == message.format(row=row)
+
+    def test_failing_first_batch_caches_nothing(self, monkeypatch):
+        # At radius 1e150 the laws' xy rows leave the float range at depth
+        # 1, so the first-level batch of P and the laws' points fails.  It
+        # leaves I empty: the scan stabilizes P alone, and the laws meet the
+        # failure in their own batch, at its row 187.
+        seen, limits = [], verifier.StabilizedMap.limits
+
+        def watching(I, X):
+            try:
+                return limits(I, X)
+            finally:
+                seen.append((len(X), len(I._index), len(I._trace.depths)))
+
+        monkeypatch.setattr(verifier.StabilizedMap, "limits", watching)
+        with pytest.raises(IterateOverflow, match="at depth 1, row 187$"):
+            self.results_at(1e150)
+        assert seen[0] == (40 + 277, 0, 0)
+        assert seen[1][:2] == (40, 40)
 
 
 class TestDepthKeys:

@@ -206,21 +206,38 @@ def _libm_pow(values: np.ndarray, r: float) -> np.ndarray:
 
 
 def sample_element(spec: AlgebraSpec, radius_range, rng: np.random.Generator) -> np.ndarray:
-    """Entry array with norm log-uniform in [r_min, r_max]: a standard
-    complex Gaussian direction normalized to unit norm, then scaled."""
-    r_min, r_max = radius_range
-    if not (0 < r_min <= r_max):
-        raise ValueError(f"invalid radius range ({r_min}, {r_max})")
-    u = sample_direction(spec, rng)
-    radius = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
-    return complex(radius) * u
+    """Entry array with norm log-uniform in [r_min, r_max]: `sample_rows`'s one row."""
+    return sample_rows(spec, 1, rng, radius_range)[0]
 
 
-def sample_direction(spec: AlgebraSpec, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm entry array of independent standard complex Gaussians."""
-    parts = gaussian_parts(rng, np.empty((2, *spec.shape)))
-    raw = parts[0] + 1j * parts[1]
-    return complex(1.0 / stacked_norms(spec, raw[None])[0]) * raw
+def sample_rows(spec: AlgebraSpec, count: int, rng: np.random.Generator,
+                radius_range=None) -> np.ndarray:
+    """`count` rows (count, *spec.shape), each drawn in turn: its standard
+    complex Gaussian parts, then, given a radius range (r_min, r_max), its
+    norm, log-uniform in it.  The rows are made unit in one call, then scaled."""
+    if radius_range is not None:
+        r_min, r_max = radius_range
+        if not (0 < r_min <= r_max):
+            raise ValueError(f"invalid radius range ({r_min}, {r_max})")
+        log_min, log_max = math.log(r_min), math.log(r_max)
+    parts, radii = np.empty((count, 2, *spec.shape)), []
+    for draw in parts:
+        gaussian_parts(rng, draw)
+        if radius_range is not None:
+            radii.append(math.exp(rng.uniform(log_min, log_max)))
+    rows = unit_rows(spec, parts[:, 0] + 1j * parts[:, 1])
+    if radius_range is None:
+        return rows
+    column = (-1,) + (1,) * len(spec.shape)
+    return np.multiply(np.array(radii, dtype=np.complex128).reshape(column), rows, out=rows)
+
+
+def unit_rows(spec: AlgebraSpec, stack: np.ndarray) -> np.ndarray:
+    """Divide each row of `stack`, a complex128 stack (N, *spec.shape) made by
+    the caller, by its norm in place, from one stacked call; returns `stack`.
+    A float64 inverse times a row has the bits of its complex cast's product."""
+    inverse = 1.0 / stacked_norms(spec, stack)
+    return np.multiply(inverse.reshape((-1,) + (1,) * len(spec.shape)), stack, out=stack)
 
 
 def gaussian_parts(rng: np.random.Generator, parts: np.ndarray) -> np.ndarray:
@@ -235,5 +252,4 @@ def gaussian_parts(rng: np.random.Generator, parts: np.ndarray) -> np.ndarray:
 
 def canonical_direction(spec: AlgebraSpec) -> np.ndarray:
     """All-ones entry array normalized to unit norm (seed-free direction)."""
-    ones = np.ones(spec.shape, dtype=np.complex128)
-    return complex(1.0 / stacked_norms(spec, ones[None])[0]) * ones
+    return unit_rows(spec, np.ones((1, *spec.shape), dtype=np.complex128))[0]

@@ -201,7 +201,7 @@ def _read(raw: dict, name: str, required=True) -> dict:
 
 def _parse_element(spec: AlgebraSpec, entries, where: str) -> Element:
     try:
-        flat = [complex(re, im) for re, im in entries]
+        flat = [complex(_real(re, where), _real(im, where)) for re, im in entries]
         return algebra.element(spec, flat)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected {spec.n_entries} [re, im] pairs ({exc})")
@@ -293,18 +293,10 @@ def bundled_scenario_path(name: str) -> Path | None:
 
 
 def make_probes(sc: Scenario) -> np.ndarray:
-    """The probe stack: the sampled probes, with the draws and bits of
-    `algebra.sample_element`, normalized in one call; then the extra ones."""
+    """The probe stack: `num_probes` rows of `algebra.sample_rows` from the
+    seed, then the extra probes."""
     rng = np.random.Generator(np.random.PCG64(sc.seed))
-    # Each probe draws its Gaussian parts, then its radius.
-    parts, radii = np.empty((sc.num_probes, 2, *sc.spec.shape)), []
-    for draw in parts:
-        algebra.gaussian_parts(rng, draw)
-        radii.append(math.exp(rng.uniform(math.log(sc.radius_min), math.log(sc.radius_max))))
-    raw = parts[:, 0] + 1j * parts[:, 1]
-    column = (-1,) + (1,) * len(sc.spec.shape)
-    inverse = (1.0 / algebra.stacked_norms(sc.spec, raw)).astype(np.complex128)
-    probes = np.array(radii, dtype=np.complex128).reshape(column) * (inverse.reshape(column) * raw)
+    probes = algebra.sample_rows(sc.spec, sc.num_probes, rng, (sc.radius_min, sc.radius_max))
     return np.concatenate([probes, *(x.data[None] for x in sc.extra_probes)])
 
 
@@ -357,14 +349,13 @@ def _corollary_audit(phi: ControlFunction) -> dict | None:
 
 
 def _trace_csv(trace: dict[str, list]) -> str:
-    # Every cell is an int, a float repr or "inf", none of which CSV quotes.
-    # A probe's radius and bound, the same on each of its rows, are
+    # Every cell is an int or a float repr, "inf" included, which CSV never
+    # quotes.  A probe's radius and bound, the same on each of its rows, are
     # rendered once.
     ids = trace["probe_id"]
     cells = {probe: (f"{probe},{radius!r}", repr(bound)) for probe, (radius, bound)
              in dict(zip(ids, zip(trace["radius"], trace["bound"]))).items()}
-    lines = [f"{cells[probe][0]},{n},{diff!r},{error!r},{cells[probe][1]},"
-             f"{'inf' if math.isinf(ratio) else repr(ratio)}"
+    lines = [f"{cells[probe][0]},{n},{diff!r},{error!r},{cells[probe][1]},{ratio!r}"
              for probe, n, diff, error, ratio in zip(
                  ids, trace["n"], trace["diff_norm"], trace["error_vs_limit"], trace["ratio"])]
     return "\n".join([",".join(verifier.TRACE_COLUMNS), *lines]) + "\n"

@@ -109,7 +109,7 @@ def _fixed_direction(seed: int | None, spec: AlgebraSpec) -> np.ndarray:
     if seed is None:
         u = algebra.canonical_direction(spec)
     else:
-        u = algebra.sample_direction(spec, np.random.Generator(np.random.PCG64(seed)))
+        u = algebra.sample_rows(spec, 1, np.random.Generator(np.random.PCG64(seed)))[0]
     u.setflags(write=False)  # shared by every call through the cache
     return u
 
@@ -194,15 +194,12 @@ def _perturbation_rows(p: PerturbationSpec, spec: AlgebraSpec, X: np.ndarray) ->
         return np.multiply(amplitudes, _fixed_direction(p.direction_seed, spec), out=out,
                            where=live.reshape(column))
     # Each real and imaginary part rounded to 1e-6 on its own, as float64,
-    # before hashing, all rows in one call; the hashed rows are normalized
-    # in one stacked norm call.
+    # before hashing, all rows in one call; then made unit in one call.
     parts = np.rint(np.ascontiguousarray(X).view(np.float64) * 1e6)
     quantized = np.divide(parts, 1e6, out=parts).view(np.complex128)
     rows = live & algebra._row_reduce(np.logical_or, quantized)
     if rows.any():
-        raw = _hashed_directions(spec, quantized[rows], p.direction_seed)
-        inverse = 1.0 / algebra.stacked_norms(spec, raw)
-        np.multiply(inverse.reshape(column), raw, out=raw)
+        raw = algebra.unit_rows(spec, _hashed_directions(spec, quantized[rows], p.direction_seed))
         out[rows] = np.multiply(amplitudes[rows], raw, out=raw)
     return out
 

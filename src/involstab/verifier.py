@@ -418,8 +418,7 @@ def _part(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-# The writers of the leaves of exactly these types; a subclass takes
-# _render's isinstance branches.
+# The writers of the leaves of exactly these types.
 _LEAVES = {float: _real, str: _string, int: int.__repr__,
            bool: {True: "true", False: "false"}.get, type(None): lambda value: "null"}
 
@@ -433,8 +432,10 @@ def _reported(cls: type) -> list[tuple[str, str]]:
 
 def _render(value, pad: str = "") -> str:
     """`value` as json.dumps(..., indent=2) writes it at indent `pad`, once a dataclass is its
-    fields (`passed` as `pass`), an ndarray a flat list, a complex number [re, im] and an
-    infinite float "inf"; lists, tuples and a complex number's parts keep json's rules."""
+    fields (`passed` as `pass`), a complex128 ndarray a flat list, a complex number [re, im]
+    and an infinite float "inf"; a list and a complex number's parts keep json's rules.  Only
+    these exact types, dicts and the leaves above are written: any other type, a subclass or a
+    numpy scalar included, is a TypeError."""
     kind = type(value)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
@@ -448,21 +449,15 @@ def _render(value, pad: str = "") -> str:
         parts = [_part(x) for x in np.ascontiguousarray(value).view(np.float64).reshape(-1).tolist()]
         items, brackets = [f"[\n{deep}{re},\n{deep}{im}\n{inner}]"
                            for re, im in zip(parts[::2], parts[1::2])], "[]"
-    elif isinstance(value, np.ndarray):
-        items, brackets = [_render(z, inner) for z in value.reshape(-1).tolist()], "[]"
-    elif is_dataclass(value):
+    elif kind is complex:
+        items, brackets = [_part(value.real), _part(value.imag)], "[]"
+    elif kind is list:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    elif is_dataclass(kind):
         items, brackets = [key + _render(getattr(value, name), inner)
                            for name, key in _reported(kind)], "{}"
-    elif isinstance(value, dict):
-        items, brackets = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()], "{}"
-    elif isinstance(value, complex):
-        items, brackets = [_part(value.real), _part(value.imag)], "[]"
-    elif isinstance(value, float):
-        return _real(value)
-    elif isinstance(value, (list, tuple)):
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    else:  # subclasses of str, int and bool; any other type is a TypeError
-        return json.dumps(value)
+    else:
+        raise TypeError(f"cannot render a value of type {kind.__name__}")
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"

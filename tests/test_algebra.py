@@ -624,6 +624,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             algebra.sample_element(SCALAR, (0.0, 1.0), np.random.Generator(np.random.PCG64(5)))
 
+    @pytest.mark.parametrize("radius_range", [None, (1e-3, 1e3)], ids=["unit", "range"])
+    def test_one_row_draws_are_one_stacked_draw(self, any_spec, radius_range):
+        # k one-row draws from one generator give the bits of one k-row draw.
+        one, stacked = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+        rows = [algebra.sample_rows(any_spec, 1, one, radius_range)[0] for _ in range(7)]
+        got = algebra.sample_rows(any_spec, 7, stacked, radius_range)
+        assert got.shape == (7, *any_spec.shape)
+        assert got.tobytes() == np.stack(rows).tobytes()
+
+    def test_unit_rows_have_norm_one(self, any_spec):
+        # Each row is divided by its norm in place, to norm 1 within 2u for
+        # u = 2^-52: the norm, its inverse, the scaled parts and the norm
+        # taken again each round once.  (LAPACK's norms of 3x3 matrices
+        # reached 4.5u on 20,000 rows.)
+        rows = algebra.sample_rows(any_spec, 2000, np.random.Generator(np.random.PCG64(7)))
+        assert np.all(np.abs(algebra.stacked_norms(any_spec, rows) - 1.0) <= 2 * 2.0 ** -52)
+        assert algebra.unit_rows(any_spec, rows) is rows
+
 
 def sample_pairs(spec, n, rng):
     """Stacks A, B of n sampled pairs, drawn a then b."""

@@ -543,6 +543,23 @@ class TestExitCodes:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["involution.s", "sampling.extra_probes[0]"])
+    @pytest.mark.parametrize("part", [True, 10 ** 400, -10 ** 400],
+                             ids=["true", "10**400", "-10**400"])
+    def test_element_entry_is_a_config_number(self, tmp_path, capsys, key, part):
+        # JSON's true passed as 1, and an integer too large for a float
+        # ended in an OverflowError traceback.
+        entries = [[part, 0], [0, 0], [0, 0], [2, 0]]
+        cfg = small_config(algebra={"kind": "matrix", "dim": 2},
+                           involution={"kind": "twisted_adjoint",
+                                       "s": [[1, 0], [0, 0], [0, 0], [2, 0]]})
+        if key == "involution.s":
+            cfg["involution"]["s"] = entries
+        else:
+            cfg["sampling"]["extra_probes"] = [entries]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be a number, got {part!r}\n"
+
     @pytest.mark.parametrize("section, value, message", [
         # Read as a typo of max_n, this ran at the default max_n of 48.
         ("stabilizer", {"maxn": 5}, "unknown key stabilizer.maxn"),

@@ -1,8 +1,9 @@
 """The JSON renderer of report.json and manifest.json against the converter
 it replaced, `_json` below, whose tree json.dumps(..., indent=2) wrote:
-the same bytes for every value, and a TypeError where json.dumps raises
-one."""
+the same bytes for every value of the types a stage produces, and a
+TypeError for every other type."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -71,28 +72,34 @@ STRINGS = st.one_of(st.text(), st.sampled_from(
     ["", "\x00\x1f\x7f", "é", " ", "\ud800", '"\\/', "\U0001f600", "pass"]))
 INTS = st.one_of(st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 200),
                  st.integers(max_value=-2 ** 63, min_value=-2 ** 200))
-# Values json.dumps writes by itself; inside lists and tuples only these
-# are written, with its own rules.
+# Values json.dumps writes by itself; inside lists only these are written,
+# with its own rules.
 PLAIN = st.recursive(
     st.one_of(st.none(), st.booleans(), INTS, FLOATS, STRINGS),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(STRINGS, inner, max_size=4)),
     max_leaves=12)
-COMPLEX = st.one_of(st.builds(complex, FLOATS, FLOATS),
-                    st.builds(np.complex128, st.builds(complex, FLOATS, FLOATS)))
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
 ARRAYS = st.one_of(
     st.lists(COMPLEX, max_size=5).map(lambda v: np.array(v, dtype=np.complex128)),
     st.lists(COMPLEX, min_size=4, max_size=4).map(
-        lambda v: np.array(v, dtype=np.complex128).reshape(2, 2)),
-    st.lists(FLOATS, max_size=4).map(np.array))
-# Stage results: dicts and dataclasses of anything, whose arrays, complex
-# numbers and floats the renderer converts.
+        lambda v: np.array(v, dtype=np.complex128).reshape(2, 2)))
+# Stage results: dicts and dataclasses of the exact types a stage produces,
+# whose complex128 arrays, complex numbers and floats the renderer converts.
 RESULTS = st.recursive(
-    st.one_of(PLAIN, FLOATS.map(np.float64), COMPLEX, ARRAYS, st.builds(Unreported, STRINGS)),
+    st.one_of(PLAIN, COMPLEX, ARRAYS, st.builds(Unreported, STRINGS)),
     lambda inner: st.one_of(
         st.dictionaries(STRINGS, inner, max_size=4),
         st.builds(Entry, STRINGS, st.booleans(), inner, st.lists(FLOATS, max_size=2))),
     max_leaves=16)
+
+# Values json.dumps rejects too.
+UNWRITABLE = [np.int64(1), np.bool_(True), {1, 2}, object(), b"x", {"x": np.float32(0.5)},
+              [np.int64(1)]]
+# Values json.dumps writes but no stage produces: numpy scalars, a tuple, a
+# float array and a dict subclass.
+UNPRODUCED = [np.float64(0.5), np.complex128(1 - 2j), (1.0, "a"), np.array([0.5, math.inf]),
+              collections.OrderedDict(a=1.0)]
 
 
 class TestRender:
@@ -107,24 +114,25 @@ class TestRender:
     @given(st.lists(st.one_of(PLAIN, COMPLEX, ARRAYS, st.builds(Unreported, STRINGS)),
                     min_size=1, max_size=3))
     def test_lists_as_json_dumps_writes_them(self, value):
-        # A list or tuple gets no "inf" rule, and json.dumps rejects a
-        # complex number, an array or a dataclass in it.
-        for container in (value, tuple(value), {"k": value}):
+        # A list gets no "inf" rule, and json.dumps rejects a complex number,
+        # an array or a dataclass in it.
+        for container in (value, {"k": value}):
             assert rendered(container) == oracle(container)
 
-    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object(), b"x",
-                                       {"x": np.float32(0.5)}, [np.int64(1)]])
+    @pytest.mark.parametrize("value", UNWRITABLE + UNPRODUCED)
     def test_other_types_are_type_errors(self, value):
-        assert oracle(value) is TypeError
-        with pytest.raises(TypeError):
+        unwritable = any(value is v for v in UNWRITABLE)
+        assert (oracle(value) is TypeError) == unwritable
+        # The renderer's own error names the type.
+        with pytest.raises(TypeError, match=None if unwritable else f"{type(value).__name__}$"):
             verifier._render(value)
 
     def test_inf_rule(self):
         # A float +inf or -inf is "inf", and NaN is NaN; the parts of a
         # complex number, and a list's floats, are json.dumps' literals.
         value = {"a": [math.inf, -math.inf], "b": complex(math.inf, -math.inf),
-                 "c": -math.inf, "d": math.nan, "e": np.array([math.inf])}
+                 "c": -math.inf, "d": math.nan, "e": np.array([math.inf], dtype=np.complex128)}
         assert json.loads(verifier._render(value), parse_constant=str) == {
             "a": ["Infinity", "-Infinity"], "b": ["Infinity", "-Infinity"], "c": "inf",
-            "d": "NaN", "e": ["inf"]}
+            "d": "NaN", "e": [["Infinity", 0.0]]}
         assert verifier._render(value) == oracle(value)

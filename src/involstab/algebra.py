@@ -214,17 +214,20 @@ def sample_rows(spec: AlgebraSpec, count: int, rng: np.random.Generator,
                 radius_range=None) -> np.ndarray:
     """`count` rows (count, *spec.shape), each drawn in turn: its standard
     complex Gaussian parts, then, given a radius range (r_min, r_max), its
-    norm, log-uniform in it.  The rows are made unit in one call, then scaled."""
+    norm, log-uniform in it.  The rows are made unit in one call, then scaled.
+    The norm's logarithm is numpy's uniform(log r_min, log r_max) formula on
+    one rng.random(), with that call's bits."""
     if radius_range is not None:
         r_min, r_max = radius_range
-        if not (0 < r_min <= r_max):
+        # An infinite r_max, which numpy's uniform refused, is no range.
+        if not (0 < r_min <= r_max < math.inf):
             raise ValueError(f"invalid radius range ({r_min}, {r_max})")
         log_min, log_max = math.log(r_min), math.log(r_max)
     parts, radii = np.empty((count, 2, *spec.shape)), []
     for draw in parts:
         gaussian_parts(rng, draw)
         if radius_range is not None:
-            radii.append(math.exp(rng.uniform(log_min, log_max)))
+            radii.append(math.exp(log_min + (log_max - log_min) * rng.random()))
     rows = unit_rows(spec, parts[:, 0] + 1j * parts[:, 1])
     if radius_range is None:
         return rows
@@ -245,7 +248,7 @@ def gaussian_parts(rng: np.random.Generator, parts: np.ndarray) -> np.ndarray:
     parts of standard complex Gaussian entries in one draw, redrawn while
     all zero; returns `parts`."""
     for _ in range(8):
-        if rng.standard_normal(out=parts).any():
+        if np.count_nonzero(rng.standard_normal(out=parts)):
             return parts
     raise DegenerateDirection("Gaussian draw was exactly zero 8 times")
 

@@ -45,23 +45,29 @@ from .stabilizer import ControlFunction, ControlKind
 # ----------------------------- output files ------------------------------
 
 def _write_files(out: Path, files: dict[str, str]) -> None:
-    """Write each file of `files` ({name: text}) through NAME.tmp, every
-    temporary file before the first replace. A failed write is a
+    """Write each file of `files` ({name: text}) as UTF-8 through NAME.tmp,
+    every temporary file before the first replace. A failed write is a
     ConfigError naming the file, and leaves none of the call's files."""
-    written: list[Path] = []  # each temporary file begun, then each file replaced
+    written: list[str] = []  # each temporary file begun, then each file replaced
     try:
         for name, text in files.items():
-            written.append(out / f"{name}.tmp")
-            written[-1].write_text(text)
+            written.append(os.path.join(out, f"{name}.tmp"))
+            fd = os.open(written[-1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                data = memoryview(text.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         for name in files:
-            os.replace(out / f"{name}.tmp", out / name)
-            written.append(out / name)
+            os.replace(os.path.join(out, f"{name}.tmp"), os.path.join(out, name))
+            written.append(os.path.join(out, name))
     except OSError as exc:
         for path in written:
             # A path that is gone (a replaced temporary file) or a
             # directory in the way is not this call's file.
             with contextlib.suppress(OSError):
-                path.unlink()
+                os.unlink(path)
         raise ConfigError(f"--out {out}: cannot write {name} ({exc})")
 
 
@@ -88,8 +94,9 @@ class Scenario:
 def _number(conv):
     def read(value, name):
         try:
-            # JSON's true and false are Python ints, which conv would pass.
-            if isinstance(value, bool):
+            # JSON's true and false are Python ints, and strings such as
+            # " 1_0 " or "1e-1" parse, which conv would pass.
+            if isinstance(value, (bool, str)):
                 raise TypeError(value)
             number = conv(value)
         except (TypeError, ValueError, OverflowError):

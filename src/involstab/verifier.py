@@ -58,23 +58,35 @@ class StabilizedMap:
 
     def _indices(self, X: np.ndarray) -> np.ndarray:
         """The index of each row of a stack X into the trace; the distinct
-        uncached rows are stabilized in one batch, appended to the trace.
-        A real X is keyed, and stabilized, as its complex cast."""
+        uncached rows are stabilized in one batch, appended to the trace; a
+        batch that raises caches nothing.  A real X is keyed, and
+        stabilized, as its complex cast."""
         X = np.asarray(X, dtype=np.complex128)
         # One void item per row, whose bytes are row.tobytes().
         rows = np.ascontiguousarray(X).reshape(len(X), math.prod(X.shape[1:]))
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        todo = {key: k for k, key in enumerate(keys) if key not in self._index}
-        if todo:
-            batch = stabilizer.stabilize_points(self.f, self.direction, self.phi,
-                                                X[list(todo.values())])
-            self._index.update(zip(todo, itertools.count(len(self._index))))
-            kept = self._trace
-            self._trace = StabilizationTrace(
-                np.append(kept.offsets, batch.offsets[1:] + kept.offsets[-1]),
-                *(np.concatenate([getattr(kept, name), getattr(batch, name)])
-                  for name in ("depths", "iterates", "gaps", "radius", "bound")))
-        return np.fromiter(map(self._index.__getitem__, keys), np.intp, count=len(keys))
+        # One dict operation per key; a new key is numbered in first-seen order.
+        index, known = self._index, len(self._index)
+        indices = np.fromiter([index.setdefault(key, len(index)) for key in keys],
+                              np.intp, count=len(keys))
+        if len(index) > known:
+            try:
+                # The new keys, the last in the index, are the new rows' bytes
+                # in first-seen order.
+                new = [*itertools.islice(reversed(index), len(index) - known)][::-1]
+                todo = np.frombuffer(b"".join(new), np.complex128).reshape(-1, *X.shape[1:])
+                batch = stabilizer.stabilize_points(self.f, self.direction, self.phi, todo)
+                kept = self._trace
+                self._trace = StabilizationTrace(
+                    np.append(kept.offsets, batch.offsets[1:] + kept.offsets[-1]),
+                    *(np.concatenate([getattr(kept, name), getattr(batch, name)])
+                      for name in ("depths", "iterates", "gaps", "radius", "bound")))
+            except BaseException:
+                # A failing batch caches nothing: pop the keys it added, the last in.
+                for _ in range(len(index) - known):
+                    index.popitem()
+                raise
+        return indices
 
     def traces(self, X: np.ndarray) -> StabilizationTrace:
         """The ladders of the rows of a stack X shaped (N, *shape), as one

@@ -624,6 +624,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             algebra.sample_element(SCALAR, (0.0, 1.0), np.random.Generator(np.random.PCG64(5)))
 
+    def test_infinite_radius_max(self):
+        # numpy's uniform refused the infinite log span; the radius formula
+        # would draw an infinite or NaN norm.
+        with pytest.raises(ValueError, match="invalid radius range"):
+            algebra.sample_rows(SCALAR, 1, np.random.Generator(np.random.PCG64(5)), (1.0, math.inf))
+
     @pytest.mark.parametrize("radius_range", [None, (1e-3, 1e3)], ids=["unit", "range"])
     def test_one_row_draws_are_one_stacked_draw(self, any_spec, radius_range):
         # k one-row draws from one generator give the bits of one k-row draw.

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -374,9 +375,9 @@ class ZeroDrawsFrom:
         self.draws.append("normal")
         return out
 
-    def uniform(self, low, high):
+    def random(self):
         self.draws.append("uniform")
-        return self._rng.uniform(low, high)
+        return self._rng.random()
 
 
 class TestProbes:
@@ -387,8 +388,9 @@ class TestProbes:
         ({"kind": "matrix", "dim": 3}, "adjoint"),
     ], ids=["scalar", "pointwise3", "matrix2", "matrix3"])
     def test_bits_of_per_probe_draws(self, algebra_cfg, involution):
-        # The stack normalized in one call has the bits of one
-        # sample_element draw per probe, then the extra probes.
+        # The stack normalized in one call has the bits of raw generator
+        # draws per probe: its Gaussian parts, then numpy's uniform log
+        # radius; then the extra probes.
         dim = algebra_cfg.get("dim", 1)
         entries = dim * dim if algebra_cfg["kind"] == "matrix" else dim
         extra = [[[0.5, -1.0]] * entries, [[0.0, -0.0]] * entries]
@@ -397,8 +399,13 @@ class TestProbes:
             sampling={"num_probes": 9, "seed": 11, "radius_min": 1e-3, "radius_max": 1e3,
                       "extra_probes": extra}))
         rng = np.random.Generator(np.random.PCG64(sc.seed))
-        want = np.stack([algebra.sample_element(sc.spec, (1e-3, 1e3), rng) for _ in range(9)]
-                        + [x.data for x in sc.extra_probes])
+        parts, radii = np.empty((9, 2, *sc.spec.shape)), []
+        for draw in parts:
+            rng.standard_normal(out=draw)
+            radii.append(math.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+        rows = algebra.unit_rows(sc.spec, parts[:, 0] + 1j * parts[:, 1])
+        radii = np.array(radii).reshape((-1,) + (1,) * len(sc.spec.shape))
+        want = np.concatenate([radii * rows, [x.data for x in sc.extra_probes]])
         got = cli.make_probes(sc)
         assert got.shape == want.shape == (11, *sc.spec.shape)
         assert got.tobytes() == want.tobytes()
@@ -419,6 +426,12 @@ class TestProbes:
         with pytest.raises(DegenerateDirection):
             cli.make_probes(sc)
         assert made[0].draws == ref.draws == ["normal", "uniform"] * start + ["normal"] * 8
+        # Clean draws: one Gaussian and one uniform call per probe.
+        clean = []
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bits: clean.append(ZeroDrawsFrom(bits, math.inf)) or clean[-1])
+        assert len(cli.make_probes(sc)) == sc.num_probes
+        assert clean[0].draws == ["normal", "uniform"] * sc.num_probes
 
     def test_one_norm_call_for_probes_and_law_inputs(self, monkeypatch):
         # make_probes normalizes its rows in one stacked call.  Every other
@@ -533,9 +546,11 @@ class TestExitCodes:
         ("perturbation", "direction_seed", "abc"),
         ("perturbation", "direction_seed", [1]),
         ("sampling", "extra_probes", 5),
-        # JSON's true would pass as 1 and 1.0.
+        # JSON's true would pass as 1 and 1.0, and these strings as 10 and 0.1.
         ("stabilizer", "max_n", True),
         ("control", "theta", True),
+        ("sampling", "num_probes", " 1_0 "),
+        ("control", "theta", "1e-1"),
     ])
     def test_non_numeric_value_names_key(self, tmp_path, capsys, section, key, value):
         cfg = small_config()
@@ -544,11 +559,12 @@ class TestExitCodes:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["involution.s", "sampling.extra_probes[0]"])
-    @pytest.mark.parametrize("part", [True, 10 ** 400, -10 ** 400],
-                             ids=["true", "10**400", "-10**400"])
+    @pytest.mark.parametrize("part", [True, 10 ** 400, -10 ** 400, "1"],
+                             ids=["true", "10**400", "-10**400", "string"])
     def test_element_entry_is_a_config_number(self, tmp_path, capsys, key, part):
-        # JSON's true passed as 1, and an integer too large for a float
-        # ended in an OverflowError traceback.
+        # JSON's true passed as 1, a string that float() parses as its
+        # value, and an integer too large for a float ended in an
+        # OverflowError traceback.
         entries = [[part, 0], [0, 0], [0, 0], [2, 0]]
         cfg = small_config(algebra={"kind": "matrix", "dim": 2},
                            involution={"kind": "twisted_adjoint",
@@ -973,6 +989,17 @@ GOLDEN_CONFIGS = {
 
 
 class TestGoldenDigests:
+    @pytest.mark.parametrize("workload", ["matrix_rsum", "pointwise_hashed", "scalar_exact"])
+    def test_warm_configs_are_the_benchmarks(self, workload):
+        # Each *_warm golden digest is of the benchmark's own warm pass.
+        # perfbench/workloads.py is imported from its file; sys.path is untouched.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        got = GOLDEN_CONFIGS[f"{workload}_warm"]
+        assert got == workloads.make_config(workload, workloads.WARM_SEED, 0)
+
     @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
     def test_outputs_unchanged(self, tmp_path, name):
         # A name that is not a config here is a bundled scenario.

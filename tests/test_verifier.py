@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,37 @@ class TestStabilizedMap:
             assert got.iterates[start:end].tobytes() == want.iterates.tobytes()
             assert got.gaps[start:end].tobytes() == want.gaps.tobytes()
         assert got.offsets[-1] == len(got.depths) == len(got.iterates) == len(got.gaps)
+
+    def test_failing_batch_caches_nothing(self, monkeypatch, rng):
+        # A batch whose stabilization raises leaves the index and every
+        # trace array as they were; asked for again, the batch's uncached
+        # rows, and only they, are stabilized in first-seen order.
+        I = up_map(BUDGET_F)
+        x, y, z = sample_probes(3, rng)
+        I.limits(np.stack([x, ZERO]))
+
+        def kept():
+            return len(I._index), [getattr(I._trace, f.name).tobytes()
+                                   for f in dataclasses.fields(I._trace)]
+
+        before, batches, stabilize, fail = kept(), [], stabilizer.stabilize_points, True
+
+        def counting(f, direction, phi, X):
+            batches.append([row.tobytes() for row in X])
+            if fail:
+                raise OutOfRange("stabilization failed")
+            return stabilize(f, direction, phi, X)
+
+        monkeypatch.setattr(stabilizer, "stabilize_points", counting)
+        X = np.stack([z, x, y, z, ZERO, y])
+        with pytest.raises(OutOfRange):
+            I.limits(X)
+        assert kept() == before
+        fail = False
+        values = I.limits(X)[0]
+        assert batches == [[z.tobytes(), y.tobytes()]] * 2
+        assert len(I._index) == before[0] + 2
+        assert values.tobytes() == up_map(BUDGET_F).limits(X)[0].tobytes()
 
     def test_matches_conj_transpose(self, rng):
         I = up_map(BUDGET_F)

@@ -317,17 +317,9 @@ def run_pipeline(sc: Scenario) -> dict:
     # Every stage reads the one stabilized map per map, so each probe is
     # stabilized once.
     I = verifier.StabilizedMap(sc.f, direction, sc.phi)
-    laws_P = P[: sc.laws_max_probes]
-    # The first level in one batch: P and every point the laws read.  A
-    # batch with a failing row caches nothing, so each stage then meets its
-    # own failure, with its own message and row, as it would alone.
-    with contextlib.suppress(InvolStabError, ValueError), np.errstate(all="ignore"):
-        laws_points = verifier._law_points(sc.spec, maps.sample_lambdas(sc.lambdas), laws_P)[0]
-        I.limits(np.concatenate([P, laws_points]))
-
     hyp = verifier.scan_hypotheses(I, sc.lambdas, P)
     bound = verifier.verify_bound(I, P)
-    laws = verifier.verify_involution_laws(I, sc.lambdas, laws_P)
+    laws = verifier.verify_involution_laws(I, sc.lambdas, P[: sc.laws_max_probes])
     uniq = None
     if sc.f2 is not None:
         uniq = verifier.verify_uniqueness(I, verifier.StabilizedMap(sc.f2, direction, sc.phi), P)

@@ -142,8 +142,8 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     an a_n that is not finite is an IterateOverflow naming a depth and a
     row.  An e(x) that is not finite, whether ||x||^r or its product with
     theta overflowed, is OutOfRange.  A row of X that is not finite is a
-    ValueError, raised before its norm reaches LAPACK, which would print to
-    stdout; a real X is its complex cast."""
+    ValueError: unchecked, it would read as a control overflow (OutOfRange)
+    or as a depth-0 IterateOverflow; a real X is its complex cast."""
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape[1:] != f.spec.shape:
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")

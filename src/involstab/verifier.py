@@ -244,19 +244,6 @@ class LawReport:
     total_tuples: int
 
 
-def _law_points(spec: AlgebraSpec, lams, P: np.ndarray):
-    """Every point the laws read of a probe stack P, in one stack checked
-    finite: x + y per pair of probe_pairs(P), its Z = [P; 0], lam p per
-    scalar of `lams` and probe (lam-major), and xy per pair; with Z, the
-    pairs' index columns into Z, and the scalars as a stack L."""
-    Z, ix, iy = probe_pairs(P)
-    X, Y = Z[ix], Z[iy]
-    L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
-    args = algebra.finite_rows("verify_involution_laws", np.concatenate([
-        X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)]))
-    return args, Z, ix, iy, L
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def verify_involution_laws(
     I: StabilizedMap,
@@ -268,12 +255,15 @@ def verify_involution_laws(
     _require_probes(P)
     spec = I.f.spec
     lams = maps.sample_lambdas(lambdas)
-    args, Z, ix, iy, L = _law_points(spec, lams, P)
+    Z, ix, iy = probe_pairs(P)
     X, Y = Z[ix], Z[iy]
     n, m = len(ix), len(P)
-    # Every point the laws read, in one batch.  I(x), I(y), I(p) and the
-    # radii are gathered from Z's rows.
-    values, radii, _ = I.limits(args)
+    L = np.array([lam for _, lam in lams]).reshape((-1,) + (1,) * P.ndim)
+    # Every point the laws read, in one batch checked finite: x + y per
+    # pair, Z, lam p per scalar and probe (lam-major), and xy per pair.
+    # I(x), I(y), I(p) and the radii are gathered from Z's rows.
+    values, radii, _ = I.limits(algebra.finite_rows("verify_involution_laws", np.concatenate([
+        X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)])))
     I_sum, I_z, I_lp, I_xy = np.split(values, np.cumsum([n, len(Z), len(lams) * m]))
     I_x, I_y, I_p, nz = I_z[ix], I_z[iy], I_z[:m], radii[n:n + len(Z)]
     add, homog, am, inv = _norms(

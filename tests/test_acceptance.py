@@ -61,7 +61,7 @@ def verdict(capsys):
 def sample_probes(n, seed, spec=M2, rad=(0.1, 10.0)):
     """The probe stack the verifier stages take: n sampled rows."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
+    return algebra.sample_rows(spec, n, rng, rad)
 
 
 def limits(trace):

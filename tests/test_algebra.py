@@ -31,7 +31,7 @@ def adjoint_map(spec):
 
 
 def sample_stack(spec, n, rng, rad=(0.1, 10.0)):
-    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
+    return algebra.sample_rows(spec, n, rng, rad)
 
 
 class TestArithmetic:

@@ -177,29 +177,35 @@ class TestRun:
         assert len(calls) == len(set(calls))
         assert batch_rows == [sum(traced[key] for key in keys) for keys in batches]
 
-    @pytest.mark.parametrize("scenario", ["adjoint_rsum_r05", "product_superstability"])
-    def test_one_batch_per_level(self, monkeypatch, scenario):
-        # f stabilizes P and every point the laws read in one batch, each
-        # distinct row once in first-seen order, then I(P) in a second; f2,
-        # where there is one, stabilizes P.  That is 2 calls for f per pass,
-        # where the scan's P and the laws' points were 2 of 3.
+    @pytest.mark.parametrize("scenario, rows", [("adjoint_rsum_r05", [40, 40, 225, 40]),
+                                                ("product_superstability", [60, 60, 374])])
+    def test_one_batch_per_level(self, monkeypatch, scenario, rows):
+        # Each stage's uncached points are one batch: f stabilizes the scan's
+        # P, then the I(P) its e4_involutive reads, then the points of the
+        # laws' stack that neither holds, each distinct row once in
+        # first-seen order; f2, where there is one, stabilizes P.
         sc = cli.parse_scenario(cli.load_config(scenario))
         P = cli.make_probes(sc)
         IP = verifier.StabilizedMap(sc.f, stabilizer.select_direction(sc.phi), sc.phi).limits(P)[0]
-        points = verifier._law_points(sc.spec, maps.sample_lambdas(sc.lambdas),
-                                      P[:sc.laws_max_probes])[0]
-        first = list(dict.fromkeys(row.tobytes() for row in np.concatenate([P, points])))
+        Q = P[:sc.laws_max_probes]
+        Z, ix, iy = verifier.probe_pairs(Q)
+        L = np.array([lam for _, lam in maps.sample_lambdas(sc.lambdas)])
+        laws = np.concatenate([Z[ix] + Z[iy], Z,
+                               (L.reshape((-1,) + (1,) * Q.ndim) * Q).reshape(-1, *sc.spec.shape),
+                               algebra.mul_rows(sc.spec, Z[ix], Z[iy])])
+        known = {row.tobytes() for row in np.concatenate([P, IP])}
+        new = [key for key in dict.fromkeys(row.tobytes() for row in laws) if key not in known]
         batches, stabilize = [], stabilizer.stabilize_points
         monkeypatch.setattr(stabilizer, "stabilize_points", lambda f, direction, phi, X: (
             batches.append((f, X.copy())) or stabilize(f, direction, phi, X)))
         cli.run_pipeline(sc)
-        assert [f for f, _ in batches] == [sc.f, sc.f] + [sc.f2] * (sc.f2 is not None)
-        assert [row.tobytes() for row in batches[0][1]] == first
+        assert [f for f, _ in batches] == [sc.f] * 3 + [sc.f2] * (sc.f2 is not None)
+        assert batches[0][1].tobytes() == P.tobytes()
         assert batches[1][1].tobytes() == IP.tobytes()
+        assert [row.tobytes() for row in batches[2][1]] == new
         if sc.f2 is not None:
-            assert batches[2][1].tobytes() == P.tobytes()
-        if scenario == "adjoint_rsum_r05":
-            assert [len(X) for _, X in batches] == [265, 40, 40]
+            assert batches[3][1].tobytes() == P.tobytes()
+        assert [len(X) for _, X in batches] == rows
 
     def test_bound_norms_from_one_call(self, monkeypatch):
         # The bound stage takes its norms from one call on exactly
@@ -273,12 +279,11 @@ class TestRun:
             assert (scan, laws) == (689, [277, 12])
 
     def test_scalars_sampled_once_per_pass(self):
-        # The first-level batch, the scan and the laws read one memoized
-        # sample of the scalars.
+        # The scan and the laws read one memoized sample of the scalars.
         maps.sample_lambdas.cache_clear()
         cli.run_pipeline(cli.parse_scenario(small_config()))
         info = maps.sample_lambdas.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_one_trace_per_batch_and_one_witness_per_sup(self, monkeypatch):
         # The ladders stay flat stacks: a pass builds one StabilizationTrace
@@ -815,25 +820,6 @@ class TestVerdictsOverRadius:
             self.results_at(r, scenario)
         assert str(caught.value) == message.format(row=row)
 
-    def test_failing_first_batch_caches_nothing(self, monkeypatch):
-        # At radius 1e150 the laws' xy rows leave the float range at depth
-        # 1, so the first-level batch of P and the laws' points fails.  It
-        # leaves I empty: the scan stabilizes P alone, and the laws meet the
-        # failure in their own batch, at its row 187.
-        seen, limits = [], verifier.StabilizedMap.limits
-
-        def watching(I, X):
-            try:
-                return limits(I, X)
-            finally:
-                seen.append((len(X), len(I._index), len(I._trace.depths)))
-
-        monkeypatch.setattr(verifier.StabilizedMap, "limits", watching)
-        with pytest.raises(IterateOverflow, match="at depth 1, row 187$"):
-            self.results_at(1e150)
-        assert seen[0] == (40 + 277, 0, 0)
-        assert seen[1][:2] == (40, 40)
-
 
 class TestDepthKeys:
     """stabilizer.max_n and stabilizer.tol_rel are accepted and range-checked,
@@ -879,7 +865,8 @@ class TestConfigReference:
 
 class TestBundledScenarios:
     def test_names_resolve(self):
-        for name in ("adjoint_rsum_r05", "twisted_cstar.json", "product_superstability"):
+        for name in ("adjoint_rsum_r05", "adjoint_rsum_r15", "twisted_cstar.json",
+                     "product_superstability"):
             assert bundled_scenario_path(name) is not None
         assert bundled_scenario_path("no_such_scenario") is None
         assert bundled_scenario_path("/etc/passwd") is None
@@ -904,9 +891,9 @@ class TestBundledScenarios:
 # the numpy and LAPACK the suite runs with. Of the bundled scenarios only
 # adjoint_rsum_r05's perturbation2 draws hashed random directions;
 # pointwise_random_direction does in both maps, with a direction seed and
-# without. No bundled scenario takes the q = 1/2 (i = 1) direction, whose
-# error_bound factor differs; adjoint_rsum_r15 does. The *_warm entries
-# are the benchmark workloads' warm passes.
+# without. Of the bundled scenarios only adjoint_rsum_r15, adjoint_rsum_r05
+# at r = 1.5, takes the q = 1/2 (i = 1) direction, whose error_bound factor
+# differs. The *_warm entries are the benchmark workloads' warm passes.
 GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
 POINTWISE_RANDOM_DIRECTION = {
@@ -970,21 +957,11 @@ SCALAR_EXACT_WARM = {
 }
 
 
-def adjoint_rsum_r15():
-    cfg = json.loads(bundled_scenario_path("adjoint_rsum_r05").read_text())
-    for section in ("control", "perturbation", "perturbation2"):
-        cfg[section]["r"] = 1.5
-    cfg["sampling"]["num_probes"] = 8
-    cfg["laws"]["max_probes"] = 4
-    return cfg
-
-
 GOLDEN_CONFIGS = {
     "pointwise_random_direction": POINTWISE_RANDOM_DIRECTION,
     "pointwise_hashed_warm": POINTWISE_HASHED_WARM,
     "matrix_rsum_warm": MATRIX_RSUM_WARM,
     "scalar_exact_warm": SCALAR_EXACT_WARM,
-    "adjoint_rsum_r15": adjoint_rsum_r15(),
 }
 
 

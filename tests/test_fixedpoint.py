@@ -113,7 +113,7 @@ def as_callable(f):
 
 
 def sample_stack(spec, n, rng, rad):
-    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
+    return algebra.sample_rows(spec, n, rng, rad)
 
 
 class TestFunctionSpaceMetric:

@@ -39,7 +39,7 @@ def involution_rows(kind, spec, X):
 
 
 def sample_stack(spec, n, rng, rad=(0.1, 10.0)):
-    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
+    return algebra.sample_rows(spec, n, rng, rad)
 
 
 def norms(spec, X):

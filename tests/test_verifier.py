@@ -37,7 +37,7 @@ def radial(theta, r, seed=None):
 
 def sample_probes(n, rng, spec=M2, rad=(0.1, 10.0)):
     """A probe stack of n sampled rows."""
-    return np.stack([algebra.sample_element(spec, rad, rng) for _ in range(n)])
+    return algebra.sample_rows(spec, n, rng, rad)
 
 
 EXACT_ADJ = ApproxMap(maps.adjoint(), NO_PERTURBATION, M2)

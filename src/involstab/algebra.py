@@ -110,16 +110,20 @@ def _operator_norm(stack: np.ndarray) -> np.ndarray:
     # gives a stack the bits of the per-matrix calls.
     if stack.shape[-1] != 2:
         return _svd_norms(stack)
-    # One copy into rows of N contiguous parts r00, i00, r01, i01, ..., i11.
-    parts = np.ascontiguousarray(stack).reshape(-1, 4).view(np.float64).T.copy()
-    largest = np.abs(parts).max(axis=0, initial=0.0)
+    # One gather of the parts into the rows _closed_form reads, N contiguous
+    # parts each; rows 8 to 15 hold every part once.
+    rows = np.ascontiguousarray(stack).reshape(-1, 4).view(np.float64).T.take(_ROWS, axis=0)
+    np.negative(rows[1:4:2], out=rows[1:4:2])
+    largest = np.abs(rows[8:16]).max(axis=0, initial=0.0)
     lo, hi = EXACT_SCALING_RANGE
+    if lo <= largest.min(initial=hi) and largest.max(initial=lo) <= hi:
+        return _closed_form(rows)
     closed = (largest == 0.0) | ((largest >= lo) & (largest <= hi))
     if closed.all():
-        return _closed_form(parts)
+        return _closed_form(rows)
     norms = np.empty(len(stack))
     norms[~closed] = _svd_norms(stack[~closed])
-    norms[closed] = _closed_form(parts[:, closed])
+    norms[closed] = _closed_form(rows[:, closed])
     return norms
 
 
@@ -146,16 +150,22 @@ def _svd_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _closed_form(parts: np.ndarray) -> np.ndarray:
-    m = parts.reshape(2, 2, 2, -1)  # m[row, column, real/imag]
-    squares = m * m
-    moduli = squares[:, :, 0] + squares[:, :, 1]  # |m_jk|^2
-    a, c = moduli[0] + moduli[1]
-    same = m[:, 0] * m[:, 1]  # r_j0 r_j1, i_j0 i_j1
-    cross = m[:, 0] * m[:, 1, ::-1]  # r_j0 i_j1, i_j0 r_j1
-    re, im = same[:, 0] + same[:, 1], cross[:, 0] - cross[:, 1]
-    b = np.hypot(re[0] + re[1], im[0] + im[1])
-    return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+# The rows the closed form reads, as indices of the parts r00, i00, r01,
+# i01, r10, i10, r11, i11: in groups of four, B' = (i01, -r01, i11, -r11),
+# A = (r00, i00, r10, i10) twice and B = (r01, i01, r11, i11) twice, with
+# B''s -r01 and -r11 negated after the gather.  Rows 0-15 times rows 4-19
+# are A B', A A, A B and B B: the terms of im b, a, re b and c, in the
+# order the formula pairs them.  Sums of adjacent rows, taken twice, give
+# the formula's bits: products commute, (-x) y = -(x y) and x + (-y) = x - y
+# in IEEE 754.
+_ROWS = np.array([3, 2, 7, 6, 0, 1, 4, 5, 0, 1, 4, 5, 2, 3, 6, 7, 2, 3, 6, 7])
+
+
+def _closed_form(rows: np.ndarray) -> np.ndarray:
+    products = rows[:16] * rows[4:]
+    sums = products[0::2] + products[1::2]
+    im, a, re, c = sums[0::2] + sums[1::2]
+    return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), np.hypot(re, im)))
 
 
 def _row_reduce(ufunc: np.ufunc, stack: np.ndarray) -> np.ndarray:

@@ -149,13 +149,13 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
         raise SpecMismatch(f"map spec {f.spec} vs stack shape {X.shape}")
     # Each row's largest |part|: NaN or inf iff the row is not finite.
     largest = algebra._row_reduce(np.maximum, np.abs(X.view(np.float64)))
-    bad = (~np.isfinite(largest)).nonzero()[0]
-    if len(bad):
-        raise ValueError(f"row {bad[0]} of X is not finite")
-    # X's own arguments first: a row whose norm overflows has a part above 1e300.
-    big = (largest > 1e300).nonzero()[0]
-    if len(big):
-        raise IterateOverflow(f"iterate argument exceeded 1e300 at depth 0, row {big[0]}")
+    if not (largest <= 1e300).all():
+        bad = ~np.isfinite(largest)
+        if bad.any():
+            raise ValueError(f"row {bad.argmax()} of X is not finite")
+        # X's own arguments first: a row whose norm overflows has a part above 1e300.
+        raise IterateOverflow(
+            f"iterate argument exceeded 1e300 at depth 0, row {(largest > 1e300).argmax()}")
     norms = algebra.stacked_norms(f.spec, X)
     bounds = closeness(direction, phi, norms)
     if not np.isfinite(bounds).all():
@@ -185,11 +185,12 @@ def stabilize_points(f: ApproxMap, direction: ScalingDirection, phi: ControlFunc
     gaps = np.full(len(depths), np.nan)
     gaps[:-1][pair] = algebra.stacked_norms(f.spec, values[1:][pair] - values[:-1][pair])
     powers, k = direction.L ** depths, owner[1:]
-    tail = (powers[:-1] + powers[1:]) * bounds[k] + 16 * _U * norms[k]
-    fail(np.append(False, pair & (bounds[k] > 0) & ~(gaps[:-1] <= tail)),
+    bound = bounds[k]
+    tail = (powers[:-1] + powers[1:]) * bound + 16 * _U * norms[k]
+    fail(np.concatenate([[False], pair & (bound > 0) & ~(gaps[:-1] <= tail)]),
          NonCauchy("ladder difference ||a_n - a_m|| exceeds (L^m + L^n) e(x) + 16u ||x||"))
-    return StabilizationTrace(np.append(0, np.cumsum(used.sum(axis=1))), depths, values, gaps,
-                              norms, bounds)
+    return StabilizationTrace(np.concatenate([[0], used.sum(axis=1).cumsum()]), depths, values,
+                              gaps, norms, bounds)
 
 
 @np.errstate(over="ignore")

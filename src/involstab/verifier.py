@@ -78,7 +78,7 @@ class StabilizedMap:
                 batch = stabilizer.stabilize_points(self.f, self.direction, self.phi, todo)
                 kept = self._trace
                 self._trace = StabilizationTrace(
-                    np.append(kept.offsets, batch.offsets[1:] + kept.offsets[-1]),
+                    np.concatenate([kept.offsets, batch.offsets[1:] + kept.offsets[-1]]),
                     *(np.concatenate([getattr(kept, name), getattr(batch, name)])
                       for name in ("depths", "iterates", "gaps", "radius", "bound")))
             except BaseException:
@@ -93,9 +93,10 @@ class StabilizedMap:
         trace in X's row order."""
         indices = self._indices(X)  # before _trace is read: it may grow
         kept = self._trace
-        starts, counts = kept.offsets[indices], np.diff(kept.offsets)[indices]
-        offsets = np.append(0, np.cumsum(counts))
-        at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        starts = kept.offsets[indices]
+        counts = kept.offsets[indices + 1] - starts
+        offsets = np.concatenate([[0], counts.cumsum()])
+        at = (starts - offsets[:-1]).repeat(counts) + np.arange(offsets[-1])
         return StabilizationTrace(offsets, kept.depths[at], kept.iterates[at], kept.gaps[at],
                                   kept.radius[indices], kept.bound[indices])
 
@@ -117,9 +118,9 @@ def probe_pairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = len(P)
     i = np.arange(m)
     # A +0 row: 0 * P would write -0 into the y witnesses.
-    Z = np.concatenate([P, np.zeros_like(P[:1])])
-    iy = np.stack([np.full(m, m), i, (i + 1) % m, (i * 7 + 3) % m], axis=1).reshape(-1)
-    return Z, np.repeat(i, 4), iy
+    Z = np.concatenate([P, np.zeros((1, *P.shape[1:]), P.dtype)])
+    iy = np.array([np.full(m, m), i, (i + 1) % m, (i * 7 + 3) % m]).T.reshape(-1)
+    return Z, i.repeat(4), iy
 
 
 def _require_probes(P: np.ndarray) -> None:
@@ -127,11 +128,17 @@ def _require_probes(P: np.ndarray) -> None:
         raise ValueError("probe set must be nonempty")
 
 
+def _cut(stack: np.ndarray, *sizes: int) -> list[np.ndarray]:
+    """Consecutive slices of a stack, of the given sizes, then the rest:
+    np.split at the sizes' running sums, without its Python-level cost."""
+    ends = [*itertools.accumulate(sizes)]
+    return [stack[start:end] for start, end in zip([0, *ends], [*ends, None])]
+
+
 def _norms(stage: str, spec: AlgebraSpec, *stacks: np.ndarray) -> list[np.ndarray]:
     """Each stack's norms from one stacked_norms call; a row's bits do not depend on the stack."""
     norms = algebra.stacked_norms(spec, algebra.finite_rows(stage, np.concatenate(stacks)))
-    ends = list(itertools.accumulate(map(len, stacks)))
-    return [norms[start:end] for start, end in zip([0, *ends], ends)]
+    return _cut(norms, *map(len, stacks[:-1]))
 
 
 def _witness(**columns):
@@ -141,9 +148,9 @@ def _witness(**columns):
 
 def _sup(values, witness) -> tuple[float, dict, int]:
     """The sup of a column of values, its witness and the sample count.
-    np.argmax gives the first maximal index (a NaN's, if any), the tuple a
-    strict `<` running update keeps; only its witness(k) is built."""
-    k = int(np.argmax(values))
+    ndarray.argmax gives the first maximal index (a NaN's, if any), the tuple
+    a strict `<` running update keeps; only its witness(k) is built."""
+    k = int(values.argmax())
     return float(values[k]), witness(k), len(values)
 
 
@@ -181,15 +188,15 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     lam = np.array([v for _, v in unit_lams]).reshape((-1,) + (1,) * len(spec.shape))
     # The control's pairs: the sample's, then each probe with itself for
     # the C* ratio's phi(x, x).
-    jx, jy = np.append(ix, np.arange(m)), np.append(iy, np.arange(m))
+    i = np.arange(m)
+    jx, jy = np.concatenate([ix, i]), np.concatenate([iy, i])
     XY = algebra.mul_rows(spec, Z[jx], Z[jy])
     # Every argument of f in one stack: (x+y)/2 and xy per pair, lam z per
     # row z of Z and scalar (z-major), and Z.  f(lam x) and f(lam y) are
     # gathered from f(lam Z), f(x) and f(y) from f(Z).
     args = algebra.finite_rows("scan_hypotheses", np.concatenate(
         [complex(0.5) * (X + Y), (lam * Z[:, None]).reshape(-1, *spec.shape), XY[:n], Z]))
-    f_mid, f_lz, f_xy, f_z = np.split(maps._f_values("scan_hypotheses", f, args),
-                                      np.cumsum([n, len(Z) * nl, n]))
+    f_mid, f_lz, f_xy, f_z = _cut(maps._f_values("scan_hypotheses", f, args), n, len(Z) * nl, n)
     f_lz = f_lz.reshape(len(Z), nl, *spec.shape)
     jensen = 2.0 * np.conj(lam) * f_mid[:, None] - f_lz[ix] - f_lz[iy]
     defects = algebra.finite_rows("scan_hypotheses", np.concatenate([
@@ -199,13 +206,13 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
     # products.  I is not asked for Z: its zero row stays in the laws' batch.
     sums = phi.kind is stabilizer.ControlKind.POWER_SUM
     IP, radii, _ = I.limits(P)
-    nz = np.append(radii, 0.0)
+    nz = np.concatenate([radii, [0.0]])
     residuals = I.limits(IP)[0] - P
     nd, *nxy, e4 = _norms("scan_hypotheses", spec, defects, *([] if sums else [XY]), residuals)
     dens = stabilizer.control(phi, *((nz[jx], nz[jy]) if sums else nxy))
     if not np.isfinite(dens).all():
         raise OutOfRange(f"{phi.kind.value} control overflows at r = {phi.r}")
-    e2, e3, nxf = np.split(nd, np.cumsum([n * nl, n]))
+    e2, e3, nxf = _cut(nd, n * nl, n)
     squares = algebra._libm_pow(radii, 2)
     if not np.isfinite(squares).all():
         raise OutOfRange("scan_hypotheses: ||x||^2 of a probe is not finite")
@@ -216,7 +223,7 @@ def scan_hypotheses(I: StabilizedMap, lambdas: LambdaSampler, P: np.ndarray) -> 
         return {"x": X[k // nl], "y": Y[k // nl], "lam": lam_k, "stage": stage}
 
     columns = {
-        "e2_jensen": (_ratios(e2, np.repeat(dens[:n], nl)), jensen_witness),
+        "e2_jensen": (_ratios(e2, dens[:n].repeat(nl)), jensen_witness),
         "e3_antimul": (_ratios(e3, dens[:n]), _witness(x=X, y=Y)),
         "e4_involutive": (e4, _witness(x=P)),
         "e6_cstar": (_ratios(e6, dens[n:]), _witness(x=P)),
@@ -264,7 +271,7 @@ def verify_involution_laws(
     # I(x), I(y), I(p) and the radii are gathered from Z's rows.
     values, radii, _ = I.limits(algebra.finite_rows("verify_involution_laws", np.concatenate([
         X + Y, Z, (L * P).reshape(-1, *spec.shape), algebra.mul_rows(spec, X, Y)])))
-    I_sum, I_z, I_lp, I_xy = np.split(values, np.cumsum([n, len(Z), len(lams) * m]))
+    I_sum, I_z, I_lp, I_xy = _cut(values, n, len(Z), len(lams) * m)
     I_x, I_y, I_p, nz = I_z[ix], I_z[iy], I_z[:m], radii[n:n + len(Z)]
     add, homog, am, inv = _norms(
         "verify_involution_laws", spec, I_sum - (I_x + I_y),
@@ -321,13 +328,13 @@ def verify_bound(
     _require_probes(P)
     tr = I.traces(P)
     its, last = tr.iterates, tr.offsets[1:] - 1
-    probe = np.repeat(np.arange(len(P)), np.diff(tr.offsets))
+    probe = np.arange(len(P)).repeat(tr.offsets[1:] - tr.offsets[:-1])
     errors, deviations = _norms("verify_bound", I.f.spec, its - its[last][probe],
                                 its - its[tr.offsets[:-1]][probe])
     diffs, bounds = deviations[last], tr.bound
     ratios = np.where(bounds == 0.0, np.where(diffs <= ZERO_BOUND_ABS, 0.0, INF), diffs / bounds)
     worst, witness, _ = _sup(ratios, _witness(x=P, diff=diffs.tolist(), bound=bounds.tolist()))
-    at = np.delete(np.arange(len(its)), last)
+    at = (probe[1:] == probe[:-1]).nonzero()[0]  # each entry but a probe's last
     rows = probe[at]
     columns = [rows, tr.radius[rows], tr.depths[at], tr.gaps[at], errors[at], bounds[rows],
                _ratios(deviations[at], bounds[rows])]

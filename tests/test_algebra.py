@@ -348,6 +348,22 @@ class TestOperatorNorm:
     @example(np.array([[[1e-120, -0.0], [0, 1e-120j]], [[1e140, 1], [0, 0]],
                        [[-1e120, 1e120j], [5e-324, 1]], [[5e-121, 0], [0, -0.0j]],
                        [[0, 0], [0, -0.0]], [[1.0, 1e-300], [1e-320j, 0]]]))
+    # The kernel takes im b's terms -(i00 r01) and -(i10 r11) as products
+    # with a negated part: equal cross products r00 i01 and i00 r01, nonzero
+    # or zero of either sign, and a row with only i00 and r01 nonzero.
+    @example(np.array([[[1 + 2j, 1 + 2j], [3 - 1j, 3 - 1j]],
+                       [[complex(-0.0, 0.0), 1 + 1j], [complex(0.0, -0.0), -1 - 1j]],
+                       [[complex(-0.0, -0.0), 1 + 1j], [complex(-0.0, 0.0), 1 - 1j]],
+                       [[complex(0.0, -0.0), -1 + 1j], [complex(0.0, 0.0), 0]],
+                       [[3j, 2], [0, 0]], [[-3j, 2], [0, 0]]]))
+    # Parts one ulp outside the safe range, and one ulp outside it next to
+    # parts at its edges.
+    @example(np.array([[[np.nextafter(1e-120, 0), 0], [0, 0]],
+                       [[np.nextafter(1e120, np.inf), 1], [0, 0]],
+                       [[1e-120, np.nextafter(1e-120, 0) * 1j], [0, 1e-120]],
+                       [[1e120, np.nextafter(1e-120, 0)], [1j, -1e120j]],
+                       [[np.nextafter(1e120, np.inf) * 1j, 1e120], [0, 1e-120]],
+                       [[np.nextafter(1e-120, 0), -1e-120j], [0, np.nextafter(1e-120, 0)]]]))
     def test_bits_match_formula_per_row(self, M):
         # Each row has the bits of README's formula, evaluated for that row
         # alone in Python floats, or of its own svd call.
